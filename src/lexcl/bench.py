@@ -158,7 +158,6 @@ def gen_benchmark(cfg: BenchConfig, out_dir) -> None:
     for lang in range(cfg.n_languages):
         lang_dir = os.path.join(out_dir, f"L{lang}")
         os.makedirs(lang_dir, exist_ok=True)
-        cap_rng = _sub_rng(cfg.seed, "captions", lang)
         corpus_lines = []
         for split in SPLITS:
             lines = []
@@ -179,7 +178,6 @@ def gen_benchmark(cfg: BenchConfig, out_dir) -> None:
             with open(os.path.join(lang_dir, f"{split}.tsv"), "w",
                       encoding="utf-8", newline="\n") as f:
                 f.write("\n".join(lines) + "\n")
-        del cap_rng
         with open(os.path.join(lang_dir, "corpus.txt"), "w",
                   encoding="utf-8", newline="\n") as f:
             f.write("\n".join(corpus_lines) + "\n")

@@ -2,18 +2,24 @@
 
 Training is greedy: repeatedly merge the most frequent adjacent token
 pair inside whitespace-separated words, ties broken by lexicographically
-smaller (left-bytes, right-bytes). The 256 single bytes are always the
+smaller (left-bytes, right-bytes). `train_bpe` counts pairs once and
+then updates the counts of only the words each merge touches
+(Sennrich et al. 2016); `train_bpe_reference` recounts the whole corpus
+per merge and is kept as its oracle. The 256 single bytes are always the
 base alphabet, so any byte string encodes losslessly.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import InvalidIdError, InvalidInputError
 
 N_BYTES = 256
+
+Pair = tuple[bytes, bytes]
 
 
 @dataclass(frozen=True)
@@ -27,22 +33,32 @@ class MergeRule:
 
 @dataclass
 class TaskVocab:
-    """One task's BPE vocabulary: 256 byte tokens plus learned merges."""
+    """One task's BPE vocabulary: 256 byte tokens plus learned merges.
+
+    The rank table is built once, by `merge_ranks()`, when the vocab is
+    made; `encode` reads it and fills `segment_ids`, its cache of
+    encoded whitespace-free segments. Both are derived state, left out
+    of equality and repr."""
 
     task_index: int
     tokens: list[bytes]
     rules: list[MergeRule]
     id_of: dict[bytes, int] = field(default_factory=dict)
+    ranks: dict[Pair, tuple[tuple[int, int], bytes]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    segment_ids: dict[bytes, list[int]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.id_of:
             self.id_of = {tok: i for i, tok in enumerate(self.tokens)}
+        self.ranks = self.merge_ranks()
 
     @property
     def size(self) -> int:
         return len(self.tokens)
 
-    def merge_ranks(self) -> dict[tuple[bytes, bytes], tuple[tuple[int, int], bytes]]:
+    def merge_ranks(self) -> dict[Pair, tuple[tuple[int, int], bytes]]:
         """Map (left bytes, right bytes) -> ((task, rank) priority, merged bytes)."""
         out = {}
         for r in self.rules:
@@ -70,52 +86,123 @@ def _merge_word(parts: list[bytes], left: bytes, right: bytes, merged: bytes) ->
     return out
 
 
-def train_bpe(corpus, target_size: int, task_index: int = 0) -> TaskVocab:
-    """Learn merge rules from a corpus of text strings.
-
-    Merges are chosen by descending pair frequency (overlapping
-    occurrences counted), stopping early once no pair occurs twice.
-    """
+def _corpus_words(corpus, target_size: int):
+    """Distinct words of the corpus as byte-token lists, with their counts."""
     corpus = list(corpus)
     if not corpus:
         raise InvalidInputError("train_bpe: corpus is empty")
     if target_size < N_BYTES + 1:
         raise InvalidInputError(
             f"train_bpe: target_size {target_size} < {N_BYTES + 1}")
-
     word_counts: Counter[bytes] = Counter()
     for line in corpus:
         for word in line.split():
             word_counts[word.encode("utf-8")] += 1
-
     words = [[bytes([b]) for b in w] for w in word_counts]
-    freqs = list(word_counts.values())
+    return words, list(word_counts.values())
 
-    tokens = _byte_tokens()
-    id_of = {tok: i for i, tok in enumerate(tokens)}
-    rules: list[MergeRule] = []
 
-    while len(tokens) < target_size:
-        pair_counts: Counter[tuple[bytes, bytes]] = Counter()
+class _Merges:
+    """The growing token list and merge rules of one training run."""
+
+    def __init__(self, task_index: int):
+        self.task_index = task_index
+        self.tokens = _byte_tokens()
+        self.id_of = {tok: i for i, tok in enumerate(self.tokens)}
+        self.rules: list[MergeRule] = []
+
+    def add(self, left: bytes, right: bytes) -> bytes:
+        merged = left + right
+        new_id = len(self.tokens)
+        self.tokens.append(merged)
+        self.id_of[merged] = new_id
+        self.rules.append(MergeRule(self.id_of[left], self.id_of[right],
+                                    new_id, self.task_index, len(self.rules)))
+        return merged
+
+    def vocab(self) -> TaskVocab:
+        return TaskVocab(task_index=self.task_index, tokens=self.tokens,
+                         rules=self.rules)
+
+
+def _pairs(parts: list[bytes]):
+    return zip(parts, parts[1:])
+
+
+def train_bpe(corpus, target_size: int, task_index: int = 0) -> TaskVocab:
+    """Learn merge rules from a corpus of text strings.
+
+    Merges are chosen by descending pair frequency (overlapping
+    occurrences counted), ties by the smaller (left, right) bytes,
+    stopping early once no pair occurs twice. Pair counts are taken
+    once; each merge then re-counts only the words that hold the merged
+    pair, through a pair -> word index, and a heap keyed
+    (-count, left, right) with stale entries skipped on pop picks the
+    next pair. Same merges as `train_bpe_reference`.
+    """
+    words, freqs = _corpus_words(corpus, target_size)
+    out = _Merges(task_index)
+
+    counts: dict[Pair, int] = {}
+    where: dict[Pair, set[int]] = {}
+    for w, (parts, f) in enumerate(zip(words, freqs)):
+        for pair in _pairs(parts):
+            counts[pair] = counts.get(pair, 0) + f
+            where.setdefault(pair, set()).add(w)
+    heap = [(-c, left, right) for (left, right), c in counts.items()]
+    heapq.heapify(heap)
+
+    while len(out.tokens) < target_size:
+        while heap and counts.get(heap[0][1:]) != -heap[0][0]:
+            heapq.heappop(heap)
+        if not heap or -heap[0][0] < 2:
+            break
+        _, left, right = heapq.heappop(heap)
+        merged = out.add(left, right)
+        delta: Counter[Pair] = Counter()
+        for w in where.pop((left, right)):
+            parts, f = words[w], freqs[w]
+            for pair in _pairs(parts):
+                delta[pair] -= f
+            parts = words[w] = _merge_word(parts, left, right, merged)
+            for pair in _pairs(parts):
+                delta[pair] += f
+                where.setdefault(pair, set()).add(w)
+        for pair, d in delta.items():
+            if d == 0:
+                continue
+            c = counts.get(pair, 0) + d
+            if c:
+                counts[pair] = c
+                heapq.heappush(heap, (-c, *pair))
+            else:
+                del counts[pair]
+
+    return out.vocab()
+
+
+def train_bpe_reference(corpus, target_size: int,
+                        task_index: int = 0) -> TaskVocab:
+    """Slow reference trainer: recount every pair before each merge."""
+    words, freqs = _corpus_words(corpus, target_size)
+    out = _Merges(task_index)
+
+    while len(out.tokens) < target_size:
+        pair_counts: Counter[Pair] = Counter()
         for parts, f in zip(words, freqs):
-            for a, b in zip(parts, parts[1:]):
-                pair_counts[(a, b)] += f
+            for pair in _pairs(parts):
+                pair_counts[pair] += f
         if not pair_counts:
             break
-        best = min(pair_counts.items(), key=lambda kv: (-kv[1], kv[0]))
-        (left, right), count = best
+        (left, right), count = min(pair_counts.items(),
+                                   key=lambda kv: (-kv[1], kv[0]))
         if count < 2:
             break
-        merged = left + right
-        new_id = len(tokens)
-        tokens.append(merged)
-        id_of[merged] = new_id
-        rules.append(MergeRule(id_of[left], id_of[right], new_id,
-                               task_index, len(rules)))
+        merged = out.add(left, right)
         words = [_merge_word(p, left, right, merged) if len(p) > 1 else p
                  for p in words]
 
-    return TaskVocab(task_index=task_index, tokens=tokens, rules=rules)
+    return out.vocab()
 
 
 def _encode_parts(parts: list[bytes], ranks) -> list[bytes]:
@@ -139,27 +226,20 @@ def _encode_parts(parts: list[bytes], ranks) -> list[bytes]:
     return parts
 
 
-def encode(text: bytes, scope) -> list[int]:
-    """Encode a byte string into token ids under the given scope.
+def encode(text: bytes, vocab: TaskVocab) -> list[int]:
+    """Encode a byte string into token ids under one task vocabulary.
 
-    The scope is any object exposing ``id_of`` and ``merge_ranks()``
-    (a TaskVocab or a merged multi-task view). Merges never contain
-    whitespace bytes, so whitespace-separated segments encode
-    independently; segment encodings are cached for speed.
+    Merges never contain whitespace bytes, so whitespace-separated
+    segments encode independently, against the vocab's rank table; each
+    distinct segment is encoded once and kept in `vocab.segment_ids`.
     """
     if isinstance(text, str):
         text = text.encode("utf-8")
     if not text:
         return []
-    ranks = scope.merge_ranks()
-    cache = getattr(scope, "_encode_cache", None)
-    if cache is None:
-        cache = {}
-        try:
-            scope._encode_cache = cache
-        except AttributeError:
-            pass
-    id_of = scope.id_of
+    ranks = vocab.ranks
+    cache = vocab.segment_ids
+    id_of = vocab.id_of
     out: list[int] = []
     i = 0
     n = len(text)

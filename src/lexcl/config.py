@@ -6,6 +6,8 @@ run persists the effective merged config."""
 
 from __future__ import annotations
 
+import math
+
 from .bench import BenchConfig
 from .errors import InvalidInputError
 from .harness import RunConfig
@@ -19,12 +21,17 @@ def parse_value(raw: str):
     s = raw.strip()
     if s.lower() in _BOOL:
         return _BOOL[s.lower()]
-    for conv in (int, float):
-        try:
-            return conv(s)
-        except ValueError:
-            pass
-    return s
+    try:
+        return int(s)
+    except ValueError:
+        pass
+    try:
+        value = float(s)
+    except ValueError:
+        return s
+    if not math.isfinite(value):
+        raise InvalidInputError(f"non-finite number {s!r}")
+    return value
 
 
 def load_config_file(path) -> dict:
@@ -38,7 +45,11 @@ def load_config_file(path) -> dict:
                 raise InvalidInputError(
                     f"{path}:{lineno}: expected 'key = value'")
             key, _, raw = line.partition("=")
-            out[key.strip()] = parse_value(raw)
+            key = key.strip()
+            try:
+                out[key] = parse_value(raw)
+            except InvalidInputError as e:
+                raise InvalidInputError(f"{path}:{lineno}: {key}: {e}") from None
     return out
 
 
@@ -119,8 +130,3 @@ def run_config(cfg: dict, data_dir: str, out_dir: str) -> RunConfig:
                    loss=LossConfig(**loss_kwargs), **run_kwargs)
     rc.validate()
     return rc
-
-
-def effective_dict(cfg: dict) -> dict:
-    """The merged config as written back out; identity for now."""
-    return dict(cfg)

@@ -97,13 +97,6 @@ def encode_text_grad(ids, table, params: FrozenTextParams,
     return grads
 
 
-def encode_text_batch(ids_list, table, params: FrozenTextParams) -> np.ndarray:
-    out = np.empty((len(ids_list), params.d_out), dtype=np.float64)
-    for k, ids in enumerate(ids_list):
-        out[k] = encode_text(ids, table, params)
-    return out
-
-
 class ImageFeatureProvider:
     """Frozen n_images x d_out feature matrix, file-backed or seeded."""
 

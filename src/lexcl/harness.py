@@ -8,6 +8,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field, asdict
 
@@ -16,7 +17,7 @@ from scipy import stats as scipy_stats
 
 from . import bpe
 from . import vocab as vocab_mod
-from .bench import load_corpus, load_dataset, load_manifest
+from .bench import SPLITS, load_corpus, load_dataset, load_manifest
 from .embeddings import (EmbeddingTable, dist_stats, expand, fixed_policy,
                          init_table, matched_policy, save_checkpoint,
                          snapshot_anchor, vocab_hash)
@@ -59,6 +60,17 @@ class RunConfig:
             raise InvalidInputError("run.batch_size: must be >= 2")
         if self.mode not in ("continual", "joint"):
             raise InvalidInputError(f"run.mode: unknown mode {self.mode!r}")
+        if self.vocab_size_per_task < bpe.N_BYTES + 1:
+            raise InvalidInputError(
+                f"vocab.size_per_task: must be >= {bpe.N_BYTES + 1}")
+        for name in ("dim", "d_out", "l_max"):
+            if getattr(self, name) < 1:
+                raise InvalidInputError(f"model.{name}: must be >= 1")
+        for name, value in (("optim.lr", self.lr_peak),
+                            ("loss.tau", self.loss.tau),
+                            ("optim.weight_decay", self.weight_decay)):
+            if not math.isfinite(value):
+                raise InvalidInputError(f"{name}: must be finite")
 
 
 @dataclass
@@ -77,7 +89,11 @@ def sub_seed(master: int, *names) -> int:
 
 
 class _TaskData:
-    """Loaded splits for one language."""
+    """Loaded splits for one language, and their token arrays.
+
+    `tokens[split]` holds the split's foreign captions under the vocab
+    the language is scored with, `english` its English train captions
+    under vocab 0. Both are filled when that vocab is merged in."""
 
     def __init__(self, data_dir, language_id):
         self.language_id = language_id
@@ -85,6 +101,8 @@ class _TaskData:
         self.val, _ = load_dataset(data_dir, language_id, "val")
         self.test, _ = load_dataset(data_dir, language_id, "test")
         self.corpus = load_corpus(data_dir, language_id)
+        self.tokens: dict[str, vocab_mod.TokenArrays] = {}
+        self.english: vocab_mod.TokenArrays | None = None
 
 
 class Runner:
@@ -132,34 +150,46 @@ class Runner:
         return bpe.train_bpe(self.tasks[t].corpus,
                              self.cfg.vocab_size_per_task, task_index=t)
 
-    def _foreign_ids(self, text: str, task_index: int) -> list[int]:
-        if self._shared_vocab:
-            task_index = 0
-        else:
-            task_index = min(task_index, len(self.state.task_vocabs) - 1)
-        return self.state.global_ids(text, task_index)
+    def _vocab_index(self, t: int) -> int:
+        """Index of the vocab that language t is tokenised with."""
+        return 0 if self._shared_vocab else t
 
-    def _english_feature(self, text: str) -> np.ndarray:
-        r = self.eng_cache.get(text)
-        if r is None:
-            ids = self._foreign_ids(text, 0)
-            r = encode_text(ids, self.anchor, self.params)
-            self.eng_cache[text] = r
-        return r
+    def _tokenize(self, v: int) -> None:
+        """Tokenise every caption read under vocab v, once; called right
+        after v is merged in. Global ids are append-only, so the arrays
+        stay valid for the rest of the run."""
+        memo: dict[str, list[int]] = {}
+        for t, td in enumerate(self.tasks):
+            if v == 0:
+                td.english = self.state.tokenize(
+                    [tr.english_text for tr in td.train], 0, memo)
+            if self._vocab_index(t) == v:
+                td.tokens = {split: self.state.tokenize(
+                    [tr.foreign_text for tr in getattr(td, split)], v, memo)
+                    for split in SPLITS}
 
-    def _foreign_features(self, triplets, task_index) -> np.ndarray:
-        out = np.empty((len(triplets), self.cfg.d_out))
-        for k, tr in enumerate(triplets):
-            ids = self._foreign_ids(tr.foreign_text, task_index)
-            out[k] = encode_text(ids, self.table, self.params)
-        return out
+    def _english_features(self, td: _TaskData) -> np.ndarray:
+        """Anchor-table features of a language's English train captions."""
+        out = []
+        for tr, ids in zip(td.train, td.english.rows()):
+            r = self.eng_cache.get(tr.english_text)
+            if r is None:
+                r = encode_text(ids, self.anchor, self.params)
+                self.eng_cache[tr.english_text] = r
+            out.append(r)
+        return np.stack(out)
+
+    def _text_features(self, tokens: vocab_mod.TokenArrays) -> np.ndarray:
+        return np.stack([encode_text(ids, self.table, self.params)
+                         for ids in tokens.rows()])
 
     # --- evaluation ---------------------------------------------------
 
-    def _retrieval(self, triplets, task_index, ks=(1,)):
+    def _retrieval(self, td: _TaskData, split: str, ks=(1,)):
+        triplets = getattr(td, split)
         img_idx = [tr.image_index for tr in triplets]
         img_feats = self.provider.features[img_idx].astype(np.float64)
-        txt_feats = self._foreign_features(triplets, task_index)
+        txt_feats = self._text_features(td.tokens[split])
         ident = {i: {i} for i in range(len(triplets))}
         out = {"img2txt": {}, "txt2img": {}}
         for k in ks:
@@ -170,24 +200,29 @@ class Runner:
     def _val_score(self, t: int) -> float:
         """Checkpoint-selection score: Recall@{1,5,10} summed over both
         retrieval directions."""
-        res = self._retrieval(self.tasks[t].val, t, ks=(1, 5, 10))
+        res = self._retrieval(self.tasks[t], "val", ks=(1, 5, 10))
         return sum(res[d][k] for d in ("img2txt", "txt2img") for k in (1, 5, 10))
 
     def _fill_eval_row(self, row: int, seen_tasks) -> None:
         for i in seen_tasks:
-            res = self._retrieval(self.tasks[i].test, i, ks=(1,))
+            res = self._retrieval(self.tasks[i], "test", ks=(1,))
             self.eval_matrix.set(row, i, "img2txt", res["img2txt"][1])
             self.eval_matrix.set(row, i, "txt2img", res["txt2img"][1])
 
     # --- training core --------------------------------------------------
 
-    def _train_epochs(self, label, samples, lam: np.ndarray,
-                      loss_cfg: LossConfig, val_tasks, kind=None,
-                      lr=None) -> None:
-        """Epoch loop over (foreign_ids, eng_feat or None, image_index)
-        samples with validation-based checkpoint selection."""
+    def _train_epochs(self, label, tasks, lam: np.ndarray,
+                      loss_cfg: LossConfig, val_tasks, use_eng=True,
+                      kind=None, lr=None) -> None:
+        """Epoch loop over the train captions of `tasks`, each paired with
+        its image and, if `use_eng`, its anchor English feature, with
+        validation-based checkpoint selection."""
         cfg = self.cfg
-        n = len(samples)
+        for_ids = [ids for td in tasks for ids in td.tokens["train"].rows()]
+        img_idx = [tr.image_index for td in tasks for tr in td.train]
+        eng_feats = (np.concatenate([self._english_features(td)
+                                     for td in tasks]) if use_eng else None)
+        n = len(for_ids)
         steps_per_epoch = (n + cfg.batch_size - 1) // cfg.batch_size
         ocfg = OptimConfig(kind=kind or cfg.optim_kind,
                            lr_peak=lr if lr is not None else cfg.lr_peak,
@@ -196,11 +231,7 @@ class Runner:
                            total_steps=cfg.epochs * steps_per_epoch)
         ostate = reset_state(OptimState())
 
-        for_ids = [s[0] for s in samples]
-        use_eng = samples[0][1] is not None
-        eng_feats = np.stack([s[1] for s in samples]) if use_eng else None
-        img_feats = self.provider.features[[s[2] for s in samples]].astype(
-            np.float64)
+        img_feats = self.provider.features[img_idx].astype(np.float64)
 
         best_score = -1.0
         best_matrix = None
@@ -258,15 +289,15 @@ class Runner:
         tv = self._train_task_vocab(0)
         vocab_before = self.state.size
         self.state, part = vocab_mod.merge_vocab(self.state, tv)
+        self._tokenize(0)
         init_seed = sub_seed(cfg.seed, "init", 0)
         self.table = init_table(self.state.size, cfg.dim, fixed_policy(),
                                 init_seed)
         lam = np.ones(self.state.size)
         loss_cfg = LossConfig(cfg.loss.tau, cfg.loss.gamma_cm, 0.0)
-        samples = [(self._foreign_ids(tr.foreign_text, 0), None, tr.image_index)
-                   for tr in self.tasks[0].train]
-        self._train_epochs(0, samples, lam, loss_cfg, val_tasks=[0],
-                           kind=cfg.pretrain_kind, lr=cfg.pretrain_lr)
+        self._train_epochs(0, [self.tasks[0]], lam, loss_cfg, val_tasks=[0],
+                           use_eng=False, kind=cfg.pretrain_kind,
+                           lr=cfg.pretrain_lr)
         self.anchor = snapshot_anchor(self.table)
         self.counts = vocab_mod.update_counts(self.counts, tv, self.state)
         self.registry.add(0, vocab_before, self.state.size, part, self.counts)
@@ -282,6 +313,7 @@ class Runner:
         vocab_before = self.state.size
         pre_stats = dist_stats(self.table)
         self.state, part = vocab_mod.merge_vocab(self.state, tv)
+        self._tokenize(t)
         n_new = self.state.size - vocab_before
 
         policy = matched_policy(pre_stats) if cfg.teir_init else fixed_policy()
@@ -303,10 +335,7 @@ class Runner:
         lam = (vocab_mod.lambda_for(part, counts_ext) if cfg.teir_reg
                else np.ones(self.state.size))
 
-        samples = [(self._foreign_ids(tr.foreign_text, t),
-                    self._english_feature(tr.english_text), tr.image_index)
-                   for tr in self.tasks[t].train]
-        self._train_epochs(t, samples, lam, cfg.loss, val_tasks=[t])
+        self._train_epochs(t, [self.tasks[t]], lam, cfg.loss, val_tasks=[t])
         self.counts = vocab_mod.update_counts(self.counts, tv, self.state)
         self.registry.add(t, vocab_before, self.state.size, part, self.counts)
         s = dist_stats(self.table)
@@ -326,11 +355,8 @@ class Runner:
         lam = (vocab_mod.lambda_for(part, counts_ext) if cfg.teir_reg
                else np.ones(self.state.size))
 
-        samples = [(self._foreign_ids(tr.foreign_text, t),
-                    self._english_feature(tr.english_text), tr.image_index)
-                   for t, td in enumerate(self.tasks) for tr in td.train]
         last_row = len(self.tasks) - 1
-        self._train_epochs("joint", samples, lam, cfg.loss,
+        self._train_epochs("joint", self.tasks, lam, cfg.loss,
                            val_tasks=range(len(self.tasks)))
         self.counts = vocab_mod.update_counts(self.counts, tv, self.state)
         self.registry.add(last_row, vocab_before, self.state.size, part,
@@ -343,11 +369,10 @@ class Runner:
 
     # --- diagnostics and artifacts -----------------------------------
 
-    def _sample_iter(self, triplets, task_index):
-        for tr in triplets:
-            yield (self.provider.features[tr.image_index],
-                   self._foreign_ids(tr.english_text, 0),
-                   self._foreign_ids(tr.foreign_text, task_index))
+    def _sample_iter(self, td: _TaskData):
+        for tr, eng_ids, for_ids in zip(td.train, td.english.rows(),
+                                        td.tokens["train"].rows()):
+            yield self.provider.features[tr.image_index], eng_ids, for_ids
 
     def finalize(self) -> RunArtifacts:
         cfg = self.cfg
@@ -357,9 +382,9 @@ class Runner:
         fisher_rows = []
         final_losses = []
         for t, td in enumerate(self.tasks):
-            tr = fisher_trace(self._sample_iter(td.train, t), self.table,
+            tr = fisher_trace(self._sample_iter(td), self.table,
                               self.anchor, self.params, cfg.loss)
-            ml = mean_sample_loss(self._sample_iter(td.train, t), self.table,
+            ml = mean_sample_loss(self._sample_iter(td), self.table,
                                   self.anchor, self.params, cfg.loss)
             fisher_rows.append({"task": t, "fisher_trace": tr})
             final_losses.append(ml)
@@ -377,7 +402,6 @@ class Runner:
                    ["task", "mean_loss"],
                    [{"task": t, "mean_loss": v}
                     for t, v in enumerate(final_losses)])
-        self.log.close()
 
         final_ar = {d: average_recall(self.eval_matrix, last_row, d)
                     for d in ("img2txt", "txt2img")}
@@ -400,14 +424,17 @@ class Runner:
 def run_sequence(cfg: RunConfig) -> RunArtifacts:
     """Execute a full run per the configured mode and return artifacts."""
     runner = Runner(cfg)
-    runner.run_pretrain()
-    if cfg.mode == "joint":
-        runner.run_joint()
-    else:
-        for t in range(1, len(runner.tasks)):
-            runner.run_task(t)
-            runner._fill_eval_row(t, range(t + 1))
-    return runner.finalize()
+    try:
+        runner.run_pretrain()
+        if cfg.mode == "joint":
+            runner.run_joint()
+        else:
+            for t in range(1, len(runner.tasks)):
+                runner.run_task(t)
+                runner._fill_eval_row(t, range(t + 1))
+        return runner.finalize()
+    finally:
+        runner.log.close()
 
 
 def _write_csv(path, header, rows) -> None:

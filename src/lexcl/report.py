@@ -14,7 +14,7 @@ import numpy as np
 
 from . import bpe
 from . import vocab as vocab_mod
-from .embeddings import AnchorTable, load_checkpoint
+from .embeddings import load_checkpoint
 from .encoders import encode_text, make_text_params
 from .errors import InvalidInputError
 from .bench import load_dataset, load_manifest
@@ -73,18 +73,25 @@ def recompute_eval_matrix(run_dir, data_dir, split: str = "test") -> EvalMatrix:
     else:
         row_tasks = {j: list(range(j + 1)) for j in rows}
 
+    # Global ids are append-only, so a split tokenised under a vocab index
+    # reads the same in every later state: tokenise it once per index.
+    datasets = {}
+    tokens: dict[tuple[int, int], vocab_mod.TokenArrays] = {}
     for slot, j in enumerate(rows):
         state = states[slot]
         table = load_checkpoint(os.path.join(run_dir, f"ckpt_task{j}.bin"),
                                 expected_rows=state.size)
-        provider = None
         for i in row_tasks[j]:
-            triplets, provider = load_dataset(data_dir, languages[i], split)
+            if i not in datasets:
+                datasets[i] = load_dataset(data_dir, languages[i], split)
+            triplets, provider = datasets[i]
             vocab_index = 0 if shared_vocab else min(i, slot)
-            feats = np.empty((len(triplets), cfg["d_out"]))
-            for k, tr in enumerate(triplets):
-                ids = state.global_ids(tr.foreign_text, vocab_index)
-                feats[k] = encode_text(ids, table, params)
+            key = (i, vocab_index)
+            if key not in tokens:
+                tokens[key] = state.tokenize(
+                    [tr.foreign_text for tr in triplets], vocab_index)
+            feats = np.stack([encode_text(ids, table, params)
+                              for ids in tokens[key].rows()])
             img = provider.features[[tr.image_index for tr in triplets]].astype(
                 np.float64)
             ident = {k: {k} for k in range(len(triplets))}

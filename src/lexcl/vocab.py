@@ -1,6 +1,7 @@
 """Union vocabulary across tasks: stable global ids, old/overlap/new
 partition, per-token task-presence counts and the update-scaling
-coefficients derived from them."""
+coefficients derived from them, plus flat (CSR) token arrays of many
+texts at once."""
 
 from __future__ import annotations
 
@@ -11,6 +12,24 @@ import numpy as np
 
 from .bpe import MergeRule, TaskVocab, _byte_tokens, encode
 from .errors import InvalidInputError
+
+
+@dataclass(frozen=True)
+class TokenArrays:
+    """Token ids of n texts in CSR form: text k is
+    ids[offsets[k]:offsets[k + 1]]."""
+
+    ids: np.ndarray      # int32, all texts' ids back to back
+    offsets: np.ndarray  # int64, n + 1 entries, offsets[0] == 0
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def row(self, k: int) -> list[int]:
+        return self.ids[self.offsets[k] : self.offsets[k + 1]].tolist()
+
+    def rows(self) -> list[list[int]]:
+        return [self.row(k) for k in range(len(self))]
 
 
 @dataclass
@@ -32,6 +51,26 @@ class VocabState:
         tv = self.task_vocabs[task_index]
         local = encode(text, tv)
         return [self.id_of[tv.tokens[i]] for i in local]
+
+    def tokenize(self, texts, task_index: int,
+                 memo: dict | None = None) -> TokenArrays:
+        """`global_ids` of every text, as one CSR array.
+
+        Each distinct text is encoded once; pass the same `memo`
+        (text -> ids) to several calls under one task index to share
+        that work between them."""
+        memo = {} if memo is None else memo
+        rows = []
+        for text in texts:
+            ids = memo.get(text)
+            if ids is None:
+                ids = memo[text] = self.global_ids(text, task_index)
+            rows.append(ids)
+        offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum([len(r) for r in rows], out=offsets[1:])
+        flat = np.fromiter((i for r in rows for i in r), dtype=np.int32,
+                           count=int(offsets[-1]))
+        return TokenArrays(flat, offsets)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Tokenizer tests: training greedy order, encode/decode round-trips, file formats."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lexcl import bpe
 from lexcl.errors import InvalidIdError, InvalidInputError
@@ -9,6 +9,14 @@ from lexcl.errors import InvalidIdError, InvalidInputError
 
 def tok(tv, s):
     return tv.id_of[s.encode("utf-8") if isinstance(s, str) else s]
+
+
+text_strategy = st.text(
+    alphabet=st.characters(codec="utf-8"), min_size=0, max_size=40
+)
+corpus_strategy = st.lists(
+    st.text(alphabet="abcdefg αβγ", min_size=1, max_size=20), min_size=1, max_size=8
+)
 
 
 class TestTrain:
@@ -56,6 +64,85 @@ class TestTrain:
         tv = bpe.train_bpe(["banana banana split split"], 280, task_index=3)
         assert [r.rank for r in tv.rules] == list(range(len(tv.rules)))
         assert all(r.task_index == 3 for r in tv.rules)
+
+
+class TestIncrementalTrainer:
+    """train_bpe against the full-recount oracle train_bpe_reference."""
+
+    @pytest.mark.parametrize("corpus, size", [
+        (["aaaa"], 300),                  # overlapping occurrences
+        (["abab", "abab"], 300),          # merged token merges again
+        (["aaaa abab aaaa abab"], 300),
+        (["ab cd ef gh"] * 2, 300),       # four-way tie every merge
+        (["xz xz yz yz"], 258),           # tie broken by the left bytes
+        (["ab ab"], 400),                 # early stop: no pair left twice
+        (["x"], 300),                     # no pairs at all
+    ])
+    def test_matches_reference(self, corpus, size):
+        a = bpe.train_bpe(corpus, size)
+        b = bpe.train_bpe_reference(corpus, size)
+        assert a.tokens == b.tokens
+        assert a.rules == b.rules
+
+    @given(corpus=st.lists(st.text(alphabet="ab ", min_size=1, max_size=24),
+                           min_size=1, max_size=6),
+           size=st.integers(min_value=257, max_value=290),
+           task_index=st.integers(min_value=0, max_value=3))
+    @example(corpus=["aaaa"], size=290, task_index=0)
+    @example(corpus=["abab"], size=290, task_index=0)
+    @example(corpus=["aaaaaaa aaa"], size=290, task_index=1)
+    @example(corpus=["ab ba ab ba"], size=290, task_index=0)
+    @settings(max_examples=150, deadline=None)
+    def test_two_letter_corpora_match_reference(self, corpus, size,
+                                                task_index):
+        # Two letters and heavy repetition: long runs, overlapping pairs,
+        # many count ties and early stops.
+        a = bpe.train_bpe(corpus, size, task_index)
+        b = bpe.train_bpe_reference(corpus, size, task_index)
+        assert a.tokens == b.tokens
+        assert a.rules == b.rules
+
+    @given(corpus=corpus_strategy,
+           size=st.integers(min_value=257, max_value=330))
+    @settings(max_examples=100, deadline=None)
+    def test_mixed_corpora_match_reference(self, corpus, size):
+        a = bpe.train_bpe(corpus, size)
+        b = bpe.train_bpe_reference(corpus, size)
+        assert a.tokens == b.tokens
+        assert a.rules == b.rules
+
+    def test_early_stop_below_target(self):
+        tv = bpe.train_bpe(["abc abc abd"], 400)
+        assert tv.size < 400
+        assert tv.rules == bpe.train_bpe_reference(["abc abc abd"], 400).rules
+
+
+class TestRankTable:
+    def test_built_once_per_vocab(self, monkeypatch):
+        calls = []
+        real = bpe.TaskVocab.merge_ranks
+
+        def counting(self):
+            calls.append(id(self))
+            return real(self)
+
+        monkeypatch.setattr(bpe.TaskVocab, "merge_ranks", counting)
+        corpora = [["the cat sat on the mat"] * 3, ["le chat est assis"] * 3]
+        vocabs = [bpe.train_bpe(c, 290, t) for t, c in enumerate(corpora)]
+        for tv in vocabs:
+            for _ in range(3):
+                for line in corpora[0] + corpora[1]:
+                    bpe.encode(line.encode("utf-8"), tv)
+        assert sorted(calls) == sorted(id(tv) for tv in vocabs)
+
+    def test_cached_state_outside_equality(self):
+        a = bpe.train_bpe(["banana bandana"] * 2, 280)
+        b = bpe.train_bpe(["banana bandana"] * 2, 280)
+        bpe.encode(b"banana", a)
+        assert a.segment_ids and not b.segment_ids
+        assert a == b
+        assert "segment_ids" not in repr(a) and "ranks" not in repr(a)
+        assert a.ranks == a.merge_ranks()
 
 
 class TestEncodeDecode:
@@ -107,14 +194,6 @@ class TestEncodeDecode:
         tv = bpe.train_bpe(["roundtrip roundtrip trip trip"], 280)
         ids = bpe.encode(b"roundtrip tripwire", tv)
         assert all(0 <= i < tv.size for i in ids)
-
-
-text_strategy = st.text(
-    alphabet=st.characters(codec="utf-8"), min_size=0, max_size=40
-)
-corpus_strategy = st.lists(
-    st.text(alphabet="abcdefg αβγ", min_size=1, max_size=20), min_size=1, max_size=8
-)
 
 
 class TestProperties:

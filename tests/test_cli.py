@@ -97,6 +97,25 @@ class TestTrain:
         assert main(["train", "--data", str(tmp_path / "nope"),
                      "--out", str(tmp_path / "o")]) == EXIT_IO
 
+    @pytest.mark.parametrize("line", [
+        "optim.lr = nan",
+        "loss.tau = inf",
+        "optim.weight_decay = -inf",
+        "vocab.size_per_task = 256",
+        "model.dim = 0",
+        "model.d_out = 0",
+        "model.l_max = 0",
+    ])
+    def test_bad_config_fails_fast(self, workdir, tmp_path, line, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(TINY_RUN + line + "\n")
+        out = tmp_path / "o"
+        assert main(["train", "--config", str(cfg),
+                     "--data", str(workdir / "data"),
+                     "--out", str(out)]) == EXIT_USAGE
+        assert line.split(" = ")[0] in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEvalAndReport:
     def test_eval_recomputation_matches(self, workdir):

@@ -32,6 +32,16 @@ run.mode = joint
         assert C.parse_value("FALSE") is False
         assert C.parse_value("yes") is True
 
+    @pytest.mark.parametrize("raw", ["nan", "NaN", "inf", "-inf", "Infinity"])
+    def test_non_finite_numbers_rejected(self, raw):
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            C.parse_value(raw)
+
+    def test_non_finite_error_names_line_and_key(self, tmp_path):
+        p = write(tmp_path, "optim.lr = 0.5\noptim.lr = nan\n")
+        with pytest.raises(InvalidInputError, match=r":2: optim\.lr:"):
+            C.load_config_file(p)
+
     def test_malformed_line(self, tmp_path):
         p = write(tmp_path, "this has no equals sign\n")
         with pytest.raises(InvalidInputError, match=":1:"):

@@ -7,8 +7,10 @@ import os
 import numpy as np
 import pytest
 
-from lexcl import bench
+from lexcl import bench, bpe, vocab
+from lexcl.bench import SPLITS
 from lexcl.embeddings import load_checkpoint
+from lexcl.errors import InvalidInputError, NumericError
 from lexcl.harness import RunConfig, Runner, run_sequence, sub_seed
 from lexcl.metrics import EvalMatrix
 
@@ -158,8 +160,99 @@ class TestModesAndArtifacts:
         assert any(np.isfinite(v) for v in ks_vals)
 
     def test_config_validation(self, tiny_data, tmp_path):
-        from lexcl.errors import InvalidInputError
         with pytest.raises(InvalidInputError):
             tiny_run_cfg(tiny_data, tmp_path, mode="sideways").validate()
         with pytest.raises(InvalidInputError):
             tiny_run_cfg(tiny_data, tmp_path, epochs=0).validate()
+
+    @pytest.mark.parametrize("field, value", [
+        ("vocab_size_per_task", 256), ("dim", 0), ("d_out", 0), ("l_max", 0),
+        ("lr_peak", float("nan")), ("weight_decay", float("inf")),
+    ])
+    def test_config_validation_ranges(self, tiny_data, tmp_path, field,
+                                      value):
+        with pytest.raises(InvalidInputError):
+            tiny_run_cfg(tiny_data, tmp_path, **{field: value}).validate()
+
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf")])
+    def test_config_validation_tau_finite(self, tiny_data, tmp_path, tau):
+        from lexcl.losses import LossConfig
+        with pytest.raises(InvalidInputError, match="loss.tau"):
+            tiny_run_cfg(tiny_data, tmp_path,
+                         loss=LossConfig(tau=tau)).validate()
+
+    def test_log_closed_when_a_task_fails(self, tiny_data, tmp_path,
+                                          monkeypatch):
+        runners = []
+
+        def failing_task(self, t):
+            runners.append(self)
+            raise NumericError("injected failure")
+
+        monkeypatch.setattr(Runner, "run_task", failing_task)
+        with pytest.raises(NumericError, match="injected"):
+            run_sequence(tiny_run_cfg(tiny_data, tmp_path / "run"))
+        assert runners and runners[0].log.closed
+
+
+_MODES = {"continual": {}, "joint": {"mode": "joint"},
+          "oracle": {"oracle_vocab": True}}
+
+
+def _run_all_tasks(r: Runner, mode: str) -> None:
+    r.run_pretrain()
+    if mode == "joint":
+        r.run_joint()
+    else:
+        for t in range(1, len(r.tasks)):
+            r.run_task(t)
+
+
+class TestTokenArrays:
+    @pytest.mark.parametrize("mode", sorted(_MODES))
+    def test_cached_rows_equal_global_ids(self, tiny_data, tmp_path, mode):
+        r = Runner(tiny_run_cfg(tiny_data, tmp_path / "run", **_MODES[mode]))
+        _run_all_tasks(r, mode)
+        for t, td in enumerate(r.tasks):
+            v = 0 if mode != "continual" else t
+            for split in SPLITS:
+                triplets = getattr(td, split)
+                assert len(td.tokens[split]) == len(triplets)
+                for k, tr in enumerate(triplets):
+                    assert td.tokens[split].row(k) == \
+                        r.state.global_ids(tr.foreign_text, v)
+            assert len(td.english) == len(td.train)
+            for k, tr in enumerate(td.train):
+                assert td.english.row(k) == \
+                    r.state.global_ids(tr.english_text, 0)
+
+    @pytest.mark.parametrize("mode", ["continual", "joint"])
+    def test_no_encoding_in_training_or_diagnostics(self, tiny_data,
+                                                    tmp_path, monkeypatch,
+                                                    mode):
+        inside = []
+        encodes = {"outside": 0, "inside": 0}
+        real_encode = bpe.encode
+
+        def counting_encode(text, tv):
+            encodes["inside" if inside else "outside"] += 1
+            return real_encode(text, tv)
+
+        def flagged(method):
+            def wrapper(self, *args, **kwargs):
+                inside.append(method.__name__)
+                try:
+                    return method(self, *args, **kwargs)
+                finally:
+                    inside.pop()
+            return wrapper
+
+        monkeypatch.setattr(bpe, "encode", counting_encode)
+        monkeypatch.setattr(vocab, "encode", counting_encode)
+        monkeypatch.setattr(Runner, "_train_epochs",
+                            flagged(Runner._train_epochs))
+        monkeypatch.setattr(Runner, "finalize", flagged(Runner.finalize))
+        run_sequence(tiny_run_cfg(tiny_data, tmp_path / "run",
+                                  **_MODES[mode]))
+        assert encodes["outside"] > 0
+        assert encodes["inside"] == 0

@@ -63,6 +63,35 @@ class TestMerge:
         assert b"".join(st_.tokens[i] for i in ids) == b"shared tokens"
 
 
+class TestTokenize:
+    def test_rows_equal_global_ids(self):
+        st_, _, _, _, _ = _setup_two_tasks(
+            ["shared words shared words"], ["shared tokens shared tokens"])
+        texts = ["shared tokens", "", "words", "shared tokens"]
+        for t in (0, 1):
+            arr = st_.tokenize(texts, t)
+            assert len(arr) == len(texts)
+            assert arr.rows() == [st_.global_ids(x, t) for x in texts]
+
+    def test_empty_list(self):
+        st_ = vocab.new_state()
+        arr = st_.tokenize([], 0)
+        assert len(arr) == 0 and arr.rows() == []
+
+    def test_memo_encodes_each_text_once(self, monkeypatch):
+        st_, _, _, _, _ = _setup_two_tasks(["aa bb aa bb"], ["cc dd cc dd"])
+        calls = []
+        real = st_.global_ids
+        monkeypatch.setattr(st_, "global_ids",
+                            lambda text, t: calls.append(text) or real(text, t))
+        memo = {}
+        a = st_.tokenize(["aa", "bb", "aa"], 0, memo)
+        b = st_.tokenize(["bb", "aa bb"], 0, memo)
+        assert sorted(calls) == ["aa", "aa bb", "bb"]
+        assert a.row(0) == a.row(2) == st_.global_ids("aa", 0)
+        assert b.row(0) == a.row(1)
+
+
 class TestCountsAndLambda:
     def test_fresh_token_count_one(self):
         st_ = vocab.new_state()
