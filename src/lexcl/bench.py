@@ -194,13 +194,19 @@ def load_manifest(dataset_dir) -> dict:
         return json.load(f)
 
 
-def load_dataset(dataset_dir, language_id: str, split: str):
-    """Parse one language/split; returns (triplets, image provider)."""
+def load_images(dataset_dir) -> ImageFeatureProvider:
+    return ImageFeatureProvider.from_file(os.path.join(dataset_dir, "images.feat"))
+
+
+def load_dataset(dataset_dir, language_id: str, split: str,
+                 manifest: dict | None = None,
+                 provider: ImageFeatureProvider | None = None):
+    """Parse one language/split; returns (triplets, image provider).
+    The manifest and the image features are read unless passed in."""
     if split not in SPLITS:
         raise InvalidInputError(f"load_dataset: unknown split {split!r}")
-    manifest = load_manifest(dataset_dir)
-    provider = ImageFeatureProvider.from_file(
-        os.path.join(dataset_dir, "images.feat"))
+    manifest = load_manifest(dataset_dir) if manifest is None else manifest
+    provider = load_images(dataset_dir) if provider is None else provider
     path = os.path.join(dataset_dir, language_id, f"{split}.tsv")
     triplets = []
     with open(path, encoding="utf-8") as f:

@@ -99,7 +99,8 @@ def dist_stats(table) -> DistStats:
 
 def expand(table: EmbeddingTable, n_new: int, policy: InitPolicy,
            rng_seed: int) -> EmbeddingTable:
-    """Append n_new Gaussian rows; existing rows are preserved bit-exactly.
+    """Append n_new Gaussian rows; existing rows are preserved bit-exactly,
+    and a table whose anchor was taken yields one that refuses another.
 
     The matched policy samples from the pre-expansion table's own
     (mu, sigma); the fixed policy from the configured constants.
@@ -113,11 +114,11 @@ def expand(table: EmbeddingTable, n_new: int, policy: InitPolicy,
         mu, sigma = policy.mu, policy.sigma
     if sigma < 0:
         raise InvalidInputError("expand: sigma must be non-negative")
-    if n_new == 0:
-        return EmbeddingTable(table.matrix.copy())
     rng = np.random.default_rng(rng_seed)
     new_rows = rng.normal(mu, sigma, size=(n_new, table.dim)).astype(np.float32)
-    return EmbeddingTable(np.vstack([table.matrix, new_rows]))
+    out = EmbeddingTable(np.vstack([table.matrix, new_rows]))
+    out._anchor_taken = table._anchor_taken
+    return out
 
 
 def snapshot_anchor(table: EmbeddingTable) -> AnchorTable:

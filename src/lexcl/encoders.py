@@ -1,6 +1,6 @@
 """Frozen feature extractors: a deterministic mean-pooled text encoder
-with one affine map and tanh squashing (plus its exact adjoint w.r.t.
-the embedding rows), and an image-feature provider.
+with one affine map and tanh squashing, batched as one sparse product
+(plus its exact adjoint w.r.t. the embedding rows), and image features.
 
 The text encoder is deliberately simple so gradients are hand-derivable
 and finite-difference-checkable; the only trainable parameters anywhere
@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .embeddings import read_matrix, write_matrix
 from .errors import InvalidIdError, InvalidInputError
@@ -30,10 +31,6 @@ class FrozenTextParams:
     @property
     def dim(self) -> int:
         return self.W.shape[1]
-
-    @property
-    def d_out(self) -> int:
-        return self.W.shape[0]
 
 
 def sinusoidal_positions(L_max: int, d: int) -> np.ndarray:
@@ -57,44 +54,76 @@ def make_text_params(dim: int, d_out: int, L_max: int = 32,
     return FrozenTextParams(W=W, b=b, pos=pos, L_max=L_max, seed=seed)
 
 
-def _pooled(ids, matrix: np.ndarray, params: FrozenTextParams):
-    ids = list(ids)
-    if not ids:
-        raise InvalidInputError("encode_text: empty id sequence")
-    L = min(len(ids), params.L_max)
-    ids = ids[:L]
-    for i in ids:
-        if not 0 <= i < matrix.shape[0]:
-            raise InvalidIdError(f"encode_text: id {i} out of range "
-                                 f"for table with {matrix.shape[0]} rows")
-    emb = matrix[ids].astype(np.float64)
-    h = (emb + params.pos[:L]).mean(axis=0)
-    return ids, L, h
+@dataclass(frozen=True)
+class Pooling:
+    """K texts pooled as one sparse product, h = A @ E[rows] + pos: `rows`
+    are the distinct ids read, ascending; `A` (CSR) is the K x |V| row-
+    averaging matrix without its zero columns, entry (k, r) = c / L with
+    c the count of rows[r] in text k's first L = min(length, L_max) ids;
+    `pos` is the mean of each text's first L position vectors."""
+
+    A: sparse.csr_matrix
+    rows: np.ndarray
+    pos: np.ndarray
+
+    def take(self, index) -> "Pooling":
+        """The pooling of texts `index`, in that order."""
+        sub = self.A[index]
+        cols, compact = np.unique(sub.indices, return_inverse=True)
+        A = sparse.csr_matrix((sub.data, compact, sub.indptr),
+                              shape=(len(index), len(cols)))
+        return Pooling(A, self.rows[cols], self.pos[index])
 
 
-def encode_text(ids, table, params: FrozenTextParams) -> np.ndarray:
-    """r = tanh(W h + b), h = mean over positions of (embedding + pos)."""
-    _, _, h = _pooled(ids, table.matrix, params)
-    return np.tanh(params.W @ h + params.b)
+def pooling(tokens, n_rows: int, params: FrozenTextParams) -> Pooling:
+    """The Pooling of every text of `tokens` (`vocab.TokenArrays`)."""
+    lengths = np.diff(tokens.offsets)
+    if np.any(lengths == 0):
+        raise InvalidInputError("encode_text: empty id sequence "
+                                f"(text {int(np.argmin(lengths))})")
+    text = np.repeat(np.arange(len(lengths)), lengths)
+    keep = np.arange(len(text)) - tokens.offsets[text] < params.L_max
+    text, ids = text[keep], tokens.ids[keep].astype(np.int64)
+    bad = (ids < 0) | (ids >= n_rows)
+    if np.any(bad):
+        raise InvalidIdError(f"encode_text: id {ids[bad][0]} out of range "
+                             f"for table with {n_rows} rows")
+    rows, col = np.unique(ids, return_inverse=True)
+    n = np.minimum(lengths, params.L_max)
+    # repeated (text, id) entries are summed, to c / L
+    A = sparse.csr_matrix((1.0 / n[text], (text, col)),
+                          shape=(len(n), len(rows)))
+    mean_pos = np.cumsum(params.pos, axis=0) / np.arange(1, params.L_max + 1)[:, None]
+    return Pooling(A, rows, mean_pos[n - 1])
 
 
-def encode_text_grad(ids, table, params: FrozenTextParams,
-                     upstream: np.ndarray) -> dict[int, np.ndarray]:
-    """Gradient of upstream . encode_text(ids) w.r.t. the touched rows.
+def encode_text(pooled: Pooling, matrix: np.ndarray,
+                params: FrozenTextParams) -> np.ndarray:
+    """K x d_out features r = tanh(W h + b) of the pooled texts."""
+    h = pooled.A @ matrix[pooled.rows].astype(np.float64)
+    h += pooled.pos
+    r = h @ params.W.T
+    r += params.b
+    return np.tanh(r, out=r)
 
-    Every position contributes the same row gradient, so repeated ids
-    accumulate linearly.
-    """
-    ids_l, L, h = _pooled(ids, table.matrix, params)
-    r = np.tanh(params.W @ h + params.b)
-    g_row = (params.W.T @ ((1.0 - r * r) * np.asarray(upstream, dtype=np.float64))) / L
-    grads: dict[int, np.ndarray] = {}
-    for i in ids_l:
-        if i in grads:
-            grads[i] = grads[i] + g_row
-        else:
-            grads[i] = g_row.copy()
-    return grads
+
+def text_features(tokens, table, params: FrozenTextParams) -> np.ndarray:
+    """encode_text of every text of `tokens`: the routine that training,
+    validation and `lexcl eval` all score with."""
+    return encode_text(pooling(tokens, table.row_count, params), table.matrix,
+                       params)
+
+
+def pooled_grad(feats, params: FrozenTextParams, upstream) -> np.ndarray:
+    """K x d gradient of sum(upstream * feats) w.r.t. the pooled inputs h."""
+    return ((1.0 - feats * feats) * upstream) @ params.W
+
+
+def encode_text_grad(pooled: Pooling, feats, params: FrozenTextParams,
+                     upstream):
+    """Gradient of sum(upstream * feats) w.r.t. the embedding rows read:
+    (rows, A^T @ pooled_grad), so repeated ids accumulate linearly."""
+    return pooled.rows, pooled.A.T @ pooled_grad(feats, params, upstream)
 
 
 class ImageFeatureProvider:
@@ -110,16 +139,6 @@ class ImageFeatureProvider:
     @property
     def n_images(self) -> int:
         return self.features.shape[0]
-
-    @property
-    def d_out(self) -> int:
-        return self.features.shape[1]
-
-    def image_feature(self, index: int) -> np.ndarray:
-        if not 0 <= index < self.n_images:
-            raise InvalidIdError(f"image index {index} out of range "
-                                 f"[0, {self.n_images})")
-        return self.features[index]
 
     @classmethod
     def synthetic(cls, n_images: int, d_out: int, seed: int) -> "ImageFeatureProvider":

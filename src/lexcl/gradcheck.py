@@ -1,8 +1,8 @@
 """Finite-difference verification of the analytic embedding gradients.
 
 Builds a small random instance, backpropagates the combined loss to the
-touched embedding rows, and compares against central differences of the
-same loss computed with a 64-bit copy of the table."""
+touched embedding rows through the batched encoder, and compares against
+central differences of the same loss on the same 64-bit matrix."""
 
 from __future__ import annotations
 
@@ -10,8 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoders import encode_text, encode_text_grad, make_text_params
+from .encoders import encode_text, encode_text_grad, make_text_params, pooling
 from .losses import FeatureBatch, LossConfig, total_loss
+from .vocab import TokenArrays
 
 
 @dataclass
@@ -26,34 +27,17 @@ class GradCheckResult:
         return self.max_rel_err <= tol
 
 
-class _Table:
-    """Minimal duck-typed table over a float64 matrix."""
-
-    def __init__(self, matrix):
-        self.matrix = matrix
-
-    @property
-    def row_count(self):
-        return self.matrix.shape[0]
-
-
 def _instance(seed: int, d: int = 8, k: int = 4, l_max: int = 5,
               vocab: int = 16):
     rng = np.random.default_rng(seed)
     params = make_text_params(d, d, L_max=l_max, seed=seed + 1)
     matrix = rng.normal(0.0, 0.5, size=(vocab, d))
-    ids_list = [list(rng.integers(0, vocab, size=rng.integers(1, l_max + 1)))
-                for _ in range(k)]
+    pooled = pooling(TokenArrays.from_rows([
+        rng.integers(0, vocab, size=rng.integers(1, l_max + 1)).tolist()
+        for _ in range(k)]), vocab, params)
     r_i = rng.normal(size=(k, d))
     r_e = rng.normal(size=(k, d))
-    return params, matrix, ids_list, r_i, r_e
-
-
-def _loss_of(matrix, ids_list, r_i, r_e, params, cfg) -> float:
-    table = _Table(matrix)
-    r_f = np.stack([encode_text(ids, table, params) for ids in ids_list])
-    loss, _ = total_loss(FeatureBatch(r_i, r_e, r_f), cfg)
-    return loss
+    return params, matrix, pooled, r_i, r_e
 
 
 def grad_check(seed: int = 0, step: float = 1e-3,
@@ -63,33 +47,24 @@ def grad_check(seed: int = 0, step: float = 1e-3,
     `corruption` is a test hook: it is added to one analytic gradient
     entry so the negative path can be exercised."""
     cfg = LossConfig(tau=0.07, gamma_cm=1.0, gamma_cl=1.0)
-    params, matrix, ids_list, r_i, r_e = _instance(seed)
-    table = _Table(matrix)
+    params, matrix, pooled, r_i, r_e = _instance(seed)
 
-    r_f = np.stack([encode_text(ids, table, params) for ids in ids_list])
+    def loss_at(j, col, delta):
+        shifted = matrix.copy()
+        shifted[j, col] += delta
+        r_f = encode_text(pooled, shifted, params)
+        return total_loss(FeatureBatch(r_i, r_e, r_f), cfg)[0]
+
+    r_f = encode_text(pooled, matrix, params)
     _, grad_rf = total_loss(FeatureBatch(r_i, r_e, r_f), cfg)
-    analytic: dict[int, np.ndarray] = {}
-    for k, ids in enumerate(ids_list):
-        for j, g in encode_text_grad(ids, table, params, grad_rf[k]).items():
-            analytic[j] = analytic.get(j, 0.0) + g
-    if corruption:
-        first = sorted(analytic)[0]
-        analytic[first] = analytic[first].copy()
-        analytic[first][0] += corruption
+    rows, analytic = encode_text_grad(pooled, r_f, params, grad_rf)
+    analytic[0, 0] += corruption
 
     worst = GradCheckResult(0.0, -1, -1, 0.0, 0.0)
-    for j in sorted(analytic):
-        for col in range(matrix.shape[1]):
-            m_plus = matrix.copy()
-            m_plus[j, col] += step
-            m_minus = matrix.copy()
-            m_minus[j, col] -= step
-            numeric = (_loss_of(m_plus, ids_list, r_i, r_e, params, cfg)
-                       - _loss_of(m_minus, ids_list, r_i, r_e, params, cfg)
-                       ) / (2 * step)
-            a = float(analytic[j][col])
-            denom = max(abs(a), abs(numeric), 1e-6)
-            rel = abs(a - numeric) / denom
+    for j, grad in zip(rows.tolist(), analytic):
+        for col, a in enumerate(grad.tolist()):
+            numeric = (loss_at(j, col, step) - loss_at(j, col, -step)) / (2 * step)
+            rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-6)
             if rel > worst.max_rel_err:
                 worst = GradCheckResult(rel, j, col, a, numeric)
     return worst

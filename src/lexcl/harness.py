@@ -17,15 +17,16 @@ from scipy import stats as scipy_stats
 
 from . import bpe
 from . import vocab as vocab_mod
-from .bench import SPLITS, load_corpus, load_dataset, load_manifest
+from .bench import SPLITS, load_corpus, load_dataset, load_images, load_manifest
 from .embeddings import (EmbeddingTable, dist_stats, expand, fixed_policy,
                          init_table, matched_policy, save_checkpoint,
                          snapshot_anchor, vocab_hash)
-from .encoders import encode_text, encode_text_grad, make_text_params
-from .errors import InvalidInputError
+from .encoders import (encode_text, encode_text_grad, make_text_params,
+                       pooling, text_features)
+from .errors import InvalidInputError, NumericError
 from .losses import FeatureBatch, LossConfig, total_loss
 from .metrics import (EvalMatrix, average_recall, fisher_trace, forgetting,
-                      mean_sample_loss, recall_at_k)
+                      mean_sample_loss, paired_recall)
 from .optim import OptimConfig, OptimState, reset_state, step as optim_step
 
 
@@ -95,11 +96,11 @@ class _TaskData:
     the language is scored with, `english` its English train captions
     under vocab 0. Both are filled when that vocab is merged in."""
 
-    def __init__(self, data_dir, language_id):
+    def __init__(self, data_dir, language_id, manifest, provider):
         self.language_id = language_id
-        self.train, self.provider = load_dataset(data_dir, language_id, "train")
-        self.val, _ = load_dataset(data_dir, language_id, "val")
-        self.test, _ = load_dataset(data_dir, language_id, "test")
+        self.train, self.val, self.test = (
+            load_dataset(data_dir, language_id, split, manifest, provider)[0]
+            for split in SPLITS)
         self.corpus = load_corpus(data_dir, language_id)
         self.tokens: dict[str, vocab_mod.TokenArrays] = {}
         self.english: vocab_mod.TokenArrays | None = None
@@ -113,8 +114,9 @@ class Runner:
         self.cfg = cfg
         manifest = load_manifest(cfg.data_dir)
         self.languages: list[str] = manifest["languages"]
-        self.tasks = [_TaskData(cfg.data_dir, lid) for lid in self.languages]
-        self.provider = self.tasks[0].provider
+        self.provider = load_images(cfg.data_dir)
+        self.tasks = [_TaskData(cfg.data_dir, lid, manifest, self.provider)
+                      for lid in self.languages]
         self.params = make_text_params(cfg.dim, cfg.d_out, cfg.l_max,
                                        cfg.encoder_seed)
         self.state = vocab_mod.new_state()
@@ -126,7 +128,6 @@ class Runner:
         self.checkpoint_paths: list[str] = []
         self.dist_rows: list[dict] = []
         self.loss_rows: list[dict] = []
-        self.eng_cache: dict[str, np.ndarray] = {}
         self._oracle: bpe.TaskVocab | None = None
         self._shared_vocab = cfg.oracle_vocab or cfg.mode == "joint"
         os.makedirs(cfg.out_dir, exist_ok=True)
@@ -168,34 +169,12 @@ class Runner:
                     [tr.foreign_text for tr in getattr(td, split)], v, memo)
                     for split in SPLITS}
 
-    def _english_features(self, td: _TaskData) -> np.ndarray:
-        """Anchor-table features of a language's English train captions."""
-        out = []
-        for tr, ids in zip(td.train, td.english.rows()):
-            r = self.eng_cache.get(tr.english_text)
-            if r is None:
-                r = encode_text(ids, self.anchor, self.params)
-                self.eng_cache[tr.english_text] = r
-            out.append(r)
-        return np.stack(out)
-
-    def _text_features(self, tokens: vocab_mod.TokenArrays) -> np.ndarray:
-        return np.stack([encode_text(ids, self.table, self.params)
-                         for ids in tokens.rows()])
-
     # --- evaluation ---------------------------------------------------
 
     def _retrieval(self, td: _TaskData, split: str, ks=(1,)):
-        triplets = getattr(td, split)
-        img_idx = [tr.image_index for tr in triplets]
-        img_feats = self.provider.features[img_idx].astype(np.float64)
-        txt_feats = self._text_features(td.tokens[split])
-        ident = {i: {i} for i in range(len(triplets))}
-        out = {"img2txt": {}, "txt2img": {}}
-        for k in ks:
-            out["img2txt"][k] = recall_at_k(img_feats, txt_feats, ident, k)
-            out["txt2img"][k] = recall_at_k(txt_feats, img_feats, ident, k)
-        return out
+        images = [tr.image_index for tr in getattr(td, split)]
+        return paired_recall(td.tokens[split], self.table, self.params,
+                             self.provider.features[images], ks)
 
     def _val_score(self, t: int) -> float:
         """Checkpoint-selection score: Recall@{1,5,10} summed over both
@@ -205,9 +184,8 @@ class Runner:
 
     def _fill_eval_row(self, row: int, seen_tasks) -> None:
         for i in seen_tasks:
-            res = self._retrieval(self.tasks[i], "test", ks=(1,))
-            self.eval_matrix.set(row, i, "img2txt", res["img2txt"][1])
-            self.eval_matrix.set(row, i, "txt2img", res["txt2img"][1])
+            for d, recall in self._retrieval(self.tasks[i], "test").items():
+                self.eval_matrix.set(row, i, d, recall[1])
 
     # --- training core --------------------------------------------------
 
@@ -218,11 +196,15 @@ class Runner:
         its image and, if `use_eng`, its anchor English feature, with
         validation-based checkpoint selection."""
         cfg = self.cfg
-        for_ids = [ids for td in tasks for ids in td.tokens["train"].rows()]
+        pooled = pooling(vocab_mod.TokenArrays.concat(
+            [td.tokens["train"] for td in tasks]), self.table.row_count,
+            self.params)
         img_idx = [tr.image_index for td in tasks for tr in td.train]
-        eng_feats = (np.concatenate([self._english_features(td)
+        # anchor features, recomputed per use: cheaper than holding them
+        eng_feats = (np.concatenate([text_features(td.english, self.anchor,
+                                                   self.params)
                                      for td in tasks]) if use_eng else None)
-        n = len(for_ids)
+        n = len(img_idx)
         steps_per_epoch = (n + cfg.batch_size - 1) // cfg.batch_size
         ocfg = OptimConfig(kind=kind or cfg.optim_kind,
                            lr_peak=lr if lr is not None else cfg.lr_peak,
@@ -241,22 +223,14 @@ class Runner:
             epoch_loss = 0.0
             for s in range(steps_per_epoch):
                 idx = order[s * cfg.batch_size : (s + 1) * cfg.batch_size]
-                r_f = np.stack([encode_text(for_ids[i], self.table, self.params)
-                                for i in idx])
+                batch = pooled.take(idx)
+                r_f = encode_text(batch, self.table.matrix, self.params)
                 r_e = eng_feats[idx] if use_eng else np.zeros_like(r_f)
                 loss, grad_rf = total_loss(
                     FeatureBatch(img_feats[idx], r_e, r_f), loss_cfg)
                 epoch_loss += loss
-                grads: dict[int, np.ndarray] = {}
-                for row_k, i in enumerate(idx):
-                    for j, g in encode_text_grad(for_ids[i], self.table,
-                                                 self.params,
-                                                 grad_rf[row_k]).items():
-                        if j in grads:
-                            grads[j] += g
-                        else:
-                            grads[j] = g
-                optim_step(self.table, grads, lam, ocfg, ostate)
+                rows, grads = encode_text_grad(batch, r_f, self.params, grad_rf)
+                optim_step(self.table, rows, lam, grads, ocfg, ostate)
             mean_loss = epoch_loss / steps_per_epoch
             score = sum(self._val_score(t) for t in val_tasks)
             self.loss_rows.append({"task": label, "epoch": epoch,
@@ -266,6 +240,9 @@ class Runner:
             if score > best_score:
                 best_score = score
                 best_matrix = self.table.matrix.copy()
+        if best_matrix is None:
+            raise NumericError(f"task {label}: no epoch gave a finite "
+                               "validation score")
         self.table.matrix[:] = best_matrix
 
     # --- per-task flow ----------------------------------------------
@@ -318,9 +295,7 @@ class Runner:
 
         policy = matched_policy(pre_stats) if cfg.teir_init else fixed_policy()
         seed = sub_seed(cfg.seed, "expand", t)
-        new_table = expand(self.table, n_new, policy, seed)
-        new_table._anchor_taken = self.table._anchor_taken
-        self.table = new_table
+        self.table = expand(self.table, n_new, policy, seed)
 
         ks = float("nan")
         if n_new > 0 and pre_stats.sigma > 0:
@@ -369,25 +344,20 @@ class Runner:
 
     # --- diagnostics and artifacts -----------------------------------
 
-    def _sample_iter(self, td: _TaskData):
-        for tr, eng_ids, for_ids in zip(td.train, td.english.rows(),
-                                        td.tokens["train"].rows()):
-            yield self.provider.features[tr.image_index], eng_ids, for_ids
-
     def finalize(self) -> RunArtifacts:
         cfg = self.cfg
         out = cfg.out_dir
         last_row = max(j for (j, _, _) in self.eval_matrix.entries)
 
-        fisher_rows = []
-        final_losses = []
+        fisher_rows, final_losses = [], []
         for t, td in enumerate(self.tasks):
-            tr = fisher_trace(self._sample_iter(td), self.table,
-                              self.anchor, self.params, cfg.loss)
-            ml = mean_sample_loss(self._sample_iter(td), self.table,
-                                  self.anchor, self.params, cfg.loss)
-            fisher_rows.append({"task": t, "fisher_trace": tr})
-            final_losses.append(ml)
+            samples = (
+                self.provider.features[[tr.image_index for tr in td.train]],
+                text_features(td.english, self.anchor, self.params),
+                pooling(td.tokens["train"], self.table.row_count, self.params),
+                self.table.matrix, self.params, cfg.loss)
+            fisher_rows.append({"task": t, "fisher_trace": fisher_trace(*samples)})
+            final_losses.append(mean_sample_loss(*samples))
 
         self.eval_matrix.save_csv(os.path.join(out, "eval_matrix.csv"))
         self.registry.save(os.path.join(out, "registry_manifest.json"))

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embeddings import DistStats, dist_stats
-from .encoders import encode_text, encode_text_grad
+from .encoders import Pooling, encode_text, pooled_grad, text_features
 from .errors import (DegenerateFeatureError, InvalidInputError, MetricError)
 from .losses import FeatureBatch, total_loss
 
@@ -63,27 +63,47 @@ class EvalMatrix:
         return out
 
 
+# Queries ranked, or samples scored, per block: bounds the temporaries.
+_BLOCK = 256
+
+
 def recall_at_k(query_feats: np.ndarray, gallery_feats: np.ndarray,
                 relevance: dict[int, set[int]], k: int) -> float:
-    """Percent of queries whose cosine top-k hits a relevant gallery item.
+    """Percent of queries whose cosine top-k holds a relevant gallery item.
 
-    Ties are broken by lower gallery index for determinism."""
-    q = np.asarray(query_feats, dtype=np.float64)
-    g = np.asarray(gallery_feats, dtype=np.float64)
-    qn = np.linalg.norm(q, axis=1, keepdims=True)
-    gn = np.linalg.norm(g, axis=1, keepdims=True)
-    if np.any(qn == 0) or np.any(gn == 0):
-        raise DegenerateFeatureError("recall_at_k: zero-norm feature row")
+    An item's rank is the number of scores above its own plus the equal
+    scores at a lower gallery index (ties go to the lower index); a query
+    hits when a relevant item ranks below k."""
+    q, g = (np.asarray(a, dtype=np.float64) for a in (query_feats, gallery_feats))
+    qn, gn = (np.linalg.norm(a, axis=1, keepdims=True) for a in (q, g))
+    if not all(np.all(np.isfinite(n) & (n > 0)) for n in (qn, gn)):
+        raise DegenerateFeatureError("recall_at_k: zero-norm or non-finite feature row")
     sims = (q / qn) @ (g / gn).T
-    hits = 0
-    for qi in range(q.shape[0]):
-        rel = relevance.get(qi)
-        if not rel:
-            raise InvalidInputError(f"recall_at_k: query {qi} has no relevant items")
-        top = np.argsort(-sims[qi], kind="stable")[:k]
-        if rel.intersection(top.tolist()):
-            hits += 1
-    return 100.0 * hits / q.shape[0]
+    n_query, n_gallery = sims.shape
+    missing = [qi for qi in range(n_query) if not relevance.get(qi)]
+    if missing:
+        raise InvalidInputError(f"recall_at_k: query {missing[0]} has no relevant items")
+    query, item = np.array([(qi, j) for qi in range(n_query) for j in relevance[qi]
+                            if 0 <= j < n_gallery], dtype=np.int64).reshape(-1, 2).T
+    best = np.full(n_query, n_gallery)
+    for s in range(0, len(item), _BLOCK):
+        qs, its = query[s:s + _BLOCK], item[s:s + _BLOCK, None]
+        row = sims[qs]
+        own = np.take_along_axis(row, its, axis=1)
+        rank = np.count_nonzero((row > own) | ((row == own) & (np.arange(n_gallery) < its)),
+                                axis=1)
+        np.minimum.at(best, qs, rank)
+    return 100.0 * int(np.count_nonzero(best < k)) / n_query
+
+
+def paired_recall(tokens, table, params, image_feats, ks=(1,)) -> dict:
+    """{direction: {k: Recall@k}} between the texts of `tokens`, encoded
+    under `table`, and their images: text i goes with image i."""
+    txt = text_features(tokens, table, params)
+    img = np.asarray(image_feats, dtype=np.float64)
+    ident = {i: {i} for i in range(len(img))}
+    return {"img2txt": {k: recall_at_k(img, txt, ident, k) for k in ks},
+            "txt2img": {k: recall_at_k(txt, img, ident, k) for k in ks}}
 
 
 def average_recall(matrix: EvalMatrix, j: int, direction: str) -> float:
@@ -128,40 +148,45 @@ def fused_similarity(r_img, r_eng, r_foreign, eta: float) -> float:
     return eta * cosine(r_img, r_eng) + (1.0 - eta) * cosine(r_img, r_foreign)
 
 
-def fisher_trace(samples, table, anchor, params, loss_cfg) -> float:
-    """Average squared gradient norm over per-sample (batch size 1) losses.
-
-    `samples` yields (image_feature, english_ids, foreign_ids); english
-    features come from the frozen anchor table. 64-bit accumulation."""
-    total = 0.0
-    n = 0
-    for img_feat, eng_ids, for_ids in samples:
-        r_i = np.asarray(img_feat, dtype=np.float64)[None, :]
-        r_e = encode_text(eng_ids, anchor, params)[None, :]
-        r_f = encode_text(for_ids, table, params)[None, :]
-        _, grad_rf = total_loss(FeatureBatch(r_i, r_e, r_f), loss_cfg)
-        rows = encode_text_grad(for_ids, table, params, grad_rf[0])
-        total += sum(float(g @ g) for g in rows.values())
-        n += 1
+def _sample_terms(img_feats, eng_feats, pooled: Pooling, matrix, params,
+                  loss_cfg):
+    """(loss, squared gradient norm) of each sample as a batch of its own
+    (batch size 1). Row k of each array is sample k: its image feature,
+    its English feature from the anchor table and its pooled foreign
+    text. Its gradient w.r.t. the row of id j is c_j / L times its pooled
+    gradient g, so its squared norm is |g|^2 * sum_j (c_j / L)^2."""
+    n = pooled.A.shape[0]
     if n == 0:
-        raise InvalidInputError("fisher_trace: empty dataset")
-    return total / n
+        raise InvalidInputError("empty dataset")
+    losses, norms = [], []
+    for start in range(0, n, _BLOCK):
+        block = np.arange(start, min(start + _BLOCK, n))
+        sub = pooled.take(block)
+        r_f = encode_text(sub, matrix, params)
+        loss, grad = total_loss(FeatureBatch(
+            np.asarray(img_feats[block], dtype=np.float64)[:, None],
+            np.asarray(eng_feats[block], dtype=np.float64)[:, None],
+            r_f[:, None]), loss_cfg)
+        g = pooled_grad(r_f, params, grad[:, 0])
+        losses.append(loss)
+        norms.append(np.einsum("ij,ij->i", g, g)
+                     * (sub.A.power(2) @ np.ones(sub.A.shape[1])))
+    return np.concatenate(losses), np.concatenate(norms)
 
 
-def mean_sample_loss(samples, table, anchor, params, loss_cfg) -> float:
+def fisher_trace(img_feats, eng_feats, pooled: Pooling, matrix, params,
+                 loss_cfg) -> float:
+    """Average squared gradient norm over per-sample (batch size 1)
+    losses; arguments as for `_sample_terms`. 64-bit accumulation."""
+    return float(np.mean(_sample_terms(img_feats, eng_feats, pooled, matrix,
+                                       params, loss_cfg)[1]))
+
+
+def mean_sample_loss(img_feats, eng_feats, pooled: Pooling, matrix, params,
+                     loss_cfg) -> float:
     """Average per-sample (batch size 1) training loss; diagnostics only."""
-    total = 0.0
-    n = 0
-    for img_feat, eng_ids, for_ids in samples:
-        r_i = np.asarray(img_feat, dtype=np.float64)[None, :]
-        r_e = encode_text(eng_ids, anchor, params)[None, :]
-        r_f = encode_text(for_ids, table, params)[None, :]
-        loss, _ = total_loss(FeatureBatch(r_i, r_e, r_f), loss_cfg)
-        total += loss
-        n += 1
-    if n == 0:
-        raise InvalidInputError("mean_sample_loss: empty dataset")
-    return total / n
+    return float(np.mean(_sample_terms(img_feats, eng_feats, pooled, matrix,
+                                       params, loss_cfg)[0]))
 
 
 def ted_histogram(table, bins: int):

@@ -2,9 +2,10 @@
 
 Both the gradient and the decoupled weight-decay rate of a row are
 multiplied by that token's lambda coefficient; rows with lambda 0 are
-skipped outright, which makes their bitwise invariance across a task a
-structural property rather than a numerical accident. Updates are lazy:
-only rows present in the gradient map are touched.
+dropped from the index before any write, which makes their bitwise
+invariance across a task a structural property rather than a numerical
+accident. Updates are lazy: only the rows passed in are touched, all at
+once (AdamW after Loshchilov & Hutter, arXiv:1711.05101).
 """
 
 from __future__ import annotations
@@ -40,19 +41,18 @@ class OptimConfig:
 
 @dataclass
 class OptimState:
-    """Per-row moments (adaptive kind) plus the global step counter."""
+    """AdamW moments of every row (|V| x d, grown with the table), each
+    row's own step count for its bias correction, and the global step
+    counter of the schedule."""
 
-    m: dict[int, np.ndarray] = field(default_factory=dict)
-    v: dict[int, np.ndarray] = field(default_factory=dict)
-    t: dict[int, int] = field(default_factory=dict)
+    m: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
+    v: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
+    t: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     step_count: int = 0
 
 
 def reset_state(state: OptimState) -> OptimState:
-    state.m.clear()
-    state.v.clear()
-    state.t.clear()
-    state.step_count = 0
+    state.__dict__.update(vars(OptimState()))
     return state
 
 
@@ -64,41 +64,39 @@ def lr_at(step: int, cfg: OptimConfig) -> float:
     return cfg.lr_peak * (step / warmup)
 
 
-def step(table, grads: dict[int, np.ndarray], lam: np.ndarray,
-         cfg: OptimConfig, state: OptimState) -> None:
-    """Apply one scheduled update to the rows present in `grads`."""
+def step(table, rows, lam: np.ndarray, grads, cfg: OptimConfig,
+         state: OptimState) -> None:
+    """Apply one scheduled update to the distinct `rows`, whose
+    gradients are the rows of `grads`."""
     lr = lr_at(state.step_count, cfg)
     state.step_count += 1
+    rows, g = np.asarray(rows, dtype=np.int64), np.asarray(grads, dtype=np.float64)
+    if not np.all(np.isfinite(g)):
+        raise NumericError("step: non-finite gradient for row "
+                           f"{rows[~np.isfinite(g).all(axis=1)][0]}")
+    live = lam[rows] != 0.0
+    rows, g = rows[live], g[live]
+    lam_r = lam[rows][:, None]
     mat = table.matrix
-    for j in sorted(grads):
-        g = np.asarray(grads[j], dtype=np.float64)
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"step: non-finite gradient for row {j}")
-        lam_j = float(lam[j])
-        if lam_j == 0.0:
-            continue
-        theta = mat[j].astype(np.float64)
-        if cfg.kind == "sgd":
-            theta = theta * (1.0 - (lr * cfg.weight_decay) * lam_j) \
-                - (lr * lam_j) * g
-        else:
-            g = lam_j * g
-            theta = theta - ((lr * cfg.weight_decay) * lam_j) * theta
-            m = state.m.get(j)
-            if m is None:
-                m = np.zeros_like(theta)
-                v = np.zeros_like(theta)
-                t = 0
-            else:
-                v = state.v[j]
-                t = state.t[j]
-            t += 1
-            m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
-            v = cfg.beta2 * v + (1.0 - cfg.beta2) * (g * g)
-            m_hat = m / (1.0 - cfg.beta1 ** t)
-            v_hat = v / (1.0 - cfg.beta2 ** t)
-            theta = theta - lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
-            state.m[j] = m
-            state.v[j] = v
-            state.t[j] = t
-        mat[j] = theta.astype(np.float32)
+    theta = mat[rows].astype(np.float64)
+    if cfg.kind == "sgd":
+        theta = theta * (1.0 - (lr * cfg.weight_decay) * lam_r) \
+            - (lr * lam_r) * g
+    else:
+        extra = len(mat) - len(state.t)
+        if extra > 0:
+            state.m, state.v = (np.pad(a.reshape(-1, mat.shape[1]),
+                                       ((0, extra), (0, 0))) for a in (state.m, state.v))
+            state.t = np.pad(state.t, (0, extra))
+        g = lam_r * g
+        theta = theta - ((lr * cfg.weight_decay) * lam_r) * theta
+        t = state.t[rows] + 1
+        m = cfg.beta1 * state.m[rows] + (1.0 - cfg.beta1) * g
+        v = cfg.beta2 * state.v[rows] + (1.0 - cfg.beta2) * (g * g)
+        # Python's float power: numpy's can differ from it in the last
+        # bit, and from one CPU to another
+        m_hat = m / np.array([1.0 - cfg.beta1 ** k for k in t.tolist()])[:, None]
+        v_hat = v / np.array([1.0 - cfg.beta2 ** k for k in t.tolist()])[:, None]
+        theta = theta - lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+        state.m[rows], state.v[rows], state.t[rows] = m, v, t
+    mat[rows] = theta.astype(np.float32)

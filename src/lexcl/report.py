@@ -10,15 +10,13 @@ import os
 import re
 import shutil
 
-import numpy as np
-
 from . import bpe
 from . import vocab as vocab_mod
 from .embeddings import load_checkpoint
-from .encoders import encode_text, make_text_params
+from .encoders import make_text_params
 from .errors import InvalidInputError
-from .bench import load_dataset, load_manifest
-from .metrics import (EvalMatrix, average_recall, forgetting, recall_at_k,
+from .bench import load_dataset, load_images, load_manifest
+from .metrics import (EvalMatrix, average_recall, forgetting, paired_recall,
                       save_histogram_csv, ted_histogram)
 
 
@@ -59,6 +57,7 @@ def recompute_eval_matrix(run_dir, data_dir, split: str = "test") -> EvalMatrix:
     """Rebuild the recall matrix from the stored per-task checkpoints."""
     cfg = _load_run_config(run_dir)
     manifest = load_manifest(data_dir)
+    provider = load_images(data_dir)
     languages = manifest["languages"]
     params = make_text_params(cfg["dim"], cfg["d_out"], cfg["l_max"],
                               cfg["encoder_seed"])
@@ -73,30 +72,25 @@ def recompute_eval_matrix(run_dir, data_dir, split: str = "test") -> EvalMatrix:
     else:
         row_tasks = {j: list(range(j + 1)) for j in rows}
 
+    datasets = [load_dataset(data_dir, lang, split, manifest, provider)[0]
+                for lang in languages]
     # Global ids are append-only, so a split tokenised under a vocab index
     # reads the same in every later state: tokenise it once per index.
-    datasets = {}
     tokens: dict[tuple[int, int], vocab_mod.TokenArrays] = {}
     for slot, j in enumerate(rows):
         state = states[slot]
         table = load_checkpoint(os.path.join(run_dir, f"ckpt_task{j}.bin"),
                                 expected_rows=state.size)
         for i in row_tasks[j]:
-            if i not in datasets:
-                datasets[i] = load_dataset(data_dir, languages[i], split)
-            triplets, provider = datasets[i]
             vocab_index = 0 if shared_vocab else min(i, slot)
             key = (i, vocab_index)
             if key not in tokens:
                 tokens[key] = state.tokenize(
-                    [tr.foreign_text for tr in triplets], vocab_index)
-            feats = np.stack([encode_text(ids, table, params)
-                              for ids in tokens[key].rows()])
-            img = provider.features[[tr.image_index for tr in triplets]].astype(
-                np.float64)
-            ident = {k: {k} for k in range(len(triplets))}
-            matrix.set(j, i, "img2txt", recall_at_k(img, feats, ident, 1))
-            matrix.set(j, i, "txt2img", recall_at_k(feats, img, ident, 1))
+                    [tr.foreign_text for tr in datasets[i]], vocab_index)
+            images = provider.features[[tr.image_index for tr in datasets[i]]]
+            for d, recall in paired_recall(tokens[key], table, params,
+                                           images).items():
+                matrix.set(j, i, d, recall[1])
     return matrix
 
 

@@ -28,8 +28,18 @@ class TokenArrays:
     def row(self, k: int) -> list[int]:
         return self.ids[self.offsets[k] : self.offsets[k + 1]].tolist()
 
-    def rows(self) -> list[list[int]]:
-        return [self.row(k) for k in range(len(self))]
+    @classmethod
+    def from_rows(cls, rows) -> "TokenArrays":
+        """CSR arrays of a sequence of id lists."""
+        return cls(np.array([i for r in rows for i in r], dtype=np.int32),
+                   np.cumsum([0] + [len(r) for r in rows], dtype=np.int64))
+
+    @classmethod
+    def concat(cls, parts) -> "TokenArrays":
+        """The texts of several TokenArrays, in order, as one."""
+        starts = np.cumsum([0] + [len(p.ids) for p in parts])
+        return cls(np.concatenate([p.ids for p in parts]), np.concatenate(
+            [[0]] + [p.offsets[1:] + s for p, s in zip(parts, starts)]))
 
 
 @dataclass
@@ -66,11 +76,7 @@ class VocabState:
             if ids is None:
                 ids = memo[text] = self.global_ids(text, task_index)
             rows.append(ids)
-        offsets = np.zeros(len(rows) + 1, dtype=np.int64)
-        np.cumsum([len(r) for r in rows], out=offsets[1:])
-        flat = np.fromiter((i for r in rows for i in r), dtype=np.int32,
-                           count=int(offsets[-1]))
-        return TokenArrays(flat, offsets)
+        return TokenArrays.from_rows(rows)
 
 
 @dataclass(frozen=True)

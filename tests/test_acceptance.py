@@ -112,10 +112,10 @@ def test_criterion_3_lambda_semantics():
                                     warmup_fraction=0.1, total_steps=6)
             st1, st2 = optim.OptimState(), optim.OptimState()
             for _ in range(6):
-                grads = {int(j): rng.normal(size=4)
-                         for j in rng.choice(state.size, size=8, replace=False)}
-                optim.step(table, grads, lam, cfg, st1)
-                optim.step(ref, grads, np.ones(state.size), cfg, st2)
+                rows = rng.choice(state.size, size=8, replace=False)
+                grads = rng.normal(size=(8, 4))
+                optim.step(table, rows, lam, grads, cfg, st1)
+                optim.step(ref, rows, np.ones(state.size), grads, cfg, st2)
             for j in range(state.size):
                 if lam[j] == 0.0 and table.matrix[j].tobytes() != before[j].tobytes():
                     ok, detail = False, f"lambda=0 row {j} changed"

@@ -112,6 +112,14 @@ class TestAnchor:
         with pytest.raises(StateError):
             emb.snapshot_anchor(t)
 
+    @pytest.mark.parametrize("n_new", [0, 4])
+    def test_expanded_table_keeps_the_taken_anchor(self, n_new):
+        t = emb.init_table(3, 3, emb.fixed_policy(), rng_seed=2)
+        emb.snapshot_anchor(t)
+        grown = emb.expand(t, n_new, emb.fixed_policy(), rng_seed=3)
+        with pytest.raises(StateError):
+            emb.snapshot_anchor(grown)
+
 
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):

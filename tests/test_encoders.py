@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
 from lexcl import encoders as enc
 from lexcl.embeddings import EmbeddingTable
 from lexcl.errors import InvalidIdError, InvalidInputError
+from lexcl.vocab import TokenArrays
 
 
 def _params(dim=8, d_out=8, L_max=5, seed=3):
@@ -19,6 +22,25 @@ def _identity_params(d, L_max=4):
     for a in (W, b):
         a.flags.writeable = False
     return enc.FrozenTextParams(W=W, b=b, pos=base.pos, L_max=L_max, seed=0)
+
+
+def pool(id_lists, matrix, params):
+    return enc.pooling(TokenArrays.from_rows(id_lists), matrix.shape[0], params)
+
+
+def encode_one(ids, table, params):
+    """Batched encoder on a batch of one text."""
+    return enc.encode_text(pool([ids], table.matrix, params), table.matrix,
+                           params)[0]
+
+
+def grad_one(ids, table, params, upstream):
+    """Batched adjoint on a batch of one text, as {row: gradient}."""
+    pooled = pool([ids], table.matrix, params)
+    feats = enc.encode_text(pooled, table.matrix, params)
+    rows, grads = enc.encode_text_grad(pooled, feats, params,
+                                       np.asarray(upstream)[None])
+    return dict(zip(rows.tolist(), grads))
 
 
 def reference_encode(ids, matrix, params):
@@ -37,14 +59,14 @@ class TestEncodeText:
         d = 6
         p = _identity_params(d)
         table = EmbeddingTable(np.zeros((4, d), dtype=np.float32))
-        r = enc.encode_text([0], table, p)
+        r = encode_one([0], table, p)
         assert np.allclose(r, np.tanh(p.pos[0]))
 
     def test_truncation_to_l_max(self):
         p = _params(L_max=3)
         table = EmbeddingTable(np.random.default_rng(0).normal(size=(10, 8)))
-        long = enc.encode_text([1, 2, 3, 4, 5, 6], table, p)
-        short = enc.encode_text([1, 2, 3], table, p)
+        long = encode_one([1, 2, 3, 4, 5, 6], table, p)
+        short = encode_one([1, 2, 3], table, p)
         assert np.array_equal(long, short)
 
     def test_matches_reference(self):
@@ -53,7 +75,7 @@ class TestEncodeText:
         table = EmbeddingTable(rng.normal(size=(16, 8)))
         for _ in range(20):
             ids = rng.integers(0, 16, size=rng.integers(1, 6)).tolist()
-            got = enc.encode_text(ids, table, p)
+            got = encode_one(ids, table, p)
             want = reference_encode(ids, table.matrix, p)
             assert np.allclose(got, want, atol=1e-6)
 
@@ -61,37 +83,37 @@ class TestEncodeText:
         rng = np.random.default_rng(5)
         p = _params()
         table = EmbeddingTable(rng.normal(scale=10.0, size=(8, 8)))
-        r = enc.encode_text([0, 1, 2], table, p)
+        r = encode_one([0, 1, 2], table, p)
         assert np.all(r > -1.0) and np.all(r < 1.0)
 
     def test_empty_ids_rejected(self):
         table = EmbeddingTable(np.zeros((2, 8), dtype=np.float32))
         with pytest.raises(InvalidInputError):
-            enc.encode_text([], table, _params())
+            encode_one([], table, _params())
 
     def test_out_of_range_id(self):
         table = EmbeddingTable(np.zeros((2, 8), dtype=np.float32))
         with pytest.raises(InvalidIdError):
-            enc.encode_text([7], table, _params())
+            encode_one([7], table, _params())
 
 
 class TestEncodeTextGrad:
     def test_zero_upstream(self):
         table = EmbeddingTable(np.random.default_rng(1).normal(size=(6, 8)))
-        grads = enc.encode_text_grad([0, 1], table, _params(), np.zeros(8))
+        grads = grad_one([0, 1], table, _params(), np.zeros(8))
         assert all(np.all(g == 0) for g in grads.values())
 
     def test_repeated_id_doubles(self):
         p = _params()
         table = EmbeddingTable(np.random.default_rng(2).normal(size=(6, 8)))
         up = np.random.default_rng(3).normal(size=8)
-        single = enc.encode_text_grad([0, 1], table, p, up)
+        single = grad_one([0, 1], table, p, up)
         # same pooled input: token 0 at both positions of a same-h sequence
         m = table.matrix.copy()
         m[1] = m[0]
         t2 = EmbeddingTable(m)
-        double = enc.encode_text_grad([0, 0], t2, p, up)
-        ref = enc.encode_text_grad([0, 1], t2, p, up)
+        double = grad_one([0, 0], t2, p, up)
+        ref = grad_one([0, 1], t2, p, up)
         assert np.allclose(double[0], ref[0] + ref[1])
 
     def test_finite_differences(self):
@@ -100,7 +122,7 @@ class TestEncodeTextGrad:
         table = EmbeddingTable(rng.normal(size=(12, 8)))
         up = rng.normal(size=8)
         ids = [3, 7, 3, 1]
-        grads = enc.encode_text_grad(ids, table, p, up)
+        grads = grad_one(ids, table, p, up)
         step = 1e-3
         for tid, g in grads.items():
             for c in range(8):
@@ -113,6 +135,71 @@ class TestEncodeTextGrad:
                 num = (f_plus - f_minus) / (2 * step)
                 rel = abs(num - g[c]) / max(abs(num), abs(g[c]), 1e-8)
                 assert rel <= 1e-4
+
+
+# Summation order differs between the batched and the per-text paths;
+# float64 sums of at most L_max terms agree to well within this.
+ATOL = 1e-12
+
+CASES = {
+    "repeated ids": [[3, 3, 3], [1, 3, 1, 3]],
+    "length 1": [[0], [5], [5]],
+    "longer than l_max": [[1, 2, 3, 4, 5, 6, 7, 8], [2, 2, 2, 2, 2, 2, 9]],
+    "mixed": [[4], [0, 1, 2, 3, 4, 5, 6], [7, 7], [11, 0, 11, 0, 11]],
+}
+
+
+def check_against_oracle(id_lists, matrix, params, upstream):
+    pooled = pool(id_lists, matrix, params)
+    feats = enc.encode_text(pooled, matrix, params)
+    want = np.stack([oracles.encode_text(ids, matrix, params)
+                     for ids in id_lists])
+    np.testing.assert_allclose(feats, want, rtol=0, atol=ATOL)
+    rows, grads = enc.encode_text_grad(pooled, feats, params, upstream)
+    ref = oracles.batch_grads(id_lists, matrix, params, upstream)
+    assert rows.tolist() == sorted(ref)
+    np.testing.assert_allclose(grads, np.stack([ref[j] for j in sorted(ref)]),
+                               rtol=0, atol=ATOL)
+
+
+class TestBatchedMatchesPerText:
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_cases(self, case):
+        rng = np.random.default_rng(7)
+        p = _params(L_max=5)
+        matrix = rng.normal(size=(12, 8)).astype(np.float32)
+        up = rng.normal(size=(len(CASES[case]), 8))
+        check_against_oracle(CASES[case], matrix, p, up)
+
+    @given(seed=st.integers(0, 100_000), n_texts=st.integers(1, 9),
+           l_max=st.integers(1, 6))
+    @settings(max_examples=40, deadline=None)
+    def test_random_batches(self, seed, n_texts, l_max):
+        rng = np.random.default_rng(seed)
+        p = _params(L_max=l_max)
+        matrix = rng.normal(size=(10, 8))
+        id_lists = [rng.integers(0, 10, size=rng.integers(1, 2 * l_max + 2)).tolist()
+                    for _ in range(n_texts)]
+        check_against_oracle(id_lists, matrix, p,
+                             rng.normal(size=(n_texts, 8)))
+
+    def test_take_equals_pooling_the_subset(self):
+        rng = np.random.default_rng(8)
+        p = _params(L_max=4)
+        matrix = rng.normal(size=(12, 8))
+        id_lists = [rng.integers(0, 12, size=rng.integers(1, 7)).tolist()
+                    for _ in range(10)]
+        index = np.array([7, 2, 2, 9, 0])
+        got = pool(id_lists, matrix, p).take(index)
+        want = pool([id_lists[k] for k in index], matrix, p)
+        assert np.array_equal(got.rows, want.rows)
+        assert np.array_equal(got.A.toarray(), want.A.toarray())
+        assert np.array_equal(got.pos, want.pos)
+
+    def test_empty_text_among_others_rejected(self):
+        matrix = np.zeros((4, 8))
+        with pytest.raises(InvalidInputError):
+            pool([[1], [], [2]], matrix, _params())
 
 
 class TestFrozenness:
@@ -131,7 +218,7 @@ class TestFrozenness:
 class TestImageProvider:
     def test_bit_stable_lookup(self):
         prov = enc.ImageFeatureProvider.synthetic(10, 8, seed=1)
-        assert np.array_equal(prov.image_feature(3), prov.image_feature(3))
+        assert np.array_equal(prov.features[3], prov.features[3])
 
     def test_seeded_regeneration_identical(self):
         a = enc.ImageFeatureProvider.synthetic(10, 8, seed=2)
@@ -144,11 +231,6 @@ class TestImageProvider:
         prov.save(p)
         back = enc.ImageFeatureProvider.from_file(p)
         assert np.array_equal(back.features, prov.features)
-
-    def test_out_of_range_index(self):
-        prov = enc.ImageFeatureProvider.synthetic(4, 4, seed=0)
-        with pytest.raises(InvalidIdError):
-            prov.image_feature(4)
 
     def test_features_frozen(self):
         prov = enc.ImageFeatureProvider.synthetic(4, 4, seed=0)

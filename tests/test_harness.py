@@ -13,6 +13,7 @@ from lexcl.embeddings import load_checkpoint
 from lexcl.errors import InvalidInputError, NumericError
 from lexcl.harness import RunConfig, Runner, run_sequence, sub_seed
 from lexcl.metrics import EvalMatrix
+from lexcl.report import recompute_eval_matrix
 
 
 @pytest.fixture(scope="module")
@@ -193,6 +194,47 @@ class TestModesAndArtifacts:
         with pytest.raises(NumericError, match="injected"):
             run_sequence(tiny_run_cfg(tiny_data, tmp_path / "run"))
         assert runners and runners[0].log.closed
+
+
+    def test_no_finite_validation_score_raises(self, tiny_data, tmp_path,
+                                               monkeypatch):
+        monkeypatch.setattr(Runner, "_val_score",
+                            lambda self, t: float("nan"))
+        r = Runner(tiny_run_cfg(tiny_data, tmp_path / "run"))
+        with pytest.raises(NumericError, match="finite validation score"):
+            r.run_pretrain()
+        r.log.close()
+
+
+def _count_dataset_reads(monkeypatch) -> dict:
+    """Count opens of the dataset's manifest and image features."""
+    reads = {"manifest.json": 0, "images.feat": 0}
+    real_open = open
+
+    def counting_open(path, *args, **kwargs):
+        name = os.path.basename(str(path))
+        if name in reads:
+            reads[name] += 1
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    return reads
+
+
+class TestDatasetReads:
+    def test_runner_reads_manifest_and_images_once(self, tiny_data, tmp_path,
+                                                   monkeypatch):
+        reads = _count_dataset_reads(monkeypatch)
+        r = Runner(tiny_run_cfg(tiny_data, tmp_path / "run"))
+        r.log.close()
+        assert reads == {"manifest.json": 1, "images.feat": 1}
+
+    def test_recompute_reads_manifest_and_images_once(self, tiny_data,
+                                                      tmp_path, monkeypatch):
+        run_sequence(tiny_run_cfg(tiny_data, tmp_path / "run"))
+        reads = _count_dataset_reads(monkeypatch)
+        recompute_eval_matrix(tmp_path / "run", tiny_data)
+        assert reads == {"manifest.json": 1, "images.feat": 1}
 
 
 _MODES = {"continual": {}, "joint": {"mode": "joint"},

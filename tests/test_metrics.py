@@ -3,11 +3,14 @@ Fisher trace finite differences, histograms, CSV fidelity."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
 from lexcl import metrics as M
 from lexcl.embeddings import EmbeddingTable, snapshot_anchor
-from lexcl.encoders import make_text_params
-from lexcl.losses import LossConfig
+from lexcl.encoders import make_text_params, pooling, text_features
+from lexcl.losses import FeatureBatch, LossConfig, total_loss
+from lexcl.vocab import TokenArrays
 from lexcl.errors import (DegenerateFeatureError, InvalidInputError, MetricError)
 
 
@@ -70,6 +73,40 @@ class TestRecallAtK:
     def test_zero_norm_rejected(self):
         with pytest.raises(DegenerateFeatureError):
             M.recall_at_k(np.zeros((1, 2)), np.ones((1, 2)), {0: {0}}, 1)
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(DegenerateFeatureError):
+            M.recall_at_k(np.ones((1, 2)), np.array([[1.0, np.nan]]),
+                          {0: {0}}, 1)
+
+    @pytest.mark.parametrize("k", [1, 5, 10])
+    @pytest.mark.parametrize("max_relevant", [1, 3])
+    def test_matches_argsort_oracle_with_ties(self, k, max_relevant):
+        """Small integer features repeat rows and directions, so many
+        cosines tie exactly."""
+        rng = np.random.default_rng(k * 10 + max_relevant)
+        for _ in range(30):
+            nq, ng = int(rng.integers(1, 30)), int(rng.integers(1, 30))
+            q = rng.integers(-1, 2, size=(nq, 3)).astype(float)
+            g = rng.integers(-1, 2, size=(ng, 3)).astype(float)
+            q[~q.any(axis=1), 0] = 1.0
+            g[~g.any(axis=1), 0] = 1.0
+            rel = {i: set(rng.choice(ng, size=min(ng, int(rng.integers(
+                1, max_relevant + 1))), replace=False).tolist())
+                for i in range(nq)}
+            assert M.recall_at_k(q, g, rel, k) == \
+                oracles.recall_at_k(q, g, rel, k)
+
+    @given(seed=st.integers(0, 100_000), k=st.sampled_from([1, 5, 10]))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_argsort_oracle_random(self, seed, k):
+        rng = np.random.default_rng(seed)
+        nq, ng = int(rng.integers(1, 40)), int(rng.integers(1, 600))
+        q, g = rng.normal(size=(nq, 4)), rng.normal(size=(ng, 4))
+        g[rng.integers(0, ng, size=ng // 3)] = g[0]  # duplicated items tie
+        rel = {i: set(rng.integers(0, ng, size=int(rng.integers(1, 4))).tolist())
+               for i in range(nq)}
+        assert M.recall_at_k(q, g, rel, k) == oracles.recall_at_k(q, g, rel, k)
 
 
 def hand_matrix():
@@ -187,6 +224,31 @@ class TestFusion:
             M.fused_similarity(np.zeros(2), v, v, 0.5)
 
 
+def sample_arrays(samples, table, anchor, params):
+    """The array arguments of fisher_trace / mean_sample_loss for a list
+    of (image feature, English ids, foreign ids) samples."""
+    eng = TokenArrays.from_rows([s[1] for s in samples])
+    foreign = TokenArrays.from_rows([s[2] for s in samples])
+    return (np.array([s[0] for s in samples]),
+            text_features(eng, anchor, params),
+            pooling(foreign, table.row_count, params), table.matrix, params)
+
+
+def per_sample_reference(samples, table, anchor, params, cfg):
+    """(Fisher trace, mean loss) by one batch-size-1 loss per sample and
+    the per-text adjoint."""
+    fisher, losses = [], []
+    for img, eng, foreign in samples:
+        r_f = oracles.encode_text(foreign, table.matrix, params)[None, :]
+        r_e = oracles.encode_text(eng, anchor.matrix, params)[None, :]
+        loss, grad = total_loss(FeatureBatch(np.asarray(img)[None, :], r_e, r_f),
+                                cfg)
+        rows = oracles.encode_text_grad(foreign, table.matrix, params, grad[0])
+        fisher.append(sum(float(g @ g) for g in rows.values()))
+        losses.append(loss)
+    return np.mean(fisher), np.mean(losses)
+
+
 def tiny_model(seed=0, rows=12, d=6):
     rng = np.random.default_rng(seed)
     table = EmbeddingTable(rng.normal(size=(rows, d)).astype(np.float32))
@@ -205,29 +267,43 @@ class TestFisherTrace:
     def test_zero_weights_zero_trace(self):
         samples, table, anchor, params = tiny_model()
         cfg = LossConfig(tau=0.07, gamma_cm=0.0, gamma_cl=0.0)
-        assert M.fisher_trace(samples, table, anchor, params, cfg) == 0.0
+        assert M.fisher_trace(*sample_arrays(samples, table, anchor, params),
+                              cfg) == 0.0
 
     def test_single_sample_is_its_norm(self):
         samples, table, anchor, params = tiny_model(1)
         cfg = LossConfig()
-        one = M.fisher_trace(samples[:1], table, anchor, params, cfg)
-        per = [M.fisher_trace([s], table, anchor, params, cfg) for s in samples]
+
+        def trace(s):
+            return M.fisher_trace(*sample_arrays(s, table, anchor, params), cfg)
+
+        one = trace(samples[:1])
+        per = [trace([s]) for s in samples]
         assert one == per[0]
-        assert np.isclose(M.fisher_trace(samples, table, anchor, params, cfg),
-                          np.mean(per))
+        assert np.isclose(trace(samples), np.mean(per))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("gammas", [(1.0, 1.0), (0.01, 1.0), (1.0, 0.0)])
+    def test_matches_per_sample_reference(self, seed, gammas):
+        samples, table, anchor, params = tiny_model(seed)
+        cfg = LossConfig(0.07, *gammas)
+        args = sample_arrays(samples, table, anchor, params)
+        fisher, loss = per_sample_reference(samples, table, anchor, params, cfg)
+        assert np.isclose(M.fisher_trace(*args, cfg), fisher, rtol=1e-12,
+                          atol=1e-15)
+        assert np.isclose(M.mean_sample_loss(*args, cfg), loss, rtol=1e-12,
+                          atol=1e-15)
 
     def test_finite_difference_oracle(self):
-        from lexcl.encoders import encode_text
-        from lexcl.losses import FeatureBatch, total_loss
         samples, table, anchor, params = tiny_model(2)
         cfg = LossConfig()
         img, eng, foreign = samples[0]
 
         def loss_of(matrix):
-            t = EmbeddingTable(matrix.astype(np.float32))
             r_i = np.asarray(img)[None, :]
-            r_e = encode_text(eng, anchor, params)[None, :]
-            r_f = encode_text(foreign, t, params)[None, :]
+            r_e = oracles.encode_text(eng, anchor.matrix, params)[None, :]
+            r_f = oracles.encode_text(foreign, matrix.astype(np.float32),
+                                      params)[None, :]
             return total_loss(FeatureBatch(r_i, r_e, r_f), cfg)[0]
 
         base = table.matrix.astype(np.float64)
@@ -239,13 +315,15 @@ class TestFisherTrace:
                 plus[tid, c] += step
                 minus[tid, c] -= step
                 sq += ((loss_of(plus) - loss_of(minus)) / (2 * step)) ** 2
-        got = M.fisher_trace([samples[0]], table, anchor, params, cfg)
+        got = M.fisher_trace(*sample_arrays([samples[0]], table, anchor, params),
+                             cfg)
         assert abs(got - sq) / max(sq, 1e-12) < 1e-3
 
     def test_empty_dataset(self):
         _, table, anchor, params = tiny_model()
         with pytest.raises(InvalidInputError):
-            M.fisher_trace([], table, anchor, params, LossConfig())
+            M.fisher_trace(*sample_arrays([], table, anchor, params),
+                           LossConfig())
 
 
 class TestTedHistogram:

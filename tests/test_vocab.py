@@ -71,12 +71,21 @@ class TestTokenize:
         for t in (0, 1):
             arr = st_.tokenize(texts, t)
             assert len(arr) == len(texts)
-            assert arr.rows() == [st_.global_ids(x, t) for x in texts]
+            assert [arr.row(k) for k in range(len(arr))] == \
+                [st_.global_ids(x, t) for x in texts]
 
     def test_empty_list(self):
         st_ = vocab.new_state()
         arr = st_.tokenize([], 0)
-        assert len(arr) == 0 and arr.rows() == []
+        assert len(arr) == 0 and len(arr.ids) == 0
+
+    def test_concat_keeps_every_row_in_order(self):
+        parts = [vocab.TokenArrays.from_rows(rows)
+                 for rows in ([[1, 2], [3]], [], [[4], [5, 6, 7]])]
+        whole = vocab.TokenArrays.concat(parts)
+        assert [whole.row(k) for k in range(len(whole))] == \
+            [[1, 2], [3], [4], [5, 6, 7]]
+        assert whole.offsets.dtype == np.int64
 
     def test_memo_encodes_each_text_once(self, monkeypatch):
         st_, _, _, _, _ = _setup_two_tasks(["aa bb aa bb"], ["cc dd cc dd"])
