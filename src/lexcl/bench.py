@@ -155,6 +155,14 @@ def gen_benchmark(cfg: BenchConfig, out_dir) -> None:
         lexicons.append(concept_words)
         func_lexicons.append(function_words)
 
+    # Every language pairs an image with the same English caption; the
+    # splits cover the image indices in order, so english[img] is image
+    # img's caption.
+    english = [_caption(_sub_rng(cfg.seed, "captions", 0, split, img),
+                        [lex0_concepts[c] for c in image_concepts[img]],
+                        func_lexicons[0])
+               for split in SPLITS for img in split_ranges[split]]
+
     for lang in range(cfg.n_languages):
         lang_dir = os.path.join(out_dir, f"L{lang}")
         os.makedirs(lang_dir, exist_ok=True)
@@ -163,9 +171,7 @@ def gen_benchmark(cfg: BenchConfig, out_dir) -> None:
             lines = []
             for img in split_ranges[split]:
                 concepts = image_concepts[img]
-                eng = _caption(_sub_rng(cfg.seed, "captions", 0, split, img),
-                               [lex0_concepts[c] for c in concepts],
-                               func_lexicons[0])
+                eng = english[img]
                 if lang == 0:
                     fore = eng
                 else:

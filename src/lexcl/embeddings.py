@@ -5,13 +5,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (CheckpointFormatError, CheckpointTruncatedError,
-                     DimensionMismatchError, InvalidInputError, StateError)
+                     DimensionMismatchError, InvalidInputError, StateError,
+                     VocabMismatchError)
 
 EMB_MAGIC = b"TEIREMB1"
 FORMAT_VERSION = 1
@@ -97,6 +100,20 @@ def dist_stats(table) -> DistStats:
     return DistStats(float(flat.mean()), float(flat.std()))
 
 
+def ks_statistic(x, mu: float, sigma: float) -> float:
+    """Two-sided one-sample Kolmogorov-Smirnov statistic of the values
+    `x` against N(mu, sigma^2): the largest gap between their empirical
+    CDF and the normal CDF, on either side of each step."""
+    x = np.sort(np.asarray(x, dtype=np.float64).ravel())
+    n = x.size
+    if n == 0 or not sigma > 0:
+        raise InvalidInputError("ks_statistic: needs values and sigma > 0")
+    scale = sigma * math.sqrt(2.0)
+    cdf = np.array([0.5 * math.erfc(-(v - mu) / scale) for v in x.tolist()])
+    i = np.arange(1, n + 1)
+    return float(max(np.max(i / n - cdf), np.max(cdf - (i - 1) / n)))
+
+
 def expand(table: EmbeddingTable, n_new: int, policy: InitPolicy,
            rng_seed: int) -> EmbeddingTable:
     """Append n_new Gaussian rows; existing rows are preserved bit-exactly,
@@ -143,12 +160,26 @@ def vocab_hash(tokens: list[bytes]) -> str:
     return h.hexdigest()
 
 
+def _write_atomic(path, *chunks) -> None:
+    """Write to a temp file beside `path`, then rename it into place, so
+    that a reader sees the old file or the whole new one, never a part."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            for chunk in chunks:
+                f.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def write_matrix(path, magic: bytes, matrix: np.ndarray) -> None:
     m = np.ascontiguousarray(matrix, dtype="<f4")
-    with open(path, "wb") as f:
-        f.write(magic)
-        f.write(struct.pack("<III", FORMAT_VERSION, m.shape[0], m.shape[1]))
-        f.write(m.tobytes())
+    _write_atomic(path, magic,
+                  struct.pack("<III", FORMAT_VERSION, m.shape[0], m.shape[1]),
+                  m.data)
 
 
 def read_matrix(path, magic: bytes) -> np.ndarray:
@@ -165,6 +196,8 @@ def read_matrix(path, magic: bytes) -> np.ndarray:
         payload = f.read(rows * dim * 4)
         if len(payload) < rows * dim * 4:
             raise CheckpointTruncatedError(f"{path}: truncated payload")
+        if f.read(1):
+            raise CheckpointFormatError(f"{path}: trailing bytes after the payload")
     return np.frombuffer(payload, dtype="<f4").reshape(rows, dim).copy()
 
 
@@ -174,11 +207,14 @@ def save_checkpoint(table, manifest: dict, path) -> None:
     side = dict(manifest)
     side.setdefault("rows", table.row_count)
     side.setdefault("dim", table.dim)
-    with open(str(path) + ".json", "w") as f:
-        json.dump(side, f, indent=1, sort_keys=True)
+    _write_atomic(str(path) + ".json",
+                  json.dumps(side, indent=1, sort_keys=True).encode())
 
 
-def load_checkpoint(path, expected_rows: int | None = None) -> EmbeddingTable:
+def load_checkpoint(path, expected_rows: int | None = None,
+                    expected_vocab_hash: str | None = None) -> EmbeddingTable:
+    """Read a checkpoint and check it against its sidecar and, when
+    given, the row count and vocab hash of the caller's vocabulary."""
     m = read_matrix(path, EMB_MAGIC)
     try:
         with open(str(path) + ".json") as f:
@@ -192,4 +228,9 @@ def load_checkpoint(path, expected_rows: int | None = None) -> EmbeddingTable:
     if declared is not None and m.shape[0] != declared:
         raise DimensionMismatchError(
             f"{path}: checkpoint has {m.shape[0]} rows, sidecar declares {declared}")
+    if (expected_vocab_hash is not None
+            and side.get("vocab_hash") != expected_vocab_hash):
+        raise VocabMismatchError(
+            f"{path}: sidecar vocab hash {side.get('vocab_hash')!r} is not the "
+            f"vocab's {expected_vocab_hash!r}")
     return EmbeddingTable(m)

@@ -45,6 +45,10 @@ class DimensionMismatchError(CheckpointError):
     """Checkpoint shape disagrees with the sidecar vocabulary."""
 
 
+class VocabMismatchError(CheckpointError):
+    """Checkpoint sidecar names another vocabulary than the caller's."""
+
+
 class DatasetError(LexclError):
     """Base class for dataset load failures."""
 

@@ -13,14 +13,13 @@ import os
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from . import bpe
 from . import vocab as vocab_mod
 from .bench import SPLITS, load_corpus, load_dataset, load_images, load_manifest
 from .embeddings import (EmbeddingTable, dist_stats, expand, fixed_policy,
-                         init_table, matched_policy, save_checkpoint,
-                         snapshot_anchor, vocab_hash)
+                         init_table, ks_statistic, matched_policy,
+                         save_checkpoint, snapshot_anchor, vocab_hash)
 from .encoders import (encode_text, encode_text_grad, make_text_params,
                        pooling, text_features)
 from .errors import InvalidInputError, NumericError
@@ -299,11 +298,8 @@ class Runner:
 
         ks = float("nan")
         if n_new > 0 and pre_stats.sigma > 0:
-            new_entries = self.table.matrix[vocab_before:].astype(
-                np.float64).ravel()
-            ks = float(scipy_stats.kstest(
-                new_entries, "norm",
-                args=(pre_stats.mu, pre_stats.sigma)).statistic)
+            ks = ks_statistic(self.table.matrix[vocab_before:],
+                              pre_stats.mu, pre_stats.sigma)
 
         counts_ext = np.zeros(self.state.size, dtype=np.int64)
         counts_ext[: len(self.counts)] = self.counts

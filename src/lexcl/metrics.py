@@ -68,12 +68,13 @@ _BLOCK = 256
 
 
 def recall_at_k(query_feats: np.ndarray, gallery_feats: np.ndarray,
-                relevance: dict[int, set[int]], k: int) -> float:
+                relevance: dict[int, set[int]], k: int | tuple[int, ...]):
     """Percent of queries whose cosine top-k holds a relevant gallery item.
 
     An item's rank is the number of scores above its own plus the equal
     scores at a lower gallery index (ties go to the lower index); a query
-    hits when a relevant item ranks below k."""
+    hits when a relevant item ranks below k. A tuple of k gives
+    {k: recall} from one rank pass."""
     q, g = (np.asarray(a, dtype=np.float64) for a in (query_feats, gallery_feats))
     qn, gn = (np.linalg.norm(a, axis=1, keepdims=True) for a in (q, g))
     if not all(np.all(np.isfinite(n) & (n > 0)) for n in (qn, gn)):
@@ -93,6 +94,8 @@ def recall_at_k(query_feats: np.ndarray, gallery_feats: np.ndarray,
         rank = np.count_nonzero((row > own) | ((row == own) & (np.arange(n_gallery) < its)),
                                 axis=1)
         np.minimum.at(best, qs, rank)
+    if isinstance(k, tuple):
+        return {kk: 100.0 * int(np.count_nonzero(best < kk)) / n_query for kk in k}
     return 100.0 * int(np.count_nonzero(best < k)) / n_query
 
 
@@ -102,8 +105,8 @@ def paired_recall(tokens, table, params, image_feats, ks=(1,)) -> dict:
     txt = text_features(tokens, table, params)
     img = np.asarray(image_feats, dtype=np.float64)
     ident = {i: {i} for i in range(len(img))}
-    return {"img2txt": {k: recall_at_k(img, txt, ident, k) for k in ks},
-            "txt2img": {k: recall_at_k(txt, img, ident, k) for k in ks}}
+    return {"img2txt": recall_at_k(img, txt, ident, tuple(ks)),
+            "txt2img": recall_at_k(txt, img, ident, tuple(ks))}
 
 
 def average_recall(matrix: EvalMatrix, j: int, direction: str) -> float:

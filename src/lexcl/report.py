@@ -12,7 +12,7 @@ import shutil
 
 from . import bpe
 from . import vocab as vocab_mod
-from .embeddings import load_checkpoint
+from .embeddings import load_checkpoint, vocab_hash
 from .encoders import make_text_params
 from .errors import InvalidInputError
 from .bench import load_dataset, load_images, load_manifest
@@ -80,7 +80,8 @@ def recompute_eval_matrix(run_dir, data_dir, split: str = "test") -> EvalMatrix:
     for slot, j in enumerate(rows):
         state = states[slot]
         table = load_checkpoint(os.path.join(run_dir, f"ckpt_task{j}.bin"),
-                                expected_rows=state.size)
+                                expected_rows=state.size,
+                                expected_vocab_hash=vocab_hash(state.tokens))
         for i in row_tasks[j]:
             vocab_index = 0 if shared_vocab else min(i, slot)
             key = (i, vocab_index)

@@ -1,6 +1,7 @@
 """Benchmark generator tests: determinism, overlap dial, format validation."""
 
 import filecmp
+import hashlib
 import os
 
 import numpy as np
@@ -26,6 +27,16 @@ def tree_files(root):
     return sorted(out)
 
 
+def tree_digest(root):
+    """sha256 over every file's relative path and bytes, in path order."""
+    h = hashlib.sha256()
+    for rel in tree_files(root):
+        h.update(rel.encode() + b"\0")
+        with open(os.path.join(root, rel), "rb") as f:
+            h.update(f.read())
+    return h.hexdigest()
+
+
 class TestGenerate:
     def test_same_seed_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -36,6 +47,20 @@ class TestGenerate:
         assert files == tree_files(b)
         match, mismatch, errors = filecmp.cmpfiles(a, b, files, shallow=False)
         assert not mismatch and not errors
+
+    @pytest.mark.parametrize("cfg, digest", [
+        (tiny_cfg(),
+         "5c9f0b8dca5b8846c5e7c707f5e01d700fe70dda31a8c31bbd33d9d18a58b2ff"),
+        (tiny_cfg(n_concepts=40, n_languages=5, n_train=30, n_val=8, n_test=8,
+                  concepts_per_image=2, d_out=4, lexical_overlap=0.25, seed=3),
+         "f81f6ba9c03c36e885a59dac99df4cd8396ce6e55c68b5a0598d5eba99d5c3d0"),
+    ])
+    def test_output_matches_golden_digest(self, tmp_path, cfg, digest):
+        """The generated bytes are pinned, so a change to the generator
+        that is deterministic but alters the data is caught; every run
+        and checkpoint downstream depends on them."""
+        bench.gen_benchmark(cfg, tmp_path)
+        assert tree_digest(tmp_path) == digest
 
     def test_split_sizes_match_manifest(self, tmp_path):
         cfg = tiny_cfg()

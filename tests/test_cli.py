@@ -1,6 +1,8 @@
 """CLI tests: subcommand wiring, exit codes, reports, grad-check gate."""
 
 import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -115,6 +117,30 @@ class TestTrain:
                      "--out", str(out)]) == EXIT_USAGE
         assert line.split(" = ")[0] in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestImports:
+    def test_no_scipy_stats_in_a_cli_process(self, tmp_path):
+        """Importing scipy.stats costs about a second per command; lexcl
+        needs only scipy.sparse, so gen-data and train must not load it."""
+        (tmp_path / "bench.cfg").write_text(TINY_BENCH)
+        (tmp_path / "run.cfg").write_text(TINY_RUN)
+        script = (
+            "import sys\n"
+            "from lexcl.cli import main\n"
+            "assert main(['gen-data', '--config', 'bench.cfg', '--out', 'd']) == 0\n"
+            "assert main(['train', '--config', 'run.cfg', '--data', 'd',"
+            " '--out', 'r']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))\n")
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env = dict(os.environ, LEXCL_LOG="quiet", PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
 
 class TestEvalAndReport:

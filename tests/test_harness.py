@@ -7,10 +7,12 @@ import os
 import numpy as np
 import pytest
 
-from lexcl import bench, bpe, vocab
+from scipy import stats as sps
+
+from lexcl import bench, bpe, harness, vocab
 from lexcl.bench import SPLITS
 from lexcl.embeddings import load_checkpoint
-from lexcl.errors import InvalidInputError, NumericError
+from lexcl.errors import CheckpointError, InvalidInputError, NumericError
 from lexcl.harness import RunConfig, Runner, run_sequence, sub_seed
 from lexcl.metrics import EvalMatrix
 from lexcl.report import recompute_eval_matrix
@@ -159,6 +161,36 @@ class TestModesAndArtifacts:
         ks_vals = [row["ks_stat"] for row in art.diagnostics["dist_stats"]
                    if row["task"] >= 1]
         assert any(np.isfinite(v) for v in ks_vals)
+
+    def test_recorded_ks_matches_scipy(self, tiny_data, tmp_path, monkeypatch):
+        """Each task's ks_stat is the KS statistic of its new rows against
+        the pre-expansion fit, as scipy's kstest computes it."""
+        expected = []
+        real = harness.ks_statistic
+
+        def checked(x, mu, sigma):
+            expected.append(sps.kstest(np.asarray(x, dtype=np.float64).ravel(),
+                                       "norm", args=(mu, sigma)).statistic)
+            return real(x, mu, sigma)
+
+        monkeypatch.setattr(harness, "ks_statistic", checked)
+        art = run_sequence(tiny_run_cfg(tiny_data, tmp_path / "run"))
+        recorded = [r["ks_stat"] for r in art.diagnostics["dist_stats"][1:]]
+        assert len(recorded) == len(expected) == 2
+        assert np.allclose(recorded, expected, rtol=0, atol=1e-12)
+
+    def test_recompute_checks_the_vocab_hash(self, tiny_data, tmp_path):
+        """`lexcl eval` knows each row's vocab, so a sidecar that names
+        another vocab is refused, not scored."""
+        out = tmp_path / "run"
+        run_sequence(tiny_run_cfg(tiny_data, out))
+        recompute_eval_matrix(out, tiny_data)
+        side = out / "ckpt_task1.bin.json"
+        meta = json.loads(side.read_text())
+        meta["vocab_hash"] = "0" * 64
+        side.write_text(json.dumps(meta))
+        with pytest.raises(CheckpointError, match="vocab hash"):
+            recompute_eval_matrix(out, tiny_data)
 
     def test_config_validation(self, tiny_data, tmp_path):
         with pytest.raises(InvalidInputError):

@@ -108,6 +108,48 @@ class TestRecallAtK:
                for i in range(nq)}
         assert M.recall_at_k(q, g, rel, k) == oracles.recall_at_k(q, g, rel, k)
 
+    @given(seed=st.integers(0, 100_000),
+           ks=st.lists(st.integers(1, 12), min_size=1, max_size=4, unique=True))
+    @settings(max_examples=40, deadline=None)
+    def test_tuple_of_k_equals_one_call_per_k(self, seed, ks):
+        """One rank pass for several k gives, bit for bit, what a call per
+        k and the argsort oracle give; ties are frequent."""
+        rng = np.random.default_rng(seed)
+        nq, ng = int(rng.integers(1, 30)), int(rng.integers(1, 300))
+        q = rng.integers(-1, 2, size=(nq, 3)).astype(float)
+        g = rng.normal(size=(ng, 3))
+        q[~q.any(axis=1), 0] = 1.0
+        g[rng.integers(0, ng, size=ng // 3)] = g[0]
+        rel = {i: set(rng.integers(0, ng, size=int(rng.integers(1, 3))).tolist())
+               for i in range(nq)}
+        together = M.recall_at_k(q, g, rel, tuple(ks))
+        assert list(together) == ks
+        for k in ks:
+            assert together[k] == M.recall_at_k(q, g, rel, k)
+            assert together[k] == oracles.recall_at_k(q, g, rel, k)
+
+    def test_paired_recall_ranks_once_per_direction(self, monkeypatch):
+        """Validation scores k = 1, 5, 10 in both directions: one rank
+        pass per direction, not one per (direction, k)."""
+        calls = []
+        real = M.recall_at_k
+
+        def counted(*args):
+            calls.append(args[3])
+            return real(*args)
+
+        monkeypatch.setattr(M, "recall_at_k", counted)
+        rng = np.random.default_rng(0)
+        table = EmbeddingTable(rng.normal(size=(300, 8)))
+        params = make_text_params(8, 8, 16, seed=1)
+        tokens = TokenArrays(np.array([256, 257, 258, 259, 260, 261], dtype=np.int32),
+                             np.array([0, 2, 4, 6]))
+        res = M.paired_recall(tokens, table, params, rng.normal(size=(3, 8)),
+                              ks=(1, 5, 10))
+        assert calls == [(1, 5, 10), (1, 5, 10)]
+        assert set(res) == {"img2txt", "txt2img"}
+        assert all(list(res[d]) == [1, 5, 10] for d in res)
+
 
 def hand_matrix():
     m = M.EvalMatrix()
