@@ -11,8 +11,8 @@ from .encoders import (FrozenTextParams, ImageFeatureProvider, encode_text,
 from .harness import RunArtifacts, RunConfig, run_sequence
 from .losses import FeatureBatch, LossConfig, cl_loss, cm_loss, total_loss
 from .metrics import (EvalMatrix, average_recall, fisher_trace, forgetting,
-                      fused_similarity, recall_at_k, ted_histogram)
-from .optim import OptimConfig, OptimState, lr_at, reset_state, step
+                      recall_at_k, ted_histogram)
+from .optim import OptimConfig, OptimState, lr_at, step
 from .vocab import (Partition, VocabState, lambda_for, merge_vocab,
                     new_state, update_counts)
 from .bench import BenchConfig, TrainingTriplet, gen_benchmark, load_dataset

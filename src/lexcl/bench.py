@@ -207,8 +207,8 @@ def load_images(dataset_dir) -> ImageFeatureProvider:
 def load_dataset(dataset_dir, language_id: str, split: str,
                  manifest: dict | None = None,
                  provider: ImageFeatureProvider | None = None):
-    """Parse one language/split; returns (triplets, image provider).
-    The manifest and the image features are read unless passed in."""
+    """Parse one language/split into its triplets. The manifest and the
+    image features are read unless passed in."""
     if split not in SPLITS:
         raise InvalidInputError(f"load_dataset: unknown split {split!r}")
     manifest = load_manifest(dataset_dir) if manifest is None else manifest
@@ -238,7 +238,7 @@ def load_dataset(dataset_dir, language_id: str, split: str,
     if len(triplets) != declared:
         raise DatasetFormatError(
             f"{path}: {len(triplets)} records, manifest declares {declared}")
-    return triplets, provider
+    return triplets
 
 
 def load_corpus(dataset_dir, language_id: str) -> list[str]:

@@ -4,9 +4,9 @@ Training is greedy: repeatedly merge the most frequent adjacent token
 pair inside whitespace-separated words, ties broken by lexicographically
 smaller (left-bytes, right-bytes). `train_bpe` counts pairs once and
 then updates the counts of only the words each merge touches
-(Sennrich et al. 2016); `train_bpe_reference` recounts the whole corpus
-per merge and is kept as its oracle. The 256 single bytes are always the
-base alphabet, so any byte string encodes losslessly.
+(Sennrich et al. 2016); a trainer that recounts the whole corpus per
+merge is kept as its oracle in `tests/oracles.py`. The 256 single bytes
+are always the base alphabet, so any byte string encodes losslessly.
 """
 
 from __future__ import annotations
@@ -138,7 +138,7 @@ def train_bpe(corpus, target_size: int, task_index: int = 0) -> TaskVocab:
     once; each merge then re-counts only the words that hold the merged
     pair, through a pair -> word index, and a heap keyed
     (-count, left, right) with stale entries skipped on pop picks the
-    next pair. Same merges as `train_bpe_reference`.
+    next pair.
     """
     words, freqs = _corpus_words(corpus, target_size)
     out = _Merges(task_index)
@@ -177,30 +177,6 @@ def train_bpe(corpus, target_size: int, task_index: int = 0) -> TaskVocab:
                 heapq.heappush(heap, (-c, *pair))
             else:
                 del counts[pair]
-
-    return out.vocab()
-
-
-def train_bpe_reference(corpus, target_size: int,
-                        task_index: int = 0) -> TaskVocab:
-    """Slow reference trainer: recount every pair before each merge."""
-    words, freqs = _corpus_words(corpus, target_size)
-    out = _Merges(task_index)
-
-    while len(out.tokens) < target_size:
-        pair_counts: Counter[Pair] = Counter()
-        for parts, f in zip(words, freqs):
-            for pair in _pairs(parts):
-                pair_counts[pair] += f
-        if not pair_counts:
-            break
-        (left, right), count = min(pair_counts.items(),
-                                   key=lambda kv: (-kv[1], kv[0]))
-        if count < 2:
-            break
-        merged = out.add(left, right)
-        words = [_merge_word(p, left, right, merged) if len(p) > 1 else p
-                 for p in words]
 
     return out.vocab()
 
@@ -261,19 +237,6 @@ def encode(text: bytes, vocab: TaskVocab) -> list[int]:
             out.extend(ids)
         i = j
     return out
-
-
-def encode_reference(text: bytes, scope) -> list[int]:
-    """Slow reference encoder: apply each rule exhaustively in priority order."""
-    if isinstance(text, str):
-        text = text.encode("utf-8")
-    if not text:
-        return []
-    parts = [bytes([b]) for b in text]
-    items = sorted(scope.merge_ranks().items(), key=lambda kv: kv[1][0])
-    for (left, right), (_, merged) in items:
-        parts = _merge_word(parts, left, right, merged)
-    return [scope.id_of[p] for p in parts]
 
 
 def decode(ids, scope) -> bytes:

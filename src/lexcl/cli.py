@@ -80,13 +80,13 @@ def cmd_eval(args) -> int:
     matrix = recompute_eval_matrix(args.run, args.data, args.split)
     out_path = os.path.join(args.run, f"eval_matrix_recomputed_{args.split}.csv")
     matrix.save_csv(out_path)
+    _info(f"wrote {out_path}")
     if args.split == "test":
         stored = EvalMatrix.load_csv(os.path.join(args.run, "eval_matrix.csv"))
-        if stored.entries == matrix.entries:
-            _info("recomputed matrix matches the stored one exactly")
-        else:
-            _info("recomputed matrix DIFFERS from the stored one")
-    _info(f"wrote {out_path}")
+        if stored.entries != matrix.entries:
+            return _fail(EXIT_RUNTIME, f"{out_path} differs from the stored "
+                                       "eval_matrix.csv")
+        _info("recomputed matrix matches the stored one exactly")
     return EXIT_OK
 
 

@@ -119,20 +119,16 @@ def expand(table: EmbeddingTable, n_new: int, policy: InitPolicy,
     """Append n_new Gaussian rows; existing rows are preserved bit-exactly,
     and a table whose anchor was taken yields one that refuses another.
 
-    The matched policy samples from the pre-expansion table's own
-    (mu, sigma); the fixed policy from the configured constants.
+    New rows are drawn from the policy's (mu, sigma): for the matched
+    policy, the pre-expansion table's own statistics.
     """
     if n_new < 0:
         raise InvalidInputError("expand: n_new must be non-negative")
-    if policy.kind == "matched":
-        stats = dist_stats(table)
-        mu, sigma = stats.mu, stats.sigma
-    else:
-        mu, sigma = policy.mu, policy.sigma
-    if sigma < 0:
+    if policy.sigma < 0:
         raise InvalidInputError("expand: sigma must be non-negative")
     rng = np.random.default_rng(rng_seed)
-    new_rows = rng.normal(mu, sigma, size=(n_new, table.dim)).astype(np.float32)
+    new_rows = rng.normal(policy.mu, policy.sigma,
+                          size=(n_new, table.dim)).astype(np.float32)
     out = EmbeddingTable(np.vstack([table.matrix, new_rows]))
     out._anchor_taken = table._anchor_taken
     return out
@@ -147,10 +143,6 @@ def snapshot_anchor(table: EmbeddingTable) -> AnchorTable:
 
 
 # --- checkpoint I/O ----------------------------------------------------
-
-def matrix_hash(matrix: np.ndarray) -> str:
-    return hashlib.sha256(np.ascontiguousarray(matrix).tobytes()).hexdigest()
-
 
 def vocab_hash(tokens: list[bytes]) -> str:
     h = hashlib.sha256()

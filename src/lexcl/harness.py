@@ -1,16 +1,16 @@
-"""Orchestration of a full continual run: anchor pretraining on task 0,
-then per task vocab merge -> expand -> train -> snapshot -> evaluate,
+"""Orchestration of a full run as a sequence of steps, one per row of the
+recall matrix: vocab merge -> expand -> train -> snapshot -> evaluate,
 with checkpoint selection by validation recall and end-of-run
-diagnostics. Also supports the oracle-vocab and joint-training modes."""
+diagnostics. The first step pretrains the frozen anchor; `steps` lists
+the steps of the continual (also oracle-vocab) and joint modes."""
 
 from __future__ import annotations
 
 import csv
 import hashlib
 import json
-import math
 import os
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
@@ -25,8 +25,12 @@ from .encoders import (encode_text, encode_text_grad, make_text_params,
 from .errors import InvalidInputError, NumericError
 from .losses import FeatureBatch, LossConfig, total_loss
 from .metrics import (EvalMatrix, average_recall, fisher_trace, forgetting,
-                      mean_sample_loss, paired_recall)
-from .optim import OptimConfig, OptimState, reset_state, step as optim_step
+                      mean_sample_loss, paired_recall, score_row)
+from .optim import OptimConfig, OptimState, step as optim_step
+
+# Optimiser of the first step, which trains the anchor from the fixed
+# init; every later step uses the configured one.
+PRETRAIN_OPTIM = {"kind": "adamw", "lr_peak": 0.03}
 
 
 @dataclass(frozen=True)
@@ -36,8 +40,6 @@ class RunConfig:
     loss: LossConfig = field(default_factory=LossConfig)
     optim_kind: str = "sgd"
     lr_peak: float = 1.0
-    pretrain_kind: str = "adamw"
-    pretrain_lr: float = 0.03
     weight_decay: float = 0.005
     warmup_fraction: float = 0.1
     vocab_size_per_task: int = 512
@@ -66,11 +68,15 @@ class RunConfig:
         for name in ("dim", "d_out", "l_max"):
             if getattr(self, name) < 1:
                 raise InvalidInputError(f"model.{name}: must be >= 1")
-        for name, value in (("optim.lr", self.lr_peak),
-                            ("loss.tau", self.loss.tau),
-                            ("optim.weight_decay", self.weight_decay)):
-            if not math.isfinite(value):
-                raise InvalidInputError(f"{name}: must be finite")
+        self.optim_config(total_steps=1)
+
+    def optim_config(self, total_steps: int, **override) -> OptimConfig:
+        """The configured optimiser over `total_steps`, with any field
+        replaced by `override`; raises on an invalid setting."""
+        return OptimConfig(**{"kind": self.optim_kind, "lr_peak": self.lr_peak,
+                              "weight_decay": self.weight_decay,
+                              "warmup_fraction": self.warmup_fraction,
+                              "total_steps": total_steps, **override})
 
 
 @dataclass
@@ -88,6 +94,21 @@ def sub_seed(master: int, *names) -> int:
     return (master * 0x1FFFFFFFFFFFFF + int.from_bytes(h[:6], "little")) % (2**63)
 
 
+def steps(mode: str, n_tasks: int) -> list[tuple[int, list[int]]]:
+    """(recall-matrix row, languages trained on) of each step of a run:
+    one language per step, or pretraining on language 0 and then one
+    step on all of them in a joint run of several languages."""
+    if mode == "joint" and n_tasks > 1:
+        return [(0, [0]), (n_tasks - 1, list(range(n_tasks)))]
+    return [(t, [t]) for t in range(n_tasks)]
+
+
+def vocab_index(mode: str, oracle_vocab: bool, task: int) -> int:
+    """Index of the vocab that language `task` is tokenised with: the one
+    shared vocab in oracle-vocab and joint runs, else the task's own."""
+    return 0 if oracle_vocab or mode == "joint" else task
+
+
 class _TaskData:
     """Loaded splits for one language, and their token arrays.
 
@@ -98,7 +119,7 @@ class _TaskData:
     def __init__(self, data_dir, language_id, manifest, provider):
         self.language_id = language_id
         self.train, self.val, self.test = (
-            load_dataset(data_dir, language_id, split, manifest, provider)[0]
+            load_dataset(data_dir, language_id, split, manifest, provider)
             for split in SPLITS)
         self.corpus = load_corpus(data_dir, language_id)
         self.tokens: dict[str, vocab_mod.TokenArrays] = {}
@@ -127,8 +148,9 @@ class Runner:
         self.checkpoint_paths: list[str] = []
         self.dist_rows: list[dict] = []
         self.loss_rows: list[dict] = []
-        self._oracle: bpe.TaskVocab | None = None
-        self._shared_vocab = cfg.oracle_vocab or cfg.mode == "joint"
+        self._vocab_of = [vocab_index(cfg.mode, cfg.oracle_vocab, t)
+                          for t in range(len(self.tasks))]
+        self._vocabs: dict[int, bpe.TaskVocab] = {}
         os.makedirs(cfg.out_dir, exist_ok=True)
         os.makedirs(os.path.join(cfg.out_dir, "diagnostics"), exist_ok=True)
         self.log = open(os.path.join(cfg.out_dir, "run.log"), "w")
@@ -137,82 +159,78 @@ class Runner:
 
     # --- tokenization helpers ----------------------------------------
 
-    def _train_task_vocab(self, t: int) -> bpe.TaskVocab:
-        if self._shared_vocab:
-            if self._oracle is None:
-                # one vocab for all languages: give the single merge event
-                # the same total merge budget the continual run gets
-                corpus = [line for td in self.tasks for line in td.corpus]
-                target = (256 + (self.cfg.vocab_size_per_task - 256)
-                          * len(self.tasks))
-                self._oracle = bpe.train_bpe(corpus, target, task_index=0)
-            return self._oracle
-        return bpe.train_bpe(self.tasks[t].corpus,
-                             self.cfg.vocab_size_per_task, task_index=t)
+    def _task_vocab(self, row: int) -> bpe.TaskVocab:
+        """The vocab that row `row`'s language is tokenised with, trained
+        once on the corpora of every language that shares it, with the
+        merge budget of one vocab per language."""
+        v = self._vocab_of[row]
+        if v not in self._vocabs:
+            sharing = [td for td, w in zip(self.tasks, self._vocab_of) if w == v]
+            target = (bpe.N_BYTES + (self.cfg.vocab_size_per_task - bpe.N_BYTES)
+                      * len(sharing))
+            self._vocabs[v] = bpe.train_bpe(
+                [line for td in sharing for line in td.corpus], target,
+                task_index=v)
+        return self._vocabs[v]
 
-    def _vocab_index(self, t: int) -> int:
-        """Index of the vocab that language t is tokenised with."""
-        return 0 if self._shared_vocab else t
-
-    def _tokenize(self, v: int) -> None:
-        """Tokenise every caption read under vocab v, once; called right
-        after v is merged in. Global ids are append-only, so the arrays
-        stay valid for the rest of the run."""
+    def _tokenize(self) -> None:
+        """Tokenise every caption read under the vocab just merged in,
+        once. Global ids are append-only, so the arrays stay valid for
+        the rest of the run."""
+        v = len(self.state.task_vocabs) - 1
         memo: dict[str, list[int]] = {}
         for t, td in enumerate(self.tasks):
             if v == 0:
                 td.english = self.state.tokenize(
                     [tr.english_text for tr in td.train], 0, memo)
-            if self._vocab_index(t) == v:
+            if self._vocab_of[t] == v:
                 td.tokens = {split: self.state.tokenize(
                     [tr.foreign_text for tr in getattr(td, split)], v, memo)
                     for split in SPLITS}
 
-    # --- evaluation ---------------------------------------------------
+    def _images(self, triplets) -> np.ndarray:
+        return self.provider.features[[tr.image_index for tr in triplets]]
 
-    def _retrieval(self, td: _TaskData, split: str, ks=(1,)):
-        images = [tr.image_index for tr in getattr(td, split)]
-        return paired_recall(td.tokens[split], self.table, self.params,
-                             self.provider.features[images], ks)
+    # --- evaluation ---------------------------------------------------
 
     def _val_score(self, t: int) -> float:
         """Checkpoint-selection score: Recall@{1,5,10} summed over both
         retrieval directions."""
-        res = self._retrieval(self.tasks[t], "val", ks=(1, 5, 10))
+        td = self.tasks[t]
+        res = paired_recall(td.tokens["val"], self.table, self.params,
+                            self._images(td.val), ks=(1, 5, 10))
         return sum(res[d][k] for d in ("img2txt", "txt2img") for k in (1, 5, 10))
 
-    def _fill_eval_row(self, row: int, seen_tasks) -> None:
-        for i in seen_tasks:
-            for d, recall in self._retrieval(self.tasks[i], "test").items():
-                self.eval_matrix.set(row, i, d, recall[1])
+    # --- training -----------------------------------------------------
 
-    # --- training core --------------------------------------------------
-
-    def _train_epochs(self, label, tasks, lam: np.ndarray,
-                      loss_cfg: LossConfig, val_tasks, use_eng=True,
-                      kind=None, lr=None) -> None:
-        """Epoch loop over the train captions of `tasks`, each paired with
-        its image and, if `use_eng`, its anchor English feature, with
-        validation-based checkpoint selection."""
+    def _train_epochs(self, label, train: list[int], lam: np.ndarray) -> None:
+        """Epoch loop over the train captions of languages `train`, each
+        paired with its image and its anchor English feature, with
+        checkpoint selection by validation on those languages. Before the
+        anchor exists (pretraining), the English features are zeros, the
+        cross-lingual term is off and PRETRAIN_OPTIM is used."""
         cfg = self.cfg
+        tasks = [self.tasks[t] for t in train]
         pooled = pooling(vocab_mod.TokenArrays.concat(
             [td.tokens["train"] for td in tasks]), self.table.row_count,
             self.params)
-        img_idx = [tr.image_index for td in tasks for tr in td.train]
-        # anchor features, recomputed per use: cheaper than holding them
-        eng_feats = (np.concatenate([text_features(td.english, self.anchor,
-                                                   self.params)
-                                     for td in tasks]) if use_eng else None)
-        n = len(img_idx)
+        img_feats = np.concatenate(
+            [self._images(td.train) for td in tasks]).astype(np.float64)
+        n = len(img_feats)
         steps_per_epoch = (n + cfg.batch_size - 1) // cfg.batch_size
-        ocfg = OptimConfig(kind=kind or cfg.optim_kind,
-                           lr_peak=lr if lr is not None else cfg.lr_peak,
-                           weight_decay=cfg.weight_decay,
-                           warmup_fraction=cfg.warmup_fraction,
-                           total_steps=cfg.epochs * steps_per_epoch)
-        ostate = reset_state(OptimState())
-
-        img_feats = self.provider.features[img_idx].astype(np.float64)
+        if self.anchor is None:
+            eng_feats = np.zeros((n, cfg.d_out))
+            loss_cfg = replace(cfg.loss, gamma_cl=0.0)
+            ocfg = cfg.optim_config(cfg.epochs * steps_per_epoch,
+                                    **PRETRAIN_OPTIM)
+        else:
+            # anchor features, recomputed per use: cheaper than holding them
+            eng_feats = np.concatenate([text_features(td.english, self.anchor,
+                                                      self.params)
+                                        for td in tasks])
+            loss_cfg = cfg.loss
+            ocfg = cfg.optim_config(cfg.epochs * steps_per_epoch)
+        ostate = OptimState()
 
         best_score = -1.0
         best_matrix = None
@@ -224,14 +242,13 @@ class Runner:
                 idx = order[s * cfg.batch_size : (s + 1) * cfg.batch_size]
                 batch = pooled.take(idx)
                 r_f = encode_text(batch, self.table.matrix, self.params)
-                r_e = eng_feats[idx] if use_eng else np.zeros_like(r_f)
                 loss, grad_rf = total_loss(
-                    FeatureBatch(img_feats[idx], r_e, r_f), loss_cfg)
+                    FeatureBatch(img_feats[idx], eng_feats[idx], r_f), loss_cfg)
                 epoch_loss += loss
                 rows, grads = encode_text_grad(batch, r_f, self.params, grad_rf)
                 optim_step(self.table, rows, lam, grads, ocfg, ostate)
             mean_loss = epoch_loss / steps_per_epoch
-            score = sum(self._val_score(t) for t in val_tasks)
+            score = sum(self._val_score(t) for t in train)
             self.loss_rows.append({"task": label, "epoch": epoch,
                                    "mean_loss": mean_loss, "val_score": score})
             self.log.write(f"task {label} epoch {epoch} loss {mean_loss:.6f} "
@@ -244,99 +261,63 @@ class Runner:
                                "validation score")
         self.table.matrix[:] = best_matrix
 
-    # --- per-task flow ----------------------------------------------
+    def run_task(self, row: int, train: list[int]) -> None:
+        """One step: merge row `row`'s vocab and grow the table, train on
+        the languages `train`, then record, save and score tasks 0..row
+        into row `row` of the recall matrix.
 
-    def _save_task_artifacts(self, t: int, task_vocab, policy_name, seed) -> None:
-        out = self.cfg.out_dir
-        bpe.save_vocab(task_vocab.tokens, os.path.join(out, f"vocab_task{t}.txt"))
-        bpe.save_merges(task_vocab.rules, os.path.join(out, f"merges_task{t}.txt"))
-        path = os.path.join(out, f"ckpt_task{t}.bin")
-        save_checkpoint(self.table, {
-            "vocab_hash": vocab_hash(self.state.tokens),
-            "task_index": t, "policy": policy_name, "rng_seed": seed,
-        }, path)
-        self.checkpoint_paths.append(path)
-
-    def run_pretrain(self) -> None:
-        """Task 0 stands in for pretraining: no anchor exists yet, so the
-        cross-lingual term is forced off; the selected table becomes the
-        frozen anchor."""
+        The first step draws the whole table from the fixed init, and its
+        selected table becomes the frozen anchor; later steps append the
+        new rows under the configured init policy. λ needs no first-step
+        case: every row is then new, or a byte token seen 0 times."""
         cfg = self.cfg
-        tv = self._train_task_vocab(0)
+        tv = self._task_vocab(row)
         vocab_before = self.state.size
+        pre_stats = None if self.table is None else dist_stats(self.table)
         self.state, part = vocab_mod.merge_vocab(self.state, tv)
-        self._tokenize(0)
-        init_seed = sub_seed(cfg.seed, "init", 0)
-        self.table = init_table(self.state.size, cfg.dim, fixed_policy(),
-                                init_seed)
-        lam = np.ones(self.state.size)
-        loss_cfg = LossConfig(cfg.loss.tau, cfg.loss.gamma_cm, 0.0)
-        self._train_epochs(0, [self.tasks[0]], lam, loss_cfg, val_tasks=[0],
-                           use_eng=False, kind=cfg.pretrain_kind,
-                           lr=cfg.pretrain_lr)
-        self.anchor = snapshot_anchor(self.table)
-        self.counts = vocab_mod.update_counts(self.counts, tv, self.state)
-        self.registry.add(0, vocab_before, self.state.size, part, self.counts)
-        s0 = dist_stats(self.table)
-        self.dist_rows.append({"task": 0, "mu": s0.mu, "sigma": s0.sigma,
-                               "ks_stat": float("nan")})
-        self._save_task_artifacts(0, tv, "fixed", init_seed)
-        self._fill_eval_row(0, [0])
-
-    def run_task(self, t: int) -> None:
-        cfg = self.cfg
-        tv = self._train_task_vocab(t)
-        vocab_before = self.state.size
-        pre_stats = dist_stats(self.table)
-        self.state, part = vocab_mod.merge_vocab(self.state, tv)
-        self._tokenize(t)
+        self._tokenize()
         n_new = self.state.size - vocab_before
 
-        policy = matched_policy(pre_stats) if cfg.teir_init else fixed_policy()
-        seed = sub_seed(cfg.seed, "expand", t)
-        self.table = expand(self.table, n_new, policy, seed)
-
         ks = float("nan")
-        if n_new > 0 and pre_stats.sigma > 0:
-            ks = ks_statistic(self.table.matrix[vocab_before:],
-                              pre_stats.mu, pre_stats.sigma)
+        if pre_stats is None:
+            policy, seed = fixed_policy(), sub_seed(cfg.seed, "init", 0)
+            self.table = init_table(self.state.size, cfg.dim, policy, seed)
+        else:
+            policy = matched_policy(pre_stats) if cfg.teir_init else fixed_policy()
+            seed = sub_seed(cfg.seed, "expand", row)
+            self.table = expand(self.table, n_new, policy, seed)
+            if n_new > 0 and pre_stats.sigma > 0:
+                ks = ks_statistic(self.table.matrix[vocab_before:],
+                                  pre_stats.mu, pre_stats.sigma)
 
         counts_ext = np.zeros(self.state.size, dtype=np.int64)
         counts_ext[: len(self.counts)] = self.counts
         lam = (vocab_mod.lambda_for(part, counts_ext) if cfg.teir_reg
                else np.ones(self.state.size))
 
-        self._train_epochs(t, [self.tasks[t]], lam, cfg.loss, val_tasks=[t])
+        # the joint step's shuffle seeds are named "joint": its pinned
+        # checkpoints depend on that name
+        self._train_epochs(row if train == [row] else "joint", train, lam)
+        if self.anchor is None:
+            self.anchor = snapshot_anchor(self.table)
         self.counts = vocab_mod.update_counts(self.counts, tv, self.state)
-        self.registry.add(t, vocab_before, self.state.size, part, self.counts)
+        self.registry.add(row, vocab_before, self.state.size, part, self.counts)
         s = dist_stats(self.table)
-        self.dist_rows.append({"task": t, "mu": s.mu, "sigma": s.sigma,
+        self.dist_rows.append({"task": row, "mu": s.mu, "sigma": s.sigma,
                                "ks_stat": ks})
-        self._save_task_artifacts(t, tv, policy.kind, seed)
 
-    def run_joint(self) -> None:
-        """One mixed task pooling every language's training data; the
-        shared oracle vocab means no new tokens appear here."""
-        cfg = self.cfg
-        tv = self._oracle
-        vocab_before = self.state.size
-        self.state, part = vocab_mod.merge_vocab(self.state, tv)
-        counts_ext = np.zeros(self.state.size, dtype=np.int64)
-        counts_ext[: len(self.counts)] = self.counts
-        lam = (vocab_mod.lambda_for(part, counts_ext) if cfg.teir_reg
-               else np.ones(self.state.size))
-
-        last_row = len(self.tasks) - 1
-        self._train_epochs("joint", self.tasks, lam, cfg.loss,
-                           val_tasks=range(len(self.tasks)))
-        self.counts = vocab_mod.update_counts(self.counts, tv, self.state)
-        self.registry.add(last_row, vocab_before, self.state.size, part,
-                          self.counts)
-        s = dist_stats(self.table)
-        self.dist_rows.append({"task": last_row, "mu": s.mu, "sigma": s.sigma,
-                               "ks_stat": float("nan")})
-        self._save_task_artifacts(last_row, tv, "joint", 0)
-        self._fill_eval_row(last_row, range(len(self.tasks)))
+        out = cfg.out_dir
+        bpe.save_vocab(tv.tokens, os.path.join(out, f"vocab_task{row}.txt"))
+        bpe.save_merges(tv.rules, os.path.join(out, f"merges_task{row}.txt"))
+        path = os.path.join(out, f"ckpt_task{row}.bin")
+        save_checkpoint(self.table, {
+            "vocab_hash": vocab_hash(self.state.tokens),
+            "task_index": row, "policy": policy.kind, "rng_seed": seed,
+        }, path)
+        self.checkpoint_paths.append(path)
+        score_row(self.eval_matrix, row, self.table, self.params,
+                  [(td.tokens["test"], self._images(td.test))
+                   for td in self.tasks[: row + 1]])
 
     # --- diagnostics and artifacts -----------------------------------
 
@@ -348,7 +329,7 @@ class Runner:
         fisher_rows, final_losses = [], []
         for t, td in enumerate(self.tasks):
             samples = (
-                self.provider.features[[tr.image_index for tr in td.train]],
+                self._images(td.train),
                 text_features(td.english, self.anchor, self.params),
                 pooling(td.tokens["train"], self.table.row_count, self.params),
                 self.table.matrix, self.params, cfg.loss)
@@ -391,13 +372,8 @@ def run_sequence(cfg: RunConfig) -> RunArtifacts:
     """Execute a full run per the configured mode and return artifacts."""
     runner = Runner(cfg)
     try:
-        runner.run_pretrain()
-        if cfg.mode == "joint":
-            runner.run_joint()
-        else:
-            for t in range(1, len(runner.tasks)):
-                runner.run_task(t)
-                runner._fill_eval_row(t, range(t + 1))
+        for row, train in steps(cfg.mode, len(runner.tasks)):
+            runner.run_task(row, train)
         return runner.finalize()
     finally:
         runner.log.close()

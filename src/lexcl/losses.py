@@ -21,8 +21,8 @@ class LossConfig:
     gamma_cl: float = 1.0
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise InvalidInputError("LossConfig: tau must be positive")
+        if not 0 < self.tau < np.inf:
+            raise InvalidInputError("loss.tau: must be positive and finite")
 
 
 @dataclass

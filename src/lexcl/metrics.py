@@ -1,5 +1,5 @@
-"""Retrieval metrics (Recall@K, average recall, forgetting), score
-fusion, and diagnostics (Fisher-trace proxy, embedding histograms)."""
+"""Retrieval metrics (Recall@K, average recall, forgetting) and
+diagnostics (Fisher-trace proxy, embedding histograms)."""
 
 from __future__ import annotations
 
@@ -109,6 +109,16 @@ def paired_recall(tokens, table, params, image_feats, ks=(1,)) -> dict:
             "txt2img": recall_at_k(txt, img, ident, tuple(ks))}
 
 
+def score_row(matrix: EvalMatrix, row: int, table, params, test_set) -> None:
+    """Set row `row` of the recall matrix: Recall@1 of tasks 0..row under
+    `table`, both directions. test_set[i] is task i's (test tokens, image
+    features); the run and `lexcl eval` both score through here."""
+    for i in range(row + 1):
+        tokens, images = test_set[i]
+        for d, recall in paired_recall(tokens, table, params, images).items():
+            matrix.set(row, i, d, recall[1])
+
+
 def average_recall(matrix: EvalMatrix, j: int, direction: str) -> float:
     """Mean Recall@1 over all tasks seen so far (0-based task indices)."""
     if not matrix.row_complete(j, direction):
@@ -133,22 +143,6 @@ def forgetting(matrix: EvalMatrix, j: int, direction: str) -> float:
         best = max(matrix.get(k, i, direction) for k in range(i, j))
         gaps.append(best - matrix.get(j, i, direction))
     return float(sum(gaps) / len(gaps))
-
-
-def fused_similarity(r_img, r_eng, r_foreign, eta: float) -> float:
-    """Convex combination of image-English and image-foreign cosines."""
-    if not 0.0 <= eta <= 1.0:
-        raise InvalidInputError("fused_similarity: eta outside [0, 1]")
-
-    def cosine(u, v):
-        u = np.asarray(u, dtype=np.float64)
-        v = np.asarray(v, dtype=np.float64)
-        nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-        if nu == 0 or nv == 0:
-            raise DegenerateFeatureError("fused_similarity: zero-norm vector")
-        return float(u @ v / (nu * nv))
-
-    return eta * cosine(r_img, r_eng) + (1.0 - eta) * cosine(r_img, r_foreign)
 
 
 def _sample_terms(img_feats, eng_feats, pooled: Pooling, matrix, params,
@@ -215,8 +209,5 @@ def save_histogram_csv(edges, counts, path) -> None:
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["bin_left", "bin_right", "count"])
-        if len(edges) == 2 and len(counts) == 1:
-            w.writerow([repr(float(edges[0])), repr(float(edges[1])), int(counts[0])])
-            return
         for i, c in enumerate(counts):
             w.writerow([repr(float(edges[i])), repr(float(edges[i + 1])), int(c)])

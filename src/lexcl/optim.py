@@ -19,6 +19,8 @@ from .errors import InvalidInputError, NumericError
 
 @dataclass(frozen=True)
 class OptimConfig:
+    """Optimiser settings; errors name the run-config key of the field."""
+
     kind: str = "adamw"  # "adamw" | "sgd"
     lr_peak: float = 5e-5
     weight_decay: float = 0.05
@@ -29,14 +31,14 @@ class OptimConfig:
     total_steps: int = 1
 
     def __post_init__(self):
-        if self.lr_peak <= 0:
-            raise InvalidInputError("OptimConfig: lr_peak must be positive")
-        if self.weight_decay < 0:
-            raise InvalidInputError("OptimConfig: weight_decay must be >= 0")
+        if not 0 < self.lr_peak < np.inf:
+            raise InvalidInputError("optim.lr: must be positive and finite")
+        if not 0 <= self.weight_decay < np.inf:
+            raise InvalidInputError("optim.weight_decay: must be >= 0 and finite")
         if not 0 <= self.warmup_fraction < 1:
-            raise InvalidInputError("OptimConfig: warmup_fraction in [0, 1)")
+            raise InvalidInputError("optim.warmup_fraction: must be in [0, 1)")
         if self.kind not in ("adamw", "sgd"):
-            raise InvalidInputError(f"OptimConfig: unknown kind {self.kind!r}")
+            raise InvalidInputError(f"optim.kind: unknown kind {self.kind!r}")
 
 
 @dataclass
@@ -49,11 +51,6 @@ class OptimState:
     v: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
     t: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     step_count: int = 0
-
-
-def reset_state(state: OptimState) -> OptimState:
-    state.__dict__.update(vars(OptimState()))
-    return state
 
 
 def lr_at(step: int, cfg: OptimConfig) -> float:

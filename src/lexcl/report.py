@@ -16,8 +16,9 @@ from .embeddings import load_checkpoint, vocab_hash
 from .encoders import make_text_params
 from .errors import InvalidInputError
 from .bench import load_dataset, load_images, load_manifest
-from .metrics import (EvalMatrix, average_recall, forgetting, paired_recall,
-                      save_histogram_csv, ted_histogram)
+from .harness import vocab_index
+from .metrics import (EvalMatrix, average_recall, forgetting, save_histogram_csv,
+                      score_row, ted_histogram)
 
 
 def _load_run_config(run_dir) -> dict:
@@ -58,40 +59,26 @@ def recompute_eval_matrix(run_dir, data_dir, split: str = "test") -> EvalMatrix:
     cfg = _load_run_config(run_dir)
     manifest = load_manifest(data_dir)
     provider = load_images(data_dir)
-    languages = manifest["languages"]
     params = make_text_params(cfg["dim"], cfg["d_out"], cfg["l_max"],
                               cfg["encoder_seed"])
-    shared_vocab = cfg["oracle_vocab"] or cfg["mode"] == "joint"
     rows = _task_rows(run_dir)
     states = _vocab_state_through(run_dir, rows)
 
+    # Global ids are append-only, so each task reads the same under the
+    # last state as under the state of any row that scores it.
+    test_set = []
+    for i, lang in enumerate(manifest["languages"][: rows[-1] + 1]):
+        data = load_dataset(data_dir, lang, split, manifest, provider)
+        test_set.append((states[-1].tokenize(
+            [tr.foreign_text for tr in data],
+            vocab_index(cfg["mode"], cfg["oracle_vocab"], i)),
+            provider.features[[tr.image_index for tr in data]]))
     matrix = EvalMatrix()
-    # In joint mode the stored rows are the pretrain row and the final row.
-    if cfg["mode"] == "joint":
-        row_tasks = {rows[0]: [0], rows[-1]: list(range(len(languages)))}
-    else:
-        row_tasks = {j: list(range(j + 1)) for j in rows}
-
-    datasets = [load_dataset(data_dir, lang, split, manifest, provider)[0]
-                for lang in languages]
-    # Global ids are append-only, so a split tokenised under a vocab index
-    # reads the same in every later state: tokenise it once per index.
-    tokens: dict[tuple[int, int], vocab_mod.TokenArrays] = {}
-    for slot, j in enumerate(rows):
-        state = states[slot]
+    for j, state in zip(rows, states):
         table = load_checkpoint(os.path.join(run_dir, f"ckpt_task{j}.bin"),
                                 expected_rows=state.size,
                                 expected_vocab_hash=vocab_hash(state.tokens))
-        for i in row_tasks[j]:
-            vocab_index = 0 if shared_vocab else min(i, slot)
-            key = (i, vocab_index)
-            if key not in tokens:
-                tokens[key] = state.tokenize(
-                    [tr.foreign_text for tr in datasets[i]], vocab_index)
-            images = provider.features[[tr.image_index for tr in datasets[i]]]
-            for d, recall in paired_recall(tokens[key], table, params,
-                                           images).items():
-                matrix.set(j, i, d, recall[1])
+        score_row(matrix, j, table, params, test_set)
     return matrix
 
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bpe import MergeRule, TaskVocab, _byte_tokens, encode
+from .bpe import TaskVocab, _byte_tokens, encode
 from .errors import InvalidInputError
 
 
@@ -48,9 +48,7 @@ class VocabState:
 
     tokens: list[bytes]
     id_of: dict[bytes, int]
-    per_task_rules: list[list[MergeRule]]
     task_vocabs: list[TaskVocab]
-    current_task: int = -1
 
     @property
     def size(self) -> int:
@@ -90,7 +88,7 @@ def new_state() -> VocabState:
     tokens = _byte_tokens()
     return VocabState(tokens=tokens,
                       id_of={t: i for i, t in enumerate(tokens)},
-                      per_task_rules=[], task_vocabs=[])
+                      task_vocabs=[])
 
 
 def merge_vocab(state: VocabState, task_vocab: TaskVocab):
@@ -111,11 +109,8 @@ def merge_vocab(state: VocabState, task_vocab: TaskVocab):
             tokens.append(tok)
             id_of[tok] = gid
         task_ids.add(gid)
-    new_state_ = VocabState(
-        tokens=tokens, id_of=id_of,
-        per_task_rules=state.per_task_rules + [list(task_vocab.rules)],
-        task_vocabs=state.task_vocabs + [task_vocab],
-        current_task=state.current_task + 1)
+    new_state_ = VocabState(tokens=tokens, id_of=id_of,
+                            task_vocabs=state.task_vocabs + [task_vocab])
     part = Partition(old=frozenset(prev_ids - task_ids),
                      overlap=frozenset(prev_ids & task_ids),
                      new=frozenset(task_ids - prev_ids))
@@ -178,9 +173,3 @@ class RegistryManifest:
     def save(self, path) -> None:
         with open(path, "w") as f:
             json.dump([vars(r) for r in self.records], f, indent=1)
-
-    @classmethod
-    def load(cls, path) -> "RegistryManifest":
-        with open(path) as f:
-            raw = json.load(f)
-        return cls([RegistryRecord(**r) for r in raw])

@@ -1,12 +1,16 @@
-"""Slow reference implementations that the batched code paths are tested
+"""Slow reference implementations that the fast code paths are tested
 against: the per-caption text encoder and its adjoint, the row-by-row
-optimizer step with per-row moment dicts, and Recall@K by a stable
-argsort of every similarity row."""
+optimizer step with per-row moment dicts, Recall@K by a stable argsort
+of every similarity row, the full-recount BPE trainer, the rule-by-rule
+BPE encoder, and a plain hash of a matrix's bytes."""
 
+import hashlib
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from lexcl import bpe
 from lexcl.errors import InvalidIdError, InvalidInputError, NumericError
 from lexcl.optim import lr_at
 
@@ -102,3 +106,44 @@ def recall_at_k(query_feats, gallery_feats, relevance, k) -> float:
         top = np.argsort(-sims[qi], kind="stable")[:k]
         hits += bool(relevance[qi].intersection(top.tolist()))
     return 100.0 * hits / q.shape[0]
+
+
+def train_bpe_reference(corpus, target_size: int,
+                        task_index: int = 0) -> bpe.TaskVocab:
+    """Slow reference trainer: recount every pair before each merge."""
+    words, freqs = bpe._corpus_words(corpus, target_size)
+    out = bpe._Merges(task_index)
+
+    while len(out.tokens) < target_size:
+        pair_counts: Counter = Counter()
+        for parts, f in zip(words, freqs):
+            for pair in bpe._pairs(parts):
+                pair_counts[pair] += f
+        if not pair_counts:
+            break
+        (left, right), count = min(pair_counts.items(),
+                                   key=lambda kv: (-kv[1], kv[0]))
+        if count < 2:
+            break
+        merged = out.add(left, right)
+        words = [bpe._merge_word(p, left, right, merged) if len(p) > 1 else p
+                 for p in words]
+
+    return out.vocab()
+
+
+def encode_reference(text: bytes, scope) -> list[int]:
+    """Slow reference encoder: apply each rule exhaustively in priority order."""
+    if isinstance(text, str):
+        text = text.encode("utf-8")
+    if not text:
+        return []
+    parts = [bytes([b]) for b in text]
+    items = sorted(scope.merge_ranks().items(), key=lambda kv: kv[1][0])
+    for (left, right), (_, merged) in items:
+        parts = bpe._merge_word(parts, left, right, merged)
+    return [scope.id_of[p] for p in parts]
+
+
+def matrix_hash(matrix: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(matrix).tobytes()).hexdigest()

@@ -284,7 +284,7 @@ def test_criterion_10_determinism_and_formats(tmp_path):
            == (data2 / "L1" / "train.tsv").read_bytes())
     ok &= ((data / "images.feat").read_bytes()
            == (data2 / "images.feat").read_bytes())
-    triplets, _ = load_dataset(str(data), "L1", "val")
+    triplets = load_dataset(str(data), "L1", "val")
     raw = (data / "L1" / "val.tsv").read_text(encoding="utf-8").splitlines()
     ok &= all(line.split("\t")[2] == tr.foreign_text
               for line, tr in zip(raw, triplets))

@@ -66,14 +66,14 @@ class TestGenerate:
         cfg = tiny_cfg()
         bench.gen_benchmark(cfg, tmp_path)
         for split, n in (("train", 60), ("val", 12), ("test", 12)):
-            triplets, _ = bench.load_dataset(tmp_path, "L1", split)
+            triplets = bench.load_dataset(tmp_path, "L1", split)
             assert len(triplets) == n
 
     def test_split_images_disjoint(self, tmp_path):
         bench.gen_benchmark(tiny_cfg(), tmp_path)
         seen = {}
         for split in bench.SPLITS:
-            triplets, _ = bench.load_dataset(tmp_path, "L0", split)
+            triplets = bench.load_dataset(tmp_path, "L0", split)
             seen[split] = {t.image_index for t in triplets}
         assert not (seen["train"] & seen["val"])
         assert not (seen["train"] & seen["test"])
@@ -88,7 +88,7 @@ class TestGenerate:
         lex1, func1 = bench._make_lexicon(cfg, 1)
         concept_of_eng = {w: c for c, w in enumerate(lex0)}
         concept_of_for = {w: c for c, w in enumerate(lex1)}
-        triplets, _ = bench.load_dataset(tmp_path, "L1", "test")
+        triplets = bench.load_dataset(tmp_path, "L1", "test")
         for t in triplets:
             eng = {concept_of_eng[w] for w in t.english_text.split()
                    if w in concept_of_eng}
@@ -134,7 +134,7 @@ class TestGenerate:
     def test_image_features_near_unit_norm(self, tmp_path):
         cfg = tiny_cfg(sigma_img=0.0)
         bench.gen_benchmark(cfg, tmp_path)
-        _, prov = bench.load_dataset(tmp_path, "L0", "train")
+        prov = bench.load_images(tmp_path)
         norms = np.linalg.norm(prov.features, axis=1)
         assert np.allclose(norms, 1.0, atol=1e-5)
 
@@ -151,7 +151,7 @@ class TestLoad:
     def test_captions_round_trip(self, tmp_path):
         bench.gen_benchmark(tiny_cfg(), tmp_path)
         raw = (tmp_path / "L2" / "val.tsv").read_text(encoding="utf-8")
-        triplets, _ = bench.load_dataset(tmp_path, "L2", "val")
+        triplets = bench.load_dataset(tmp_path, "L2", "val")
         lines = [l for l in raw.split("\n") if l]
         assert len(lines) == len(triplets)
         for line, t in zip(lines, triplets):

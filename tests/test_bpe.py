@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import oracles
 from lexcl import bpe
 from lexcl.errors import InvalidIdError, InvalidInputError
 
@@ -67,7 +68,7 @@ class TestTrain:
 
 
 class TestIncrementalTrainer:
-    """train_bpe against the full-recount oracle train_bpe_reference."""
+    """train_bpe against the full-recount oracle in tests/oracles.py."""
 
     @pytest.mark.parametrize("corpus, size", [
         (["aaaa"], 300),                  # overlapping occurrences
@@ -80,7 +81,7 @@ class TestIncrementalTrainer:
     ])
     def test_matches_reference(self, corpus, size):
         a = bpe.train_bpe(corpus, size)
-        b = bpe.train_bpe_reference(corpus, size)
+        b = oracles.train_bpe_reference(corpus, size)
         assert a.tokens == b.tokens
         assert a.rules == b.rules
 
@@ -98,7 +99,7 @@ class TestIncrementalTrainer:
         # Two letters and heavy repetition: long runs, overlapping pairs,
         # many count ties and early stops.
         a = bpe.train_bpe(corpus, size, task_index)
-        b = bpe.train_bpe_reference(corpus, size, task_index)
+        b = oracles.train_bpe_reference(corpus, size, task_index)
         assert a.tokens == b.tokens
         assert a.rules == b.rules
 
@@ -107,14 +108,14 @@ class TestIncrementalTrainer:
     @settings(max_examples=100, deadline=None)
     def test_mixed_corpora_match_reference(self, corpus, size):
         a = bpe.train_bpe(corpus, size)
-        b = bpe.train_bpe_reference(corpus, size)
+        b = oracles.train_bpe_reference(corpus, size)
         assert a.tokens == b.tokens
         assert a.rules == b.rules
 
     def test_early_stop_below_target(self):
         tv = bpe.train_bpe(["abc abc abd"], 400)
         assert tv.size < 400
-        assert tv.rules == bpe.train_bpe_reference(["abc abc abd"], 400).rules
+        assert tv.rules == oracles.train_bpe_reference(["abc abc abd"], 400).rules
 
 
 class TestRankTable:
@@ -188,7 +189,7 @@ class TestEncodeDecode:
         tv = bpe.train_bpe(corpus, 290)
         for text in corpus + ["that cat", "", "zzz the"]:
             data = text.encode("utf-8")
-            assert bpe.encode(data, tv) == bpe.encode_reference(data, tv)
+            assert bpe.encode(data, tv) == oracles.encode_reference(data, tv)
 
     def test_ids_in_range(self):
         tv = bpe.train_bpe(["roundtrip roundtrip trip trip"], 280)
@@ -209,7 +210,7 @@ class TestProperties:
     def test_fast_encode_equals_reference(self, corpus, text):
         tv = bpe.train_bpe(corpus, 290)
         data = text.encode("utf-8")
-        assert bpe.encode(data, tv) == bpe.encode_reference(data, tv)
+        assert bpe.encode(data, tv) == oracles.encode_reference(data, tv)
 
     @given(corpus=corpus_strategy, text=text_strategy)
     @settings(max_examples=40, deadline=None)

@@ -1,6 +1,7 @@
 """CLI tests: subcommand wiring, exit codes, reports, grad-check gate."""
 
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -107,6 +108,10 @@ class TestTrain:
         "model.dim = 0",
         "model.d_out = 0",
         "model.l_max = 0",
+        "optim.kind = adam",
+        "optim.lr = -1",
+        "optim.warmup_fraction = 1.5",
+        "optim.weight_decay = -0.1",
     ])
     def test_bad_config_fails_fast(self, workdir, tmp_path, line, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -151,6 +156,32 @@ class TestEvalAndReport:
         recomputed = EvalMatrix.load_csv(run / "eval_matrix_recomputed_test.csv")
         stored = EvalMatrix.load_csv(run / "eval_matrix.csv")
         assert recomputed.entries == stored.entries
+
+    @pytest.mark.parametrize("flag", ["--oracle-vocab", "--mode=joint"])
+    def test_eval_matches_in_shared_vocab_modes(self, workdir, tmp_path, flag):
+        run = tmp_path / "run"
+        assert main(["train", "--config", str(workdir / "run.cfg"),
+                     "--data", str(workdir / "data"), "--out", str(run),
+                     flag]) == EXIT_OK
+        assert main(["eval", "--run", str(run),
+                     "--data", str(workdir / "data")]) == EXIT_OK
+        recomputed = EvalMatrix.load_csv(run / "eval_matrix_recomputed_test.csv")
+        stored = EvalMatrix.load_csv(run / "eval_matrix.csv")
+        assert recomputed.entries == stored.entries
+
+    def test_eval_fails_when_the_stored_matrix_differs(self, workdir,
+                                                       tmp_path, capsys,
+                                                       monkeypatch):
+        run = tmp_path / "run"
+        shutil.copytree(workdir / "run", run)
+        stored = EvalMatrix.load_csv(run / "eval_matrix.csv")
+        key = min(stored.entries)
+        stored.entries[key] = (stored.entries[key] + 50.0) % 100.0
+        stored.save_csv(run / "eval_matrix.csv")
+        monkeypatch.setenv("LEXCL_LOG", "quiet")
+        assert main(["eval", "--run", str(run),
+                     "--data", str(workdir / "data")]) == EXIT_RUNTIME
+        assert "differs" in capsys.readouterr().err
 
     def test_report_outputs(self, workdir, tmp_path):
         out = tmp_path / "report"

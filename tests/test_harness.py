@@ -1,6 +1,7 @@
 """End-to-end harness tests on a miniature benchmark: determinism,
 λ invariants surfaced through a whole run, modes, artifact layout."""
 
+import hashlib
 import json
 import os
 
@@ -58,7 +59,7 @@ class TestDeterminism:
 class TestPretrain:
     def test_anchor_beats_random_baseline(self, tiny_data, tmp_path):
         r = Runner(tiny_run_cfg(tiny_data, tmp_path / "run"))
-        r.run_pretrain()
+        r.run_task(0, [0])
         n_test = len(r.tasks[0].test)
         random_r1 = 100.0 / n_test
         # the 5x margin belongs to the full-size benchmark; the miniature
@@ -67,17 +68,17 @@ class TestPretrain:
 
     def test_anchor_frozen_through_later_tasks(self, tiny_data, tmp_path):
         r = Runner(tiny_run_cfg(tiny_data, tmp_path / "run"))
-        r.run_pretrain()
+        r.run_task(0, [0])
         before = r.anchor.matrix.copy()
-        r.run_task(1)
+        r.run_task(1, [1])
         assert np.array_equal(r.anchor.matrix, before)
 
     def test_encoder_params_frozen(self, tiny_data, tmp_path):
         r = Runner(tiny_run_cfg(tiny_data, tmp_path / "run"))
         W = r.params.W.copy()
         img = r.provider.features.copy()
-        r.run_pretrain()
-        r.run_task(1)
+        r.run_task(0, [0])
+        r.run_task(1, [1])
         assert np.array_equal(r.params.W, W)
         assert np.array_equal(r.provider.features, img)
 
@@ -87,22 +88,22 @@ class TestLambdaEndToEnd:
         """With regularization on, rows outside the task vocab survive
         the whole task bitwise."""
         r = Runner(tiny_run_cfg(tiny_data, tmp_path / "run", teir_reg=True))
-        r.run_pretrain()
-        tv1 = r._train_task_vocab(1)
+        r.run_task(0, [0])
+        tv1 = r._task_vocab(1)
         task_tokens = set(tv1.tokens)
         frozen_rows = [i for i, tok in enumerate(r.state.tokens)
                        if tok not in task_tokens]
         before = r.table.matrix[frozen_rows].copy()
-        r.run_task(1)
+        r.run_task(1, [1])
         after = r.table.matrix[frozen_rows]
         assert after.tobytes() == before.tobytes()
 
     def test_baseline_rewrites_old_rows(self, tiny_data, tmp_path):
         r = Runner(tiny_run_cfg(tiny_data, tmp_path / "run", teir_reg=False,
                                 teir_init=False))
-        r.run_pretrain()
+        r.run_task(0, [0])
         before = r.table.matrix.copy()
-        r.run_task(1)
+        r.run_task(1, [1])
         changed = (r.table.matrix[: before.shape[0]] != before).any()
         assert changed
 
@@ -114,6 +115,11 @@ class TestModesAndArtifacts:
             for d in ("img2txt", "txt2img"):
                 assert art.eval_matrix.row_complete(j, d)
         assert len(art.eval_matrix.row(2, "img2txt")) == 3
+
+    def test_steps_per_mode(self):
+        assert harness.steps("continual", 3) == [(0, [0]), (1, [1]), (2, [2])]
+        assert harness.steps("joint", 3) == [(0, [0]), (2, [0, 1, 2])]
+        assert harness.steps("joint", 1) == [(0, [0])]
 
     def test_vocab_growth_monotone(self, tiny_data, tmp_path):
         run_sequence(tiny_run_cfg(tiny_data, tmp_path / "run"))
@@ -218,7 +224,7 @@ class TestModesAndArtifacts:
                                           monkeypatch):
         runners = []
 
-        def failing_task(self, t):
+        def failing_task(self, row, train):
             runners.append(self)
             raise NumericError("injected failure")
 
@@ -234,7 +240,7 @@ class TestModesAndArtifacts:
                             lambda self, t: float("nan"))
         r = Runner(tiny_run_cfg(tiny_data, tmp_path / "run"))
         with pytest.raises(NumericError, match="finite validation score"):
-            r.run_pretrain()
+            r.run_task(0, [0])
         r.log.close()
 
 
@@ -273,20 +279,47 @@ _MODES = {"continual": {}, "joint": {"mode": "joint"},
           "oracle": {"oracle_vocab": True}}
 
 
-def _run_all_tasks(r: Runner, mode: str) -> None:
-    r.run_pretrain()
-    if mode == "joint":
-        r.run_joint()
-    else:
-        for t in range(1, len(r.tasks)):
-            r.run_task(t)
+# sha256 of each checkpoint and of eval_matrix.csv of the tiny run at
+# seed 0. Determinism tests compare two runs of the same code; these pin
+# the outputs themselves, so a deterministic change to a step shows.
+_GOLDEN = {
+    "continual": {
+        "ckpt_task0.bin": "da789370885c519a23a30e4b37a2fc39eaee20ae00348701a056ddb951c6d1a2",
+        "ckpt_task1.bin": "5a1f662b11e3ff85fd705787286f1cd1fd288aaa025b260c7c3e97ca6a728377",
+        "ckpt_task2.bin": "aeb14c9e3fd513233a5b5746b3d576ea3669784142d174df82b0bf6cbe22fd8e",
+        "eval_matrix.csv": "d138fc0bc0d37b304b3397e04ff6921b92092517c4c4daea7af58890daa258ea",
+    },
+    "joint": {
+        "ckpt_task0.bin": "c1d509d9fc580fe6daaac2eba8719d42036bd6af52a1fcba8f595266d54fef7a",
+        "ckpt_task2.bin": "e0fbe45d782600a55001fd60b33d91cdee00b19e6fcc5da5e73d31343a0147c3",
+        "eval_matrix.csv": "6c1deb49171fe0288215d677dc3cf1556fe46cc4b5a3704d4062f6901cc84486",
+    },
+    "oracle": {
+        "ckpt_task0.bin": "c1d509d9fc580fe6daaac2eba8719d42036bd6af52a1fcba8f595266d54fef7a",
+        "ckpt_task1.bin": "431bb760a763049a9325e4312b031b6acc9e55917ee9daab4699e2b31bb76c42",
+        "ckpt_task2.bin": "a3b20eaf8404f824dd35478b0bddedb9573eb752891c80164e61211befa5e884",
+        "eval_matrix.csv": "e2ad1e75cc60a20fca4d0d6995baa232ae658348b2c39499983563488c98ea3b",
+    },
+}
+
+
+class TestGoldenOutputs:
+    @pytest.mark.parametrize("mode", sorted(_MODES))
+    def test_outputs_match_golden_digest(self, tiny_data, tmp_path, mode):
+        out = tmp_path / "run"
+        run_sequence(tiny_run_cfg(tiny_data, out, **_MODES[mode]))
+        names = sorted(p.name for p in out.glob("ckpt_task*.bin"))
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in names + ["eval_matrix.csv"]}
+        assert digests == _GOLDEN[mode]
 
 
 class TestTokenArrays:
     @pytest.mark.parametrize("mode", sorted(_MODES))
     def test_cached_rows_equal_global_ids(self, tiny_data, tmp_path, mode):
         r = Runner(tiny_run_cfg(tiny_data, tmp_path / "run", **_MODES[mode]))
-        _run_all_tasks(r, mode)
+        for row, train in harness.steps(r.cfg.mode, len(r.tasks)):
+            r.run_task(row, train)
         for t, td in enumerate(r.tasks):
             v = 0 if mode != "continual" else t
             for split in SPLITS:

@@ -242,30 +242,6 @@ class TestArF:
             m.set(0, 0, "img2txt", 105.0)
 
 
-class TestFusion:
-    def test_endpoints_and_midpoint(self):
-        img = np.array([1.0, 0.0])
-        eng = np.array([1.0, 0.0])      # cosine 1.0
-        foreign = np.array([0.0, 1.0])  # cosine 0.0
-        assert M.fused_similarity(img, eng, foreign, 0.0) == 0.0
-        assert M.fused_similarity(img, eng, foreign, 1.0) == 1.0
-        assert np.isclose(M.fused_similarity(img, eng, foreign, 0.5), 0.5)
-
-    def test_hand_value(self):
-        # cosines 0.2 and 0.6 mixed at eta 0.5 -> 0.4
-        img = np.array([1.0, 0.0])
-        eng = np.array([0.2, np.sqrt(1 - 0.04)])
-        foreign = np.array([0.6, np.sqrt(1 - 0.36)])
-        assert np.isclose(M.fused_similarity(img, eng, foreign, 0.5), 0.4)
-
-    def test_bad_inputs(self):
-        v = np.ones(2)
-        with pytest.raises(InvalidInputError):
-            M.fused_similarity(v, v, v, 1.5)
-        with pytest.raises(DegenerateFeatureError):
-            M.fused_similarity(np.zeros(2), v, v, 0.5)
-
-
 def sample_arrays(samples, table, anchor, params):
     """The array arguments of fisher_trace / mean_sample_loss for a list
     of (image feature, English ids, foreign ids) samples."""

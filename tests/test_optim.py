@@ -122,28 +122,6 @@ class TestSchedule:
         assert abs(optim.lr_at(5, cfg) - 1.0) <= 2.0 / 10
 
 
-class TestState:
-    def test_reset_then_step_equals_fresh(self):
-        rng = np.random.default_rng(2)
-        cfg = flat_cfg(kind="adamw")
-        grads = {0: rng.normal(size=2)}
-        stale = optim.OptimState()
-        t1 = table_of([[0.5, 0.5]])
-        step(t1, grads, np.ones(1), cfg, stale)  # accumulate moments
-        t1.matrix[0] = [0.5, 0.5]
-        optim.reset_state(stale)
-        t2 = table_of([[0.5, 0.5]])
-        step(t1, grads, np.ones(1), cfg, stale)
-        step(t2, grads, np.ones(1), cfg, optim.OptimState())
-        assert t1.matrix.tobytes() == t2.matrix.tobytes()
-
-    def test_reset_idempotent(self):
-        s = optim.OptimState(step_count=5)
-        optim.reset_state(s)
-        optim.reset_state(s)
-        assert s.step_count == 0 and s.m.size == 0 and s.v.size == 0
-
-
 class TestConfigValidation:
     def test_bad_values(self):
         with pytest.raises(InvalidInputError):

