@@ -15,12 +15,13 @@ from dataclasses import dataclass, asdict, field
 
 import numpy as np
 
-from .encoders import ImageFeatureProvider
+from .embeddings import read_matrix, write_atomic, write_matrix
 from .errors import (DanglingReferenceError, DatasetFormatError,
                      InvalidInputError)
 
 FORMAT_VERSION = 1
 SPLITS = ("train", "val", "test")
+IMG_MAGIC = b"TEIRIMG1"
 
 # Each language draws its unique word forms from its own codepoint block
 # so that at overlap 0 the per-task vocabs share only byte tokens.
@@ -57,11 +58,12 @@ class BenchConfig:
 
 
 @dataclass(frozen=True)
-class TrainingTriplet:
-    image_index: int
-    english_text: str
-    foreign_text: str
-    language_id: str
+class Split:
+    """One language's split as columns: row k pairs image `image[k]`
+    with English caption `english[k]` and foreign caption `foreign[k]`."""
+    image: np.ndarray  # int64
+    english: list[str]
+    foreign: list[str]
 
 
 def _sub_rng(seed: int, *names) -> np.random.Generator:
@@ -123,8 +125,7 @@ def gen_benchmark(cfg: BenchConfig, out_dir) -> None:
         raw = prototypes[concepts].sum(axis=0)
         raw = raw / np.linalg.norm(raw)
         features[i] = raw + img_rng.normal(0.0, cfg.sigma_img, cfg.d_out)
-    ImageFeatureProvider(features.astype(np.float32)).save(
-        os.path.join(out_dir, "images.feat"))
+    write_matrix(os.path.join(out_dir, "images.feat"), IMG_MAGIC, features)
 
     split_ranges = {
         "train": range(0, cfg.n_train),
@@ -181,18 +182,16 @@ def gen_benchmark(cfg: BenchConfig, out_dir) -> None:
                 lines.append(f"{img}\t{eng}\t{fore}")
                 if split == "train":
                     corpus_lines.append(fore)
-            with open(os.path.join(lang_dir, f"{split}.tsv"), "w",
-                      encoding="utf-8", newline="\n") as f:
-                f.write("\n".join(lines) + "\n")
-        with open(os.path.join(lang_dir, "corpus.txt"), "w",
-                  encoding="utf-8", newline="\n") as f:
-            f.write("\n".join(corpus_lines) + "\n")
+            write_atomic(os.path.join(lang_dir, f"{split}.tsv"),
+                         ("\n".join(lines) + "\n").encode("utf-8"))
+        write_atomic(os.path.join(lang_dir, "corpus.txt"),
+                     ("\n".join(corpus_lines) + "\n").encode("utf-8"))
 
     manifest = {"format_version": FORMAT_VERSION, **asdict(cfg),
                 "splits": {s: len(split_ranges[s]) for s in SPLITS},
                 "languages": language_ids(cfg)}
-    with open(os.path.join(out_dir, "manifest.json"), "w") as f:
-        json.dump(manifest, f, indent=1, sort_keys=True)
+    write_atomic(os.path.join(out_dir, "manifest.json"),
+                 json.dumps(manifest, indent=1, sort_keys=True).encode())
 
 
 def load_manifest(dataset_dir) -> dict:
@@ -200,21 +199,26 @@ def load_manifest(dataset_dir) -> dict:
         return json.load(f)
 
 
-def load_images(dataset_dir) -> ImageFeatureProvider:
-    return ImageFeatureProvider.from_file(os.path.join(dataset_dir, "images.feat"))
+def load_images(dataset_dir) -> np.ndarray:
+    """The frozen n_images x d_out float32 image features, read-only."""
+    features = read_matrix(os.path.join(dataset_dir, "images.feat"), IMG_MAGIC)
+    if not np.all(np.isfinite(features)):
+        raise InvalidInputError(f"{dataset_dir}: non-finite image features")
+    features.flags.writeable = False
+    return features
 
 
 def load_dataset(dataset_dir, language_id: str, split: str,
                  manifest: dict | None = None,
-                 provider: ImageFeatureProvider | None = None):
-    """Parse one language/split into its triplets. The manifest and the
+                 images: np.ndarray | None = None) -> Split:
+    """Parse one language/split into its columns. The manifest and the
     image features are read unless passed in."""
     if split not in SPLITS:
         raise InvalidInputError(f"load_dataset: unknown split {split!r}")
     manifest = load_manifest(dataset_dir) if manifest is None else manifest
-    provider = load_images(dataset_dir) if provider is None else provider
+    n_images = len(load_images(dataset_dir) if images is None else images)
     path = os.path.join(dataset_dir, language_id, f"{split}.tsv")
-    triplets = []
+    image, english, foreign = [], [], []
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.rstrip("\n")
@@ -230,15 +234,17 @@ def load_dataset(dataset_dir, language_id: str, split: str,
             except ValueError:
                 raise DatasetFormatError(
                     f"{path}:{lineno}: bad image index {parts[0]!r}") from None
-            if not 0 <= img < provider.n_images:
+            if not 0 <= img < n_images:
                 raise DanglingReferenceError(
                     f"{path}:{lineno}: image index {img} not in images.feat")
-            triplets.append(TrainingTriplet(img, parts[1], parts[2], language_id))
+            image.append(img)
+            english.append(parts[1])
+            foreign.append(parts[2])
     declared = manifest["splits"][split]
-    if len(triplets) != declared:
+    if len(image) != declared:
         raise DatasetFormatError(
-            f"{path}: {len(triplets)} records, manifest declares {declared}")
-    return triplets
+            f"{path}: {len(image)} records, manifest declares {declared}")
+    return Split(np.array(image, dtype=np.int64), english, foreign)
 
 
 def load_corpus(dataset_dir, language_id: str) -> list[str]:

@@ -12,12 +12,17 @@ are always the base alphabet, so any byte string encodes losslessly.
 from __future__ import annotations
 
 import heapq
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 
+from .embeddings import write_atomic
 from .errors import InvalidIdError, InvalidInputError
 
 N_BYTES = 256
+
+# Runs of the bytes that bytes.isspace() accepts.
+_WHITESPACE = re.compile(rb"([ \t\n\r\x0b\x0c]+)")
 
 Pair = tuple[bytes, bytes]
 
@@ -208,34 +213,26 @@ def encode(text: bytes, vocab: TaskVocab) -> list[int]:
     Merges never contain whitespace bytes, so whitespace-separated
     segments encode independently, against the vocab's rank table; each
     distinct segment is encoded once and kept in `vocab.segment_ids`.
+    Whitespace bytes are their own ids.
     """
     if isinstance(text, str):
         text = text.encode("utf-8")
-    if not text:
-        return []
     ranks = vocab.ranks
     cache = vocab.segment_ids
     id_of = vocab.id_of
     out: list[int] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        j = i
-        if text[i : i + 1].isspace():
-            while j < n and text[j : j + 1].isspace():
-                out.append(text[j])
-                j += 1
-        else:
-            while j < n and not text[j : j + 1].isspace():
-                j += 1
-            seg = text[i:j]
+    # odd items are the whitespace runs, even items the (maybe empty)
+    # segments between them
+    for k, seg in enumerate(_WHITESPACE.split(text)):
+        if k % 2:
+            out.extend(seg)
+        elif seg:
             ids = cache.get(seg)
             if ids is None:
                 parts = _encode_parts([bytes([b]) for b in seg], ranks)
                 ids = [id_of[p] for p in parts]
                 cache[seg] = ids
             out.extend(ids)
-        i = j
     return out
 
 
@@ -279,9 +276,8 @@ def token_from_text(s: str) -> bytes:
 
 
 def save_vocab(tokens: list[bytes], path) -> None:
-    with open(path, "w", encoding="ascii") as f:
-        for tok in tokens:
-            f.write(token_to_text(tok) + "\n")
+    write_atomic(path, "".join(token_to_text(tok) + "\n"
+                               for tok in tokens).encode("ascii"))
 
 
 def load_vocab(path) -> list[bytes]:
@@ -290,9 +286,8 @@ def load_vocab(path) -> list[bytes]:
 
 
 def save_merges(rules: list[MergeRule], path) -> None:
-    with open(path, "w", encoding="ascii") as f:
-        for r in rules:
-            f.write(f"{r.task_index} {r.rank} {r.left} {r.right} {r.result}\n")
+    write_atomic(path, "".join(f"{r.task_index} {r.rank} {r.left} {r.right} "
+                               f"{r.result}\n" for r in rules).encode("ascii"))
 
 
 def load_merges(path) -> list[MergeRule]:

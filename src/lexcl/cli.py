@@ -15,7 +15,7 @@ from . import bench, config as config_mod
 from .errors import (CheckpointError, DatasetError, InvalidInputError,
                      LexclError, NumericError)
 from .gradcheck import run_grad_check
-from .harness import run_sequence
+from .harness import Runner
 from .metrics import EvalMatrix
 from .report import recompute_eval_matrix, write_report
 
@@ -66,11 +66,10 @@ def cmd_train(args) -> int:
         cfg["run.mode"] = args.mode
     if args.seed is not None:
         cfg["run.seed"] = args.seed
-    rc = config_mod.run_config(cfg, args.data, args.out)
-    os.makedirs(args.out, exist_ok=True)
-    config_mod.dump_config(cfg, os.path.join(args.out, "effective_config.txt"))
     t0 = time.time()
-    artifacts = run_sequence(rc)
+    runner = Runner(config_mod.run_config(cfg, args.data, args.out))
+    config_mod.dump_config(cfg, os.path.join(args.out, "effective_config.txt"))
+    artifacts = runner.run()
     _info(f"run finished in {time.time() - t0:.1f}s: "
           f"AR {artifacts.final_ar}, F {artifacts.final_f}")
     return EXIT_OK

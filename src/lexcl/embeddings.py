@@ -1,9 +1,12 @@
 """Expandable trainable embedding matrix, its frozen anchor snapshot,
-distribution statistics, initialization policies and checkpoint I/O."""
+distribution statistics, initialization policies, checkpoint I/O and
+the atomic file writes every run and dataset file goes through."""
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -63,23 +66,6 @@ class EmbeddingTable:
         return EmbeddingTable(self.matrix.copy())
 
 
-class AnchorTable:
-    """Frozen snapshot of an embedding table; never modified."""
-
-    def __init__(self, matrix: np.ndarray):
-        m = matrix.copy()
-        m.flags.writeable = False
-        self.matrix = m
-
-    @property
-    def row_count(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[1]
-
-
 def init_table(rows: int, dim: int, policy: InitPolicy, rng_seed: int) -> EmbeddingTable:
     """Fresh table with every row drawn from the policy's Gaussian."""
     if rows < 1 or dim < 1:
@@ -134,12 +120,14 @@ def expand(table: EmbeddingTable, n_new: int, policy: InitPolicy,
     return out
 
 
-def snapshot_anchor(table: EmbeddingTable) -> AnchorTable:
-    """Deep-copy freeze of the current table; allowed exactly once."""
+def snapshot_anchor(table: EmbeddingTable) -> np.ndarray:
+    """Read-only deep copy of the current matrix; allowed exactly once."""
     if table._anchor_taken:
         raise StateError("snapshot_anchor: anchor already taken from this table")
     table._anchor_taken = True
-    return AnchorTable(table.matrix)
+    anchor = table.matrix.copy()
+    anchor.flags.writeable = False
+    return anchor
 
 
 # --- checkpoint I/O ----------------------------------------------------
@@ -152,7 +140,7 @@ def vocab_hash(tokens: list[bytes]) -> str:
     return h.hexdigest()
 
 
-def _write_atomic(path, *chunks) -> None:
+def write_atomic(path, *chunks) -> None:
     """Write to a temp file beside `path`, then rename it into place, so
     that a reader sees the old file or the whole new one, never a part."""
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
@@ -167,11 +155,19 @@ def _write_atomic(path, *chunks) -> None:
         raise
 
 
+def write_csv(path, rows) -> None:
+    """Write `rows`, header first, as CSV with CRLF line ends, through
+    write_atomic."""
+    text = io.StringIO()
+    csv.writer(text).writerows(rows)
+    write_atomic(path, text.getvalue().encode())
+
+
 def write_matrix(path, magic: bytes, matrix: np.ndarray) -> None:
     m = np.ascontiguousarray(matrix, dtype="<f4")
-    _write_atomic(path, magic,
-                  struct.pack("<III", FORMAT_VERSION, m.shape[0], m.shape[1]),
-                  m.data)
+    write_atomic(path, magic,
+                 struct.pack("<III", FORMAT_VERSION, m.shape[0], m.shape[1]),
+                 m.data)
 
 
 def read_matrix(path, magic: bytes) -> np.ndarray:
@@ -199,8 +195,8 @@ def save_checkpoint(table, manifest: dict, path) -> None:
     side = dict(manifest)
     side.setdefault("rows", table.row_count)
     side.setdefault("dim", table.dim)
-    _write_atomic(str(path) + ".json",
-                  json.dumps(side, indent=1, sort_keys=True).encode())
+    write_atomic(str(path) + ".json",
+                 json.dumps(side, indent=1, sort_keys=True).encode())
 
 
 def load_checkpoint(path, expected_rows: int | None = None,

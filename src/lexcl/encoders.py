@@ -1,6 +1,7 @@
-"""Frozen feature extractors: a deterministic mean-pooled text encoder
-with one affine map and tanh squashing, batched as one sparse product
-(plus its exact adjoint w.r.t. the embedding rows), and image features.
+"""Frozen text encoder: deterministic mean pooling, one affine map and
+tanh squashing, batched as one sparse product (plus its exact adjoint
+w.r.t. the embedding rows). Image features are a frozen array that
+`bench.load_images` reads.
 
 The text encoder is deliberately simple so gradients are hand-derivable
 and finite-difference-checkable; the only trainable parameters anywhere
@@ -14,10 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .embeddings import read_matrix, write_matrix
 from .errors import InvalidIdError, InvalidInputError
-
-IMG_MAGIC = b"TEIRIMG1"
 
 
 @dataclass(frozen=True)
@@ -107,11 +105,10 @@ def encode_text(pooled: Pooling, matrix: np.ndarray,
     return np.tanh(r, out=r)
 
 
-def text_features(tokens, table, params: FrozenTextParams) -> np.ndarray:
-    """encode_text of every text of `tokens`: the routine that training,
-    validation and `lexcl eval` all score with."""
-    return encode_text(pooling(tokens, table.row_count, params), table.matrix,
-                       params)
+def text_features(tokens, matrix, params: FrozenTextParams) -> np.ndarray:
+    """encode_text of every text of `tokens` under the embedding matrix:
+    the routine that training, validation and `lexcl eval` all score with."""
+    return encode_text(pooling(tokens, len(matrix), params), matrix, params)
 
 
 def pooled_grad(feats, params: FrozenTextParams, upstream) -> np.ndarray:
@@ -124,30 +121,3 @@ def encode_text_grad(pooled: Pooling, feats, params: FrozenTextParams,
     """Gradient of sum(upstream * feats) w.r.t. the embedding rows read:
     (rows, A^T @ pooled_grad), so repeated ids accumulate linearly."""
     return pooled.rows, pooled.A.T @ pooled_grad(feats, params, upstream)
-
-
-class ImageFeatureProvider:
-    """Frozen n_images x d_out feature matrix, file-backed or seeded."""
-
-    def __init__(self, features: np.ndarray):
-        f = np.ascontiguousarray(features, dtype=np.float32)
-        if not np.all(np.isfinite(f)):
-            raise InvalidInputError("ImageFeatureProvider: non-finite features")
-        f.flags.writeable = False
-        self.features = f
-
-    @property
-    def n_images(self) -> int:
-        return self.features.shape[0]
-
-    @classmethod
-    def synthetic(cls, n_images: int, d_out: int, seed: int) -> "ImageFeatureProvider":
-        rng = np.random.default_rng(seed)
-        return cls(rng.standard_normal((n_images, d_out)).astype(np.float32))
-
-    @classmethod
-    def from_file(cls, path) -> "ImageFeatureProvider":
-        return cls(read_matrix(path, IMG_MAGIC))
-
-    def save(self, path) -> None:
-        write_matrix(path, IMG_MAGIC, self.features)

@@ -6,7 +6,6 @@ the steps of the continual (also oracle-vocab) and joint modes."""
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import os
@@ -19,13 +18,14 @@ from . import vocab as vocab_mod
 from .bench import SPLITS, load_corpus, load_dataset, load_images, load_manifest
 from .embeddings import (EmbeddingTable, dist_stats, expand, fixed_policy,
                          init_table, ks_statistic, matched_policy,
-                         save_checkpoint, snapshot_anchor, vocab_hash)
+                         save_checkpoint, snapshot_anchor, vocab_hash,
+                         write_atomic, write_csv)
 from .encoders import (encode_text, encode_text_grad, make_text_params,
                        pooling, text_features)
 from .errors import InvalidInputError, NumericError
 from .losses import FeatureBatch, LossConfig, total_loss
-from .metrics import (EvalMatrix, average_recall, fisher_trace, forgetting,
-                      mean_sample_loss, paired_recall, score_row)
+from .metrics import (EvalMatrix, average_recall, fisher_and_loss, forgetting,
+                      paired_recall, score_row)
 from .optim import OptimConfig, OptimState, step as optim_step
 
 # Optimiser of the first step, which trains the anchor from the fixed
@@ -116,10 +116,9 @@ class _TaskData:
     the language is scored with, `english` its English train captions
     under vocab 0. Both are filled when that vocab is merged in."""
 
-    def __init__(self, data_dir, language_id, manifest, provider):
-        self.language_id = language_id
+    def __init__(self, data_dir, language_id, manifest, images):
         self.train, self.val, self.test = (
-            load_dataset(data_dir, language_id, split, manifest, provider)
+            load_dataset(data_dir, language_id, split, manifest, images)
             for split in SPLITS)
         self.corpus = load_corpus(data_dir, language_id)
         self.tokens: dict[str, vocab_mod.TokenArrays] = {}
@@ -127,15 +126,20 @@ class _TaskData:
 
 
 class Runner:
-    """Mutable state of one run; use run_sequence() for the full flow."""
+    """Mutable state of one run. Making one checks the config against
+    the data and creates the output directory; run() does the full flow."""
 
     def __init__(self, cfg: RunConfig):
         cfg.validate()
         self.cfg = cfg
         manifest = load_manifest(cfg.data_dir)
         self.languages: list[str] = manifest["languages"]
-        self.provider = load_images(cfg.data_dir)
-        self.tasks = [_TaskData(cfg.data_dir, lid, manifest, self.provider)
+        self.images = load_images(cfg.data_dir)
+        if self.images.shape[1] != cfg.d_out:
+            raise InvalidInputError(
+                f"model.d_out: {cfg.d_out} is not the width "
+                f"{self.images.shape[1]} of the image features")
+        self.tasks = [_TaskData(cfg.data_dir, lid, manifest, self.images)
                       for lid in self.languages]
         self.params = make_text_params(cfg.dim, cfg.d_out, cfg.l_max,
                                        cfg.encoder_seed)
@@ -154,8 +158,8 @@ class Runner:
         os.makedirs(cfg.out_dir, exist_ok=True)
         os.makedirs(os.path.join(cfg.out_dir, "diagnostics"), exist_ok=True)
         self.log = open(os.path.join(cfg.out_dir, "run.log"), "w")
-        with open(os.path.join(cfg.out_dir, "config.json"), "w") as f:
-            json.dump(asdict(cfg), f, indent=1, sort_keys=True)
+        write_atomic(os.path.join(cfg.out_dir, "config.json"),
+                     json.dumps(asdict(cfg), indent=1, sort_keys=True).encode())
 
     # --- tokenization helpers ----------------------------------------
 
@@ -181,15 +185,10 @@ class Runner:
         memo: dict[str, list[int]] = {}
         for t, td in enumerate(self.tasks):
             if v == 0:
-                td.english = self.state.tokenize(
-                    [tr.english_text for tr in td.train], 0, memo)
+                td.english = self.state.tokenize(td.train.english, 0, memo)
             if self._vocab_of[t] == v:
                 td.tokens = {split: self.state.tokenize(
-                    [tr.foreign_text for tr in getattr(td, split)], v, memo)
-                    for split in SPLITS}
-
-    def _images(self, triplets) -> np.ndarray:
-        return self.provider.features[[tr.image_index for tr in triplets]]
+                    getattr(td, split).foreign, v, memo) for split in SPLITS}
 
     # --- evaluation ---------------------------------------------------
 
@@ -197,8 +196,8 @@ class Runner:
         """Checkpoint-selection score: Recall@{1,5,10} summed over both
         retrieval directions."""
         td = self.tasks[t]
-        res = paired_recall(td.tokens["val"], self.table, self.params,
-                            self._images(td.val), ks=(1, 5, 10))
+        res = paired_recall(td.tokens["val"], self.table.matrix, self.params,
+                            self.images[td.val.image], ks=(1, 5, 10))
         return sum(res[d][k] for d in ("img2txt", "txt2img") for k in (1, 5, 10))
 
     # --- training -----------------------------------------------------
@@ -214,8 +213,8 @@ class Runner:
         pooled = pooling(vocab_mod.TokenArrays.concat(
             [td.tokens["train"] for td in tasks]), self.table.row_count,
             self.params)
-        img_feats = np.concatenate(
-            [self._images(td.train) for td in tasks]).astype(np.float64)
+        img_feats = self.images[np.concatenate(
+            [td.train.image for td in tasks])].astype(np.float64)
         n = len(img_feats)
         steps_per_epoch = (n + cfg.batch_size - 1) // cfg.batch_size
         if self.anchor is None:
@@ -315,9 +314,18 @@ class Runner:
             "task_index": row, "policy": policy.kind, "rng_seed": seed,
         }, path)
         self.checkpoint_paths.append(path)
-        score_row(self.eval_matrix, row, self.table, self.params,
-                  [(td.tokens["test"], self._images(td.test))
+        score_row(self.eval_matrix, row, self.table.matrix, self.params,
+                  [(td.tokens["test"], self.images[td.test.image])
                    for td in self.tasks[: row + 1]])
+
+    def run(self) -> RunArtifacts:
+        """Every step of the configured mode, then the diagnostics."""
+        try:
+            for row, train in steps(self.cfg.mode, len(self.tasks)):
+                self.run_task(row, train)
+            return self.finalize()
+        finally:
+            self.log.close()
 
     # --- diagnostics and artifacts -----------------------------------
 
@@ -328,13 +336,13 @@ class Runner:
 
         fisher_rows, final_losses = [], []
         for t, td in enumerate(self.tasks):
-            samples = (
-                self._images(td.train),
+            fisher, loss = fisher_and_loss(
+                self.images[td.train.image],
                 text_features(td.english, self.anchor, self.params),
                 pooling(td.tokens["train"], self.table.row_count, self.params),
                 self.table.matrix, self.params, cfg.loss)
-            fisher_rows.append({"task": t, "fisher_trace": fisher_trace(*samples)})
-            final_losses.append(mean_sample_loss(*samples))
+            fisher_rows.append({"task": t, "fisher_trace": fisher})
+            final_losses.append(loss)
 
         self.eval_matrix.save_csv(os.path.join(out, "eval_matrix.csv"))
         self.registry.save(os.path.join(out, "registry_manifest.json"))
@@ -370,18 +378,8 @@ class Runner:
 
 def run_sequence(cfg: RunConfig) -> RunArtifacts:
     """Execute a full run per the configured mode and return artifacts."""
-    runner = Runner(cfg)
-    try:
-        for row, train in steps(cfg.mode, len(runner.tasks)):
-            runner.run_task(row, train)
-        return runner.finalize()
-    finally:
-        runner.log.close()
+    return Runner(cfg).run()
 
 
 def _write_csv(path, header, rows) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(header)
-        for r in rows:
-            w.writerow([r[h] for h in header])
+    write_csv(path, [header, *([r[h] for h in header] for r in rows)])

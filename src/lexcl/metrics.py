@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embeddings import DistStats, dist_stats
+from .embeddings import DistStats, dist_stats, write_csv
 from .encoders import Pooling, encode_text, pooled_grad, text_features
 from .errors import (DegenerateFeatureError, InvalidInputError, MetricError)
 from .losses import FeatureBatch, total_loss
@@ -44,11 +44,9 @@ class EvalMatrix:
         return all((j, i, direction) in self.entries for i in range(j + 1))
 
     def save_csv(self, path) -> None:
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["j", "i", "direction", "recall1"])
-            for (j, i, d), v in sorted(self.entries.items()):
-                w.writerow([j, i, d, repr(v)])
+        write_csv(path, [["j", "i", "direction", "recall1"],
+                         *([j, i, d, repr(v)]
+                           for (j, i, d), v in sorted(self.entries.items()))])
 
     @classmethod
     def load_csv(cls, path) -> "EvalMatrix":
@@ -99,24 +97,26 @@ def recall_at_k(query_feats: np.ndarray, gallery_feats: np.ndarray,
     return 100.0 * int(np.count_nonzero(best < k)) / n_query
 
 
-def paired_recall(tokens, table, params, image_feats, ks=(1,)) -> dict:
+def paired_recall(tokens, matrix, params, image_feats, ks=(1,)) -> dict:
     """{direction: {k: Recall@k}} between the texts of `tokens`, encoded
-    under `table`, and their images: text i goes with image i."""
-    txt = text_features(tokens, table, params)
+    under the embedding `matrix`, and their images: text i goes with
+    image i."""
+    txt = text_features(tokens, matrix, params)
     img = np.asarray(image_feats, dtype=np.float64)
     ident = {i: {i} for i in range(len(img))}
     return {"img2txt": recall_at_k(img, txt, ident, tuple(ks)),
             "txt2img": recall_at_k(txt, img, ident, tuple(ks))}
 
 
-def score_row(matrix: EvalMatrix, row: int, table, params, test_set) -> None:
-    """Set row `row` of the recall matrix: Recall@1 of tasks 0..row under
-    `table`, both directions. test_set[i] is task i's (test tokens, image
-    features); the run and `lexcl eval` both score through here."""
+def score_row(evals: EvalMatrix, row: int, matrix, params, test_set) -> None:
+    """Set row `row` of the recall matrix `evals`: Recall@1 of tasks
+    0..row under the embedding `matrix`, both directions. test_set[i] is
+    task i's (test tokens, image features); the run and `lexcl eval` both
+    score through here."""
     for i in range(row + 1):
         tokens, images = test_set[i]
-        for d, recall in paired_recall(tokens, table, params, images).items():
-            matrix.set(row, i, d, recall[1])
+        for d, recall in paired_recall(tokens, matrix, params, images).items():
+            evals.set(row, i, d, recall[1])
 
 
 def average_recall(matrix: EvalMatrix, j: int, direction: str) -> float:
@@ -145,13 +145,14 @@ def forgetting(matrix: EvalMatrix, j: int, direction: str) -> float:
     return float(sum(gaps) / len(gaps))
 
 
-def _sample_terms(img_feats, eng_feats, pooled: Pooling, matrix, params,
-                  loss_cfg):
-    """(loss, squared gradient norm) of each sample as a batch of its own
-    (batch size 1). Row k of each array is sample k: its image feature,
-    its English feature from the anchor table and its pooled foreign
-    text. Its gradient w.r.t. the row of id j is c_j / L times its pooled
-    gradient g, so its squared norm is |g|^2 * sum_j (c_j / L)^2."""
+def fisher_and_loss(img_feats, eng_feats, pooled: Pooling, matrix, params,
+                    loss_cfg) -> tuple[float, float]:
+    """(Fisher-trace proxy, mean loss) over the per-sample (batch size 1)
+    losses, from one pass; the trace is their average squared gradient
+    norm, accumulated in 64-bit. Row k of each array is sample k: its
+    image feature, its English feature from the anchor and its pooled
+    foreign text. Its gradient w.r.t. the row of id j is c_j / L times
+    its pooled gradient g, so its squared norm is |g|^2 * sum_j (c_j / L)^2."""
     n = pooled.A.shape[0]
     if n == 0:
         raise InvalidInputError("empty dataset")
@@ -168,22 +169,8 @@ def _sample_terms(img_feats, eng_feats, pooled: Pooling, matrix, params,
         losses.append(loss)
         norms.append(np.einsum("ij,ij->i", g, g)
                      * (sub.A.power(2) @ np.ones(sub.A.shape[1])))
-    return np.concatenate(losses), np.concatenate(norms)
-
-
-def fisher_trace(img_feats, eng_feats, pooled: Pooling, matrix, params,
-                 loss_cfg) -> float:
-    """Average squared gradient norm over per-sample (batch size 1)
-    losses; arguments as for `_sample_terms`. 64-bit accumulation."""
-    return float(np.mean(_sample_terms(img_feats, eng_feats, pooled, matrix,
-                                       params, loss_cfg)[1]))
-
-
-def mean_sample_loss(img_feats, eng_feats, pooled: Pooling, matrix, params,
-                     loss_cfg) -> float:
-    """Average per-sample (batch size 1) training loss; diagnostics only."""
-    return float(np.mean(_sample_terms(img_feats, eng_feats, pooled, matrix,
-                                       params, loss_cfg)[0]))
+    return (float(np.mean(np.concatenate(norms))),
+            float(np.mean(np.concatenate(losses))))
 
 
 def ted_histogram(table, bins: int):
@@ -206,8 +193,6 @@ def ted_histogram(table, bins: int):
 
 
 def save_histogram_csv(edges, counts, path) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["bin_left", "bin_right", "count"])
-        for i, c in enumerate(counts):
-            w.writerow([repr(float(edges[i])), repr(float(edges[i + 1])), int(c)])
+    write_csv(path, [["bin_left", "bin_right", "count"],
+                     *([repr(float(edges[i])), repr(float(edges[i + 1])), int(c)]
+                       for i, c in enumerate(counts))])

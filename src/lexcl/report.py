@@ -58,7 +58,7 @@ def recompute_eval_matrix(run_dir, data_dir, split: str = "test") -> EvalMatrix:
     """Rebuild the recall matrix from the stored per-task checkpoints."""
     cfg = _load_run_config(run_dir)
     manifest = load_manifest(data_dir)
-    provider = load_images(data_dir)
+    images = load_images(data_dir)
     params = make_text_params(cfg["dim"], cfg["d_out"], cfg["l_max"],
                               cfg["encoder_seed"])
     rows = _task_rows(run_dir)
@@ -68,17 +68,16 @@ def recompute_eval_matrix(run_dir, data_dir, split: str = "test") -> EvalMatrix:
     # last state as under the state of any row that scores it.
     test_set = []
     for i, lang in enumerate(manifest["languages"][: rows[-1] + 1]):
-        data = load_dataset(data_dir, lang, split, manifest, provider)
+        data = load_dataset(data_dir, lang, split, manifest, images)
         test_set.append((states[-1].tokenize(
-            [tr.foreign_text for tr in data],
-            vocab_index(cfg["mode"], cfg["oracle_vocab"], i)),
-            provider.features[[tr.image_index for tr in data]]))
+            data.foreign, vocab_index(cfg["mode"], cfg["oracle_vocab"], i)),
+            images[data.image]))
     matrix = EvalMatrix()
     for j, state in zip(rows, states):
         table = load_checkpoint(os.path.join(run_dir, f"ckpt_task{j}.bin"),
                                 expected_rows=state.size,
                                 expected_vocab_hash=vocab_hash(state.tokens))
-        score_row(matrix, j, table, params, test_set)
+        score_row(matrix, j, table.matrix, params, test_set)
     return matrix
 
 

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bpe import TaskVocab, _byte_tokens, encode
+from .embeddings import write_atomic
 from .errors import InvalidInputError
 
 
@@ -171,5 +172,5 @@ class RegistryManifest:
             [int(c) for c in counts]))
 
     def save(self, path) -> None:
-        with open(path, "w") as f:
-            json.dump([vars(r) for r in self.records], f, indent=1)
+        write_atomic(path, json.dumps([vars(r) for r in self.records],
+                                      indent=1).encode())

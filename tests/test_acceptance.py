@@ -284,10 +284,9 @@ def test_criterion_10_determinism_and_formats(tmp_path):
            == (data2 / "L1" / "train.tsv").read_bytes())
     ok &= ((data / "images.feat").read_bytes()
            == (data2 / "images.feat").read_bytes())
-    triplets = load_dataset(str(data), "L1", "val")
+    foreign = load_dataset(str(data), "L1", "val").foreign
     raw = (data / "L1" / "val.tsv").read_text(encoding="utf-8").splitlines()
-    ok &= all(line.split("\t")[2] == tr.foreign_text
-              for line, tr in zip(raw, triplets))
+    ok &= all(line.split("\t")[2] == text for line, text in zip(raw, foreign))
 
     # multi-byte BPE round-trip
     corpus = ["καλημέρα κόσμε κόσμε", "мир мир труд", "世界 héllo 世界"]

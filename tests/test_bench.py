@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from lexcl import bench, bpe, vocab
+from lexcl.embeddings import write_matrix
 from lexcl.errors import (DanglingReferenceError, DatasetFormatError,
                           InvalidInputError)
 
@@ -66,15 +67,14 @@ class TestGenerate:
         cfg = tiny_cfg()
         bench.gen_benchmark(cfg, tmp_path)
         for split, n in (("train", 60), ("val", 12), ("test", 12)):
-            triplets = bench.load_dataset(tmp_path, "L1", split)
-            assert len(triplets) == n
+            data = bench.load_dataset(tmp_path, "L1", split)
+            assert len(data.image) == len(data.english) == len(data.foreign) == n
 
     def test_split_images_disjoint(self, tmp_path):
         bench.gen_benchmark(tiny_cfg(), tmp_path)
         seen = {}
         for split in bench.SPLITS:
-            triplets = bench.load_dataset(tmp_path, "L0", split)
-            seen[split] = {t.image_index for t in triplets}
+            seen[split] = set(bench.load_dataset(tmp_path, "L0", split).image.tolist())
         assert not (seen["train"] & seen["val"])
         assert not (seen["train"] & seen["test"])
         assert not (seen["val"] & seen["test"])
@@ -88,11 +88,11 @@ class TestGenerate:
         lex1, func1 = bench._make_lexicon(cfg, 1)
         concept_of_eng = {w: c for c, w in enumerate(lex0)}
         concept_of_for = {w: c for c, w in enumerate(lex1)}
-        triplets = bench.load_dataset(tmp_path, "L1", "test")
-        for t in triplets:
-            eng = {concept_of_eng[w] for w in t.english_text.split()
+        data = bench.load_dataset(tmp_path, "L1", "test")
+        for english, foreign in zip(data.english, data.foreign):
+            eng = {concept_of_eng[w] for w in english.split()
                    if w in concept_of_eng}
-            fore = {concept_of_for[w] for w in t.foreign_text.split()
+            fore = {concept_of_for[w] for w in foreign.split()
                     if w in concept_of_for}
             assert eng == fore
 
@@ -134,8 +134,7 @@ class TestGenerate:
     def test_image_features_near_unit_norm(self, tmp_path):
         cfg = tiny_cfg(sigma_img=0.0)
         bench.gen_benchmark(cfg, tmp_path)
-        prov = bench.load_images(tmp_path)
-        norms = np.linalg.norm(prov.features, axis=1)
+        norms = np.linalg.norm(bench.load_images(tmp_path), axis=1)
         assert np.allclose(norms, 1.0, atol=1e-5)
 
     def test_invalid_configs(self):
@@ -151,13 +150,14 @@ class TestLoad:
     def test_captions_round_trip(self, tmp_path):
         bench.gen_benchmark(tiny_cfg(), tmp_path)
         raw = (tmp_path / "L2" / "val.tsv").read_text(encoding="utf-8")
-        triplets = bench.load_dataset(tmp_path, "L2", "val")
+        data = bench.load_dataset(tmp_path, "L2", "val")
         lines = [l for l in raw.split("\n") if l]
-        assert len(lines) == len(triplets)
-        for line, t in zip(lines, triplets):
+        assert len(lines) == len(data.image)
+        for k, line in enumerate(lines):
             img, eng, fore = line.split("\t")
-            assert (int(img), eng, fore) == (t.image_index, t.english_text,
-                                             t.foreign_text)
+            assert (int(img), eng, fore) == (data.image[k], data.english[k],
+                                             data.foreign[k])
+        assert data.image.dtype == np.int64
 
     def test_malformed_line_names_lineno(self, tmp_path):
         bench.gen_benchmark(tiny_cfg(), tmp_path)
@@ -189,3 +189,28 @@ class TestLoad:
         bench.gen_benchmark(tiny_cfg(), tmp_path)
         with pytest.raises(InvalidInputError):
             bench.load_dataset(tmp_path, "L1", "dev")
+
+
+class TestImages:
+    def _write(self, tmp_path, features):
+        write_matrix(tmp_path / "images.feat", bench.IMG_MAGIC, features)
+
+    def test_file_round_trip(self, tmp_path):
+        features = np.random.default_rng(3).standard_normal((7, 5)).astype(np.float32)
+        self._write(tmp_path, features)
+        back = bench.load_images(tmp_path)
+        assert back.dtype == np.float32
+        assert np.array_equal(back, features)
+
+    def test_features_frozen(self, tmp_path):
+        self._write(tmp_path, np.ones((4, 4), dtype=np.float32))
+        with pytest.raises(ValueError):
+            bench.load_images(tmp_path)[0, 0] = 1.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, tmp_path, bad):
+        features = np.ones((4, 4), dtype=np.float32)
+        features[2, 1] = bad
+        self._write(tmp_path, features)
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            bench.load_images(tmp_path)

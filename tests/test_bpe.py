@@ -191,6 +191,22 @@ class TestEncodeDecode:
             data = text.encode("utf-8")
             assert bpe.encode(data, tv) == oracles.encode_reference(data, tv)
 
+    @pytest.mark.parametrize("sep", [b" ", b"\t", b"\n", b"\r", b"\x0b",
+                                     b"\x0c", b"\x1c", b"\xc2\x85", b"\xc2\xa0"])
+    def test_separators_match_reference(self, sep):
+        """The six ASCII bytes of bytes.isspace split segments; 0x1c, U+0085
+        and U+00A0, which str.isspace also accepts, stay inside them, and
+        so do the bytes 0x85 and 0xa0 of "Å" and "à", which merges hold."""
+        corpus = ["the cat sat on the mat", "voilà Åsa voilà Åsa"] * 3
+        tv = bpe.train_bpe(corpus, 290)
+        assert {"voilà".encode(), "Åsa".encode()} <= set(tv.tokens)
+        for data in (b"the" + sep + b"cat", sep + "Åsa".encode() + sep,
+                     sep * 3 + "voilà".encode() + sep * 2 + b"mat" + sep
+                     + "Åsa".encode() + sep * 2):
+            ids = bpe.encode(data, tv)
+            assert ids == oracles.encode_reference(data, tv)
+            assert bpe.decode(ids, tv) == data
+
     def test_ids_in_range(self):
         tv = bpe.train_bpe(["roundtrip roundtrip trip trip"], 280)
         ids = bpe.encode(b"roundtrip tripwire", tv)

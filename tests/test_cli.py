@@ -107,6 +107,7 @@ class TestTrain:
         "vocab.size_per_task = 256",
         "model.dim = 0",
         "model.d_out = 0",
+        "model.d_out = 32",  # the images are 16 wide
         "model.l_max = 0",
         "optim.kind = adam",
         "optim.lr = -1",

@@ -8,13 +8,42 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats as sps
 
 import oracles
-from lexcl import embeddings as emb
+from lexcl import bpe, embeddings as emb, harness, vocab
 from lexcl.errors import (CheckpointFormatError, CheckpointTruncatedError,
                           DimensionMismatchError, InvalidInputError, StateError,
                           VocabMismatchError)
+from lexcl.metrics import EvalMatrix
 
 # one-sided KS critical value at alpha = 0.01 is c(alpha)/sqrt(n), c = 1.628
 KS_C_01 = 1.628
+
+
+def _fail_writes_halfway(monkeypatch, hits):
+    """Make every file that embeddings opens for writing at a path for
+    which `hits(path)` holds take half of its first write, then raise
+    as a full disk would."""
+
+    class HalfWriter:
+        def __init__(self, f):
+            self.f = f
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+        def write(self, data):
+            self.f.write(bytes(data)[: len(data) // 2])
+            raise OSError("no space left on device")
+
+    real_open = open
+
+    def failing_open(path, mode="r", *args, **kwargs):
+        f = real_open(path, mode, *args, **kwargs)
+        return HalfWriter(f) if "w" in mode and hits(str(path)) else f
+
+    monkeypatch.setattr(emb, "open", failing_open, raising=False)
 
 
 class TestDistStats:
@@ -152,15 +181,15 @@ class TestAnchor:
     def test_anchor_frozen_under_mutation(self):
         t = emb.init_table(6, 4, emb.fixed_policy(), rng_seed=2)
         anchor = emb.snapshot_anchor(t)
-        snap = anchor.matrix.copy()
+        snap = anchor.copy()
         t.matrix += 1.0
-        assert np.array_equal(anchor.matrix, snap)
+        assert np.array_equal(anchor, snap)
 
     def test_anchor_write_blocked(self):
         t = emb.init_table(3, 3, emb.fixed_policy(), rng_seed=2)
         anchor = emb.snapshot_anchor(t)
         with pytest.raises(ValueError):
-            anchor.matrix[0, 0] = 1.0
+            anchor[0, 0] = 1.0
 
     def test_second_snapshot_rejected(self):
         t = emb.init_table(3, 3, emb.fixed_policy(), rng_seed=2)
@@ -252,29 +281,8 @@ class TestCheckpoint:
         emb.save_checkpoint(old, {"vocab_hash": "old"}, p)
         before = {n: (tmp_path / n).read_bytes() for n in os.listdir(tmp_path)}
 
-        class HalfWriter:
-            def __init__(self, f):
-                self.f = f
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self.f.close()
-
-            def write(self, data):
-                self.f.write(bytes(data)[: len(data) // 2])
-                raise OSError("no space left on device")
-
-        real_open = open
-
-        def failing_open(path, mode="r", *args, **kwargs):
-            f = real_open(path, mode, *args, **kwargs)
-            if "w" in mode and (".json" in str(path)) == (target == ".json"):
-                return HalfWriter(f)
-            return f
-
-        monkeypatch.setattr(emb, "open", failing_open, raising=False)
+        _fail_writes_halfway(
+            monkeypatch, lambda path: (".json" in path) == (target == ".json"))
         new = emb.init_table(9, 4, emb.fixed_policy(), rng_seed=2)
         with pytest.raises(OSError):
             emb.save_checkpoint(new, {"vocab_hash": "new"}, p)
@@ -285,3 +293,40 @@ class TestCheckpoint:
         else:  # the matrix went in whole; only the sidecar write failed
             assert after[p.name + ".json"] == before[p.name + ".json"]
             assert set(after) == set(before)
+
+
+def _eval_matrix(v):
+    m = EvalMatrix()
+    m.set(0, 0, "img2txt", v)
+    return m
+
+
+# Version k of each run file, written by the writer that makes it.
+_WRITERS = {
+    "eval_matrix.csv": lambda p, k: _eval_matrix(10.0 * k).save_csv(p),
+    "vocab_task0.txt": lambda p, k: bpe.save_vocab([b"a", b"b" * k], p),
+    "merges_task0.txt": lambda p, k: bpe.save_merges(
+        [bpe.MergeRule(0, 1, 256 + k, 0, 0)], p),
+    "registry_manifest.json": lambda p, k: vocab.RegistryManifest(
+        [vocab.RegistryRecord(0, 0, 256 + k, 0, 0, 256 + k, [k])]).save(p),
+    "fisher.csv": lambda p, k: harness._write_csv(
+        p, ["task", "fisher_trace"], [{"task": 0, "fisher_trace": 0.5 * k}]),
+}
+
+
+class TestAtomicRunFiles:
+    @pytest.mark.parametrize("name", sorted(_WRITERS))
+    def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch, name):
+        """Each run file goes through write_atomic: a write that dies half
+        way leaves the old file whole and no temp file behind."""
+        p = tmp_path / name
+        _WRITERS[name](p, 1)
+        before = {n: (tmp_path / n).read_bytes() for n in os.listdir(tmp_path)}
+        _fail_writes_halfway(monkeypatch, lambda path: True)
+        with pytest.raises(OSError):
+            _WRITERS[name](p, 2)
+        monkeypatch.undo()
+        after = {n: (tmp_path / n).read_bytes() for n in os.listdir(tmp_path)}
+        assert after == before
+        _WRITERS[name](p, 2)
+        assert p.read_bytes() != before[name]

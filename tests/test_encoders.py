@@ -214,25 +214,3 @@ class TestFrozenness:
         a, b = _params(seed=9), _params(seed=9)
         assert np.array_equal(a.W, b.W)
 
-
-class TestImageProvider:
-    def test_bit_stable_lookup(self):
-        prov = enc.ImageFeatureProvider.synthetic(10, 8, seed=1)
-        assert np.array_equal(prov.features[3], prov.features[3])
-
-    def test_seeded_regeneration_identical(self):
-        a = enc.ImageFeatureProvider.synthetic(10, 8, seed=2)
-        b = enc.ImageFeatureProvider.synthetic(10, 8, seed=2)
-        assert np.array_equal(a.features, b.features)
-
-    def test_file_round_trip(self, tmp_path):
-        prov = enc.ImageFeatureProvider.synthetic(7, 5, seed=3)
-        p = tmp_path / "images.feat"
-        prov.save(p)
-        back = enc.ImageFeatureProvider.from_file(p)
-        assert np.array_equal(back.features, prov.features)
-
-    def test_features_frozen(self):
-        prov = enc.ImageFeatureProvider.synthetic(4, 4, seed=0)
-        with pytest.raises(ValueError):
-            prov.features[0, 0] = 1.0

@@ -60,7 +60,7 @@ class TestPretrain:
     def test_anchor_beats_random_baseline(self, tiny_data, tmp_path):
         r = Runner(tiny_run_cfg(tiny_data, tmp_path / "run"))
         r.run_task(0, [0])
-        n_test = len(r.tasks[0].test)
+        n_test = len(r.tasks[0].test.image)
         random_r1 = 100.0 / n_test
         # the 5x margin belongs to the full-size benchmark; the miniature
         # one (12 test images) only supports a coarser bound
@@ -69,18 +69,18 @@ class TestPretrain:
     def test_anchor_frozen_through_later_tasks(self, tiny_data, tmp_path):
         r = Runner(tiny_run_cfg(tiny_data, tmp_path / "run"))
         r.run_task(0, [0])
-        before = r.anchor.matrix.copy()
+        before = r.anchor.copy()
         r.run_task(1, [1])
-        assert np.array_equal(r.anchor.matrix, before)
+        assert np.array_equal(r.anchor, before)
 
     def test_encoder_params_frozen(self, tiny_data, tmp_path):
         r = Runner(tiny_run_cfg(tiny_data, tmp_path / "run"))
         W = r.params.W.copy()
-        img = r.provider.features.copy()
+        img = r.images.copy()
         r.run_task(0, [0])
         r.run_task(1, [1])
         assert np.array_equal(r.params.W, W)
-        assert np.array_equal(r.provider.features, img)
+        assert np.array_equal(r.images, img)
 
 
 class TestLambdaEndToEnd:
@@ -323,15 +323,14 @@ class TestTokenArrays:
         for t, td in enumerate(r.tasks):
             v = 0 if mode != "continual" else t
             for split in SPLITS:
-                triplets = getattr(td, split)
-                assert len(td.tokens[split]) == len(triplets)
-                for k, tr in enumerate(triplets):
+                foreign = getattr(td, split).foreign
+                assert len(td.tokens[split]) == len(foreign)
+                for k, text in enumerate(foreign):
                     assert td.tokens[split].row(k) == \
-                        r.state.global_ids(tr.foreign_text, v)
-            assert len(td.english) == len(td.train)
-            for k, tr in enumerate(td.train):
-                assert td.english.row(k) == \
-                    r.state.global_ids(tr.english_text, 0)
+                        r.state.global_ids(text, v)
+            assert len(td.english) == len(td.train.english)
+            for k, text in enumerate(td.train.english):
+                assert td.english.row(k) == r.state.global_ids(text, 0)
 
     @pytest.mark.parametrize("mode", ["continual", "joint"])
     def test_no_encoding_in_training_or_diagnostics(self, tiny_data,

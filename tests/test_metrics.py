@@ -144,7 +144,7 @@ class TestRecallAtK:
         params = make_text_params(8, 8, 16, seed=1)
         tokens = TokenArrays(np.array([256, 257, 258, 259, 260, 261], dtype=np.int32),
                              np.array([0, 2, 4, 6]))
-        res = M.paired_recall(tokens, table, params, rng.normal(size=(3, 8)),
+        res = M.paired_recall(tokens, table.matrix, params, rng.normal(size=(3, 8)),
                               ks=(1, 5, 10))
         assert calls == [(1, 5, 10), (1, 5, 10)]
         assert set(res) == {"img2txt", "txt2img"}
@@ -243,7 +243,7 @@ class TestArF:
 
 
 def sample_arrays(samples, table, anchor, params):
-    """The array arguments of fisher_trace / mean_sample_loss for a list
+    """The array arguments of fisher_and_loss for a list
     of (image feature, English ids, foreign ids) samples."""
     eng = TokenArrays.from_rows([s[1] for s in samples])
     foreign = TokenArrays.from_rows([s[2] for s in samples])
@@ -258,7 +258,7 @@ def per_sample_reference(samples, table, anchor, params, cfg):
     fisher, losses = [], []
     for img, eng, foreign in samples:
         r_f = oracles.encode_text(foreign, table.matrix, params)[None, :]
-        r_e = oracles.encode_text(eng, anchor.matrix, params)[None, :]
+        r_e = oracles.encode_text(eng, anchor, params)[None, :]
         loss, grad = total_loss(FeatureBatch(np.asarray(img)[None, :], r_e, r_f),
                                 cfg)
         rows = oracles.encode_text_grad(foreign, table.matrix, params, grad[0])
@@ -285,15 +285,17 @@ class TestFisherTrace:
     def test_zero_weights_zero_trace(self):
         samples, table, anchor, params = tiny_model()
         cfg = LossConfig(tau=0.07, gamma_cm=0.0, gamma_cl=0.0)
-        assert M.fisher_trace(*sample_arrays(samples, table, anchor, params),
-                              cfg) == 0.0
+        fisher, _ = M.fisher_and_loss(
+            *sample_arrays(samples, table, anchor, params), cfg)
+        assert fisher == 0.0
 
     def test_single_sample_is_its_norm(self):
         samples, table, anchor, params = tiny_model(1)
         cfg = LossConfig()
 
         def trace(s):
-            return M.fisher_trace(*sample_arrays(s, table, anchor, params), cfg)
+            return M.fisher_and_loss(*sample_arrays(s, table, anchor, params),
+                                     cfg)[0]
 
         one = trace(samples[:1])
         per = [trace([s]) for s in samples]
@@ -307,10 +309,9 @@ class TestFisherTrace:
         cfg = LossConfig(0.07, *gammas)
         args = sample_arrays(samples, table, anchor, params)
         fisher, loss = per_sample_reference(samples, table, anchor, params, cfg)
-        assert np.isclose(M.fisher_trace(*args, cfg), fisher, rtol=1e-12,
-                          atol=1e-15)
-        assert np.isclose(M.mean_sample_loss(*args, cfg), loss, rtol=1e-12,
-                          atol=1e-15)
+        got_fisher, got_loss = M.fisher_and_loss(*args, cfg)
+        assert np.isclose(got_fisher, fisher, rtol=1e-12, atol=1e-15)
+        assert np.isclose(got_loss, loss, rtol=1e-12, atol=1e-15)
 
     def test_finite_difference_oracle(self):
         samples, table, anchor, params = tiny_model(2)
@@ -319,7 +320,7 @@ class TestFisherTrace:
 
         def loss_of(matrix):
             r_i = np.asarray(img)[None, :]
-            r_e = oracles.encode_text(eng, anchor.matrix, params)[None, :]
+            r_e = oracles.encode_text(eng, anchor, params)[None, :]
             r_f = oracles.encode_text(foreign, matrix.astype(np.float32),
                                       params)[None, :]
             return total_loss(FeatureBatch(r_i, r_e, r_f), cfg)[0]
@@ -333,15 +334,15 @@ class TestFisherTrace:
                 plus[tid, c] += step
                 minus[tid, c] -= step
                 sq += ((loss_of(plus) - loss_of(minus)) / (2 * step)) ** 2
-        got = M.fisher_trace(*sample_arrays([samples[0]], table, anchor, params),
-                             cfg)
+        got, _ = M.fisher_and_loss(
+            *sample_arrays([samples[0]], table, anchor, params), cfg)
         assert abs(got - sq) / max(sq, 1e-12) < 1e-3
 
     def test_empty_dataset(self):
         _, table, anchor, params = tiny_model()
         with pytest.raises(InvalidInputError):
-            M.fisher_trace(*sample_arrays([], table, anchor, params),
-                           LossConfig())
+            M.fisher_and_loss(*sample_arrays([], table, anchor, params),
+                              LossConfig())
 
 
 class TestTedHistogram:
