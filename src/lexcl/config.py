@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 
 from .bench import BenchConfig
+from .embeddings import write_atomic
 from .errors import InvalidInputError
 from .harness import RunConfig
 from .losses import LossConfig
@@ -54,12 +55,13 @@ def load_config_file(path) -> dict:
 
 
 def dump_config(cfg: dict, path) -> None:
-    with open(path, "w") as f:
-        for key in sorted(cfg):
-            v = cfg[key]
-            if isinstance(v, bool):
-                v = "on" if v else "off"
-            f.write(f"{key} = {v}\n")
+    text = ""
+    for key in sorted(cfg):
+        v = cfg[key]
+        if isinstance(v, bool):
+            v = "on" if v else "off"
+        text += f"{key} = {v}\n"
+    write_atomic(path, text.encode())
 
 
 _BENCH_KEYS = {

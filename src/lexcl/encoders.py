@@ -1,7 +1,7 @@
 """Frozen text encoder: deterministic mean pooling, one affine map and
-tanh squashing, batched as one sparse product (plus its exact adjoint
-w.r.t. the embedding rows). Image features are a frozen array that
-`bench.load_images` reads.
+tanh squashing, batched over padded id/weight arrays (plus its exact
+adjoint w.r.t. the embedding rows). Image features are a frozen array
+that `bench.load_images` reads.
 
 The text encoder is deliberately simple so gradients are hand-derivable
 and finite-difference-checkable; the only trainable parameters anywhere
@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .errors import InvalidIdError, InvalidInputError
 
@@ -54,23 +53,23 @@ def make_text_params(dim: int, d_out: int, L_max: int = 32,
 
 @dataclass(frozen=True)
 class Pooling:
-    """K texts pooled as one sparse product, h = A @ E[rows] + pos: `rows`
-    are the distinct ids read, ascending; `A` (CSR) is the K x |V| row-
-    averaging matrix without its zero columns, entry (k, r) = c / L with
-    c the count of rows[r] in text k's first L = min(length, L_max) ids;
-    `pos` is the mean of each text's first L position vectors."""
+    """K texts pooled as h[k] = sum_m w[k, m] E[ids[k, m]] + pos[k]. Row k
+    of `ids` holds the distinct ids among text k's first L = min(length,
+    L_max) ids, ascending, `w` their weights c / L (c the id's count; 0
+    for pads) and `pos` the mean of the text's first L position vectors."""
 
-    A: sparse.csr_matrix
-    rows: np.ndarray
+    ids: np.ndarray
+    w: np.ndarray
     pos: np.ndarray
 
     def take(self, index) -> "Pooling":
         """The pooling of texts `index`, in that order."""
-        sub = self.A[index]
-        cols, compact = np.unique(sub.indices, return_inverse=True)
-        A = sparse.csr_matrix((sub.data, compact, sub.indptr),
-                              shape=(len(index), len(cols)))
-        return Pooling(A, self.rows[cols], self.pos[index])
+        return Pooling(self.ids[index], self.w[index], self.pos[index])
+
+    def sq_weights(self) -> np.ndarray:
+        """Per text, the sum of its squared weights, in slot order."""
+        k, m = np.nonzero(self.w)
+        return np.bincount(k, self.w[k, m] ** 2, minlength=len(self.w))
 
 
 def pooling(tokens, n_rows: int, params: FrozenTextParams) -> Pooling:
@@ -86,19 +85,24 @@ def pooling(tokens, n_rows: int, params: FrozenTextParams) -> Pooling:
     if np.any(bad):
         raise InvalidIdError(f"encode_text: id {ids[bad][0]} out of range "
                              f"for table with {n_rows} rows")
-    rows, col = np.unique(ids, return_inverse=True)
     n = np.minimum(lengths, params.L_max)
-    # repeated (text, id) entries are summed, to c / L
-    A = sparse.csr_matrix((1.0 / n[text], (text, col)),
-                          shape=(len(n), len(rows)))
+    # the distinct (text, id) pairs, ascending; repeats sum to c / L
+    _, first, pair = np.unique(text * n_rows + ids, return_index=True,
+                               return_inverse=True)
+    k = text[first]
+    slot = np.arange(len(k)) - np.searchsorted(k, k)
+    shape = (len(n), slot.max(initial=-1) + 1)
+    padded_ids, w = np.zeros(shape, dtype=np.int64), np.zeros(shape)
+    padded_ids[k, slot], w[k, slot] = ids[first], np.bincount(pair, 1.0 / n[text])
     mean_pos = np.cumsum(params.pos, axis=0) / np.arange(1, params.L_max + 1)[:, None]
-    return Pooling(A, rows, mean_pos[n - 1])
+    return Pooling(padded_ids, w, mean_pos[n - 1])
 
 
 def encode_text(pooled: Pooling, matrix: np.ndarray,
                 params: FrozenTextParams) -> np.ndarray:
     """K x d_out features r = tanh(W h + b) of the pooled texts."""
-    h = pooled.A @ matrix[pooled.rows].astype(np.float64)
+    # each text's terms summed in slot order from 0, pads adding zeros
+    h = np.einsum("km,kmd->kd", pooled.w, matrix[pooled.ids])
     h += pooled.pos
     r = h @ params.W.T
     r += params.b
@@ -118,6 +122,12 @@ def pooled_grad(feats, params: FrozenTextParams, upstream) -> np.ndarray:
 
 def encode_text_grad(pooled: Pooling, feats, params: FrozenTextParams,
                      upstream):
-    """Gradient of sum(upstream * feats) w.r.t. the embedding rows read:
-    (rows, A^T @ pooled_grad), so repeated ids accumulate linearly."""
-    return pooled.rows, pooled.A.T @ pooled_grad(feats, params, upstream)
+    """Gradient of sum(upstream * feats) w.r.t. the embedding rows read,
+    rows ascending: row j's sums w[k, m] g[k] over the slots holding j, in
+    text order, so repeated ids accumulate linearly; pads read no row."""
+    k, m = np.nonzero(pooled.w)
+    rows, row = np.unique(pooled.ids[k, m], return_inverse=True)
+    g, d = pooled_grad(feats, params, upstream), params.dim
+    grads = np.bincount((row[:, None] * d + np.arange(d)).ravel(),
+                        (pooled.w[k, m][:, None] * g[k]).ravel(), len(rows) * d)
+    return rows, grads.reshape(len(rows), d)

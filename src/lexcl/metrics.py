@@ -153,7 +153,7 @@ def fisher_and_loss(img_feats, eng_feats, pooled: Pooling, matrix, params,
     image feature, its English feature from the anchor and its pooled
     foreign text. Its gradient w.r.t. the row of id j is c_j / L times
     its pooled gradient g, so its squared norm is |g|^2 * sum_j (c_j / L)^2."""
-    n = pooled.A.shape[0]
+    n = len(pooled.w)
     if n == 0:
         raise InvalidInputError("empty dataset")
     losses, norms = [], []
@@ -167,8 +167,7 @@ def fisher_and_loss(img_feats, eng_feats, pooled: Pooling, matrix, params,
             r_f[:, None]), loss_cfg)
         g = pooled_grad(r_f, params, grad[:, 0])
         losses.append(loss)
-        norms.append(np.einsum("ij,ij->i", g, g)
-                     * (sub.A.power(2) @ np.ones(sub.A.shape[1])))
+        norms.append(np.einsum("ij,ij->i", g, g) * sub.sq_weights())
     return (float(np.mean(np.concatenate(norms))),
             float(np.mean(np.concatenate(losses))))
 

@@ -8,11 +8,10 @@ import csv
 import json
 import os
 import re
-import shutil
 
 from . import bpe
 from . import vocab as vocab_mod
-from .embeddings import load_checkpoint, vocab_hash
+from .embeddings import load_checkpoint, vocab_hash, write_atomic, write_csv
 from .encoders import make_text_params
 from .errors import InvalidInputError
 from .bench import load_dataset, load_images, load_manifest
@@ -120,8 +119,29 @@ def write_svg_lines(path, series: dict[str, list[tuple[float, float]]],
                      f'font-family="sans-serif" font-size="11" '
                      f'fill="{color}">{name}</text>')
     parts.append("</svg>")
-    with open(path, "w") as f:
-        f.write("\n".join(parts))
+    write_atomic(path, "\n".join(parts).encode())
+
+
+def write_ar_f(matrix: EvalMatrix, mode: str, path) -> dict:
+    """Write ar_f.csv: AR, and F after the first task outside joint mode,
+    for each complete row and direction; returns the AR series."""
+    ar_series = {"img2txt": [], "txt2img": []}
+    table = [["j", "direction", "ar", "f"]]
+    for j in sorted({j for (j, _, _) in matrix.entries}):
+        for d in ar_series:
+            if matrix.row_complete(j, d):
+                ar = average_recall(matrix, j, d)
+                ar_series[d].append((j, ar))
+                f_val = (repr(forgetting(matrix, j, d))
+                         if j >= 1 and mode != "joint" else "")
+                table.append([j, d, repr(ar), f_val])
+    write_csv(path, table)
+    return ar_series
+
+
+def copy_file(src, dst) -> None:
+    with open(src, "rb") as f:
+        write_atomic(dst, f.read())
 
 
 def write_report(run_dir, out_dir) -> list[str]:
@@ -131,37 +151,16 @@ def write_report(run_dir, out_dir) -> list[str]:
     if not os.path.exists(matrix_path):
         raise InvalidInputError(f"{run_dir}: missing eval_matrix.csv")
     os.makedirs(out_dir, exist_ok=True)
-    written = []
+    written = [os.path.join(out_dir, "ar_f.csv")]
+    ar_series = write_ar_f(EvalMatrix.load_csv(matrix_path), cfg["mode"],
+                           written[0])
 
-    matrix = EvalMatrix.load_csv(matrix_path)
-    rows = sorted({j for (j, _, _) in matrix.entries})
-    ar_f_path = os.path.join(out_dir, "ar_f.csv")
-    ar_series = {"img2txt": [], "txt2img": []}
-    with open(ar_f_path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["j", "direction", "ar", "f"])
-        for j in rows:
-            for d in ("img2txt", "txt2img"):
-                if not matrix.row_complete(j, d):
-                    continue
-                ar = average_recall(matrix, j, d)
-                ar_series[d].append((j, ar))
-                f_val = ""
-                if j >= 1 and cfg["mode"] != "joint":
-                    f_val = repr(forgetting(matrix, j, d))
-                w.writerow([j, d, repr(ar), f_val])
-    written.append(ar_f_path)
-
-    shutil.copy(matrix_path, os.path.join(out_dir, "eval_matrix.csv"))
-    written.append(os.path.join(out_dir, "eval_matrix.csv"))
     diag_dir = os.path.join(run_dir, "diagnostics")
-    for name in ("fisher.csv", "dist_stats.csv", "loss_curve.csv",
-                 "final_loss.csv"):
-        src = os.path.join(diag_dir, name)
+    for src in [matrix_path] + [os.path.join(diag_dir, name) for name in (
+            "fisher.csv", "dist_stats.csv", "loss_curve.csv", "final_loss.csv")]:
         if os.path.exists(src):
-            dst = os.path.join(out_dir, name)
-            shutil.copy(src, dst)
-            written.append(dst)
+            written.append(os.path.join(out_dir, os.path.basename(src)))
+            copy_file(src, written[-1])
 
     for t in _task_rows(run_dir):
         table = load_checkpoint(os.path.join(run_dir, f"ckpt_task{t}.bin"))

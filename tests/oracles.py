@@ -1,5 +1,6 @@
 """Slow reference implementations that the fast code paths are tested
-against: the per-caption text encoder and its adjoint, the row-by-row
+against: the per-caption text encoder and its adjoint, the scipy CSR
+pooling whose summation order the padded batch keeps, the row-by-row
 optimizer step with per-row moment dicts, Recall@K by a stable argsort
 of every similarity row, the full-recount BPE trainer, the rule-by-rule
 BPE encoder, and a plain hash of a matrix's bytes."""
@@ -9,6 +10,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 from lexcl import bpe
 from lexcl.errors import InvalidIdError, InvalidInputError, NumericError
@@ -52,6 +54,57 @@ def batch_grads(id_lists, matrix, params, upstream):
         for j, g in encode_text_grad(ids, matrix, params, up).items():
             total[j] = total[j] + g if j in total else g
     return total
+
+
+@dataclass(frozen=True)
+class CsrPooling:
+    """K texts pooled as one sparse product, h = A @ E[rows] + pos: `rows`
+    are the distinct ids read, ascending; `A` (CSR) is the K x |V| row-
+    averaging matrix without its zero columns, entry (k, r) = c / L with
+    c the count of rows[r] in text k's first L = min(length, L_max) ids;
+    `pos` is the mean of each text's first L position vectors."""
+
+    A: sparse.csr_matrix
+    rows: np.ndarray
+    pos: np.ndarray
+
+    @classmethod
+    def of(cls, tokens, params) -> "CsrPooling":
+        lengths = np.diff(tokens.offsets)
+        text = np.repeat(np.arange(len(lengths)), lengths)
+        keep = np.arange(len(text)) - tokens.offsets[text] < params.L_max
+        text, ids = text[keep], tokens.ids[keep].astype(np.int64)
+        rows, col = np.unique(ids, return_inverse=True)
+        n = np.minimum(lengths, params.L_max)
+        # repeated (text, id) entries are summed, to c / L
+        A = sparse.csr_matrix((1.0 / n[text], (text, col)),
+                              shape=(len(n), len(rows)))
+        mean_pos = (np.cumsum(params.pos, axis=0)
+                    / np.arange(1, params.L_max + 1)[:, None])
+        return cls(A, rows, mean_pos[n - 1])
+
+    def take(self, index) -> "CsrPooling":
+        sub = self.A[index]
+        cols, compact = np.unique(sub.indices, return_inverse=True)
+        A = sparse.csr_matrix((sub.data, compact, sub.indptr),
+                              shape=(len(index), len(cols)))
+        return CsrPooling(A, self.rows[cols], self.pos[index])
+
+    def features(self, matrix, params):
+        """tanh(W (A @ E[rows] + pos) + b)."""
+        h = self.A @ matrix[self.rows].astype(np.float64)
+        h += self.pos
+        r = h @ params.W.T
+        r += params.b
+        return np.tanh(r, out=r)
+
+    def grad(self, pooled_grad):
+        """(rows, A^T @ pooled_grad)."""
+        return self.rows, self.A.T @ pooled_grad
+
+    def sq_weights(self):
+        """Per text, the sum of its squared weights: A^2 @ 1."""
+        return self.A.power(2) @ np.ones(self.A.shape[1])
 
 
 @dataclass

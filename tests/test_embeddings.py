@@ -1,6 +1,7 @@
 """Embedding-table tests: init policies, expansion, anchor freeze, checkpoints."""
 
 import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats as sps
 
 import oracles
-from lexcl import bpe, embeddings as emb, harness, vocab
+from lexcl import bpe, config, embeddings as emb, harness, report, vocab
 from lexcl.errors import (CheckpointFormatError, CheckpointTruncatedError,
                           DimensionMismatchError, InvalidInputError, StateError,
                           VocabMismatchError)
@@ -301,6 +302,15 @@ def _eval_matrix(v):
     return m
 
 
+def _report_copy(p, k):
+    """lexcl report's copy of a diagnostics file whose version is k."""
+    with tempfile.TemporaryDirectory() as d:
+        src = os.path.join(d, "dist_stats.csv")
+        with open(src, "w") as f:
+            f.write(f"task\n{k}\n")
+        report.copy_file(src, p)
+
+
 # Version k of each run file, written by the writer that makes it.
 _WRITERS = {
     "eval_matrix.csv": lambda p, k: _eval_matrix(10.0 * k).save_csv(p),
@@ -311,6 +321,12 @@ _WRITERS = {
         [vocab.RegistryRecord(0, 0, 256 + k, 0, 0, 256 + k, [k])]).save(p),
     "fisher.csv": lambda p, k: harness._write_csv(
         p, ["task", "fisher_trace"], [{"task": 0, "fisher_trace": 0.5 * k}]),
+    "effective_config.txt": lambda p, k: config.dump_config({"seed": k}, p),
+    "ar_f.csv": lambda p, k: report.write_ar_f(_eval_matrix(10.0 * k),
+                                               "continual", p),
+    "ar_vs_task.svg": lambda p, k: report.write_svg_lines(
+        p, {"img2txt": [(0.0, 10.0), (1.0, 5.0)]}, f"version {k}"),
+    "dist_stats.csv": _report_copy,
 }
 
 

@@ -192,14 +192,76 @@ class TestBatchedMatchesPerText:
         index = np.array([7, 2, 2, 9, 0])
         got = pool(id_lists, matrix, p).take(index)
         want = pool([id_lists[k] for k in index], matrix, p)
-        assert np.array_equal(got.rows, want.rows)
-        assert np.array_equal(got.A.toarray(), want.A.toarray())
+        # the taken rows keep the full width; past each text's ids, pads
+        width = want.w.shape[1]
+        assert not np.any(got.w[:, width:])
+        assert np.array_equal(got.ids[:, :width], want.ids)
+        assert np.array_equal(got.w[:, :width], want.w)
         assert np.array_equal(got.pos, want.pos)
 
     def test_empty_text_among_others_rejected(self):
         matrix = np.zeros((4, 8))
         with pytest.raises(InvalidInputError):
             pool([[1], [], [2]], matrix, _params())
+
+
+BITWISE_CASES = {
+    "repeated ids": ([[3, 3, 3], [1, 3, 1, 3]], None),
+    "longer than l_max": ([[1, 2, 3, 4, 5, 6, 7, 8], [2, 2, 2, 2, 2, 2, 9]],
+                          None),
+    "single text": ([[6, 0, 6, 2]], None),
+    "take, repeated and out of order": (
+        [[4], [0, 1, 2, 3], [7, 7], [11, 0, 11], [5, 9], [2], [8, 8, 1],
+         [10, 3, 10, 3, 6], [0], [9, 4, 9]], [7, 2, 2, 9, 0, 7]),
+    "never reads row 0": ([[5], [3, 9, 3, 11, 7], [1, 1], [8, 2, 4]], None),
+}
+
+
+def check_bitwise(id_lists, index, matrix, params, upstream):
+    """The padded batch against the scipy CSR pooling: the same features,
+    gradient rows and values and sums of squared weights, bit for bit."""
+    tokens = TokenArrays.from_rows(id_lists)
+    pooled = enc.pooling(tokens, len(matrix), params)
+    ref = oracles.CsrPooling.of(tokens, params)
+    if index is not None:
+        pooled, ref = pooled.take(index), ref.take(index)
+    feats = enc.encode_text(pooled, matrix, params)
+    assert np.array_equal(feats, ref.features(matrix, params))
+    rows, grads = enc.encode_text_grad(pooled, feats, params, upstream)
+    want_rows, want = ref.grad(enc.pooled_grad(feats, params, upstream))
+    assert np.array_equal(rows, want_rows)
+    assert np.array_equal(grads, want)
+    assert np.array_equal(pooled.sq_weights(), ref.sq_weights())
+    return rows
+
+
+class TestBitwiseMatchesCsr:
+    @pytest.mark.parametrize("case", sorted(BITWISE_CASES))
+    def test_cases(self, case):
+        id_lists, index = BITWISE_CASES[case]
+        rng = np.random.default_rng(11)
+        matrix = rng.normal(size=(12, 8)).astype(np.float32)
+        up = rng.normal(size=(len(index or id_lists), 8))
+        rows = check_bitwise(id_lists, index, matrix, _params(L_max=5), up)
+        if case == "never reads row 0":
+            # a pad must not pass its id 0 to the optimizer
+            assert 0 not in rows.tolist()
+
+    @given(seed=st.integers(0, 100_000), n_texts=st.integers(1, 9),
+           l_max=st.integers(1, 6), low=st.integers(0, 1),
+           take=st.booleans(), dtype=st.sampled_from([np.float32, np.float64]))
+    @settings(max_examples=60, deadline=None)
+    def test_random_batches(self, seed, n_texts, l_max, low, take, dtype):
+        rng = np.random.default_rng(seed)
+        matrix = rng.normal(size=(10, 8)).astype(dtype)
+        id_lists = [rng.integers(low, 10, size=rng.integers(1, 2 * l_max + 2)
+                                 ).tolist() for _ in range(n_texts)]
+        index = (rng.integers(0, n_texts, size=rng.integers(1, 2 * n_texts + 1)
+                              ).tolist() if take else None)
+        up = rng.normal(size=(len(index or id_lists), 8))
+        rows = check_bitwise(id_lists, index, matrix, _params(L_max=l_max), up)
+        if low:
+            assert 0 not in rows.tolist()
 
 
 class TestFrozenness:
