@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
-from dataclasses import dataclass, asdict, field
+from collections.abc import Iterable, Iterator
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -26,6 +28,9 @@ IMG_MAGIC = b"TEIRIMG1"
 # Each language draws its unique word forms from its own codepoint block
 # so that at overlap 0 the per-task vocabs share only byte tokens.
 _ALPHABET_BASES = [0x61, 0x3B1, 0x430, 0x5D0, 0x905, 0x10D0, 0x3041, 0x0E01]
+_MAX_ALPHABET = min(b - a for a, b in zip(sorted(_ALPHABET_BASES),
+                                          sorted(_ALPHABET_BASES)[1:]))
+_WORD_LENGTHS = range(4, 8)
 
 
 @dataclass(frozen=True)
@@ -44,17 +49,43 @@ class BenchConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if not 0.0 <= self.lexical_overlap <= 1.0:
-            raise InvalidInputError(
-                f"bench.lexical_overlap: {self.lexical_overlap} outside [0, 1]")
-        if self.concepts_per_image < 1:
-            raise InvalidInputError("bench.concepts_per_image: must be >= 1")
-        if self.n_concepts < self.concepts_per_image:
-            raise InvalidInputError(
-                "bench.n_concepts: fewer concepts than concepts_per_image")
+        """Raise InvalidInputError naming the first bad key."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int":
+                if not isinstance(value, int) or isinstance(value, bool):
+                    raise InvalidInputError(
+                        f"bench.{f.name}: {value!r} is not an integer")
+                if f.name != "seed" and value < 1:
+                    raise InvalidInputError(f"bench.{f.name}: must be >= 1")
+            elif (not isinstance(value, (int, float)) or isinstance(value, bool)
+                    or not math.isfinite(value)):
+                raise InvalidInputError(
+                    f"bench.{f.name}: {value!r} is not a finite number")
+        if not 0 <= self.seed < 2**64:
+            raise InvalidInputError(f"bench.seed: {self.seed} outside [0, 2^64)")
         if self.n_languages > len(_ALPHABET_BASES):
             raise InvalidInputError(
                 f"bench.n_languages: at most {len(_ALPHABET_BASES)} supported")
+        if self.n_concepts < self.concepts_per_image:
+            raise InvalidInputError(
+                "bench.n_concepts: fewer concepts than concepts_per_image")
+        if not 0.0 <= self.lexical_overlap <= 1.0:
+            raise InvalidInputError(
+                f"bench.lexical_overlap: {self.lexical_overlap} outside [0, 1]")
+        if self.sigma_img < 0:
+            raise InvalidInputError("bench.sigma_img: must be >= 0")
+        if self.alphabet_size > _MAX_ALPHABET:
+            raise InvalidInputError(
+                f"bench.alphabet_size: at most {_MAX_ALPHABET}, so that the "
+                "languages' codepoint blocks do not overlap")
+        n_words = self.n_concepts + self.function_words
+        n_forms = sum(self.alphabet_size ** n for n in _WORD_LENGTHS)
+        if n_forms < n_words:
+            raise InvalidInputError(
+                f"bench.alphabet_size: {self.alphabet_size} letters make "
+                f"{n_forms} words of length 4-7, fewer than the {n_words} "
+                "concept and function words")
 
 
 @dataclass(frozen=True)
@@ -66,21 +97,99 @@ class Split:
     foreign: list[str]
 
 
-def _sub_rng(seed: int, *names) -> np.random.Generator:
-    h = hashlib.sha256(("/".join(str(n) for n in names)).encode()).digest()
-    mix = int.from_bytes(h[:8], "little")
-    return np.random.default_rng(np.random.SeedSequence([seed, mix]))
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx) and
+# PCG64's 128-bit LCG multiplier.
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def _stream_mix(names) -> int:
+    h = hashlib.sha256("/".join(map(str, names)).encode()).digest()
+    return int.from_bytes(h[:8], "little")
+
+
+def _pcg64_states(seed: int, mixes) -> Iterator[dict]:
+    """The PCG64 state of `np.random.default_rng(np.random.SeedSequence(
+    [seed, mix]))` for every mix, from one pass of uint32 array arithmetic
+    over all of them. seed and each mix lie in [0, 2^64), so the entropy
+    (seed's 1 or 2 little-endian uint32 words, then mix's) is at most 4
+    words and fits SeedSequence's pool, whose missing words are hashed
+    as 0. Zero-padding the entropy to 4 words is therefore the same, and
+    it lets a mix below 2^32 keep its zero high word."""
+    mixes = np.asarray(mixes, dtype=np.uint64)
+    seed_words = [seed & _MASK32] + ([seed >> 32] if seed >> 32 else [])
+    entropy = np.zeros((_POOL_SIZE, len(mixes)), dtype=np.uint32)
+    entropy[:len(seed_words)] = np.array(seed_words, dtype=np.uint32)[:, None]
+    entropy[len(seed_words)] = mixes & _MASK32
+    entropy[len(seed_words) + 1] = mixes >> 32
+
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const
+        return value ^ (value >> 16)
+
+    pool = [hashmix(word) for word in entropy]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                value = pool[dst] * _MIX_MULT_L - hashmix(pool[src]) * _MIX_MULT_R
+                pool[dst] = value ^ (value >> 16)
+
+    # generate_state(4, np.uint64): 8 words cycling over the pool, paired
+    # little-endian into (seed high, seed low, inc high, inc low).
+    hash_const = _INIT_B
+    state = []
+    for i in range(2 * _POOL_SIZE):
+        value = pool[i % _POOL_SIZE] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const
+        state.append((value ^ (value >> 16)).astype(np.uint64))
+    words = [(state[2 * j] | state[2 * j + 1] << np.uint64(32)).tolist()
+             for j in range(4)]
+
+    # pcg64_set_seed: state 0, inc = seq << 1 | 1, step, add the seed, step.
+    for s_hi, s_lo, i_hi, i_lo in zip(*words):
+        inc = (((i_hi << 64 | i_lo) << 1) | 1) & _MASK128
+        pcg = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+        yield {"bit_generator": "PCG64", "state": {"state": pcg, "inc": inc},
+               "has_uint32": 0, "uinteger": 0}
+
+
+def _streams(seed: int, names: Iterable[tuple]) -> Iterator[np.random.Generator]:
+    """For each name tuple in turn, a Generator in the state that
+    `np.random.default_rng(np.random.SeedSequence([seed, mix]))` starts
+    in, where mix is the first 8 bytes (little-endian) of the sha256 of
+    the '/'-joined names. It is one Generator, re-seeded for each name,
+    so a stream is spent before the next is drawn."""
+    rng = np.random.Generator(np.random.PCG64(0))
+    mixes = np.fromiter(map(_stream_mix, names), dtype=np.uint64)
+    for state in _pcg64_states(seed, mixes):
+        rng.bit_generator.state = state
+        yield rng
+
+
+def _rng(seed: int, *names) -> np.random.Generator:
+    return next(_streams(seed, [names]))
 
 
 def _make_word(rng: np.random.Generator, alphabet: str) -> str:
-    length = int(rng.integers(4, 8))
+    length = int(rng.integers(_WORD_LENGTHS.start, _WORD_LENGTHS.stop))
     return "".join(alphabet[int(rng.integers(len(alphabet)))] for _ in range(length))
 
 
 def _make_lexicon(cfg: BenchConfig, lang: int) -> tuple[list[str], list[str]]:
     """Concept words and function words for one language."""
     alphabet = "".join(chr(_ALPHABET_BASES[lang] + i) for i in range(cfg.alphabet_size))
-    rng = _sub_rng(cfg.seed, "lexicon", lang)
+    rng = _rng(cfg.seed, "lexicon", lang)
     seen: set[str] = set()
     words = []
     for _ in range(cfg.n_concepts + cfg.function_words):
@@ -111,11 +220,11 @@ def gen_benchmark(cfg: BenchConfig, out_dir) -> None:
     cfg.validate()
     os.makedirs(out_dir, exist_ok=True)
 
-    proto_rng = _sub_rng(cfg.seed, "prototypes")
+    proto_rng = _rng(cfg.seed, "prototypes")
     prototypes = proto_rng.standard_normal((cfg.n_concepts, cfg.d_out))
 
     n_images = cfg.n_train + cfg.n_val + cfg.n_test
-    img_rng = _sub_rng(cfg.seed, "images")
+    img_rng = _rng(cfg.seed, "images")
     image_concepts = []
     features = np.empty((n_images, cfg.d_out), dtype=np.float64)
     for i in range(n_images):
@@ -133,59 +242,51 @@ def gen_benchmark(cfg: BenchConfig, out_dir) -> None:
         "test": range(cfg.n_train + cfg.n_val, n_images),
     }
 
-    lex0_concepts, _ = _make_lexicon(cfg, 0)
+    lex0_concepts, func0 = _make_lexicon(cfg, 0)
     n_shared = int(cfg.lexical_overlap * cfg.n_concepts)
 
-    lexicons = []
-    func_lexicons = []
-    for lang in range(cfg.n_languages):
+    lexicons = [lex0_concepts]
+    func_lexicons = [func0]
+    for lang in range(1, cfg.n_languages):
         concept_words, function_words = _make_lexicon(cfg, lang)
-        if lang > 0:
-            # Prefix of a rho-independent permutation: nested shared sets
-            # across overlap settings, so the dial is monotone by design.
-            # Reused forms are cross-lingual false friends: the shared
-            # subset is cyclically shifted, so a borrowed word form names
-            # a different concept than it does in language 0. This is the
-            # interference channel that makes shared tokens conflict.
-            rng = _sub_rng(cfg.seed, "overlap", lang)
-            perm = rng.permutation(cfg.n_concepts)
-            shared = [int(c) for c in perm[:n_shared]]
-            for k, c in enumerate(shared):
-                donor = shared[(k + 1) % len(shared)]
-                concept_words[c] = lex0_concepts[donor]
+        # Prefix of a rho-independent permutation: nested shared sets
+        # across overlap settings, so the dial is monotone by design.
+        # Reused forms are cross-lingual false friends: the shared
+        # subset is cyclically shifted, so a borrowed word form names
+        # a different concept than it does in language 0. This is the
+        # interference channel that makes shared tokens conflict.
+        rng = _rng(cfg.seed, "overlap", lang)
+        perm = rng.permutation(cfg.n_concepts)
+        shared = [int(c) for c in perm[:n_shared]]
+        for k, c in enumerate(shared):
+            donor = shared[(k + 1) % len(shared)]
+            concept_words[c] = lex0_concepts[donor]
         lexicons.append(concept_words)
         func_lexicons.append(function_words)
 
-    # Every language pairs an image with the same English caption; the
-    # splits cover the image indices in order, so english[img] is image
-    # img's caption.
-    english = [_caption(_sub_rng(cfg.seed, "captions", 0, split, img),
-                        [lex0_concepts[c] for c in image_concepts[img]],
-                        func_lexicons[0])
-               for split in SPLITS for img in split_ranges[split]]
+    def captions(lang: int) -> list[str]:
+        """Language lang's caption of every image, in image order (the
+        splits cover the image indices in order)."""
+        names = (("captions", lang, split, img)
+                 for split in SPLITS for img in split_ranges[split])
+        return [_caption(rng, [lexicons[lang][c] for c in concepts],
+                         func_lexicons[lang])
+                for concepts, rng in zip(image_concepts,
+                                         _streams(cfg.seed, names))]
 
+    # Every language pairs an image with the same English caption.
+    english = captions(0)
     for lang in range(cfg.n_languages):
+        foreign = english if lang == 0 else captions(lang)
         lang_dir = os.path.join(out_dir, f"L{lang}")
         os.makedirs(lang_dir, exist_ok=True)
-        corpus_lines = []
         for split in SPLITS:
-            lines = []
-            for img in split_ranges[split]:
-                concepts = image_concepts[img]
-                eng = english[img]
-                if lang == 0:
-                    fore = eng
-                else:
-                    fore = _caption(_sub_rng(cfg.seed, "captions", lang, split, img),
-                                    [lexicons[lang][c] for c in concepts],
-                                    func_lexicons[lang])
-                lines.append(f"{img}\t{eng}\t{fore}")
-                if split == "train":
-                    corpus_lines.append(fore)
+            lines = [f"{img}\t{english[img]}\t{foreign[img]}"
+                     for img in split_ranges[split]]
             write_atomic(os.path.join(lang_dir, f"{split}.tsv"),
                          ("\n".join(lines) + "\n").encode("utf-8"))
         write_atomic(os.path.join(lang_dir, "corpus.txt"),
-                     ("\n".join(corpus_lines) + "\n").encode("utf-8"))
+                     ("\n".join(foreign[:cfg.n_train]) + "\n").encode("utf-8"))
 
     manifest = {"format_version": FORMAT_VERSION, **asdict(cfg),
                 "splits": {s: len(split_ranges[s]) for s in SPLITS},

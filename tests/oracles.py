@@ -3,7 +3,8 @@ against: the per-caption text encoder and its adjoint, the scipy CSR
 pooling whose summation order the padded batch keeps, the row-by-row
 optimizer step with per-row moment dicts, Recall@K by a stable argsort
 of every similarity row, the full-recount BPE trainer, the rule-by-rule
-BPE encoder, and a plain hash of a matrix's bytes."""
+BPE encoder, a plain hash of a matrix's bytes, and one SeedSequence per
+named random stream of the benchmark generator."""
 
 import hashlib
 from collections import Counter
@@ -200,3 +201,12 @@ def encode_reference(text: bytes, scope) -> list[int]:
 
 def matrix_hash(matrix: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(matrix).tobytes()).hexdigest()
+
+
+def sub_rng(seed: int, *names) -> np.random.Generator:
+    """The benchmark generator's stream `names`: a SeedSequence of the
+    seed and the first 8 bytes (little-endian) of the sha256 of the
+    '/'-joined names."""
+    h = hashlib.sha256(("/".join(str(n) for n in names)).encode()).digest()
+    mix = int.from_bytes(h[:8], "little")
+    return np.random.default_rng(np.random.SeedSequence([seed, mix]))

@@ -6,7 +6,9 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import oracles
 from lexcl import bench, bpe, vocab
 from lexcl.embeddings import write_matrix
 from lexcl.errors import (DanglingReferenceError, DatasetFormatError,
@@ -55,6 +57,12 @@ class TestGenerate:
         (tiny_cfg(n_concepts=40, n_languages=5, n_train=30, n_val=8, n_test=8,
                   concepts_per_image=2, d_out=4, lexical_overlap=0.25, seed=3),
          "f81f6ba9c03c36e885a59dac99df4cd8396ce6e55c68b5a0598d5eba99d5c3d0"),
+        (bench.BenchConfig(),
+         "db7be470b7df813c4a3ca66e5f12838413a43aac89ac4cc20118e0bb8b81d472"),
+        (tiny_cfg(seed=2**32 + 7),  # a seed of two 32-bit words
+         "def3fe92d95893d2d0d0fec7cc35a378200bf6a0a6e092b974b4cd82fc65e4a5"),
+        (tiny_cfg(seed=2**64 - 1),
+         "cb6556dc8a35f2a281be0fabc37402d4c90f790850a021ee713e38e5a0ce3553"),
     ])
     def test_output_matches_golden_digest(self, tmp_path, cfg, digest):
         """The generated bytes are pinned, so a change to the generator
@@ -144,6 +152,80 @@ class TestGenerate:
             tiny_cfg(n_concepts=2, concepts_per_image=3).validate()
         with pytest.raises(InvalidInputError):
             tiny_cfg(n_languages=99).validate()
+
+    @pytest.mark.parametrize("kw", [
+        dict(alphabet_size=1),
+        dict(alphabet_size=2),
+        # 3 letters make 81 + 243 + 729 + 2187 = 3240 words
+        dict(alphabet_size=3, n_concepts=3235, function_words=6),
+    ])
+    def test_alphabet_too_small_for_the_lexicon(self, kw):
+        """Checked before generation, where drawing distinct words from
+        too few forms would never end."""
+        with pytest.raises(InvalidInputError, match="bench.alphabet_size"):
+            bench.BenchConfig(**kw).validate()
+
+    def test_alphabet_just_large_enough(self):
+        bench.BenchConfig(alphabet_size=3, n_concepts=3234,
+                          function_words=6).validate()
+
+
+_SEEDS = st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1]),
+                   st.integers(0, 2**64 - 1))
+_MIXES = st.lists(st.one_of(st.just(0), st.integers(0, 2**32 - 1),
+                            st.integers(0, 2**64 - 1)), min_size=1, max_size=8)
+
+
+def _first_draws(rng):
+    words = list(range(7))
+    rng.shuffle(words)
+    return rng.integers(1000, size=4).tolist(), words, rng.random(3).tolist()
+
+
+class TestStreams:
+    @given(seed=_SEEDS, mixes=_MIXES)
+    @settings(max_examples=200, deadline=None)
+    @example(seed=0, mixes=[0])
+    @example(seed=2**64 - 1, mixes=[2**64 - 1, 2**32, 2**32 - 1, 0])
+    def test_batched_seeding_matches_seed_sequence(self, seed, mixes):
+        states = list(bench._pcg64_states(seed, mixes))
+        assert len(states) == len(mixes)
+        for mix, state in zip(mixes, states):
+            ref = np.random.default_rng(np.random.SeedSequence([seed, mix]))
+            assert state == ref.bit_generator.state
+            rng = np.random.Generator(np.random.PCG64())
+            rng.bit_generator.state = state
+            assert _first_draws(rng) == _first_draws(ref)
+
+    def test_streams_match_one_seed_sequence_each(self):
+        names = [("captions", lang, split, img) for lang in (0, 3)
+                 for split in bench.SPLITS for img in (0, 1, 250)]
+        names += [("prototypes",), ("lexicon", 2)]
+        for seed in (0, 7, 2**32 + 7):
+            for n, rng in zip(names, bench._streams(seed, names), strict=True):
+                assert _first_draws(rng) == _first_draws(
+                    oracles.sub_rng(seed, *n))
+
+    def test_seeding_cost_does_not_grow_with_the_captions(self, tmp_path,
+                                                          monkeypatch):
+        counts = {}
+
+        def counting(name):
+            real = getattr(np.random, name)
+
+            def make(*args, **kwargs):
+                counts[name] = counts.get(name, 0) + 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(np.random, name, make)
+
+        counting("SeedSequence")
+        counting("PCG64")
+        seen = []
+        for n_train in (20, 200):
+            counts.clear()
+            bench.gen_benchmark(tiny_cfg(n_train=n_train), tmp_path / str(n_train))
+            seen.append(dict(counts))
+        assert seen[0] == seen[1]
 
 
 class TestLoad:

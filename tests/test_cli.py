@@ -77,6 +77,33 @@ class TestGenData:
             workdir / "data", d2, names, shallow=False)
         assert not mismatch and not errors
 
+    @pytest.mark.parametrize("line", [
+        "bench.n_concepts = 1",  # fewer than concepts_per_image
+        "bench.n_languages = 0",
+        "bench.n_languages = 9",
+        "bench.n_train = 0",
+        "bench.n_val = on",
+        "bench.n_test = -3",
+        "bench.concepts_per_image = 0",
+        "bench.d_out = 0",
+        "bench.lexical_overlap = high",
+        "bench.alphabet_size = 0",
+        "bench.alphabet_size = 128",
+        "bench.function_words = 0",
+        "bench.sigma_img = -1",
+        "bench.seed = -1",
+        "bench.seed = 1e3",
+        "bench.seed = 18446744073709551616",
+    ])
+    def test_bad_config_fails_fast(self, tmp_path, line, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(TINY_BENCH + line + "\n")
+        out = tmp_path / "d"
+        assert main(["gen-data", "--config", str(cfg),
+                     "--out", str(out)]) == EXIT_USAGE
+        assert line.split(" = ")[0] in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_out_flag(self):
         assert main(["gen-data"]) == EXIT_USAGE
 
