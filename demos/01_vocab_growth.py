@@ -1,8 +1,9 @@
 """Walk through the tokenizer and vocabulary machinery.
 
 Trains a tiny BPE vocab per "language", union-merges them into one
-evolving vocabulary, and shows the old/overlap/new partition plus the
-per-token update coefficients that fall out of it.
+evolving vocabulary, and shows the per-token update coefficients (λ)
+that each merge returns, plus the old/overlap/new partition they imply:
+old ids get λ = 0, overlap ids 1/(c+1) and new ids 1.
 """
 
 import numpy as np
@@ -17,7 +18,6 @@ corpora = {
 }
 
 state = vocab.new_state()
-counts = np.zeros(0, dtype=np.int64)
 
 for t, (name, corpus) in enumerate(corpora.items()):
     tv = bpe.train_bpe(corpus, target_size=280, task_index=t)
@@ -26,18 +26,15 @@ for t, (name, corpus) in enumerate(corpora.items()):
     print(f"task vocab: 256 bytes + {len(tv.rules)} merges")
     print(f"first merges: {merges[:8]}")
 
-    state, part = vocab.merge_vocab(state, tv)
+    before = state.size
+    state, lam = vocab.merge_vocab(state, tv)
+    n_overlap = np.count_nonzero(lam[:before])
     print(f"union vocab size: {state.size}")
-    print(f"partition: old={len(part.old)} overlap={len(part.overlap)} "
-          f"new={len(part.new)}")
+    print(f"partition: old={before - n_overlap} overlap={n_overlap} "
+          f"new={state.size - before}")
 
-    padded = np.zeros(state.size, dtype=np.int64)
-    padded[: len(counts)] = counts
-    lam = vocab.lambda_for(part, padded)
     values, freq = np.unique(lam, return_counts=True)
     print("lambda values:", {float(v): int(c) for v, c in zip(values, freq)})
-
-    counts = vocab.update_counts(counts, tv, state)
 
 sample = b"the cat sat"
 ids = state.global_ids(sample, 0)

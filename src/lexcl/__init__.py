@@ -13,8 +13,7 @@ from .losses import FeatureBatch, LossConfig, cl_loss, cm_loss, total_loss
 from .metrics import (EvalMatrix, average_recall, fisher_and_loss, forgetting,
                       recall_at_k, ted_histogram)
 from .optim import OptimConfig, OptimState, lr_at, step
-from .vocab import (Partition, VocabState, lambda_for, merge_vocab,
-                    new_state, update_counts)
+from .vocab import VocabState, merge_vocab, new_state
 from .bench import BenchConfig, Split, gen_benchmark, load_dataset, load_images
 
 __version__ = "0.1.0"

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass, fields
@@ -19,7 +18,7 @@ import numpy as np
 
 from .embeddings import read_matrix, write_atomic, write_matrix
 from .errors import (DanglingReferenceError, DatasetFormatError,
-                     InvalidInputError)
+                     InvalidInputError, check_field_types)
 
 FORMAT_VERSION = 1
 SPLITS = ("train", "val", "test")
@@ -50,18 +49,10 @@ class BenchConfig:
 
     def validate(self) -> None:
         """Raise InvalidInputError naming the first bad key."""
+        check_field_types(self, {f.name: f"bench.{f.name}" for f in fields(self)})
         for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type == "int":
-                if not isinstance(value, int) or isinstance(value, bool):
-                    raise InvalidInputError(
-                        f"bench.{f.name}: {value!r} is not an integer")
-                if f.name != "seed" and value < 1:
-                    raise InvalidInputError(f"bench.{f.name}: must be >= 1")
-            elif (not isinstance(value, (int, float)) or isinstance(value, bool)
-                    or not math.isfinite(value)):
-                raise InvalidInputError(
-                    f"bench.{f.name}: {value!r} is not a finite number")
+            if f.type == "int" and f.name != "seed" and getattr(self, f.name) < 1:
+                raise InvalidInputError(f"bench.{f.name}: must be >= 1")
         if not 0 <= self.seed < 2**64:
             raise InvalidInputError(f"bench.seed: {self.seed} outside [0, 2^64)")
         if self.n_languages > len(_ALPHABET_BASES):

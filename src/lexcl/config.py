@@ -7,11 +7,12 @@ run persists the effective merged config."""
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 
 from .bench import BenchConfig
 from .embeddings import write_atomic
 from .errors import InvalidInputError
-from .harness import RunConfig
+from .harness import RUN_KEYS, RunConfig
 from .losses import LossConfig
 
 _BOOL = {"true": True, "on": True, "yes": True,
@@ -64,44 +65,6 @@ def dump_config(cfg: dict, path) -> None:
     write_atomic(path, text.encode())
 
 
-_BENCH_KEYS = {
-    "bench.n_concepts": "n_concepts",
-    "bench.n_languages": "n_languages",
-    "bench.n_train": "n_train",
-    "bench.n_val": "n_val",
-    "bench.n_test": "n_test",
-    "bench.concepts_per_image": "concepts_per_image",
-    "bench.d_out": "d_out",
-    "bench.lexical_overlap": "lexical_overlap",
-    "bench.alphabet_size": "alphabet_size",
-    "bench.function_words": "function_words",
-    "bench.sigma_img": "sigma_img",
-    "bench.seed": "seed",
-}
-
-_RUN_KEYS = {
-    "loss.tau": "loss.tau",
-    "loss.gamma_cm": "loss.gamma_cm",
-    "loss.gamma_cl": "loss.gamma_cl",
-    "optim.kind": "optim_kind",
-    "optim.lr": "lr_peak",
-    "optim.weight_decay": "weight_decay",
-    "optim.warmup_fraction": "warmup_fraction",
-    "vocab.size_per_task": "vocab_size_per_task",
-    "model.dim": "dim",
-    "model.d_out": "d_out",
-    "model.l_max": "l_max",
-    "model.encoder_seed": "encoder_seed",
-    "train.epochs": "epochs",
-    "train.batch_size": "batch_size",
-    "run.teir_init": "teir_init",
-    "run.teir_reg": "teir_reg",
-    "run.oracle_vocab": "oracle_vocab",
-    "run.mode": "mode",
-    "run.seed": "seed",
-}
-
-
 def _check_known(cfg: dict, known: dict, prefixes: tuple[str, ...]) -> None:
     for key in cfg:
         if key.startswith(prefixes) and key not in known:
@@ -109,19 +72,20 @@ def _check_known(cfg: dict, known: dict, prefixes: tuple[str, ...]) -> None:
 
 
 def bench_config(cfg: dict) -> BenchConfig:
-    _check_known(cfg, _BENCH_KEYS, ("bench.",))
-    kwargs = {attr: cfg[key] for key, attr in _BENCH_KEYS.items() if key in cfg}
-    bc = BenchConfig(**kwargs)
+    known = {f"bench.{f.name}": f.name for f in fields(BenchConfig)}
+    _check_known(cfg, known, ("bench.",))
+    bc = BenchConfig(**{attr: cfg[key] for key, attr in known.items()
+                        if key in cfg})
     bc.validate()
     return bc
 
 
 def run_config(cfg: dict, data_dir: str, out_dir: str) -> RunConfig:
-    _check_known(cfg, _RUN_KEYS,
+    _check_known(cfg, RUN_KEYS,
                  ("loss.", "optim.", "vocab.", "model.", "train.", "run."))
     loss_kwargs = {}
     run_kwargs = {}
-    for key, attr in _RUN_KEYS.items():
+    for key, attr in RUN_KEYS.items():
         if key not in cfg:
             continue
         if attr.startswith("loss."):

@@ -1,4 +1,8 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the type check of
+config dataclasses whose errors name the config key."""
+
+import math
+from dataclasses import fields
 
 
 class LexclError(Exception):
@@ -59,3 +63,27 @@ class DatasetFormatError(DatasetError):
 
 class DanglingReferenceError(DatasetError):
     """A dataset record points at a nonexistent image."""
+
+
+_TYPE_NAMES = {"int": "an integer", "float": "a finite number",
+               "bool": "on or off"}
+
+
+def check_field_types(cfg, key_of: dict[str, str]) -> None:
+    """Raise InvalidInputError naming the config key of the first field of
+    dataclass `cfg` in `key_of` (name -> key) not of its declared type. A
+    bool is neither an int nor a float, and a float must be finite."""
+    for f in fields(cfg):
+        if f.name not in key_of or f.type not in _TYPE_NAMES:
+            continue
+        value = getattr(cfg, f.name)
+        if f.type == "bool":
+            ok = isinstance(value, bool)
+        elif f.type == "int":
+            ok = isinstance(value, int) and not isinstance(value, bool)
+        else:
+            ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+                  and math.isfinite(value))
+        if not ok:
+            raise InvalidInputError(
+                f"{key_of[f.name]}: {value!r} is not {_TYPE_NAMES[f.type]}")

@@ -22,7 +22,7 @@ from .embeddings import (EmbeddingTable, dist_stats, expand, fixed_policy,
                          write_atomic, write_csv)
 from .encoders import (encode_text, encode_text_grad, make_text_params,
                        pooling, text_features)
-from .errors import InvalidInputError, NumericError
+from .errors import InvalidInputError, NumericError, check_field_types
 from .losses import FeatureBatch, LossConfig, total_loss
 from .metrics import (EvalMatrix, average_recall, fisher_and_loss, forgetting,
                       paired_recall, score_row)
@@ -31,6 +31,29 @@ from .optim import OptimConfig, OptimState, step as optim_step
 # Optimiser of the first step, which trains the anchor from the fixed
 # init; every later step uses the configured one.
 PRETRAIN_OPTIM = {"kind": "adamw", "lr_peak": 0.03}
+
+# Config-file key -> RunConfig field; a loss.* key names a LossConfig field.
+RUN_KEYS = {
+    "loss.tau": "loss.tau",
+    "loss.gamma_cm": "loss.gamma_cm",
+    "loss.gamma_cl": "loss.gamma_cl",
+    "optim.kind": "optim_kind",
+    "optim.lr": "lr_peak",
+    "optim.weight_decay": "weight_decay",
+    "optim.warmup_fraction": "warmup_fraction",
+    "vocab.size_per_task": "vocab_size_per_task",
+    "model.dim": "dim",
+    "model.d_out": "d_out",
+    "model.l_max": "l_max",
+    "model.encoder_seed": "encoder_seed",
+    "train.epochs": "epochs",
+    "train.batch_size": "batch_size",
+    "run.teir_init": "teir_init",
+    "run.teir_reg": "teir_reg",
+    "run.oracle_vocab": "oracle_vocab",
+    "run.mode": "mode",
+    "run.seed": "seed",
+}
 
 
 @dataclass(frozen=True)
@@ -56,18 +79,17 @@ class RunConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.epochs < 1:
-            raise InvalidInputError("run.epochs: must be >= 1")
-        if self.batch_size < 2:
-            raise InvalidInputError("run.batch_size: must be >= 2")
+        """Raise InvalidInputError naming the first bad config key."""
+        key_of = {attr: key for key, attr in RUN_KEYS.items()}
+        check_field_types(self, key_of)
+        for name, least in (("epochs", 1), ("batch_size", 2),
+                            ("vocab_size_per_task", bpe.N_BYTES + 1),
+                            ("dim", 1), ("d_out", 1), ("l_max", 1),
+                            ("encoder_seed", 0)):
+            if getattr(self, name) < least:
+                raise InvalidInputError(f"{key_of[name]}: must be >= {least}")
         if self.mode not in ("continual", "joint"):
             raise InvalidInputError(f"run.mode: unknown mode {self.mode!r}")
-        if self.vocab_size_per_task < bpe.N_BYTES + 1:
-            raise InvalidInputError(
-                f"vocab.size_per_task: must be >= {bpe.N_BYTES + 1}")
-        for name in ("dim", "d_out", "l_max"):
-            if getattr(self, name) < 1:
-                raise InvalidInputError(f"model.{name}: must be >= 1")
         self.optim_config(total_steps=1)
 
     def optim_config(self, total_steps: int, **override) -> OptimConfig:
@@ -144,11 +166,10 @@ class Runner:
         self.params = make_text_params(cfg.dim, cfg.d_out, cfg.l_max,
                                        cfg.encoder_seed)
         self.state = vocab_mod.new_state()
-        self.counts = np.zeros(0, dtype=np.int64)
         self.table: EmbeddingTable | None = None
         self.anchor = None
         self.eval_matrix = EvalMatrix()
-        self.registry = vocab_mod.RegistryManifest()
+        self.registry: list[dict] = []
         self.checkpoint_paths: list[str] = []
         self.dist_rows: list[dict] = []
         self.loss_rows: list[dict] = []
@@ -273,9 +294,15 @@ class Runner:
         tv = self._task_vocab(row)
         vocab_before = self.state.size
         pre_stats = None if self.table is None else dist_stats(self.table)
-        self.state, part = vocab_mod.merge_vocab(self.state, tv)
+        self.state, lam = vocab_mod.merge_vocab(self.state, tv)
         self._tokenize()
         n_new = self.state.size - vocab_before
+        n_overlap = int(np.count_nonzero(lam[:vocab_before]))
+        self.registry.append({
+            "task_index": row, "vocab_before": vocab_before,
+            "vocab_after": self.state.size,
+            "n_old": vocab_before - n_overlap, "n_overlap": n_overlap,
+            "n_new": n_new, "counts": self.state.counts.tolist()})
 
         ks = float("nan")
         if pre_stats is None:
@@ -289,18 +316,12 @@ class Runner:
                 ks = ks_statistic(self.table.matrix[vocab_before:],
                                   pre_stats.mu, pre_stats.sigma)
 
-        counts_ext = np.zeros(self.state.size, dtype=np.int64)
-        counts_ext[: len(self.counts)] = self.counts
-        lam = (vocab_mod.lambda_for(part, counts_ext) if cfg.teir_reg
-               else np.ones(self.state.size))
-
         # the joint step's shuffle seeds are named "joint": its pinned
         # checkpoints depend on that name
-        self._train_epochs(row if train == [row] else "joint", train, lam)
+        self._train_epochs(row if train == [row] else "joint", train,
+                           lam if cfg.teir_reg else np.ones(self.state.size))
         if self.anchor is None:
             self.anchor = snapshot_anchor(self.table)
-        self.counts = vocab_mod.update_counts(self.counts, tv, self.state)
-        self.registry.add(row, vocab_before, self.state.size, part, self.counts)
         s = dist_stats(self.table)
         self.dist_rows.append({"task": row, "mu": s.mu, "sigma": s.sigma,
                                "ks_stat": ks})
@@ -345,7 +366,7 @@ class Runner:
             final_losses.append(loss)
 
         self.eval_matrix.save_csv(os.path.join(out, "eval_matrix.csv"))
-        self.registry.save(os.path.join(out, "registry_manifest.json"))
+        _write_json(os.path.join(out, "registry_manifest.json"), self.registry)
         diag_dir = os.path.join(out, "diagnostics")
         _write_csv(os.path.join(diag_dir, "dist_stats.csv"),
                    ["task", "mu", "sigma", "ks_stat"], self.dist_rows)
@@ -379,6 +400,10 @@ class Runner:
 def run_sequence(cfg: RunConfig) -> RunArtifacts:
     """Execute a full run per the configured mode and return artifacts."""
     return Runner(cfg).run()
+
+
+def _write_json(path, obj) -> None:
+    write_atomic(path, json.dumps(obj, indent=1).encode())
 
 
 def _write_csv(path, header, rows) -> None:

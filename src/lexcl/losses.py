@@ -7,11 +7,11 @@ Each takes one batch of K x d features, or a stack of such batches
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DegenerateFeatureError, InvalidInputError
+from .errors import DegenerateFeatureError, InvalidInputError, check_field_types
 
 
 @dataclass(frozen=True)
@@ -21,6 +21,7 @@ class LossConfig:
     gamma_cl: float = 1.0
 
     def __post_init__(self):
+        check_field_types(self, {f.name: f"loss.{f.name}" for f in fields(self)})
         if not 0 < self.tau < np.inf:
             raise InvalidInputError("loss.tau: must be positive and finite")
 

@@ -56,8 +56,13 @@ class EvalMatrix:
             header = next(r)
             if header != ["j", "i", "direction", "recall1"]:
                 raise InvalidInputError(f"{path}: unexpected header {header}")
-            for j, i, d, v in r:
-                out.set(int(j), int(i), d, float(v))
+            for row in r:
+                try:
+                    j, i, d, v = row
+                    out.set(int(j), int(i), d, float(v))
+                except (ValueError, InvalidInputError) as e:
+                    raise InvalidInputError(
+                        f"{path}:{r.line_num}: {e}") from None
         return out
 
 

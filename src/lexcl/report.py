@@ -150,10 +150,10 @@ def write_report(run_dir, out_dir) -> list[str]:
     matrix_path = os.path.join(run_dir, "eval_matrix.csv")
     if not os.path.exists(matrix_path):
         raise InvalidInputError(f"{run_dir}: missing eval_matrix.csv")
+    matrix = EvalMatrix.load_csv(matrix_path)
     os.makedirs(out_dir, exist_ok=True)
     written = [os.path.join(out_dir, "ar_f.csv")]
-    ar_series = write_ar_f(EvalMatrix.load_csv(matrix_path), cfg["mode"],
-                           written[0])
+    ar_series = write_ar_f(matrix, cfg["mode"], written[0])
 
     diag_dir = os.path.join(run_dir, "diagnostics")
     for src in [matrix_path] + [os.path.join(diag_dir, name) for name in (

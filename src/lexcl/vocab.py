@@ -1,18 +1,14 @@
-"""Union vocabulary across tasks: stable global ids, old/overlap/new
-partition, per-token task-presence counts and the update-scaling
-coefficients derived from them, plus flat (CSR) token arrays of many
-texts at once."""
+"""Union vocabulary across tasks: stable global ids, per-token
+task-presence counts and the update-scaling coefficients (λ) derived
+from them, plus flat (CSR) token arrays of many texts at once."""
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bpe import TaskVocab, _byte_tokens, encode
-from .embeddings import write_atomic
-from .errors import InvalidInputError
 
 
 @dataclass(frozen=True)
@@ -45,11 +41,13 @@ class TokenArrays:
 
 @dataclass
 class VocabState:
-    """Evolving union vocabulary. Ids are append-only and never reused."""
+    """Evolving union vocabulary. Ids are append-only and never reused;
+    counts[j] is the number of merged task vocabs that hold token j."""
 
     tokens: list[bytes]
     id_of: dict[bytes, int]
     task_vocabs: list[TaskVocab]
+    counts: np.ndarray  # int64, one per id
 
     @property
     def size(self) -> int:
@@ -78,99 +76,37 @@ class VocabState:
         return TokenArrays.from_rows(rows)
 
 
-@dataclass(frozen=True)
-class Partition:
-    old: frozenset[int]
-    overlap: frozenset[int]
-    new: frozenset[int]
-
-
 def new_state() -> VocabState:
     tokens = _byte_tokens()
     return VocabState(tokens=tokens,
                       id_of={t: i for i, t in enumerate(tokens)},
-                      task_vocabs=[])
+                      task_vocabs=[],
+                      counts=np.zeros(len(tokens), dtype=np.int64))
 
 
 def merge_vocab(state: VocabState, task_vocab: TaskVocab):
     """Union-merge a task vocabulary into the state.
 
     New tokens get fresh consecutive ids in task-vocab order; existing
-    tokens keep their ids. Returns (updated state, partition of the
-    post-merge id set into old / overlap / new).
+    tokens keep their ids. Returns (updated state, λ): the update scale
+    of every post-merge id, 1/(c+1) for an id of the task vocab that c
+    earlier task vocabs held (so 1 for a new token) and 0 for an id the
+    task vocab lacks. The counts go up by one per task-vocab entry.
     """
     tokens = list(state.tokens)
     id_of = dict(state.id_of)
-    prev_ids = frozenset(id_of.values())
-    task_ids = set()
+    task_ids = []
     for tok in task_vocab.tokens:
         gid = id_of.get(tok)
         if gid is None:
-            gid = len(tokens)
+            gid = id_of[tok] = len(tokens)
             tokens.append(tok)
-            id_of[tok] = gid
-        task_ids.add(gid)
-    new_state_ = VocabState(tokens=tokens, id_of=id_of,
-                            task_vocabs=state.task_vocabs + [task_vocab])
-    part = Partition(old=frozenset(prev_ids - task_ids),
-                     overlap=frozenset(prev_ids & task_ids),
-                     new=frozenset(task_ids - prev_ids))
-    return new_state_, part
-
-
-def update_counts(counts: np.ndarray, task_vocab: TaskVocab,
-                  state: VocabState) -> np.ndarray:
-    """Bump the task-presence count of every token in the task vocab.
-
-    Called once after finishing training on a task; ids not yet covered
-    by the counts vector enter at zero and are bumped to one.
-    """
-    out = np.zeros(state.size, dtype=np.int64)
-    out[: len(counts)] = counts
-    for tok in task_vocab.tokens:
-        out[state.id_of[tok]] += 1
-    return out
-
-
-def lambda_for(partition: Partition, counts: np.ndarray) -> np.ndarray:
-    """Per-token update scale: 0 for old, 1/(c+1) for overlap, 1 for new."""
-    all_ids = partition.old | partition.overlap | partition.new
-    if all_ids and max(all_ids) >= len(counts):
-        raise InvalidInputError(
-            "lambda_for: counts vector does not cover all partition ids")
-    lam = np.zeros(len(counts), dtype=np.float64)
-    overlap = np.fromiter(partition.overlap, dtype=np.int64,
-                          count=len(partition.overlap))
-    new = np.fromiter(partition.new, dtype=np.int64, count=len(partition.new))
-    if overlap.size:
-        lam[overlap] = 1.0 / (counts[overlap] + 1.0)
-    if new.size:
-        lam[new] = 1.0
-    return lam
-
-
-@dataclass
-class RegistryRecord:
-    task_index: int
-    vocab_before: int
-    vocab_after: int
-    n_old: int
-    n_overlap: int
-    n_new: int
-    counts: list[int]
-
-
-@dataclass
-class RegistryManifest:
-    records: list[RegistryRecord] = field(default_factory=list)
-
-    def add(self, task_index, vocab_before, vocab_after, part: Partition,
-            counts: np.ndarray) -> None:
-        self.records.append(RegistryRecord(
-            task_index, vocab_before, vocab_after,
-            len(part.old), len(part.overlap), len(part.new),
-            [int(c) for c in counts]))
-
-    def save(self, path) -> None:
-        write_atomic(path, json.dumps([vars(r) for r in self.records],
-                                      indent=1).encode())
+        task_ids.append(gid)
+    counts = np.zeros(len(tokens), dtype=np.int64)
+    counts[: len(state.counts)] = state.counts
+    lam = np.zeros(len(tokens), dtype=np.float64)
+    lam[task_ids] = 1.0 / (counts[task_ids] + 1.0)
+    np.add.at(counts, task_ids, 1)
+    return VocabState(tokens=tokens, id_of=id_of,
+                      task_vocabs=state.task_vocabs + [task_vocab],
+                      counts=counts), lam

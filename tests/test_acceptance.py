@@ -87,20 +87,20 @@ def test_criterion_3_lambda_semantics():
     for trial in range(20):
         words = [f"w{i}" for i in range(10)]
         state = vocab.new_state()
-        counts = np.zeros(0, dtype=np.int64)
         kind = ("sgd", "adamw")[trial % 2]
         table = None
         for t in range(int(rng.integers(2, 5))):
             corpus = [" ".join(rng.choice(words, size=5, replace=False))] * 3
             tv = bpe.train_bpe(corpus, 270, t)
-            state, part = vocab.merge_vocab(state, tv)
-            padded = np.zeros(state.size, dtype=np.int64)
-            padded[: len(counts)] = counts
-            lam = vocab.lambda_for(part, padded)
-            # overlap values exact
-            for j in part.overlap:
-                if lam[j] != 1.0 / (padded[j] + 1.0):
-                    ok, detail = False, f"overlap lambda wrong at id {j}"
+            counts = state.counts
+            state, lam = vocab.merge_vocab(state, tv)
+            # overlap values exact, new tokens 1, the rest 0
+            task_ids = {state.id_of[tok] for tok in tv.tokens}
+            for j in range(state.size):
+                want = (0.0 if j not in task_ids else
+                        1.0 / (counts[j] + 1.0) if j < len(counts) else 1.0)
+                if lam[j] != want:
+                    ok, detail = False, f"lambda wrong at id {j}"
             if table is None or table.row_count < state.size:
                 grow = state.size - (0 if table is None else table.row_count)
                 table = (init_table(state.size, 4, fixed_policy(0, 0.5), t)
@@ -121,7 +121,6 @@ def test_criterion_3_lambda_semantics():
                     ok, detail = False, f"lambda=0 row {j} changed"
                 if lam[j] == 1.0 and table.matrix[j].tobytes() != ref.matrix[j].tobytes():
                     ok, detail = False, f"lambda=1 row {j} differs from reference"
-            counts = vocab.update_counts(counts, tv, state)
     report("criterion 3: lambda semantics (Eq. 5-6)", ok, detail)
 
 

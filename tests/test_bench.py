@@ -109,9 +109,11 @@ class TestGenerate:
         st = vocab.new_state()
         st, _ = vocab.merge_vocab(
             st, bpe.train_bpe(bench.load_corpus(tmp_path, "L0"), 300, 0))
-        st, part = vocab.merge_vocab(
+        before = st.size
+        st, lam = vocab.merge_vocab(
             st, bpe.train_bpe(bench.load_corpus(tmp_path, "L1"), 300, 1))
-        assert part.overlap == frozenset(range(256))
+        # overlap: the ids before the merge that L1's vocab holds (λ > 0)
+        assert np.flatnonzero(lam[:before]).tolist() == list(range(256))
 
     def test_full_overlap_words_shared(self, tmp_path):
         bench.gen_benchmark(tiny_cfg(lexical_overlap=1.0), tmp_path)
@@ -132,10 +134,11 @@ class TestGenerate:
             st, _ = vocab.merge_vocab(
                 st, bpe.train_bpe(bench.load_corpus(d, "L0"), 320, 0))
             tv1 = bpe.train_bpe(bench.load_corpus(d, "L1"), 320, 1)
-            st, part = vocab.merge_vocab(st, tv1)
-            non_byte = [i for i in part.overlap if i >= 256]
+            before = st.size
+            st, lam = vocab.merge_vocab(st, tv1)
+            non_byte = np.count_nonzero(lam[256:before])
             denom = tv1.size - 256
-            fractions.append(len(non_byte) / denom)
+            fractions.append(non_byte / denom)
         assert fractions == sorted(fractions)
         assert fractions[0] == 0.0 and fractions[-1] > fractions[0]
 

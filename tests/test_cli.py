@@ -140,6 +140,18 @@ class TestTrain:
         "optim.lr = -1",
         "optim.warmup_fraction = 1.5",
         "optim.weight_decay = -0.1",
+        "optim.lr = high",
+        "loss.tau = high",
+        "loss.gamma_cm = on",
+        "train.epochs = 0",
+        "train.epochs = 1.5",
+        "train.batch_size = 1",
+        "run.seed = 0.5",
+        "model.dim = 8.0",
+        "model.encoder_seed = 1e3",
+        "model.encoder_seed = -1",
+        "run.teir_init = 3",
+        "run.oracle_vocab = 0",
     ])
     def test_bad_config_fails_fast(self, workdir, tmp_path, line, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -222,6 +234,27 @@ class TestEvalAndReport:
             assert (out / name).exists(), name
         svg = [p for p in os.listdir(out) if p.endswith(".svg")]
         assert svg
+
+    @pytest.mark.parametrize("command", ["eval", "report"])
+    @pytest.mark.parametrize("row, bad", [
+        ("0,0,img2txt", "a short row"),
+        ("0,0,img2txt,high", "a non-numeric recall"),
+        ("zero,0,img2txt,50.0", "a non-numeric row index"),
+    ])
+    def test_damaged_eval_matrix_fails_naming_the_line(
+            self, workdir, tmp_path, capsys, command, row, bad):
+        run = tmp_path / "run"
+        shutil.copytree(workdir / "run", run)
+        path = run / "eval_matrix.csv"
+        lines = path.read_text().splitlines()
+        lines[2] = row
+        path.write_text("\n".join(lines) + "\n")
+        args = (["eval", "--run", str(run), "--data", str(workdir / "data")]
+                if command == "eval" else
+                ["report", "--run", str(run), "--out", str(tmp_path / "rep")])
+        assert main(args) == EXIT_USAGE, bad
+        assert f"{path}:3" in capsys.readouterr().err
+        assert not (tmp_path / "rep").exists()
 
     def test_report_on_empty_dir(self, tmp_path):
         code = main(["report", "--run", str(tmp_path / "empty"),

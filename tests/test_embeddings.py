@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats as sps
 
 import oracles
-from lexcl import bpe, config, embeddings as emb, harness, report, vocab
+from lexcl import bpe, config, embeddings as emb, harness, report
 from lexcl.errors import (CheckpointFormatError, CheckpointTruncatedError,
                           DimensionMismatchError, InvalidInputError, StateError,
                           VocabMismatchError)
@@ -317,8 +317,8 @@ _WRITERS = {
     "vocab_task0.txt": lambda p, k: bpe.save_vocab([b"a", b"b" * k], p),
     "merges_task0.txt": lambda p, k: bpe.save_merges(
         [bpe.MergeRule(0, 1, 256 + k, 0, 0)], p),
-    "registry_manifest.json": lambda p, k: vocab.RegistryManifest(
-        [vocab.RegistryRecord(0, 0, 256 + k, 0, 0, 256 + k, [k])]).save(p),
+    "registry_manifest.json": lambda p, k: harness._write_json(
+        p, [{"task_index": 0, "vocab_after": 256 + k, "counts": [k]}]),
     "fisher.csv": lambda p, k: harness._write_csv(
         p, ["task", "fisher_trace"], [{"task": 0, "fisher_trace": 0.5 * k}]),
     "effective_config.txt": lambda p, k: config.dump_config({"seed": k}, p),

@@ -129,6 +129,25 @@ class TestModesAndArtifacts:
         assert sizes == sorted(sizes)
         assert all(rec["vocab_after"] >= rec["vocab_before"] for rec in records)
 
+    def test_registry_round_trip(self, tiny_data, tmp_path):
+        """One record per step, in step order, whose old/overlap/new
+        sizes split the vocab that the step's merge saw and grew."""
+        r = Runner(tiny_run_cfg(tiny_data, tmp_path / "run"))
+        r.run()
+        records = json.loads(
+            (tmp_path / "run" / "registry_manifest.json").read_text())
+        assert records == r.registry
+        assert [rec["task_index"] for rec in records] == [0, 1, 2]
+        for rec, prev in zip(records, [None] + records[:-1]):
+            assert list(rec) == ["task_index", "vocab_before", "vocab_after",
+                                 "n_old", "n_overlap", "n_new", "counts"]
+            assert rec["vocab_before"] == (256 if prev is None
+                                           else prev["vocab_after"])
+            assert rec["n_old"] + rec["n_overlap"] == rec["vocab_before"]
+            assert rec["n_new"] == rec["vocab_after"] - rec["vocab_before"]
+            assert len(rec["counts"]) == rec["vocab_after"]
+        assert records[-1]["counts"] == r.state.counts.tolist()
+
     def test_oracle_vocab_constant_size(self, tiny_data, tmp_path):
         run_sequence(tiny_run_cfg(tiny_data, tmp_path / "run",
                                   oracle_vocab=True))
@@ -279,7 +298,8 @@ _MODES = {"continual": {}, "joint": {"mode": "joint"},
           "oracle": {"oracle_vocab": True}}
 
 
-# sha256 of each checkpoint and of eval_matrix.csv of the tiny run at
+# sha256 of each checkpoint, eval_matrix.csv and registry_manifest.json
+# of the tiny run at
 # seed 0. Determinism tests compare two runs of the same code; these pin
 # the outputs themselves, so a deterministic change to a step shows.
 _GOLDEN = {
@@ -288,17 +308,20 @@ _GOLDEN = {
         "ckpt_task1.bin": "5a1f662b11e3ff85fd705787286f1cd1fd288aaa025b260c7c3e97ca6a728377",
         "ckpt_task2.bin": "aeb14c9e3fd513233a5b5746b3d576ea3669784142d174df82b0bf6cbe22fd8e",
         "eval_matrix.csv": "d138fc0bc0d37b304b3397e04ff6921b92092517c4c4daea7af58890daa258ea",
+        "registry_manifest.json": "f425ea35edc7b65acc6b005be0cf11106ae84ae98d6e8799d4f0468651d5b600",
     },
     "joint": {
         "ckpt_task0.bin": "c1d509d9fc580fe6daaac2eba8719d42036bd6af52a1fcba8f595266d54fef7a",
         "ckpt_task2.bin": "e0fbe45d782600a55001fd60b33d91cdee00b19e6fcc5da5e73d31343a0147c3",
         "eval_matrix.csv": "6c1deb49171fe0288215d677dc3cf1556fe46cc4b5a3704d4062f6901cc84486",
+        "registry_manifest.json": "b9411ea3213e662edbb468ad511d1f8a18eb35d85e8d30c394f6042e7ad339a2",
     },
     "oracle": {
         "ckpt_task0.bin": "c1d509d9fc580fe6daaac2eba8719d42036bd6af52a1fcba8f595266d54fef7a",
         "ckpt_task1.bin": "431bb760a763049a9325e4312b031b6acc9e55917ee9daab4699e2b31bb76c42",
         "ckpt_task2.bin": "a3b20eaf8404f824dd35478b0bddedb9573eb752891c80164e61211befa5e884",
         "eval_matrix.csv": "e2ad1e75cc60a20fca4d0d6995baa232ae658348b2c39499983563488c98ea3b",
+        "registry_manifest.json": "e871809126cb40c2a418552f326dc0f37e9ee0df995eeec3ae37fb4a1530799c",
     },
 }
 
@@ -310,7 +333,8 @@ class TestGoldenOutputs:
         run_sequence(tiny_run_cfg(tiny_data, out, **_MODES[mode]))
         names = sorted(p.name for p in out.glob("ckpt_task*.bin"))
         digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-                   for name in names + ["eval_matrix.csv"]}
+                   for name in names + ["eval_matrix.csv",
+                                        "registry_manifest.json"]}
         assert digests == _GOLDEN[mode]
 
 

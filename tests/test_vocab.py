@@ -1,39 +1,53 @@
-"""Union-vocabulary tests: merge semantics, partition, counts, λ coefficients."""
+"""Union-vocabulary tests: merge semantics, counts, λ coefficients."""
 
-import json
+import dataclasses
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from lexcl import bpe, vocab
-from lexcl.errors import InvalidInputError
 
 
 def _tv(corpus, task_index, size=280):
     return bpe.train_bpe(corpus, size, task_index)
 
 
+def _partition(state, before, task_vocab):
+    """(old, overlap, new) ids of a merge, from the token sets alone: ids
+    that existed before it, split by whether the task vocab holds them,
+    and the ids it added."""
+    prev = set(range(before))
+    task = {state.id_of[tok] for tok in task_vocab.tokens}
+    return prev - task, prev & task, task - prev
+
+
+def _merge(state, task_vocab):
+    """merge_vocab, plus the counts before it and its partition."""
+    counts_before = state.counts
+    new, lam = vocab.merge_vocab(state, task_vocab)
+    return new, lam, counts_before, _partition(new, state.size, task_vocab)
+
+
 def _setup_two_tasks(c0, c1):
     st_ = vocab.new_state()
     tv0 = _tv(c0, 0)
-    st_, p0 = vocab.merge_vocab(st_, tv0)
-    counts = vocab.update_counts(np.zeros(0, dtype=np.int64), tv0, st_)
+    st_, _ = vocab.merge_vocab(st_, tv0)
     tv1 = _tv(c1, 1)
-    st_, p1 = vocab.merge_vocab(st_, tv1)
-    counts = np.concatenate([counts, np.zeros(st_.size - len(counts), dtype=np.int64)])
-    return st_, tv0, tv1, p1, counts
+    st_, lam1, counts0, part1 = _merge(st_, tv1)
+    return st_, tv0, tv1, lam1, counts0, part1
 
 
 class TestMerge:
     def test_first_merge_partition(self):
         st_ = vocab.new_state()
         tv0 = _tv(["hello hello world world"], 0)
-        st_, part = vocab.merge_vocab(st_, tv0)
+        st_, lam, _, (old, overlap, new) = _merge(st_, tv0)
         # the whole base-byte alphabet plus learned merges are new-or-overlap
-        assert part.old == frozenset()
-        assert part.overlap == frozenset(range(256))
-        assert part.new == frozenset(range(256, st_.size))
+        assert old == set()
+        assert overlap == set(range(256))
+        assert new == set(range(256, st_.size))
+        # every byte is seen for the first time, so every λ is 1
+        assert (lam == 1.0).all() and len(lam) == st_.size
 
     def test_ids_append_only(self):
         st_ = vocab.new_state()
@@ -46,19 +60,31 @@ class TestMerge:
         st_ = vocab.new_state()
         tv0 = _tv(["repeat repeat again again"], 0)
         st_, _ = vocab.merge_vocab(st_, tv0)
-        st_, part = vocab.merge_vocab(st_, tv0)
-        assert part.new == frozenset()
-        assert part.old == frozenset()
-        assert len(part.overlap) == st_.size
+        st_, lam, _, (old, overlap, new) = _merge(st_, tv0)
+        assert new == set()
+        assert old == set()
+        assert len(overlap) == st_.size
+        assert (lam == 0.5).all()
 
     def test_disjoint_alphabets_overlap_is_bytes(self):
         st_ = vocab.new_state()
         st_, _ = vocab.merge_vocab(st_, _tv(["abc abc abd abd"], 0))
-        st_, part = vocab.merge_vocab(st_, _tv(["xyz xyz xyw xyw"], 1))
-        assert part.overlap == frozenset(range(256))
+        st_, lam, _, (_, overlap, _) = _merge(st_, _tv(["xyz xyz xyw xyw"], 1))
+        assert overlap == set(range(256))
+        assert (lam[:256] == 0.5).all()
+
+    def test_merge_leaves_the_input_state_alone(self):
+        st0 = vocab.new_state()
+        tv = _tv(["some words some words"], 0)
+        st1, _ = vocab.merge_vocab(st0, tv)
+        counts1 = st1.counts.copy()
+        st2, _ = vocab.merge_vocab(st1, tv)
+        assert (st0.counts == 0).all() and st0.size == 256
+        assert (st1.counts == counts1).all()
+        assert st1.task_vocabs == [tv] and len(st2.task_vocabs) == 2
 
     def test_global_ids_match_token_strings(self):
-        st_, tv0, tv1, _, _ = _setup_two_tasks(
+        st_, tv0, tv1, _, _, _ = _setup_two_tasks(
             ["shared words shared words"], ["shared tokens shared tokens"])
         ids = st_.global_ids(b"shared tokens", 1)
         assert b"".join(st_.tokens[i] for i in ids) == b"shared tokens"
@@ -66,7 +92,7 @@ class TestMerge:
 
 class TestTokenize:
     def test_rows_equal_global_ids(self):
-        st_, _, _, _, _ = _setup_two_tasks(
+        st_, _, _, _, _, _ = _setup_two_tasks(
             ["shared words shared words"], ["shared tokens shared tokens"])
         texts = ["shared tokens", "", "words", "shared tokens"]
         for t in (0, 1):
@@ -89,7 +115,7 @@ class TestTokenize:
         assert whole.offsets.dtype == np.int64
 
     def test_memo_encodes_each_text_once(self, monkeypatch):
-        st_, _, _, _, _ = _setup_two_tasks(["aa bb aa bb"], ["cc dd cc dd"])
+        st_, _, _, _, _, _ = _setup_two_tasks(["aa bb aa bb"], ["cc dd cc dd"])
         calls = []
         real = st_.global_ids
         monkeypatch.setattr(st_, "global_ids",
@@ -107,85 +133,75 @@ class TestCountsAndLambda:
         st_ = vocab.new_state()
         tv0 = _tv(["new new token token"], 0)
         st_, _ = vocab.merge_vocab(st_, tv0)
-        counts = vocab.update_counts(np.zeros(0, dtype=np.int64), tv0, st_)
-        assert counts.min() == 1 and counts.max() == 1
+        assert st_.counts.min() == 1 and st_.counts.max() == 1
+        assert len(st_.counts) == st_.size
 
     def test_token_in_two_tasks_counts_two(self):
         st_ = vocab.new_state()
         tv = _tv(["stable stable vocab vocab"], 0)
         st_, _ = vocab.merge_vocab(st_, tv)
-        counts = vocab.update_counts(np.zeros(0, dtype=np.int64), tv, st_)
         st_, _ = vocab.merge_vocab(st_, tv)
-        counts = vocab.update_counts(counts, tv, st_)
-        assert (counts == 2).all()
+        assert (st_.counts == 2).all()
 
     def test_absent_token_count_unchanged(self):
-        st_, tv0, tv1, _, counts0 = _setup_two_tasks(
+        st_, tv0, tv1, _, counts0, _ = _setup_two_tasks(
             ["abc abc abd abd"], ["xyz xyz xyw xyw"])
-        counts1 = vocab.update_counts(counts0, tv1, st_)
         merged0 = [st_.id_of[t] for t in tv0.tokens if t not in tv1.id_of]
-        assert (counts1[merged0] == counts0[merged0]).all()
+        assert merged0
+        assert (st_.counts[merged0] == counts0[merged0]).all()
 
     def test_lambda_values(self):
-        st_, tv0, tv1, p1, counts = _setup_two_tasks(
+        st_, tv0, tv1, lam, counts, (old, overlap, new) = _setup_two_tasks(
             ["abc abc abd abd"], ["xyz xyz abc abc"])
-        lam = vocab.lambda_for(p1, counts)
-        for j in p1.old:
+        assert old and overlap and new
+        for j in old:
             assert lam[j] == 0.0
-        for j in p1.overlap:
+        for j in overlap:
             assert lam[j] == 1.0 / (counts[j] + 1.0)
-        for j in p1.new:
+        for j in new:
             assert lam[j] == 1.0
 
     def test_lambda_overlap_exact_fractions(self):
-        # c=1 -> 0.5; c=3 -> 0.25
-        part = vocab.Partition(old=frozenset(), overlap=frozenset([0, 1]),
-                               new=frozenset([2]))
-        counts = np.array([1, 3, 0], dtype=np.int64)
-        lam = vocab.lambda_for(part, counts)
-        assert lam[0] == 0.5 and lam[1] == 0.25 and lam[2] == 1.0
+        # c=1 -> 0.5; c=3 -> 0.25; a new token -> 1
+        st_ = vocab.new_state()
+        st_ = dataclasses.replace(st_, counts=np.array(
+            [1, 3] + [0] * (st_.size - 2), dtype=np.int64))
+        tv = _tv(["ab ab ab"], 0, 257)
+        st_, lam = vocab.merge_vocab(st_, tv)
+        assert st_.size == 257
+        assert lam[0] == 0.5 and lam[1] == 0.25 and lam[256] == 1.0
+        assert st_.counts[0] == 2 and st_.counts[1] == 4
 
-    def test_lambda_missing_counts(self):
-        part = vocab.Partition(old=frozenset(), overlap=frozenset(),
-                               new=frozenset([5]))
-        with pytest.raises(InvalidInputError):
-            vocab.lambda_for(part, np.zeros(3, dtype=np.int64))
+    def test_duplicate_entries_bump_once_each(self):
+        """The counts go up once per task-vocab entry; λ reads the count
+        from before the merge."""
+        tv = _tv(["ab ab ab"], 0, 257)
+        dup = dataclasses.replace(tv, tokens=tv.tokens + [tv.tokens[256]])
+        st_, lam = vocab.merge_vocab(vocab.new_state(), dup)
+        assert st_.size == 257
+        assert st_.counts[256] == 2 and lam[256] == 1.0
 
 
 @given(seed=st.integers(0, 10_000), n_tasks=st.integers(2, 4))
 @settings(max_examples=25, deadline=None)
 def test_lambda_purity_property(seed, n_tasks):
-    """Across random task sequences: λ is 0/1/(c+1)^-1 exactly by partition."""
+    """Across random task sequences: λ is 0/1/(c+1)^-1 exactly by partition,
+    and the counts go up by one on the task's ids only."""
     rng = np.random.default_rng(seed)
     words = ["w%d" % i for i in range(12)]
     st_ = vocab.new_state()
-    counts = np.zeros(0, dtype=np.int64)
     for t in range(n_tasks):
         picks = rng.choice(words, size=6, replace=False)
         corpus = [" ".join(picks)] * 3
         tv = _tv(corpus, t, 270)
-        st_, part = vocab.merge_vocab(st_, tv)
-        padded = np.zeros(st_.size, dtype=np.int64)
-        padded[: len(counts)] = counts
-        lam = vocab.lambda_for(part, padded)
-        assert set(np.unique(lam[list(part.old)])) <= {0.0}
-        for j in part.overlap:
-            assert lam[j] == 1.0 / (padded[j] + 1.0)
-        for j in part.new:
+        before = st_.size
+        st_, lam, counts, (old, overlap, new) = _merge(st_, tv)
+        assert len(lam) == len(st_.counts) == st_.size
+        assert set(np.unique(lam[list(old)])) <= {0.0}
+        for j in overlap:
+            assert lam[j] == 1.0 / (counts[j] + 1.0)
+        for j in new:
             assert lam[j] == 1.0
-        counts = vocab.update_counts(counts, tv, st_)
-
-
-class TestManifest:
-    def test_round_trip(self, tmp_path):
-        st_, tv0, tv1, p1, counts = _setup_two_tasks(
-            ["abc abc"], ["abd abd"])
-        man = vocab.RegistryManifest()
-        man.add(0, 0, 257, vocab.Partition(frozenset(), frozenset(range(256)),
-                                           frozenset([256])), counts)
-        man.add(1, 257, st_.size, p1, counts)
-        path = tmp_path / "registry.json"
-        man.save(path)
-        back = json.loads(path.read_text())
-        assert [r["task_index"] for r in back] == [0, 1]
-        assert back[1]["vocab_after"] == st_.size
+        assert (st_.counts[:before] - counts
+                == [j in overlap for j in range(before)]).all()
+        assert (st_.counts[before:] == 1).all()
