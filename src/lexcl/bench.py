@@ -12,13 +12,13 @@ import hashlib
 import json
 import os
 from collections.abc import Iterable, Iterator
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .embeddings import read_matrix, write_atomic, write_matrix
 from .errors import (DanglingReferenceError, DatasetFormatError,
-                     InvalidInputError, check_field_types)
+                     InvalidInputError, check_keys, key)
 
 FORMAT_VERSION = 1
 SPLITS = ("train", "val", "test")
@@ -34,42 +34,27 @@ _WORD_LENGTHS = range(4, 8)
 
 @dataclass(frozen=True)
 class BenchConfig:
-    n_concepts: int = 500
-    n_languages: int = 5
-    n_train: int = 2000
-    n_val: int = 250
-    n_test: int = 250
-    concepts_per_image: int = 3
-    d_out: int = 64
-    lexical_overlap: float = 0.5
-    alphabet_size: int = 12
-    function_words: int = 6
-    sigma_img: float = 0.05
-    seed: int = 0
+    n_concepts: int = key(500, "bench.n_concepts", ge=1)
+    n_languages: int = key(5, "bench.n_languages", ge=1,
+                           le=len(_ALPHABET_BASES))
+    n_train: int = key(2000, "bench.n_train", ge=1)
+    n_val: int = key(250, "bench.n_val", ge=1)
+    n_test: int = key(250, "bench.n_test", ge=1)
+    concepts_per_image: int = key(3, "bench.concepts_per_image", ge=1)
+    d_out: int = key(64, "bench.d_out", ge=1)
+    lexical_overlap: float = key(0.5, "bench.lexical_overlap", ge=0, le=1)
+    # le: so that the languages' codepoint blocks do not overlap
+    alphabet_size: int = key(12, "bench.alphabet_size", ge=1,
+                             le=_MAX_ALPHABET)
+    function_words: int = key(6, "bench.function_words", ge=1)
+    sigma_img: float = key(0.05, "bench.sigma_img", ge=0)
+    seed: int = key(0, "bench.seed", ge=0, lt=2**64)
 
-    def validate(self) -> None:
-        """Raise InvalidInputError naming the first bad key."""
-        check_field_types(self, {f.name: f"bench.{f.name}" for f in fields(self)})
-        for f in fields(self):
-            if f.type == "int" and f.name != "seed" and getattr(self, f.name) < 1:
-                raise InvalidInputError(f"bench.{f.name}: must be >= 1")
-        if not 0 <= self.seed < 2**64:
-            raise InvalidInputError(f"bench.seed: {self.seed} outside [0, 2^64)")
-        if self.n_languages > len(_ALPHABET_BASES):
-            raise InvalidInputError(
-                f"bench.n_languages: at most {len(_ALPHABET_BASES)} supported")
+    def __post_init__(self):
+        check_keys(self)
         if self.n_concepts < self.concepts_per_image:
             raise InvalidInputError(
                 "bench.n_concepts: fewer concepts than concepts_per_image")
-        if not 0.0 <= self.lexical_overlap <= 1.0:
-            raise InvalidInputError(
-                f"bench.lexical_overlap: {self.lexical_overlap} outside [0, 1]")
-        if self.sigma_img < 0:
-            raise InvalidInputError("bench.sigma_img: must be >= 0")
-        if self.alphabet_size > _MAX_ALPHABET:
-            raise InvalidInputError(
-                f"bench.alphabet_size: at most {_MAX_ALPHABET}, so that the "
-                "languages' codepoint blocks do not overlap")
         n_words = self.n_concepts + self.function_words
         n_forms = sum(self.alphabet_size ** n for n in _WORD_LENGTHS)
         if n_forms < n_words:
@@ -208,7 +193,6 @@ def language_ids(cfg: BenchConfig) -> list[str]:
 
 def gen_benchmark(cfg: BenchConfig, out_dir) -> None:
     """Write the full dataset directory; byte-identical for equal configs."""
-    cfg.validate()
     os.makedirs(out_dir, exist_ok=True)
 
     proto_rng = _rng(cfg.seed, "prototypes")

@@ -15,7 +15,7 @@ from . import bench, config as config_mod
 from .errors import (CheckpointError, DatasetError, InvalidInputError,
                      LexclError, NumericError)
 from .gradcheck import run_grad_check
-from .harness import Runner
+from .harness import Runner, RunConfig
 from .metrics import EvalMatrix
 from .report import recompute_eval_matrix, write_report
 
@@ -42,12 +42,9 @@ def _load_cfg(path) -> dict:
 
 
 def cmd_gen_data(args) -> int:
-    cfg = _load_cfg(args.config)
-    bc = config_mod.bench_config(cfg)
+    bc = config_mod.build(bench.BenchConfig, _load_cfg(args.config))
     bench.gen_benchmark(bc, args.out)
-    config_mod.dump_config(
-        {k: v for k, v in cfg.items() if k.startswith("bench.")},
-        os.path.join(args.out, "effective_config.txt"))
+    config_mod.dump_config(bc, os.path.join(args.out, "effective_config.txt"))
     manifest = bench.load_manifest(args.out)
     _info(f"generated {args.out}: {manifest['languages']} languages, "
           f"splits {manifest['splits']}")
@@ -56,19 +53,15 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _load_cfg(args.config)
-    if args.teir_init is not None:
-        cfg["run.teir_init"] = args.teir_init == "on"
-    if args.teir_reg is not None:
-        cfg["run.teir_reg"] = args.teir_reg == "on"
-    if args.oracle_vocab:
-        cfg["run.oracle_vocab"] = True
-    if args.mode is not None:
-        cfg["run.mode"] = args.mode
-    if args.seed is not None:
-        cfg["run.seed"] = args.seed
+    # a flag sets its run.* key, its value parsed as in a config file
+    for name in ("teir_init", "teir_reg", "oracle_vocab", "mode", "seed"):
+        value = getattr(args, name)
+        if value is not None:
+            cfg[f"run.{name}"] = config_mod.parse_value(str(value))
     t0 = time.time()
-    runner = Runner(config_mod.run_config(cfg, args.data, args.out))
-    config_mod.dump_config(cfg, os.path.join(args.out, "effective_config.txt"))
+    rc = config_mod.build(RunConfig, cfg, data_dir=args.data, out_dir=args.out)
+    runner = Runner(rc)
+    config_mod.dump_config(rc, os.path.join(args.out, "effective_config.txt"))
     artifacts = runner.run()
     _info(f"run finished in {time.time() - t0:.1f}s: "
           f"AR {artifacts.final_ar}, F {artifacts.final_f}")
@@ -126,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--out", required=True)
     t.add_argument("--teir-init", choices=["on", "off"], default=None)
     t.add_argument("--teir-reg", choices=["on", "off"], default=None)
-    t.add_argument("--oracle-vocab", action="store_true")
+    t.add_argument("--oracle-vocab", action="store_true", default=None)
     t.add_argument("--mode", choices=["continual", "joint"], default=None)
     t.add_argument("--seed", type=int, default=None)
     t.set_defaults(func=cmd_train)

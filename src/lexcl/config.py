@@ -1,19 +1,17 @@
 """Flat dotted-key configuration files.
 
 Format: one ``section.key = value`` per line, ``#`` comments. Values are
-parsed as bool/int/float/string. Flags override file values, and every
-run persists the effective merged config."""
+parsed as bool/int/float/string. Each key is declared on the config
+dataclass field it fills (`errors.key`). Flags override file values, and
+every run persists the effective config, defaults included."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 
-from .bench import BenchConfig
 from .embeddings import write_atomic
 from .errors import InvalidInputError
-from .harness import RUN_KEYS, RunConfig
-from .losses import LossConfig
 
 _BOOL = {"true": True, "on": True, "yes": True,
          "false": False, "off": False, "no": False}
@@ -55,44 +53,43 @@ def load_config_file(path) -> dict:
     return out
 
 
-def dump_config(cfg: dict, path) -> None:
+def settings(cfg) -> dict:
+    """Config key -> value of every key declared on config dataclass
+    instance `cfg` and on the configs nested in it."""
+    out = {}
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if "key" in f.metadata:
+            out[f.metadata["key"]] = value
+        elif is_dataclass(value):
+            out.update(settings(value))
+    return out
+
+
+def build(cls, cfg: dict, **fixed):
+    """Config dataclass `cls` from the keys of `cfg`, nested configs
+    included, with the unkeyed fields `fixed`. A key in one of the
+    sections of `cls` (the part before the dot) that it lacks is an error."""
+    known = settings(cls(**fixed))
+    sections = tuple({k.split(".")[0] + "." for k in known})
+    for k in cfg:
+        if k.startswith(sections) and k not in known:
+            raise InvalidInputError(f"config: unknown key {k!r}")
+    kwargs = dict(fixed)
+    for f in fields(cls):
+        if is_dataclass(f.default_factory):
+            kwargs[f.name] = build(f.default_factory, cfg)
+        elif f.metadata.get("key") in cfg:
+            kwargs[f.name] = cfg[f.metadata["key"]]
+    return cls(**kwargs)
+
+
+def dump_config(cfg, path) -> None:
+    """Write every key of config dataclass `cfg` with its value, in the
+    format `load_config_file` reads."""
     text = ""
-    for key in sorted(cfg):
-        v = cfg[key]
+    for k, v in sorted(settings(cfg).items()):
         if isinstance(v, bool):
             v = "on" if v else "off"
-        text += f"{key} = {v}\n"
+        text += f"{k} = {v}\n"
     write_atomic(path, text.encode())
-
-
-def _check_known(cfg: dict, known: dict, prefixes: tuple[str, ...]) -> None:
-    for key in cfg:
-        if key.startswith(prefixes) and key not in known:
-            raise InvalidInputError(f"config: unknown key {key!r}")
-
-
-def bench_config(cfg: dict) -> BenchConfig:
-    known = {f"bench.{f.name}": f.name for f in fields(BenchConfig)}
-    _check_known(cfg, known, ("bench.",))
-    bc = BenchConfig(**{attr: cfg[key] for key, attr in known.items()
-                        if key in cfg})
-    bc.validate()
-    return bc
-
-
-def run_config(cfg: dict, data_dir: str, out_dir: str) -> RunConfig:
-    _check_known(cfg, RUN_KEYS,
-                 ("loss.", "optim.", "vocab.", "model.", "train.", "run."))
-    loss_kwargs = {}
-    run_kwargs = {}
-    for key, attr in RUN_KEYS.items():
-        if key not in cfg:
-            continue
-        if attr.startswith("loss."):
-            loss_kwargs[attr.split(".", 1)[1]] = cfg[key]
-        else:
-            run_kwargs[attr] = cfg[key]
-    rc = RunConfig(data_dir=data_dir, out_dir=out_dir,
-                   loss=LossConfig(**loss_kwargs), **run_kwargs)
-    rc.validate()
-    return rc

@@ -1,8 +1,9 @@
-"""Exception hierarchy shared across the package, and the type check of
-config dataclasses whose errors name the config key."""
+"""Exception hierarchy shared across the package, and the declaration
+and check of config keys, whose errors name the key."""
 
 import math
-from dataclasses import fields
+import operator
+from dataclasses import field, fields
 
 
 class LexclError(Exception):
@@ -65,25 +66,40 @@ class DanglingReferenceError(DatasetError):
     """A dataset record points at a nonexistent image."""
 
 
-_TYPE_NAMES = {"int": "an integer", "float": "a finite number",
-               "bool": "on or off"}
+# type annotation -> (accepted types, what a value must be)
+_TYPES = {"int": (int, "an integer"), "float": ((int, float), "a finite number"),
+          "bool": (bool, "on or off"), "str": (str, "a string")}
+_BOUNDS = {"gt": (operator.gt, ">"), "ge": (operator.ge, ">="),
+           "lt": (operator.lt, "<"), "le": (operator.le, "<=")}
 
 
-def check_field_types(cfg, key_of: dict[str, str]) -> None:
-    """Raise InvalidInputError naming the config key of the first field of
-    dataclass `cfg` in `key_of` (name -> key) not of its declared type. A
-    bool is neither an int nor a float, and a float must be finite."""
+def key(default, name: str, *, choices: tuple = (), **bounds):
+    """A config dataclass field that config key `name` fills, with the
+    allowed `choices` if any and any of the bounds gt, ge, lt and le.
+    Its type is the field's annotation; `check_keys` enforces all three."""
+    return field(default=default,
+                 metadata={"key": name, "choices": choices, "bounds": bounds})
+
+
+def check_keys(cfg) -> None:
+    """Raise InvalidInputError naming the key of the first field of config
+    dataclass `cfg` that breaks its declaration. Type comes first (a bool
+    is only a bool, a float must be finite), then choices, then bounds."""
     for f in fields(cfg):
-        if f.name not in key_of or f.type not in _TYPE_NAMES:
+        if "key" not in f.metadata:
             continue
-        value = getattr(cfg, f.name)
-        if f.type == "bool":
-            ok = isinstance(value, bool)
-        elif f.type == "int":
-            ok = isinstance(value, int) and not isinstance(value, bool)
-        else:
-            ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
-                  and math.isfinite(value))
-        if not ok:
+        name, value = f.metadata["key"], getattr(cfg, f.name)
+        types, what = _TYPES[f.type]
+        if (not isinstance(value, types)
+                or isinstance(value, bool) != (f.type == "bool")
+                or f.type == "float" and not math.isfinite(value)):
+            raise InvalidInputError(f"{name}: {value!r} is not {what}")
+        choices = f.metadata["choices"]
+        if choices and value not in choices:
             raise InvalidInputError(
-                f"{key_of[f.name]}: {value!r} is not {_TYPE_NAMES[f.type]}")
+                f"{name}: {value!r} is not one of {', '.join(choices)}")
+        for op, bound in f.metadata["bounds"].items():
+            holds, symbol = _BOUNDS[op]
+            if not holds(value, bound):
+                raise InvalidInputError(
+                    f"{name}: must be {symbol} {bound}, not {value!r}")

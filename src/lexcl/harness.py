@@ -22,7 +22,7 @@ from .embeddings import (EmbeddingTable, dist_stats, expand, fixed_policy,
                          write_atomic, write_csv)
 from .encoders import (encode_text, encode_text_grad, make_text_params,
                        pooling, text_features)
-from .errors import InvalidInputError, NumericError, check_field_types
+from .errors import InvalidInputError, NumericError, check_keys, key
 from .losses import FeatureBatch, LossConfig, total_loss
 from .metrics import (EvalMatrix, average_recall, fisher_and_loss, forgetting,
                       paired_recall, score_row)
@@ -32,73 +32,32 @@ from .optim import OptimConfig, OptimState, step as optim_step
 # init; every later step uses the configured one.
 PRETRAIN_OPTIM = {"kind": "adamw", "lr_peak": 0.03}
 
-# Config-file key -> RunConfig field; a loss.* key names a LossConfig field.
-RUN_KEYS = {
-    "loss.tau": "loss.tau",
-    "loss.gamma_cm": "loss.gamma_cm",
-    "loss.gamma_cl": "loss.gamma_cl",
-    "optim.kind": "optim_kind",
-    "optim.lr": "lr_peak",
-    "optim.weight_decay": "weight_decay",
-    "optim.warmup_fraction": "warmup_fraction",
-    "vocab.size_per_task": "vocab_size_per_task",
-    "model.dim": "dim",
-    "model.d_out": "d_out",
-    "model.l_max": "l_max",
-    "model.encoder_seed": "encoder_seed",
-    "train.epochs": "epochs",
-    "train.batch_size": "batch_size",
-    "run.teir_init": "teir_init",
-    "run.teir_reg": "teir_reg",
-    "run.oracle_vocab": "oracle_vocab",
-    "run.mode": "mode",
-    "run.seed": "seed",
-}
-
 
 @dataclass(frozen=True)
 class RunConfig:
     data_dir: str
     out_dir: str
     loss: LossConfig = field(default_factory=LossConfig)
-    optim_kind: str = "sgd"
-    lr_peak: float = 1.0
-    weight_decay: float = 0.005
-    warmup_fraction: float = 0.1
-    vocab_size_per_task: int = 512
-    dim: int = 64
-    d_out: int = 64
-    l_max: int = 32
-    encoder_seed: int = 7
-    epochs: int = 3
-    batch_size: int = 32
-    teir_init: bool = True
-    teir_reg: bool = True
-    oracle_vocab: bool = False
-    mode: str = "continual"  # "continual" | "joint"
-    seed: int = 0
+    optim_kind: str = key("sgd", "optim.kind", choices=("adamw", "sgd"))
+    lr_peak: float = key(1.0, "optim.lr", gt=0)
+    weight_decay: float = key(0.005, "optim.weight_decay", ge=0)
+    warmup_fraction: float = key(0.1, "optim.warmup_fraction", ge=0, lt=1)
+    vocab_size_per_task: int = key(512, "vocab.size_per_task",
+                                   ge=bpe.N_BYTES + 1)
+    dim: int = key(64, "model.dim", ge=1)
+    d_out: int = key(64, "model.d_out", ge=1)
+    l_max: int = key(32, "model.l_max", ge=1)
+    encoder_seed: int = key(7, "model.encoder_seed", ge=0)
+    epochs: int = key(3, "train.epochs", ge=1)
+    batch_size: int = key(32, "train.batch_size", ge=2)
+    teir_init: bool = key(True, "run.teir_init")
+    teir_reg: bool = key(True, "run.teir_reg")
+    oracle_vocab: bool = key(False, "run.oracle_vocab")
+    mode: str = key("continual", "run.mode", choices=("continual", "joint"))
+    seed: int = key(0, "run.seed")
 
-    def validate(self) -> None:
-        """Raise InvalidInputError naming the first bad config key."""
-        key_of = {attr: key for key, attr in RUN_KEYS.items()}
-        check_field_types(self, key_of)
-        for name, least in (("epochs", 1), ("batch_size", 2),
-                            ("vocab_size_per_task", bpe.N_BYTES + 1),
-                            ("dim", 1), ("d_out", 1), ("l_max", 1),
-                            ("encoder_seed", 0)):
-            if getattr(self, name) < least:
-                raise InvalidInputError(f"{key_of[name]}: must be >= {least}")
-        if self.mode not in ("continual", "joint"):
-            raise InvalidInputError(f"run.mode: unknown mode {self.mode!r}")
-        self.optim_config(total_steps=1)
-
-    def optim_config(self, total_steps: int, **override) -> OptimConfig:
-        """The configured optimiser over `total_steps`, with any field
-        replaced by `override`; raises on an invalid setting."""
-        return OptimConfig(**{"kind": self.optim_kind, "lr_peak": self.lr_peak,
-                              "weight_decay": self.weight_decay,
-                              "warmup_fraction": self.warmup_fraction,
-                              "total_steps": total_steps, **override})
+    def __post_init__(self):
+        check_keys(self)
 
 
 @dataclass
@@ -152,7 +111,6 @@ class Runner:
     the data and creates the output directory; run() does the full flow."""
 
     def __init__(self, cfg: RunConfig):
-        cfg.validate()
         self.cfg = cfg
         manifest = load_manifest(cfg.data_dir)
         self.languages: list[str] = manifest["languages"]
@@ -238,18 +196,20 @@ class Runner:
             [td.train.image for td in tasks])].astype(np.float64)
         n = len(img_feats)
         steps_per_epoch = (n + cfg.batch_size - 1) // cfg.batch_size
+        ocfg = OptimConfig(kind=cfg.optim_kind, lr_peak=cfg.lr_peak,
+                           weight_decay=cfg.weight_decay,
+                           warmup_fraction=cfg.warmup_fraction,
+                           total_steps=cfg.epochs * steps_per_epoch)
         if self.anchor is None:
             eng_feats = np.zeros((n, cfg.d_out))
             loss_cfg = replace(cfg.loss, gamma_cl=0.0)
-            ocfg = cfg.optim_config(cfg.epochs * steps_per_epoch,
-                                    **PRETRAIN_OPTIM)
+            ocfg = replace(ocfg, **PRETRAIN_OPTIM)
         else:
             # anchor features, recomputed per use: cheaper than holding them
             eng_feats = np.concatenate([text_features(td.english, self.anchor,
                                                       self.params)
                                         for td in tasks])
             loss_cfg = cfg.loss
-            ocfg = cfg.optim_config(cfg.epochs * steps_per_epoch)
         ostate = OptimState()
 
         best_score = -1.0

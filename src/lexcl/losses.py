@@ -7,23 +7,21 @@ Each takes one batch of K x d features, or a stack of such batches
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateFeatureError, InvalidInputError, check_field_types
+from .errors import DegenerateFeatureError, InvalidInputError, check_keys, key
 
 
 @dataclass(frozen=True)
 class LossConfig:
-    tau: float = 0.07
-    gamma_cm: float = 0.01
-    gamma_cl: float = 1.0
+    tau: float = key(0.07, "loss.tau", gt=0)
+    gamma_cm: float = key(0.01, "loss.gamma_cm", ge=0)
+    gamma_cl: float = key(1.0, "loss.gamma_cl", ge=0)
 
     def __post_init__(self):
-        check_field_types(self, {f.name: f"loss.{f.name}" for f in fields(self)})
-        if not 0 < self.tau < np.inf:
-            raise InvalidInputError("loss.tau: must be positive and finite")
+        check_keys(self)
 
 
 @dataclass

@@ -14,12 +14,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericError
+from .errors import NumericError
 
 
 @dataclass(frozen=True)
 class OptimConfig:
-    """Optimiser settings; errors name the run-config key of the field."""
+    """Optimiser settings. The run config declares and checks the ones
+    a user sets (its optim.* keys)."""
 
     kind: str = "adamw"  # "adamw" | "sgd"
     lr_peak: float = 5e-5
@@ -29,16 +30,6 @@ class OptimConfig:
     eps: float = 1e-8
     warmup_fraction: float = 0.1
     total_steps: int = 1
-
-    def __post_init__(self):
-        if not 0 < self.lr_peak < np.inf:
-            raise InvalidInputError("optim.lr: must be positive and finite")
-        if not 0 <= self.weight_decay < np.inf:
-            raise InvalidInputError("optim.weight_decay: must be >= 0 and finite")
-        if not 0 <= self.warmup_fraction < 1:
-            raise InvalidInputError("optim.warmup_fraction: must be in [0, 1)")
-        if self.kind not in ("adamw", "sgd"):
-            raise InvalidInputError(f"optim.kind: unknown kind {self.kind!r}")
 
 
 @dataclass

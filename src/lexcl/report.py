@@ -20,12 +20,20 @@ from .metrics import (EvalMatrix, average_recall, forgetting, save_histogram_csv
                       score_row, ted_histogram)
 
 
-def _load_run_config(run_dir) -> dict:
+def _load_run_config(run_dir, *names) -> list:
+    """The values of fields `names` in the run's config.json."""
     path = os.path.join(run_dir, "config.json")
     if not os.path.exists(path):
         raise InvalidInputError(f"{run_dir}: missing config.json; not a run directory")
     with open(path) as f:
-        return json.load(f)
+        try:
+            cfg = json.load(f)
+        except ValueError as e:  # not JSON, or not UTF-8
+            raise InvalidInputError(f"{path}: not valid JSON: {e}") from None
+    missing = [n for n in names if not isinstance(cfg, dict) or n not in cfg]
+    if missing:
+        raise InvalidInputError(f"{path}: no field {missing[0]!r}")
+    return [cfg[n] for n in names]
 
 
 def _task_rows(run_dir) -> list[int]:
@@ -55,11 +63,11 @@ def _vocab_state_through(run_dir, rows) -> list[vocab_mod.VocabState]:
 
 def recompute_eval_matrix(run_dir, data_dir, split: str = "test") -> EvalMatrix:
     """Rebuild the recall matrix from the stored per-task checkpoints."""
-    cfg = _load_run_config(run_dir)
+    dim, d_out, l_max, encoder_seed, mode, oracle_vocab = _load_run_config(
+        run_dir, "dim", "d_out", "l_max", "encoder_seed", "mode", "oracle_vocab")
     manifest = load_manifest(data_dir)
     images = load_images(data_dir)
-    params = make_text_params(cfg["dim"], cfg["d_out"], cfg["l_max"],
-                              cfg["encoder_seed"])
+    params = make_text_params(dim, d_out, l_max, encoder_seed)
     rows = _task_rows(run_dir)
     states = _vocab_state_through(run_dir, rows)
 
@@ -69,7 +77,7 @@ def recompute_eval_matrix(run_dir, data_dir, split: str = "test") -> EvalMatrix:
     for i, lang in enumerate(manifest["languages"][: rows[-1] + 1]):
         data = load_dataset(data_dir, lang, split, manifest, images)
         test_set.append((states[-1].tokenize(
-            data.foreign, vocab_index(cfg["mode"], cfg["oracle_vocab"], i)),
+            data.foreign, vocab_index(mode, oracle_vocab, i)),
             images[data.image]))
     matrix = EvalMatrix()
     for j, state in zip(rows, states):
@@ -146,16 +154,28 @@ def copy_file(src, dst) -> None:
 
 def write_report(run_dir, out_dir) -> list[str]:
     """Emit AR/F tables, diagnostics copies, histograms and plots."""
-    cfg = _load_run_config(run_dir)
+    mode, = _load_run_config(run_dir, "mode")
     matrix_path = os.path.join(run_dir, "eval_matrix.csv")
     if not os.path.exists(matrix_path):
         raise InvalidInputError(f"{run_dir}: missing eval_matrix.csv")
     matrix = EvalMatrix.load_csv(matrix_path)
+    diag_dir = os.path.join(run_dir, "diagnostics")
+    loss_csv = os.path.join(diag_dir, "loss_curve.csv")
+    series: dict[str, list[tuple[float, float]]] = {}
+    if os.path.exists(loss_csv):
+        with open(loss_csv, newline="") as f:
+            r = csv.DictReader(f)
+            for rec in r:
+                try:
+                    series.setdefault(f'task {rec["task"]}', []).append(
+                        (float(rec["epoch"]), float(rec["mean_loss"])))
+                except (KeyError, TypeError, ValueError) as e:
+                    raise InvalidInputError(
+                        f"{loss_csv}:{r.line_num}: {e}") from None
     os.makedirs(out_dir, exist_ok=True)
     written = [os.path.join(out_dir, "ar_f.csv")]
-    ar_series = write_ar_f(matrix, cfg["mode"], written[0])
+    ar_series = write_ar_f(matrix, mode, written[0])
 
-    diag_dir = os.path.join(run_dir, "diagnostics")
     for src in [matrix_path] + [os.path.join(diag_dir, name) for name in (
             "fisher.csv", "dist_stats.csv", "loss_curve.csv", "final_loss.csv")]:
         if os.path.exists(src):
@@ -173,13 +193,7 @@ def write_report(run_dir, out_dir) -> list[str]:
         p = os.path.join(out_dir, "ar_vs_task.svg")
         write_svg_lines(p, ar_series, "Average Recall@1 per task step")
         written.append(p)
-    loss_csv = os.path.join(diag_dir, "loss_curve.csv")
     if os.path.exists(loss_csv):
-        series: dict[str, list[tuple[float, float]]] = {}
-        with open(loss_csv, newline="") as f:
-            for k, rec in enumerate(csv.DictReader(f)):
-                series.setdefault(f'task {rec["task"]}', []).append(
-                    (float(rec["epoch"]), float(rec["mean_loss"])))
         p = os.path.join(out_dir, "loss_curve.svg")
         write_svg_lines(p, series, "Training loss per epoch")
         written.append(p)

@@ -150,11 +150,11 @@ class TestGenerate:
 
     def test_invalid_configs(self):
         with pytest.raises(InvalidInputError):
-            tiny_cfg(lexical_overlap=1.5).validate()
+            tiny_cfg(lexical_overlap=1.5)
         with pytest.raises(InvalidInputError):
-            tiny_cfg(n_concepts=2, concepts_per_image=3).validate()
+            tiny_cfg(n_concepts=2, concepts_per_image=3)
         with pytest.raises(InvalidInputError):
-            tiny_cfg(n_languages=99).validate()
+            tiny_cfg(n_languages=99)
 
     @pytest.mark.parametrize("kw", [
         dict(alphabet_size=1),
@@ -166,11 +166,11 @@ class TestGenerate:
         """Checked before generation, where drawing distinct words from
         too few forms would never end."""
         with pytest.raises(InvalidInputError, match="bench.alphabet_size"):
-            bench.BenchConfig(**kw).validate()
+            bench.BenchConfig(**kw)
 
     def test_alphabet_just_large_enough(self):
         bench.BenchConfig(alphabet_size=3, n_concepts=3234,
-                          function_words=6).validate()
+                          function_words=6)
 
 
 _SEEDS = st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1]),

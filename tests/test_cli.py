@@ -1,5 +1,6 @@
 """CLI tests: subcommand wiring, exit codes, reports, grad-check gate."""
 
+import json
 import os
 import shutil
 import subprocess
@@ -9,6 +10,7 @@ import time
 import pytest
 
 from lexcl.cli import EXIT_IO, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
+from lexcl.config import load_config_file
 from lexcl.gradcheck import run_grad_check
 from lexcl.metrics import EvalMatrix
 
@@ -34,6 +36,24 @@ train.epochs = 2
 train.batch_size = 8
 """
 
+# Every key of each config, with its default where the configs above
+# leave it unset.
+BENCH_KEYS = {
+    "bench.n_concepts": 30, "bench.n_languages": 3, "bench.n_train": 48,
+    "bench.n_val": 12, "bench.n_test": 12, "bench.concepts_per_image": 2,
+    "bench.d_out": 16, "bench.lexical_overlap": 0.5, "bench.alphabet_size": 12,
+    "bench.function_words": 6, "bench.sigma_img": 0.05, "bench.seed": 0,
+}
+RUN_KEYS = {
+    "loss.tau": 0.07, "loss.gamma_cm": 0.01, "loss.gamma_cl": 1.0,
+    "optim.kind": "sgd", "optim.lr": 1.0, "optim.weight_decay": 0.005,
+    "optim.warmup_fraction": 0.1, "vocab.size_per_task": 300,
+    "model.dim": 16, "model.d_out": 16, "model.l_max": 16,
+    "model.encoder_seed": 7, "train.epochs": 2, "train.batch_size": 8,
+    "run.teir_init": True, "run.teir_reg": True, "run.oracle_vocab": False,
+    "run.mode": "continual", "run.seed": 0,
+}
+
 
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
@@ -54,6 +74,10 @@ def workdir(tmp_path_factory):
 class TestGenData:
     def test_effective_config_written(self, workdir):
         assert (workdir / "data" / "effective_config.txt").exists()
+
+    def test_effective_config_lists_every_key(self, workdir):
+        assert load_config_file(
+            workdir / "data" / "effective_config.txt") == BENCH_KEYS
 
     def test_invalid_overlap_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -123,6 +147,23 @@ class TestTrain:
         assert "run.teir_init = off" in eff
         assert "run.teir_reg = off" in eff
 
+    def test_effective_config_reproduces_the_run(self, workdir, tmp_path):
+        """effective_config.txt holds every key with its effective value,
+        so as --config it runs the same configuration again."""
+        run = workdir / "run"
+        assert load_config_file(run / "effective_config.txt") == RUN_KEYS
+        rerun = tmp_path / "rerun"
+        assert main(["train", "--config", str(run / "effective_config.txt"),
+                     "--data", str(workdir / "data"),
+                     "--out", str(rerun)]) == EXIT_OK
+        configs = [json.loads((d / "config.json").read_text())
+                   for d in (run, rerun)]
+        for c in configs:
+            c.pop("out_dir")
+        assert configs[0] == configs[1]
+        assert ((run / "ckpt_task2.bin").read_bytes()
+                == (rerun / "ckpt_task2.bin").read_bytes())
+
     def test_missing_data_dir(self, tmp_path):
         assert main(["train", "--data", str(tmp_path / "nope"),
                      "--out", str(tmp_path / "o")]) == EXIT_IO
@@ -152,6 +193,12 @@ class TestTrain:
         "model.encoder_seed = -1",
         "run.teir_init = 3",
         "run.oracle_vocab = 0",
+        "optim.lr = 0",
+        "optim.warmup_fraction = 1",
+        "optim.kind = rmsprop",
+        "loss.tau = 0",
+        "loss.gamma_cm = -5",
+        "loss.gamma_cl = -5",
     ])
     def test_bad_config_fails_fast(self, workdir, tmp_path, line, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -254,6 +301,44 @@ class TestEvalAndReport:
                 ["report", "--run", str(run), "--out", str(tmp_path / "rep")])
         assert main(args) == EXIT_USAGE, bad
         assert f"{path}:3" in capsys.readouterr().err
+        assert not (tmp_path / "rep").exists()
+
+    @pytest.mark.parametrize("row", ["0,x,1.5,3.0", "0,1", "0,1,high,3.0"])
+    def test_damaged_loss_curve_fails_naming_the_line(self, workdir, tmp_path,
+                                                      capsys, row):
+        run = tmp_path / "run"
+        shutil.copytree(workdir / "run", run)
+        path = run / "diagnostics" / "loss_curve.csv"
+        lines = path.read_text().splitlines()
+        lines[2] = row
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["report", "--run", str(run),
+                     "--out", str(tmp_path / "rep")]) == EXIT_USAGE
+        assert f"{path}:3" in capsys.readouterr().err
+        assert not (tmp_path / "rep").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "report"])
+    @pytest.mark.parametrize("damage, named", [
+        ("truncated", "config.json"),
+        ("no mode", "'mode'"),
+    ])
+    def test_damaged_run_config_fails_naming_the_file(
+            self, workdir, tmp_path, capsys, command, damage, named):
+        run = tmp_path / "run"
+        shutil.copytree(workdir / "run", run)
+        path = run / "config.json"
+        if damage == "truncated":
+            path.write_text('{"dim": ')
+        else:
+            cfg = json.loads(path.read_text())
+            del cfg["mode"]
+            path.write_text(json.dumps(cfg))
+        args = (["eval", "--run", str(run), "--data", str(workdir / "data")]
+                if command == "eval" else
+                ["report", "--run", str(run), "--out", str(tmp_path / "rep")])
+        assert main(args) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert str(path) in err and named in err
         assert not (tmp_path / "rep").exists()
 
     def test_report_on_empty_dir(self, tmp_path):

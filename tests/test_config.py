@@ -3,7 +3,9 @@
 import pytest
 
 from lexcl import config as C
+from lexcl.bench import BenchConfig
 from lexcl.errors import InvalidInputError
+from lexcl.harness import RunConfig
 
 
 def write(tmp_path, text):
@@ -49,23 +51,27 @@ run.mode = joint
 
     def test_dump_round_trip(self, tmp_path):
         cfg = {"run.teir_init": True, "optim.lr": 0.5, "run.mode": "continual"}
+        rc = C.build(RunConfig, cfg, data_dir="d", out_dir="o")
         p = tmp_path / "out.txt"
-        C.dump_config(cfg, p)
-        assert C.load_config_file(p) == cfg
+        C.dump_config(rc, p)
+        loaded = C.load_config_file(p)
+        assert {k: loaded[k] for k in cfg} == cfg
+        assert C.build(RunConfig, loaded, data_dir="d", out_dir="o") == rc
 
 
 class TestMapping:
     def test_bench_config(self):
-        bc = C.bench_config({"bench.n_concepts": 50, "bench.seed": 3})
+        bc = C.build(BenchConfig, {"bench.n_concepts": 50, "bench.seed": 3})
         assert bc.n_concepts == 50 and bc.seed == 3
 
     def test_unknown_bench_key(self):
         with pytest.raises(InvalidInputError, match="bench.n_conceps"):
-            C.bench_config({"bench.n_conceps": 50})
+            C.build(BenchConfig, {"bench.n_conceps": 50})
 
     def test_run_config(self):
-        rc = C.run_config({"optim.lr": 0.5, "loss.tau": 0.1,
-                           "run.teir_reg": False}, "data", "out")
+        rc = C.build(RunConfig, {"optim.lr": 0.5, "loss.tau": 0.1,
+                                 "run.teir_reg": False},
+                     data_dir="data", out_dir="out")
         assert rc.lr_peak == 0.5
         assert rc.loss.tau == 0.1
         assert rc.teir_reg is False
@@ -73,8 +79,10 @@ class TestMapping:
 
     def test_unknown_run_key(self):
         with pytest.raises(InvalidInputError, match="optim.momentum"):
-            C.run_config({"optim.momentum": 0.9}, "d", "o")
+            C.build(RunConfig, {"optim.momentum": 0.9}, data_dir="d",
+                    out_dir="o")
 
     def test_invalid_value_propagates(self):
         with pytest.raises(InvalidInputError):
-            C.run_config({"run.mode": "sideways"}, "d", "o")
+            C.build(RunConfig, {"run.mode": "sideways"}, data_dir="d",
+                    out_dir="o")

@@ -10,6 +10,7 @@ from scipy import stats as sps
 
 import oracles
 from lexcl import bpe, config, embeddings as emb, harness, report
+from lexcl.bench import BenchConfig
 from lexcl.errors import (CheckpointFormatError, CheckpointTruncatedError,
                           DimensionMismatchError, InvalidInputError, StateError,
                           VocabMismatchError)
@@ -321,7 +322,8 @@ _WRITERS = {
         p, [{"task_index": 0, "vocab_after": 256 + k, "counts": [k]}]),
     "fisher.csv": lambda p, k: harness._write_csv(
         p, ["task", "fisher_trace"], [{"task": 0, "fisher_trace": 0.5 * k}]),
-    "effective_config.txt": lambda p, k: config.dump_config({"seed": k}, p),
+    "effective_config.txt": lambda p, k: config.dump_config(
+        BenchConfig(seed=k), p),
     "ar_f.csv": lambda p, k: report.write_ar_f(_eval_matrix(10.0 * k),
                                                "continual", p),
     "ar_vs_task.svg": lambda p, k: report.write_svg_lines(

@@ -219,9 +219,9 @@ class TestModesAndArtifacts:
 
     def test_config_validation(self, tiny_data, tmp_path):
         with pytest.raises(InvalidInputError):
-            tiny_run_cfg(tiny_data, tmp_path, mode="sideways").validate()
+            tiny_run_cfg(tiny_data, tmp_path, mode="sideways")
         with pytest.raises(InvalidInputError):
-            tiny_run_cfg(tiny_data, tmp_path, epochs=0).validate()
+            tiny_run_cfg(tiny_data, tmp_path, epochs=0)
 
     @pytest.mark.parametrize("field, value", [
         ("vocab_size_per_task", 256), ("dim", 0), ("d_out", 0), ("l_max", 0),
@@ -230,14 +230,14 @@ class TestModesAndArtifacts:
     def test_config_validation_ranges(self, tiny_data, tmp_path, field,
                                       value):
         with pytest.raises(InvalidInputError):
-            tiny_run_cfg(tiny_data, tmp_path, **{field: value}).validate()
+            tiny_run_cfg(tiny_data, tmp_path, **{field: value})
 
     @pytest.mark.parametrize("tau", [float("nan"), float("inf")])
     def test_config_validation_tau_finite(self, tiny_data, tmp_path, tau):
         from lexcl.losses import LossConfig
         with pytest.raises(InvalidInputError, match="loss.tau"):
             tiny_run_cfg(tiny_data, tmp_path,
-                         loss=LossConfig(tau=tau)).validate()
+                         loss=LossConfig(tau=tau))
 
     def test_log_closed_when_a_task_fails(self, tiny_data, tmp_path,
                                           monkeypatch):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from lexcl import optim
 from lexcl.embeddings import EmbeddingTable
-from lexcl.errors import InvalidInputError, NumericError
+from lexcl.errors import NumericError
 
 
 def table_of(rows):
@@ -120,18 +120,6 @@ class TestSchedule:
     def test_midpoint_half_peak(self):
         cfg = optim.OptimConfig(lr_peak=2.0, warmup_fraction=0.1, total_steps=100)
         assert abs(optim.lr_at(5, cfg) - 1.0) <= 2.0 / 10
-
-
-class TestConfigValidation:
-    def test_bad_values(self):
-        with pytest.raises(InvalidInputError):
-            optim.OptimConfig(lr_peak=0.0)
-        with pytest.raises(InvalidInputError):
-            optim.OptimConfig(weight_decay=-1.0)
-        with pytest.raises(InvalidInputError):
-            optim.OptimConfig(warmup_fraction=1.0)
-        with pytest.raises(InvalidInputError):
-            optim.OptimConfig(kind="rmsprop")
 
 
 @given(seed=st.integers(0, 100_000),
