@@ -271,8 +271,12 @@ def gen_benchmark(cfg: BenchConfig, out_dir) -> None:
 
 
 def load_manifest(dataset_dir) -> dict:
-    with open(os.path.join(dataset_dir, "manifest.json")) as f:
-        return json.load(f)
+    path = os.path.join(dataset_dir, "manifest.json")
+    with open(path) as f:
+        try:
+            return json.load(f)
+        except ValueError as e:  # not JSON, or not UTF-8
+            raise DatasetFormatError(f"{path}: not valid JSON: {e}") from None
 
 
 def load_images(dataset_dir) -> np.ndarray:

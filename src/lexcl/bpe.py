@@ -249,6 +249,7 @@ def decode(ids, scope) -> bytes:
 # --- serialization -----------------------------------------------------
 
 _PRINTABLE = set(range(0x20, 0x7F)) - {ord('"'), ord("\\")}
+_HEX_ESCAPE = re.compile(r"x[0-9a-fA-F]{2}")
 
 
 def token_to_text(tok: bytes) -> str:
@@ -265,7 +266,7 @@ def token_from_text(s: str) -> bytes:
     i = 0
     while i < len(body):
         if body[i] == "\\":
-            if body[i + 1] != "x":
+            if not _HEX_ESCAPE.fullmatch(body, i + 1, i + 4):
                 raise InvalidInputError(f"bad escape in token literal: {s!r}")
             out.append(int(body[i + 2 : i + 4], 16))
             i += 4
@@ -280,9 +281,22 @@ def save_vocab(tokens: list[bytes], path) -> None:
                                for tok in tokens).encode("ascii"))
 
 
+def _parse_lines(path, parse) -> list:
+    """parse(line) of each non-blank line of the ASCII file `path`; a line
+    it rejects raises InvalidInputError naming path:line."""
+    out = []
+    with open(path, "rb") as f:
+        for lineno, line in enumerate(f, start=1):
+            if line.strip():
+                try:
+                    out.append(parse(line.decode("ascii")))
+                except (ValueError, InvalidInputError) as e:
+                    raise InvalidInputError(f"{path}:{lineno}: {e}") from None
+    return out
+
+
 def load_vocab(path) -> list[bytes]:
-    with open(path, "r", encoding="ascii") as f:
-        return [token_from_text(line) for line in f if line.strip()]
+    return _parse_lines(path, token_from_text)
 
 
 def save_merges(rules: list[MergeRule], path) -> None:
@@ -290,15 +304,13 @@ def save_merges(rules: list[MergeRule], path) -> None:
                                f"{r.result}\n" for r in rules).encode("ascii"))
 
 
+def _merge_rule(line: str) -> MergeRule:
+    t, rank, left, right, result = (int(x) for x in line.split())
+    return MergeRule(left, right, result, t, rank)
+
+
 def load_merges(path) -> list[MergeRule]:
-    rules = []
-    with open(path, "r", encoding="ascii") as f:
-        for line in f:
-            if not line.strip():
-                continue
-            t, rank, left, right, result = (int(x) for x in line.split())
-            rules.append(MergeRule(left, right, result, t, rank))
-    return rules
+    return _parse_lines(path, _merge_rule)
 
 
 def vocab_from_files(vocab_path, merges_path, task_index=None) -> TaskVocab:

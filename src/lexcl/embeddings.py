@@ -209,6 +209,8 @@ def load_checkpoint(path, expected_rows: int | None = None,
             side = json.load(f)
     except FileNotFoundError:
         side = {}
+    except ValueError as e:  # not JSON, or not UTF-8
+        raise CheckpointFormatError(f"{path}.json: not valid JSON: {e}") from None
     declared = side.get("rows", expected_rows)
     if expected_rows is not None and m.shape[0] != expected_rows:
         raise DimensionMismatchError(

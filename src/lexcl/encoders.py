@@ -66,11 +66,6 @@ class Pooling:
         """The pooling of texts `index`, in that order."""
         return Pooling(self.ids[index], self.w[index], self.pos[index])
 
-    def sq_weights(self) -> np.ndarray:
-        """Per text, the sum of its squared weights, in slot order."""
-        k, m = np.nonzero(self.w)
-        return np.bincount(k, self.w[k, m] ** 2, minlength=len(self.w))
-
 
 def pooling(tokens, n_rows: int, params: FrozenTextParams) -> Pooling:
     """The Pooling of every text of `tokens` (`vocab.TokenArrays`)."""

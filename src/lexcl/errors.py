@@ -73,6 +73,13 @@ _BOUNDS = {"gt": (operator.gt, ">"), "ge": (operator.ge, ">="),
            "lt": (operator.lt, "<"), "le": (operator.le, "<=")}
 
 
+def _finite(value) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
 def key(default, name: str, *, choices: tuple = (), **bounds):
     """A config dataclass field that config key `name` fills, with the
     allowed `choices` if any and any of the bounds gt, ge, lt and le.
@@ -92,7 +99,7 @@ def check_keys(cfg) -> None:
         types, what = _TYPES[f.type]
         if (not isinstance(value, types)
                 or isinstance(value, bool) != (f.type == "bool")
-                or f.type == "float" and not math.isfinite(value)):
+                or f.type == "float" and not _finite(value)):
             raise InvalidInputError(f"{name}: {value!r} is not {what}")
         choices = f.metadata["choices"]
         if choices and value not in choices:

@@ -1,8 +1,8 @@
 """Finite-difference verification of the analytic embedding gradients.
 
 Builds a small random instance, backpropagates the combined loss to the
-touched embedding rows through the batched encoder, and compares against
-central differences of the same loss on the same 64-bit matrix."""
+touched embedding rows by the batch step of training, and compares
+against central differences of the same loss on the same 64-bit matrix."""
 
 from __future__ import annotations
 
@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoders import encode_text, encode_text_grad, make_text_params, pooling
-from .losses import FeatureBatch, LossConfig, total_loss
+from .encoders import make_text_params, pooling
+from .losses import LossConfig, batch_grad
 from .vocab import TokenArrays
 
 
@@ -52,12 +52,9 @@ def grad_check(seed: int = 0, step: float = 1e-3,
     def loss_at(j, col, delta):
         shifted = matrix.copy()
         shifted[j, col] += delta
-        r_f = encode_text(pooled, shifted, params)
-        return total_loss(FeatureBatch(r_i, r_e, r_f), cfg)[0]
+        return batch_grad(pooled, shifted, params, r_i, r_e, cfg)[0]
 
-    r_f = encode_text(pooled, matrix, params)
-    _, grad_rf = total_loss(FeatureBatch(r_i, r_e, r_f), cfg)
-    rows, analytic = encode_text_grad(pooled, r_f, params, grad_rf)
+    _, rows, analytic = batch_grad(pooled, matrix, params, r_i, r_e, cfg)
     analytic[0, 0] += corruption
 
     worst = GradCheckResult(0.0, -1, -1, 0.0, 0.0)

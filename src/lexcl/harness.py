@@ -20,10 +20,9 @@ from .embeddings import (EmbeddingTable, dist_stats, expand, fixed_policy,
                          init_table, ks_statistic, matched_policy,
                          save_checkpoint, snapshot_anchor, vocab_hash,
                          write_atomic, write_csv)
-from .encoders import (encode_text, encode_text_grad, make_text_params,
-                       pooling, text_features)
+from .encoders import make_text_params, pooling, text_features
 from .errors import InvalidInputError, NumericError, check_keys, key
-from .losses import FeatureBatch, LossConfig, total_loss
+from .losses import LossConfig, batch_grad
 from .metrics import (EvalMatrix, average_recall, fisher_and_loss, forgetting,
                       paired_recall, score_row)
 from .optim import OptimConfig, OptimState, step as optim_step
@@ -220,12 +219,10 @@ class Runner:
             epoch_loss = 0.0
             for s in range(steps_per_epoch):
                 idx = order[s * cfg.batch_size : (s + 1) * cfg.batch_size]
-                batch = pooled.take(idx)
-                r_f = encode_text(batch, self.table.matrix, self.params)
-                loss, grad_rf = total_loss(
-                    FeatureBatch(img_feats[idx], eng_feats[idx], r_f), loss_cfg)
+                loss, rows, grads = batch_grad(
+                    pooled.take(idx), self.table.matrix, self.params,
+                    img_feats[idx], eng_feats[idx], loss_cfg)
                 epoch_loss += loss
-                rows, grads = encode_text_grad(batch, r_f, self.params, grad_rf)
                 optim_step(self.table, rows, lam, grads, ocfg, ostate)
             mean_loss = epoch_loss / steps_per_epoch
             score = sum(self._val_score(t) for t in train)
@@ -321,7 +318,7 @@ class Runner:
                 self.images[td.train.image],
                 text_features(td.english, self.anchor, self.params),
                 pooling(td.tokens["train"], self.table.row_count, self.params),
-                self.table.matrix, self.params, cfg.loss)
+                self.table.matrix, self.params, cfg.loss, cfg.batch_size)
             fisher_rows.append({"task": t, "fisher_trace": fisher})
             final_losses.append(loss)
 

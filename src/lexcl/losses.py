@@ -1,9 +1,8 @@
 """Training objectives: symmetric InfoNCE over cosine logits, paired-text
-MSE, and their weighted combination, each with the exact gradient with
-respect to the foreign-text feature batch (the only trainable branch).
-
-Each takes one batch of K x d features, or a stack of such batches
-(... x K x d), and then returns one loss per batch."""
+MSE, and their weighted combination, each over one batch of K x d
+features with its exact gradient with respect to the foreign-text
+features (the only trainable branch); and `batch_grad`, the forward and
+backward pass of one batch from the embedding rows to its loss and back."""
 
 from __future__ import annotations
 
@@ -11,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .encoders import encode_text, encode_text_grad
 from .errors import DegenerateFeatureError, InvalidInputError, check_keys, key
 
 
@@ -31,21 +31,22 @@ class FeatureBatch:
     R_F: np.ndarray  # foreign text features, trainable branch
 
     def __post_init__(self):
-        if not (self.R_I.shape == self.R_E.shape == self.R_F.shape):
+        if (self.R_F.ndim != 2
+                or not self.R_I.shape == self.R_E.shape == self.R_F.shape):
             raise InvalidInputError("FeatureBatch: shape mismatch")
 
     @property
     def K(self) -> int:
-        return self.R_I.shape[-2]
+        return self.R_I.shape[0]
 
 
 def _normalize_rows(m: np.ndarray, name: str):
     m = np.asarray(m, dtype=np.float64)
-    norms = np.linalg.norm(m, axis=-1)
+    norms = np.linalg.norm(m, axis=1)
     bad = np.flatnonzero(norms == 0.0)
     if bad.size:
         raise DegenerateFeatureError(f"{name}: zero-norm row {int(bad[0])}")
-    return m / norms[..., None], norms
+    return m / norms[:, None], norms
 
 
 def _log_softmax(logits: np.ndarray, axis: int) -> np.ndarray:
@@ -61,21 +62,20 @@ def cm_loss(batch: FeatureBatch, tau: float):
     K = batch.K
     U, _ = _normalize_rows(batch.R_I, "R_I")
     V, v_norms = _normalize_rows(batch.R_F, "R_F")
-    S = (U @ np.swapaxes(V, -1, -2)) / tau  # S[k, l] = cos(img_k, txt_l) / tau
+    S = (U @ V.T) / tau  # S[k, l] = cos(img_k, txt_l) / tau
 
-    log_p = _log_softmax(S, axis=-1)  # image -> text
-    log_q = _log_softmax(S, axis=-2)  # text -> image
-    loss = -0.5 / K * (np.diagonal(log_p, axis1=-2, axis2=-1).sum(-1)
-                       + np.diagonal(log_q, axis1=-2, axis2=-1).sum(-1))
+    log_p = _log_softmax(S, axis=1)  # image -> text
+    log_q = _log_softmax(S, axis=0)  # text -> image
+    loss = -0.5 / K * (np.trace(log_p) + np.trace(log_q))
 
     P = np.exp(log_p)
     Q = np.exp(log_q)
     eye = np.eye(K)
     G = ((P - eye) + (Q - eye)) / (2.0 * K)  # dloss / dS
 
-    A = (np.swapaxes(G, -1, -2) @ U) / tau   # dloss / d(normalized rows of R_F)
-    inner = np.einsum("...ij,...ij->...i", A, V)
-    grad = (A - inner[..., None] * V) / v_norms[..., None]
+    A = (G.T @ U) / tau   # dloss / d(normalized rows of R_F)
+    inner = np.einsum("ij,ij->i", A, V)
+    grad = (A - inner[:, None] * V) / v_norms[:, None]
     return loss, grad
 
 
@@ -83,14 +83,14 @@ def cl_loss(batch: FeatureBatch):
     """Mean-square error between paired anchor and foreign text features."""
     K = batch.K
     diff = np.asarray(batch.R_F, dtype=np.float64) - np.asarray(batch.R_E, dtype=np.float64)
-    loss = (diff * diff).sum(axis=(-2, -1)) / (2.0 * K)
+    loss = (diff * diff).sum() / (2.0 * K)
     return loss, diff / K
 
 
 def total_loss(batch: FeatureBatch, cfg: LossConfig):
     """gamma_cm * contrastive + gamma_cl * cross-lingual, with gradient."""
     grad = np.zeros_like(np.asarray(batch.R_F, dtype=np.float64))
-    loss = np.zeros(grad.shape[:-2])
+    loss = 0.0
     if cfg.gamma_cm != 0.0:
         l_cm, g_cm = cm_loss(batch, cfg.tau)
         loss += cfg.gamma_cm * l_cm
@@ -99,4 +99,15 @@ def total_loss(batch: FeatureBatch, cfg: LossConfig):
         l_cl, g_cl = cl_loss(batch)
         loss += cfg.gamma_cl * l_cl
         grad += cfg.gamma_cl * g_cl
-    return loss[()], grad
+    return loss, grad
+
+
+def batch_grad(pooled, matrix, params, img_feats, eng_feats, cfg: LossConfig):
+    """The forward and backward pass of one training batch: the loss of
+    the foreign texts `pooled`, encoded under `matrix`, against their
+    image and anchor English features, and its gradient w.r.t. the
+    embedding rows read, as (loss, rows, grads)."""
+    r_f = encode_text(pooled, matrix, params)
+    loss, grad_rf = total_loss(FeatureBatch(img_feats, eng_feats, r_f), cfg)
+    rows, grads = encode_text_grad(pooled, r_f, params, grad_rf)
+    return loss, rows, grads

@@ -9,9 +9,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embeddings import DistStats, dist_stats, write_csv
-from .encoders import Pooling, encode_text, pooled_grad, text_features
+from .encoders import Pooling, text_features
 from .errors import (DegenerateFeatureError, InvalidInputError, MetricError)
-from .losses import FeatureBatch, total_loss
+from .losses import batch_grad
 
 DIRECTIONS = ("img2txt", "txt2img")
 
@@ -66,7 +66,7 @@ class EvalMatrix:
         return out
 
 
-# Queries ranked, or samples scored, per block: bounds the temporaries.
+# Queries ranked per block: bounds the temporaries.
 _BLOCK = 256
 
 
@@ -151,30 +151,24 @@ def forgetting(matrix: EvalMatrix, j: int, direction: str) -> float:
 
 
 def fisher_and_loss(img_feats, eng_feats, pooled: Pooling, matrix, params,
-                    loss_cfg) -> tuple[float, float]:
-    """(Fisher-trace proxy, mean loss) over the per-sample (batch size 1)
-    losses, from one pass; the trace is their average squared gradient
-    norm, accumulated in 64-bit. Row k of each array is sample k: its
-    image feature, its English feature from the anchor and its pooled
-    foreign text. Its gradient w.r.t. the row of id j is c_j / L times
-    its pooled gradient g, so its squared norm is |g|^2 * sum_j (c_j / L)^2."""
+                    loss_cfg, batch_size: int) -> tuple[float, float]:
+    """(Fisher-trace proxy, mean loss) over consecutive batches of
+    `batch_size` samples, in order, as training takes them: the mean over
+    batches of the squared norm of the loss's gradient w.r.t. the
+    embedding rows, and the mean batch loss. Row k of each array is
+    sample k: its image feature, its English feature from the anchor and
+    its pooled foreign text."""
     n = len(pooled.w)
     if n == 0:
         raise InvalidInputError("empty dataset")
-    losses, norms = [], []
-    for start in range(0, n, _BLOCK):
-        block = np.arange(start, min(start + _BLOCK, n))
-        sub = pooled.take(block)
-        r_f = encode_text(sub, matrix, params)
-        loss, grad = total_loss(FeatureBatch(
-            np.asarray(img_feats[block], dtype=np.float64)[:, None],
-            np.asarray(eng_feats[block], dtype=np.float64)[:, None],
-            r_f[:, None]), loss_cfg)
-        g = pooled_grad(r_f, params, grad[:, 0])
+    traces, losses = [], []
+    for start in range(0, n, batch_size):
+        block = slice(start, start + batch_size)
+        loss, _, grads = batch_grad(pooled.take(block), matrix, params,
+                                    img_feats[block], eng_feats[block], loss_cfg)
+        traces.append(np.einsum("ij,ij->", grads, grads))
         losses.append(loss)
-        norms.append(np.einsum("ij,ij->i", g, g) * sub.sq_weights())
-    return (float(np.mean(np.concatenate(norms))),
-            float(np.mean(np.concatenate(losses))))
+    return float(np.mean(traces)), float(np.mean(losses))
 
 
 def ted_histogram(table, bins: int):

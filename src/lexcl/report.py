@@ -8,6 +8,7 @@ import csv
 import json
 import os
 import re
+from dataclasses import replace
 
 from . import bpe
 from . import vocab as vocab_mod
@@ -15,13 +16,14 @@ from .embeddings import load_checkpoint, vocab_hash, write_atomic, write_csv
 from .encoders import make_text_params
 from .errors import InvalidInputError
 from .bench import load_dataset, load_images, load_manifest
-from .harness import vocab_index
+from .harness import RunConfig, vocab_index
 from .metrics import (EvalMatrix, average_recall, forgetting, save_histogram_csv,
                       score_row, ted_histogram)
 
 
 def _load_run_config(run_dir, *names) -> list:
-    """The values of fields `names` in the run's config.json."""
+    """The values of fields `names` in the run's config.json, each checked
+    against its declaration on RunConfig."""
     path = os.path.join(run_dir, "config.json")
     if not os.path.exists(path):
         raise InvalidInputError(f"{run_dir}: missing config.json; not a run directory")
@@ -33,7 +35,11 @@ def _load_run_config(run_dir, *names) -> list:
     missing = [n for n in names if not isinstance(cfg, dict) or n not in cfg]
     if missing:
         raise InvalidInputError(f"{path}: no field {missing[0]!r}")
-    return [cfg[n] for n in names]
+    try:
+        run = replace(RunConfig("", ""), **{n: cfg[n] for n in names})
+    except InvalidInputError as e:
+        raise InvalidInputError(f"{path}: {e}") from None
+    return [getattr(run, n) for n in names]
 
 
 def _task_rows(run_dir) -> list[int]:

@@ -103,10 +103,6 @@ class CsrPooling:
         """(rows, A^T @ pooled_grad)."""
         return self.rows, self.A.T @ pooled_grad
 
-    def sq_weights(self):
-        """Per text, the sum of its squared weights: A^2 @ 1."""
-        return self.A.power(2) @ np.ones(self.A.shape[1])
-
 
 @dataclass
 class DictState:

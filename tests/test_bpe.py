@@ -250,3 +250,9 @@ class TestFiles:
     def test_token_text_escaping(self):
         for raw in [b"plain", b"with space", b"\x00\xff", "né".encode("utf-8")]:
             assert bpe.token_from_text(bpe.token_to_text(raw)) == raw
+
+    @pytest.mark.parametrize("literal", ['"ab\\"', '"\\x4"', '"\\y41"',
+                                         '"\\x+f"', "ab"])
+    def test_bad_token_literal_rejected(self, literal):
+        with pytest.raises(InvalidInputError):
+            bpe.token_from_text(literal)

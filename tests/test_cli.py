@@ -199,6 +199,7 @@ class TestTrain:
         "loss.tau = 0",
         "loss.gamma_cm = -5",
         "loss.gamma_cl = -5",
+        pytest.param("optim.lr = 1" + "0" * 400, id="optim.lr = 10**400"),
     ])
     def test_bad_config_fails_fast(self, workdir, tmp_path, line, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -340,6 +341,57 @@ class TestEvalAndReport:
         err = capsys.readouterr().err
         assert str(path) in err and named in err
         assert not (tmp_path / "rep").exists()
+
+    @pytest.mark.parametrize("command, field, value, named", [
+        ("eval", "dim", "x", "model.dim"),
+        ("report", "mode", "sideways", "run.mode"),
+    ])
+    def test_mistyped_run_config_fails_naming_the_key(
+            self, workdir, tmp_path, capsys, command, field, value, named):
+        """A config.json field is checked against its RunConfig key."""
+        run = tmp_path / "run"
+        shutil.copytree(workdir / "run", run)
+        path = run / "config.json"
+        cfg = json.loads(path.read_text())
+        cfg[field] = value
+        path.write_text(json.dumps(cfg))
+        args = (["eval", "--run", str(run), "--data", str(workdir / "data")]
+                if command == "eval" else
+                ["report", "--run", str(run), "--out", str(tmp_path / "rep")])
+        assert main(args) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert str(path) in err and named in err
+        assert not (tmp_path / "rep").exists()
+
+    @pytest.mark.parametrize("damaged", ["ckpt_task0.bin.json",
+                                         "data/manifest.json"])
+    def test_truncated_json_fails_naming_the_file(self, workdir, tmp_path,
+                                                  capsys, damaged):
+        """A truncated checkpoint sidecar or dataset manifest is an I/O
+        error naming the file."""
+        run, data = tmp_path / "run", tmp_path / "data"
+        shutil.copytree(workdir / "run", run)
+        shutil.copytree(workdir / "data", data)
+        path = tmp_path / damaged if damaged.startswith("data/") else run / damaged
+        path.write_text(path.read_text()[:10])
+        assert main(["eval", "--run", str(run), "--data", str(data)]) == EXIT_IO
+        assert str(path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, line", [
+        ("merges_task1.txt", "1 2 x"),
+        ("vocab_task1.txt", '"ab\\"'),
+        ("vocab_task1.txt", '"\u00e9"'),
+    ])
+    def test_damaged_vocab_files_fail_naming_the_line(self, workdir, tmp_path,
+                                                      capsys, name, line):
+        run = tmp_path / "run"
+        shutil.copytree(workdir / "run", run)
+        path = run / name
+        lines = path.read_text().splitlines() + [line]
+        path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+        assert main(["eval", "--run", str(run),
+                     "--data", str(workdir / "data")]) == EXIT_USAGE
+        assert f"{path}:{len(lines)}" in capsys.readouterr().err
 
     def test_report_on_empty_dir(self, tmp_path):
         code = main(["report", "--run", str(tmp_path / "empty"),

@@ -218,8 +218,8 @@ BITWISE_CASES = {
 
 
 def check_bitwise(id_lists, index, matrix, params, upstream):
-    """The padded batch against the scipy CSR pooling: the same features,
-    gradient rows and values and sums of squared weights, bit for bit."""
+    """The padded batch against the scipy CSR pooling: the same features
+    and gradient rows and values, bit for bit."""
     tokens = TokenArrays.from_rows(id_lists)
     pooled = enc.pooling(tokens, len(matrix), params)
     ref = oracles.CsrPooling.of(tokens, params)
@@ -231,7 +231,6 @@ def check_bitwise(id_lists, index, matrix, params, upstream):
     want_rows, want = ref.grad(enc.pooled_grad(feats, params, upstream))
     assert np.array_equal(rows, want_rows)
     assert np.array_equal(grads, want)
-    assert np.array_equal(pooled.sq_weights(), ref.sq_weights())
     return rows
 
 

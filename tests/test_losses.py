@@ -162,3 +162,5 @@ class TestTotalLoss:
     def test_shape_mismatch(self):
         with pytest.raises(InvalidInputError):
             FeatureBatch(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((3, 3)))
+        with pytest.raises(InvalidInputError):  # a stack of batches
+            FeatureBatch(*(np.ones((2, 2, 3)) for _ in range(3)))

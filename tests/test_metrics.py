@@ -252,16 +252,28 @@ def sample_arrays(samples, table, anchor, params):
             pooling(foreign, table.row_count, params), table.matrix, params)
 
 
-def per_sample_reference(samples, table, anchor, params, cfg):
-    """(Fisher trace, mean loss) by one batch-size-1 loss per sample and
-    the per-text adjoint."""
+def batch_loss(batch, matrix, anchor, params, cfg):
+    """total_loss of a list of samples as one batch, each text encoded by
+    the per-caption oracle; returns (loss, gradient w.r.t. its features)."""
+    r_i = np.array([img for img, _, _ in batch])
+    r_e = np.array([oracles.encode_text(eng, anchor, params)
+                    for _, eng, _ in batch])
+    r_f = np.array([oracles.encode_text(foreign, matrix, params)
+                    for _, _, foreign in batch])
+    return total_loss(FeatureBatch(r_i, r_e, r_f), cfg)
+
+
+def per_sample_reference(samples, table, anchor, params, cfg, batch_size):
+    """(Fisher trace, mean loss) over consecutive batches of `batch_size`
+    samples, built sample by sample: each batch's loss from the per-caption
+    oracle features, its row gradient the sum of the per-caption adjoints,
+    squared; both averaged over the batches."""
     fisher, losses = [], []
-    for img, eng, foreign in samples:
-        r_f = oracles.encode_text(foreign, table.matrix, params)[None, :]
-        r_e = oracles.encode_text(eng, anchor, params)[None, :]
-        loss, grad = total_loss(FeatureBatch(np.asarray(img)[None, :], r_e, r_f),
-                                cfg)
-        rows = oracles.encode_text_grad(foreign, table.matrix, params, grad[0])
+    for s in range(0, len(samples), batch_size):
+        batch = samples[s:s + batch_size]
+        loss, grad = batch_loss(batch, table.matrix, anchor, params, cfg)
+        rows = oracles.batch_grads([foreign for _, _, foreign in batch],
+                                   table.matrix, params, grad)
         fisher.append(sum(float(g @ g) for g in rows.values()))
         losses.append(loss)
     return np.mean(fisher), np.mean(losses)
@@ -282,25 +294,34 @@ def tiny_model(seed=0, rows=12, d=6):
 
 
 class TestFisherTrace:
+    """fisher_and_loss scores batches as training takes them: 5 samples
+    in batches of 2 are the batches [0, 1], [2, 3] and [4]."""
+
     def test_zero_weights_zero_trace(self):
         samples, table, anchor, params = tiny_model()
         cfg = LossConfig(tau=0.07, gamma_cm=0.0, gamma_cl=0.0)
         fisher, _ = M.fisher_and_loss(
-            *sample_arrays(samples, table, anchor, params), cfg)
+            *sample_arrays(samples, table, anchor, params), cfg, 2)
         assert fisher == 0.0
 
     def test_single_sample_is_its_norm(self):
+        """A single batch's trace is its own squared gradient norm, and
+        that of several batches is the mean of theirs."""
         samples, table, anchor, params = tiny_model(1)
         cfg = LossConfig()
 
-        def trace(s):
+        def trace(s, batch_size=2):
             return M.fisher_and_loss(*sample_arrays(s, table, anchor, params),
-                                     cfg)[0]
+                                     cfg, batch_size)[0]
 
-        one = trace(samples[:1])
-        per = [trace([s]) for s in samples]
-        assert one == per[0]
+        per = [trace(samples[s:s + 2]) for s in (0, 2, 4)]
+        assert trace(samples[:2]) == per[0]
+        assert trace(samples[:2], 5) == per[0]
+        assert np.isclose(per[2], per_sample_reference(
+            samples[4:], table, anchor, params, cfg, 1)[0], rtol=1e-12)
         assert np.isclose(trace(samples), np.mean(per))
+        assert np.isclose(trace(samples, 5), per_sample_reference(
+            samples, table, anchor, params, cfg, 5)[0], rtol=1e-12)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     @pytest.mark.parametrize("gammas", [(1.0, 1.0), (0.01, 1.0), (1.0, 0.0)])
@@ -308,41 +329,47 @@ class TestFisherTrace:
         samples, table, anchor, params = tiny_model(seed)
         cfg = LossConfig(0.07, *gammas)
         args = sample_arrays(samples, table, anchor, params)
-        fisher, loss = per_sample_reference(samples, table, anchor, params, cfg)
-        got_fisher, got_loss = M.fisher_and_loss(*args, cfg)
+        fisher, loss = per_sample_reference(samples, table, anchor, params,
+                                            cfg, 2)
+        got_fisher, got_loss = M.fisher_and_loss(*args, cfg, 2)
         assert np.isclose(got_fisher, fisher, rtol=1e-12, atol=1e-15)
         assert np.isclose(got_loss, loss, rtol=1e-12, atol=1e-15)
 
+    def test_contrastive_term_is_seen(self):
+        """With the cross-lingual term off, the contrastive term alone
+        gives a positive trace and loss: batches of 2 see other captions."""
+        samples, table, anchor, params = tiny_model(3)
+        cfg = LossConfig(tau=0.07, gamma_cm=1.0, gamma_cl=0.0)
+        fisher, loss = M.fisher_and_loss(
+            *sample_arrays(samples, table, anchor, params), cfg, 2)
+        assert fisher > 0.0 and loss > 0.0
+
     def test_finite_difference_oracle(self):
+        """The trace of one batch of 3 is the squared norm of the central
+        differences of its loss over every entry of the rows it reads."""
         samples, table, anchor, params = tiny_model(2)
-        cfg = LossConfig()
-        img, eng, foreign = samples[0]
-
-        def loss_of(matrix):
-            r_i = np.asarray(img)[None, :]
-            r_e = oracles.encode_text(eng, anchor, params)[None, :]
-            r_f = oracles.encode_text(foreign, matrix.astype(np.float32),
-                                      params)[None, :]
-            return total_loss(FeatureBatch(r_i, r_e, r_f), cfg)[0]
-
+        cfg = LossConfig(tau=0.07, gamma_cm=1.0, gamma_cl=1.0)
+        batch = samples[:3]
         base = table.matrix.astype(np.float64)
         step = 1e-4
         sq = 0.0
-        for tid in set(foreign):
+        for tid in {t for _, _, foreign in batch for t in foreign}:
             for c in range(base.shape[1]):
                 plus, minus = base.copy(), base.copy()
                 plus[tid, c] += step
                 minus[tid, c] -= step
-                sq += ((loss_of(plus) - loss_of(minus)) / (2 * step)) ** 2
+                diff = (batch_loss(batch, plus, anchor, params, cfg)[0]
+                        - batch_loss(batch, minus, anchor, params, cfg)[0])
+                sq += (diff / (2 * step)) ** 2
         got, _ = M.fisher_and_loss(
-            *sample_arrays([samples[0]], table, anchor, params), cfg)
-        assert abs(got - sq) / max(sq, 1e-12) < 1e-3
+            *sample_arrays(batch, table, anchor, params), cfg, 3)
+        assert abs(got - sq) / max(sq, 1e-12) < 1e-6
 
     def test_empty_dataset(self):
         _, table, anchor, params = tiny_model()
         with pytest.raises(InvalidInputError):
             M.fisher_and_loss(*sample_arrays([], table, anchor, params),
-                              LossConfig())
+                              LossConfig(), 2)
 
 
 class TestTedHistogram:
