@@ -274,9 +274,17 @@ def load_manifest(dataset_dir) -> dict:
     path = os.path.join(dataset_dir, "manifest.json")
     with open(path) as f:
         try:
-            return json.load(f)
+            manifest = json.load(f)
         except ValueError as e:  # not JSON, or not UTF-8
             raise DatasetFormatError(f"{path}: not valid JSON: {e}") from None
+    if not (isinstance(manifest, dict)
+            and isinstance(manifest.get("languages"), list)
+            and all(isinstance(lang, str) for lang in manifest["languages"])
+            and isinstance(manifest.get("splits"), dict)
+            and all(type(manifest["splits"].get(s)) is int for s in SPLITS)):
+        raise DatasetFormatError(f"{path}: not an object with a 'languages' "
+                                 "list of names and a 'splits' count per split")
+    return manifest
 
 
 def load_images(dataset_dir) -> np.ndarray:

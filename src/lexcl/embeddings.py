@@ -211,6 +211,8 @@ def load_checkpoint(path, expected_rows: int | None = None,
         side = {}
     except ValueError as e:  # not JSON, or not UTF-8
         raise CheckpointFormatError(f"{path}.json: not valid JSON: {e}") from None
+    if not isinstance(side, dict):
+        raise CheckpointFormatError(f"{path}.json: not a JSON object")
     declared = side.get("rows", expected_rows)
     if expected_rows is not None and m.shape[0] != expected_rows:
         raise DimensionMismatchError(

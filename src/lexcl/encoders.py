@@ -118,11 +118,13 @@ def pooled_grad(feats, params: FrozenTextParams, upstream) -> np.ndarray:
 def encode_text_grad(pooled: Pooling, feats, params: FrozenTextParams,
                      upstream):
     """Gradient of sum(upstream * feats) w.r.t. the embedding rows read,
-    rows ascending: row j's sums w[k, m] g[k] over the slots holding j, in
-    text order, so repeated ids accumulate linearly; pads read no row."""
+    rows ascending: A @ pooled_grad, A[r, k] the weight of rows[r] in text
+    k, so repeated ids accumulate linearly; pads read no row."""
     k, m = np.nonzero(pooled.w)
-    rows, row = np.unique(pooled.ids[k, m], return_inverse=True)
-    g, d = pooled_grad(feats, params, upstream), params.dim
-    grads = np.bincount((row[:, None] * d + np.arange(d)).ravel(),
-                        (pooled.w[k, m][:, None] * g[k]).ravel(), len(rows) * d)
-    return rows, grads.reshape(len(rows), d)
+    ids = pooled.ids[k, m]
+    read = np.zeros(ids.max(initial=-1) + 1, dtype=bool)
+    read[ids] = True
+    rows = np.flatnonzero(read)
+    A = np.zeros((len(rows), len(pooled.w)))
+    A[np.cumsum(read)[ids] - 1, k] = pooled.w[k, m]
+    return rows, A @ pooled_grad(feats, params, upstream)

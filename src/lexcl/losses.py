@@ -68,10 +68,10 @@ def cm_loss(batch: FeatureBatch, tau: float):
     log_q = _log_softmax(S, axis=0)  # text -> image
     loss = -0.5 / K * (np.trace(log_p) + np.trace(log_q))
 
-    P = np.exp(log_p)
-    Q = np.exp(log_q)
-    eye = np.eye(K)
-    G = ((P - eye) + (Q - eye)) / (2.0 * K)  # dloss / dS
+    P, Q = np.exp(log_p), np.exp(log_q)
+    P.flat[::K + 1] -= 1.0
+    Q.flat[::K + 1] -= 1.0
+    G = (P + Q) / (2.0 * K)  # dloss / dS
 
     A = (G.T @ U) / tau   # dloss / d(normalized rows of R_F)
     inner = np.einsum("ij,ij->i", A, V)
@@ -88,18 +88,12 @@ def cl_loss(batch: FeatureBatch):
 
 
 def total_loss(batch: FeatureBatch, cfg: LossConfig):
-    """gamma_cm * contrastive + gamma_cl * cross-lingual, with gradient."""
-    grad = np.zeros_like(np.asarray(batch.R_F, dtype=np.float64))
-    loss = 0.0
-    if cfg.gamma_cm != 0.0:
-        l_cm, g_cm = cm_loss(batch, cfg.tau)
-        loss += cfg.gamma_cm * l_cm
-        grad += cfg.gamma_cm * g_cm
-    if cfg.gamma_cl != 0.0:
-        l_cl, g_cl = cl_loss(batch)
-        loss += cfg.gamma_cl * l_cl
-        grad += cfg.gamma_cl * g_cl
-    return loss, grad
+    """gamma_cm * contrastive + gamma_cl * cross-lingual, with gradient. A
+    term of weight 0 is not computed; with both 0 the gradient is 0.0."""
+    l_cm, g_cm = cm_loss(batch, cfg.tau) if cfg.gamma_cm != 0.0 else (0.0, 0.0)
+    l_cl, g_cl = cl_loss(batch) if cfg.gamma_cl != 0.0 else (0.0, 0.0)
+    return (cfg.gamma_cm * l_cm + cfg.gamma_cl * l_cl,
+            cfg.gamma_cm * g_cm + cfg.gamma_cl * g_cl)
 
 
 def batch_grad(pooled, matrix, params, img_feats, eng_feats, cfg: LossConfig):

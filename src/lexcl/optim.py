@@ -35,13 +35,14 @@ class OptimConfig:
 @dataclass
 class OptimState:
     """AdamW moments of every row (|V| x d, grown with the table), each
-    row's own step count for its bias correction, and the global step
-    counter of the schedule."""
+    row's own step count t, the global step counter of the schedule, and
+    the bias corrections (1 - beta1 ** t, 1 - beta2 ** t) by t."""
 
     m: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
     v: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
     t: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     step_count: int = 0
+    bias: np.ndarray = field(default_factory=lambda: np.zeros((0, 2)))
 
 
 def lr_at(step: int, cfg: OptimConfig) -> float:
@@ -78,13 +79,16 @@ def step(table, rows, lam: np.ndarray, grads, cfg: OptimConfig,
             state.t = np.pad(state.t, (0, extra))
         g = lam_r * g
         theta = theta - ((lr * cfg.weight_decay) * lam_r) * theta
+        if len(state.bias) <= state.step_count:  # each row's t <= step_count
+            # Python's float power: numpy's can differ from it in the last
+            # bit, and from one CPU to another
+            n = max(cfg.total_steps, 2 * state.step_count) + 1
+            state.bias = np.array([(1.0 - cfg.beta1 ** k, 1.0 - cfg.beta2 ** k)
+                                   for k in range(n)])
         t = state.t[rows] + 1
         m = cfg.beta1 * state.m[rows] + (1.0 - cfg.beta1) * g
         v = cfg.beta2 * state.v[rows] + (1.0 - cfg.beta2) * (g * g)
-        # Python's float power: numpy's can differ from it in the last
-        # bit, and from one CPU to another
-        m_hat = m / np.array([1.0 - cfg.beta1 ** k for k in t.tolist()])[:, None]
-        v_hat = v / np.array([1.0 - cfg.beta2 ** k for k in t.tolist()])[:, None]
-        theta = theta - lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+        bias = state.bias[t]
+        theta = theta - lr * (m / bias[:, :1]) / (np.sqrt(v / bias[:, 1:]) + cfg.eps)
         state.m[rows], state.v[rows], state.t[rows] = m, v, t
     mat[rows] = theta.astype(np.float32)

@@ -1,7 +1,8 @@
 """Slow reference implementations that the fast code paths are tested
 against: the per-caption text encoder and its adjoint, the scipy CSR
-pooling whose summation order the padded batch keeps, the row-by-row
-optimizer step with per-row moment dicts, Recall@K by a stable argsort
+pooling whose summation order the padded forward pass keeps, the
+row-by-row optimizer step with per-row moment dicts and its bias
+corrections powered step by step, Recall@K by a stable argsort
 of every similarity row, the full-recount BPE trainer, the rule-by-rule
 BPE encoder, a plain hash of a matrix's bytes, and one SeedSequence per
 named random stream of the benchmark generator."""
@@ -114,7 +115,9 @@ class DictState:
 
 def step(table, grads, lam, cfg, state: DictState) -> None:
     """One scheduled update of the rows in `grads` ({row: gradient}),
-    row by row; rows with lambda 0 are skipped."""
+    row by row; rows with lambda 0 are skipped. AdamW's bias corrections
+    are Python float powers 1 - beta ** t of each row's t, taken anew at
+    every step: the per-task table of optim.step must match them."""
     lr = lr_at(state.step_count, cfg)
     state.step_count += 1
     mat = table.matrix

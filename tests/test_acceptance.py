@@ -2,13 +2,17 @@
 
 Each test prints one PASS/FAIL line. Criteria 5-8 share a module-scoped
 fixture that trains five configurations (baseline, init-only, reg-only,
-full, joint) on the default benchmark over three master seeds; expect a
-few minutes of runtime for that block. Everything else is fast.
+full, joint) on the default benchmark over three master seeds, in up to
+two worker processes; that block takes about 12 s on 2 cores. Everything
+else is fast.
 """
 
+import multiprocessing
+import os
 import sys
-import tempfile
 import time
+from concurrent.futures import ProcessPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,6 +29,8 @@ from lexcl.losses import FeatureBatch, cl_loss, cm_loss
 from lexcl.metrics import EvalMatrix, average_recall, forgetting, recall_at_k
 
 SEEDS = (0, 1, 2)
+# bound on the wait for any one worker result of the fixture below
+TIMEOUT_S = 600
 
 
 def report(criterion: str, ok: bool, detail: str = "") -> None:
@@ -152,14 +158,21 @@ def test_criterion_4_init_distribution():
 
 # --- 5-8. end-to-end directional criteria -----------------------------------
 
+def _run_row(cfg):
+    """[AR img2txt, AR txt2img, F img2txt, F txt2img, mean Fisher, mean
+    final loss] of one run."""
+    art = run_sequence(cfg)
+    return [art.final_ar["img2txt"], art.final_ar["txt2img"],
+            art.final_f.get("img2txt", 0.0), art.final_f.get("txt2img", 0.0),
+            art.diagnostics["mean_fisher"], art.diagnostics["mean_final_loss"]]
+
+
 @pytest.fixture(scope="module")
-def runs():
-    """Mean-over-seeds metrics for each configuration on the default bench."""
-    data = {}
-    for seed in SEEDS:
-        d = tempfile.mkdtemp(prefix=f"lexcl_bench{seed}_")
-        gen_benchmark(BenchConfig(seed=seed), d)
-        data[seed] = d
+def runs(tmp_path_factory):
+    """Mean-over-seeds metrics for each configuration on the default bench.
+    The runs go to one fresh interpreter per core (at most two), each
+    with one BLAS thread; a run is bitwise reproducible from its seed, so
+    where it runs does not change its numbers."""
     settings = {
         "base": dict(teir_init=False, teir_reg=False),
         "init": dict(teir_init=True, teir_reg=False),
@@ -167,18 +180,21 @@ def runs():
         "full": dict(teir_init=True, teir_reg=True),
         "joint": dict(teir_init=False, teir_reg=False, mode="joint"),
     }
+    one_thread = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                   "MKL_NUM_THREADS")}
+    # a spawned worker reads the BLAS thread count from its environment
+    with mock.patch.dict(os.environ, one_thread), ProcessPoolExecutor(
+            min(os.cpu_count() or 1, 2), multiprocessing.get_context("spawn")) as pool:
+        data = {seed: str(tmp_path_factory.mktemp(f"bench{seed}")) for seed in SEEDS}
+        list(pool.map(gen_benchmark, [BenchConfig(seed=s) for s in SEEDS],
+                      data.values(), timeout=TIMEOUT_S))
+        futures = {(name, seed): pool.submit(_run_row, RunConfig(
+            data_dir=data[seed], out_dir=str(tmp_path_factory.mktemp(name)),
+            seed=seed, **kw)) for name, kw in settings.items() for seed in SEEDS}
+        rows = {key: f.result(TIMEOUT_S) for key, f in futures.items()}
     out = {}
-    for name, kw in settings.items():
-        rows = []
-        for seed in SEEDS:
-            art = run_sequence(RunConfig(
-                data_dir=data[seed], out_dir=tempfile.mkdtemp(), seed=seed, **kw))
-            rows.append([art.final_ar["img2txt"], art.final_ar["txt2img"],
-                         art.final_f.get("img2txt", 0.0),
-                         art.final_f.get("txt2img", 0.0),
-                         art.diagnostics["mean_fisher"],
-                         art.diagnostics["mean_final_loss"]])
-        m = np.mean(rows, axis=0)
+    for name in settings:
+        m = np.mean([rows[name, seed] for seed in SEEDS], axis=0)
         out[name] = dict(ar=(m[0], m[1]), f=(m[2], m[3]), fisher=m[4], loss=m[5])
     return out
 

@@ -377,6 +377,25 @@ class TestEvalAndReport:
         assert main(["eval", "--run", str(run), "--data", str(data)]) == EXIT_IO
         assert str(path) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("damaged, text", [
+        ("ckpt_task0.bin.json", "[1]"),
+        ("data/manifest.json", "[]"),
+        ("data/manifest.json", '{"languages": "L0", "splits": {}}'),
+        ("data/manifest.json", '{"languages": ["L0"], "splits": {"train": 1}}'),
+    ])
+    def test_json_of_the_wrong_shape_fails_naming_the_file(
+            self, workdir, tmp_path, capsys, damaged, text):
+        """A sidecar that is not a JSON object, or a manifest without its
+        list of languages and a count for each split, is an I/O error
+        naming the file."""
+        run, data = tmp_path / "run", tmp_path / "data"
+        shutil.copytree(workdir / "run", run)
+        shutil.copytree(workdir / "data", data)
+        path = tmp_path / damaged if damaged.startswith("data/") else run / damaged
+        path.write_text(text)
+        assert main(["eval", "--run", str(run), "--data", str(data)]) == EXIT_IO
+        assert str(path) in capsys.readouterr().err
+
     @pytest.mark.parametrize("name, line", [
         ("merges_task1.txt", "1 2 x"),
         ("vocab_task1.txt", '"ab\\"'),

@@ -217,9 +217,17 @@ BITWISE_CASES = {
 }
 
 
+# The dense adjoint A @ g adds each row's terms w[k, m] g[k] in the BLAS
+# kernel's order, not in the CSR kernel's text order, so a gradient
+# value may differ from the oracle's by a few roundings of its terms:
+# it must lie within GRAD_RTOL of the sum of their magnitudes. A dropped
+# repeat or a pad weight let in moves it by a whole term.
+GRAD_RTOL = 1e-13
+
+
 def check_bitwise(id_lists, index, matrix, params, upstream):
     """The padded batch against the scipy CSR pooling: the same features
-    and gradient rows and values, bit for bit."""
+    and gradient rows bit for bit, and the gradient values to GRAD_RTOL."""
     tokens = TokenArrays.from_rows(id_lists)
     pooled = enc.pooling(tokens, len(matrix), params)
     ref = oracles.CsrPooling.of(tokens, params)
@@ -228,9 +236,11 @@ def check_bitwise(id_lists, index, matrix, params, upstream):
     feats = enc.encode_text(pooled, matrix, params)
     assert np.array_equal(feats, ref.features(matrix, params))
     rows, grads = enc.encode_text_grad(pooled, feats, params, upstream)
-    want_rows, want = ref.grad(enc.pooled_grad(feats, params, upstream))
+    g = enc.pooled_grad(feats, params, upstream)
+    want_rows, want = ref.grad(g)
     assert np.array_equal(rows, want_rows)
-    assert np.array_equal(grads, want)
+    _, magnitude = ref.grad(np.abs(g))
+    assert np.all(np.abs(grads - want) <= GRAD_RTOL * magnitude)
     return rows
 
 

@@ -4,6 +4,7 @@
 import hashlib
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -12,8 +13,9 @@ from scipy import stats as sps
 
 from lexcl import bench, bpe, harness, vocab
 from lexcl.bench import SPLITS
-from lexcl.embeddings import load_checkpoint
-from lexcl.errors import CheckpointError, InvalidInputError, NumericError
+from lexcl.embeddings import load_checkpoint, write_matrix
+from lexcl.errors import (CheckpointError, DegenerateFeatureError,
+                          InvalidInputError, NumericError)
 from lexcl.harness import RunConfig, Runner, run_sequence, sub_seed
 from lexcl.metrics import EvalMatrix
 from lexcl.report import recompute_eval_matrix
@@ -292,6 +294,17 @@ class TestDatasetReads:
         reads = _count_dataset_reads(monkeypatch)
         recompute_eval_matrix(tmp_path / "run", tiny_data)
         assert reads == {"manifest.json": 1, "images.feat": 1}
+
+    def test_zero_norm_image_row_names_R_I(self, tiny_data, tmp_path):
+        """A train image whose feature row is all zeros stops the run at
+        the loss, naming R_I, rather than training on a NaN cosine."""
+        data = tmp_path / "data"
+        shutil.copytree(tiny_data, data)
+        images = bench.load_images(str(data)).copy()
+        images[bench.load_dataset(str(data), "L0", "train").image[0]] = 0.0
+        write_matrix(str(data / "images.feat"), bench.IMG_MAGIC, images)
+        with pytest.raises(DegenerateFeatureError, match="R_I: zero-norm row"):
+            Runner(tiny_run_cfg(str(data), tmp_path / "run")).run()
 
 
 _MODES = {"continual": {}, "joint": {"mode": "joint"},

@@ -297,6 +297,13 @@ class TestFisherTrace:
     """fisher_and_loss scores batches as training takes them: 5 samples
     in batches of 2 are the batches [0, 1], [2, 3] and [4]."""
 
+    def test_zero_norm_image_row_names_R_I(self):
+        samples, table, anchor, params = tiny_model()
+        samples[3] = (np.zeros_like(samples[3][0]),) + samples[3][1:]
+        with pytest.raises(DegenerateFeatureError, match="R_I: zero-norm row 1"):
+            M.fisher_and_loss(*sample_arrays(samples, table, anchor, params),
+                              LossConfig(), 2)
+
     def test_zero_weights_zero_trace(self):
         samples, table, anchor, params = tiny_model()
         cfg = LossConfig(tau=0.07, gamma_cm=0.0, gamma_cl=0.0)

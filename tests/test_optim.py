@@ -194,3 +194,33 @@ def test_moments_grow_with_the_table():
     step(big, {4: np.ones(3)}, np.ones(5), cfg, state)
     assert state.m.shape == (5, 3) and state.t.tolist() == [0, 1, 0, 0, 1]
     assert np.array_equal(state.m[1], m_row)
+
+
+@pytest.mark.parametrize("total_steps", [30, 1])
+def test_bias_table_matches_per_step_powers(total_steps):
+    """Over a task longer than its warmup, with rows first touched at
+    different steps, the bias-correction table gives the matrix, m, v and
+    t of the per-step Python powers of the row-by-row oracle, bit for bit.
+    A total_steps below the steps taken makes the table grow mid-task."""
+    rng = np.random.default_rng(12)
+    rows, n_steps = 8, 30
+    t = table_of(rng.normal(size=(rows, 3)))
+    ref = t.copy()
+    lam = np.array([1.0, 0.5, 1.0, 0.25, 1.0, 0.5, 1.0, 1.0])
+    cfg = optim.OptimConfig(kind="adamw", lr_peak=0.3, weight_decay=0.05,
+                            warmup_fraction=0.2, total_steps=total_steps)
+    state, ref_state = optim.OptimState(), oracles.DictState()
+    for s in range(n_steps):
+        # row j joins at step 3 j; the rows already in are touched at random
+        live = np.arange(min(rows, s // 3 + 1))
+        touched = live[rng.random(len(live)) < 0.6] if s % 3 else live
+        grads = {int(j): rng.normal(size=3) for j in touched}
+        step(t, grads, lam, cfg, state)
+        oracles.step(ref, grads, lam, cfg, ref_state)
+        assert t.matrix.tobytes() == ref.matrix.tobytes()
+    assert state.t.tolist() == [ref_state.t[j] for j in range(rows)]
+    for j in range(rows):
+        assert state.m[j].tobytes() == ref_state.m[j].tobytes()
+        assert state.v[j].tobytes() == ref_state.v[j].tobytes()
+    assert len(set(state.t.tolist())) > 3  # the rows' t differ
+    assert len(state.bias) > n_steps
