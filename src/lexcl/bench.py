@@ -16,7 +16,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .embeddings import read_matrix, write_atomic, write_matrix
+from .embeddings import (read_json, read_lines, read_matrix, write_atomic,
+                         write_matrix)
 from .errors import (DanglingReferenceError, DatasetFormatError,
                      InvalidInputError, check_keys, key)
 
@@ -272,11 +273,7 @@ def gen_benchmark(cfg: BenchConfig, out_dir) -> None:
 
 def load_manifest(dataset_dir) -> dict:
     path = os.path.join(dataset_dir, "manifest.json")
-    with open(path) as f:
-        try:
-            manifest = json.load(f)
-        except ValueError as e:  # not JSON, or not UTF-8
-            raise DatasetFormatError(f"{path}: not valid JSON: {e}") from None
+    manifest = read_json(path, DatasetFormatError)
     if not (isinstance(manifest, dict)
             and isinstance(manifest.get("languages"), list)
             and all(isinstance(lang, str) for lang in manifest["languages"])
@@ -306,36 +303,23 @@ def load_dataset(dataset_dir, language_id: str, split: str,
     manifest = load_manifest(dataset_dir) if manifest is None else manifest
     n_images = len(load_images(dataset_dir) if images is None else images)
     path = os.path.join(dataset_dir, language_id, f"{split}.tsv")
-    image, english, foreign = [], [], []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise DatasetFormatError(
-                    f"{path}:{lineno}: expected 3 tab-separated fields, "
-                    f"got {len(parts)}")
-            try:
-                img = int(parts[0])
-            except ValueError:
-                raise DatasetFormatError(
-                    f"{path}:{lineno}: bad image index {parts[0]!r}") from None
-            if not 0 <= img < n_images:
-                raise DanglingReferenceError(
-                    f"{path}:{lineno}: image index {img} not in images.feat")
-            image.append(img)
-            english.append(parts[1])
-            foreign.append(parts[2])
+
+    def record(line: str) -> tuple[int, str, str]:
+        index, english, foreign = line.split("\t")  # else a ValueError
+        img = int(index)
+        if not 0 <= img < n_images:
+            raise DanglingReferenceError(f"image index {img} not in images.feat")
+        return img, english, foreign
+
+    records = read_lines(path, record, DatasetFormatError)
     declared = manifest["splits"][split]
-    if len(image) != declared:
+    if len(records) != declared:
         raise DatasetFormatError(
-            f"{path}: {len(image)} records, manifest declares {declared}")
-    return Split(np.array(image, dtype=np.int64), english, foreign)
+            f"{path}: {len(records)} records, manifest declares {declared}")
+    return Split(np.array([r[0] for r in records], dtype=np.int64),
+                 [r[1] for r in records], [r[2] for r in records])
 
 
 def load_corpus(dataset_dir, language_id: str) -> list[str]:
-    path = os.path.join(dataset_dir, language_id, "corpus.txt")
-    with open(path, encoding="utf-8") as f:
-        return [line.rstrip("\n") for line in f if line.strip()]
+    return read_lines(os.path.join(dataset_dir, language_id, "corpus.txt"),
+                      str, DatasetFormatError)

@@ -16,7 +16,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .embeddings import write_atomic
+from .embeddings import read_lines, write_atomic
 from .errors import InvalidIdError, InvalidInputError
 
 N_BYTES = 256
@@ -281,24 +281,6 @@ def save_vocab(tokens: list[bytes], path) -> None:
                                for tok in tokens).encode("ascii"))
 
 
-def _parse_lines(path, parse) -> list:
-    """parse(line) of each non-blank line of the ASCII file `path`; a line
-    it rejects raises InvalidInputError naming path:line."""
-    out = []
-    with open(path, "rb") as f:
-        for lineno, line in enumerate(f, start=1):
-            if line.strip():
-                try:
-                    out.append(parse(line.decode("ascii")))
-                except (ValueError, InvalidInputError) as e:
-                    raise InvalidInputError(f"{path}:{lineno}: {e}") from None
-    return out
-
-
-def load_vocab(path) -> list[bytes]:
-    return _parse_lines(path, token_from_text)
-
-
 def save_merges(rules: list[MergeRule], path) -> None:
     write_atomic(path, "".join(f"{r.task_index} {r.rank} {r.left} {r.right} "
                                f"{r.result}\n" for r in rules).encode("ascii"))
@@ -309,12 +291,8 @@ def _merge_rule(line: str) -> MergeRule:
     return MergeRule(left, right, result, t, rank)
 
 
-def load_merges(path) -> list[MergeRule]:
-    return _parse_lines(path, _merge_rule)
-
-
 def vocab_from_files(vocab_path, merges_path, task_index=None) -> TaskVocab:
-    tokens = load_vocab(vocab_path)
-    rules = load_merges(merges_path)
+    tokens = read_lines(vocab_path, token_from_text, InvalidInputError, "ascii")
+    rules = read_lines(merges_path, _merge_rule, InvalidInputError, "ascii")
     t = task_index if task_index is not None else (rules[0].task_index if rules else 0)
     return TaskVocab(task_index=t, tokens=tokens, rules=rules)

@@ -36,9 +36,7 @@ def _fail(code: int, msg: str) -> int:
 
 
 def _load_cfg(path) -> dict:
-    if path is None:
-        return {}
-    return config_mod.load_config_file(path)
+    return {} if path is None else config_mod.load_config_file(path)
 
 
 def cmd_gen_data(args) -> int:
@@ -90,7 +88,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_grad_check(args) -> int:
-    res = run_grad_check(seed=args.seed, corruption=args.corrupt)
+    res = run_grad_check(seed=args.seed)
     if res.passed():
         _info(f"grad-check passed: max relative error {res.max_rel_err:.3e}")
         return EXIT_OK
@@ -138,8 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("grad-check", help="verify analytic gradients "
                                           "against finite differences")
     c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--corrupt", type=float, default=0.0,
-                   help="test hook: perturb one analytic gradient entry")
     c.set_defaults(func=cmd_grad_check)
     return p
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import fields, is_dataclass
 
-from .embeddings import write_atomic
+from .embeddings import read_lines, write_atomic
 from .errors import InvalidInputError
 
 _BOOL = {"true": True, "on": True, "yes": True,
@@ -34,23 +34,24 @@ def parse_value(raw: str):
     return value
 
 
+def _setting(line: str) -> tuple[str, object] | None:
+    """(key, value) of a `key = value` line; None for a comment line."""
+    line = line.split("#", 1)[0].strip()
+    if not line:
+        return None
+    if "=" not in line:
+        raise ValueError("expected 'key = value'")
+    key, _, raw = line.partition("=")
+    key = key.strip()
+    try:
+        return key, parse_value(raw)
+    except InvalidInputError as e:
+        raise InvalidInputError(f"{key}: {e}") from None
+
+
 def load_config_file(path) -> dict:
-    out: dict[str, object] = {}
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise InvalidInputError(
-                    f"{path}:{lineno}: expected 'key = value'")
-            key, _, raw = line.partition("=")
-            key = key.strip()
-            try:
-                out[key] = parse_value(raw)
-            except InvalidInputError as e:
-                raise InvalidInputError(f"{path}:{lineno}: {key}: {e}") from None
-    return out
+    """The settings of a UTF-8 config file, as dump_config writes them."""
+    return dict(s for s in read_lines(path, _setting, InvalidInputError) if s)
 
 
 def settings(cfg) -> dict:

@@ -1,6 +1,7 @@
 """Expandable trainable embedding matrix, its frozen anchor snapshot,
-distribution statistics, initialization policies, checkpoint I/O and
-the atomic file writes every run and dataset file goes through."""
+distribution statistics, initialization policies, checkpoint I/O, the
+atomic file writes every run and dataset file goes through, and the
+checked reads of every text and JSON file."""
 
 from __future__ import annotations
 
@@ -16,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (CheckpointFormatError, CheckpointTruncatedError,
-                     DimensionMismatchError, InvalidInputError, StateError,
-                     VocabMismatchError)
+                     DimensionMismatchError, InvalidInputError, LexclError,
+                     StateError, VocabMismatchError)
 
 EMB_MAGIC = b"TEIREMB1"
 FORMAT_VERSION = 1
@@ -163,6 +164,52 @@ def write_csv(path, rows) -> None:
     write_atomic(path, text.getvalue().encode())
 
 
+def _read_text(path, encoding: str, error) -> str:
+    """The text of file `path`; bytes that do not decode raise `error`
+    naming path:line."""
+    with open(path, "rb") as f:
+        raw = f.read()
+    try:
+        return raw.decode(encoding)
+    except UnicodeDecodeError as e:
+        lineno = raw.count(b"\n", 0, e.start) + 1
+        raise error(f"{path}:{lineno}: not {encoding} text") from None
+
+
+def read_lines(path, parse, error, encoding: str = "utf-8",
+               header: str | None = None) -> list:
+    """parse(line) of each non-blank line of text file `path`, in order,
+    with its line end (LF or CRLF) stripped. When `header` is given, the
+    first line must equal it and is not parsed. Bytes that do not decode,
+    a missing or wrong header, or a ValueError from parse raise `error`
+    naming path:line; a package error from parse keeps its class and
+    gains path:line."""
+    text = _read_text(path, encoding, error)
+    lines = enumerate(text.replace("\r\n", "\n").split("\n"), start=1)
+    if header is not None and next(lines)[1] != header:
+        raise error(f"{path}:1: expected the header {header!r}")
+    out = []
+    try:
+        for lineno, line in lines:
+            if line.strip():
+                out.append(parse(line))
+    except ValueError as e:
+        raise error(f"{path}:{lineno}: {e}") from None
+    except LexclError as e:
+        raise type(e)(f"{path}:{lineno}: {e}") from None
+    return out
+
+
+def read_json(path, error):
+    """The JSON value in UTF-8 file `path`; a file that does not decode
+    or parse raises `error` naming the path and the line."""
+    text = _read_text(path, "utf-8", error)
+    try:
+        return json.loads(text)
+    except ValueError as e:  # JSONDecodeError, or an int too long to convert
+        raise error(f"{path}: not valid JSON: {e}") from None
+
+
 def write_matrix(path, magic: bytes, matrix: np.ndarray) -> None:
     m = np.ascontiguousarray(matrix, dtype="<f4")
     write_atomic(path, magic,
@@ -200,26 +247,26 @@ def save_checkpoint(table, manifest: dict, path) -> None:
 
 
 def load_checkpoint(path, expected_rows: int | None = None,
-                    expected_vocab_hash: str | None = None) -> EmbeddingTable:
-    """Read a checkpoint and check it against its sidecar and, when
-    given, the row count and vocab hash of the caller's vocabulary."""
+                    expected_vocab_hash: str | None = None,
+                    expected_dim: int | None = None) -> EmbeddingTable:
+    """Read a checkpoint and check its shape against its sidecar and,
+    when given, the row count and vocab hash of the caller's vocabulary
+    and the caller's embedding width."""
     m = read_matrix(path, EMB_MAGIC)
-    try:
-        with open(str(path) + ".json") as f:
-            side = json.load(f)
-    except FileNotFoundError:
-        side = {}
-    except ValueError as e:  # not JSON, or not UTF-8
-        raise CheckpointFormatError(f"{path}.json: not valid JSON: {e}") from None
+    side_path = f"{path}.json"
+    side = (read_json(side_path, CheckpointFormatError)
+            if os.path.exists(side_path) else {})
     if not isinstance(side, dict):
-        raise CheckpointFormatError(f"{path}.json: not a JSON object")
-    declared = side.get("rows", expected_rows)
-    if expected_rows is not None and m.shape[0] != expected_rows:
-        raise DimensionMismatchError(
-            f"{path}: checkpoint has {m.shape[0]} rows, vocab expects {expected_rows}")
-    if declared is not None and m.shape[0] != declared:
-        raise DimensionMismatchError(
-            f"{path}: checkpoint has {m.shape[0]} rows, sidecar declares {declared}")
+        raise CheckpointFormatError(f"{side_path}: not a JSON object")
+    rows, dim = m.shape
+    for n, unit, source, want in (
+            (rows, "rows", "vocab expects", expected_rows),
+            (rows, "rows", "sidecar declares", side.get("rows")),
+            (dim, "columns", "model.dim is", expected_dim),
+            (dim, "columns", "sidecar declares", side.get("dim"))):
+        if want is not None and n != want:
+            raise DimensionMismatchError(
+                f"{path}: checkpoint has {n} {unit}, {source} {want}")
     if (expected_vocab_hash is not None
             and side.get("vocab_hash") != expected_vocab_hash):
         raise VocabMismatchError(

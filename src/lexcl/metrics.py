@@ -3,12 +3,11 @@ diagnostics (Fisher-trace proxy, embedding histograms)."""
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embeddings import DistStats, dist_stats, write_csv
+from .embeddings import dist_stats, read_lines, write_csv
 from .encoders import Pooling, text_features
 from .errors import (DegenerateFeatureError, InvalidInputError, MetricError)
 from .losses import batch_grad
@@ -51,18 +50,12 @@ class EvalMatrix:
     @classmethod
     def load_csv(cls, path) -> "EvalMatrix":
         out = cls()
-        with open(path, newline="") as f:
-            r = csv.reader(f)
-            header = next(r)
-            if header != ["j", "i", "direction", "recall1"]:
-                raise InvalidInputError(f"{path}: unexpected header {header}")
-            for row in r:
-                try:
-                    j, i, d, v = row
-                    out.set(int(j), int(i), d, float(v))
-                except (ValueError, InvalidInputError) as e:
-                    raise InvalidInputError(
-                        f"{path}:{r.line_num}: {e}") from None
+
+        def add(line: str) -> None:
+            j, i, d, v = line.split(",")
+            out.set(int(j), int(i), d, float(v))
+
+        read_lines(path, add, InvalidInputError, header="j,i,direction,recall1")
         return out
 
 

@@ -4,15 +4,14 @@ histograms and simple SVG line plots."""
 
 from __future__ import annotations
 
-import csv
-import json
 import os
 import re
 from dataclasses import replace
 
 from . import bpe
 from . import vocab as vocab_mod
-from .embeddings import load_checkpoint, vocab_hash, write_atomic, write_csv
+from .embeddings import (load_checkpoint, read_json, read_lines, vocab_hash,
+                         write_atomic, write_csv)
 from .encoders import make_text_params
 from .errors import InvalidInputError
 from .bench import load_dataset, load_images, load_manifest
@@ -27,11 +26,7 @@ def _load_run_config(run_dir, *names) -> list:
     path = os.path.join(run_dir, "config.json")
     if not os.path.exists(path):
         raise InvalidInputError(f"{run_dir}: missing config.json; not a run directory")
-    with open(path) as f:
-        try:
-            cfg = json.load(f)
-        except ValueError as e:  # not JSON, or not UTF-8
-            raise InvalidInputError(f"{path}: not valid JSON: {e}") from None
+    cfg = read_json(path, InvalidInputError)
     missing = [n for n in names if not isinstance(cfg, dict) or n not in cfg]
     if missing:
         raise InvalidInputError(f"{path}: no field {missing[0]!r}")
@@ -89,7 +84,8 @@ def recompute_eval_matrix(run_dir, data_dir, split: str = "test") -> EvalMatrix:
     for j, state in zip(rows, states):
         table = load_checkpoint(os.path.join(run_dir, f"ckpt_task{j}.bin"),
                                 expected_rows=state.size,
-                                expected_vocab_hash=vocab_hash(state.tokens))
+                                expected_vocab_hash=vocab_hash(state.tokens),
+                                expected_dim=dim)
         score_row(matrix, j, table.matrix, params, test_set)
     return matrix
 
@@ -158,6 +154,12 @@ def copy_file(src, dst) -> None:
         write_atomic(dst, f.read())
 
 
+def _loss_point(line: str) -> tuple[str, float, float]:
+    """(task, epoch, mean loss) of a loss_curve.csv row."""
+    task, epoch, mean_loss, _ = line.split(",")
+    return task, float(epoch), float(mean_loss)
+
+
 def write_report(run_dir, out_dir) -> list[str]:
     """Emit AR/F tables, diagnostics copies, histograms and plots."""
     mode, = _load_run_config(run_dir, "mode")
@@ -169,15 +171,10 @@ def write_report(run_dir, out_dir) -> list[str]:
     loss_csv = os.path.join(diag_dir, "loss_curve.csv")
     series: dict[str, list[tuple[float, float]]] = {}
     if os.path.exists(loss_csv):
-        with open(loss_csv, newline="") as f:
-            r = csv.DictReader(f)
-            for rec in r:
-                try:
-                    series.setdefault(f'task {rec["task"]}', []).append(
-                        (float(rec["epoch"]), float(rec["mean_loss"])))
-                except (KeyError, TypeError, ValueError) as e:
-                    raise InvalidInputError(
-                        f"{loss_csv}:{r.line_num}: {e}") from None
+        for task, epoch, loss in read_lines(
+                loss_csv, _loss_point, InvalidInputError,
+                header="task,epoch,mean_loss,val_score"):
+            series.setdefault(f"task {task}", []).append((epoch, loss))
     os.makedirs(out_dir, exist_ok=True)
     written = [os.path.join(out_dir, "ar_f.csv")]
     ar_series = write_ar_f(matrix, mode, written[0])

@@ -9,9 +9,12 @@ import time
 
 import pytest
 
+from lexcl import gradcheck
 from lexcl.cli import EXIT_IO, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from lexcl.config import load_config_file
+from lexcl.embeddings import EMB_MAGIC, read_matrix, write_matrix
 from lexcl.gradcheck import run_grad_check
+from lexcl.losses import batch_grad
 from lexcl.metrics import EvalMatrix
 
 
@@ -418,6 +421,75 @@ class TestEvalAndReport:
         assert code != EXIT_OK
 
 
+def _bad_byte(path):
+    """Put a byte that is not UTF-8 at the start of line 3."""
+    lines = path.read_bytes().split(b"\n")
+    lines[2] = b"\xff" + lines[2]
+    path.write_bytes(b"\n".join(lines))
+
+
+def _emptied(path):
+    path.write_bytes(b"")
+
+
+def _half_width(path, sidecar_too=False):
+    """Keep the first half of the checkpoint's columns, and declare the
+    new width in its sidecar if `sidecar_too`."""
+    m = read_matrix(path, EMB_MAGIC)
+    write_matrix(path, EMB_MAGIC, m[:, : m.shape[1] // 2])
+    if sidecar_too:
+        side = path.with_name(path.name + ".json")
+        side.write_text(json.dumps(dict(json.loads(side.read_text()),
+                                        dim=m.shape[1] // 2)))
+
+
+class TestDamagedFiles:
+    """A damaged dataset, config or run file ends the command with an exit
+    code and the file's name (and line), not a traceback, before the
+    command writes its output directory."""
+
+    @pytest.mark.parametrize("command, damaged, damage, code, line", [
+        pytest.param("train", "data/L1/corpus.txt", _bad_byte, EXIT_IO, 3,
+                     id="corpus-bad-byte"),
+        pytest.param("eval", "data/L0/test.tsv", _bad_byte, EXIT_IO, 3,
+                     id="tsv-bad-byte"),
+        pytest.param("train", "run.cfg", _bad_byte, EXIT_USAGE, 3,
+                     id="config-bad-byte"),
+        pytest.param("eval", "run/eval_matrix.csv", _emptied, EXIT_USAGE, 1,
+                     id="eval-empty-eval-matrix"),
+        pytest.param("report", "run/eval_matrix.csv", _emptied, EXIT_USAGE, 1,
+                     id="report-empty-eval-matrix"),
+        pytest.param("eval", "run/eval_matrix.csv", _bad_byte, EXIT_USAGE, 3,
+                     id="eval-matrix-bad-byte"),
+        pytest.param("report", "run/diagnostics/loss_curve.csv", _bad_byte,
+                     EXIT_USAGE, 3, id="loss-curve-bad-byte"),
+        pytest.param("eval", "run/ckpt_task2.bin", _half_width, EXIT_IO, None,
+                     id="checkpoint-half-width"),
+        pytest.param("eval", "run/ckpt_task2.bin",
+                     lambda p: _half_width(p, sidecar_too=True), EXIT_IO, None,
+                     id="checkpoint-and-sidecar-half-width"),
+    ])
+    def test_fails_cleanly_naming_the_file(self, workdir, tmp_path, capsys,
+                                           command, damaged, damage, code,
+                                           line):
+        shutil.copytree(workdir / "data", tmp_path / "data")
+        shutil.copytree(workdir / "run", tmp_path / "run")
+        shutil.copy(workdir / "run.cfg", tmp_path / "run.cfg")
+        path = tmp_path / damaged
+        damage(path)
+        out = tmp_path / "out"
+        args = {"train": ["train", "--config", str(tmp_path / "run.cfg"),
+                          "--data", str(tmp_path / "data"), "--out", str(out)],
+                "eval": ["eval", "--run", str(tmp_path / "run"),
+                         "--data", str(tmp_path / "data")],
+                "report": ["report", "--run", str(tmp_path / "run"),
+                           "--out", str(out)]}[command]
+        assert main(args) == code
+        err = capsys.readouterr().err
+        assert (f"{path}:{line}:" if line else str(path)) in err
+        assert not out.exists()
+
+
 class TestGradCheck:
     def test_passes_under_ten_seconds(self, capsys):
         t0 = time.time()
@@ -425,8 +497,15 @@ class TestGradCheck:
         assert time.time() - t0 < 10.0
         assert "passed" in capsys.readouterr().out
 
-    def test_corruption_detected(self, capsys):
-        assert main(["grad-check", "--corrupt", "0.5"]) == EXIT_RUNTIME
+    def test_corruption_detected(self, capsys, monkeypatch):
+        """An analytic gradient with one value off fails the check."""
+        def perturbed(*args):
+            loss, rows, grads = batch_grad(*args)
+            grads[0, 0] += 0.5
+            return loss, rows, grads
+
+        monkeypatch.setattr(gradcheck, "batch_grad", perturbed)
+        assert main(["grad-check"]) == EXIT_RUNTIME
         err = capsys.readouterr().err
         assert "row" in err and "col" in err
 

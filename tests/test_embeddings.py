@@ -1,7 +1,9 @@
 """Embedding-table tests: init policies, expansion, anchor freeze, checkpoints."""
 
+import ast
 import os
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ import oracles
 from lexcl import bpe, config, embeddings as emb, harness, report
 from lexcl.bench import BenchConfig
 from lexcl.errors import (CheckpointFormatError, CheckpointTruncatedError,
+                          DanglingReferenceError, DatasetFormatError,
                           DimensionMismatchError, InvalidInputError, StateError,
                           VocabMismatchError)
 from lexcl.metrics import EvalMatrix
@@ -241,6 +244,18 @@ class TestCheckpoint:
         with pytest.raises(DimensionMismatchError):
             emb.load_checkpoint(p, expected_rows=5)
 
+    def test_width_checked_against_sidecar_and_caller(self, tmp_path):
+        t = emb.init_table(3, 4, emb.fixed_policy(), rng_seed=5)
+        p = tmp_path / "ckpt.bin"
+        emb.save_checkpoint(t, {}, p)
+        emb.load_checkpoint(p, expected_dim=4)
+        with pytest.raises(DimensionMismatchError, match="model.dim is 8"):
+            emb.load_checkpoint(p, expected_dim=8)
+        emb.write_matrix(p, emb.EMB_MAGIC, t.matrix[:, :2])
+        with pytest.raises(DimensionMismatchError,
+                           match="2 columns, sidecar declares 4"):
+            emb.load_checkpoint(p)
+
     def test_unsupported_version(self, tmp_path):
         t = emb.init_table(2, 2, emb.fixed_policy(), rng_seed=5)
         p = tmp_path / "ckpt.bin"
@@ -295,6 +310,110 @@ class TestCheckpoint:
         else:  # the matrix went in whole; only the sidecar write failed
             assert after[p.name + ".json"] == before[p.name + ".json"]
             assert set(after) == set(before)
+
+
+class TestReadLines:
+    """The one checked reader of every text file a run or dataset holds."""
+
+    def read(self, tmp_path, raw: bytes, parse=str, **kw):
+        p = tmp_path / "f.txt"
+        p.write_bytes(raw)
+        return emb.read_lines(p, parse, DatasetFormatError, **kw)
+
+    def test_line_ends_stripped_and_blank_lines_skipped(self, tmp_path):
+        raw = b"a b\r\n\r\n \t \n c\t\nd"
+        assert self.read(tmp_path, raw) == ["a b", " c\t", "d"]
+
+    def test_header_checked_and_not_parsed(self, tmp_path):
+        assert self.read(tmp_path, b"x,y\r\n1,2\r\n", header="x,y") == ["1,2"]
+        with pytest.raises(DatasetFormatError, match=r"f\.txt:1: .*'x,y'"):
+            self.read(tmp_path, b"x,z\r\n1,2\r\n", header="x,y")
+
+    def test_empty_file_needing_a_header_is_an_error(self, tmp_path):
+        assert self.read(tmp_path, b"") == []
+        with pytest.raises(DatasetFormatError, match=r"f\.txt:1: "):
+            self.read(tmp_path, b"", header="x,y")
+
+    @pytest.mark.parametrize("encoding, raw, line", [
+        ("utf-8", b"ok\n\xc3\xa9\nbad \xff byte\n", 3),
+        ("ascii", b"ok\r\n\r\n\xc3\xa9\n", 3),
+    ])
+    def test_bad_byte_names_path_and_line(self, tmp_path, encoding, raw, line):
+        with pytest.raises(DatasetFormatError,
+                           match=rf"f\.txt:{line}: not {encoding} text"):
+            self.read(tmp_path, raw, encoding=encoding)
+
+    def test_value_error_from_parse_names_the_line(self, tmp_path):
+        with pytest.raises(DatasetFormatError, match=r"f\.txt:3: .*'x'"):
+            self.read(tmp_path, b"1\n\nx\n2\n", int)
+
+    def test_package_error_keeps_its_class(self, tmp_path):
+        def parse(line):
+            if line == "b":
+                raise DanglingReferenceError("dangles")
+            return line
+
+        with pytest.raises(DanglingReferenceError, match=r"f\.txt:2: dangles"):
+            self.read(tmp_path, b"a\nb\n", parse)
+
+
+class TestReadJson:
+    @pytest.mark.parametrize("raw, named", [
+        (b'{"a":\n "\xff"}', r"f\.json:2: not utf-8 text"),
+        (b'{"a": 1,\n}', r"f\.json: not valid JSON: .*line 2"),
+        (b"", r"f\.json: not valid JSON: .*line 1"),
+        (b"1" * 5000, r"f\.json: not valid JSON"),
+    ])
+    def test_damage_names_path_and_line(self, tmp_path, raw, named):
+        p = tmp_path / "f.json"
+        p.write_bytes(raw)
+        with pytest.raises(CheckpointFormatError, match=named):
+            emb.read_json(p, CheckpointFormatError)
+
+    def test_round_trip(self, tmp_path):
+        p = tmp_path / "f.json"
+        p.write_bytes('{"a": ["\u00e9", 1.5]}'.encode())
+        assert emb.read_json(p, CheckpointFormatError) == {"a": ["\u00e9", 1.5]}
+
+
+_READERS = {"json.load", "csv.reader", "csv.DictReader"}
+
+
+def text_reads(source: str) -> list[tuple[int, str]]:
+    """(line, call) of each call in `source` that reads a file as text
+    by itself: json.load, a csv reader, open in a text read mode (or a
+    mode that is not a literal) or Path.read_text."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        name = ast.unparse(node.func)
+        if name == "open":
+            mode = (node.args[1] if len(node.args) > 1 else
+                    next((k.value for k in node.keywords if k.arg == "mode"),
+                         ast.Constant("r")))
+            if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                    and set(mode.value) & set("bwax")):
+                found.append((node.lineno, name))
+        elif name in _READERS or name.endswith(".read_text"):
+            found.append((node.lineno, name))
+    return found
+
+
+class TestOneReader:
+    def test_scanner_finds_text_reads(self):
+        source = ("open(p)\nopen(p, 'rb')\nopen(p, 'w')\nopen(p, mode=m)\n"
+                  "json.load(f)\ncsv.reader(f)\ncsv.DictReader(f)\n"
+                  "p.read_text()\nopen(p, encoding='utf-8')\njson.dumps(x)\n")
+        assert [n for n, _ in text_reads(source)] == [1, 4, 5, 6, 7, 8, 9]
+
+    def test_only_embeddings_reads_text(self):
+        """Every text, CSV and JSON read goes through embeddings.read_lines
+        or read_json, so that all of them decode and report faults alike."""
+        found = {p.name: text_reads(p.read_text(encoding="utf-8"))
+                 for p in Path(emb.__file__).parent.glob("*.py")}
+        del found["embeddings.py"]  # the one module that reads text
+        assert {name: hits for name, hits in found.items() if hits} == {}
 
 
 def _eval_matrix(v):
