@@ -1,7 +1,7 @@
 """Run the continual pipeline end to end on a small benchmark and compare
 the baseline (fixed init, no update scaling) against the full method.
 
-Takes a minute or two. Prints the per-direction average recall and
+Runs in a few seconds. Prints the per-direction average recall and
 forgetting for both runs; expect the full method to forget visibly less.
 """
 

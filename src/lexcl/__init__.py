@@ -3,9 +3,8 @@ distribution-matched embedding initialization and per-token regularized
 updates, plus retrieval-based forgetting metrics."""
 
 from .bpe import MergeRule, TaskVocab, decode, encode, train_bpe
-from .embeddings import (DistStats, EmbeddingTable, dist_stats,
-                         expand, fixed_policy, load_checkpoint,
-                         matched_policy, save_checkpoint, snapshot_anchor)
+from .embeddings import (FIXED_INIT, DistStats, dist_stats, expand,
+                         load_checkpoint, save_checkpoint, snapshot_anchor)
 from .encoders import (FrozenTextParams, encode_text, encode_text_grad,
                        make_text_params)
 from .harness import RunArtifacts, RunConfig, run_sequence

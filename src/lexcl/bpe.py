@@ -286,13 +286,22 @@ def save_merges(rules: list[MergeRule], path) -> None:
                                f"{r.result}\n" for r in rules).encode("ascii"))
 
 
-def _merge_rule(line: str) -> MergeRule:
-    t, rank, left, right, result = (int(x) for x in line.split())
-    return MergeRule(left, right, result, t, rank)
-
-
 def vocab_from_files(vocab_path, merges_path, task_index=None) -> TaskVocab:
     tokens = read_lines(vocab_path, token_from_text, InvalidInputError, "ascii")
-    rules = read_lines(merges_path, _merge_rule, InvalidInputError, "ascii")
+    n = len(tokens)
+
+    def merge_rule(line: str) -> MergeRule:
+        """The rule on a merges line, whose ids must name tokens of the
+        vocab with the result token the left one followed by the right."""
+        t, rank, left, right, result = map(int, line.split())
+        if not (0 <= left < n and 0 <= right < n and 0 <= result < n):
+            raise ValueError(f"ids {left} {right} {result} are not all in "
+                             f"[0, {n}) of the vocab")
+        if tokens[result] != tokens[left] + tokens[right]:
+            raise ValueError(f"token {result} is not token {left} followed "
+                             f"by token {right}")
+        return MergeRule(left, right, result, t, rank)
+
+    rules = read_lines(merges_path, merge_rule, InvalidInputError, "ascii")
     t = task_index if task_index is not None else (rules[0].task_index if rules else 0)
     return TaskVocab(task_index=t, tokens=tokens, rules=rules)

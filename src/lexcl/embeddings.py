@@ -1,5 +1,5 @@
-"""Expandable trainable embedding matrix, its frozen anchor snapshot,
-distribution statistics, initialization policies, checkpoint I/O, the
+"""Growth of the trainable float32 embedding matrix, its read-only
+anchor copy, distribution statistics, the fixed init, checkpoint I/O, the
 atomic file writes every run and dataset file goes through, and the
 checked reads of every text and JSON file."""
 
@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import (CheckpointFormatError, CheckpointTruncatedError,
                      DimensionMismatchError, InvalidInputError, LexclError,
-                     StateError, VocabMismatchError)
+                     VocabMismatchError)
 
 EMB_MAGIC = b"TEIREMB1"
 FORMAT_VERSION = 1
@@ -30,60 +30,17 @@ class DistStats:
     sigma: float  # population standard deviation
 
 
-@dataclass(frozen=True)
-class InitPolicy:
-    kind: str  # "matched" | "fixed"
-    mu: float
-    sigma: float
+# Init of the first step's rows, and of later rows without run.teir_init;
+# the matched init is the trained matrix's own dist_stats.
+FIXED_INIT = DistStats(0.0, 0.02)
 
 
-def fixed_policy(mu0: float = 0.0, sigma0: float = 0.02) -> InitPolicy:
-    return InitPolicy("fixed", mu0, sigma0)
-
-
-def matched_policy(stats: DistStats) -> InitPolicy:
-    return InitPolicy("matched", stats.mu, stats.sigma)
-
-
-class EmbeddingTable:
-    """|V| x d matrix of 32-bit floats; statistics computed in 64-bit."""
-
-    def __init__(self, matrix: np.ndarray):
-        matrix = np.ascontiguousarray(matrix, dtype=np.float32)
-        if matrix.ndim != 2:
-            raise InvalidInputError("EmbeddingTable: matrix must be 2-D")
-        self.matrix = matrix
-        self._anchor_taken = False
-
-    @property
-    def row_count(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[1]
-
-    def copy(self) -> "EmbeddingTable":
-        return EmbeddingTable(self.matrix.copy())
-
-
-def init_table(rows: int, dim: int, policy: InitPolicy, rng_seed: int) -> EmbeddingTable:
-    """Fresh table with every row drawn from the policy's Gaussian."""
-    if rows < 1 or dim < 1:
-        raise InvalidInputError("init_table: rows and dim must be positive")
-    if policy.sigma < 0:
-        raise InvalidInputError("init_table: sigma must be non-negative")
-    rng = np.random.default_rng(rng_seed)
-    m = rng.normal(policy.mu, policy.sigma, size=(rows, dim))
-    return EmbeddingTable(m.astype(np.float32))
-
-
-def dist_stats(table) -> DistStats:
-    """Scalar mean and population std over all matrix entries."""
-    m = table.matrix
-    if m.size == 0:
-        raise InvalidInputError("dist_stats: empty table")
-    flat = m.astype(np.float64, copy=False)
+def dist_stats(matrix: np.ndarray) -> DistStats:
+    """Scalar mean and population std over all matrix entries, computed
+    in 64-bit."""
+    if matrix.size == 0:
+        raise InvalidInputError("dist_stats: empty matrix")
+    flat = matrix.astype(np.float64, copy=False)
     return DistStats(float(flat.mean()), float(flat.std()))
 
 
@@ -101,32 +58,24 @@ def ks_statistic(x, mu: float, sigma: float) -> float:
     return float(max(np.max(i / n - cdf), np.max(cdf - (i - 1) / n)))
 
 
-def expand(table: EmbeddingTable, n_new: int, policy: InitPolicy,
-           rng_seed: int) -> EmbeddingTable:
-    """Append n_new Gaussian rows; existing rows are preserved bit-exactly,
-    and a table whose anchor was taken yields one that refuses another.
-
-    New rows are drawn from the policy's (mu, sigma): for the matched
-    policy, the pre-expansion table's own statistics.
-    """
+def expand(matrix: np.ndarray, n_new: int, init: DistStats,
+           rng_seed: int) -> np.ndarray:
+    """The float32 matrix with n_new rows appended, drawn from
+    N(init.mu, init.sigma^2); existing rows are preserved bit-exactly.
+    Grown from an empty 0 x d matrix, every row is drawn."""
     if n_new < 0:
         raise InvalidInputError("expand: n_new must be non-negative")
-    if policy.sigma < 0:
+    if init.sigma < 0:
         raise InvalidInputError("expand: sigma must be non-negative")
     rng = np.random.default_rng(rng_seed)
-    new_rows = rng.normal(policy.mu, policy.sigma,
-                          size=(n_new, table.dim)).astype(np.float32)
-    out = EmbeddingTable(np.vstack([table.matrix, new_rows]))
-    out._anchor_taken = table._anchor_taken
-    return out
+    new_rows = rng.normal(init.mu, init.sigma,
+                          size=(n_new, matrix.shape[1])).astype(np.float32)
+    return np.vstack([matrix, new_rows])
 
 
-def snapshot_anchor(table: EmbeddingTable) -> np.ndarray:
-    """Read-only deep copy of the current matrix; allowed exactly once."""
-    if table._anchor_taken:
-        raise StateError("snapshot_anchor: anchor already taken from this table")
-    table._anchor_taken = True
-    anchor = table.matrix.copy()
+def snapshot_anchor(matrix: np.ndarray) -> np.ndarray:
+    """Read-only deep copy of the matrix."""
+    anchor = matrix.copy()
     anchor.flags.writeable = False
     return anchor
 
@@ -236,22 +185,22 @@ def read_matrix(path, magic: bytes) -> np.ndarray:
     return np.frombuffer(payload, dtype="<f4").reshape(rows, dim).copy()
 
 
-def save_checkpoint(table, manifest: dict, path) -> None:
+def save_checkpoint(matrix: np.ndarray, manifest: dict, path) -> None:
     """Binary matrix plus a JSON sidecar (vocab hash, task, policy, seed)."""
-    write_matrix(path, EMB_MAGIC, table.matrix)
+    write_matrix(path, EMB_MAGIC, matrix)
     side = dict(manifest)
-    side.setdefault("rows", table.row_count)
-    side.setdefault("dim", table.dim)
+    side.setdefault("rows", matrix.shape[0])
+    side.setdefault("dim", matrix.shape[1])
     write_atomic(str(path) + ".json",
                  json.dumps(side, indent=1, sort_keys=True).encode())
 
 
 def load_checkpoint(path, expected_rows: int | None = None,
                     expected_vocab_hash: str | None = None,
-                    expected_dim: int | None = None) -> EmbeddingTable:
-    """Read a checkpoint and check its shape against its sidecar and,
-    when given, the row count and vocab hash of the caller's vocabulary
-    and the caller's embedding width."""
+                    expected_dim: int | None = None) -> np.ndarray:
+    """Read a checkpoint's matrix and check its shape against its
+    sidecar and, when given, the row count and vocab hash of the caller's
+    vocabulary and the caller's embedding width."""
     m = read_matrix(path, EMB_MAGIC)
     side_path = f"{path}.json"
     side = (read_json(side_path, CheckpointFormatError)
@@ -272,4 +221,4 @@ def load_checkpoint(path, expected_rows: int | None = None,
         raise VocabMismatchError(
             f"{path}: sidecar vocab hash {side.get('vocab_hash')!r} is not the "
             f"vocab's {expected_vocab_hash!r}")
-    return EmbeddingTable(m)
+    return m

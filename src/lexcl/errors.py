@@ -18,10 +18,6 @@ class InvalidIdError(LexclError):
     """A token id is outside the vocabulary of the given scope."""
 
 
-class StateError(LexclError):
-    """An operation was called in a state that forbids it."""
-
-
 class NumericError(LexclError):
     """NaN/Inf or another numeric fault detected mid-computation."""
 

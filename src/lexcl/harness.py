@@ -16,8 +16,7 @@ import numpy as np
 from . import bpe
 from . import vocab as vocab_mod
 from .bench import SPLITS, load_corpus, load_dataset, load_images, load_manifest
-from .embeddings import (EmbeddingTable, dist_stats, expand, fixed_policy,
-                         init_table, ks_statistic, matched_policy,
+from .embeddings import (FIXED_INIT, dist_stats, expand, ks_statistic,
                          save_checkpoint, snapshot_anchor, vocab_hash,
                          write_atomic, write_csv)
 from .encoders import make_text_params, pooling, text_features
@@ -123,8 +122,8 @@ class Runner:
         self.params = make_text_params(cfg.dim, cfg.d_out, cfg.l_max,
                                        cfg.encoder_seed)
         self.state = vocab_mod.new_state()
-        self.table: EmbeddingTable | None = None
-        self.anchor = None
+        self.table = np.zeros((0, cfg.dim), dtype=np.float32)
+        self.anchor: np.ndarray | None = None
         self.eval_matrix = EvalMatrix()
         self.registry: list[dict] = []
         self.checkpoint_paths: list[str] = []
@@ -174,7 +173,7 @@ class Runner:
         """Checkpoint-selection score: Recall@{1,5,10} summed over both
         retrieval directions."""
         td = self.tasks[t]
-        res = paired_recall(td.tokens["val"], self.table.matrix, self.params,
+        res = paired_recall(td.tokens["val"], self.table, self.params,
                             self.images[td.val.image], ks=(1, 5, 10))
         return sum(res[d][k] for d in ("img2txt", "txt2img") for k in (1, 5, 10))
 
@@ -189,8 +188,7 @@ class Runner:
         cfg = self.cfg
         tasks = [self.tasks[t] for t in train]
         pooled = pooling(vocab_mod.TokenArrays.concat(
-            [td.tokens["train"] for td in tasks]), self.table.row_count,
-            self.params)
+            [td.tokens["train"] for td in tasks]), len(self.table), self.params)
         img_feats = self.images[np.concatenate(
             [td.train.image for td in tasks])].astype(np.float64)
         n = len(img_feats)
@@ -220,7 +218,7 @@ class Runner:
             for s in range(steps_per_epoch):
                 idx = order[s * cfg.batch_size : (s + 1) * cfg.batch_size]
                 loss, rows, grads = batch_grad(
-                    pooled.take(idx), self.table.matrix, self.params,
+                    pooled.take(idx), self.table, self.params,
                     img_feats[idx], eng_feats[idx], loss_cfg)
                 epoch_loss += loss
                 optim_step(self.table, rows, lam, grads, ocfg, ostate)
@@ -232,25 +230,26 @@ class Runner:
                            f"val_score {score:.3f}\n")
             if score > best_score:
                 best_score = score
-                best_matrix = self.table.matrix.copy()
+                best_matrix = self.table.copy()
         if best_matrix is None:
             raise NumericError(f"task {label}: no epoch gave a finite "
                                "validation score")
-        self.table.matrix[:] = best_matrix
+        self.table[:] = best_matrix
 
     def run_task(self, row: int, train: list[int]) -> None:
         """One step: merge row `row`'s vocab and grow the table, train on
         the languages `train`, then record, save and score tasks 0..row
         into row `row` of the recall matrix.
 
-        The first step draws the whole table from the fixed init, and its
-        selected table becomes the frozen anchor; later steps append the
-        new rows under the configured init policy. λ needs no first-step
-        case: every row is then new, or a byte token seen 0 times."""
+        The first step grows the empty table from the fixed init, and its
+        selected table becomes the frozen anchor; later steps draw the new
+        rows from the trained table's own statistics under run.teir_init.
+        λ needs no first-step case: every row is then new, or a byte token
+        seen 0 times."""
         cfg = self.cfg
         tv = self._task_vocab(row)
         vocab_before = self.state.size
-        pre_stats = None if self.table is None else dist_stats(self.table)
+        pre_stats = dist_stats(self.table) if len(self.table) else None
         self.state, lam = vocab_mod.merge_vocab(self.state, tv)
         self._tokenize()
         n_new = self.state.size - vocab_before
@@ -261,17 +260,15 @@ class Runner:
             "n_old": vocab_before - n_overlap, "n_overlap": n_overlap,
             "n_new": n_new, "counts": self.state.counts.tolist()})
 
+        matched = pre_stats is not None and cfg.teir_init
+        seed = (sub_seed(cfg.seed, "init", 0) if pre_stats is None
+                else sub_seed(cfg.seed, "expand", row))
+        self.table = expand(self.table, self.state.size - len(self.table),
+                            pre_stats if matched else FIXED_INIT, seed)
         ks = float("nan")
-        if pre_stats is None:
-            policy, seed = fixed_policy(), sub_seed(cfg.seed, "init", 0)
-            self.table = init_table(self.state.size, cfg.dim, policy, seed)
-        else:
-            policy = matched_policy(pre_stats) if cfg.teir_init else fixed_policy()
-            seed = sub_seed(cfg.seed, "expand", row)
-            self.table = expand(self.table, n_new, policy, seed)
-            if n_new > 0 and pre_stats.sigma > 0:
-                ks = ks_statistic(self.table.matrix[vocab_before:],
-                                  pre_stats.mu, pre_stats.sigma)
+        if pre_stats is not None and n_new > 0 and pre_stats.sigma > 0:
+            ks = ks_statistic(self.table[vocab_before:],
+                              pre_stats.mu, pre_stats.sigma)
 
         # the joint step's shuffle seeds are named "joint": its pinned
         # checkpoints depend on that name
@@ -289,10 +286,11 @@ class Runner:
         path = os.path.join(out, f"ckpt_task{row}.bin")
         save_checkpoint(self.table, {
             "vocab_hash": vocab_hash(self.state.tokens),
-            "task_index": row, "policy": policy.kind, "rng_seed": seed,
+            "task_index": row, "policy": "matched" if matched else "fixed",
+            "rng_seed": seed,
         }, path)
         self.checkpoint_paths.append(path)
-        score_row(self.eval_matrix, row, self.table.matrix, self.params,
+        score_row(self.eval_matrix, row, self.table, self.params,
                   [(td.tokens["test"], self.images[td.test.image])
                    for td in self.tasks[: row + 1]])
 
@@ -317,8 +315,8 @@ class Runner:
             fisher, loss = fisher_and_loss(
                 self.images[td.train.image],
                 text_features(td.english, self.anchor, self.params),
-                pooling(td.tokens["train"], self.table.row_count, self.params),
-                self.table.matrix, self.params, cfg.loss, cfg.batch_size)
+                pooling(td.tokens["train"], len(self.table), self.params),
+                self.table, self.params, cfg.loss, cfg.batch_size)
             fisher_rows.append({"task": t, "fisher_trace": fisher})
             final_losses.append(loss)
 

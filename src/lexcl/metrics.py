@@ -164,15 +164,15 @@ def fisher_and_loss(img_feats, eng_feats, pooled: Pooling, matrix, params,
     return float(np.mean(traces)), float(np.mean(losses))
 
 
-def ted_histogram(table, bins: int):
+def ted_histogram(matrix: np.ndarray, bins: int):
     """Equal-width histogram of all embedding entries over mu +/- 5 sigma.
 
-    Returns (edges, counts, n_below, n_above, stats); a zero-sigma table
+    Returns (edges, counts, n_below, n_above, stats); a zero-sigma matrix
     degenerates to a single bin holding everything."""
     if bins < 2:
         raise InvalidInputError("ted_histogram: bins must be >= 2")
-    stats = dist_stats(table)
-    flat = table.matrix.astype(np.float64).ravel()
+    stats = dist_stats(matrix)
+    flat = matrix.astype(np.float64).ravel()
     if stats.sigma == 0.0:
         edges = np.array([stats.mu, stats.mu])
         return edges, np.array([flat.size]), 0, 0, stats

@@ -53,10 +53,10 @@ def lr_at(step: int, cfg: OptimConfig) -> float:
     return cfg.lr_peak * (step / warmup)
 
 
-def step(table, rows, lam: np.ndarray, grads, cfg: OptimConfig,
+def step(matrix: np.ndarray, rows, lam: np.ndarray, grads, cfg: OptimConfig,
          state: OptimState) -> None:
-    """Apply one scheduled update to the distinct `rows`, whose
-    gradients are the rows of `grads`."""
+    """Apply one scheduled update, in place, to the distinct `rows` of
+    the float32 matrix, whose gradients are the rows of `grads`."""
     lr = lr_at(state.step_count, cfg)
     state.step_count += 1
     rows, g = np.asarray(rows, dtype=np.int64), np.asarray(grads, dtype=np.float64)
@@ -66,15 +66,14 @@ def step(table, rows, lam: np.ndarray, grads, cfg: OptimConfig,
     live = lam[rows] != 0.0
     rows, g = rows[live], g[live]
     lam_r = lam[rows][:, None]
-    mat = table.matrix
-    theta = mat[rows].astype(np.float64)
+    theta = matrix[rows].astype(np.float64)
     if cfg.kind == "sgd":
         theta = theta * (1.0 - (lr * cfg.weight_decay) * lam_r) \
             - (lr * lam_r) * g
     else:
-        extra = len(mat) - len(state.t)
+        extra = len(matrix) - len(state.t)
         if extra > 0:
-            state.m, state.v = (np.pad(a.reshape(-1, mat.shape[1]),
+            state.m, state.v = (np.pad(a.reshape(-1, matrix.shape[1]),
                                        ((0, extra), (0, 0))) for a in (state.m, state.v))
             state.t = np.pad(state.t, (0, extra))
         g = lam_r * g
@@ -91,4 +90,4 @@ def step(table, rows, lam: np.ndarray, grads, cfg: OptimConfig,
         bias = state.bias[t]
         theta = theta - lr * (m / bias[:, :1]) / (np.sqrt(v / bias[:, 1:]) + cfg.eps)
         state.m[rows], state.v[rows], state.t[rows] = m, v, t
-    mat[rows] = theta.astype(np.float32)
+    matrix[rows] = theta.astype(np.float32)

@@ -86,7 +86,7 @@ def recompute_eval_matrix(run_dir, data_dir, split: str = "test") -> EvalMatrix:
                                 expected_rows=state.size,
                                 expected_vocab_hash=vocab_hash(state.tokens),
                                 expected_dim=dim)
-        score_row(matrix, j, table.matrix, params, test_set)
+        score_row(matrix, j, table, params, test_set)
     return matrix
 
 

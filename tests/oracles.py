@@ -113,14 +113,13 @@ class DictState:
     step_count: int = 0
 
 
-def step(table, grads, lam, cfg, state: DictState) -> None:
+def step(matrix, grads, lam, cfg, state: DictState) -> None:
     """One scheduled update of the rows in `grads` ({row: gradient}),
     row by row; rows with lambda 0 are skipped. AdamW's bias corrections
     are Python float powers 1 - beta ** t of each row's t, taken anew at
     every step: the per-task table of optim.step must match them."""
     lr = lr_at(state.step_count, cfg)
     state.step_count += 1
-    mat = table.matrix
     for j in sorted(grads):
         g = np.asarray(grads[j], dtype=np.float64)
         if not np.all(np.isfinite(g)):
@@ -128,7 +127,7 @@ def step(table, grads, lam, cfg, state: DictState) -> None:
         lam_j = float(lam[j])
         if lam_j == 0.0:
             continue
-        theta = mat[j].astype(np.float64)
+        theta = matrix[j].astype(np.float64)
         if cfg.kind == "sgd":
             theta = theta * (1.0 - (lr * cfg.weight_decay) * lam_j) \
                 - (lr * lam_j) * g
@@ -144,7 +143,7 @@ def step(table, grads, lam, cfg, state: DictState) -> None:
             v_hat = v / (1.0 - cfg.beta2 ** t)
             theta = theta - lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
             state.m[j], state.v[j], state.t[j] = m, v, t
-        mat[j] = theta.astype(np.float32)
+        matrix[j] = theta.astype(np.float32)
 
 
 def recall_at_k(query_feats, gallery_feats, relevance, k) -> float:

@@ -20,9 +20,8 @@ from scipy import stats as sps
 
 from lexcl import bpe, optim, vocab
 from lexcl.bench import BenchConfig, gen_benchmark, load_dataset
-from lexcl.embeddings import (EmbeddingTable, dist_stats, expand, fixed_policy,
-                              init_table, load_checkpoint, matched_policy,
-                              save_checkpoint)
+from lexcl.embeddings import (FIXED_INIT, DistStats, dist_stats, expand,
+                              load_checkpoint, save_checkpoint)
 from lexcl.gradcheck import run_grad_check
 from lexcl.harness import RunConfig, run_sequence
 from lexcl.losses import FeatureBatch, cl_loss, cm_loss
@@ -94,7 +93,7 @@ def test_criterion_3_lambda_semantics():
         words = [f"w{i}" for i in range(10)]
         state = vocab.new_state()
         kind = ("sgd", "adamw")[trial % 2]
-        table = None
+        table = np.zeros((0, 4), np.float32)
         for t in range(int(rng.integers(2, 5))):
             corpus = [" ".join(rng.choice(words, size=5, replace=False))] * 3
             tv = bpe.train_bpe(corpus, 270, t)
@@ -107,13 +106,9 @@ def test_criterion_3_lambda_semantics():
                         1.0 / (counts[j] + 1.0) if j < len(counts) else 1.0)
                 if lam[j] != want:
                     ok, detail = False, f"lambda wrong at id {j}"
-            if table is None or table.row_count < state.size:
-                grow = state.size - (0 if table is None else table.row_count)
-                table = (init_table(state.size, 4, fixed_policy(0, 0.5), t)
-                         if table is None else
-                         expand(table, grow, fixed_policy(0, 0.5), t))
+            table = expand(table, state.size - len(table), DistStats(0.0, 0.5), t)
             ref = table.copy()
-            before = table.matrix.copy()
+            before = table.copy()
             cfg = optim.OptimConfig(kind=kind, lr_peak=0.2, weight_decay=0.01,
                                     warmup_fraction=0.1, total_steps=6)
             st1, st2 = optim.OptimState(), optim.OptimState()
@@ -123,9 +118,9 @@ def test_criterion_3_lambda_semantics():
                 optim.step(table, rows, lam, grads, cfg, st1)
                 optim.step(ref, rows, np.ones(state.size), grads, cfg, st2)
             for j in range(state.size):
-                if lam[j] == 0.0 and table.matrix[j].tobytes() != before[j].tobytes():
+                if lam[j] == 0.0 and table[j].tobytes() != before[j].tobytes():
                     ok, detail = False, f"lambda=0 row {j} changed"
-                if lam[j] == 1.0 and table.matrix[j].tobytes() != ref.matrix[j].tobytes():
+                if lam[j] == 1.0 and table[j].tobytes() != ref[j].tobytes():
                     ok, detail = False, f"lambda=1 row {j} differs from reference"
     report("criterion 3: lambda semantics (Eq. 5-6)", ok, detail)
 
@@ -135,18 +130,18 @@ def test_criterion_3_lambda_semantics():
 def test_criterion_4_init_distribution():
     ks_crit = 1.628  # one-sample KS critical value at alpha=0.01, / sqrt(n)
     rng = np.random.default_rng(2)
-    trained = EmbeddingTable(rng.normal(0.01, 0.3, size=(500, 64)))
+    trained = rng.normal(0.01, 0.3, size=(500, 64)).astype(np.float32)
     src = dist_stats(trained)
-    out = expand(trained, 200, matched_policy(src), rng_seed=3)
-    new = out.matrix[500:].astype(np.float64).ravel()
+    out = expand(trained, 200, src, rng_seed=3)
+    new = out[500:].astype(np.float64).ravel()
     n = new.size
     ok = n >= 10_000
     ok &= abs(new.mean() - src.mu) < 4 * src.sigma / np.sqrt(n)
     ok &= abs(new.std() - src.sigma) < 4 * src.sigma / np.sqrt(2 * n)
     ks_m = sps.kstest(new, "norm", args=(src.mu, src.sigma)).statistic
     ok &= ks_m < ks_crit / np.sqrt(n)
-    fixed = expand(trained, 200, fixed_policy(0.0, 0.02), rng_seed=4)
-    newf = fixed.matrix[500:].astype(np.float64).ravel()
+    fixed = expand(trained, 200, FIXED_INIT, rng_seed=4)
+    newf = fixed[500:].astype(np.float64).ravel()
     ok &= abs(newf.mean()) < 4 * 0.02 / np.sqrt(n)
     ok &= abs(newf.std() - 0.02) < 4 * 0.02 / np.sqrt(2 * n)
     ks_f = sps.kstest(newf, "norm", args=(0.0, 0.02)).statistic
@@ -281,14 +276,14 @@ def test_criterion_10_determinism_and_formats(tmp_path):
     a, b = run(tmp_path / "a"), run(tmp_path / "b")
     ok = a.eval_matrix.entries == b.eval_matrix.entries
     for pa, pb in zip(a.checkpoint_paths, b.checkpoint_paths):
-        ok &= (load_checkpoint(pa).matrix.tobytes()
-               == load_checkpoint(pb).matrix.tobytes())
+        ok &= (load_checkpoint(pa).tobytes()
+               == load_checkpoint(pb).tobytes())
 
     # checkpoint round-trip
-    t = init_table(9, 7, fixed_policy(), rng_seed=1)
+    t = expand(np.zeros((0, 7), np.float32), 9, FIXED_INIT, rng_seed=1)
     p = tmp_path / "rt.bin"
     save_checkpoint(t, {}, p)
-    ok &= np.array_equal(load_checkpoint(p).matrix, t.matrix)
+    ok &= np.array_equal(load_checkpoint(p), t)
 
     # dataset round-trip: regenerated tree is byte-identical
     data2 = tmp_path / "data2"

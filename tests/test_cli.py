@@ -428,6 +428,15 @@ def _bad_byte(path):
     path.write_bytes(b"\n".join(lines))
 
 
+def _line3(text):
+    """Damage that replaces line 3 of a file with `text`."""
+    def damage(path):
+        lines = path.read_bytes().split(b"\n")
+        lines[2] = text.encode()
+        path.write_bytes(b"\n".join(lines))
+    return damage
+
+
 def _emptied(path):
     path.write_bytes(b"")
 
@@ -463,6 +472,12 @@ class TestDamagedFiles:
                      id="eval-matrix-bad-byte"),
         pytest.param("report", "run/diagnostics/loss_curve.csv", _bad_byte,
                      EXIT_USAGE, 3, id="loss-curve-bad-byte"),
+        pytest.param("eval", "run/merges_task1.txt", _line3("1 2 99999 1 300"),
+                     EXIT_USAGE, 3, id="merges-id-past-the-vocab"),
+        pytest.param("eval", "run/merges_task1.txt", _line3("1 2 -1 5 258"),
+                     EXIT_USAGE, 3, id="merges-negative-id"),
+        pytest.param("eval", "run/merges_task1.txt", _line3("1 2 97 98 97"),
+                     EXIT_USAGE, 3, id="merges-result-not-left-then-right"),
         pytest.param("eval", "run/ckpt_task2.bin", _half_width, EXIT_IO, None,
                      id="checkpoint-half-width"),
         pytest.param("eval", "run/ckpt_task2.bin",

@@ -1,4 +1,4 @@
-"""Embedding-table tests: init policies, expansion, anchor freeze, checkpoints."""
+"""Embedding-matrix tests: statistics, expansion, anchor freeze, checkpoints."""
 
 import ast
 import os
@@ -15,7 +15,7 @@ from lexcl import bpe, config, embeddings as emb, harness, report
 from lexcl.bench import BenchConfig
 from lexcl.errors import (CheckpointFormatError, CheckpointTruncatedError,
                           DanglingReferenceError, DatasetFormatError,
-                          DimensionMismatchError, InvalidInputError, StateError,
+                          DimensionMismatchError, InvalidInputError,
                           VocabMismatchError)
 from lexcl.metrics import EvalMatrix
 
@@ -51,17 +51,22 @@ def _fail_writes_halfway(monkeypatch, hits):
     monkeypatch.setattr(emb, "open", failing_open, raising=False)
 
 
+def _drawn(rows: int, dim: int, seed: int) -> np.ndarray:
+    """A rows x dim float32 matrix grown from empty under the fixed init."""
+    return emb.expand(np.zeros((0, dim), np.float32), rows, emb.FIXED_INIT, seed)
+
+
 class TestDistStats:
     def test_all_zero(self):
-        s = emb.dist_stats(emb.EmbeddingTable(np.zeros((4, 4))))
+        s = emb.dist_stats(np.zeros((4, 4), np.float32))
         assert s.mu == 0.0 and s.sigma == 0.0
 
     def test_hand_case(self):
-        s = emb.dist_stats(emb.EmbeddingTable(np.array([[1.0, -1.0], [1.0, -1.0]])))
+        s = emb.dist_stats(np.array([[1.0, -1.0], [1.0, -1.0]], np.float32))
         assert s.mu == 0.0 and s.sigma == 1.0
 
     def test_sampled_table_moments(self):
-        t = emb.init_table(10_000, 64, emb.fixed_policy(0.0, 0.02), rng_seed=5)
+        t = _drawn(10_000, 64, 5)
         s = emb.dist_stats(t)
         n = 10_000 * 64
         assert abs(s.mu) < 4 * 0.02 / np.sqrt(n)
@@ -69,15 +74,15 @@ class TestDistStats:
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(0)
-        m = rng.normal(size=(8, 8))
-        a = emb.dist_stats(emb.EmbeddingTable(m))
+        m = rng.normal(size=(8, 8)).astype(np.float32)
+        a = emb.dist_stats(m)
         perm = rng.permutation(m.ravel()).reshape(8, 8)
-        b = emb.dist_stats(emb.EmbeddingTable(perm))
+        b = emb.dist_stats(perm)
         assert np.isclose(a.mu, b.mu) and np.isclose(a.sigma, b.sigma)
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidInputError):
-            emb.dist_stats(emb.EmbeddingTable(np.zeros((0, 4))))
+            emb.dist_stats(np.zeros((0, 4), np.float32))
 
 
 def scipy_ks(x, mu, sigma):
@@ -133,20 +138,28 @@ class TestKsStatistic:
 
 class TestExpand:
     def test_zero_new_rows_identity(self):
-        t = emb.init_table(10, 8, emb.fixed_policy(), rng_seed=1)
-        out = emb.expand(t, 0, emb.fixed_policy(), rng_seed=2)
-        assert np.array_equal(out.matrix, t.matrix)
+        t = _drawn(10, 8, 1)
+        out = emb.expand(t, 0, emb.FIXED_INIT, rng_seed=2)
+        assert np.array_equal(out, t)
+
+    def test_grows_an_empty_matrix(self):
+        """Grown from 0 rows, every row is the init's seeded draw."""
+        out = emb.expand(np.zeros((0, 8), np.float32), 300, emb.FIXED_INIT,
+                         rng_seed=4)
+        want = np.random.default_rng(4).normal(0.0, 0.02, size=(300, 8))
+        assert out.dtype == np.float32 and out.flags.c_contiguous
+        assert out.tobytes() == want.astype(np.float32).tobytes()
 
     def test_prefix_bit_exact(self):
-        t = emb.init_table(50, 16, emb.fixed_policy(), rng_seed=3)
-        before = oracles.matrix_hash(t.matrix)
-        out = emb.expand(t, 200, emb.matched_policy(emb.dist_stats(t)), rng_seed=4)
-        assert oracles.matrix_hash(out.matrix[:50]) == before
+        t = _drawn(50, 16, 3)
+        before = oracles.matrix_hash(t)
+        out = emb.expand(t, 200, emb.dist_stats(t), rng_seed=4)
+        assert oracles.matrix_hash(out[:50]) == before
 
     def test_fixed_policy_distribution(self):
-        t = emb.init_table(4, 8, emb.fixed_policy(), rng_seed=0)
-        out = emb.expand(t, 2000, emb.fixed_policy(0.0, 0.02), rng_seed=7)
-        new = out.matrix[4:].astype(np.float64).ravel()
+        t = _drawn(4, 8, 0)
+        out = emb.expand(t, 2000, emb.FIXED_INIT, rng_seed=7)
+        new = out[4:].astype(np.float64).ravel()
         n = new.size
         assert n >= 10_000
         assert abs(new.mean()) < 4 * 0.02 / np.sqrt(n)
@@ -157,10 +170,10 @@ class TestExpand:
 
     def test_matched_policy_distribution(self):
         rng = np.random.default_rng(11)
-        trained = emb.EmbeddingTable(rng.normal(0.03, 0.31, size=(400, 64)))
+        trained = rng.normal(0.03, 0.31, size=(400, 64)).astype(np.float32)
         src = emb.dist_stats(trained)
-        out = emb.expand(trained, 200, emb.matched_policy(src), rng_seed=13)
-        new = out.matrix[400:].astype(np.float64).ravel()
+        out = emb.expand(trained, 200, src, rng_seed=13)
+        new = out[400:].astype(np.float64).ravel()
         n = new.size
         assert n >= 10_000
         assert abs(new.mean() - src.mu) < 4 * src.sigma / np.sqrt(n)
@@ -169,58 +182,44 @@ class TestExpand:
         assert ks < KS_C_01 / np.sqrt(n)
 
     def test_negative_rejected(self):
-        t = emb.init_table(4, 4, emb.fixed_policy(), rng_seed=0)
+        t = _drawn(4, 4, 0)
         with pytest.raises(InvalidInputError):
-            emb.expand(t, -1, emb.fixed_policy(), rng_seed=0)
+            emb.expand(t, -1, emb.FIXED_INIT, rng_seed=0)
         with pytest.raises(InvalidInputError):
-            emb.expand(t, 1, emb.fixed_policy(0.0, -0.1), rng_seed=0)
+            emb.expand(t, 1, emb.DistStats(0.0, -0.1), rng_seed=0)
 
     def test_seeded_determinism(self):
-        t = emb.init_table(4, 4, emb.fixed_policy(), rng_seed=0)
-        a = emb.expand(t, 10, emb.fixed_policy(), rng_seed=9)
-        b = emb.expand(t, 10, emb.fixed_policy(), rng_seed=9)
-        assert np.array_equal(a.matrix, b.matrix)
+        t = _drawn(4, 4, 0)
+        a = emb.expand(t, 10, emb.FIXED_INIT, rng_seed=9)
+        b = emb.expand(t, 10, emb.FIXED_INIT, rng_seed=9)
+        assert np.array_equal(a, b)
 
 
 class TestAnchor:
     def test_anchor_frozen_under_mutation(self):
-        t = emb.init_table(6, 4, emb.fixed_policy(), rng_seed=2)
+        t = _drawn(6, 4, 2)
         anchor = emb.snapshot_anchor(t)
         snap = anchor.copy()
-        t.matrix += 1.0
+        t += 1.0
         assert np.array_equal(anchor, snap)
 
     def test_anchor_write_blocked(self):
-        t = emb.init_table(3, 3, emb.fixed_policy(), rng_seed=2)
+        t = _drawn(3, 3, 2)
         anchor = emb.snapshot_anchor(t)
         with pytest.raises(ValueError):
             anchor[0, 0] = 1.0
 
-    def test_second_snapshot_rejected(self):
-        t = emb.init_table(3, 3, emb.fixed_policy(), rng_seed=2)
-        emb.snapshot_anchor(t)
-        with pytest.raises(StateError):
-            emb.snapshot_anchor(t)
-
-    @pytest.mark.parametrize("n_new", [0, 4])
-    def test_expanded_table_keeps_the_taken_anchor(self, n_new):
-        t = emb.init_table(3, 3, emb.fixed_policy(), rng_seed=2)
-        emb.snapshot_anchor(t)
-        grown = emb.expand(t, n_new, emb.fixed_policy(), rng_seed=3)
-        with pytest.raises(StateError):
-            emb.snapshot_anchor(grown)
-
 
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
-        t = emb.init_table(17, 9, emb.fixed_policy(), rng_seed=5)
+        t = _drawn(17, 9, 5)
         p = tmp_path / "ckpt.bin"
         emb.save_checkpoint(t, {"task": 0}, p)
         back = emb.load_checkpoint(p)
-        assert np.array_equal(back.matrix, t.matrix)
+        assert np.array_equal(back, t)
 
     def test_corrupt_magic(self, tmp_path):
-        t = emb.init_table(3, 3, emb.fixed_policy(), rng_seed=5)
+        t = _drawn(3, 3, 5)
         p = tmp_path / "ckpt.bin"
         emb.save_checkpoint(t, {}, p)
         raw = bytearray(p.read_bytes())
@@ -230,7 +229,7 @@ class TestCheckpoint:
             emb.load_checkpoint(p)
 
     def test_truncated_payload(self, tmp_path):
-        t = emb.init_table(3, 3, emb.fixed_policy(), rng_seed=5)
+        t = _drawn(3, 3, 5)
         p = tmp_path / "ckpt.bin"
         emb.save_checkpoint(t, {}, p)
         p.write_bytes(p.read_bytes()[:-5])
@@ -238,26 +237,26 @@ class TestCheckpoint:
             emb.load_checkpoint(p)
 
     def test_row_mismatch(self, tmp_path):
-        t = emb.init_table(3, 3, emb.fixed_policy(), rng_seed=5)
+        t = _drawn(3, 3, 5)
         p = tmp_path / "ckpt.bin"
         emb.save_checkpoint(t, {}, p)
         with pytest.raises(DimensionMismatchError):
             emb.load_checkpoint(p, expected_rows=5)
 
     def test_width_checked_against_sidecar_and_caller(self, tmp_path):
-        t = emb.init_table(3, 4, emb.fixed_policy(), rng_seed=5)
+        t = _drawn(3, 4, 5)
         p = tmp_path / "ckpt.bin"
         emb.save_checkpoint(t, {}, p)
         emb.load_checkpoint(p, expected_dim=4)
         with pytest.raises(DimensionMismatchError, match="model.dim is 8"):
             emb.load_checkpoint(p, expected_dim=8)
-        emb.write_matrix(p, emb.EMB_MAGIC, t.matrix[:, :2])
+        emb.write_matrix(p, emb.EMB_MAGIC, t[:, :2])
         with pytest.raises(DimensionMismatchError,
                            match="2 columns, sidecar declares 4"):
             emb.load_checkpoint(p)
 
     def test_unsupported_version(self, tmp_path):
-        t = emb.init_table(2, 2, emb.fixed_policy(), rng_seed=5)
+        t = _drawn(2, 2, 5)
         p = tmp_path / "ckpt.bin"
         emb.save_checkpoint(t, {}, p)
         raw = bytearray(p.read_bytes())
@@ -267,7 +266,7 @@ class TestCheckpoint:
             emb.load_checkpoint(p)
 
     def test_trailing_bytes_rejected(self, tmp_path):
-        t = emb.init_table(3, 3, emb.fixed_policy(), rng_seed=5)
+        t = _drawn(3, 3, 5)
         p = tmp_path / "ckpt.bin"
         emb.save_checkpoint(t, {}, p)
         with open(p, "ab") as f:
@@ -276,12 +275,12 @@ class TestCheckpoint:
             emb.load_checkpoint(p)
 
     def test_vocab_hash_checked_when_given(self, tmp_path):
-        t = emb.init_table(3, 3, emb.fixed_policy(), rng_seed=5)
+        t = _drawn(3, 3, 5)
         ours, theirs = emb.vocab_hash([b"a", b"b"]), emb.vocab_hash([b"a", b"c"])
         p = tmp_path / "ckpt.bin"
         emb.save_checkpoint(t, {"vocab_hash": ours}, p)
         assert np.array_equal(
-            emb.load_checkpoint(p, expected_vocab_hash=ours).matrix, t.matrix)
+            emb.load_checkpoint(p, expected_vocab_hash=ours), t)
         emb.load_checkpoint(p)  # no expectation, no check
         with pytest.raises(VocabMismatchError):
             emb.load_checkpoint(p, expected_vocab_hash=theirs)
@@ -294,13 +293,13 @@ class TestCheckpoint:
         """A write that dies half way (disk full, a crash) must leave the
         previous checkpoint and sidecar whole, and no temp file behind."""
         p = tmp_path / "ckpt.bin"
-        old = emb.init_table(6, 4, emb.fixed_policy(), rng_seed=1)
+        old = _drawn(6, 4, 1)
         emb.save_checkpoint(old, {"vocab_hash": "old"}, p)
         before = {n: (tmp_path / n).read_bytes() for n in os.listdir(tmp_path)}
 
         _fail_writes_halfway(
             monkeypatch, lambda path: (".json" in path) == (target == ".json"))
-        new = emb.init_table(9, 4, emb.fixed_policy(), rng_seed=2)
+        new = _drawn(9, 4, 2)
         with pytest.raises(OSError):
             emb.save_checkpoint(new, {"vocab_hash": "new"}, p)
         monkeypatch.undo()

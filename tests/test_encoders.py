@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from lexcl import encoders as enc
-from lexcl.embeddings import EmbeddingTable
 from lexcl.errors import InvalidIdError, InvalidInputError
 from lexcl.vocab import TokenArrays
 
@@ -30,14 +29,14 @@ def pool(id_lists, matrix, params):
 
 def encode_one(ids, table, params):
     """Batched encoder on a batch of one text."""
-    return enc.encode_text(pool([ids], table.matrix, params), table.matrix,
+    return enc.encode_text(pool([ids], table, params), table,
                            params)[0]
 
 
 def grad_one(ids, table, params, upstream):
     """Batched adjoint on a batch of one text, as {row: gradient}."""
-    pooled = pool([ids], table.matrix, params)
-    feats = enc.encode_text(pooled, table.matrix, params)
+    pooled = pool([ids], table, params)
+    feats = enc.encode_text(pooled, table, params)
     rows, grads = enc.encode_text_grad(pooled, feats, params,
                                        np.asarray(upstream)[None])
     return dict(zip(rows.tolist(), grads))
@@ -58,13 +57,13 @@ class TestEncodeText:
     def test_zero_embedding_identity_transform(self):
         d = 6
         p = _identity_params(d)
-        table = EmbeddingTable(np.zeros((4, d), dtype=np.float32))
+        table = np.zeros((4, d), dtype=np.float32)
         r = encode_one([0], table, p)
         assert np.allclose(r, np.tanh(p.pos[0]))
 
     def test_truncation_to_l_max(self):
         p = _params(L_max=3)
-        table = EmbeddingTable(np.random.default_rng(0).normal(size=(10, 8)))
+        table = np.random.default_rng(0).normal(size=(10, 8)).astype(np.float32)
         long = encode_one([1, 2, 3, 4, 5, 6], table, p)
         short = encode_one([1, 2, 3], table, p)
         assert np.array_equal(long, short)
@@ -72,46 +71,45 @@ class TestEncodeText:
     def test_matches_reference(self):
         rng = np.random.default_rng(4)
         p = _params()
-        table = EmbeddingTable(rng.normal(size=(16, 8)))
+        table = rng.normal(size=(16, 8)).astype(np.float32)
         for _ in range(20):
             ids = rng.integers(0, 16, size=rng.integers(1, 6)).tolist()
             got = encode_one(ids, table, p)
-            want = reference_encode(ids, table.matrix, p)
+            want = reference_encode(ids, table, p)
             assert np.allclose(got, want, atol=1e-6)
 
     def test_output_in_open_unit_interval(self):
         rng = np.random.default_rng(5)
         p = _params()
-        table = EmbeddingTable(rng.normal(scale=10.0, size=(8, 8)))
+        table = rng.normal(scale=10.0, size=(8, 8)).astype(np.float32)
         r = encode_one([0, 1, 2], table, p)
         assert np.all(r > -1.0) and np.all(r < 1.0)
 
     def test_empty_ids_rejected(self):
-        table = EmbeddingTable(np.zeros((2, 8), dtype=np.float32))
+        table = np.zeros((2, 8), dtype=np.float32)
         with pytest.raises(InvalidInputError):
             encode_one([], table, _params())
 
     def test_out_of_range_id(self):
-        table = EmbeddingTable(np.zeros((2, 8), dtype=np.float32))
+        table = np.zeros((2, 8), dtype=np.float32)
         with pytest.raises(InvalidIdError):
             encode_one([7], table, _params())
 
 
 class TestEncodeTextGrad:
     def test_zero_upstream(self):
-        table = EmbeddingTable(np.random.default_rng(1).normal(size=(6, 8)))
+        table = np.random.default_rng(1).normal(size=(6, 8)).astype(np.float32)
         grads = grad_one([0, 1], table, _params(), np.zeros(8))
         assert all(np.all(g == 0) for g in grads.values())
 
     def test_repeated_id_doubles(self):
         p = _params()
-        table = EmbeddingTable(np.random.default_rng(2).normal(size=(6, 8)))
+        table = np.random.default_rng(2).normal(size=(6, 8)).astype(np.float32)
         up = np.random.default_rng(3).normal(size=8)
         single = grad_one([0, 1], table, p, up)
         # same pooled input: token 0 at both positions of a same-h sequence
-        m = table.matrix.copy()
-        m[1] = m[0]
-        t2 = EmbeddingTable(m)
+        t2 = table.copy()
+        t2[1] = t2[0]
         double = grad_one([0, 0], t2, p, up)
         ref = grad_one([0, 1], t2, p, up)
         assert np.allclose(double[0], ref[0] + ref[1])
@@ -119,14 +117,14 @@ class TestEncodeTextGrad:
     def test_finite_differences(self):
         rng = np.random.default_rng(6)
         p = _params()
-        table = EmbeddingTable(rng.normal(size=(12, 8)))
+        table = rng.normal(size=(12, 8)).astype(np.float32)
         up = rng.normal(size=8)
         ids = [3, 7, 3, 1]
         grads = grad_one(ids, table, p, up)
         step = 1e-3
         for tid, g in grads.items():
             for c in range(8):
-                plus = table.matrix.astype(np.float64).copy()
+                plus = table.astype(np.float64).copy()
                 minus = plus.copy()
                 plus[tid, c] += step
                 minus[tid, c] -= step

@@ -44,8 +44,8 @@ class TestDeterminism:
         b = run_sequence(tiny_run_cfg(tiny_data, tmp_path / "b"))
         assert a.eval_matrix.entries == b.eval_matrix.entries
         for pa, pb in zip(a.checkpoint_paths, b.checkpoint_paths):
-            assert load_checkpoint(pa).matrix.tobytes() == \
-                load_checkpoint(pb).matrix.tobytes()
+            assert load_checkpoint(pa).tobytes() == \
+                load_checkpoint(pb).tobytes()
 
     def test_different_seed_differs(self, tiny_data, tmp_path):
         a = run_sequence(tiny_run_cfg(tiny_data, tmp_path / "a"))
@@ -69,11 +69,17 @@ class TestPretrain:
         assert r.eval_matrix.get(0, 0, "img2txt") >= 2 * random_r1
 
     def test_anchor_frozen_through_later_tasks(self, tiny_data, tmp_path):
+        """The anchor is the first step's saved table, taken once and
+        read-only: a later step neither retakes nor changes it."""
         r = Runner(tiny_run_cfg(tiny_data, tmp_path / "run"))
         r.run_task(0, [0])
         before = r.anchor.copy()
         r.run_task(1, [1])
         assert np.array_equal(r.anchor, before)
+        saved = load_checkpoint(tmp_path / "run" / "ckpt_task0.bin")
+        assert r.anchor.tobytes() == saved.tobytes()
+        with pytest.raises(ValueError):
+            r.anchor[0, 0] = 1.0
 
     def test_encoder_params_frozen(self, tiny_data, tmp_path):
         r = Runner(tiny_run_cfg(tiny_data, tmp_path / "run"))
@@ -95,18 +101,18 @@ class TestLambdaEndToEnd:
         task_tokens = set(tv1.tokens)
         frozen_rows = [i for i, tok in enumerate(r.state.tokens)
                        if tok not in task_tokens]
-        before = r.table.matrix[frozen_rows].copy()
+        before = r.table[frozen_rows].copy()
         r.run_task(1, [1])
-        after = r.table.matrix[frozen_rows]
+        after = r.table[frozen_rows]
         assert after.tobytes() == before.tobytes()
 
     def test_baseline_rewrites_old_rows(self, tiny_data, tmp_path):
         r = Runner(tiny_run_cfg(tiny_data, tmp_path / "run", teir_reg=False,
                                 teir_init=False))
         r.run_task(0, [0])
-        before = r.table.matrix.copy()
+        before = r.table.copy()
         r.run_task(1, [1])
-        changed = (r.table.matrix[: before.shape[0]] != before).any()
+        changed = (r.table[: before.shape[0]] != before).any()
         assert changed
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from lexcl import metrics as M
-from lexcl.embeddings import EmbeddingTable, snapshot_anchor
+from lexcl.embeddings import snapshot_anchor
 from lexcl.encoders import make_text_params, pooling, text_features
 from lexcl.losses import FeatureBatch, LossConfig, total_loss
 from lexcl.vocab import TokenArrays
@@ -140,11 +140,11 @@ class TestRecallAtK:
 
         monkeypatch.setattr(M, "recall_at_k", counted)
         rng = np.random.default_rng(0)
-        table = EmbeddingTable(rng.normal(size=(300, 8)))
+        table = rng.normal(size=(300, 8)).astype(np.float32)
         params = make_text_params(8, 8, 16, seed=1)
         tokens = TokenArrays(np.array([256, 257, 258, 259, 260, 261], dtype=np.int32),
                              np.array([0, 2, 4, 6]))
-        res = M.paired_recall(tokens, table.matrix, params, rng.normal(size=(3, 8)),
+        res = M.paired_recall(tokens, table, params, rng.normal(size=(3, 8)),
                               ks=(1, 5, 10))
         assert calls == [(1, 5, 10), (1, 5, 10)]
         assert set(res) == {"img2txt", "txt2img"}
@@ -249,7 +249,7 @@ def sample_arrays(samples, table, anchor, params):
     foreign = TokenArrays.from_rows([s[2] for s in samples])
     return (np.array([s[0] for s in samples]),
             text_features(eng, anchor, params),
-            pooling(foreign, table.row_count, params), table.matrix, params)
+            pooling(foreign, len(table), params), table, params)
 
 
 def batch_loss(batch, matrix, anchor, params, cfg):
@@ -271,9 +271,9 @@ def per_sample_reference(samples, table, anchor, params, cfg, batch_size):
     fisher, losses = [], []
     for s in range(0, len(samples), batch_size):
         batch = samples[s:s + batch_size]
-        loss, grad = batch_loss(batch, table.matrix, anchor, params, cfg)
+        loss, grad = batch_loss(batch, table, anchor, params, cfg)
         rows = oracles.batch_grads([foreign for _, _, foreign in batch],
-                                   table.matrix, params, grad)
+                                   table, params, grad)
         fisher.append(sum(float(g @ g) for g in rows.values()))
         losses.append(loss)
     return np.mean(fisher), np.mean(losses)
@@ -281,8 +281,8 @@ def per_sample_reference(samples, table, anchor, params, cfg, batch_size):
 
 def tiny_model(seed=0, rows=12, d=6):
     rng = np.random.default_rng(seed)
-    table = EmbeddingTable(rng.normal(size=(rows, d)).astype(np.float32))
-    anchor = snapshot_anchor(table.copy())
+    table = rng.normal(size=(rows, d)).astype(np.float32)
+    anchor = snapshot_anchor(table)
     params = make_text_params(d, d, L_max=4, seed=seed)
     samples = []
     for _ in range(5):
@@ -357,7 +357,7 @@ class TestFisherTrace:
         samples, table, anchor, params = tiny_model(2)
         cfg = LossConfig(tau=0.07, gamma_cm=1.0, gamma_cl=1.0)
         batch = samples[:3]
-        base = table.matrix.astype(np.float64)
+        base = table.astype(np.float64)
         step = 1e-4
         sq = 0.0
         for tid in {t for _, _, foreign in batch for t in foreign}:
@@ -381,14 +381,14 @@ class TestFisherTrace:
 
 class TestTedHistogram:
     def test_constant_table_single_bin(self):
-        t = EmbeddingTable(np.full((3, 4), 0.5, dtype=np.float32))
+        t = np.full((3, 4), 0.5, dtype=np.float32)
         edges, counts, below, above, stats = M.ted_histogram(t, bins=10)
         assert counts.sum() == 12 and len(counts) == 1
         assert below == 0 and above == 0
 
     def test_count_conservation(self):
         rng = np.random.default_rng(4)
-        t = EmbeddingTable(rng.normal(size=(50, 8)).astype(np.float32))
+        t = rng.normal(size=(50, 8)).astype(np.float32)
         edges, counts, below, above, _ = M.ted_histogram(t, bins=16)
         assert counts.sum() + below + above == 50 * 8
 
@@ -396,7 +396,7 @@ class TestTedHistogram:
         from scipy import stats as sps
         rng = np.random.default_rng(5)
         n_entries = 1_000_000
-        t = EmbeddingTable(rng.normal(0.0, 0.02, size=(n_entries // 100, 100)))
+        t = rng.normal(0.0, 0.02, size=(n_entries // 100, 100)).astype(np.float32)
         edges, counts, below, above, stats = M.ted_histogram(t, bins=20)
         for i, c in enumerate(counts):
             p = (sps.norm.cdf(edges[i + 1], stats.mu, stats.sigma)
@@ -405,7 +405,7 @@ class TestTedHistogram:
             assert abs(c - n_entries * p) <= 3 * se + 1
 
     def test_histogram_csv(self, tmp_path):
-        t = EmbeddingTable(np.random.default_rng(6).normal(size=(8, 8)))
+        t = np.random.default_rng(6).normal(size=(8, 8)).astype(np.float32)
         edges, counts, *_ = M.ted_histogram(t, bins=4)
         p = tmp_path / "ted.csv"
         M.save_histogram_csv(edges, counts, p)
@@ -414,6 +414,6 @@ class TestTedHistogram:
         assert len(lines) == 5
 
     def test_bins_validation(self):
-        t = EmbeddingTable(np.ones((2, 2), dtype=np.float32))
+        t = np.ones((2, 2), dtype=np.float32)
         with pytest.raises(InvalidInputError):
             M.ted_histogram(t, bins=1)

@@ -6,12 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from lexcl import optim
-from lexcl.embeddings import EmbeddingTable
 from lexcl.errors import NumericError
 
 
 def table_of(rows):
-    return EmbeddingTable(np.asarray(rows, dtype=np.float32))
+    return np.asarray(rows, dtype=np.float32)
 
 
 def step(table, grads, lam, cfg, state):
@@ -19,7 +18,7 @@ def step(table, grads, lam, cfg, state):
     rows = sorted(grads)
     optim.step(table, np.array(rows, dtype=np.int64), lam,
                np.array([grads[j] for j in rows], dtype=np.float64)
-               .reshape(len(rows), table.dim), cfg, state)
+               .reshape(len(rows), table.shape[1]), cfg, state)
 
 
 def flat_cfg(kind="sgd", lr=0.1, wd=0.05):
@@ -33,16 +32,16 @@ class TestSgdStep:
         t = table_of([[1.0]])
         step(t, {0: np.array([0.2])}, np.array([1.0]),
                    flat_cfg(lr=0.1, wd=0.05), optim.OptimState())
-        assert np.isclose(t.matrix[0, 0], 0.975, atol=1e-7)
+        assert np.isclose(t[0, 0], 0.975, atol=1e-7)
 
     def test_lambda_zero_bitwise_unchanged(self):
         t = table_of([[0.3, -0.7], [1.5, 2.5]])
-        before = t.matrix.copy()
+        before = t.copy()
         for _ in range(5):
             step(t, {0: np.array([9.0, -9.0]), 1: np.array([1.0, 1.0])},
                        np.array([0.0, 1.0]), flat_cfg(), optim.OptimState())
-        assert t.matrix[0].tobytes() == before[0].tobytes()
-        assert t.matrix[1].tobytes() != before[1].tobytes()
+        assert t[0].tobytes() == before[0].tobytes()
+        assert t[1].tobytes() != before[1].tobytes()
 
     def test_lambda_one_equals_reference(self):
         rng = np.random.default_rng(0)
@@ -57,7 +56,7 @@ class TestSgdStep:
                 # reference: plain unscaled update (lambda absent entirely)
                 step(t, grads, np.ones(4), cfg, s1)
                 reference_step(ref, grads, cfg, s2)
-            assert t.matrix.tobytes() == ref.matrix.tobytes()
+            assert t.tobytes() == ref.tobytes()
 
     def test_displacement_monotone_in_lambda(self):
         disp = []
@@ -65,18 +64,18 @@ class TestSgdStep:
             t = table_of([[1.0, 1.0]])
             step(t, {0: np.array([0.5, -0.5])}, np.array([lam]),
                        flat_cfg(), optim.OptimState())
-            disp.append(np.linalg.norm(t.matrix[0] - np.array([1.0, 1.0])))
+            disp.append(np.linalg.norm(t[0] - np.array([1.0, 1.0])))
         assert disp == sorted(disp)
         assert len(set(disp)) == len(disp)
 
     def test_lazy_rows_untouched(self):
         rng = np.random.default_rng(1)
         t = table_of(rng.normal(size=(5, 2)))
-        before = t.matrix.copy()
+        before = t.copy()
         step(t, {2: np.array([1.0, 1.0])}, np.ones(5),
                    flat_cfg(kind="adamw"), optim.OptimState())
         for j in (0, 1, 3, 4):
-            assert t.matrix[j].tobytes() == before[j].tobytes()
+            assert t[j].tobytes() == before[j].tobytes()
 
     def test_nan_grad_aborts(self):
         t = table_of([[1.0]])
@@ -91,7 +90,7 @@ def reference_step(table, grads, cfg, state):
     state.step_count += 1
     for j in sorted(grads):
         g = np.asarray(grads[j], dtype=np.float64)
-        theta = table.matrix[j].astype(np.float64)
+        theta = table[j].astype(np.float64)
         if cfg.kind == "sgd":
             theta = theta * (1.0 - lr * cfg.weight_decay) - lr * g
         else:
@@ -104,7 +103,7 @@ def reference_step(table, grads, cfg, state):
             theta = theta - lr * (m / (1 - cfg.beta1 ** t)) / (
                 np.sqrt(v / (1 - cfg.beta2 ** t)) + cfg.eps)
             state.m[j], state.v[j], state.t[j] = m, v, t
-        table.matrix[j] = theta.astype(np.float32)
+        table[j] = theta.astype(np.float32)
 
 
 class TestSchedule:
@@ -132,7 +131,7 @@ def test_lambda_zero_invariance_property(seed, kind, n_steps):
     rows = 6
     t = table_of(rng.normal(size=(rows, 3)))
     lam = rng.choice([0.0, 0.5, 1.0], size=rows)
-    before = t.matrix.copy()
+    before = t.copy()
     state = optim.OptimState()
     cfg = optim.OptimConfig(kind=kind, lr_peak=0.3, weight_decay=0.05,
                             warmup_fraction=0.25, total_steps=n_steps)
@@ -142,7 +141,7 @@ def test_lambda_zero_invariance_property(seed, kind, n_steps):
                    lam, cfg, state)
     for j in range(rows):
         if lam[j] == 0.0:
-            assert t.matrix[j].tobytes() == before[j].tobytes()
+            assert t[j].tobytes() == before[j].tobytes()
 
 
 @given(seed=st.integers(0, 100_000),
@@ -166,7 +165,7 @@ def test_matches_row_by_row_oracle(seed, kind, n_steps):
         grads = {int(j): rng.normal(size=3) for j in touched}
         step(t, grads, lam, cfg, state)
         oracles.step(ref, grads, lam, cfg, ref_state)
-        assert t.matrix.tobytes() == ref.matrix.tobytes()
+        assert t.tobytes() == ref.tobytes()
     if kind == "adamw":
         assert state.t.tolist() == [ref_state.t.get(j, 0) for j in range(rows)]
 
@@ -179,7 +178,7 @@ def test_lambda_zero_rows_are_never_written(kind):
     state = optim.OptimState()
     step(t, {0: np.array([-1.0, -2.0]), 1: np.array([-1.0, -2.0])},
          np.array([0.0, 1.0]), flat_cfg(kind=kind), state)
-    assert t.matrix[0].tobytes() == np.array([-0.0, -0.0], np.float32).tobytes()
+    assert t[0].tobytes() == np.array([-0.0, -0.0], np.float32).tobytes()
     if kind == "adamw":
         assert state.t.tolist() == [0, 1]
 
@@ -217,7 +216,7 @@ def test_bias_table_matches_per_step_powers(total_steps):
         grads = {int(j): rng.normal(size=3) for j in touched}
         step(t, grads, lam, cfg, state)
         oracles.step(ref, grads, lam, cfg, ref_state)
-        assert t.matrix.tobytes() == ref.matrix.tobytes()
+        assert t.tobytes() == ref.tobytes()
     assert state.t.tolist() == [ref_state.t[j] for j in range(rows)]
     for j in range(rows):
         assert state.m[j].tobytes() == ref_state.m[j].tobytes()
