@@ -37,6 +37,6 @@ for t, (name, corpus) in enumerate(corpora.items()):
     print("lambda values:", {float(v): int(c) for v, c in zip(values, freq)})
 
 sample = b"the cat sat"
-ids = state.global_ids(sample, 0)
+ids = state.tokenize([sample], 0)[0].tolist()
 print(f"\nencode {sample!r} with task-0 rules -> {ids}")
 print("decoded tokens:", [state.tokens[i] for i in ids])

@@ -261,8 +261,6 @@ def gen_benchmark(cfg: BenchConfig, out_dir) -> None:
                      for img in split_ranges[split]]
             write_atomic(os.path.join(lang_dir, f"{split}.tsv"),
                          ("\n".join(lines) + "\n").encode("utf-8"))
-        write_atomic(os.path.join(lang_dir, "corpus.txt"),
-                     ("\n".join(foreign[:cfg.n_train]) + "\n").encode("utf-8"))
 
     manifest = {"format_version": FORMAT_VERSION, **asdict(cfg),
                 "splits": {s: len(split_ranges[s]) for s in SPLITS},
@@ -309,6 +307,8 @@ def load_dataset(dataset_dir, language_id: str, split: str,
         img = int(index)
         if not 0 <= img < n_images:
             raise DanglingReferenceError(f"image index {img} not in images.feat")
+        if not (english and foreign):
+            raise ValueError("empty caption")
         return img, english, foreign
 
     records = read_lines(path, record, DatasetFormatError)
@@ -318,8 +318,3 @@ def load_dataset(dataset_dir, language_id: str, split: str,
             f"{path}: {len(records)} records, manifest declares {declared}")
     return Split(np.array([r[0] for r in records], dtype=np.int64),
                  [r[1] for r in records], [r[2] for r in records])
-
-
-def load_corpus(dataset_dir, language_id: str) -> list[str]:
-    return read_lines(os.path.join(dataset_dir, language_id, "corpus.txt"),
-                      str, DatasetFormatError)

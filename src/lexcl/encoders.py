@@ -19,9 +19,10 @@ from .errors import InvalidIdError, InvalidInputError
 
 @dataclass(frozen=True)
 class FrozenTextParams:
-    W: np.ndarray      # d_out x d
-    b: np.ndarray      # d_out
-    pos: np.ndarray    # L_max x d sinusoidal
+    W: np.ndarray         # d_out x d
+    b: np.ndarray         # d_out
+    pos: np.ndarray       # L_max x d sinusoidal
+    mean_pos: np.ndarray  # L_max x d, row L - 1 the mean of pos[:L]
     L_max: int
     seed: int
 
@@ -46,36 +47,50 @@ def make_text_params(dim: int, d_out: int, L_max: int = 32,
     W = rng.normal(0.0, (1.0 / np.sqrt(dim)) ** 0.5, size=(d_out, dim))
     b = np.zeros(d_out, dtype=np.float64)
     pos = sinusoidal_positions(L_max, dim)
-    for a in (W, b, pos):
+    mean_pos = np.cumsum(pos, axis=0) / np.arange(1, L_max + 1)[:, None]
+    for a in (W, b, pos, mean_pos):
         a.flags.writeable = False
-    return FrozenTextParams(W=W, b=b, pos=pos, L_max=L_max, seed=seed)
+    return FrozenTextParams(W=W, b=b, pos=pos, mean_pos=mean_pos,
+                            L_max=L_max, seed=seed)
 
 
 @dataclass(frozen=True)
 class Pooling:
-    """K texts pooled as h[k] = sum_m w[k, m] E[ids[k, m]] + pos[k]. Row k
-    of `ids` holds the distinct ids among text k's first L = min(length,
-    L_max) ids, ascending, `w` their weights c / L (c the id's count; 0
-    for pads) and `pos` the mean of the text's first L position vectors."""
+    """K texts pooled as h[k] = sum_m w[k, m] E[ids[k, m]] + mean_pos[L - 1]
+    with L = n[k] = min(length, L_max). Row k of `ids` holds the distinct
+    ids among text k's first L ids, ascending, and `w` their weights c / L
+    (c the id's count; 0 for pads)."""
 
-    ids: np.ndarray
+    ids: np.ndarray  # int32
     w: np.ndarray
-    pos: np.ndarray
+    n: np.ndarray
 
     def take(self, index) -> "Pooling":
         """The pooling of texts `index`, in that order."""
-        return Pooling(self.ids[index], self.w[index], self.pos[index])
+        return Pooling(self.ids[index], self.w[index], self.n[index])
+
+    @classmethod
+    def concat(cls, parts) -> "Pooling":
+        """The texts of several poolings, in order, as one, each part padded
+        to the widest: the same arrays as pooling their texts together."""
+        width = max(p.w.shape[1] for p in parts)
+        pads = [((0, 0), (0, width - p.w.shape[1])) for p in parts]
+        return cls(np.concatenate([np.pad(p.ids, s) for p, s in zip(parts, pads)]),
+                   np.concatenate([np.pad(p.w, s) for p, s in zip(parts, pads)]),
+                   np.concatenate([p.n for p in parts]))
 
 
-def pooling(tokens, n_rows: int, params: FrozenTextParams) -> Pooling:
-    """The Pooling of every text of `tokens` (`vocab.TokenArrays`)."""
-    lengths = np.diff(tokens.offsets)
+def pooling(ids, lengths, n_rows: int, params: FrozenTextParams) -> Pooling:
+    """The Pooling of texts whose ids lie back to back in `ids`, text k
+    holding lengths[k] of them, as `VocabState.tokenize` returns them."""
+    lengths = np.asarray(lengths, dtype=np.int64)
     if np.any(lengths == 0):
         raise InvalidInputError("encode_text: empty id sequence "
                                 f"(text {int(np.argmin(lengths))})")
     text = np.repeat(np.arange(len(lengths)), lengths)
-    keep = np.arange(len(text)) - tokens.offsets[text] < params.L_max
-    text, ids = text[keep], tokens.ids[keep].astype(np.int64)
+    start = np.cumsum(lengths) - lengths
+    keep = np.arange(len(text)) - start[text] < params.L_max
+    text, ids = text[keep], np.asarray(ids, dtype=np.int64)[keep]
     bad = (ids < 0) | (ids >= n_rows)
     if np.any(bad):
         raise InvalidIdError(f"encode_text: id {ids[bad][0]} out of range "
@@ -87,27 +102,21 @@ def pooling(tokens, n_rows: int, params: FrozenTextParams) -> Pooling:
     k = text[first]
     slot = np.arange(len(k)) - np.searchsorted(k, k)
     shape = (len(n), slot.max(initial=-1) + 1)
-    padded_ids, w = np.zeros(shape, dtype=np.int64), np.zeros(shape)
+    padded_ids, w = np.zeros(shape, dtype=np.int32), np.zeros(shape)
     padded_ids[k, slot], w[k, slot] = ids[first], np.bincount(pair, 1.0 / n[text])
-    mean_pos = np.cumsum(params.pos, axis=0) / np.arange(1, params.L_max + 1)[:, None]
-    return Pooling(padded_ids, w, mean_pos[n - 1])
+    return Pooling(padded_ids, w, n)
 
 
 def encode_text(pooled: Pooling, matrix: np.ndarray,
                 params: FrozenTextParams) -> np.ndarray:
-    """K x d_out features r = tanh(W h + b) of the pooled texts."""
+    """K x d_out features r = tanh(W h + b) of the pooled texts under the
+    embedding matrix."""
     # each text's terms summed in slot order from 0, pads adding zeros
     h = np.einsum("km,kmd->kd", pooled.w, matrix[pooled.ids])
-    h += pooled.pos
+    h += params.mean_pos[pooled.n - 1]
     r = h @ params.W.T
     r += params.b
     return np.tanh(r, out=r)
-
-
-def text_features(tokens, matrix, params: FrozenTextParams) -> np.ndarray:
-    """encode_text of every text of `tokens` under the embedding matrix:
-    the routine that training, validation and `lexcl eval` all score with."""
-    return encode_text(pooling(tokens, len(matrix), params), matrix, params)
 
 
 def pooled_grad(feats, params: FrozenTextParams, upstream) -> np.ndarray:

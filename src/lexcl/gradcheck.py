@@ -12,7 +12,6 @@ import numpy as np
 
 from .encoders import make_text_params, pooling
 from .losses import LossConfig, batch_grad
-from .vocab import TokenArrays
 
 
 @dataclass
@@ -32,9 +31,10 @@ def _instance(seed: int, d: int = 8, k: int = 4, l_max: int = 5,
     rng = np.random.default_rng(seed)
     params = make_text_params(d, d, L_max=l_max, seed=seed + 1)
     matrix = rng.normal(0.0, 0.5, size=(vocab, d))
-    pooled = pooling(TokenArrays.from_rows([
-        rng.integers(0, vocab, size=rng.integers(1, l_max + 1)).tolist()
-        for _ in range(k)]), vocab, params)
+    texts = [rng.integers(0, vocab, size=rng.integers(1, l_max + 1))
+             for _ in range(k)]
+    pooled = pooling(np.concatenate(texts), [len(t) for t in texts], vocab,
+                     params)
     r_i = rng.normal(size=(k, d))
     r_e = rng.normal(size=(k, d))
     return params, matrix, pooled, r_i, r_e

@@ -15,11 +15,11 @@ import numpy as np
 
 from . import bpe
 from . import vocab as vocab_mod
-from .bench import SPLITS, load_corpus, load_dataset, load_images, load_manifest
+from .bench import SPLITS, load_dataset, load_images, load_manifest
 from .embeddings import (FIXED_INIT, dist_stats, expand, ks_statistic,
                          save_checkpoint, snapshot_anchor, vocab_hash,
                          write_atomic, write_csv)
-from .encoders import make_text_params, pooling, text_features
+from .encoders import Pooling, encode_text, make_text_params, pooling
 from .errors import InvalidInputError, NumericError, check_keys, key
 from .losses import LossConfig, batch_grad
 from .metrics import (EvalMatrix, average_recall, fisher_and_loss, forgetting,
@@ -89,19 +89,18 @@ def vocab_index(mode: str, oracle_vocab: bool, task: int) -> int:
 
 
 class _TaskData:
-    """Loaded splits for one language, and their token arrays.
+    """Loaded splits for one language, and their poolings.
 
-    `tokens[split]` holds the split's foreign captions under the vocab
+    `pooled[split]` pools the split's foreign captions under the vocab
     the language is scored with, `english` its English train captions
-    under vocab 0. Both are filled when that vocab is merged in."""
+    under vocab 0. Both are made once, when that vocab is merged in."""
 
     def __init__(self, data_dir, language_id, manifest, images):
         self.train, self.val, self.test = (
             load_dataset(data_dir, language_id, split, manifest, images)
             for split in SPLITS)
-        self.corpus = load_corpus(data_dir, language_id)
-        self.tokens: dict[str, vocab_mod.TokenArrays] = {}
-        self.english: vocab_mod.TokenArrays | None = None
+        self.pooled: dict[str, Pooling] = {}
+        self.english: Pooling | None = None
 
 
 class Runner:
@@ -129,6 +128,7 @@ class Runner:
         self.checkpoint_paths: list[str] = []
         self.dist_rows: list[dict] = []
         self.loss_rows: list[dict] = []
+        self.token_rows: list[dict] = []
         self._vocab_of = [vocab_index(cfg.mode, cfg.oracle_vocab, t)
                           for t in range(len(self.tasks))]
         self._vocabs: dict[int, bpe.TaskVocab] = {}
@@ -142,30 +142,41 @@ class Runner:
 
     def _task_vocab(self, row: int) -> bpe.TaskVocab:
         """The vocab that row `row`'s language is tokenised with, trained
-        once on the corpora of every language that shares it, with the
-        merge budget of one vocab per language."""
+        once on the foreign train captions of every language that shares
+        it, with the merge budget of one vocab per language."""
         v = self._vocab_of[row]
         if v not in self._vocabs:
             sharing = [td for td, w in zip(self.tasks, self._vocab_of) if w == v]
             target = (bpe.N_BYTES + (self.cfg.vocab_size_per_task - bpe.N_BYTES)
                       * len(sharing))
             self._vocabs[v] = bpe.train_bpe(
-                [line for td in sharing for line in td.corpus], target,
+                [line for td in sharing for line in td.train.foreign], target,
                 task_index=v)
         return self._vocabs[v]
 
+    def _pool(self, texts, v: int, task: int, split: str, memo) -> Pooling:
+        """The pooling of `texts` under vocab `v`, with their token counts
+        recorded for diagnostics/tokens.csv."""
+        ids, lengths = self.state.tokenize(texts, v, memo)
+        self.token_rows.append({
+            "task": task, "split": split, "captions": len(lengths),
+            "mean_tokens": float(lengths.mean()),
+            "cut_at_l_max": int(np.count_nonzero(lengths > self.cfg.l_max))})
+        return pooling(ids, lengths, self.state.size, self.params)
+
     def _tokenize(self) -> None:
-        """Tokenise every caption read under the vocab just merged in,
-        once. Global ids are append-only, so the arrays stay valid for
-        the rest of the run."""
+        """Pool every caption read under the vocab just merged in, once.
+        Global ids are append-only, so the poolings stay valid for the
+        rest of the run."""
         v = len(self.state.task_vocabs) - 1
         memo: dict[str, list[int]] = {}
         for t, td in enumerate(self.tasks):
             if v == 0:
-                td.english = self.state.tokenize(td.train.english, 0, memo)
+                td.english = self._pool(td.train.english, 0, t, "english", memo)
             if self._vocab_of[t] == v:
-                td.tokens = {split: self.state.tokenize(
-                    getattr(td, split).foreign, v, memo) for split in SPLITS}
+                td.pooled = {split: self._pool(getattr(td, split).foreign,
+                                               v, t, split, memo)
+                             for split in SPLITS}
 
     # --- evaluation ---------------------------------------------------
 
@@ -173,7 +184,7 @@ class Runner:
         """Checkpoint-selection score: Recall@{1,5,10} summed over both
         retrieval directions."""
         td = self.tasks[t]
-        res = paired_recall(td.tokens["val"], self.table, self.params,
+        res = paired_recall(td.pooled["val"], self.table, self.params,
                             self.images[td.val.image], ks=(1, 5, 10))
         return sum(res[d][k] for d in ("img2txt", "txt2img") for k in (1, 5, 10))
 
@@ -187,8 +198,7 @@ class Runner:
         cross-lingual term is off and PRETRAIN_OPTIM is used."""
         cfg = self.cfg
         tasks = [self.tasks[t] for t in train]
-        pooled = pooling(vocab_mod.TokenArrays.concat(
-            [td.tokens["train"] for td in tasks]), len(self.table), self.params)
+        pooled = Pooling.concat([td.pooled["train"] for td in tasks])
         img_feats = self.images[np.concatenate(
             [td.train.image for td in tasks])].astype(np.float64)
         n = len(img_feats)
@@ -203,8 +213,8 @@ class Runner:
             ocfg = replace(ocfg, **PRETRAIN_OPTIM)
         else:
             # anchor features, recomputed per use: cheaper than holding them
-            eng_feats = np.concatenate([text_features(td.english, self.anchor,
-                                                      self.params)
+            eng_feats = np.concatenate([encode_text(td.english, self.anchor,
+                                                    self.params)
                                         for td in tasks])
             loss_cfg = cfg.loss
         ostate = OptimState()
@@ -291,7 +301,7 @@ class Runner:
         }, path)
         self.checkpoint_paths.append(path)
         score_row(self.eval_matrix, row, self.table, self.params,
-                  [(td.tokens["test"], self.images[td.test.image])
+                  [(td.pooled["test"], self.images[td.test.image])
                    for td in self.tasks[: row + 1]])
 
     def run(self) -> RunArtifacts:
@@ -314,8 +324,8 @@ class Runner:
         for t, td in enumerate(self.tasks):
             fisher, loss = fisher_and_loss(
                 self.images[td.train.image],
-                text_features(td.english, self.anchor, self.params),
-                pooling(td.tokens["train"], len(self.table), self.params),
+                encode_text(td.english, self.anchor, self.params),
+                td.pooled["train"],
                 self.table, self.params, cfg.loss, cfg.batch_size)
             fisher_rows.append({"task": t, "fisher_trace": fisher})
             final_losses.append(loss)
@@ -329,6 +339,9 @@ class Runner:
                    ["task", "fisher_trace"], fisher_rows)
         _write_csv(os.path.join(diag_dir, "loss_curve.csv"),
                    ["task", "epoch", "mean_loss", "val_score"], self.loss_rows)
+        _write_csv(os.path.join(diag_dir, "tokens.csv"),
+                   ["task", "split", "captions", "mean_tokens", "cut_at_l_max"],
+                   sorted(self.token_rows, key=lambda r: r["task"]))
         _write_csv(os.path.join(diag_dir, "final_loss.csv"),
                    ["task", "mean_loss"],
                    [{"task": t, "mean_loss": v}

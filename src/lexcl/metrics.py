@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embeddings import dist_stats, read_lines, write_csv
-from .encoders import Pooling, text_features
+from .encoders import Pooling, encode_text
 from .errors import (DegenerateFeatureError, InvalidInputError, MetricError)
 from .losses import batch_grad
 
@@ -95,11 +95,11 @@ def recall_at_k(query_feats: np.ndarray, gallery_feats: np.ndarray,
     return 100.0 * int(np.count_nonzero(best < k)) / n_query
 
 
-def paired_recall(tokens, matrix, params, image_feats, ks=(1,)) -> dict:
-    """{direction: {k: Recall@k}} between the texts of `tokens`, encoded
-    under the embedding `matrix`, and their images: text i goes with
-    image i."""
-    txt = text_features(tokens, matrix, params)
+def paired_recall(pooled: Pooling, matrix, params, image_feats,
+                  ks=(1,)) -> dict:
+    """{direction: {k: Recall@k}} between the pooled texts, encoded under
+    the embedding `matrix`, and their images: text i goes with image i."""
+    txt = encode_text(pooled, matrix, params)
     img = np.asarray(image_feats, dtype=np.float64)
     ident = {i: {i} for i in range(len(img))}
     return {"img2txt": recall_at_k(img, txt, ident, tuple(ks)),
@@ -109,11 +109,11 @@ def paired_recall(tokens, matrix, params, image_feats, ks=(1,)) -> dict:
 def score_row(evals: EvalMatrix, row: int, matrix, params, test_set) -> None:
     """Set row `row` of the recall matrix `evals`: Recall@1 of tasks
     0..row under the embedding `matrix`, both directions. test_set[i] is
-    task i's (test tokens, image features); the run and `lexcl eval` both
+    task i's (test Pooling, image features); the run and `lexcl eval` both
     score through here."""
     for i in range(row + 1):
-        tokens, images = test_set[i]
-        for d, recall in paired_recall(tokens, matrix, params, images).items():
+        pooled, images = test_set[i]
+        for d, recall in paired_recall(pooled, matrix, params, images).items():
             evals.set(row, i, d, recall[1])
 
 

@@ -12,7 +12,7 @@ from . import bpe
 from . import vocab as vocab_mod
 from .embeddings import (load_checkpoint, read_json, read_lines, vocab_hash,
                          write_atomic, write_csv)
-from .encoders import make_text_params
+from .encoders import make_text_params, pooling
 from .errors import InvalidInputError
 from .bench import load_dataset, load_images, load_manifest
 from .harness import RunConfig, vocab_index
@@ -74,12 +74,14 @@ def recompute_eval_matrix(run_dir, data_dir, split: str = "test") -> EvalMatrix:
 
     # Global ids are append-only, so each task reads the same under the
     # last state as under the state of any row that scores it.
+    last = states[-1]
     test_set = []
     for i, lang in enumerate(manifest["languages"][: rows[-1] + 1]):
         data = load_dataset(data_dir, lang, split, manifest, images)
-        test_set.append((states[-1].tokenize(
-            data.foreign, vocab_index(mode, oracle_vocab, i)),
-            images[data.image]))
+        ids, lengths = last.tokenize(data.foreign,
+                                     vocab_index(mode, oracle_vocab, i))
+        test_set.append((pooling(ids, lengths, last.size, params),
+                         images[data.image]))
     matrix = EvalMatrix()
     for j, state in zip(rows, states):
         table = load_checkpoint(os.path.join(run_dir, f"ckpt_task{j}.bin"),
@@ -180,7 +182,8 @@ def write_report(run_dir, out_dir) -> list[str]:
     ar_series = write_ar_f(matrix, mode, written[0])
 
     for src in [matrix_path] + [os.path.join(diag_dir, name) for name in (
-            "fisher.csv", "dist_stats.csv", "loss_curve.csv", "final_loss.csv")]:
+            "fisher.csv", "dist_stats.csv", "loss_curve.csv", "final_loss.csv",
+            "tokens.csv")]:
         if os.path.exists(src):
             written.append(os.path.join(out_dir, os.path.basename(src)))
             copy_file(src, written[-1])

@@ -1,86 +1,59 @@
 """Union vocabulary across tasks: stable global ids, per-token
 task-presence counts and the update-scaling coefficients (λ) derived
-from them, plus flat (CSR) token arrays of many texts at once."""
+from them, and the global ids of many texts at once."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .bpe import TaskVocab, _byte_tokens, encode
 
 
-@dataclass(frozen=True)
-class TokenArrays:
-    """Token ids of n texts in CSR form: text k is
-    ids[offsets[k]:offsets[k + 1]]."""
-
-    ids: np.ndarray      # int32, all texts' ids back to back
-    offsets: np.ndarray  # int64, n + 1 entries, offsets[0] == 0
-
-    def __len__(self) -> int:
-        return len(self.offsets) - 1
-
-    def row(self, k: int) -> list[int]:
-        return self.ids[self.offsets[k] : self.offsets[k + 1]].tolist()
-
-    @classmethod
-    def from_rows(cls, rows) -> "TokenArrays":
-        """CSR arrays of a sequence of id lists."""
-        return cls(np.array([i for r in rows for i in r], dtype=np.int32),
-                   np.cumsum([0] + [len(r) for r in rows], dtype=np.int64))
-
-    @classmethod
-    def concat(cls, parts) -> "TokenArrays":
-        """The texts of several TokenArrays, in order, as one."""
-        starts = np.cumsum([0] + [len(p.ids) for p in parts])
-        return cls(np.concatenate([p.ids for p in parts]), np.concatenate(
-            [[0]] + [p.offsets[1:] + s for p, s in zip(parts, starts)]))
-
-
 @dataclass
 class VocabState:
     """Evolving union vocabulary. Ids are append-only and never reused;
-    counts[j] is the number of merged task vocabs that hold token j."""
+    counts[j] is the number of merged task vocabs that hold token j, and
+    task_ids[t][i] the global id of task vocab t's local id i."""
 
     tokens: list[bytes]
     id_of: dict[bytes, int]
     task_vocabs: list[TaskVocab]
+    task_ids: list[np.ndarray]  # int64, one per task vocab
     counts: np.ndarray  # int64, one per id
 
     @property
     def size(self) -> int:
         return len(self.tokens)
 
-    def global_ids(self, text, task_index: int) -> list[int]:
-        """Encode text with one task's merge rules, mapped to global ids."""
+    def tokenize(self, texts, task_index: int, memo: dict | None = None
+                 ) -> tuple[np.ndarray, np.ndarray]:
+        """(ids, lengths): the global ids of every text under one task's
+        merge rules, back to back, and each text's number of ids. The
+        local ids of all texts map to global ids in one gather.
+
+        Each distinct text is encoded once; pass the same `memo` (text ->
+        local ids) to several calls under one task index to share that
+        work between them."""
         tv = self.task_vocabs[task_index]
-        local = encode(text, tv)
-        return [self.id_of[tv.tokens[i]] for i in local]
-
-    def tokenize(self, texts, task_index: int,
-                 memo: dict | None = None) -> TokenArrays:
-        """`global_ids` of every text, as one CSR array.
-
-        Each distinct text is encoded once; pass the same `memo`
-        (text -> ids) to several calls under one task index to share
-        that work between them."""
         memo = {} if memo is None else memo
-        rows = []
         for text in texts:
-            ids = memo.get(text)
-            if ids is None:
-                ids = memo[text] = self.global_ids(text, task_index)
-            rows.append(ids)
-        return TokenArrays.from_rows(rows)
+            if text not in memo:
+                memo[text] = encode(text, tv)
+        local = [memo[text] for text in texts]
+        lengths = np.fromiter(map(len, local), dtype=np.int64, count=len(local))
+        flat = np.fromiter(chain.from_iterable(local), dtype=np.int64,
+                           count=int(lengths.sum()))
+        return self.task_ids[task_index][flat], lengths
 
 
 def new_state() -> VocabState:
     tokens = _byte_tokens()
     return VocabState(tokens=tokens,
                       id_of={t: i for i, t in enumerate(tokens)},
-                      task_vocabs=[],
+                      task_vocabs=[], task_ids=[],
                       counts=np.zeros(len(tokens), dtype=np.int64))
 
 
@@ -102,6 +75,7 @@ def merge_vocab(state: VocabState, task_vocab: TaskVocab):
             gid = id_of[tok] = len(tokens)
             tokens.append(tok)
         task_ids.append(gid)
+    task_ids = np.array(task_ids, dtype=np.int64)
     counts = np.zeros(len(tokens), dtype=np.int64)
     counts[: len(state.counts)] = state.counts
     lam = np.zeros(len(tokens), dtype=np.float64)
@@ -109,4 +83,5 @@ def merge_vocab(state: VocabState, task_vocab: TaskVocab):
     np.add.at(counts, task_ids, 1)
     return VocabState(tokens=tokens, id_of=id_of,
                       task_vocabs=state.task_vocabs + [task_vocab],
+                      task_ids=state.task_ids + [task_ids],
                       counts=counts), lam

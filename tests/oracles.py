@@ -71,11 +71,14 @@ class CsrPooling:
     pos: np.ndarray
 
     @classmethod
-    def of(cls, tokens, params) -> "CsrPooling":
-        lengths = np.diff(tokens.offsets)
+    def of(cls, ids, lengths, params) -> "CsrPooling":
+        """The pooling of texts whose ids lie back to back in `ids`, text
+        k holding lengths[k] of them."""
+        lengths = np.asarray(lengths, dtype=np.int64)
+        offsets = np.concatenate([[0], np.cumsum(lengths)])
         text = np.repeat(np.arange(len(lengths)), lengths)
-        keep = np.arange(len(text)) - tokens.offsets[text] < params.L_max
-        text, ids = text[keep], tokens.ids[keep].astype(np.int64)
+        keep = np.arange(len(text)) - offsets[text] < params.L_max
+        text, ids = text[keep], np.asarray(ids, dtype=np.int64)[keep]
         rows, col = np.unique(ids, return_inverse=True)
         n = np.minimum(lengths, params.L_max)
         # repeated (text, id) entries are summed, to c / L

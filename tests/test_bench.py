@@ -22,6 +22,11 @@ def tiny_cfg(**kw):
     return bench.BenchConfig(**base)
 
 
+def train_captions(data_dir, language_id):
+    """A language's foreign train captions: what its BPE vocab trains on."""
+    return bench.load_dataset(data_dir, language_id, "train").foreign
+
+
 def tree_files(root):
     out = []
     for dirpath, _, names in os.walk(root):
@@ -53,17 +58,17 @@ class TestGenerate:
 
     @pytest.mark.parametrize("cfg, digest", [
         (tiny_cfg(),
-         "5c9f0b8dca5b8846c5e7c707f5e01d700fe70dda31a8c31bbd33d9d18a58b2ff"),
+         "c3b9cd0e630e467d04e49902b26ada83cc1c949e0d058e01be5cfd831d8bcf41"),
         (tiny_cfg(n_concepts=40, n_languages=5, n_train=30, n_val=8, n_test=8,
                   concepts_per_image=2, d_out=4, lexical_overlap=0.25, seed=3),
-         "f81f6ba9c03c36e885a59dac99df4cd8396ce6e55c68b5a0598d5eba99d5c3d0"),
+         "fadb6af19b1a70e1c0d0c436805f76b5d4c541e2037987046d0c0a254bbf2f20"),
         (bench.BenchConfig(),
-         "db7be470b7df813c4a3ca66e5f12838413a43aac89ac4cc20118e0bb8b81d472"),
+         "17a5b1fe628f9b47de821c96b450c3acdd9e98224de7ed5340c2c202e18ac03e"),
         (tiny_cfg(seed=2**32 + 7),  # a seed of two 32-bit words
-         "def3fe92d95893d2d0d0fec7cc35a378200bf6a0a6e092b974b4cd82fc65e4a5"),
+         "466d0ca99bfded13d6dcadb91d53748867d2de11a293ebba52d4a13a340be722"),
         (tiny_cfg(seed=2**64 - 1),
-         "cb6556dc8a35f2a281be0fabc37402d4c90f790850a021ee713e38e5a0ce3553"),
-    ])
+         "b464acd129f4890640fe4f1a60c73b80b07dc37c800750786c235a05d64d2bb8"),
+    ], ids=["tiny", "five-languages", "default", "two-word-seed", "max-seed"])
     def test_output_matches_golden_digest(self, tmp_path, cfg, digest):
         """The generated bytes are pinned, so a change to the generator
         that is deterministic but alters the data is caught; every run
@@ -108,20 +113,20 @@ class TestGenerate:
         bench.gen_benchmark(tiny_cfg(lexical_overlap=0.0), tmp_path)
         st = vocab.new_state()
         st, _ = vocab.merge_vocab(
-            st, bpe.train_bpe(bench.load_corpus(tmp_path, "L0"), 300, 0))
+            st, bpe.train_bpe(train_captions(tmp_path, "L0"), 300, 0))
         before = st.size
         st, lam = vocab.merge_vocab(
-            st, bpe.train_bpe(bench.load_corpus(tmp_path, "L1"), 300, 1))
+            st, bpe.train_bpe(train_captions(tmp_path, "L1"), 300, 1))
         # overlap: the ids before the merge that L1's vocab holds (λ > 0)
         assert np.flatnonzero(lam[:before]).tolist() == list(range(256))
 
     def test_full_overlap_words_shared(self, tmp_path):
         bench.gen_benchmark(tiny_cfg(lexical_overlap=1.0), tmp_path)
-        words0 = {w for line in bench.load_corpus(tmp_path, "L0")
+        words0 = {w for line in train_captions(tmp_path, "L0")
                   for w in line.split()}
         cfg = tiny_cfg(lexical_overlap=1.0)
         lex1, func1 = bench._make_lexicon(cfg, 1)
-        concept_words_used = {w for line in bench.load_corpus(tmp_path, "L1")
+        concept_words_used = {w for line in train_captions(tmp_path, "L1")
                               for w in line.split()} - set(func1)
         assert concept_words_used <= words0
 
@@ -132,8 +137,8 @@ class TestGenerate:
             bench.gen_benchmark(tiny_cfg(lexical_overlap=rho), d)
             st = vocab.new_state()
             st, _ = vocab.merge_vocab(
-                st, bpe.train_bpe(bench.load_corpus(d, "L0"), 320, 0))
-            tv1 = bpe.train_bpe(bench.load_corpus(d, "L1"), 320, 1)
+                st, bpe.train_bpe(train_captions(d, "L0"), 320, 0))
+            tv1 = bpe.train_bpe(train_captions(d, "L1"), 320, 1)
             before = st.size
             st, lam = vocab.merge_vocab(st, tv1)
             non_byte = np.count_nonzero(lam[256:before])

@@ -281,8 +281,10 @@ class TestEvalAndReport:
         assert main(["report", "--run", str(workdir / "run"),
                      "--out", str(out)]) == EXIT_OK
         for name in ("ar_f.csv", "eval_matrix.csv", "fisher.csv",
-                     "loss_curve.csv", "ted_task0.csv"):
+                     "loss_curve.csv", "tokens.csv", "ted_task0.csv"):
             assert (out / name).exists(), name
+        assert (out / "tokens.csv").read_bytes() == \
+            (workdir / "run" / "diagnostics" / "tokens.csv").read_bytes()
         svg = [p for p in os.listdir(out) if p.endswith(".svg")]
         assert svg
 
@@ -437,6 +439,13 @@ def _line3(text):
     return damage
 
 
+def _empty_caption(path):
+    """Blank the foreign caption of line 3."""
+    lines = path.read_bytes().split(b"\n")
+    lines[2] = lines[2].rsplit(b"\t", 1)[0] + b"\t"
+    path.write_bytes(b"\n".join(lines))
+
+
 def _emptied(path):
     path.write_bytes(b"")
 
@@ -458,8 +467,10 @@ class TestDamagedFiles:
     command writes its output directory."""
 
     @pytest.mark.parametrize("command, damaged, damage, code, line", [
-        pytest.param("train", "data/L1/corpus.txt", _bad_byte, EXIT_IO, 3,
+        pytest.param("train", "data/L1/train.tsv", _bad_byte, EXIT_IO, 3,
                      id="corpus-bad-byte"),
+        pytest.param("train", "data/L1/val.tsv", _empty_caption, EXIT_IO, 3,
+                     id="empty-caption"),
         pytest.param("eval", "data/L0/test.tsv", _bad_byte, EXIT_IO, 3,
                      id="tsv-bad-byte"),
         pytest.param("train", "run.cfg", _bad_byte, EXIT_USAGE, 3,

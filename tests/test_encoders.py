@@ -1,5 +1,7 @@
 """Frozen text encoder and image provider tests, including the adjoint."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from lexcl import encoders as enc
 from lexcl.errors import InvalidIdError, InvalidInputError
-from lexcl.vocab import TokenArrays
 
 
 def _params(dim=8, d_out=8, L_max=5, seed=3):
@@ -15,16 +16,20 @@ def _params(dim=8, d_out=8, L_max=5, seed=3):
 
 
 def _identity_params(d, L_max=4):
-    base = _params(d, d, L_max)
     W = np.eye(d)
     b = np.zeros(d)
     for a in (W, b):
         a.flags.writeable = False
-    return enc.FrozenTextParams(W=W, b=b, pos=base.pos, L_max=L_max, seed=0)
+    return dataclasses.replace(_params(d, d, L_max), W=W, b=b, seed=0)
+
+
+def flat(id_lists):
+    """(ids, lengths) of a list of id lists, as `pooling` takes them."""
+    return [i for ids in id_lists for i in ids], [len(ids) for ids in id_lists]
 
 
 def pool(id_lists, matrix, params):
-    return enc.pooling(TokenArrays.from_rows(id_lists), matrix.shape[0], params)
+    return enc.pooling(*flat(id_lists), matrix.shape[0], params)
 
 
 def encode_one(ids, table, params):
@@ -144,11 +149,15 @@ CASES = {
     "length 1": [[0], [5], [5]],
     "longer than l_max": [[1, 2, 3, 4, 5, 6, 7, 8], [2, 2, 2, 2, 2, 2, 9]],
     "mixed": [[4], [0, 1, 2, 3, 4, 5, 6], [7, 7], [11, 0, 11, 0, 11]],
+    # a tuple of parts is pooled part by part, then concatenated; the
+    # parts are 2, 4 and 1 distinct ids wide
+    "concat of different widths": ([[5], [5, 9, 5]], [[0, 1, 2, 3], [7]],
+                                   [[4, 4, 4, 4, 4, 4, 4]]),
 }
 
 
-def check_against_oracle(id_lists, matrix, params, upstream):
-    pooled = pool(id_lists, matrix, params)
+def check_against_oracle(id_lists, matrix, params, upstream, pooled=None):
+    pooled = pool(id_lists, matrix, params) if pooled is None else pooled
     feats = enc.encode_text(pooled, matrix, params)
     want = np.stack([oracles.encode_text(ids, matrix, params)
                      for ids in id_lists])
@@ -166,8 +175,17 @@ class TestBatchedMatchesPerText:
         rng = np.random.default_rng(7)
         p = _params(L_max=5)
         matrix = rng.normal(size=(12, 8)).astype(np.float32)
-        up = rng.normal(size=(len(CASES[case]), 8))
-        check_against_oracle(CASES[case], matrix, p, up)
+        id_lists, pooled = CASES[case], None
+        if isinstance(id_lists, tuple):
+            pooled = enc.Pooling.concat([pool(part, matrix, p)
+                                         for part in id_lists])
+            id_lists = [ids for part in id_lists for ids in part]
+            whole = pool(id_lists, matrix, p)
+            for name in ("ids", "w", "n"):
+                got, want = getattr(pooled, name), getattr(whole, name)
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+        up = rng.normal(size=(len(id_lists), 8))
+        check_against_oracle(id_lists, matrix, p, up, pooled)
 
     @given(seed=st.integers(0, 100_000), n_texts=st.integers(1, 9),
            l_max=st.integers(1, 6))
@@ -195,7 +213,7 @@ class TestBatchedMatchesPerText:
         assert not np.any(got.w[:, width:])
         assert np.array_equal(got.ids[:, :width], want.ids)
         assert np.array_equal(got.w[:, :width], want.w)
-        assert np.array_equal(got.pos, want.pos)
+        assert np.array_equal(got.n, want.n)
 
     def test_empty_text_among_others_rejected(self):
         matrix = np.zeros((4, 8))
@@ -226,9 +244,8 @@ GRAD_RTOL = 1e-13
 def check_bitwise(id_lists, index, matrix, params, upstream):
     """The padded batch against the scipy CSR pooling: the same features
     and gradient rows bit for bit, and the gradient values to GRAD_RTOL."""
-    tokens = TokenArrays.from_rows(id_lists)
-    pooled = enc.pooling(tokens, len(matrix), params)
-    ref = oracles.CsrPooling.of(tokens, params)
+    pooled = pool(id_lists, matrix, params)
+    ref = oracles.CsrPooling.of(*flat(id_lists), params)
     if index is not None:
         pooled, ref = pooled.take(index), ref.take(index)
     feats = enc.encode_text(pooled, matrix, params)
@@ -278,6 +295,8 @@ class TestFrozenness:
             p.W[0, 0] = 1.0
         with pytest.raises(ValueError):
             p.pos[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            p.mean_pos[0, 0] = 1.0
 
     def test_same_seed_same_params(self):
         a, b = _params(seed=9), _params(seed=9)

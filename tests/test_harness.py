@@ -11,7 +11,8 @@ import pytest
 
 from scipy import stats as sps
 
-from lexcl import bench, bpe, harness, vocab
+import oracles
+from lexcl import bench, bpe, encoders, harness, vocab
 from lexcl.bench import SPLITS
 from lexcl.embeddings import load_checkpoint, write_matrix
 from lexcl.errors import (CheckpointError, DegenerateFeatureError,
@@ -179,7 +180,7 @@ class TestModesAndArtifacts:
                      "merges_task1.txt", "run.log"):
             assert (out / name).exists(), name
         for name in ("dist_stats.csv", "fisher.csv", "loss_curve.csv",
-                     "final_loss.csv"):
+                     "final_loss.csv", "tokens.csv"):
             assert (out / "diagnostics" / name).exists(), name
 
     def test_eval_matrix_csv_matches_artifacts(self, tiny_data, tmp_path):
@@ -357,23 +358,70 @@ class TestGoldenOutputs:
         assert digests == _GOLDEN[mode]
 
 
+def _reference_pooling(r, texts, v):
+    """The pooling of `texts` under vocab v of Runner r, each text's ids
+    from the reference encoder and the token strings."""
+    tv = r.state.task_vocabs[v]
+    rows = [[r.state.id_of[tv.tokens[i]]
+             for i in oracles.encode_reference(text, tv)] for text in texts]
+    return encoders.pooling([i for ids in rows for i in ids],
+                            [len(ids) for ids in rows], r.state.size, r.params)
+
+
 class TestTokenArrays:
+    """Each split is pooled once, when its vocab is merged in, and every
+    reader after that uses the held pooling."""
+
     @pytest.mark.parametrize("mode", sorted(_MODES))
     def test_cached_rows_equal_global_ids(self, tiny_data, tmp_path, mode):
         r = Runner(tiny_run_cfg(tiny_data, tmp_path / "run", **_MODES[mode]))
         for row, train in harness.steps(r.cfg.mode, len(r.tasks)):
             r.run_task(row, train)
-        for t, td in enumerate(r.tasks):
-            v = 0 if mode != "continual" else t
-            for split in SPLITS:
-                foreign = getattr(td, split).foreign
-                assert len(td.tokens[split]) == len(foreign)
-                for k, text in enumerate(foreign):
-                    assert td.tokens[split].row(k) == \
-                        r.state.global_ids(text, v)
-            assert len(td.english) == len(td.train.english)
-            for k, text in enumerate(td.train.english):
-                assert td.english.row(k) == r.state.global_ids(text, 0)
+        held = [(td.pooled[split], getattr(td, split).foreign,
+                 0 if mode != "continual" else t)
+                for t, td in enumerate(r.tasks) for split in SPLITS]
+        held += [(td.english, td.train.english, 0) for td in r.tasks]
+        for pooled, texts, v in held:
+            want = _reference_pooling(r, texts, v)
+            assert pooled.ids.dtype == np.int32
+            for name in ("ids", "w", "n"):
+                assert np.array_equal(getattr(pooled, name),
+                                      getattr(want, name))
+        r.log.close()
+
+    @pytest.mark.parametrize("mode", sorted(_MODES))
+    def test_each_split_pooled_once(self, tiny_data, tmp_path, monkeypatch,
+                                    mode):
+        calls = []
+        real = encoders.pooling
+        for module in (encoders, harness):
+            monkeypatch.setattr(module, "pooling",
+                                lambda *args: calls.append(1) or real(*args))
+        run_sequence(tiny_run_cfg(tiny_data, tmp_path / "run",
+                                  **_MODES[mode]))
+        # every language's three splits, and its English train captions
+        assert len(calls) == 3 * (len(SPLITS) + 1)
+
+    def test_tokens_csv_counts_the_cut(self, tiny_data, tmp_path):
+        """diagnostics/tokens.csv: per task and split, the captions, their
+        mean token count and how many are longer than model.l_max."""
+        r = Runner(tiny_run_cfg(tiny_data, tmp_path / "run", l_max=4))
+        r.run()
+        lines = (tmp_path / "run" / "diagnostics" / "tokens.csv"
+                 ).read_text().splitlines()
+        assert lines[0] == "task,split,captions,mean_tokens,cut_at_l_max"
+        rows = [line.split(",") for line in lines[1:]]
+        assert [(int(t), split) for t, split, *_ in rows] == \
+            [(t, split) for t in range(3) for split in ("english", *SPLITS)]
+        for t, split, captions, mean_tokens, cut in rows:
+            td = r.tasks[int(t)]
+            texts = (td.train.english if split == "english"
+                     else getattr(td, split).foreign)
+            v = 0 if split == "english" else int(t)
+            _, lengths = r.state.tokenize(texts, v)
+            assert int(captions) == len(texts)
+            assert float(mean_tokens) == lengths.mean()
+            assert int(cut) == np.count_nonzero(lengths > 4) > 0
 
     @pytest.mark.parametrize("mode", ["continual", "joint"])
     def test_no_encoding_in_training_or_diagnostics(self, tiny_data,

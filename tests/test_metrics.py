@@ -8,9 +8,8 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from lexcl import metrics as M
 from lexcl.embeddings import snapshot_anchor
-from lexcl.encoders import make_text_params, pooling, text_features
+from lexcl.encoders import encode_text, make_text_params, pooling
 from lexcl.losses import FeatureBatch, LossConfig, total_loss
-from lexcl.vocab import TokenArrays
 from lexcl.errors import (DegenerateFeatureError, InvalidInputError, MetricError)
 
 
@@ -142,9 +141,9 @@ class TestRecallAtK:
         rng = np.random.default_rng(0)
         table = rng.normal(size=(300, 8)).astype(np.float32)
         params = make_text_params(8, 8, 16, seed=1)
-        tokens = TokenArrays(np.array([256, 257, 258, 259, 260, 261], dtype=np.int32),
-                             np.array([0, 2, 4, 6]))
-        res = M.paired_recall(tokens, table, params, rng.normal(size=(3, 8)),
+        pooled = pooling([256, 257, 258, 259, 260, 261], [2, 2, 2], len(table),
+                         params)
+        res = M.paired_recall(pooled, table, params, rng.normal(size=(3, 8)),
                               ks=(1, 5, 10))
         assert calls == [(1, 5, 10), (1, 5, 10)]
         assert set(res) == {"img2txt", "txt2img"}
@@ -245,11 +244,14 @@ class TestArF:
 def sample_arrays(samples, table, anchor, params):
     """The array arguments of fisher_and_loss for a list
     of (image feature, English ids, foreign ids) samples."""
-    eng = TokenArrays.from_rows([s[1] for s in samples])
-    foreign = TokenArrays.from_rows([s[2] for s in samples])
+    def pooled(column, n_rows):
+        texts = [s[column] for s in samples]
+        return pooling([i for ids in texts for i in ids],
+                       [len(ids) for ids in texts], n_rows, params)
+
     return (np.array([s[0] for s in samples]),
-            text_features(eng, anchor, params),
-            pooling(foreign, len(table), params), table, params)
+            encode_text(pooled(1, len(anchor)), anchor, params),
+            pooled(2, len(table)), table, params)
 
 
 def batch_loss(batch, matrix, anchor, params, cfg):

@@ -5,11 +5,24 @@ import dataclasses
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from lexcl import bpe, vocab
 
 
 def _tv(corpus, task_index, size=280):
     return bpe.train_bpe(corpus, size, task_index)
+
+
+def _reference_ids(state, text, t) -> list[int]:
+    """Global ids of one text under task vocab t, by the reference
+    encoder and the token strings."""
+    tv = state.task_vocabs[t]
+    return [state.id_of[tv.tokens[i]] for i in oracles.encode_reference(text, tv)]
+
+
+def _rows(ids, lengths) -> list[list[int]]:
+    """The id list of each text of `tokenize`'s (ids, lengths)."""
+    return [r.tolist() for r in np.split(ids, np.cumsum(lengths)[:-1])]
 
 
 def _partition(state, before, task_vocab):
@@ -86,7 +99,11 @@ class TestMerge:
     def test_global_ids_match_token_strings(self):
         st_, tv0, tv1, _, _, _ = _setup_two_tasks(
             ["shared words shared words"], ["shared tokens shared tokens"])
-        ids = st_.global_ids(b"shared tokens", 1)
+        for t, tv in enumerate((tv0, tv1)):
+            assert st_.task_ids[t].tolist() == \
+                [st_.id_of[tok] for tok in tv.tokens]
+        ids, lengths = st_.tokenize([b"shared tokens"], 1)
+        assert lengths.tolist() == [len(ids)]
         assert b"".join(st_.tokens[i] for i in ids) == b"shared tokens"
 
 
@@ -96,36 +113,28 @@ class TestTokenize:
             ["shared words shared words"], ["shared tokens shared tokens"])
         texts = ["shared tokens", "", "words", "shared tokens"]
         for t in (0, 1):
-            arr = st_.tokenize(texts, t)
-            assert len(arr) == len(texts)
-            assert [arr.row(k) for k in range(len(arr))] == \
-                [st_.global_ids(x, t) for x in texts]
+            ids, lengths = st_.tokenize(texts, t)
+            assert ids.dtype == lengths.dtype == np.int64
+            assert _rows(ids, lengths) == \
+                [_reference_ids(st_, x, t) for x in texts]
 
     def test_empty_list(self):
-        st_ = vocab.new_state()
-        arr = st_.tokenize([], 0)
-        assert len(arr) == 0 and len(arr.ids) == 0
-
-    def test_concat_keeps_every_row_in_order(self):
-        parts = [vocab.TokenArrays.from_rows(rows)
-                 for rows in ([[1, 2], [3]], [], [[4], [5, 6, 7]])]
-        whole = vocab.TokenArrays.concat(parts)
-        assert [whole.row(k) for k in range(len(whole))] == \
-            [[1, 2], [3], [4], [5, 6, 7]]
-        assert whole.offsets.dtype == np.int64
+        st_, _ = vocab.merge_vocab(vocab.new_state(), _tv(["aa bb"], 0))
+        ids, lengths = st_.tokenize([], 0)
+        assert len(ids) == 0 and len(lengths) == 0
 
     def test_memo_encodes_each_text_once(self, monkeypatch):
         st_, _, _, _, _, _ = _setup_two_tasks(["aa bb aa bb"], ["cc dd cc dd"])
         calls = []
-        real = st_.global_ids
-        monkeypatch.setattr(st_, "global_ids",
-                            lambda text, t: calls.append(text) or real(text, t))
+        real = vocab.encode
+        monkeypatch.setattr(vocab, "encode",
+                            lambda text, tv: calls.append(text) or real(text, tv))
         memo = {}
-        a = st_.tokenize(["aa", "bb", "aa"], 0, memo)
-        b = st_.tokenize(["bb", "aa bb"], 0, memo)
+        a = _rows(*st_.tokenize(["aa", "bb", "aa"], 0, memo))
+        b = _rows(*st_.tokenize(["bb", "aa bb"], 0, memo))
         assert sorted(calls) == ["aa", "aa bb", "bb"]
-        assert a.row(0) == a.row(2) == st_.global_ids("aa", 0)
-        assert b.row(0) == a.row(1)
+        assert a[0] == a[2] == _reference_ids(st_, "aa", 0)
+        assert b[0] == a[1]
 
 
 class TestCountsAndLambda:
