@@ -154,29 +154,50 @@ class Runner:
                 task_index=v)
         return self._vocabs[v]
 
-    def _pool(self, texts, v: int, task: int, split: str, memo) -> Pooling:
+    def _pool(self, texts, v: int, tasks: list[int], split: str,
+              memo) -> Pooling:
         """The pooling of `texts` under vocab `v`, with their token counts
-        recorded for diagnostics/tokens.csv."""
+        recorded for diagnostics/tokens.csv under each of `tasks`."""
         ids, lengths = self.state.tokenize(texts, v, memo)
-        self.token_rows.append({
-            "task": task, "split": split, "captions": len(lengths),
+        self.token_rows += [{
+            "task": t, "split": split, "captions": len(lengths),
             "mean_tokens": float(lengths.mean()),
-            "cut_at_l_max": int(np.count_nonzero(lengths > self.cfg.l_max))})
+            "cut_at_l_max": int(np.count_nonzero(lengths > self.cfg.l_max))}
+            for t in tasks]
         return pooling(ids, lengths, self.state.size, self.params)
 
     def _tokenize(self) -> None:
         """Pool every caption read under the vocab just merged in, once.
-        Global ids are append-only, so the poolings stay valid for the
-        rest of the run."""
+        Languages with the same English train captions (gen-data gives
+        all of them the same) share one English pooling. Global ids are
+        append-only, so the poolings stay valid for the rest of the run."""
         v = len(self.state.task_vocabs) - 1
         memo: dict[str, list[int]] = {}
+        if v == 0:
+            sharing: dict[tuple[str, ...], list[int]] = {}
+            for t, td in enumerate(self.tasks):
+                sharing.setdefault(tuple(td.train.english), []).append(t)
+            for ts in sharing.values():
+                pooled = self._pool(self.tasks[ts[0]].train.english, 0, ts,
+                                    "english", memo)
+                for t in ts:
+                    self.tasks[t].english = pooled
         for t, td in enumerate(self.tasks):
-            if v == 0:
-                td.english = self._pool(td.train.english, 0, t, "english", memo)
             if self._vocab_of[t] == v:
                 td.pooled = {split: self._pool(getattr(td, split).foreign,
-                                               v, t, split, memo)
+                                               v, [t], split, memo)
                              for split in SPLITS}
+
+    def _english_feats(self, tasks: list[_TaskData]) -> list[np.ndarray]:
+        """Each task's English train captions encoded under the anchor,
+        once per distinct pooling; recomputed per use, which is cheaper
+        than holding them."""
+        feats: dict[int, np.ndarray] = {}
+        for td in tasks:
+            if id(td.english) not in feats:
+                feats[id(td.english)] = encode_text(td.english, self.anchor,
+                                                    self.params)
+        return [feats[id(td.english)] for td in tasks]
 
     # --- evaluation ---------------------------------------------------
 
@@ -212,10 +233,7 @@ class Runner:
             loss_cfg = replace(cfg.loss, gamma_cl=0.0)
             ocfg = replace(ocfg, **PRETRAIN_OPTIM)
         else:
-            # anchor features, recomputed per use: cheaper than holding them
-            eng_feats = np.concatenate([encode_text(td.english, self.anchor,
-                                                    self.params)
-                                        for td in tasks])
+            eng_feats = np.concatenate(self._english_feats(tasks))
             loss_cfg = cfg.loss
         ostate = OptimState()
 
@@ -321,11 +339,10 @@ class Runner:
         last_row = max(j for (j, _, _) in self.eval_matrix.entries)
 
         fisher_rows, final_losses = [], []
-        for t, td in enumerate(self.tasks):
+        for t, (td, eng_feats) in enumerate(
+                zip(self.tasks, self._english_feats(self.tasks))):
             fisher, loss = fisher_and_loss(
-                self.images[td.train.image],
-                encode_text(td.english, self.anchor, self.params),
-                td.pooled["train"],
+                self.images[td.train.image], eng_feats, td.pooled["train"],
                 self.table, self.params, cfg.loss, cfg.batch_size)
             fisher_rows.append({"task": t, "fisher_trace": fisher})
             final_losses.append(loss)

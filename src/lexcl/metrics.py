@@ -59,8 +59,43 @@ class EvalMatrix:
         return out
 
 
-# Queries ranked per block: bounds the temporaries.
+# Lines ranked per block: bounds the temporaries.
 _BLOCK = 256
+
+
+def _unit(feats: np.ndarray, who: str) -> np.ndarray:
+    """The rows of `feats` scaled to unit norm."""
+    norm = np.linalg.norm(feats, axis=1, keepdims=True)
+    if not np.all(np.isfinite(norm) & (norm > 0)):
+        raise DegenerateFeatureError(f"{who}: zero-norm or non-finite feature row")
+    return feats / norm
+
+
+def _ranks(sims: np.ndarray, query: np.ndarray, item: np.ndarray,
+           k_max: int) -> np.ndarray:
+    """min(rank, k_max) of item[p] in line query[p] of `sims`, a cosine
+    matrix or the .T view of one. The rank is the number of scores above
+    the item's own plus the equal scores at a lower index."""
+    own = sims[query, item]
+    if k_max == 1:
+        # rank 0 is the first maximum: search only lines at their maximum
+        rank = np.ones(len(item), dtype=np.int64)
+        top = np.flatnonzero(own == sims.max(axis=1)[query])
+        for p in np.split(top, range(_BLOCK, len(top), _BLOCK)):
+            rank[p] = sims[query[p]].argmax(axis=1) != item[p]
+        return rank
+    rank = np.empty(len(item), dtype=np.int64)
+    for s in range(0, len(item), _BLOCK):
+        p = slice(s, s + _BLOCK)
+        line, o, its = sims[query[p]], own[p, None], item[p, None]
+        rank[p] = np.count_nonzero(
+            (line > o) | ((line == o) & (np.arange(line.shape[1]) < its)), axis=1)
+    return np.minimum(rank, k_max)
+
+
+def _recall(best: np.ndarray, ks) -> dict[int, float]:
+    """{k: percent of the queries whose best rank is below k}."""
+    return {k: 100.0 * int(np.count_nonzero(best < k)) / len(best) for k in ks}
 
 
 def recall_at_k(query_feats: np.ndarray, gallery_feats: np.ndarray,
@@ -72,38 +107,46 @@ def recall_at_k(query_feats: np.ndarray, gallery_feats: np.ndarray,
     hits when a relevant item ranks below k. A tuple of k gives
     {k: recall} from one rank pass."""
     q, g = (np.asarray(a, dtype=np.float64) for a in (query_feats, gallery_feats))
-    qn, gn = (np.linalg.norm(a, axis=1, keepdims=True) for a in (q, g))
-    if not all(np.all(np.isfinite(n) & (n > 0)) for n in (qn, gn)):
-        raise DegenerateFeatureError("recall_at_k: zero-norm or non-finite feature row")
-    sims = (q / qn) @ (g / gn).T
-    n_query, n_gallery = sims.shape
+    n_query, n_gallery = len(q), len(g)
+    ks = k if isinstance(k, tuple) else (k,)
+    if not ks or min(ks) < 1:
+        raise InvalidInputError(f"recall_at_k: k must be >= 1, got {k!r}")
+    if n_query == 0 or n_gallery == 0:
+        raise InvalidInputError(f"recall_at_k: {n_query} queries, gallery of {n_gallery}")
+    extra = sorted(set(relevance) - set(range(n_query)))
+    if extra:
+        raise InvalidInputError(f"recall_at_k: relevance key {extra[0]} is not "
+                                f"one of the {n_query} queries")
     missing = [qi for qi in range(n_query) if not relevance.get(qi)]
     if missing:
         raise InvalidInputError(f"recall_at_k: query {missing[0]} has no relevant items")
-    query, item = np.array([(qi, j) for qi in range(n_query) for j in relevance[qi]
-                            if 0 <= j < n_gallery], dtype=np.int64).reshape(-1, 2).T
+    query, item = np.array([(qi, j) for qi in range(n_query) for j in relevance[qi]],
+                           dtype=np.int64).T
+    outside = item[(item < 0) | (item >= n_gallery)]
+    if len(outside):
+        raise InvalidInputError(f"recall_at_k: relevant item {outside[0]} is "
+                                f"outside the gallery of {n_gallery}")
+    sims = _unit(q, "recall_at_k") @ _unit(g, "recall_at_k").T
     best = np.full(n_query, n_gallery)
-    for s in range(0, len(item), _BLOCK):
-        qs, its = query[s:s + _BLOCK], item[s:s + _BLOCK, None]
-        row = sims[qs]
-        own = np.take_along_axis(row, its, axis=1)
-        rank = np.count_nonzero((row > own) | ((row == own) & (np.arange(n_gallery) < its)),
-                                axis=1)
-        np.minimum.at(best, qs, rank)
-    if isinstance(k, tuple):
-        return {kk: 100.0 * int(np.count_nonzero(best < kk)) / n_query for kk in k}
-    return 100.0 * int(np.count_nonzero(best < k)) / n_query
+    np.minimum.at(best, query, _ranks(sims, query, item, max(ks)))
+    hits = _recall(best, ks)
+    return hits if isinstance(k, tuple) else hits[k]
 
 
 def paired_recall(pooled: Pooling, matrix, params, image_feats,
                   ks=(1,)) -> dict:
     """{direction: {k: Recall@k}} between the pooled texts, encoded under
-    the embedding `matrix`, and their images: text i goes with image i."""
+    the embedding `matrix`, and their images: text i goes with image i.
+    Both directions read one cosine matrix, img2txt its rows and txt2img
+    its columns."""
     txt = encode_text(pooled, matrix, params)
     img = np.asarray(image_feats, dtype=np.float64)
-    ident = {i: {i} for i in range(len(img))}
-    return {"img2txt": recall_at_k(img, txt, ident, tuple(ks)),
-            "txt2img": recall_at_k(txt, img, ident, tuple(ks))}
+    if len(txt) != len(img):
+        raise InvalidInputError(f"paired_recall: {len(txt)} texts, {len(img)} images")
+    sims = _unit(img, "paired_recall") @ _unit(txt, "paired_recall").T
+    pairs = np.arange(len(img))
+    return {d: _recall(_ranks(s, pairs, pairs, max(ks)), ks)
+            for d, s in (("img2txt", sims), ("txt2img", sims.T))}
 
 
 def score_row(evals: EvalMatrix, row: int, matrix, params, test_set) -> None:

@@ -5,6 +5,9 @@ import hashlib
 import json
 import os
 import shutil
+import subprocess
+import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -346,16 +349,51 @@ _GOLDEN = {
 }
 
 
+def _golden_digests(out):
+    names = sorted(p.name for p in out.glob("ckpt_task*.bin"))
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in names + ["eval_matrix.csv", "registry_manifest.json"]}
+
+
+def _dynamic_openblas() -> bool:
+    """Whether numpy's BLAS is an OpenBLAS built with DYNAMIC_ARCH, whose
+    kernel OPENBLAS_CORETYPE picks at load time."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+
+
 class TestGoldenOutputs:
     @pytest.mark.parametrize("mode", sorted(_MODES))
     def test_outputs_match_golden_digest(self, tiny_data, tmp_path, mode):
         out = tmp_path / "run"
         run_sequence(tiny_run_cfg(tiny_data, out, **_MODES[mode]))
-        names = sorted(p.name for p in out.glob("ckpt_task*.bin"))
-        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-                   for name in names + ["eval_matrix.csv",
-                                        "registry_manifest.json"]}
-        assert digests == _GOLDEN[mode]
+        assert _golden_digests(out) == _GOLDEN[mode]
+
+    @pytest.mark.skipif(not _dynamic_openblas(), reason=(
+        "numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS, so OPENBLAS_CORETYPE "
+        "cannot select another kernel"))
+    def test_outputs_hold_under_another_blas_kernel(self, tiny_data,
+                                                    tmp_path):
+        """Checkpoints, the recall matrix and the registry are bitwise the
+        same under OpenBLAS's Sandybridge kernel as under the default."""
+        out = tmp_path / "run"
+        cfg = tiny_run_cfg(tiny_data, out)
+        kwargs = {f.name: getattr(cfg, f.name) for f in fields(cfg)
+                  if f.name != "loss"}
+        src = os.path.dirname(os.path.dirname(harness.__file__))
+        env = dict(os.environ, OPENBLAS_CORETYPE="Sandybridge",
+                   OPENBLAS_VERBOSE="2", OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(
+                       p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        script = ("import json, sys\n"
+                  "from lexcl.harness import RunConfig, run_sequence\n"
+                  "run_sequence(RunConfig(**json.loads(sys.argv[1])))\n")
+        done = subprocess.run([sys.executable, "-c", script,
+                               json.dumps(kwargs)], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert "Core: Sandybridge" in done.stdout + done.stderr
+        assert _golden_digests(out) == _GOLDEN["continual"]
 
 
 def _reference_pooling(r, texts, v):
@@ -399,8 +437,33 @@ class TestTokenArrays:
                                 lambda *args: calls.append(1) or real(*args))
         run_sequence(tiny_run_cfg(tiny_data, tmp_path / "run",
                                   **_MODES[mode]))
-        # every language's three splits, and its English train captions
-        assert len(calls) == 3 * (len(SPLITS) + 1)
+        # every language's three splits, and the English train captions
+        # once: gen-data gives every language the same ones
+        assert len(calls) == 3 * len(SPLITS) + 1
+
+    def test_equal_english_captions_share_one_pooling(self, tiny_data,
+                                                      tmp_path, monkeypatch):
+        """Languages whose English train captions are equal share one
+        pooling, which finalize encodes under the anchor once; a language
+        whose captions differ gets its own."""
+        r = Runner(tiny_run_cfg(tiny_data, tmp_path / "run"))
+        r.tasks[2].train.english[0] += " x"
+        for row, train in harness.steps(r.cfg.mode, len(r.tasks)):
+            r.run_task(row, train)
+        assert r.tasks[1].english is r.tasks[0].english
+        assert r.tasks[2].english is not r.tasks[0].english
+        for td in r.tasks:
+            want = _reference_pooling(r, td.train.english, 0)
+            assert np.array_equal(td.english.ids, want.ids)
+        encoded = []
+        real = harness.encode_text
+        monkeypatch.setattr(harness, "encode_text",
+                            lambda p, *a: encoded.append(p) or real(p, *a))
+        r.log.close()
+        r.finalize()
+        assert len(encoded) == 2
+        assert encoded[0] is r.tasks[0].english
+        assert encoded[1] is r.tasks[2].english
 
     def test_tokens_csv_counts_the_cut(self, tiny_data, tmp_path):
         """diagnostics/tokens.csv: per task and split, the captions, their

@@ -127,26 +127,109 @@ class TestRecallAtK:
             assert together[k] == M.recall_at_k(q, g, rel, k)
             assert together[k] == oracles.recall_at_k(q, g, rel, k)
 
-    def test_paired_recall_ranks_once_per_direction(self, monkeypatch):
-        """Validation scores k = 1, 5, 10 in both directions: one rank
-        pass per direction, not one per (direction, k)."""
-        calls = []
-        real = M.recall_at_k
+    @pytest.mark.parametrize("k, relevance, bad", [
+        (1, {0: {0}, 1: {1}, 2: {7}}, "item 7"),
+        (1, {0: {0}, 1: {1}, 2: {-1}}, "item -1"),
+        (0, {i: {i} for i in range(3)}, "got 0"),
+        (-3, {i: {i} for i in range(3)}, "got -3"),
+        ((1, 0), {i: {i} for i in range(3)}, r"got \(1, 0\)"),
+        (1, {0: {0}, 1: {1}, 2: {2}, 3: {0}}, "key 3"),
+    ], ids=["item-past-gallery", "negative-item", "k-zero", "k-negative",
+            "k-tuple-with-zero", "key-past-queries"])
+    def test_meaningless_input_rejected(self, k, relevance, bad):
+        with pytest.raises(InvalidInputError, match=bad):
+            M.recall_at_k(np.eye(3), np.eye(3), relevance, k)
 
-        def counted(*args):
-            calls.append(args[3])
-            return real(*args)
+    def test_empty_gallery_rejected(self):
+        with pytest.raises(InvalidInputError, match="gallery of 0"):
+            M.recall_at_k(np.eye(3), np.empty((0, 3)),
+                          {i: {i} for i in range(3)}, 1)
 
-        monkeypatch.setattr(M, "recall_at_k", counted)
-        rng = np.random.default_rng(0)
-        table = rng.normal(size=(300, 8)).astype(np.float32)
-        params = make_text_params(8, 8, 16, seed=1)
-        pooled = pooling([256, 257, 258, 259, 260, 261], [2, 2, 2], len(table),
-                         params)
-        res = M.paired_recall(pooled, table, params, rng.normal(size=(3, 8)),
-                              ks=(1, 5, 10))
-        assert calls == [(1, 5, 10), (1, 5, 10)]
-        assert set(res) == {"img2txt", "txt2img"}
+
+def paired_case(seed, n, dup_txt=0, dup_img=0, noise=0.3):
+    """paired_recall's inputs for n texts over a random table: (pooling,
+    table, params, image features, encoded texts). Each image is its
+    text's feature plus noise; dup_txt texts and dup_img images are then
+    copies of another one, at a lower or a higher index."""
+    rng = np.random.default_rng(seed)
+    rows, d = 12, 4
+    table = rng.normal(size=(rows, d)).astype(np.float32)
+    params = make_text_params(d, d, 8, seed=seed)
+    texts = [rng.integers(0, rows, size=int(rng.integers(1, 4))).tolist()
+             for _ in range(n)]
+    for i, j in rng.integers(0, n, size=(dup_txt, 2)):
+        texts[j] = texts[i]
+    pooled = pooling([i for ids in texts for i in ids],
+                     [len(ids) for ids in texts], rows, params)
+    txt = encode_text(pooled, table, params)
+    img = txt + noise * rng.normal(size=txt.shape)
+    for i, j in rng.integers(0, n, size=(dup_img, 2)):
+        img[j] = img[i]
+    return pooled, table, params, img, txt
+
+
+def assert_paired_matches_oracle(seed, n, ks, **kw):
+    """Both directions equal the argsort oracle: img2txt ranks texts per
+    image, txt2img images per text from the oracle's own txt @ img.T."""
+    pooled, table, params, img, txt = paired_case(seed, n, **kw)
+    got = M.paired_recall(pooled, table, params, img, ks=ks)
+    ident = {i: {i} for i in range(n)}
+    assert list(got) == ["img2txt", "txt2img"]
+    for d, (q, g) in (("img2txt", (img, txt)), ("txt2img", (txt, img))):
+        assert got[d] == {k: oracles.recall_at_k(q, g, ident, k) for k in ks}
+
+
+class TestPairedRecall:
+    @pytest.mark.parametrize("ks", [(1,), (1, 5, 10)])
+    @pytest.mark.parametrize("n, dups", [
+        (1, {}), (2, {"dup_txt": 1}), (30, {}), (30, {"dup_txt": 12}),
+        (30, {"dup_img": 12}), (30, {"dup_txt": 8, "dup_img": 8}),
+        (30, {"dup_txt": 8, "dup_img": 8, "noise": 0.0}),
+    ], ids=["n1", "n2-dup", "plain", "dup-texts", "dup-images", "dup-both",
+            "dup-both-exact"])
+    def test_matches_oracle_both_directions(self, ks, n, dups):
+        for seed in range(10):
+            assert_paired_matches_oracle(seed, n, ks, **dups)
+
+    @given(seed=st.integers(0, 100_000), n=st.integers(1, 80),
+           dup_txt=st.integers(0, 20), dup_img=st.integers(0, 20),
+           noise=st.sampled_from([0.0, 0.3, 2.0]),
+           ks=st.sampled_from([(1,), (1, 5, 10)]))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_oracle_random(self, seed, n, dup_txt, dup_img, noise, ks):
+        assert_paired_matches_oracle(seed, n, ks, dup_txt=dup_txt,
+                                     dup_img=dup_img, noise=noise)
+
+    def test_count_mismatch_rejected(self):
+        pooled, table, params, img, _ = paired_case(0, 5)
+        with pytest.raises(InvalidInputError, match="5 texts, 4 images"):
+            M.paired_recall(pooled, table, params, img[:4])
+
+    def test_zero_norm_image_rejected(self):
+        pooled, table, params, img, _ = paired_case(0, 5)
+        img[2] = 0.0
+        with pytest.raises(DegenerateFeatureError, match="paired_recall"):
+            M.paired_recall(pooled, table, params, img)
+
+    def test_one_cosine_product(self, monkeypatch):
+        """Validation scores k = 1, 5, 10 in both directions from one
+        img @ txt.T, and calls no recall_at_k."""
+        products = []
+
+        class Counted(np.ndarray):
+            def __matmul__(self, other):
+                products.append(self.shape)
+                return np.asarray(self) @ np.asarray(other)
+
+        real_unit = M._unit
+        monkeypatch.setattr(M, "_unit",
+                            lambda *a: real_unit(*a).view(Counted))
+        monkeypatch.setattr(M, "recall_at_k", lambda *a: pytest.fail(
+            "paired_recall called recall_at_k"))
+        pooled, table, params, img, _ = paired_case(0, 6)
+        res = M.paired_recall(pooled, table, params, img, ks=(1, 5, 10))
+        assert products == [(6, 4)]
+        assert list(res) == ["img2txt", "txt2img"]
         assert all(list(res[d]) == [1, 5, 10] for d in res)
 
 
