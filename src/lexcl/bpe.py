@@ -3,7 +3,7 @@
 Training is greedy: repeatedly merge the most frequent adjacent token
 pair inside whitespace-separated words, ties broken by lexicographically
 smaller (left-bytes, right-bytes). `train_bpe` counts pairs once and
-then updates the counts of only the words each merge touches
+then changes only the counts of the pairs beside each merge site
 (Sennrich et al. 2016); a trainer that recounts the whole corpus per
 merge is kept as its oracle in `tests/oracles.py`. The 256 single bytes
 are always the base alphabet, so any byte string encodes losslessly.
@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import heapq
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .embeddings import read_lines, write_atomic
 from .errors import InvalidIdError, InvalidInputError
@@ -23,6 +24,8 @@ N_BYTES = 256
 
 # Runs of the bytes that bytes.isspace() accepts.
 _WHITESPACE = re.compile(rb"([ \t\n\r\x0b\x0c]+)")
+# The id of the space byte, which `encode` splits on.
+_SPACE = ord(" ")
 
 Pair = tuple[bytes, bytes]
 
@@ -41,9 +44,10 @@ class TaskVocab:
     """One task's BPE vocabulary: 256 byte tokens plus learned merges.
 
     The rank table is built once, by `merge_ranks()`, when the vocab is
-    made; `encode` reads it and fills `segment_ids`, its cache of
-    encoded whitespace-free segments. Both are derived state, left out
-    of equality and repr."""
+    made. `segment_ids` caches the ids of each distinct piece of text
+    with no space in it: `train_bpe` seeds it with its words, and
+    `encode` adds the pieces it meets first. Both are derived state,
+    left out of equality and repr."""
 
     task_index: int
     tokens: list[bytes]
@@ -91,20 +95,17 @@ def _merge_word(parts: list[bytes], left: bytes, right: bytes, merged: bytes) ->
     return out
 
 
-def _corpus_words(corpus, target_size: int):
-    """Distinct words of the corpus as byte-token lists, with their counts."""
+def _corpus_words(corpus, target_size: int) -> tuple[list[bytes], list[int]]:
+    """Distinct words of the corpus, UTF-8 encoded, and their counts."""
     corpus = list(corpus)
     if not corpus:
         raise InvalidInputError("train_bpe: corpus is empty")
     if target_size < N_BYTES + 1:
         raise InvalidInputError(
             f"train_bpe: target_size {target_size} < {N_BYTES + 1}")
-    word_counts: Counter[bytes] = Counter()
-    for line in corpus:
-        for word in line.split():
-            word_counts[word.encode("utf-8")] += 1
-    words = [[bytes([b]) for b in w] for w in word_counts]
-    return words, list(word_counts.values())
+    word_counts = Counter(chain.from_iterable(line.split() for line in corpus))
+    return ([w.encode("utf-8") for w in word_counts],
+            list(word_counts.values()))
 
 
 class _Merges:
@@ -130,60 +131,91 @@ class _Merges:
                          rules=self.rules)
 
 
-def _pairs(parts: list[bytes]):
-    return zip(parts, parts[1:])
-
-
 def train_bpe(corpus, target_size: int, task_index: int = 0) -> TaskVocab:
     """Learn merge rules from a corpus of text strings.
 
     Merges are chosen by descending pair frequency (overlapping
     occurrences counted), ties by the smaller (left, right) bytes,
-    stopping early once no pair occurs twice. Pair counts are taken
-    once; each merge then re-counts only the words that hold the merged
-    pair, through a pair -> word index, and a heap keyed
-    (-count, left, right) with stale entries skipped on pop picks the
-    next pair.
+    stopping early once no pair occurs twice. Words are lists of token
+    ids. Pair counts are taken once. A merge of (a, b) into m then
+    visits the words that a pair -> word index lists for (a, b), finds
+    their merge sites leftmost first, and at each site moves the count
+    of (left neighbour, a) to (left neighbour, m) and of
+    (b, right neighbour) to (m, right neighbour); the left neighbour is
+    m when the previous site ends there. A heap keyed
+    (-count, left bytes, right bytes), stale entries skipped on pop,
+    picks the next pair. Each trained word's final ids are its
+    encoding, so they seed the vocab's segment cache.
     """
     words, freqs = _corpus_words(corpus, target_size)
     out = _Merges(task_index)
+    tokens = out.tokens
+    # The id that stands for each token's bytes in the words: a merge
+    # whose bytes equal an earlier token's continues that token, as a
+    # trainer keyed by bytes would.
+    canon = dict(out.id_of)
+    parts_of = [list(w) for w in words]
 
-    counts: dict[Pair, int] = {}
-    where: dict[Pair, set[int]] = {}
-    for w, (parts, f) in enumerate(zip(words, freqs)):
-        for pair in _pairs(parts):
+    counts: dict[tuple[int, int], int] = {}
+    where: defaultdict[tuple[int, int], set[int]] = defaultdict(set)
+    for w, (parts, f) in enumerate(zip(parts_of, freqs)):
+        for pair in zip(parts, parts[1:]):
             counts[pair] = counts.get(pair, 0) + f
-            where.setdefault(pair, set()).add(w)
-    heap = [(-c, left, right) for (left, right), c in counts.items()]
+            where[pair].add(w)
+    heap = [(-c, tokens[a], tokens[b], (a, b)) for (a, b), c in counts.items()]
     heapq.heapify(heap)
 
-    while len(out.tokens) < target_size:
-        while heap and counts.get(heap[0][1:]) != -heap[0][0]:
+    while len(tokens) < target_size:
+        while heap and counts.get(heap[0][3]) != -heap[0][0]:
             heapq.heappop(heap)
         if not heap or -heap[0][0] < 2:
             break
-        _, left, right = heapq.heappop(heap)
-        merged = out.add(left, right)
-        delta: Counter[Pair] = Counter()
-        for w in where.pop((left, right)):
-            parts, f = words[w], freqs[w]
-            for pair in _pairs(parts):
-                delta[pair] -= f
-            parts = words[w] = _merge_word(parts, left, right, merged)
-            for pair in _pairs(parts):
-                delta[pair] += f
-                where.setdefault(pair, set()).add(w)
-        for pair, d in delta.items():
+        pair = heapq.heappop(heap)[3]
+        a, b = pair
+        m = canon.setdefault(out.add(tokens[a], tokens[b]), len(tokens) - 1)
+        delta: defaultdict[tuple[int, int], int] = defaultdict(int)
+        for w in where.pop(pair):
+            parts, f = parts_of[w], freqs[w]
+            n = len(parts)
+            end = 0  # where the last merge site ended
+            sites = []
+            j = -1
+            for _ in range(parts.count(a)):
+                j = parts.index(a, j + 1)
+                if j < end or j + 1 == n or parts[j + 1] != b:
+                    continue  # not (a, b), or overlaps the last site: a == b
+                if j:
+                    x = m if j == end else parts[j - 1]
+                    delta[x, a] -= f
+                    delta[x, m] += f
+                    where[x, m].add(w)
+                if j + 2 < n:
+                    y = parts[j + 2]
+                    delta[b, y] -= f
+                    delta[m, y] += f
+                    where[m, y].add(w)
+                sites.append(j)
+                end = j + 2
+            for j in reversed(sites):
+                parts[j:j + 2] = [m]
+        # no (a, b) is left; (b, y) is (a, b) when a == b == y
+        del counts[pair]
+        delta.pop(pair, None)
+        for p, d in delta.items():
             if d == 0:
                 continue
-            c = counts.get(pair, 0) + d
+            c = counts.get(p, 0) + d
             if c:
-                counts[pair] = c
-                heapq.heappush(heap, (-c, *pair))
+                counts[p] = c
+                heapq.heappush(heap, (-c, tokens[p[0]], tokens[p[1]], p))
             else:
-                del counts[pair]
+                del counts[p]
 
-    return out.vocab()
+    tv = out.vocab()
+    id_of = tv.id_of
+    tv.segment_ids.update((word, [id_of[tokens[t]] for t in parts])
+                          for word, parts in zip(words, parts_of))
+    return tv
 
 
 def _encode_parts(parts: list[bytes], ranks) -> list[bytes]:
@@ -207,32 +239,42 @@ def _encode_parts(parts: list[bytes], ranks) -> list[bytes]:
     return parts
 
 
-def encode(text: bytes, vocab: TaskVocab) -> list[int]:
-    """Encode a byte string into token ids under one task vocabulary.
-
-    Merges never contain whitespace bytes, so whitespace-separated
-    segments encode independently, against the vocab's rank table; each
-    distinct segment is encoded once and kept in `vocab.segment_ids`.
-    Whitespace bytes are their own ids.
-    """
-    if isinstance(text, str):
-        text = text.encode("utf-8")
-    ranks = vocab.ranks
-    cache = vocab.segment_ids
-    id_of = vocab.id_of
+def _encode_piece(piece: bytes, vocab: TaskVocab) -> list[int]:
+    """The ids of a byte string with no space in it: each byte of its
+    other whitespace runs, and the segments between them merged against
+    the vocab's rank table."""
     out: list[int] = []
     # odd items are the whitespace runs, even items the (maybe empty)
     # segments between them
-    for k, seg in enumerate(_WHITESPACE.split(text)):
+    for k, seg in enumerate(_WHITESPACE.split(piece)):
         if k % 2:
             out.extend(seg)
         elif seg:
-            ids = cache.get(seg)
-            if ids is None:
-                parts = _encode_parts([bytes([b]) for b in seg], ranks)
-                ids = [id_of[p] for p in parts]
-                cache[seg] = ids
-            out.extend(ids)
+            out.extend(vocab.id_of[p] for p in
+                       _encode_parts([bytes([b]) for b in seg], vocab.ranks))
+    return out
+
+
+def encode(text: bytes, vocab: TaskVocab) -> list[int]:
+    """Encode a byte string into token ids under one task vocabulary.
+
+    Merges never contain whitespace bytes, so the pieces between single
+    spaces encode independently and each space is its own id. Each
+    distinct piece is encoded once and kept in `vocab.segment_ids`, which
+    training seeds with its words; an empty piece (at an end of the text
+    or between two spaces) has no ids.
+    """
+    if isinstance(text, str):
+        text = text.encode("utf-8")
+    cache = vocab.segment_ids
+    out: list[int] = []
+    for piece in text.split(b" "):
+        ids = cache.get(piece)
+        if ids is None:
+            ids = cache[piece] = _encode_piece(piece, vocab)
+        out += ids
+        out.append(_SPACE)
+    out.pop()
     return out
 
 

@@ -56,12 +56,12 @@ def cmd_train(args) -> int:
         value = getattr(args, name)
         if value is not None:
             cfg[f"run.{name}"] = config_mod.parse_value(str(value))
-    t0 = time.time()
+    t0 = time.perf_counter()
     rc = config_mod.build(RunConfig, cfg, data_dir=args.data, out_dir=args.out)
     runner = Runner(rc)
     config_mod.dump_config(rc, os.path.join(args.out, "effective_config.txt"))
     artifacts = runner.run()
-    _info(f"run finished in {time.time() - t0:.1f}s: "
+    _info(f"run finished in {time.perf_counter() - t0:.1f}s: "
           f"AR {artifacts.final_ar}, F {artifacts.final_f}")
     return EXIT_OK
 

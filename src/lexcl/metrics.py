@@ -71,25 +71,40 @@ def _unit(feats: np.ndarray, who: str) -> np.ndarray:
     return feats / norm
 
 
-def _ranks(sims: np.ndarray, query: np.ndarray, item: np.ndarray,
-           k_max: int) -> np.ndarray:
-    """min(rank, k_max) of item[p] in line query[p] of `sims`, a cosine
-    matrix or the .T view of one. The rank is the number of scores above
-    the item's own plus the equal scores at a lower index."""
-    own = sims[query, item]
+def _ranks(lines: np.ndarray, item: np.ndarray, k_max: int) -> np.ndarray:
+    """min(rank, k_max) of item[p] in line p of `lines`: row p of a
+    C-ordered cosine matrix, or column p of one read through its .T
+    view. The rank is the number of scores above the item's own plus the
+    equal scores at a lower index."""
+    own = lines[np.arange(len(item)), item]
     if k_max == 1:
         # rank 0 is the first maximum: search only lines at their maximum
         rank = np.ones(len(item), dtype=np.int64)
-        top = np.flatnonzero(own == sims.max(axis=1)[query])
+        top = np.flatnonzero(own == lines.max(axis=1))
         for p in np.split(top, range(_BLOCK, len(top), _BLOCK)):
-            rank[p] = sims[query[p]].argmax(axis=1) != item[p]
+            rank[p] = lines[p].argmax(axis=1) != item[p]
         return rank
-    rank = np.empty(len(item), dtype=np.int64)
-    for s in range(0, len(item), _BLOCK):
-        p = slice(s, s + _BLOCK)
-        line, o, its = sims[query[p]], own[p, None], item[p, None]
-        rank[p] = np.count_nonzero(
-            (line > o) | ((line == o) & (np.arange(line.shape[1]) < its)), axis=1)
+    # Count the scores above each own score a block of the matrix's rows
+    # at a time: along the rows of a C matrix, down the columns of a .T
+    # view, so neither direction gathers lines.
+    if lines.flags.c_contiguous:
+        rank = np.concatenate([
+            np.count_nonzero(lines[s:s + _BLOCK] > own[s:s + _BLOCK, None], axis=1)
+            for s in range(0, len(lines), _BLOCK)])
+    else:
+        base = lines.T
+        rank = np.zeros(len(item), dtype=np.int64)
+        for s in range(0, len(base), _BLOCK):
+            rank += np.count_nonzero(base[s:s + _BLOCK] > own, axis=0)
+    # Equal scores at a lower index can only move a line still below
+    # k_max, and only one that holds a tie: count them on those lines.
+    near = np.flatnonzero(rank < k_max)
+    for p in np.split(near, range(_BLOCK, len(near), _BLOCK)):
+        eq = lines[p] == own[p, None]
+        tied = np.count_nonzero(eq, axis=1) > 1
+        p, eq = p[tied], eq[tied]
+        rank[p] += np.count_nonzero(
+            eq & (np.arange(eq.shape[1]) < item[p, None]), axis=1)
     return np.minimum(rank, k_max)
 
 
@@ -128,7 +143,7 @@ def recall_at_k(query_feats: np.ndarray, gallery_feats: np.ndarray,
                                 f"outside the gallery of {n_gallery}")
     sims = _unit(q, "recall_at_k") @ _unit(g, "recall_at_k").T
     best = np.full(n_query, n_gallery)
-    np.minimum.at(best, query, _ranks(sims, query, item, max(ks)))
+    np.minimum.at(best, query, _ranks(sims[query], item, max(ks)))
     hits = _recall(best, ks)
     return hits if isinstance(k, tuple) else hits[k]
 
@@ -145,7 +160,7 @@ def paired_recall(pooled: Pooling, matrix, params, image_feats,
         raise InvalidInputError(f"paired_recall: {len(txt)} texts, {len(img)} images")
     sims = _unit(img, "paired_recall") @ _unit(txt, "paired_recall").T
     pairs = np.arange(len(img))
-    return {d: _recall(_ranks(s, pairs, pairs, max(ks)), ks)
+    return {d: _recall(_ranks(s, pairs, max(ks)), ks)
             for d, s in (("img2txt", sims), ("txt2img", sims.T))}
 
 

@@ -48,15 +48,26 @@ def _task_rows(run_dir) -> list[int]:
     return sorted(rows)
 
 
+def _read_bytes(path) -> bytes:
+    with open(path, "rb") as f:
+        return f.read()
+
+
 def _vocab_state_through(run_dir, rows) -> list[vocab_mod.VocabState]:
     """Vocabulary state after each stored task, rebuilt from the saved
-    per-task vocab/merge files."""
+    per-task vocab/merge files. Joint and oracle-vocab runs save one
+    shared vocab for every row: a row whose two files hold the same bytes
+    as the previous row's reuses that row's parsed vocab, as the run
+    itself used one vocab object."""
     states = []
     state = vocab_mod.new_state()
+    tv, seen = None, None
     for t in rows:
-        tv = bpe.vocab_from_files(os.path.join(run_dir, f"vocab_task{t}.txt"),
-                                  os.path.join(run_dir, f"merges_task{t}.txt"),
-                                  task_index=t)
+        paths = (os.path.join(run_dir, f"vocab_task{t}.txt"),
+                 os.path.join(run_dir, f"merges_task{t}.txt"))
+        files = tuple(map(_read_bytes, paths))
+        if files != seen:
+            tv, seen = bpe.vocab_from_files(*paths, task_index=t), files
         state, _ = vocab_mod.merge_vocab(state, tv)
         states.append(state)
     return states
@@ -152,8 +163,7 @@ def write_ar_f(matrix: EvalMatrix, mode: str, path) -> dict:
 
 
 def copy_file(src, dst) -> None:
-    with open(src, "rb") as f:
-        write_atomic(dst, f.read())
+    write_atomic(dst, _read_bytes(src))
 
 
 def _loss_point(line: str) -> tuple[str, float, float]:

@@ -167,12 +167,13 @@ def train_bpe_reference(corpus, target_size: int,
                         task_index: int = 0) -> bpe.TaskVocab:
     """Slow reference trainer: recount every pair before each merge."""
     words, freqs = bpe._corpus_words(corpus, target_size)
+    words = [[bytes([b]) for b in w] for w in words]
     out = bpe._Merges(task_index)
 
     while len(out.tokens) < target_size:
         pair_counts: Counter = Counter()
         for parts, f in zip(words, freqs):
-            for pair in bpe._pairs(parts):
+            for pair in zip(parts, parts[1:]):
                 pair_counts[pair] += f
         if not pair_counts:
             break

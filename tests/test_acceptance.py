@@ -7,8 +7,10 @@ two worker processes; that block takes about 12 s on 2 cores. Everything
 else is fast.
 """
 
+import hashlib
 import multiprocessing
 import os
+import pathlib
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -155,19 +157,26 @@ def test_criterion_4_init_distribution():
 
 def _run_row(cfg):
     """[AR img2txt, AR txt2img, F img2txt, F txt2img, mean Fisher, mean
-    final loss] of one run."""
+    final loss] of one run, and the sha256 of each of its checkpoints and
+    of its eval_matrix.csv."""
     art = run_sequence(cfg)
+    out = pathlib.Path(cfg.out_dir)
+    names = sorted(p.name for p in out.glob("ckpt_task*.bin")) + ["eval_matrix.csv"]
+    digests = {n: hashlib.sha256((out / n).read_bytes()).hexdigest()
+               for n in names}
     return [art.final_ar["img2txt"], art.final_ar["txt2img"],
             art.final_f.get("img2txt", 0.0), art.final_f.get("txt2img", 0.0),
-            art.diagnostics["mean_fisher"], art.diagnostics["mean_final_loss"]]
+            art.diagnostics["mean_fisher"], art.diagnostics["mean_final_loss"]
+            ], digests
 
 
 @pytest.fixture(scope="module")
 def runs(tmp_path_factory):
-    """Mean-over-seeds metrics for each configuration on the default bench.
-    The runs go to one fresh interpreter per core (at most two), each
-    with one BLAS thread; a run is bitwise reproducible from its seed, so
-    where it runs does not change its numbers."""
+    """Mean-over-seeds metrics for each configuration on the default bench,
+    and the output digests of each seed's run under "digests". The runs
+    go to one fresh interpreter per core (at most two), each with one
+    BLAS thread; a run is bitwise reproducible from its seed, so where it
+    runs does not change its numbers."""
     settings = {
         "base": dict(teir_init=False, teir_reg=False),
         "init": dict(teir_init=True, teir_reg=False),
@@ -189,9 +198,35 @@ def runs(tmp_path_factory):
         rows = {key: f.result(TIMEOUT_S) for key, f in futures.items()}
     out = {}
     for name in settings:
-        m = np.mean([rows[name, seed] for seed in SEEDS], axis=0)
-        out[name] = dict(ar=(m[0], m[1]), f=(m[2], m[3]), fisher=m[4], loss=m[5])
+        m = np.mean([rows[name, seed][0] for seed in SEEDS], axis=0)
+        out[name] = dict(ar=(m[0], m[1]), f=(m[2], m[3]), fisher=m[4], loss=m[5],
+                         digests={seed: rows[name, seed][1] for seed in SEEDS})
     return out
+
+
+# sha256 of the checkpoints and eval_matrix.csv of two seed-0 runs of the
+# fixture above: "full" is the default continual run, "joint" the joint
+# upper bound. The golden digests of test_harness pin a tiny run; these
+# pin the default benchmark's scale, where BPE learns 256 merges a task.
+_BENCH_GOLDEN = {
+    "full": {
+        "ckpt_task0.bin": "26c89e850ce218d30b5304a91fcafd47175d057fcc023947d802d4d65abfaec1",
+        "ckpt_task1.bin": "42e46b5c93bad578c18ef1037a304ed43209570932c36adeb45431038ce579f7",
+        "ckpt_task2.bin": "d8d1e4c1c2a3cce74301f5ffd90fd617ba0b3e255378a2e1d14b498c3e2a76ac",
+        "ckpt_task3.bin": "97776852268d54bbca9b027dfe2c8eca67e5b1eae4aeb09a948677bc045e9077",
+        "ckpt_task4.bin": "1292779befe38cc219134cc983acf9ca4972b9c84850aa09f25d5f796125cba5",
+        "eval_matrix.csv": "827f7178b3047b734e2a0760ca8a944c2d185cd88f12d8d068692f24ed29d73c",
+    },
+    "joint": {
+        "ckpt_task0.bin": "e35347f68ce37c20dee6bdc8de805cc746acf77bfd4f935d019178d243cf6531",
+        "ckpt_task4.bin": "98cff3f80c031834f24ba86772bbafc6b31a71ff0d29b61cc1846eb97554399d",
+        "eval_matrix.csv": "76dfbdefcf78a326ff58a81254dc2a8d926c10f4d27d0e17c7652644c6f4a167",
+    },
+}
+
+
+def test_benchmark_scale_outputs_match_golden_digest(runs):
+    assert {name: runs[name]["digests"][0] for name in _BENCH_GOLDEN} == _BENCH_GOLDEN
 
 
 def test_criterion_5_forgetting_mitigation(runs):

@@ -139,11 +139,62 @@ class TestRankTable:
     def test_cached_state_outside_equality(self):
         a = bpe.train_bpe(["banana bandana"] * 2, 280)
         b = bpe.train_bpe(["banana bandana"] * 2, 280)
-        bpe.encode(b"banana", a)
-        assert a.segment_ids and not b.segment_ids
+        bpe.encode(b"bananas", a)
+        assert b"bananas" in a.segment_ids and b"bananas" not in b.segment_ids
         assert a == b
         assert "segment_ids" not in repr(a) and "ranks" not in repr(a)
         assert a.ranks == a.merge_ranks()
+
+
+# Pieces of texts that exercise the space split: single, leading,
+# trailing and doubled spaces, the other ASCII whitespace bytes, U+0085
+# and U+00A0 (which split nothing), and multibyte letters.
+_FRAGMENTS = [" ", "  ", "\t", "\r", "\n", "\x0b", "\x0c", "\x85", "\xa0",
+              "ab", "bad", "cafe", "αβ", "γ", "é", "世界"]
+spaced_text_strategy = st.lists(
+    st.one_of(st.sampled_from(_FRAGMENTS),
+              st.text(alphabet="abcdefg αβγ\t", max_size=6)),
+    max_size=12).map("".join)
+
+
+class TestSegmentCache:
+    """The trainer seeds `segment_ids` with its words; `encode` splits on
+    single spaces and caches each piece."""
+
+    @given(corpus=corpus_strategy, text=spaced_text_strategy)
+    @example(corpus=["ab ab"], text=" ab  ab\t\x0bab \r")
+    @example(corpus=["αβ αβ"], text="\x85αβ\xa0 αβ ")
+    @settings(max_examples=100, deadline=None)
+    def test_cold_and_seeded_caches_match_reference(self, corpus, text):
+        seeded = bpe.train_bpe(corpus, 300)
+        cold = bpe.TaskVocab(seeded.task_index, seeded.tokens, seeded.rules)
+        assert not cold.segment_ids
+        data = text.encode("utf-8")
+        want = oracles.encode_reference(data, seeded)
+        for tv in (seeded, cold):
+            assert bpe.encode(data, tv) == want
+            assert bpe.encode(data, tv) == want  # from the cache
+            for piece, ids in tv.segment_ids.items():
+                assert ids == oracles.encode_reference(piece, tv)
+
+    @given(corpus=corpus_strategy)
+    @settings(max_examples=60, deadline=None)
+    def test_every_trained_word_is_seeded(self, corpus):
+        tv = bpe.train_bpe(corpus, 300)
+        words = {w.encode("utf-8") for line in corpus for w in line.split()}
+        assert set(tv.segment_ids) == words
+        for word, ids in tv.segment_ids.items():
+            assert ids == oracles.encode_reference(word, tv)
+
+    def test_training_captions_need_no_merging(self, monkeypatch):
+        corpus = ["the cat sat on the mat", "le chat  est assis "] * 3
+        tv = bpe.train_bpe(corpus, 290)
+        calls = []
+        monkeypatch.setattr(bpe, "_encode_parts",
+                            lambda *a: calls.append(a) or [])
+        for line in corpus:
+            bpe.encode(line.encode("utf-8"), tv)
+        assert calls == []
 
 
 class TestEncodeDecode:

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from lexcl import gradcheck
+from lexcl import bpe, gradcheck
 from lexcl.cli import EXIT_IO, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from lexcl.config import load_config_file
 from lexcl.embeddings import EMB_MAGIC, read_matrix, write_matrix
@@ -241,6 +241,19 @@ class TestImports:
         assert done.stdout.strip() == "[]"
 
 
+def _count_vocab_parses(monkeypatch) -> list:
+    """The vocab files `lexcl eval` parses from now on, one entry a call."""
+    calls = []
+    real = bpe.vocab_from_files
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(bpe, "vocab_from_files", counting)
+    return calls
+
+
 class TestEvalAndReport:
     def test_eval_recomputation_matches(self, workdir):
         run = workdir / "run"
@@ -251,16 +264,40 @@ class TestEvalAndReport:
         assert recomputed.entries == stored.entries
 
     @pytest.mark.parametrize("flag", ["--oracle-vocab", "--mode=joint"])
-    def test_eval_matches_in_shared_vocab_modes(self, workdir, tmp_path, flag):
+    def test_eval_matches_in_shared_vocab_modes(self, workdir, tmp_path, flag,
+                                                monkeypatch):
+        """The rows' vocab and merges files are byte-identical, so eval
+        parses them once."""
         run = tmp_path / "run"
         assert main(["train", "--config", str(workdir / "run.cfg"),
                      "--data", str(workdir / "data"), "--out", str(run),
                      flag]) == EXIT_OK
+        parsed = _count_vocab_parses(monkeypatch)
         assert main(["eval", "--run", str(run),
                      "--data", str(workdir / "data")]) == EXIT_OK
+        assert len(parsed) == 1
         recomputed = EvalMatrix.load_csv(run / "eval_matrix_recomputed_test.csv")
         stored = EvalMatrix.load_csv(run / "eval_matrix.csv")
         assert recomputed.entries == stored.entries
+
+    @pytest.mark.parametrize("name", ["vocab_task1.txt", "merges_task1.txt"])
+    def test_shared_vocab_with_a_damaged_second_file_fails(
+            self, workdir, tmp_path, capsys, monkeypatch, name):
+        """A second row whose files differ from the first row's is parsed
+        on its own, so its damage still stops eval."""
+        run = tmp_path / "run"
+        assert main(["train", "--config", str(workdir / "run.cfg"),
+                     "--data", str(workdir / "data"), "--out", str(run),
+                     "--oracle-vocab"]) == EXIT_OK
+        path = run / name
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines + ['"ab\\"']) + "\n")
+        capsys.readouterr()
+        parsed = _count_vocab_parses(monkeypatch)
+        assert main(["eval", "--run", str(run),
+                     "--data", str(workdir / "data")]) == EXIT_USAGE
+        assert len(parsed) == 2
+        assert f"{path}:{len(lines) + 1}" in capsys.readouterr().err
 
     def test_eval_fails_when_the_stored_matrix_differs(self, workdir,
                                                        tmp_path, capsys,
