@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -75,14 +74,14 @@ class Split:
 
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx) and
-# PCG64's 128-bit LCG multiplier.
+# PCG64's 128-bit LCG multiplier, as its high and low uint64 words.
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL_SIZE = 4
-_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_PCG_MULT_HI = np.uint64(2549297995355413924)
+_PCG_MULT_LO = np.uint64(4865540595714422341)
 
 
 def _stream_mix(names) -> int:
@@ -90,14 +89,48 @@ def _stream_mix(names) -> int:
     return int.from_bytes(h[:8], "little")
 
 
-def _pcg64_states(seed: int, mixes) -> Iterator[dict]:
+def _rng(seed: int, *names) -> np.random.Generator:
+    """Stream `names`: `np.random.default_rng(np.random.SeedSequence(
+    [seed, mix]))`, where mix is the first 8 bytes (little-endian) of the
+    sha256 of the '/'-joined names."""
+    return np.random.default_rng(
+        np.random.SeedSequence([seed, _stream_mix(names)]))
+
+
+def _add128(a_hi, a_lo, b_hi, b_lo):
+    """a + b mod 2^128, on uint64 hi/lo arrays."""
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < a_lo), lo
+
+
+def _mul_hi64(a, b):
+    """The high 64 bits of each 128-bit product a * b of uint64s, summed
+    from 32-bit limbs so that no partial product overflows."""
+    a0, a1 = a & _MASK32, a >> 32
+    b0, b1 = b & _MASK32, b >> 32
+    lo_lo, hi_lo, lo_hi = a0 * b0, a1 * b0, a0 * b1
+    mid = (lo_lo >> 32) + (hi_lo & _MASK32) + (lo_hi & _MASK32)
+    return a1 * b1 + (hi_lo >> 32) + (lo_hi >> 32) + (mid >> 32)
+
+
+def _pcg_step(s_hi, s_lo, i_hi, i_lo):
+    """PCG64's LCG step, state * multiplier + inc mod 2^128, on uint64
+    hi/lo arrays."""
+    hi = (s_hi * _PCG_MULT_LO + s_lo * _PCG_MULT_HI
+          + _mul_hi64(s_lo, _PCG_MULT_LO))
+    return _add128(hi, s_lo * _PCG_MULT_LO, i_hi, i_lo)
+
+
+def _pcg64_states(seed: int, mixes):
     """The PCG64 state of `np.random.default_rng(np.random.SeedSequence(
-    [seed, mix]))` for every mix, from one pass of uint32 array arithmetic
-    over all of them. seed and each mix lie in [0, 2^64), so the entropy
-    (seed's 1 or 2 little-endian uint32 words, then mix's) is at most 4
-    words and fits SeedSequence's pool, whose missing words are hashed
-    as 0. Zero-padding the entropy to 4 words is therefore the same, and
-    it lets a mix below 2^32 keep its zero high word."""
+    [seed, mix]))` for every mix, from one pass of array arithmetic over
+    all of them (uint32 for SeedSequence, uint64 for PCG64's seeding
+    steps), as four uint64 arrays: the state's high and low words, then
+    the increment's. seed and each mix lie in [0, 2^64), so
+    the entropy (seed's 1 or 2 little-endian uint32 words, then mix's) is
+    at most 4 words and fits SeedSequence's pool, whose missing words are
+    hashed as 0. Zero-padding the entropy to 4 words is therefore the
+    same, and it lets a mix below 2^32 keep its zero high word."""
     mixes = np.asarray(mixes, dtype=np.uint64)
     seed_words = [seed & _MASK32] + ([seed >> 32] if seed >> 32 else [])
     entropy = np.zeros((_POOL_SIZE, len(mixes)), dtype=np.uint32)
@@ -130,32 +163,74 @@ def _pcg64_states(seed: int, mixes) -> Iterator[dict]:
         hash_const = hash_const * _MULT_B & _MASK32
         value = value * hash_const
         state.append((value ^ (value >> 16)).astype(np.uint64))
-    words = [(state[2 * j] | state[2 * j + 1] << np.uint64(32)).tolist()
-             for j in range(4)]
+    s_hi, s_lo, i_hi, i_lo = (state[2 * j] | state[2 * j + 1] << 32
+                              for j in range(4))
 
     # pcg64_set_seed: state 0, inc = seq << 1 | 1, step, add the seed, step.
-    for s_hi, s_lo, i_hi, i_lo in zip(*words):
-        inc = (((i_hi << 64 | i_lo) << 1) | 1) & _MASK128
-        pcg = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
-        yield {"bit_generator": "PCG64", "state": {"state": pcg, "inc": inc},
-               "has_uint32": 0, "uinteger": 0}
+    inc = (i_hi << 1 | i_lo >> 63, i_lo << 1 | 1)
+    return (*_pcg_step(*_add128(*inc, s_hi, s_lo), *inc), *inc)
 
 
-def _streams(seed: int, names: Iterable[tuple]) -> Iterator[np.random.Generator]:
-    """For each name tuple in turn, a Generator in the state that
-    `np.random.default_rng(np.random.SeedSequence([seed, mix]))` starts
-    in, where mix is the first 8 bytes (little-endian) of the sha256 of
-    the '/'-joined names. It is one Generator, re-seeded for each name,
-    so a stream is spent before the next is drawn."""
-    rng = np.random.Generator(np.random.PCG64(0))
-    mixes = np.fromiter(map(_stream_mix, names), dtype=np.uint64)
-    for state in _pcg64_states(seed, mixes):
-        rng.bit_generator.state = state
-        yield rng
+class _Lanes:
+    """PCG64 streams stepped together in uint64 array arithmetic, one lane
+    each. A lane's draws are the uint32s that its Generator would draw:
+    each step's XSL-RR output, low half first, then high half. Every lane
+    keeps its own place in one buffer of draws, which grows for all lanes
+    when any lane reaches its end."""
+
+    def __init__(self, states, n_draws: int):
+        self.s_hi, self.s_lo, self.i_hi, self.i_lo = states
+        self.buf = np.empty((len(self.s_hi), 0), dtype=np.uint64)
+        self.used = np.zeros(len(self.s_hi), dtype=np.intp)
+        self._grow(n_draws)
+
+    def _grow(self, n_draws: int) -> None:
+        halves = []
+        for _ in range(-(-n_draws // 2)):
+            self.s_hi, self.s_lo = _pcg_step(self.s_hi, self.s_lo,
+                                             self.i_hi, self.i_lo)
+            x = self.s_hi ^ self.s_lo
+            rot = self.s_hi >> 58
+            out = x >> rot | x << ((64 - rot) & 63)
+            halves += [out & _MASK32, out >> 32]
+        self.buf = np.column_stack([self.buf, *halves])
+
+    def draw(self, lanes: np.ndarray) -> np.ndarray:
+        """The next draw of each lane in `lanes`, distinct indices."""
+        at = self.used[lanes]
+        if at.max(initial=0) == self.buf.shape[1]:
+            self._grow(self.buf.shape[1])
+        self.used[lanes] = at + 1
+        return self.buf[lanes, at]
 
 
-def _rng(seed: int, *names) -> np.random.Generator:
-    return next(_streams(seed, [names]))
+def _bounded(lanes: _Lanes, idx: np.ndarray, excl: int) -> np.ndarray:
+    """`Generator.integers(excl)` on each lane in idx, by numpy's Lemire
+    rule: m = u * excl is redrawn while its low 32 bits are below
+    (2^32 - excl) % excl, and the result is m >> 32. An excl of 1 makes
+    no draw. Only the lanes that reject draw again."""
+    if excl == 1:
+        return np.zeros(len(idx), dtype=np.intp)
+    threshold = (2**32 - excl) % excl
+    m = lanes.draw(idx) * np.uint64(excl)
+    redo = np.flatnonzero((m & _MASK32) < threshold)
+    while len(redo):
+        m[redo] = lanes.draw(idx[redo]) * np.uint64(excl)
+        redo = redo[(m[redo] & _MASK32) < threshold]
+    return (m >> 32).astype(np.intp)
+
+
+def _interval(lanes: _Lanes, idx: np.ndarray, bound: int) -> np.ndarray:
+    """The swap index in [0, bound] that `Generator.shuffle` draws for a
+    list, on each lane in idx: a draw masked to the smallest 2^k - 1 that
+    is at least bound, redrawn while it exceeds bound."""
+    mask = (1 << bound.bit_length()) - 1
+    value = lanes.draw(idx) & mask
+    redo = np.flatnonzero(value > bound)
+    while len(redo):
+        value[redo] = lanes.draw(idx[redo]) & mask
+        redo = redo[value[redo] > bound]
+    return value.astype(np.intp)
 
 
 def _make_word(rng: np.random.Generator, alphabet: str) -> str:
@@ -178,14 +253,39 @@ def _make_lexicon(cfg: BenchConfig, lang: int) -> tuple[list[str], list[str]]:
     return words[: cfg.n_concepts], words[cfg.n_concepts:]
 
 
-def _caption(rng, concept_words: list[str], function_words: list[str]) -> str:
-    words = list(concept_words)
-    rng.shuffle(words)
-    n_func = int(rng.integers(1, 3))
-    for _ in range(n_func):
-        pos = int(rng.integers(len(words) + 1))
-        words.insert(pos, function_words[int(rng.integers(len(function_words)))])
-    return " ".join(words)
+def _shuffled(lanes: _Lanes, c: int) -> np.ndarray:
+    """Per lane, the order that `Generator.shuffle` leaves a list of c
+    items in: for i = c-1 down to 1, item i swaps with item `_interval(i)`."""
+    every = np.arange(len(lanes.used))
+    order = np.tile(np.arange(c), (len(every), 1))
+    for i in range(c - 1, 0, -1):
+        j = _interval(lanes, every, i)
+        order[every, i], order[every, j] = order[every, j], order[every, i]
+    return order
+
+
+def _captions(seed: int, names: list[tuple], concepts: np.ndarray,
+              concept_words: list[str], function_words: list[str]) -> list[str]:
+    """The caption of every image k at once, drawn on stream names[k] (see
+    `_rng`) as `_Lanes`: the words of row k of `concepts` shuffled, then
+    one or two function words, each inserted at a drawn position. A lane
+    draws in a Generator's order: the shuffle, the number of function
+    words, then each one's position and index."""
+    n, c = concepts.shape
+    mixes = np.fromiter(map(_stream_mix, names), dtype=np.uint64, count=n)
+    # the draws of a caption with two function words and no redraw
+    lanes = _Lanes(_pcg64_states(seed, mixes), c + 4)
+    words = np.array(concept_words, dtype=object)[
+        np.take_along_axis(concepts, _shuffled(lanes, c), axis=1)].tolist()
+    n_func = 1 + _bounded(lanes, np.arange(n), 2)  # 1 or 2
+    func = np.array(function_words, dtype=object)
+    for k in range(2):  # the k-th function word of the lanes that have one
+        idx = np.flatnonzero(n_func > k)
+        pos = _bounded(lanes, idx, c + k + 1).tolist()
+        word = func[_bounded(lanes, idx, len(function_words))].tolist()
+        for i, p, w in zip(idx.tolist(), pos, word):
+            words[i].insert(p, w)
+    return [" ".join(w) for w in words]
 
 
 def language_ids(cfg: BenchConfig) -> list[str]:
@@ -201,13 +301,12 @@ def gen_benchmark(cfg: BenchConfig, out_dir) -> None:
 
     n_images = cfg.n_train + cfg.n_val + cfg.n_test
     img_rng = _rng(cfg.seed, "images")
-    image_concepts = []
+    concepts = np.empty((n_images, cfg.concepts_per_image), dtype=np.intp)
     features = np.empty((n_images, cfg.d_out), dtype=np.float64)
     for i in range(n_images):
-        concepts = img_rng.choice(cfg.n_concepts, size=cfg.concepts_per_image,
-                                  replace=False)
-        image_concepts.append([int(c) for c in concepts])
-        raw = prototypes[concepts].sum(axis=0)
+        concepts[i] = img_rng.choice(cfg.n_concepts,
+                                     size=cfg.concepts_per_image, replace=False)
+        raw = prototypes[concepts[i]].sum(axis=0)
         raw = raw / np.linalg.norm(raw)
         features[i] = raw + img_rng.normal(0.0, cfg.sigma_img, cfg.d_out)
     write_matrix(os.path.join(out_dir, "images.feat"), IMG_MAGIC, features)
@@ -243,12 +342,10 @@ def gen_benchmark(cfg: BenchConfig, out_dir) -> None:
     def captions(lang: int) -> list[str]:
         """Language lang's caption of every image, in image order (the
         splits cover the image indices in order)."""
-        names = (("captions", lang, split, img)
-                 for split in SPLITS for img in split_ranges[split])
-        return [_caption(rng, [lexicons[lang][c] for c in concepts],
+        names = [("captions", lang, split, img)
+                 for split in SPLITS for img in split_ranges[split]]
+        return _captions(cfg.seed, names, concepts, lexicons[lang],
                          func_lexicons[lang])
-                for concepts, rng in zip(image_concepts,
-                                         _streams(cfg.seed, names))]
 
     # Every language pairs an image with the same English caption.
     english = captions(0)

@@ -4,8 +4,9 @@ pooling whose summation order the padded forward pass keeps, the
 row-by-row optimizer step with per-row moment dicts and its bias
 corrections powered step by step, Recall@K by a stable argsort
 of every similarity row, the full-recount BPE trainer, the rule-by-rule
-BPE encoder, a plain hash of a matrix's bytes, and one SeedSequence per
-named random stream of the benchmark generator."""
+BPE encoder, a plain hash of a matrix's bytes, one SeedSequence per
+named random stream of the benchmark generator, and the caption that one
+such stream draws through numpy's Generator."""
 
 import hashlib
 from collections import Counter
@@ -212,3 +213,16 @@ def sub_rng(seed: int, *names) -> np.random.Generator:
     h = hashlib.sha256(("/".join(str(n) for n in names)).encode()).digest()
     mix = int.from_bytes(h[:8], "little")
     return np.random.default_rng(np.random.SeedSequence([seed, mix]))
+
+
+def caption_reference(rng, concept_words: list[str],
+                      function_words: list[str]) -> str:
+    """One caption drawn through `rng`'s scalar methods: the concept words
+    shuffled, then one or two function words, each at a drawn position."""
+    words = list(concept_words)
+    rng.shuffle(words)
+    n_func = int(rng.integers(1, 3))
+    for _ in range(n_func):
+        pos = int(rng.integers(len(words) + 1))
+        words.insert(pos, function_words[int(rng.integers(len(function_words)))])
+    return " ".join(words)

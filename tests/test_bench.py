@@ -68,7 +68,13 @@ class TestGenerate:
          "466d0ca99bfded13d6dcadb91d53748867d2de11a293ebba52d4a13a340be722"),
         (tiny_cfg(seed=2**64 - 1),
          "b464acd129f4890640fe4f1a60c73b80b07dc37c800750786c235a05d64d2bb8"),
-    ], ids=["tiny", "five-languages", "default", "two-word-seed", "max-seed"])
+        # one concept and one function word: no shuffle or word-index draw
+        (tiny_cfg(concepts_per_image=1, function_words=1),
+         "b70949c01b240a01494f6f3668c9ec7282b670526f27d10b9fab44129e641568"),
+        (tiny_cfg(concepts_per_image=6, function_words=9),
+         "b9dd98af986e793e98bc695346eb31a45b144ca0a2c8b2f2213652fbd0a57090"),
+    ], ids=["tiny", "five-languages", "default", "two-word-seed", "max-seed",
+            "one-word-each", "six-concepts-nine-words"])
     def test_output_matches_golden_digest(self, tmp_path, cfg, digest):
         """The generated bytes are pinned, so a change to the generator
         that is deterministic but alters the data is caught; every run
@@ -190,16 +196,28 @@ def _first_draws(rng):
     return rng.integers(1000, size=4).tolist(), words, rng.random(3).tolist()
 
 
+def _lanes(seed, n):
+    """Lanes for streams ("draws", 0) .. ("draws", n - 1), with a buffer
+    of 2 draws, so that a third draw grows it."""
+    mixes = [bench._stream_mix(("draws", k)) for k in range(n)]
+    return bench._Lanes(bench._pcg64_states(seed, mixes), 2)
+
+
 class TestStreams:
     @given(seed=_SEEDS, mixes=_MIXES)
     @settings(max_examples=200, deadline=None)
     @example(seed=0, mixes=[0])
     @example(seed=2**64 - 1, mixes=[2**64 - 1, 2**32, 2**32 - 1, 0])
     def test_batched_seeding_matches_seed_sequence(self, seed, mixes):
-        states = list(bench._pcg64_states(seed, mixes))
-        assert len(states) == len(mixes)
-        for mix, state in zip(mixes, states):
+        s_hi, s_lo, i_hi, i_lo = (a.tolist()
+                                  for a in bench._pcg64_states(seed, mixes))
+        assert len(s_hi) == len(s_lo) == len(i_hi) == len(i_lo) == len(mixes)
+        for k, mix in enumerate(mixes):
             ref = np.random.default_rng(np.random.SeedSequence([seed, mix]))
+            state = {"bit_generator": "PCG64",
+                     "state": {"state": s_hi[k] << 64 | s_lo[k],
+                               "inc": i_hi[k] << 64 | i_lo[k]},
+                     "has_uint32": 0, "uinteger": 0}
             assert state == ref.bit_generator.state
             rng = np.random.Generator(np.random.PCG64())
             rng.bit_generator.state = state
@@ -210,12 +228,101 @@ class TestStreams:
                  for split in bench.SPLITS for img in (0, 1, 250)]
         names += [("prototypes",), ("lexicon", 2)]
         for seed in (0, 7, 2**32 + 7):
-            for n, rng in zip(names, bench._streams(seed, names), strict=True):
-                assert _first_draws(rng) == _first_draws(
+            for n in names:
+                assert _first_draws(bench._rng(seed, *n)) == _first_draws(
                     oracles.sub_rng(seed, *n))
+
+    @pytest.mark.parametrize("seed", [0, 2**32 + 7, 2**64 - 1])
+    def test_lane_draws_match_next_uint32(self, seed):
+        """Each lane yields its Generator's uint32s in order, past several
+        growths of the buffer."""
+        lanes = _lanes(seed, 50)
+        every = np.arange(50)
+        got = np.stack([lanes.draw(every) for _ in range(9)], axis=1)
+        for k in range(50):
+            ref = oracles.sub_rng(seed, "draws", k)
+            assert got[k].tolist() == ref.integers(
+                2**32, size=9, dtype=np.uint32).tolist()
+
+    @pytest.mark.parametrize("excl", [2, 7, 2**31 + 1, 3 * 2**30 + 5,
+                                      2**32 - 1])
+    def test_bounded_matches_integers(self, excl):
+        """A draw is rejected with odds (2^32 - excl) % excl / 2^32: about
+        1/2 at 2^31 + 1 and 1/4 at 3 * 2^30 + 5, under 1e-9 on the other
+        ranges. Only the rejecting lanes draw again."""
+        n, draws = 1000, 5
+        lanes = _lanes(0, n)
+        every = np.arange(n)
+        got = np.stack([bench._bounded(lanes, every, excl)
+                        for _ in range(draws)], axis=1)
+        odds = (2**32 - excl) % excl / 2**32
+        assert int(lanes.used.sum()) - n * draws >= int(n * draws * odds / 2)
+        after = lanes.draw(every)  # in step only if as many were drawn
+        for k in range(n):
+            ref = oracles.sub_rng(0, "draws", k)
+            assert got[k].tolist() == [int(ref.integers(excl))
+                                       for _ in range(draws)]
+            assert after[k] == ref.integers(2**32, dtype=np.uint32)
+
+    def test_bounded_keeps_a_draw_at_the_threshold(self):
+        """For excl 3 the threshold is (2^32 - 3) % 3 = 1. A draw of 0
+        leaves 0 and is redrawn; 0xAAAAAAAB (3^-1 mod 2^32) leaves
+        exactly 1 and is kept, as 0xAAAAAAAB * 3 >> 32 = 2: on the first
+        draw (lane 0) and on a redraw (lane 1)."""
+        lanes = _lanes(0, 2)
+        lanes.buf[:] = [[0xAAAAAAAB, 0], [0, 0xAAAAAAAB]]
+        assert bench._bounded(lanes, np.arange(2), 3).tolist() == [2, 2]
+        assert lanes.used.tolist() == [1, 2]
+
+    def test_bounded_of_one_draws_nothing(self):
+        lanes = _lanes(0, 4)
+        assert bench._bounded(lanes, np.arange(4), 1).tolist() == [0] * 4
+        assert lanes.used.tolist() == [0] * 4
+
+    @pytest.mark.parametrize("c", range(2, 10))
+    def test_shuffled_matches_shuffle(self, c):
+        """Masked rejection redraws 1 in 4 draws at bound 2 and up to 7 in
+        16 (bound 8); bound 1 never redraws."""
+        n = 400
+        lanes = _lanes(7, n)
+        order = bench._shuffled(lanes, c)
+        if c > 2:
+            assert int(lanes.used.sum()) > n * (c - 1)
+        after = lanes.draw(np.arange(n))
+        for k in range(n):
+            ref, rng = list(range(c)), oracles.sub_rng(7, "draws", k)
+            rng.shuffle(ref)
+            assert order[k].tolist() == ref
+            assert after[k] == rng.integers(2**32, dtype=np.uint32)
+
+    @given(seed=_SEEDS, c=st.integers(1, 6), n_func=st.integers(1, 9),
+           n_concepts=st.integers(6, 40), draw_seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    @example(seed=0, c=1, n_func=1, n_concepts=6, draw_seed=0)
+    @example(seed=2**32 - 1, c=6, n_func=9, n_concepts=6, draw_seed=1)
+    @example(seed=2**32 + 7, c=3, n_func=6, n_concepts=30, draw_seed=2)
+    @example(seed=2**64 - 1, c=2, n_func=2, n_concepts=7, draw_seed=3)
+    def test_captions_match_reference(self, seed, c, n_func, n_concepts,
+                                      draw_seed):
+        """Every caption equals the one its own Generator draws."""
+        rng = np.random.default_rng(draw_seed)
+        n = 300
+        concepts = np.stack([rng.choice(n_concepts, c, replace=False)
+                             for _ in range(n)])
+        concept_words = [f"c{k}" for k in range(n_concepts)]
+        function_words = [f"f{k}" for k in range(n_func)]
+        names = [("captions", 1, "val", img) for img in range(n)]
+        got = bench._captions(seed, names, concepts, concept_words,
+                              function_words)
+        assert got == [oracles.caption_reference(
+            oracles.sub_rng(seed, *name),
+            [concept_words[i] for i in row], function_words)
+            for name, row in zip(names, concepts.tolist())]
 
     def test_seeding_cost_does_not_grow_with_the_captions(self, tmp_path,
                                                           monkeypatch):
+        """gen-data seeds a fixed number of Generators, whatever the
+        number of captions."""
         counts = {}
 
         def counting(name):
@@ -228,6 +335,7 @@ class TestStreams:
 
         counting("SeedSequence")
         counting("PCG64")
+        counting("default_rng")
         seen = []
         for n_train in (20, 200):
             counts.clear()

@@ -372,16 +372,18 @@ class TestGoldenOutputs:
     @pytest.mark.skipif(not _dynamic_openblas(), reason=(
         "numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS, so OPENBLAS_CORETYPE "
         "cannot select another kernel"))
+    @pytest.mark.parametrize("kernel", ["Sandybridge", "Nehalem"])
     def test_outputs_hold_under_another_blas_kernel(self, tiny_data,
-                                                    tmp_path):
+                                                    tmp_path, kernel):
         """Checkpoints, the recall matrix and the registry are bitwise the
-        same under OpenBLAS's Sandybridge kernel as under the default."""
+        same under an older OpenBLAS kernel (AVX, SSE4.2) as under the
+        default."""
         out = tmp_path / "run"
         cfg = tiny_run_cfg(tiny_data, out)
         kwargs = {f.name: getattr(cfg, f.name) for f in fields(cfg)
                   if f.name != "loss"}
         src = os.path.dirname(os.path.dirname(harness.__file__))
-        env = dict(os.environ, OPENBLAS_CORETYPE="Sandybridge",
+        env = dict(os.environ, OPENBLAS_CORETYPE=kernel,
                    OPENBLAS_VERBOSE="2", OPENBLAS_NUM_THREADS="1",
                    PYTHONPATH=os.pathsep.join(
                        p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -392,7 +394,7 @@ class TestGoldenOutputs:
                                json.dumps(kwargs)], env=env,
                               capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
-        assert "Core: Sandybridge" in done.stdout + done.stderr
+        assert f"Core: {kernel}" in done.stdout + done.stderr
         assert _golden_digests(out) == _GOLDEN["continual"]
 
 
