@@ -10,7 +10,7 @@ from .encoders import (FrozenTextParams, encode_text, encode_text_grad,
 from .harness import RunArtifacts, RunConfig, run_sequence
 from .losses import FeatureBatch, LossConfig, cl_loss, cm_loss, total_loss
 from .metrics import (EvalMatrix, average_recall, fisher_and_loss, forgetting,
-                      recall_at_k, ted_histogram)
+                      ted_histogram)
 from .optim import OptimConfig, OptimState, lr_at, step
 from .vocab import VocabState, merge_vocab, new_state
 from .bench import BenchConfig, Split, gen_benchmark, load_dataset, load_images

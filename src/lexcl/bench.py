@@ -371,11 +371,14 @@ def load_manifest(dataset_dir) -> dict:
     manifest = read_json(path, DatasetFormatError)
     if not (isinstance(manifest, dict)
             and isinstance(manifest.get("languages"), list)
+            and manifest["languages"]
             and all(isinstance(lang, str) for lang in manifest["languages"])
             and isinstance(manifest.get("splits"), dict)
-            and all(type(manifest["splits"].get(s)) is int for s in SPLITS)):
-        raise DatasetFormatError(f"{path}: not an object with a 'languages' "
-                                 "list of names and a 'splits' count per split")
+            and all(type(manifest["splits"].get(s)) is int
+                    and manifest["splits"][s] >= 1 for s in SPLITS)):
+        raise DatasetFormatError(f"{path}: not an object with a non-empty "
+                                 "'languages' list of names and a 'splits' "
+                                 "count of at least 1 per split")
     return manifest
 
 

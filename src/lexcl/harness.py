@@ -88,6 +88,14 @@ def vocab_index(mode: str, oracle_vocab: bool, task: int) -> int:
     return 0 if oracle_vocab or mode == "joint" else task
 
 
+def check_image_width(images: np.ndarray, d_out: int) -> None:
+    """Text features are `d_out` wide, and so must be the image features
+    they are scored against."""
+    if images.shape[1] != d_out:
+        raise InvalidInputError(f"model.d_out: {d_out} is not the width "
+                                f"{images.shape[1]} of the image features")
+
+
 class _TaskData:
     """Loaded splits for one language, and their poolings.
 
@@ -112,10 +120,7 @@ class Runner:
         manifest = load_manifest(cfg.data_dir)
         self.languages: list[str] = manifest["languages"]
         self.images = load_images(cfg.data_dir)
-        if self.images.shape[1] != cfg.d_out:
-            raise InvalidInputError(
-                f"model.d_out: {cfg.d_out} is not the width "
-                f"{self.images.shape[1]} of the image features")
+        check_image_width(self.images, cfg.d_out)
         self.tasks = [_TaskData(cfg.data_dir, lid, manifest, self.images)
                       for lid in self.languages]
         self.params = make_text_params(cfg.dim, cfg.d_out, cfg.l_max,

@@ -1,4 +1,5 @@
-"""Retrieval metrics (Recall@K, average recall, forgetting) and
+"""Retrieval metrics (paired Recall@K: item i of line i, both directions
+from one image x text cosine matrix; average recall, forgetting) and
 diagnostics (Fisher-trace proxy, embedding histograms)."""
 
 from __future__ import annotations
@@ -53,6 +54,8 @@ class EvalMatrix:
 
         def add(line: str) -> None:
             j, i, d, v = line.split(",")
+            if (int(j), int(i), d) in out.entries:
+                raise ValueError(f"a second row for ({j}, {i}, {d})")
             out.set(int(j), int(i), d, float(v))
 
         read_lines(path, add, InvalidInputError, header="j,i,direction,recall1")
@@ -71,18 +74,18 @@ def _unit(feats: np.ndarray, who: str) -> np.ndarray:
     return feats / norm
 
 
-def _ranks(lines: np.ndarray, item: np.ndarray, k_max: int) -> np.ndarray:
-    """min(rank, k_max) of item[p] in line p of `lines`: row p of a
-    C-ordered cosine matrix, or column p of one read through its .T
+def _ranks(lines: np.ndarray, k_max: int) -> np.ndarray:
+    """min(rank, k_max) of item p in line p of the square `lines`: row p
+    of a C-ordered cosine matrix, or column p of one read through its .T
     view. The rank is the number of scores above the item's own plus the
     equal scores at a lower index."""
-    own = lines[np.arange(len(item)), item]
+    own = lines.diagonal()
     if k_max == 1:
         # rank 0 is the first maximum: search only lines at their maximum
-        rank = np.ones(len(item), dtype=np.int64)
+        rank = np.ones(len(own), dtype=np.int64)
         top = np.flatnonzero(own == lines.max(axis=1))
         for p in np.split(top, range(_BLOCK, len(top), _BLOCK)):
-            rank[p] = lines[p].argmax(axis=1) != item[p]
+            rank[p] = lines[p].argmax(axis=1) != p
         return rank
     # Count the scores above each own score a block of the matrix's rows
     # at a time: along the rows of a C matrix, down the columns of a .T
@@ -93,7 +96,7 @@ def _ranks(lines: np.ndarray, item: np.ndarray, k_max: int) -> np.ndarray:
             for s in range(0, len(lines), _BLOCK)])
     else:
         base = lines.T
-        rank = np.zeros(len(item), dtype=np.int64)
+        rank = np.zeros(len(own), dtype=np.int64)
         for s in range(0, len(base), _BLOCK):
             rank += np.count_nonzero(base[s:s + _BLOCK] > own, axis=0)
     # Equal scores at a lower index can only move a line still below
@@ -104,48 +107,13 @@ def _ranks(lines: np.ndarray, item: np.ndarray, k_max: int) -> np.ndarray:
         tied = np.count_nonzero(eq, axis=1) > 1
         p, eq = p[tied], eq[tied]
         rank[p] += np.count_nonzero(
-            eq & (np.arange(eq.shape[1]) < item[p, None]), axis=1)
+            eq & (np.arange(eq.shape[1]) < p[:, None]), axis=1)
     return np.minimum(rank, k_max)
 
 
-def _recall(best: np.ndarray, ks) -> dict[int, float]:
-    """{k: percent of the queries whose best rank is below k}."""
-    return {k: 100.0 * int(np.count_nonzero(best < k)) / len(best) for k in ks}
-
-
-def recall_at_k(query_feats: np.ndarray, gallery_feats: np.ndarray,
-                relevance: dict[int, set[int]], k: int | tuple[int, ...]):
-    """Percent of queries whose cosine top-k holds a relevant gallery item.
-
-    An item's rank is the number of scores above its own plus the equal
-    scores at a lower gallery index (ties go to the lower index); a query
-    hits when a relevant item ranks below k. A tuple of k gives
-    {k: recall} from one rank pass."""
-    q, g = (np.asarray(a, dtype=np.float64) for a in (query_feats, gallery_feats))
-    n_query, n_gallery = len(q), len(g)
-    ks = k if isinstance(k, tuple) else (k,)
-    if not ks or min(ks) < 1:
-        raise InvalidInputError(f"recall_at_k: k must be >= 1, got {k!r}")
-    if n_query == 0 or n_gallery == 0:
-        raise InvalidInputError(f"recall_at_k: {n_query} queries, gallery of {n_gallery}")
-    extra = sorted(set(relevance) - set(range(n_query)))
-    if extra:
-        raise InvalidInputError(f"recall_at_k: relevance key {extra[0]} is not "
-                                f"one of the {n_query} queries")
-    missing = [qi for qi in range(n_query) if not relevance.get(qi)]
-    if missing:
-        raise InvalidInputError(f"recall_at_k: query {missing[0]} has no relevant items")
-    query, item = np.array([(qi, j) for qi in range(n_query) for j in relevance[qi]],
-                           dtype=np.int64).T
-    outside = item[(item < 0) | (item >= n_gallery)]
-    if len(outside):
-        raise InvalidInputError(f"recall_at_k: relevant item {outside[0]} is "
-                                f"outside the gallery of {n_gallery}")
-    sims = _unit(q, "recall_at_k") @ _unit(g, "recall_at_k").T
-    best = np.full(n_query, n_gallery)
-    np.minimum.at(best, query, _ranks(sims[query], item, max(ks)))
-    hits = _recall(best, ks)
-    return hits if isinstance(k, tuple) else hits[k]
+def _recall(rank: np.ndarray, ks) -> dict[int, float]:
+    """{k: percent of the lines whose item ranks below k}."""
+    return {k: 100.0 * int(np.count_nonzero(rank < k)) / len(rank) for k in ks}
 
 
 def paired_recall(pooled: Pooling, matrix, params, image_feats,
@@ -159,8 +127,7 @@ def paired_recall(pooled: Pooling, matrix, params, image_feats,
     if len(txt) != len(img):
         raise InvalidInputError(f"paired_recall: {len(txt)} texts, {len(img)} images")
     sims = _unit(img, "paired_recall") @ _unit(txt, "paired_recall").T
-    pairs = np.arange(len(img))
-    return {d: _recall(_ranks(s, pairs, max(ks)), ks)
+    return {d: _recall(_ranks(s, max(ks)), ks)
             for d, s in (("img2txt", sims), ("txt2img", sims.T))}
 
 

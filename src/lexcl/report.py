@@ -15,7 +15,7 @@ from .embeddings import (load_checkpoint, read_json, read_lines, vocab_hash,
 from .encoders import make_text_params, pooling
 from .errors import InvalidInputError
 from .bench import load_dataset, load_images, load_manifest
-from .harness import RunConfig, vocab_index
+from .harness import RunConfig, check_image_width, vocab_index
 from .metrics import (EvalMatrix, average_recall, forgetting, save_histogram_csv,
                       score_row, ted_histogram)
 
@@ -79,8 +79,13 @@ def recompute_eval_matrix(run_dir, data_dir, split: str = "test") -> EvalMatrix:
         run_dir, "dim", "d_out", "l_max", "encoder_seed", "mode", "oracle_vocab")
     manifest = load_manifest(data_dir)
     images = load_images(data_dir)
+    check_image_width(images, d_out)
     params = make_text_params(dim, d_out, l_max, encoder_seed)
     rows = _task_rows(run_dir)
+    if len(manifest["languages"]) <= rows[-1]:
+        raise InvalidInputError(
+            f"{data_dir}: {len(manifest['languages'])} languages, but the run "
+            f"has a checkpoint for task {rows[-1]}")
     states = _vocab_state_through(run_dir, rows)
 
     # Global ids are append-only, so each task reads the same under the

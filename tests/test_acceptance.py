@@ -24,10 +24,11 @@ from lexcl import bpe, optim, vocab
 from lexcl.bench import BenchConfig, gen_benchmark, load_dataset
 from lexcl.embeddings import (FIXED_INIT, DistStats, dist_stats, expand,
                               load_checkpoint, save_checkpoint)
+from lexcl.encoders import encode_text, make_text_params, pooling
 from lexcl.gradcheck import run_grad_check
 from lexcl.harness import RunConfig, run_sequence
 from lexcl.losses import FeatureBatch, cl_loss, cm_loss
-from lexcl.metrics import EvalMatrix, average_recall, forgetting, recall_at_k
+from lexcl.metrics import EvalMatrix, average_recall, forgetting, paired_recall
 
 SEEDS = (0, 1, 2)
 # bound on the wait for any one worker result of the fixture below
@@ -279,19 +280,30 @@ def test_criterion_9_metric_oracles():
     ok &= average_recall(m, 2, "img2txt") == ar_brute
     ok &= forgetting(m, 2, "img2txt") == f_brute
 
+    # Recall@k of n random texts against n images, text i with image i:
+    # in each direction, line i hits when item i is among the first k of
+    # a stable sort by descending cosine.
     rng = np.random.default_rng(3)
     for _ in range(100):
-        nq, ng = int(rng.integers(2, 12)), int(rng.integers(2, 12))
-        q, g = rng.normal(size=(nq, 5)), rng.normal(size=(ng, 5))
-        rel = {i: {int(rng.integers(0, ng))} for i in range(nq)}
-        k = int(rng.integers(1, ng + 1))
-        qn = q / np.linalg.norm(q, axis=1, keepdims=True)
-        gn = g / np.linalg.norm(g, axis=1, keepdims=True)
-        hits = 0
-        for qi in range(nq):
-            order = sorted(range(ng), key=lambda gi: (-(qn[qi] @ gn[gi]), gi))
-            hits += bool(rel[qi] & set(order[:k]))
-        ok &= recall_at_k(q, g, rel, k) == 100.0 * hits / nq
+        n, d = int(rng.integers(2, 12)), 5
+        lengths = rng.integers(1, 6, size=n)
+        params = make_text_params(d, d, 8, seed=int(rng.integers(1 << 31)))
+        pooled = pooling(rng.integers(0, 20, size=lengths.sum()), lengths,
+                         20, params)
+        table = rng.normal(size=(20, d)).astype(np.float32)
+        img = rng.normal(size=(n, d))
+        k = int(rng.integers(1, n + 1))
+        txt = encode_text(pooled, table, params)
+        got = paired_recall(pooled, table, params, img, ks=(k,))
+        for direction, (q, g) in (("img2txt", (img, txt)),
+                                  ("txt2img", (txt, img))):
+            qn = q / np.linalg.norm(q, axis=1, keepdims=True)
+            gn = g / np.linalg.norm(g, axis=1, keepdims=True)
+            hits = 0
+            for qi in range(n):
+                order = sorted(range(n), key=lambda gi: (-(qn[qi] @ gn[gi]), gi))
+                hits += qi in order[:k]
+            ok &= got[direction] == {k: 100.0 * hits / n}
     report("criterion 9: metric oracles", ok)
 
 

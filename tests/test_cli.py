@@ -313,6 +313,27 @@ class TestEvalAndReport:
                      "--data", str(workdir / "data")]) == EXIT_RUNTIME
         assert "differs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value, named", [
+        ("bench.d_out", 32, "model.d_out: 16 is not the width 32"),
+        ("bench.n_languages", 2, "2 languages, but the run has a checkpoint "
+                                 "for task 2"),
+    ], ids=["wider-images", "fewer-languages"])
+    def test_eval_against_other_data_fails_naming_the_mismatch(
+            self, workdir, tmp_path, capsys, key, value, named):
+        """Data that does not fit the run ends eval before any scoring."""
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text(TINY_BENCH.replace(f"{key} = {BENCH_KEYS[key]}",
+                                          f"{key} = {value}"))
+        data, run = tmp_path / "data", tmp_path / "run"
+        assert main(["gen-data", "--config", str(cfg), "--out", str(data)]) \
+            == EXIT_OK
+        shutil.copytree(workdir / "run", run, ignore=shutil.ignore_patterns(
+            "eval_matrix_recomputed_*"))
+        capsys.readouterr()
+        assert main(["eval", "--run", str(run), "--data", str(data)]) == EXIT_USAGE
+        assert named in capsys.readouterr().err
+        assert not (run / "eval_matrix_recomputed_test.csv").exists()
+
     def test_report_outputs(self, workdir, tmp_path):
         out = tmp_path / "report"
         assert main(["report", "--run", str(workdir / "run"),
@@ -330,6 +351,7 @@ class TestEvalAndReport:
         ("0,0,img2txt", "a short row"),
         ("0,0,img2txt,high", "a non-numeric recall"),
         ("zero,0,img2txt,50.0", "a non-numeric row index"),
+        ("0,0,img2txt,50.0", "a second row for the entry of line 2"),
     ])
     def test_damaged_eval_matrix_fails_naming_the_line(
             self, workdir, tmp_path, capsys, command, row, bad):
@@ -487,6 +509,20 @@ def _emptied(path):
     path.write_bytes(b"")
 
 
+def _no_val_split(path):
+    """Declare no val records in the manifest, and empty every val.tsv."""
+    manifest = json.loads(path.read_text())
+    manifest["splits"]["val"] = 0
+    path.write_text(json.dumps(manifest))
+    for tsv in path.parent.glob("*/val.tsv"):
+        _emptied(tsv)
+
+
+def _no_languages(path):
+    path.write_text(json.dumps(dict(json.loads(path.read_text()),
+                                    languages=[])))
+
+
 def _half_width(path, sidecar_too=False):
     """Keep the first half of the checkpoint's columns, and declare the
     new width in its sidecar if `sidecar_too`."""
@@ -512,6 +548,10 @@ class TestDamagedFiles:
                      id="tsv-bad-byte"),
         pytest.param("train", "run.cfg", _bad_byte, EXIT_USAGE, 3,
                      id="config-bad-byte"),
+        pytest.param("train", "data/manifest.json", _no_val_split, EXIT_IO,
+                     None, id="manifest-empty-val-split"),
+        pytest.param("train", "data/manifest.json", _no_languages, EXIT_IO,
+                     None, id="manifest-no-languages"),
         pytest.param("eval", "run/eval_matrix.csv", _emptied, EXIT_USAGE, 1,
                      id="eval-empty-eval-matrix"),
         pytest.param("report", "run/eval_matrix.csv", _emptied, EXIT_USAGE, 1,

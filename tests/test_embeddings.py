@@ -415,6 +415,51 @@ class TestOneReader:
         assert {name: hits for name, hits in found.items() if hits} == {}
 
 
+# Top-level names that no lexcl module uses, each with the reason it stays.
+_ENTRY_POINTS = {
+    "harness.run_sequence": "the library's one call for a whole run; the "
+                            "demos and the acceptance tests use it",
+}
+
+
+def unreferenced(sources: dict[str, str]) -> list[str]:
+    """`module.name` of each top-level function or class in `sources`
+    ({module: source}) that no module names, as a name or an attribute,
+    outside the definition itself."""
+    trees = {mod: ast.parse(source) for mod, source in sources.items()}
+    uses: dict[str, list[int]] = {}  # name -> ids of the nodes naming it
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, (ast.Name, ast.Attribute)):
+                name = n.id if isinstance(n, ast.Name) else n.attr
+                uses.setdefault(name, []).append(id(n))
+    found = []
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                own = {id(n) for n in ast.walk(node)}
+                if all(u in own for u in uses.get(node.name, ())):
+                    found.append(f"{mod}.{node.name}")
+    return found
+
+
+class TestEveryDefinitionHasACaller:
+    def test_scanner_finds_unused_definitions(self):
+        sources = {"a": "def f():\n    return g()\ndef g():\n    return 1\n"
+                        "def h():\n    return h()\nclass C:\n    pass\n",
+                   "b": "from a import f\nf()\n"}
+        assert unreferenced(sources) == ["a.h", "a.C"]
+
+    def test_every_definition_is_used_in_the_package(self):
+        """Code with no caller in lexcl is deleted rather than kept as an
+        option. The package __init__ does not count as a caller: it
+        re-exports names, it does not use them."""
+        sources = {p.stem: p.read_text(encoding="utf-8")
+                   for p in Path(emb.__file__).parent.glob("*.py")
+                   if p.name != "__init__.py"}
+        assert sorted(unreferenced(sources)) == sorted(_ENTRY_POINTS)
+
+
 def _eval_matrix(v):
     m = EvalMatrix()
     m.set(0, 0, "img2txt", v)

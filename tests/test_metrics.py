@@ -1,6 +1,8 @@
 """Metric tests: recall oracle, AR/F hand matrices and brute force, fusion,
 Fisher trace finite differences, histograms, CSV fidelity."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,155 +15,42 @@ from lexcl.losses import FeatureBatch, LossConfig, total_loss
 from lexcl.errors import (DegenerateFeatureError, InvalidInputError, MetricError)
 
 
-def full_sort_recall(q, g, relevance, k):
-    """Brute-force oracle: full stable sort of every similarity row."""
+def full_sort_recall(q, g, k):
+    """Brute-force oracle: full stable sort of every similarity row; line
+    i hits when item i is among its first k."""
     qn = q / np.linalg.norm(q, axis=1, keepdims=True)
     gn = g / np.linalg.norm(g, axis=1, keepdims=True)
     hits = 0
     for qi in range(q.shape[0]):
         sims = [(-float(qn[qi] @ gn[gi]), gi) for gi in range(g.shape[0])]
         sims.sort()
-        top = [gi for _, gi in sims[:k]]
-        hits += bool(relevance[qi] & set(top))
+        hits += qi in [gi for _, gi in sims[:k]]
     return 100.0 * hits / q.shape[0]
 
 
-class TestRecallAtK:
-    def test_identity_gallery(self):
-        q = np.random.default_rng(0).normal(size=(5, 4))
-        rel = {i: {i} for i in range(5)}
-        assert M.recall_at_k(q, q, rel, 1) == 100.0
-
-    def test_orthogonal_miss(self):
-        q = np.eye(2)
-        g = np.eye(2)
-        rel = {0: {1}, 1: {0}}
-        assert M.recall_at_k(q, g, rel, 1) == 0.0
-
-    def test_matches_full_sort_oracle_100_instances(self):
-        rng = np.random.default_rng(1)
-        for _ in range(100):
-            nq, ng = int(rng.integers(2, 10)), int(rng.integers(2, 10))
-            q = rng.normal(size=(nq, 5))
-            g = rng.normal(size=(ng, 5))
-            rel = {i: {int(rng.integers(0, ng))} for i in range(nq)}
-            k = int(rng.integers(1, ng + 1))
-            assert M.recall_at_k(q, g, rel, k) == full_sort_recall(q, g, rel, k)
-
-    def test_tie_break_lower_index(self):
-        q = np.array([[1.0, 0.0]])
-        g = np.array([[2.0, 0.0], [1.0, 0.0]])  # identical cosine
-        assert M.recall_at_k(q, g, {0: {0}}, 1) == 100.0
-        assert M.recall_at_k(q, g, {0: {1}}, 1) == 0.0
-
-    def test_rescaling_invariance(self):
-        rng = np.random.default_rng(2)
-        q = rng.normal(size=(4, 3))
-        g = rng.normal(size=(6, 3))
-        rel = {i: {i} for i in range(4)}
-        base = M.recall_at_k(q, g, rel, 2)
-        q2 = q * rng.uniform(0.1, 9.0, size=(4, 1))
-        g2 = g * rng.uniform(0.1, 9.0, size=(6, 1))
-        assert M.recall_at_k(q2, g2, rel, 2) == base
-
-    def test_empty_relevance_rejected(self):
-        q = np.ones((1, 2))
-        with pytest.raises(InvalidInputError):
-            M.recall_at_k(q, q, {0: set()}, 1)
-
-    def test_zero_norm_rejected(self):
-        with pytest.raises(DegenerateFeatureError):
-            M.recall_at_k(np.zeros((1, 2)), np.ones((1, 2)), {0: {0}}, 1)
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(DegenerateFeatureError):
-            M.recall_at_k(np.ones((1, 2)), np.array([[1.0, np.nan]]),
-                          {0: {0}}, 1)
-
-    @pytest.mark.parametrize("k", [1, 5, 10])
-    @pytest.mark.parametrize("max_relevant", [1, 3])
-    def test_matches_argsort_oracle_with_ties(self, k, max_relevant):
-        """Small integer features repeat rows and directions, so many
-        cosines tie exactly."""
-        rng = np.random.default_rng(k * 10 + max_relevant)
-        for _ in range(30):
-            nq, ng = int(rng.integers(1, 30)), int(rng.integers(1, 30))
-            q = rng.integers(-1, 2, size=(nq, 3)).astype(float)
-            g = rng.integers(-1, 2, size=(ng, 3)).astype(float)
-            q[~q.any(axis=1), 0] = 1.0
-            g[~g.any(axis=1), 0] = 1.0
-            rel = {i: set(rng.choice(ng, size=min(ng, int(rng.integers(
-                1, max_relevant + 1))), replace=False).tolist())
-                for i in range(nq)}
-            assert M.recall_at_k(q, g, rel, k) == \
-                oracles.recall_at_k(q, g, rel, k)
-
-    @given(seed=st.integers(0, 100_000), k=st.sampled_from([1, 5, 10]))
-    @settings(max_examples=40, deadline=None)
-    def test_matches_argsort_oracle_random(self, seed, k):
-        rng = np.random.default_rng(seed)
-        nq, ng = int(rng.integers(1, 40)), int(rng.integers(1, 600))
-        q, g = rng.normal(size=(nq, 4)), rng.normal(size=(ng, 4))
-        g[rng.integers(0, ng, size=ng // 3)] = g[0]  # duplicated items tie
-        rel = {i: set(rng.integers(0, ng, size=int(rng.integers(1, 4))).tolist())
-               for i in range(nq)}
-        assert M.recall_at_k(q, g, rel, k) == oracles.recall_at_k(q, g, rel, k)
-
-    @given(seed=st.integers(0, 100_000),
-           ks=st.lists(st.integers(1, 12), min_size=1, max_size=4, unique=True))
-    @settings(max_examples=40, deadline=None)
-    def test_tuple_of_k_equals_one_call_per_k(self, seed, ks):
-        """One rank pass for several k gives, bit for bit, what a call per
-        k and the argsort oracle give; ties are frequent."""
-        rng = np.random.default_rng(seed)
-        nq, ng = int(rng.integers(1, 30)), int(rng.integers(1, 300))
-        q = rng.integers(-1, 2, size=(nq, 3)).astype(float)
-        g = rng.normal(size=(ng, 3))
-        q[~q.any(axis=1), 0] = 1.0
-        g[rng.integers(0, ng, size=ng // 3)] = g[0]
-        rel = {i: set(rng.integers(0, ng, size=int(rng.integers(1, 3))).tolist())
-               for i in range(nq)}
-        together = M.recall_at_k(q, g, rel, tuple(ks))
-        assert list(together) == ks
-        for k in ks:
-            assert together[k] == M.recall_at_k(q, g, rel, k)
-            assert together[k] == oracles.recall_at_k(q, g, rel, k)
-
-    @pytest.mark.parametrize("k, relevance, bad", [
-        (1, {0: {0}, 1: {1}, 2: {7}}, "item 7"),
-        (1, {0: {0}, 1: {1}, 2: {-1}}, "item -1"),
-        (0, {i: {i} for i in range(3)}, "got 0"),
-        (-3, {i: {i} for i in range(3)}, "got -3"),
-        ((1, 0), {i: {i} for i in range(3)}, r"got \(1, 0\)"),
-        (1, {0: {0}, 1: {1}, 2: {2}, 3: {0}}, "key 3"),
-    ], ids=["item-past-gallery", "negative-item", "k-zero", "k-negative",
-            "k-tuple-with-zero", "key-past-queries"])
-    def test_meaningless_input_rejected(self, k, relevance, bad):
-        with pytest.raises(InvalidInputError, match=bad):
-            M.recall_at_k(np.eye(3), np.eye(3), relevance, k)
-
-    def test_empty_gallery_rejected(self):
-        with pytest.raises(InvalidInputError, match="gallery of 0"):
-            M.recall_at_k(np.eye(3), np.empty((0, 3)),
-                          {i: {i} for i in range(3)}, 1)
-
-
-def paired_case(seed, n, dup_txt=0, dup_img=0, noise=0.3):
-    """paired_recall's inputs for n texts over a random table: (pooling,
-    table, params, image features, encoded texts). Each image is its
-    text's feature plus noise; dup_txt texts and dup_img images are then
-    copies of another one, at a lower or a higher index."""
+def text_case(seed, texts, d_out=4):
+    """(pooling, table, params, encoded texts) of the id lists `texts`
+    over a random 12-row table."""
     rng = np.random.default_rng(seed)
     rows, d = 12, 4
     table = rng.normal(size=(rows, d)).astype(np.float32)
-    params = make_text_params(d, d, 8, seed=seed)
-    texts = [rng.integers(0, rows, size=int(rng.integers(1, 4))).tolist()
+    params = make_text_params(d, d_out, 8, seed=seed)
+    pooled = pooling([i for ids in texts for i in ids],
+                     [len(ids) for ids in texts], rows, params)
+    return pooled, table, params, encode_text(pooled, table, params)
+
+
+def paired_case(seed, n, dup_txt=0, dup_img=0, noise=0.3, d_out=4):
+    """paired_recall's inputs for n random texts: (pooling, table, params,
+    image features, encoded texts). Each image is its text's feature plus
+    noise; dup_txt texts and dup_img images are then copies of another
+    one, at a lower or a higher index."""
+    rng = np.random.default_rng(seed)
+    texts = [rng.integers(0, 12, size=int(rng.integers(1, 4))).tolist()
              for _ in range(n)]
     for i, j in rng.integers(0, n, size=(dup_txt, 2)):
         texts[j] = texts[i]
-    pooled = pooling([i for ids in texts for i in ids],
-                     [len(ids) for ids in texts], rows, params)
-    txt = encode_text(pooled, table, params)
+    pooled, table, params, txt = text_case(seed, texts, d_out)
     img = txt + noise * rng.normal(size=txt.shape)
     for i, j in rng.integers(0, n, size=(dup_img, 2)):
         img[j] = img[i]
@@ -177,6 +66,123 @@ def assert_paired_matches_oracle(seed, n, ks, **kw):
     assert list(got) == ["img2txt", "txt2img"]
     for d, (q, g) in (("img2txt", (img, txt)), ("txt2img", (txt, img))):
         assert got[d] == {k: oracles.recall_at_k(q, g, ident, k) for k in ks}
+
+
+# One-id texts over distinct rows: no two encode alike.
+DISTINCT = [[0], [1], [2], [3], [4]]
+
+
+class TestRecallAtK:
+    """The Recall@K rules of `paired_recall`: line i of either direction
+    ranks item i, equal scores go to the lower index, a feature's norm
+    does not count, and a degenerate feature is refused."""
+
+    def test_identity_gallery(self):
+        pooled, table, params, txt = text_case(0, DISTINCT)
+        assert M.paired_recall(pooled, table, params, txt, ks=(1, 5)) == \
+            {d: {1: 100.0, 5: 100.0} for d in M.DIRECTIONS}
+
+    def test_orthogonal_miss(self):
+        """Image i is text i + 1's feature, so no line ranks its own item
+        first."""
+        pooled, table, params, txt = text_case(0, DISTINCT)
+        img = np.roll(txt, -1, axis=0)
+        assert M.paired_recall(pooled, table, params, img) == \
+            {d: {1: 0.0} for d in M.DIRECTIONS}
+
+    def test_matches_full_sort_oracle_100_instances(self):
+        rng = np.random.default_rng(1)
+        for seed in range(100):
+            n = int(rng.integers(2, 10))
+            k = int(rng.integers(1, n + 1))
+            pooled, table, params, img, txt = paired_case(seed, n)
+            got = M.paired_recall(pooled, table, params, img, ks=(k,))
+            assert got == {"img2txt": {k: full_sort_recall(img, txt, k)},
+                           "txt2img": {k: full_sort_recall(txt, img, k)}}
+
+    def test_tie_break_lower_index(self):
+        """Two equal texts and two equal images: every score ties, so
+        line 0 ranks its item first and line 1 second, on the k = 1 path
+        and on the counting path alike."""
+        pooled, table, params, _ = text_case(0, [[3], [3]])
+        img = np.ones((2, 4))
+        for ks in ((1,), (1, 2)):
+            assert M.paired_recall(pooled, table, params, img, ks=ks) == \
+                {d: {k: {1: 50.0, 2: 100.0}[k] for k in ks} for d in M.DIRECTIONS}
+
+    def test_rescaling_invariance(self):
+        rng = np.random.default_rng(2)
+        for seed in range(10):
+            pooled, table, params, img, _ = paired_case(seed, 30)
+            base = M.paired_recall(pooled, table, params, img, ks=(1, 5, 10))
+            img = img * rng.uniform(0.1, 9.0, size=(30, 1))
+            assert M.paired_recall(pooled, table, params, img,
+                                   ks=(1, 5, 10)) == base
+
+    def test_zero_norm_rejected(self):
+        """A zero text feature: W = 0 and b = 0 make tanh(W h + b) = 0."""
+        pooled, table, params, img, _ = paired_case(0, 5)
+        params = replace(params, W=np.zeros_like(params.W))
+        with pytest.raises(DegenerateFeatureError, match="paired_recall"):
+            M.paired_recall(pooled, table, params, img)
+
+    def test_non_finite_rejected(self):
+        pooled, table, params, img, _ = paired_case(0, 5)
+        for bad in (np.nan, np.inf, -np.inf):
+            img[3, 1] = bad
+            with pytest.raises(DegenerateFeatureError, match="paired_recall"):
+                M.paired_recall(pooled, table, params, img)
+
+    @pytest.mark.parametrize("k", [1, 5, 10])
+    @pytest.mark.parametrize("d_out", [1, 3])
+    def test_matches_argsort_oracle_with_ties(self, k, d_out):
+        """One-wide features make every cosine +1 or -1, so nearly every
+        score ties; three-wide ones tie through copied texts and images."""
+        rng = np.random.default_rng(k * 10 + d_out)
+        for seed in range(30):
+            n, dup_txt, dup_img = (int(v) for v in rng.integers(1, 30, size=3))
+            assert_paired_matches_oracle(seed, n, (k,), dup_txt=dup_txt,
+                                         dup_img=dup_img, d_out=d_out)
+
+    @given(seed=st.integers(0, 100_000), k=st.sampled_from([1, 5, 10]))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_argsort_oracle_random(self, seed, k):
+        """Up to 600 pairs, more lines than one block of 256. The oracle
+        sorts the lines of the same cosine matrix: at this size a second
+        product, txt @ img.T, can round entries apart from img @ txt.T."""
+        n = int(np.random.default_rng(seed).integers(1, 600))
+        pooled, table, params, img, txt = paired_case(
+            seed, n, dup_txt=n // 3, dup_img=n // 3)
+        sims = M._unit(img, "img") @ M._unit(txt, "txt").T
+        got = M.paired_recall(pooled, table, params, img, ks=(k,))
+        for d, lines in (("img2txt", sims), ("txt2img", sims.T)):
+            top = np.argsort(-lines, axis=1, kind="stable")[:, :k]
+            hits = np.count_nonzero(top == np.arange(n)[:, None])
+            assert got[d] == {k: 100.0 * hits / n}
+
+    @given(seed=st.integers(0, 100_000),
+           ks=st.lists(st.integers(2, 12), min_size=1, max_size=3, unique=True),
+           noise=st.sampled_from([0.0, 0.3]))
+    @settings(max_examples=40, deadline=None)
+    def test_tuple_of_k_equals_one_call_per_k(self, seed, ks, noise):
+        """A call with k = 1 and larger k counts ranks for k = 1 too; a
+        call with k = 1 alone takes each line's first maximum. Both give
+        the same recall, and so does a call per larger k. Ties are
+        frequent."""
+        ks = (1, *ks)
+        n = int(np.random.default_rng(seed).integers(1, 300))
+        case = paired_case(seed, n, dup_txt=n // 3, dup_img=n // 3,
+                           noise=noise)[:4]
+        together = M.paired_recall(*case, ks=ks)
+        for d in M.DIRECTIONS:
+            assert list(together[d]) == list(ks)
+            for k in ks:
+                assert together[d][k] == M.paired_recall(*case, ks=(k,))[d][k]
+
+    def test_empty_gallery_rejected(self):
+        pooled, table, params, img, _ = paired_case(0, 3)
+        with pytest.raises(InvalidInputError, match="3 texts, 0 images"):
+            M.paired_recall(pooled, table, params, img[:0])
 
 
 class TestPairedRecall:
@@ -213,7 +219,7 @@ class TestPairedRecall:
 
     def test_one_cosine_product(self, monkeypatch):
         """Validation scores k = 1, 5, 10 in both directions from one
-        img @ txt.T, and calls no recall_at_k."""
+        img @ txt.T."""
         products = []
 
         class Counted(np.ndarray):
@@ -224,8 +230,6 @@ class TestPairedRecall:
         real_unit = M._unit
         monkeypatch.setattr(M, "_unit",
                             lambda *a: real_unit(*a).view(Counted))
-        monkeypatch.setattr(M, "recall_at_k", lambda *a: pytest.fail(
-            "paired_recall called recall_at_k"))
         pooled, table, params, img, _ = paired_case(0, 6)
         res = M.paired_recall(pooled, table, params, img, ks=(1, 5, 10))
         assert products == [(6, 4)]
