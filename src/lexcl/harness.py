@@ -36,10 +36,7 @@ class RunConfig:
     data_dir: str
     out_dir: str
     loss: LossConfig = field(default_factory=LossConfig)
-    optim_kind: str = key("sgd", "optim.kind", choices=("adamw", "sgd"))
-    lr_peak: float = key(1.0, "optim.lr", gt=0)
-    weight_decay: float = key(0.005, "optim.weight_decay", ge=0)
-    warmup_fraction: float = key(0.1, "optim.warmup_fraction", ge=0, lt=1)
+    optim: OptimConfig = field(default_factory=OptimConfig)
     vocab_size_per_task: int = key(512, "vocab.size_per_task",
                                    ge=bpe.N_BYTES + 1)
     dim: int = key(64, "model.dim", ge=1)
@@ -229,10 +226,7 @@ class Runner:
             [td.train.image for td in tasks])].astype(np.float64)
         n = len(img_feats)
         steps_per_epoch = (n + cfg.batch_size - 1) // cfg.batch_size
-        ocfg = OptimConfig(kind=cfg.optim_kind, lr_peak=cfg.lr_peak,
-                           weight_decay=cfg.weight_decay,
-                           warmup_fraction=cfg.warmup_fraction,
-                           total_steps=cfg.epochs * steps_per_epoch)
+        ocfg = cfg.optim
         if self.anchor is None:
             eng_feats = np.zeros((n, cfg.d_out))
             loss_cfg = replace(cfg.loss, gamma_cl=0.0)
@@ -240,7 +234,8 @@ class Runner:
         else:
             eng_feats = np.concatenate(self._english_feats(tasks))
             loss_cfg = cfg.loss
-        ostate = OptimState()
+        ostate = OptimState(self.table.shape, cfg.epochs * steps_per_epoch,
+                            ocfg.kind)
 
         best_score = -1.0
         best_matrix = None

@@ -1,53 +1,63 @@
 """Sparse row-wise optimizer with per-token update scaling.
 
-Both the gradient and the decoupled weight-decay rate of a row are
-multiplied by that token's lambda coefficient; rows with lambda 0 are
-dropped from the index before any write, which makes their bitwise
-invariance across a task a structural property rather than a numerical
-accident. Updates are lazy: only the rows passed in are touched, all at
-once (AdamW after Loshchilov & Hutter, arXiv:1711.05101).
+A row's step and its decoupled weight-decay rate are both multiplied by
+that token's lambda coefficient, under SGD and AdamW alike. AdamW's
+moments see the raw gradient and lambda scales the step,
+lr * lambda * m_hat / (sqrt(v_hat) + eps): a factor on the gradient
+would cancel in m / sqrt(v). Rows with lambda 0 are dropped from the
+index before any write, which makes their bitwise invariance across a
+task a structural property rather than a numerical accident. Updates
+are lazy: only the rows passed in are touched, all at once (AdamW after
+Loshchilov & Hutter, arXiv:1711.05101). A task builds one OptimState
+for its table and its number of steps; a step past them raises.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import InvalidInputError, NumericError, check_keys, key
+
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass(frozen=True)
 class OptimConfig:
-    """Optimiser settings. The run config declares and checks the ones
-    a user sets (its optim.* keys)."""
+    """The optim.* section of the run config."""
 
-    kind: str = "adamw"  # "adamw" | "sgd"
-    lr_peak: float = 5e-5
-    weight_decay: float = 0.05
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    warmup_fraction: float = 0.1
-    total_steps: int = 1
+    kind: str = key("sgd", "optim.kind", choices=("adamw", "sgd"))
+    lr_peak: float = key(1.0, "optim.lr", gt=0)
+    weight_decay: float = key(0.005, "optim.weight_decay", ge=0)
+    warmup_fraction: float = key(0.1, "optim.warmup_fraction", ge=0, lt=1)
+
+    def __post_init__(self):
+        check_keys(self)
 
 
-@dataclass
 class OptimState:
-    """AdamW moments of every row (|V| x d, grown with the table), each
-    row's own step count t, the global step counter of the schedule, and
-    the bias corrections (1 - beta1 ** t, 1 - beta2 ** t) by t."""
+    """The schedule position of one task of `total_steps` steps on a
+    table of `shape`. Under AdamW, also every row's moments and own step
+    count t, and the bias corrections (1 - BETA1 ** t, 1 - BETA2 ** t)
+    by t; SGD keeps no moments."""
 
-    m: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
-    v: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
-    t: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    step_count: int = 0
-    bias: np.ndarray = field(default_factory=lambda: np.zeros((0, 2)))
+    def __init__(self, shape: tuple[int, int], total_steps: int, kind: str):
+        self.total_steps = total_steps
+        self.step_count = 0
+        if kind == "adamw":
+            self.m, self.v = np.zeros(shape), np.zeros(shape)
+            self.t = np.zeros(shape[0], dtype=np.int64)
+            # Python's float power: numpy's can differ from it in the last
+            # bit, and from one CPU to another
+            self.bias = np.array([(1.0 - BETA1 ** k, 1.0 - BETA2 ** k)
+                                  for k in range(total_steps + 1)])
 
 
-def lr_at(step: int, cfg: OptimConfig) -> float:
-    """Linear ramp from 0 to lr_peak over the warmup steps, then flat."""
-    warmup = int(np.ceil(cfg.warmup_fraction * cfg.total_steps))
+def lr_at(step: int, total_steps: int, cfg: OptimConfig) -> float:
+    """Linear ramp from 0 to lr_peak over the warmup steps of a
+    `total_steps` schedule, then flat."""
+    warmup = int(np.ceil(cfg.warmup_fraction * total_steps))
     if warmup <= 0 or step >= warmup:
         return cfg.lr_peak
     return cfg.lr_peak * (step / warmup)
@@ -57,7 +67,10 @@ def step(matrix: np.ndarray, rows, lam: np.ndarray, grads, cfg: OptimConfig,
          state: OptimState) -> None:
     """Apply one scheduled update, in place, to the distinct `rows` of
     the float32 matrix, whose gradients are the rows of `grads`."""
-    lr = lr_at(state.step_count, cfg)
+    if state.step_count >= state.total_steps:
+        raise InvalidInputError(f"step: the schedule's {state.total_steps} "
+                                "steps are all taken")
+    lr = lr_at(state.step_count, state.total_steps, cfg)
     state.step_count += 1
     rows, g = np.asarray(rows, dtype=np.int64), np.asarray(grads, dtype=np.float64)
     if not np.all(np.isfinite(g)):
@@ -71,23 +84,12 @@ def step(matrix: np.ndarray, rows, lam: np.ndarray, grads, cfg: OptimConfig,
         theta = theta * (1.0 - (lr * cfg.weight_decay) * lam_r) \
             - (lr * lam_r) * g
     else:
-        extra = len(matrix) - len(state.t)
-        if extra > 0:
-            state.m, state.v = (np.pad(a.reshape(-1, matrix.shape[1]),
-                                       ((0, extra), (0, 0))) for a in (state.m, state.v))
-            state.t = np.pad(state.t, (0, extra))
-        g = lam_r * g
         theta = theta - ((lr * cfg.weight_decay) * lam_r) * theta
-        if len(state.bias) <= state.step_count:  # each row's t <= step_count
-            # Python's float power: numpy's can differ from it in the last
-            # bit, and from one CPU to another
-            n = max(cfg.total_steps, 2 * state.step_count) + 1
-            state.bias = np.array([(1.0 - cfg.beta1 ** k, 1.0 - cfg.beta2 ** k)
-                                   for k in range(n)])
         t = state.t[rows] + 1
-        m = cfg.beta1 * state.m[rows] + (1.0 - cfg.beta1) * g
-        v = cfg.beta2 * state.v[rows] + (1.0 - cfg.beta2) * (g * g)
+        m = BETA1 * state.m[rows] + (1.0 - BETA1) * g
+        v = BETA2 * state.v[rows] + (1.0 - BETA2) * (g * g)
         bias = state.bias[t]
-        theta = theta - lr * (m / bias[:, :1]) / (np.sqrt(v / bias[:, 1:]) + cfg.eps)
+        theta = theta - (lr * lam_r) * (m / bias[:, :1]) \
+            / (np.sqrt(v / bias[:, 1:]) + EPS)
         state.m[rows], state.v[rows], state.t[rows] = m, v, t
     matrix[rows] = theta.astype(np.float32)

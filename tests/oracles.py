@@ -17,7 +17,7 @@ from scipy import sparse
 
 from lexcl import bpe
 from lexcl.errors import InvalidIdError, InvalidInputError, NumericError
-from lexcl.optim import lr_at
+from lexcl.optim import BETA1, BETA2, EPS, lr_at
 
 
 def _pooled(ids, matrix, params):
@@ -111,6 +111,7 @@ class CsrPooling:
 
 @dataclass
 class DictState:
+    total_steps: int
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
     t: dict = field(default_factory=dict)
@@ -119,10 +120,12 @@ class DictState:
 
 def step(matrix, grads, lam, cfg, state: DictState) -> None:
     """One scheduled update of the rows in `grads` ({row: gradient}),
-    row by row; rows with lambda 0 are skipped. AdamW's bias corrections
-    are Python float powers 1 - beta ** t of each row's t, taken anew at
-    every step: the per-task table of optim.step must match them."""
-    lr = lr_at(state.step_count, cfg)
+    row by row; rows with lambda 0 are skipped. AdamW's moments take the
+    raw gradient, and lambda scales the step and the decay. Its bias
+    corrections are Python float powers 1 - beta ** t of each row's t,
+    taken anew at every step: the per-task table of optim.step must
+    match them."""
+    lr = lr_at(state.step_count, state.total_steps, cfg)
     state.step_count += 1
     for j in sorted(grads):
         g = np.asarray(grads[j], dtype=np.float64)
@@ -136,16 +139,15 @@ def step(matrix, grads, lam, cfg, state: DictState) -> None:
             theta = theta * (1.0 - (lr * cfg.weight_decay) * lam_j) \
                 - (lr * lam_j) * g
         else:
-            g = lam_j * g
             theta = theta - ((lr * cfg.weight_decay) * lam_j) * theta
             m = state.m.get(j, np.zeros_like(theta))
             v = state.v.get(j, np.zeros_like(theta))
             t = state.t.get(j, 0) + 1
-            m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
-            v = cfg.beta2 * v + (1.0 - cfg.beta2) * (g * g)
-            m_hat = m / (1.0 - cfg.beta1 ** t)
-            v_hat = v / (1.0 - cfg.beta2 ** t)
-            theta = theta - lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+            m = BETA1 * m + (1.0 - BETA1) * g
+            v = BETA2 * v + (1.0 - BETA2) * (g * g)
+            m_hat = m / (1.0 - BETA1 ** t)
+            v_hat = v / (1.0 - BETA2 ** t)
+            theta = theta - (lr * lam_j) * m_hat / (np.sqrt(v_hat) + EPS)
             state.m[j], state.v[j], state.t[j] = m, v, t
         matrix[j] = theta.astype(np.float32)
 

@@ -113,8 +113,9 @@ def test_criterion_3_lambda_semantics():
             ref = table.copy()
             before = table.copy()
             cfg = optim.OptimConfig(kind=kind, lr_peak=0.2, weight_decay=0.01,
-                                    warmup_fraction=0.1, total_steps=6)
-            st1, st2 = optim.OptimState(), optim.OptimState()
+                                    warmup_fraction=0.1)
+            st1, st2 = (optim.OptimState(table.shape, 6, kind)
+                        for _ in range(2))
             for _ in range(6):
                 rows = rng.choice(state.size, size=8, replace=False)
                 grads = rng.normal(size=(8, 4))

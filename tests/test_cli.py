@@ -334,6 +334,30 @@ class TestEvalAndReport:
         assert named in capsys.readouterr().err
         assert not (run / "eval_matrix_recomputed_test.csv").exists()
 
+    def test_run_with_flat_optim_fields_still_loads(self, workdir, tmp_path):
+        """config.json nests the optim section. A run directory whose
+        config.json holds the optim fields flat, as older runs wrote
+        them, still evaluates exactly and reports."""
+        run = tmp_path / "run"
+        shutil.copytree(workdir / "run", run, ignore=shutil.ignore_patterns(
+            "eval_matrix_recomputed_*"))
+        path = run / "config.json"
+        cfg = json.loads(path.read_text())
+        optim = cfg.pop("optim")
+        assert optim == {"kind": "sgd", "lr_peak": 1.0, "weight_decay": 0.005,
+                         "warmup_fraction": 0.1}
+        cfg.update(optim_kind=optim["kind"], lr_peak=optim["lr_peak"],
+                   weight_decay=optim["weight_decay"],
+                   warmup_fraction=optim["warmup_fraction"])
+        path.write_text(json.dumps(cfg, indent=1, sort_keys=True))
+        assert main(["eval", "--run", str(run),
+                     "--data", str(workdir / "data")]) == EXIT_OK
+        recomputed = EvalMatrix.load_csv(run / "eval_matrix_recomputed_test.csv")
+        stored = EvalMatrix.load_csv(run / "eval_matrix.csv")
+        assert recomputed.entries == stored.entries
+        assert main(["report", "--run", str(run),
+                     "--out", str(tmp_path / "report")]) == EXIT_OK
+
     def test_report_outputs(self, workdir, tmp_path):
         out = tmp_path / "report"
         assert main(["report", "--run", str(workdir / "run"),

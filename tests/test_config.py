@@ -1,7 +1,12 @@
 """Config file parsing and mapping onto benchmark/run configurations."""
 
+import importlib
+import pkgutil
+from dataclasses import fields, is_dataclass
+
 import pytest
 
+import lexcl
 from lexcl import config as C
 from lexcl.bench import BenchConfig
 from lexcl.errors import InvalidInputError
@@ -72,7 +77,7 @@ class TestMapping:
         rc = C.build(RunConfig, {"optim.lr": 0.5, "loss.tau": 0.1,
                                  "run.teir_reg": False},
                      data_dir="data", out_dir="out")
-        assert rc.lr_peak == 0.5
+        assert rc.optim.lr_peak == 0.5
         assert rc.loss.tau == 0.1
         assert rc.teir_reg is False
         assert rc.data_dir == "data" and rc.out_dir == "out"
@@ -86,3 +91,32 @@ class TestMapping:
         with pytest.raises(InvalidInputError):
             C.build(RunConfig, {"run.mode": "sideways"}, data_dir="d",
                     out_dir="o")
+
+
+def _config_classes():
+    """Every dataclass named *Config defined in a module of lexcl."""
+    found = set()
+    for info in pkgutil.iter_modules(lexcl.__path__):
+        module = importlib.import_module(f"lexcl.{info.name}")
+        found |= {obj for name, obj in vars(module).items()
+                  if name.endswith("Config") and is_dataclass(obj)
+                  and obj.__module__ == module.__name__}
+    return found
+
+
+def test_every_setting_is_a_key():
+    """Each field of each config dataclass declares a config key or is a
+    nested config whose keys all lie in the section of its name, except
+    the run's data and output directories, which the CLI flags set."""
+    classes = _config_classes()
+    assert {c.__name__ for c in classes} >= {
+        "BenchConfig", "LossConfig", "OptimConfig", "RunConfig"}
+    unkeyed = {(RunConfig, "data_dir"), (RunConfig, "out_dir")}
+    for cls in classes:
+        for f in fields(cls):
+            if "key" in f.metadata or (cls, f.name) in unkeyed:
+                continue
+            section = f.default_factory
+            assert section in classes, f"{cls.__name__}.{f.name} has no key"
+            assert all(k.startswith(f"{f.name}.")
+                       for k in C.settings(section())), f.name

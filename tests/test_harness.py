@@ -22,6 +22,7 @@ from lexcl.errors import (CheckpointError, DegenerateFeatureError,
                           InvalidInputError, NumericError)
 from lexcl.harness import RunConfig, Runner, run_sequence, sub_seed
 from lexcl.metrics import EvalMatrix
+from lexcl.optim import OptimConfig
 from lexcl.report import recompute_eval_matrix
 
 
@@ -242,7 +243,11 @@ class TestModesAndArtifacts:
     def test_config_validation_ranges(self, tiny_data, tmp_path, field,
                                       value):
         with pytest.raises(InvalidInputError):
-            tiny_run_cfg(tiny_data, tmp_path, **{field: value})
+            if field in {f.name for f in fields(OptimConfig)}:
+                tiny_run_cfg(tiny_data, tmp_path,
+                             optim=OptimConfig(**{field: value}))
+            else:
+                tiny_run_cfg(tiny_data, tmp_path, **{field: value})
 
     @pytest.mark.parametrize("tau", [float("nan"), float("inf")])
     def test_config_validation_tau_finite(self, tiny_data, tmp_path, tau):
@@ -381,7 +386,7 @@ class TestGoldenOutputs:
         out = tmp_path / "run"
         cfg = tiny_run_cfg(tiny_data, out)
         kwargs = {f.name: getattr(cfg, f.name) for f in fields(cfg)
-                  if f.name != "loss"}
+                  if f.name not in ("loss", "optim")}
         src = os.path.dirname(os.path.dirname(harness.__file__))
         env = dict(os.environ, OPENBLAS_CORETYPE=kernel,
                    OPENBLAS_VERBOSE="2", OPENBLAS_NUM_THREADS="1",

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from lexcl import optim
-from lexcl.errors import NumericError
+from lexcl.errors import InvalidInputError, NumericError
 
 
 def table_of(rows):
@@ -24,22 +24,27 @@ def step(table, grads, lam, cfg, state):
 def flat_cfg(kind="sgd", lr=0.1, wd=0.05):
     # warmup 0 so the first step already uses lr_peak
     return optim.OptimConfig(kind=kind, lr_peak=lr, weight_decay=wd,
-                             warmup_fraction=0.0, total_steps=10)
+                             warmup_fraction=0.0)
+
+
+def new_state(table, cfg, total_steps=10):
+    return optim.OptimState(table.shape, total_steps, cfg.kind)
 
 
 class TestSgdStep:
     def test_hand_case(self):
         t = table_of([[1.0]])
-        step(t, {0: np.array([0.2])}, np.array([1.0]),
-                   flat_cfg(lr=0.1, wd=0.05), optim.OptimState())
+        cfg = flat_cfg(lr=0.1, wd=0.05)
+        step(t, {0: np.array([0.2])}, np.array([1.0]), cfg, new_state(t, cfg))
         assert np.isclose(t[0, 0], 0.975, atol=1e-7)
 
     def test_lambda_zero_bitwise_unchanged(self):
         t = table_of([[0.3, -0.7], [1.5, 2.5]])
         before = t.copy()
+        cfg = flat_cfg()
         for _ in range(5):
             step(t, {0: np.array([9.0, -9.0]), 1: np.array([1.0, 1.0])},
-                       np.array([0.0, 1.0]), flat_cfg(), optim.OptimState())
+                       np.array([0.0, 1.0]), cfg, new_state(t, cfg))
         assert t[0].tobytes() == before[0].tobytes()
         assert t[1].tobytes() != before[1].tobytes()
 
@@ -49,7 +54,7 @@ class TestSgdStep:
             t = table_of(rng.normal(size=(4, 3)))
             ref = t.copy()
             cfg = flat_cfg(kind=kind)
-            s1, s2 = optim.OptimState(), oracles.DictState()
+            s1, s2 = new_state(t, cfg), oracles.DictState(10)
             for _ in range(10):
                 grads = {int(j): rng.normal(size=3)
                          for j in rng.choice(4, size=2, replace=False)}
@@ -62,8 +67,9 @@ class TestSgdStep:
         disp = []
         for lam in (0.0, 0.25, 0.5, 1.0):
             t = table_of([[1.0, 1.0]])
-            step(t, {0: np.array([0.5, -0.5])}, np.array([lam]),
-                       flat_cfg(), optim.OptimState())
+            cfg = flat_cfg()
+            step(t, {0: np.array([0.5, -0.5])}, np.array([lam]), cfg,
+                 new_state(t, cfg))
             disp.append(np.linalg.norm(t[0] - np.array([1.0, 1.0])))
         assert disp == sorted(disp)
         assert len(set(disp)) == len(disp)
@@ -72,21 +78,22 @@ class TestSgdStep:
         rng = np.random.default_rng(1)
         t = table_of(rng.normal(size=(5, 2)))
         before = t.copy()
-        step(t, {2: np.array([1.0, 1.0])}, np.ones(5),
-                   flat_cfg(kind="adamw"), optim.OptimState())
+        cfg = flat_cfg(kind="adamw")
+        step(t, {2: np.array([1.0, 1.0])}, np.ones(5), cfg, new_state(t, cfg))
         for j in (0, 1, 3, 4):
             assert t[j].tobytes() == before[j].tobytes()
 
     def test_nan_grad_aborts(self):
         t = table_of([[1.0]])
+        cfg = flat_cfg()
         with pytest.raises(NumericError):
-            step(t, {0: np.array([np.nan])}, np.ones(1),
-                       flat_cfg(), optim.OptimState())
+            step(t, {0: np.array([np.nan])}, np.ones(1), cfg,
+                 new_state(t, cfg))
 
 
 def reference_step(table, grads, cfg, state):
     """Unscaled textbook update, written independently of optim.step."""
-    lr = optim.lr_at(state.step_count, cfg)
+    lr = optim.lr_at(state.step_count, state.total_steps, cfg)
     state.step_count += 1
     for j in sorted(grads):
         g = np.asarray(grads[j], dtype=np.float64)
@@ -98,27 +105,27 @@ def reference_step(table, grads, cfg, state):
             m = state.m.get(j, np.zeros_like(theta))
             v = state.v.get(j, np.zeros_like(theta))
             t = state.t.get(j, 0) + 1
-            m = cfg.beta1 * m + (1 - cfg.beta1) * g
-            v = cfg.beta2 * v + (1 - cfg.beta2) * g * g
-            theta = theta - lr * (m / (1 - cfg.beta1 ** t)) / (
-                np.sqrt(v / (1 - cfg.beta2 ** t)) + cfg.eps)
+            m = optim.BETA1 * m + (1 - optim.BETA1) * g
+            v = optim.BETA2 * v + (1 - optim.BETA2) * g * g
+            theta = theta - lr * (m / (1 - optim.BETA1 ** t)) / (
+                np.sqrt(v / (1 - optim.BETA2 ** t)) + optim.EPS)
             state.m[j], state.v[j], state.t[j] = m, v, t
         table[j] = theta.astype(np.float32)
 
 
 class TestSchedule:
     def test_step_zero_is_zero(self):
-        cfg = optim.OptimConfig(lr_peak=1.0, warmup_fraction=0.1, total_steps=100)
-        assert optim.lr_at(0, cfg) == 0.0
+        cfg = optim.OptimConfig(lr_peak=1.0, warmup_fraction=0.1)
+        assert optim.lr_at(0, 100, cfg) == 0.0
 
     def test_warmup_end_is_peak(self):
-        cfg = optim.OptimConfig(lr_peak=1.0, warmup_fraction=0.1, total_steps=100)
-        assert optim.lr_at(10, cfg) == 1.0
-        assert optim.lr_at(73, cfg) == 1.0
+        cfg = optim.OptimConfig(lr_peak=1.0, warmup_fraction=0.1)
+        assert optim.lr_at(10, 100, cfg) == 1.0
+        assert optim.lr_at(73, 100, cfg) == 1.0
 
     def test_midpoint_half_peak(self):
-        cfg = optim.OptimConfig(lr_peak=2.0, warmup_fraction=0.1, total_steps=100)
-        assert abs(optim.lr_at(5, cfg) - 1.0) <= 2.0 / 10
+        cfg = optim.OptimConfig(lr_peak=2.0, warmup_fraction=0.1)
+        assert abs(optim.lr_at(5, 100, cfg) - 1.0) <= 2.0 / 10
 
 
 @given(seed=st.integers(0, 100_000),
@@ -132,9 +139,9 @@ def test_lambda_zero_invariance_property(seed, kind, n_steps):
     t = table_of(rng.normal(size=(rows, 3)))
     lam = rng.choice([0.0, 0.5, 1.0], size=rows)
     before = t.copy()
-    state = optim.OptimState()
     cfg = optim.OptimConfig(kind=kind, lr_peak=0.3, weight_decay=0.05,
-                            warmup_fraction=0.25, total_steps=n_steps)
+                            warmup_fraction=0.25)
+    state = new_state(t, cfg, n_steps)
     for _ in range(n_steps):
         touched = rng.choice(rows, size=3, replace=False)
         step(t, {int(j): rng.normal(size=3) for j in touched},
@@ -157,8 +164,8 @@ def test_matches_row_by_row_oracle(seed, kind, n_steps):
     ref = t.copy()
     lam = rng.choice([0.0, 0.5, 1.0], size=rows)
     cfg = optim.OptimConfig(kind=kind, lr_peak=0.3, weight_decay=0.05,
-                            warmup_fraction=0.25, total_steps=n_steps)
-    state, ref_state = optim.OptimState(), oracles.DictState()
+                            warmup_fraction=0.25)
+    state, ref_state = new_state(t, cfg, n_steps), oracles.DictState(n_steps)
     for _ in range(n_steps):
         touched = rng.choice(rows, size=int(rng.integers(1, rows)),
                              replace=False)
@@ -175,40 +182,63 @@ def test_lambda_zero_rows_are_never_written(kind):
     """Writing a lambda=0 row back, even unchanged in value, would turn
     its -0.0 entries into +0.0 under a negative gradient."""
     t = table_of([[-0.0, -0.0], [1.0, 1.0]])
-    state = optim.OptimState()
+    cfg = flat_cfg(kind=kind)
+    state = new_state(t, cfg)
     step(t, {0: np.array([-1.0, -2.0]), 1: np.array([-1.0, -2.0])},
-         np.array([0.0, 1.0]), flat_cfg(kind=kind), state)
+         np.array([0.0, 1.0]), cfg, state)
     assert t[0].tobytes() == np.array([-0.0, -0.0], np.float32).tobytes()
     if kind == "adamw":
         assert state.t.tolist() == [0, 1]
 
 
-def test_moments_grow_with_the_table():
-    cfg = flat_cfg(kind="adamw")
-    state = optim.OptimState()
-    small = table_of(np.ones((2, 3)))
-    step(small, {1: np.ones(3)}, np.ones(2), cfg, state)
-    m_row = state.m[1].copy()
-    big = table_of(np.ones((5, 3)))
-    step(big, {4: np.ones(3)}, np.ones(5), cfg, state)
-    assert state.m.shape == (5, 3) and state.t.tolist() == [0, 1, 0, 0, 1]
-    assert np.array_equal(state.m[1], m_row)
+@pytest.mark.parametrize("kind", ["sgd", "adamw"])
+def test_lambda_scales_the_step(kind):
+    """One step on the same rows and gradients moves a row with lambda c
+    exactly c times as far as a row with lambda 1, to float32 rounding.
+    Under AdamW a lambda on the gradient would cancel in m / sqrt(v)."""
+    rng = np.random.default_rng(3)
+    lams = np.array([1.0, 0.5, 0.25, 0.1])
+    row = rng.uniform(0.5, 1.0, size=4)
+    t = table_of(np.tile(row, (len(lams), 1)))
+    before = t.astype(np.float64)
+    cfg = flat_cfg(kind=kind, lr=0.01)
+    g = rng.normal(size=4)
+    step(t, {j: g for j in range(len(lams))}, lams, cfg, new_state(t, cfg))
+    moved = before - t.astype(np.float64)
+    assert np.all(np.abs(moved[0]) > 1e-3)
+    for j, c in enumerate(lams):
+        np.testing.assert_allclose(moved[j], c * moved[0], rtol=0,
+                                   atol=np.spacing(np.float32(1.0)))
 
 
-@pytest.mark.parametrize("total_steps", [30, 1])
-def test_bias_table_matches_per_step_powers(total_steps):
+@pytest.mark.parametrize("kind", ["sgd", "adamw"])
+def test_step_past_the_schedule_raises(kind):
+    """A state is made for its task's number of steps; one more step
+    raises, naming the schedule, and writes nothing."""
+    t = table_of([[1.0, 1.0]])
+    cfg = flat_cfg(kind=kind)
+    state = new_state(t, cfg, total_steps=2)
+    for _ in range(2):
+        step(t, {0: np.array([1.0, 1.0])}, np.ones(1), cfg, state)
+    after = t.copy()
+    with pytest.raises(InvalidInputError, match="schedule"):
+        step(t, {0: np.array([1.0, 1.0])}, np.ones(1), cfg, state)
+    assert t.tobytes() == after.tobytes() and state.step_count == 2
+
+
+def test_bias_table_matches_per_step_powers():
     """Over a task longer than its warmup, with rows first touched at
     different steps, the bias-correction table gives the matrix, m, v and
-    t of the per-step Python powers of the row-by-row oracle, bit for bit.
-    A total_steps below the steps taken makes the table grow mid-task."""
+    t of the per-step Python powers of the row-by-row oracle, bit for bit."""
     rng = np.random.default_rng(12)
     rows, n_steps = 8, 30
     t = table_of(rng.normal(size=(rows, 3)))
     ref = t.copy()
     lam = np.array([1.0, 0.5, 1.0, 0.25, 1.0, 0.5, 1.0, 1.0])
     cfg = optim.OptimConfig(kind="adamw", lr_peak=0.3, weight_decay=0.05,
-                            warmup_fraction=0.2, total_steps=total_steps)
-    state, ref_state = optim.OptimState(), oracles.DictState()
+                            warmup_fraction=0.2)
+    state = new_state(t, cfg, n_steps)
+    ref_state = oracles.DictState(n_steps)
     for s in range(n_steps):
         # row j joins at step 3 j; the rows already in are touched at random
         live = np.arange(min(rows, s // 3 + 1))
