@@ -84,8 +84,8 @@ _PCG_MULT_HI = np.uint64(2549297995355413924)
 _PCG_MULT_LO = np.uint64(4865540595714422341)
 
 
-def _stream_mix(names) -> int:
-    h = hashlib.sha256("/".join(map(str, names)).encode()).digest()
+def _stream_mix(name: str) -> int:
+    h = hashlib.sha256(name.encode()).digest()
     return int.from_bytes(h[:8], "little")
 
 
@@ -93,8 +93,8 @@ def _rng(seed: int, *names) -> np.random.Generator:
     """Stream `names`: `np.random.default_rng(np.random.SeedSequence(
     [seed, mix]))`, where mix is the first 8 bytes (little-endian) of the
     sha256 of the '/'-joined names."""
-    return np.random.default_rng(
-        np.random.SeedSequence([seed, _stream_mix(names)]))
+    return np.random.default_rng(np.random.SeedSequence(
+        [seed, _stream_mix("/".join(map(str, names)))]))
 
 
 def _add128(a_hi, a_lo, b_hi, b_lo):
@@ -264,13 +264,13 @@ def _shuffled(lanes: _Lanes, c: int) -> np.ndarray:
     return order
 
 
-def _captions(seed: int, names: list[tuple], concepts: np.ndarray,
+def _captions(seed: int, names: list[str], concepts: np.ndarray,
               concept_words: list[str], function_words: list[str]) -> list[str]:
-    """The caption of every image k at once, drawn on stream names[k] (see
-    `_rng`) as `_Lanes`: the words of row k of `concepts` shuffled, then
-    one or two function words, each inserted at a drawn position. A lane
-    draws in a Generator's order: the shuffle, the number of function
-    words, then each one's position and index."""
+    """The caption of every image k at once, drawn on stream names[k] (the
+    '/'-joined names of `_rng`) as `_Lanes`: the words of row k of
+    `concepts` shuffled, then one or two function words, each inserted at
+    a drawn position. A lane draws in a Generator's order: the shuffle,
+    the number of function words, then each one's position and index."""
     n, c = concepts.shape
     mixes = np.fromiter(map(_stream_mix, names), dtype=np.uint64, count=n)
     # the draws of a caption with two function words and no redraw
@@ -342,7 +342,7 @@ def gen_benchmark(cfg: BenchConfig, out_dir) -> None:
     def captions(lang: int) -> list[str]:
         """Language lang's caption of every image, in image order (the
         splits cover the image indices in order)."""
-        names = [("captions", lang, split, img)
+        names = [f"captions/{lang}/{split}/{img}"
                  for split in SPLITS for img in split_ranges[split]]
         return _captions(cfg.seed, names, concepts, lexicons[lang],
                          func_lexicons[lang])

@@ -1,7 +1,7 @@
 """Frozen text encoder: deterministic mean pooling, one affine map and
-tanh squashing, batched over padded id/weight arrays (plus its exact
-adjoint w.r.t. the embedding rows). Image features are a frozen array
-that `bench.load_images` reads.
+tanh squashing, batched over padded id/weight arrays in aligned blocks
+of texts (plus its exact adjoint w.r.t. the embedding rows). Image
+features are a frozen array that `bench.load_images` reads.
 
 The text encoder is deliberately simple so gradients are hand-derivable
 and finite-difference-checkable; the only trainable parameters anywhere
@@ -15,6 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidIdError, InvalidInputError
+
+BLOCK, MIN_TAIL = 256, 32  # encode_text's texts per block; its least tail
 
 
 @dataclass(frozen=True)
@@ -107,16 +109,30 @@ def pooling(ids, lengths, n_rows: int, params: FrozenTextParams) -> Pooling:
     return Pooling(padded_ids, w, n)
 
 
-def encode_text(pooled: Pooling, matrix: np.ndarray,
-                params: FrozenTextParams) -> np.ndarray:
-    """K x d_out features r = tanh(W h + b) of the pooled texts under the
-    embedding matrix."""
+def _encode_block(pooled: Pooling, matrix: np.ndarray,
+                  params: FrozenTextParams) -> np.ndarray:
     # each text's terms summed in slot order from 0, pads adding zeros
     h = np.einsum("km,kmd->kd", pooled.w, matrix[pooled.ids])
     h += params.mean_pos[pooled.n - 1]
     r = h @ params.W.T
     r += params.b
     return np.tanh(r, out=r)
+
+
+def encode_text(pooled: Pooling, matrix: np.ndarray,
+                params: FrozenTextParams) -> np.ndarray:
+    """K x d_out features r = tanh(W h + b) of the pooled texts under the
+    embedding matrix, BLOCK texts at a time."""
+    # blocks start at multiples of BLOCK, a short tail joining the one
+    # before: they keep the bits of one product over all K rows (README)
+    k = len(pooled.n)
+    cuts = list(range(BLOCK, k - MIN_TAIL + 1, BLOCK))
+    if not cuts:
+        return _encode_block(pooled, matrix, params)
+    out = np.empty((k, params.W.shape[0]))
+    for a, b in zip([0] + cuts, cuts + [k]):
+        out[a:b] = _encode_block(pooled.take(slice(a, b)), matrix, params)
+    return out
 
 
 def pooled_grad(feats, params: FrozenTextParams, upstream) -> np.ndarray:

@@ -192,8 +192,7 @@ class Runner:
 
     def _english_feats(self, tasks: list[_TaskData]) -> list[np.ndarray]:
         """Each task's English train captions encoded under the anchor,
-        once per distinct pooling; recomputed per use, which is cheaper
-        than holding them."""
+        once per distinct pooling and again at each use."""
         feats: dict[int, np.ndarray] = {}
         for td in tasks:
             if id(td.english) not in feats:

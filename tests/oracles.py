@@ -1,12 +1,14 @@
 """Slow reference implementations that the fast code paths are tested
-against: the per-caption text encoder and its adjoint, the scipy CSR
+against: the per-caption text encoder and its adjoint, the one-shot
+batched encoder whose bits the blocked one keeps, the scipy CSR
 pooling whose summation order the padded forward pass keeps, the
 row-by-row optimizer step with per-row moment dicts and its bias
 corrections powered step by step, Recall@K by a stable argsort
 of every similarity row, the full-recount BPE trainer, the rule-by-rule
 BPE encoder, a plain hash of a matrix's bytes, one SeedSequence per
 named random stream of the benchmark generator, and the caption that one
-such stream draws through numpy's Generator."""
+such stream draws through numpy's Generator; and whether OPENBLAS_CORETYPE
+can pick another BLAS kernel."""
 
 import hashlib
 from collections import Counter
@@ -37,6 +39,24 @@ def encode_text(ids, matrix, params):
     """r = tanh(W h + b), h = mean over positions of (embedding + pos)."""
     _, _, h = _pooled(ids, matrix, params)
     return np.tanh(params.W @ h + params.b)
+
+
+def encode_text_one_shot(pooled, matrix, params):
+    """The batched encoder as one gather, one einsum and one product over
+    all K texts of a Pooling: the bits that `encoders.encode_text` keeps
+    while it works block by block."""
+    h = np.einsum("km,kmd->kd", pooled.w, matrix[pooled.ids])
+    h += params.mean_pos[pooled.n - 1]
+    r = h @ params.W.T
+    r += params.b
+    return np.tanh(r, out=r)
+
+
+def dynamic_openblas() -> bool:
+    """Whether numpy's BLAS is an OpenBLAS built with DYNAMIC_ARCH, whose
+    kernel OPENBLAS_CORETYPE picks at load time."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
 
 
 def encode_text_grad(ids, matrix, params, upstream):

@@ -199,7 +199,7 @@ def _first_draws(rng):
 def _lanes(seed, n):
     """Lanes for streams ("draws", 0) .. ("draws", n - 1), with a buffer
     of 2 draws, so that a third draw grows it."""
-    mixes = [bench._stream_mix(("draws", k)) for k in range(n)]
+    mixes = [bench._stream_mix(f"draws/{k}") for k in range(n)]
     return bench._Lanes(bench._pcg64_states(seed, mixes), 2)
 
 
@@ -311,11 +311,11 @@ class TestStreams:
                              for _ in range(n)])
         concept_words = [f"c{k}" for k in range(n_concepts)]
         function_words = [f"f{k}" for k in range(n_func)]
-        names = [("captions", 1, "val", img) for img in range(n)]
+        names = [f"captions/1/val/{img}" for img in range(n)]
         got = bench._captions(seed, names, concepts, concept_words,
                               function_words)
         assert got == [oracles.caption_reference(
-            oracles.sub_rng(seed, *name),
+            oracles.sub_rng(seed, name),
             [concept_words[i] for i in row], function_words)
             for name, row in zip(names, concepts.tolist())]
 

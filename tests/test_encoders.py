@@ -1,6 +1,10 @@
 """Frozen text encoder and image provider tests, including the adjoint."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -286,6 +290,73 @@ class TestBitwiseMatchesCsr:
         rows = check_bitwise(id_lists, index, matrix, _params(L_max=l_max), up)
         if low:
             assert 0 not in rows.tolist()
+
+
+BLOCKING_SIZES = (1, 17, 255, 256, 257, 275, 300, 513, 1000, 1030, 2000, 2017)
+
+
+def blocking_mismatches() -> list[int]:
+    """The text counts of BLOCKING_SIZES at which `encode_text` differs in
+    any bit from the one-shot oracle, on random poolings at the default
+    model size (64 dims, l_max 32)."""
+    rng = np.random.default_rng(0)
+    p = enc.make_text_params(64, 64, 32, 0)
+    table = rng.normal(size=(500, 64)).astype(np.float32)
+    bad = []
+    for n in BLOCKING_SIZES:
+        lengths = rng.integers(1, 40, size=n)
+        pooled = enc.pooling(rng.integers(0, 500, size=lengths.sum()),
+                             lengths, len(table), p)
+        if not np.array_equal(enc.encode_text(pooled, table, p),
+                              oracles.encode_text_one_shot(pooled, table, p)):
+            bad.append(n)
+    return bad
+
+
+class TestBlocking:
+    """`encode_text` works on BLOCK texts at a time and keeps the bits of
+    one product over all of them."""
+
+    def test_matches_one_shot(self):
+        assert blocking_mismatches() == []
+
+    @pytest.mark.skipif(not oracles.dynamic_openblas(), reason=(
+        "numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS, so OPENBLAS_CORETYPE "
+        "cannot select another kernel"))
+    @pytest.mark.parametrize("kernel", ["Haswell", "Sandybridge", "Nehalem"])
+    def test_matches_one_shot_under_another_blas_kernel(self, kernel):
+        """These kernels round a row differently when fewer rows share its
+        product (odd, 1, or not a multiple of 4 rows)."""
+        src = os.path.dirname(os.path.dirname(enc.__file__))
+        path = [src, os.path.dirname(__file__), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, OPENBLAS_CORETYPE=kernel,
+                   OPENBLAS_VERBOSE="2", OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(p for p in path if p))
+        script = ("import test_encoders\n"
+                  "print(test_encoders.blocking_mismatches())\n")
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert f"Core: {kernel}" in done.stdout + done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
+
+    def test_peak_memory_is_bounded(self):
+        """2,000 texts 16 ids wide: one gather of them all is 8 MB of
+        float32, their features 1 MB."""
+        rng = np.random.default_rng(1)
+        n, V = 2000, 5000
+        p = enc.make_text_params(64, 64, 16, 1)
+        table = rng.normal(size=(V, 64)).astype(np.float32)
+        ids = (np.arange(16) + rng.integers(0, V, size=(n, 1))) % V
+        pooled = enc.pooling(ids.ravel(), np.full(n, 16), V, p)
+        assert pooled.w.shape == (n, 16)
+        tracemalloc.start()
+        try:
+            enc.encode_text(pooled, table, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3e6
 
 
 class TestFrozenness:

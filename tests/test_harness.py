@@ -360,13 +360,6 @@ def _golden_digests(out):
             for name in names + ["eval_matrix.csv", "registry_manifest.json"]}
 
 
-def _dynamic_openblas() -> bool:
-    """Whether numpy's BLAS is an OpenBLAS built with DYNAMIC_ARCH, whose
-    kernel OPENBLAS_CORETYPE picks at load time."""
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
-
-
 class TestGoldenOutputs:
     @pytest.mark.parametrize("mode", sorted(_MODES))
     def test_outputs_match_golden_digest(self, tiny_data, tmp_path, mode):
@@ -374,7 +367,7 @@ class TestGoldenOutputs:
         run_sequence(tiny_run_cfg(tiny_data, out, **_MODES[mode]))
         assert _golden_digests(out) == _GOLDEN[mode]
 
-    @pytest.mark.skipif(not _dynamic_openblas(), reason=(
+    @pytest.mark.skipif(not oracles.dynamic_openblas(), reason=(
         "numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS, so OPENBLAS_CORETYPE "
         "cannot select another kernel"))
     @pytest.mark.parametrize("kernel", ["Sandybridge", "Nehalem"])
