@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InvalidIdError, InvalidInputError
 
-BLOCK, MIN_TAIL = 256, 32  # encode_text's texts per block; its least tail
+BLOCK, MIN_TAIL = 256, 32  # encode_text's texts per block; least tail of `spans`
 
 
 @dataclass(frozen=True)
@@ -119,18 +119,22 @@ def _encode_block(pooled: Pooling, matrix: np.ndarray,
     return np.tanh(r, out=r)
 
 
+def spans(n: int, size: int) -> list[tuple[int, int]]:
+    """range(n) in blocks that start at multiples of `size`, a tail shorter
+    than MIN_TAIL joining the block before it (README: product bits)."""
+    cuts = list(range(size, n - MIN_TAIL + 1, size))
+    return list(zip([0] + cuts, cuts + [n]))
+
+
 def encode_text(pooled: Pooling, matrix: np.ndarray,
                 params: FrozenTextParams) -> np.ndarray:
     """K x d_out features r = tanh(W h + b) of the pooled texts under the
-    embedding matrix, BLOCK texts at a time."""
-    # blocks start at multiples of BLOCK, a short tail joining the one
-    # before: they keep the bits of one product over all K rows (README)
-    k = len(pooled.n)
-    cuts = list(range(BLOCK, k - MIN_TAIL + 1, BLOCK))
-    if not cuts:
+    embedding matrix, in `spans` of BLOCK texts."""
+    blocks = spans(len(pooled.n), BLOCK)
+    if len(blocks) == 1:
         return _encode_block(pooled, matrix, params)
-    out = np.empty((k, params.W.shape[0]))
-    for a, b in zip([0] + cuts, cuts + [k]):
+    out = np.empty((len(pooled.n), params.W.shape[0]))
+    for a, b in blocks:
         out[a:b] = _encode_block(pooled.take(slice(a, b)), matrix, params)
     return out
 

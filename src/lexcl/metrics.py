@@ -1,6 +1,6 @@
 """Retrieval metrics (paired Recall@K: item i of line i, both directions
-from one image x text cosine matrix; average recall, forgetting) and
-diagnostics (Fisher-trace proxy, embedding histograms)."""
+from image x text cosines formed in aligned row blocks; average recall,
+forgetting) and diagnostics (Fisher-trace proxy, embedding histograms)."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embeddings import dist_stats, read_lines, write_csv
-from .encoders import Pooling, encode_text
+from .encoders import Pooling, encode_text, spans
 from .errors import (DegenerateFeatureError, InvalidInputError, MetricError)
 from .losses import batch_grad
 
@@ -62,8 +62,9 @@ class EvalMatrix:
         return out
 
 
-# Lines ranked per block: bounds the temporaries.
-_BLOCK = 256
+# Rows per block of img @ txt.T: aligned 288-row blocks keep the one-shot
+# product's bits under every OpenBLAS kernel tried, 256-row ones do not.
+ROWS = 288
 
 
 def _unit(feats: np.ndarray, who: str) -> np.ndarray:
@@ -74,41 +75,52 @@ def _unit(feats: np.ndarray, who: str) -> np.ndarray:
     return feats / norm
 
 
-def _ranks(lines: np.ndarray, k_max: int) -> np.ndarray:
-    """min(rank, k_max) of item p in line p of the square `lines`: row p
-    of a C-ordered cosine matrix, or column p of one read through its .T
-    view. The rank is the number of scores above the item's own plus the
-    equal scores at a lower index."""
-    own = lines.diagonal()
-    if k_max == 1:
-        # rank 0 is the first maximum: search only lines at their maximum
-        rank = np.ones(len(own), dtype=np.int64)
-        top = np.flatnonzero(own == lines.max(axis=1))
-        for p in np.split(top, range(_BLOCK, len(top), _BLOCK)):
-            rank[p] = lines[p].argmax(axis=1) != p
-        return rank
-    # Count the scores above each own score a block of the matrix's rows
-    # at a time: along the rows of a C matrix, down the columns of a .T
-    # view, so neither direction gathers lines.
-    if lines.flags.c_contiguous:
-        rank = np.concatenate([
-            np.count_nonzero(lines[s:s + _BLOCK] > own[s:s + _BLOCK, None], axis=1)
-            for s in range(0, len(lines), _BLOCK)])
-    else:
-        base = lines.T
-        rank = np.zeros(len(own), dtype=np.int64)
-        for s in range(0, len(base), _BLOCK):
-            rank += np.count_nonzero(base[s:s + _BLOCK] > own, axis=0)
-    # Equal scores at a lower index can only move a line still below
-    # k_max, and only one that holds a tie: count them on those lines.
-    near = np.flatnonzero(rank < k_max)
-    for p in np.split(near, range(_BLOCK, len(near), _BLOCK)):
-        eq = lines[p] == own[p, None]
-        tied = np.count_nonzero(eq, axis=1) > 1
-        p, eq = p[tied], eq[tied]
-        rank[p] += np.count_nonzero(
-            eq & (np.arange(eq.shape[1]) < p[:, None]), axis=1)
-    return np.minimum(rank, k_max)
+def _cosines(u: np.ndarray, v: np.ndarray, blocks):
+    """(a, b, rows a:b of u @ v.T) per (a, b) of `blocks`, each written over
+    the last in one buffer: the caller is done with a block at the next."""
+    buf = np.empty((max((b - a for a, b in blocks), default=0), len(v)))
+    for a, b in blocks:
+        yield a, b, np.matmul(u[a:b], v.T, out=buf[:b - a])
+
+
+def _first_max(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Both directions' Recall@1 ranks (0 a hit): line p hits when item p
+    is its first maximum. Column p's own score must top every earlier
+    block, be its own block's first maximum and reach every later one."""
+    n = len(u)
+    ranks, own, top = np.empty((2, n), dtype=np.int64), np.empty(n), np.full(n, -np.inf)
+    for a, b, s in _cosines(u, v, spans(n, ROWS)):
+        i, m, own[a:b] = np.arange(b - a), s.max(axis=0), s.diagonal(a)
+        eq = s[:, a:b] == own[a:b]
+        ranks[0, a:b] = s.argmax(axis=1) != a + i
+        ranks[1, a:b] = (own[a:b] <= top[a:b]) | (m[a:b] > own[a:b])
+        if np.count_nonzero(eq) > b - a:  # a tie off the diagonal: rare
+            ranks[1, a:b] |= (eq & (i[:, None] < i)).any(axis=0)
+        np.maximum(top, m, out=top)
+    ranks[1] |= own < top
+    return ranks
+
+
+def _count_ranks(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Both directions' ranks: line p's items that score above its own, or
+    equal to it at an index below p. Each block counts its rows and the
+    columns whose own score is known; the columns right of a block are
+    counted against it once every own score is, from its product again."""
+    n, count, blocks = len(u), np.count_nonzero, spans(len(u), ROWS)
+    own, ranks = np.empty(n), np.zeros((2, n), dtype=np.int64)
+    for a, b, s in _cosines(u, v, blocks):
+        r = slice(a, b)
+        own[r] = s.diagonal(a)
+        ranks[0, r] = (count(s[:, :a] >= own[r, None], axis=1)
+                       + count(s[:, a:] > own[r, None], axis=1))
+        ranks[1, :b] += count(s[:, :b] > own[:b], axis=0)
+        for d, eq in enumerate((s[:, r] == own[r, None], (s[:, r] == own[r]).T)):
+            if count(eq) > b - a:  # a tie off the diagonal: rare
+                ranks[d, r] += count(eq & np.tri(b - a, k=-1, dtype=bool), axis=1)
+    del s  # the first pass's buffer
+    for a, b, s in _cosines(u, v, blocks[:-1]):
+        ranks[1, b:] += count(s[:, b:] >= own[b:], axis=0)
+    return ranks
 
 
 def _recall(rank: np.ndarray, ks) -> dict[int, float]:
@@ -120,15 +132,14 @@ def paired_recall(pooled: Pooling, matrix, params, image_feats,
                   ks=(1,)) -> dict:
     """{direction: {k: Recall@k}} between the pooled texts, encoded under
     the embedding `matrix`, and their images: text i goes with image i.
-    Both directions read one cosine matrix, img2txt its rows and txt2img
-    its columns."""
+    img2txt ranks the rows of img @ txt.T, txt2img its columns, by block."""
     txt = encode_text(pooled, matrix, params)
     img = np.asarray(image_feats, dtype=np.float64)
     if len(txt) != len(img):
         raise InvalidInputError(f"paired_recall: {len(txt)} texts, {len(img)} images")
-    sims = _unit(img, "paired_recall") @ _unit(txt, "paired_recall").T
-    return {d: _recall(_ranks(s, max(ks)), ks)
-            for d, s in (("img2txt", sims), ("txt2img", sims.T))}
+    ranks = (_first_max if max(ks) == 1 else _count_ranks)(
+        _unit(img, "paired_recall"), _unit(txt, "paired_recall"))
+    return {d: _recall(r, ks) for d, r in zip(DIRECTIONS, ranks)}
 
 
 def score_row(evals: EvalMatrix, row: int, matrix, params, test_set) -> None:

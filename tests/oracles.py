@@ -4,13 +4,18 @@ batched encoder whose bits the blocked one keeps, the scipy CSR
 pooling whose summation order the padded forward pass keeps, the
 row-by-row optimizer step with per-row moment dicts and its bias
 corrections powered step by step, Recall@K by a stable argsort
-of every similarity row, the full-recount BPE trainer, the rule-by-rule
+of every similarity row, paired Recall@K ranked on the whole n x n cosine
+matrix, the full-recount BPE trainer, the rule-by-rule
 BPE encoder, a plain hash of a matrix's bytes, one SeedSequence per
 named random stream of the benchmark generator, and the caption that one
 such stream draws through numpy's Generator; and whether OPENBLAS_CORETYPE
-can pick another BLAS kernel."""
+can pick another BLAS kernel, and what a fresh one-thread interpreter
+prints."""
 
 import hashlib
+import os
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -57,6 +62,25 @@ def dynamic_openblas() -> bool:
     kernel OPENBLAS_CORETYPE picks at load time."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+
+
+def one_blas_thread(script: str, kernel: str | None = None) -> str:
+    """The last line that `script` prints in a fresh interpreter with one
+    OpenBLAS thread and lexcl and the tests on its path. With `kernel`,
+    OpenBLAS must report running that kernel; without, it runs its
+    default."""
+    src = os.path.dirname(os.path.dirname(bpe.__file__))
+    path = [src, os.path.dirname(__file__), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, OPENBLAS_VERBOSE="2", OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(p for p in path if p))
+    env.pop("OPENBLAS_CORETYPE", None)
+    if kernel:
+        env["OPENBLAS_CORETYPE"] = kernel
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert kernel is None or f"Core: {kernel}" in done.stdout + done.stderr
+    return done.stdout.splitlines()[-1]
 
 
 def encode_text_grad(ids, matrix, params, upstream):
@@ -184,6 +208,57 @@ def recall_at_k(query_feats, gallery_feats, relevance, k) -> float:
         top = np.argsort(-sims[qi], kind="stable")[:k]
         hits += bool(relevance[qi].intersection(top.tolist()))
     return 100.0 * hits / q.shape[0]
+
+
+_LINES = 256  # lines ranked per block
+
+
+def _whole_ranks(lines: np.ndarray, k_max: int) -> np.ndarray:
+    """min(rank, k_max) of item p in line p of the square `lines`: row p
+    of a C-ordered cosine matrix, or column p of one read through its .T
+    view. The rank is the number of scores above the item's own plus the
+    equal scores at a lower index."""
+    own = lines.diagonal()
+    if k_max == 1:
+        # rank 0 is the first maximum: search only lines at their maximum
+        rank = np.ones(len(own), dtype=np.int64)
+        top = np.flatnonzero(own == lines.max(axis=1))
+        for p in np.split(top, range(_LINES, len(top), _LINES)):
+            rank[p] = lines[p].argmax(axis=1) != p
+        return rank
+    if lines.flags.c_contiguous:
+        rank = np.concatenate([
+            np.count_nonzero(lines[s:s + _LINES] > own[s:s + _LINES, None], axis=1)
+            for s in range(0, len(lines), _LINES)])
+    else:
+        base = lines.T
+        rank = np.zeros(len(own), dtype=np.int64)
+        for s in range(0, len(base), _LINES):
+            rank += np.count_nonzero(base[s:s + _LINES] > own, axis=0)
+    # Equal scores at a lower index can only move a line still below
+    # k_max, and only one that holds a tie: count them on those lines.
+    near = np.flatnonzero(rank < k_max)
+    for p in np.split(near, range(_LINES, len(near), _LINES)):
+        eq = lines[p] == own[p, None]
+        tied = np.count_nonzero(eq, axis=1) > 1
+        p, eq = p[tied], eq[tied]
+        rank[p] += np.count_nonzero(
+            eq & (np.arange(eq.shape[1]) < p[:, None]), axis=1)
+    return np.minimum(rank, k_max)
+
+
+def paired_recall_whole(txt, image_feats, ks=(1,)) -> dict:
+    """`metrics.paired_recall` of the text features `txt` ranked on one
+    n x n cosine matrix, img @ txt.T: img2txt reads its rows, txt2img its
+    columns."""
+    txt = np.asarray(txt, dtype=np.float64)
+    img = np.asarray(image_feats, dtype=np.float64)
+    sims = (img / np.linalg.norm(img, axis=1, keepdims=True)) @ \
+        (txt / np.linalg.norm(txt, axis=1, keepdims=True)).T
+    return {d: {k: 100.0 * int(np.count_nonzero(rank < k)) / len(rank)
+                for k in ks}
+            for d, rank in (("img2txt", _whole_ranks(sims, max(ks))),
+                            ("txt2img", _whole_ranks(sims.T, max(ks))))}
 
 
 def train_bpe_reference(corpus, target_size: int,

@@ -1,9 +1,6 @@
 """Frozen text encoder and image provider tests, including the adjoint."""
 
 import dataclasses
-import os
-import subprocess
-import sys
 import tracemalloc
 
 import numpy as np
@@ -327,18 +324,9 @@ class TestBlocking:
     def test_matches_one_shot_under_another_blas_kernel(self, kernel):
         """These kernels round a row differently when fewer rows share its
         product (odd, 1, or not a multiple of 4 rows)."""
-        src = os.path.dirname(os.path.dirname(enc.__file__))
-        path = [src, os.path.dirname(__file__), os.environ.get("PYTHONPATH")]
-        env = dict(os.environ, OPENBLAS_CORETYPE=kernel,
-                   OPENBLAS_VERBOSE="2", OPENBLAS_NUM_THREADS="1",
-                   PYTHONPATH=os.pathsep.join(p for p in path if p))
-        script = ("import test_encoders\n"
-                  "print(test_encoders.blocking_mismatches())\n")
-        done = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, timeout=300)
-        assert done.returncode == 0, done.stderr
-        assert f"Core: {kernel}" in done.stdout + done.stderr
-        assert done.stdout.splitlines()[-1] == "[]"
+        assert oracles.one_blas_thread(
+            "import test_encoders\n"
+            "print(test_encoders.blocking_mismatches())\n", kernel) == "[]"
 
     def test_peak_memory_is_bounded(self):
         """2,000 texts 16 ids wide: one gather of them all is 8 MB of

@@ -1,6 +1,7 @@
 """Metric tests: recall oracle, AR/F hand matrices and brute force, fusion,
 Fisher trace finite differences, histograms, CSV fidelity."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from lexcl import metrics as M
 from lexcl.embeddings import snapshot_anchor
-from lexcl.encoders import encode_text, make_text_params, pooling
+from lexcl.encoders import encode_text, make_text_params, pooling, spans
 from lexcl.losses import FeatureBatch, LossConfig, total_loss
 from lexcl.errors import (DegenerateFeatureError, InvalidInputError, MetricError)
 
@@ -147,13 +148,17 @@ class TestRecallAtK:
     @given(seed=st.integers(0, 100_000), k=st.sampled_from([1, 5, 10]))
     @settings(max_examples=40, deadline=None)
     def test_matches_argsort_oracle_random(self, seed, k):
-        """Up to 600 pairs, more lines than one block of 256. The oracle
-        sorts the lines of the same cosine matrix: at this size a second
-        product, txt @ img.T, can round entries apart from img @ txt.T."""
+        """Up to 600 pairs, up to two row blocks. The oracle sorts the
+        lines of the cosines that paired_recall ranks, its row blocks
+        stacked: at this size a second product, txt @ img.T, can round
+        entries apart from img @ txt.T, and so can the one-shot img @ txt.T
+        under more than one BLAS thread (TestStreaming checks the blocks'
+        bits against it under one)."""
         n = int(np.random.default_rng(seed).integers(1, 600))
         pooled, table, params, img, txt = paired_case(
             seed, n, dup_txt=n // 3, dup_img=n // 3)
-        sims = M._unit(img, "img") @ M._unit(txt, "txt").T
+        sims = np.concatenate([s.copy() for _, _, s in M._cosines(
+            M._unit(img, "img"), M._unit(txt, "txt"), spans(n, M.ROWS))])
         got = M.paired_recall(pooled, table, params, img, ks=(k,))
         for d, lines in (("img2txt", sims), ("txt2img", sims.T)):
             top = np.argsort(-lines, axis=1, kind="stable")[:, :k]
@@ -217,24 +222,164 @@ class TestPairedRecall:
         with pytest.raises(DegenerateFeatureError, match="paired_recall"):
             M.paired_recall(pooled, table, params, img)
 
-    def test_one_cosine_product(self, monkeypatch):
-        """Validation scores k = 1, 5, 10 in both directions from one
-        img @ txt.T."""
+    @pytest.mark.parametrize("n, blocks", [
+        (6, [6]), (319, [319]), (320, [288, 32]),
+        (1030, [288, 288, 288, 166])], ids=["n6", "n319", "n320", "n1030"])
+    def test_block_products(self, monkeypatch, n, blocks):
+        """Both directions read (b - a) x n products of img @ txt.T: one per
+        aligned span at k = 1; at larger k a second pass forms every block
+        but the last again. Up to 319 pairs are one product whatever the k."""
         products = []
 
         class Counted(np.ndarray):
-            def __matmul__(self, other):
-                products.append(self.shape)
-                return np.asarray(self) @ np.asarray(other)
+            def __array_ufunc__(self, ufunc, method, *args, **kw):
+                if ufunc is np.matmul:
+                    products.append((len(args[0]), args[1].shape[1]))
+                plain = [np.asarray(x) for x in (*args, *kw.pop("out", ()))]
+                return getattr(ufunc, method)(*plain[:len(args)],
+                                              out=(*plain[len(args):],) or None,
+                                              **kw)
 
         real_unit = M._unit
         monkeypatch.setattr(M, "_unit",
                             lambda *a: real_unit(*a).view(Counted))
-        pooled, table, params, img, _ = paired_case(0, 6)
-        res = M.paired_recall(pooled, table, params, img, ks=(1, 5, 10))
-        assert products == [(6, 4)]
-        assert list(res) == ["img2txt", "txt2img"]
-        assert all(list(res[d]) == [1, 5, 10] for d in res)
+        case = paired_case(0, n)[:4]
+        for ks, again in (((1,), []), ((1, 5, 10), blocks[:-1])):
+            products.clear()
+            res = M.paired_recall(*case, ks=ks)
+            assert products == [(rows, n) for rows in blocks + again]
+            assert list(res) == ["img2txt", "txt2img"]
+            assert all(list(res[d]) == list(ks) for d in res)
+
+
+# Gallery sizes around the row blocks' edges (multiples of M.ROWS) and
+# their least tail, enc.MIN_TAIL.
+STREAM_SIZES = (1, 2, 31, 250, 287, 288, 289, 319, 320, 576, 577, 607,
+                608, 1000, 1030, 2017)
+
+
+def edge_pairs(n):
+    """(i, j) index pairs beside and across each row-block edge, each way
+    round, and from the first and last lines to lines past the edge."""
+    out = []
+    for e in range(M.ROWS, n, M.ROWS):
+        out += [(e - 1, e), (e + 1, e - 2), (0, e + 3), (n - 1, e - 5)]
+    return [(i, j) for i, j in out if 0 <= min(i, j) and max(i, j) < n]
+
+
+def exact_case(seed, n, d=16):
+    """(text, image) features of n pairs whose cosines every BLAS kernel,
+    thread count and block split computes exactly: a row holds 1, 4 or 16
+    (at most d) entries of +-1, so its unit entries are powers of two and
+    every cosine is a multiple of 1/16. Scores tie often: a third of the
+    images copy their text, a quarter of the texts and of the images copy
+    another one, at a lower or a higher index, and `edge_pairs` add copies
+    across the block edges."""
+    rng = np.random.default_rng(seed)
+    widths = [k for k in (1, 4, 16) if k <= d]
+
+    def rows():
+        out = np.zeros((n, d))
+        for row, k in zip(out, rng.choice(widths, size=n)):
+            row[rng.choice(d, size=k, replace=False)] = rng.choice([-1, 1], k)
+        return out
+
+    txt, img = rows(), rows()
+    own = rng.random(n) < 1 / 3
+    img[own] = txt[own]
+    for feats in (txt, img):
+        for i, j in [*rng.integers(0, n, size=(n // 4, 2)), *edge_pairs(n)]:
+            feats[j] = feats[i]
+    return txt, img
+
+
+def streamed_recall(monkeypatch, txt, img, ks):
+    """`paired_recall` of the text features `txt` and the images `img`."""
+    monkeypatch.setattr(M, "encode_text", lambda *a: txt)
+    return M.paired_recall(None, None, None, img, ks=ks)
+
+
+# (n, d) of the cosine products whose row blocks are checked bit for bit.
+# Under the default kernel 256-row blocks change bits at 300, 513, 1030,
+# 2017 and 2500 but not at 250 or 1000.
+RECALL_BLOCK_SIZES = [(n, d) for n in (250, 300, 319, 320, 513, 577, 1000,
+                                       1030, 2017, 2500)
+                      for d in (16, 64, 128)]
+
+
+def recall_block_mismatches() -> list[tuple[int, int]]:
+    """The (n, d) of RECALL_BLOCK_SIZES at which a row block of
+    `paired_recall`'s cosines differs in any bit from the same rows of the
+    one-shot product, on random unit features."""
+    rng = np.random.default_rng(0)
+    bad = []
+    for n, d in RECALL_BLOCK_SIZES:
+        u = M._unit(rng.normal(size=(n, d)), "u")
+        v = M._unit(rng.normal(size=(n, d)), "v")
+        whole = u @ v.T
+        if not all(np.array_equal(s, whole[a:b])
+                   for a, b, s in M._cosines(u, v, spans(n, M.ROWS))):
+            bad.append((n, d))
+    return bad
+
+
+class TestStreaming:
+    """`paired_recall` forms the cosines in aligned blocks of M.ROWS rows,
+    keeps the one-shot product's bits and ranks as the whole-matrix
+    oracle does."""
+
+    @pytest.mark.parametrize("n", STREAM_SIZES)
+    @pytest.mark.parametrize("ks", [(1,), (5,), (1, 5, 10), "over"],
+                             ids=["k1", "k5", "k1-5-10", "k-over-n"])
+    def test_matches_whole_matrix_oracle(self, monkeypatch, n, ks):
+        ks = (1, n + 1) if ks == "over" else ks
+        for seed in range(3):
+            txt, img = exact_case(seed, n)
+            assert streamed_recall(monkeypatch, txt, img, ks) == \
+                oracles.paired_recall_whole(txt, img, ks)
+
+    @given(seed=st.integers(0, 100_000), n=st.sampled_from(STREAM_SIZES),
+           ks=st.sampled_from([(1,), (5,), (1, 5, 10), (3, 2500)]),
+           d=st.sampled_from([1, 4, 16]))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_whole_matrix_oracle_random(self, seed, n, ks, d):
+        txt, img = exact_case(seed, n, d)
+        with pytest.MonkeyPatch.context() as mp:
+            assert streamed_recall(mp, txt, img, ks) == \
+                oracles.paired_recall_whole(txt, img, ks)
+
+    # With more than one BLAS thread OpenBLAS splits a product by thread,
+    # and even the one-shot product's bits change with the thread count,
+    # so the bits are checked with one thread, as runs are benchmarked.
+    @pytest.mark.parametrize("kernel", [None, "Haswell", "Sandybridge",
+                                        "Nehalem"])
+    def test_blocks_keep_the_one_shot_bits(self, kernel):
+        if kernel and not oracles.dynamic_openblas():
+            pytest.skip("numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS, so "
+                        "OPENBLAS_CORETYPE cannot select another kernel")
+        assert oracles.one_blas_thread(
+            "import test_metrics\n"
+            "print(test_metrics.recall_block_mismatches())\n", kernel) == "[]"
+
+    def test_peak_memory_is_bounded(self):
+        """2,000 pairs of 64-wide features: the whole cosine matrix alone
+        is 32 MB, one 288-row block 4.6 MB."""
+        rng = np.random.default_rng(3)
+        n, V = 2000, 5000
+        params = make_text_params(64, 64, 16, seed=3)
+        table = rng.normal(size=(V, 64)).astype(np.float32)
+        pooled = pooling(rng.integers(0, V, size=16 * n), np.full(n, 16), V,
+                         params)
+        txt = encode_text(pooled, table, params)
+        img = txt + rng.normal(size=(n, 64))
+        tracemalloc.start()
+        try:
+            res = M.paired_recall(pooled, table, params, img, ks=(1, 5, 10))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
+        assert res == oracles.paired_recall_whole(txt, img, (1, 5, 10))
 
 
 def hand_matrix():
