@@ -1,7 +1,8 @@
 """Frozen text encoder: deterministic mean pooling, one affine map and
 tanh squashing, batched over padded id/weight arrays in aligned blocks
-of texts (plus its exact adjoint w.r.t. the embedding rows). Image
-features are a frozen array that `bench.load_images` reads.
+of ROWS texts (plus its exact adjoint w.r.t. the embedding rows); `spans`
+cuts the blocks of every blocked product. Image features are a frozen
+array that `bench.load_images` reads.
 
 The text encoder is deliberately simple so gradients are hand-derivable
 and finite-difference-checkable; the only trainable parameters anywhere
@@ -16,7 +17,10 @@ import numpy as np
 
 from .errors import InvalidIdError, InvalidInputError
 
-BLOCK, MIN_TAIL = 256, 32  # encode_text's texts per block; least tail of `spans`
+# Rows per block of encode_text's h @ W.T and paired_recall's img @ txt.T,
+# and the least tail of `spans`: aligned 288-row blocks keep the one-shot
+# product's bits under every OpenBLAS kernel tried, 256-row ones do not.
+ROWS, MIN_TAIL = 288, 32
 
 
 @dataclass(frozen=True)
@@ -26,7 +30,6 @@ class FrozenTextParams:
     pos: np.ndarray       # L_max x d sinusoidal
     mean_pos: np.ndarray  # L_max x d, row L - 1 the mean of pos[:L]
     L_max: int
-    seed: int
 
     @property
     def dim(self) -> int:
@@ -53,7 +56,7 @@ def make_text_params(dim: int, d_out: int, L_max: int = 32,
     for a in (W, b, pos, mean_pos):
         a.flags.writeable = False
     return FrozenTextParams(W=W, b=b, pos=pos, mean_pos=mean_pos,
-                            L_max=L_max, seed=seed)
+                            L_max=L_max)
 
 
 @dataclass(frozen=True)
@@ -119,22 +122,19 @@ def _encode_block(pooled: Pooling, matrix: np.ndarray,
     return np.tanh(r, out=r)
 
 
-def spans(n: int, size: int) -> list[tuple[int, int]]:
-    """range(n) in blocks that start at multiples of `size`, a tail shorter
+def spans(n: int) -> list[tuple[int, int]]:
+    """range(n) in blocks that start at multiples of ROWS, a tail shorter
     than MIN_TAIL joining the block before it (README: product bits)."""
-    cuts = list(range(size, n - MIN_TAIL + 1, size))
+    cuts = list(range(ROWS, n - MIN_TAIL + 1, ROWS))
     return list(zip([0] + cuts, cuts + [n]))
 
 
 def encode_text(pooled: Pooling, matrix: np.ndarray,
                 params: FrozenTextParams) -> np.ndarray:
     """K x d_out features r = tanh(W h + b) of the pooled texts under the
-    embedding matrix, in `spans` of BLOCK texts."""
-    blocks = spans(len(pooled.n), BLOCK)
-    if len(blocks) == 1:
-        return _encode_block(pooled, matrix, params)
+    embedding matrix, one block of `spans` at a time."""
     out = np.empty((len(pooled.n), params.W.shape[0]))
-    for a, b in blocks:
+    for a, b in spans(len(pooled.n)):
         out[a:b] = _encode_block(pooled.take(slice(a, b)), matrix, params)
     return out
 

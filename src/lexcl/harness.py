@@ -22,13 +22,23 @@ from .embeddings import (FIXED_INIT, dist_stats, expand, ks_statistic,
 from .encoders import Pooling, encode_text, make_text_params, pooling
 from .errors import InvalidInputError, NumericError, check_keys, key
 from .losses import LossConfig, batch_grad
-from .metrics import (EvalMatrix, average_recall, fisher_and_loss, forgetting,
-                      paired_recall, score_row)
+from .metrics import (DIRECTIONS, EvalMatrix, average_recall, fisher_and_loss,
+                      forgetting, paired_recall, score_row)
 from .optim import OptimConfig, OptimState, step as optim_step
 
 # Optimiser of the first step, which trains the anchor from the fixed
 # init; every later step uses the configured one.
 PRETRAIN_OPTIM = {"kind": "adamw", "lr_peak": 0.03}
+
+# The header of each diagnostics/ file that `finalize` writes and
+# `lexcl report` copies.
+DIAGNOSTICS = {
+    "fisher.csv": ("task", "fisher_trace"),
+    "dist_stats.csv": ("task", "mu", "sigma", "ks_stat"),
+    "loss_curve.csv": ("task", "epoch", "mean_loss", "val_score"),
+    "final_loss.csv": ("task", "mean_loss"),
+    "tokens.csv": ("task", "split", "captions", "mean_tokens", "cut_at_l_max"),
+}
 
 
 @dataclass(frozen=True)
@@ -156,11 +166,10 @@ class Runner:
                 task_index=v)
         return self._vocabs[v]
 
-    def _pool(self, texts, v: int, tasks: list[int], split: str,
-              memo) -> Pooling:
+    def _pool(self, texts, v: int, tasks: list[int], split: str) -> Pooling:
         """The pooling of `texts` under vocab `v`, with their token counts
         recorded for diagnostics/tokens.csv under each of `tasks`."""
-        ids, lengths = self.state.tokenize(texts, v, memo)
+        ids, lengths = self.state.tokenize(texts, v)
         self.token_rows += [{
             "task": t, "split": split, "captions": len(lengths),
             "mean_tokens": float(lengths.mean()),
@@ -174,20 +183,19 @@ class Runner:
         all of them the same) share one English pooling. Global ids are
         append-only, so the poolings stay valid for the rest of the run."""
         v = len(self.state.task_vocabs) - 1
-        memo: dict[str, list[int]] = {}
         if v == 0:
             sharing: dict[tuple[str, ...], list[int]] = {}
             for t, td in enumerate(self.tasks):
                 sharing.setdefault(tuple(td.train.english), []).append(t)
             for ts in sharing.values():
                 pooled = self._pool(self.tasks[ts[0]].train.english, 0, ts,
-                                    "english", memo)
+                                    "english")
                 for t in ts:
                     self.tasks[t].english = pooled
         for t, td in enumerate(self.tasks):
             if self._vocab_of[t] == v:
                 td.pooled = {split: self._pool(getattr(td, split).foreign,
-                                               v, [t], split, memo)
+                                               v, [t], split)
                              for split in SPLITS}
 
     def _english_feats(self, tasks: list[_TaskData]) -> list[np.ndarray]:
@@ -208,7 +216,7 @@ class Runner:
         td = self.tasks[t]
         res = paired_recall(td.pooled["val"], self.table, self.params,
                             self.images[td.val.image], ks=(1, 5, 10))
-        return sum(res[d][k] for d in ("img2txt", "txt2img") for k in (1, 5, 10))
+        return sum(res[d][k] for d in DIRECTIONS for k in (1, 5, 10))
 
     # --- training -----------------------------------------------------
 
@@ -348,27 +356,20 @@ class Runner:
 
         self.eval_matrix.save_csv(os.path.join(out, "eval_matrix.csv"))
         _write_json(os.path.join(out, "registry_manifest.json"), self.registry)
-        diag_dir = os.path.join(out, "diagnostics")
-        _write_csv(os.path.join(diag_dir, "dist_stats.csv"),
-                   ["task", "mu", "sigma", "ks_stat"], self.dist_rows)
-        _write_csv(os.path.join(diag_dir, "fisher.csv"),
-                   ["task", "fisher_trace"], fisher_rows)
-        _write_csv(os.path.join(diag_dir, "loss_curve.csv"),
-                   ["task", "epoch", "mean_loss", "val_score"], self.loss_rows)
-        _write_csv(os.path.join(diag_dir, "tokens.csv"),
-                   ["task", "split", "captions", "mean_tokens", "cut_at_l_max"],
-                   sorted(self.token_rows, key=lambda r: r["task"]))
-        _write_csv(os.path.join(diag_dir, "final_loss.csv"),
-                   ["task", "mean_loss"],
-                   [{"task": t, "mean_loss": v}
-                    for t, v in enumerate(final_losses)])
+        rows = {"fisher.csv": fisher_rows, "dist_stats.csv": self.dist_rows,
+                "loss_curve.csv": self.loss_rows,
+                "final_loss.csv": [{"task": t, "mean_loss": v}
+                                   for t, v in enumerate(final_losses)],
+                "tokens.csv": sorted(self.token_rows, key=lambda r: r["task"])}
+        for name, header in DIAGNOSTICS.items():
+            _write_csv(os.path.join(out, "diagnostics", name), header, rows[name])
 
         final_ar = {d: average_recall(self.eval_matrix, last_row, d)
-                    for d in ("img2txt", "txt2img")}
+                    for d in DIRECTIONS}
         final_f = {}
         if cfg.mode == "continual" and last_row >= 1:
             final_f = {d: forgetting(self.eval_matrix, last_row, d)
-                       for d in ("img2txt", "txt2img")}
+                       for d in DIRECTIONS}
         diagnostics = {
             "fisher": {r["task"]: r["fisher_trace"] for r in fisher_rows},
             "mean_fisher": float(np.mean([r["fisher_trace"]

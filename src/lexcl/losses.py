@@ -40,12 +40,16 @@ class FeatureBatch:
         return self.R_I.shape[0]
 
 
-def _normalize_rows(m: np.ndarray, name: str):
+def unit_rows(m, who: str):
+    """(the rows of `m` scaled to unit norm, their norms). A zero-norm or
+    non-finite row is an error naming `who` and the row."""
     m = np.asarray(m, dtype=np.float64)
     norms = np.linalg.norm(m, axis=1)
-    bad = np.flatnonzero(norms == 0.0)
+    bad = np.flatnonzero(~(np.isfinite(norms) & (norms > 0)))
     if bad.size:
-        raise DegenerateFeatureError(f"{name}: zero-norm row {int(bad[0])}")
+        i = int(bad[0])
+        kind = "zero-norm" if norms[i] == 0 else "non-finite"
+        raise DegenerateFeatureError(f"{who}: {kind} row {i}")
     return m / norms[:, None], norms
 
 
@@ -60,8 +64,8 @@ def cm_loss(batch: FeatureBatch, tau: float):
     Returns (loss, dloss/dR_F); the image branch is treated as constant.
     """
     K = batch.K
-    U, _ = _normalize_rows(batch.R_I, "R_I")
-    V, v_norms = _normalize_rows(batch.R_F, "R_F")
+    U, _ = unit_rows(batch.R_I, "R_I")
+    V, v_norms = unit_rows(batch.R_F, "R_F")
     S = (U @ V.T) / tau  # S[k, l] = cos(img_k, txt_l) / tau
 
     log_p = _log_softmax(S, axis=1)  # image -> text

@@ -1,5 +1,6 @@
 """Retrieval metrics (paired Recall@K: item i of line i, both directions
-from image x text cosines formed in aligned row blocks; average recall,
+from image x text cosines formed in the aligned row blocks of `spans`,
+over rows that `losses.unit_rows` normalises; average recall,
 forgetting) and diagnostics (Fisher-trace proxy, embedding histograms)."""
 
 from __future__ import annotations
@@ -10,8 +11,8 @@ import numpy as np
 
 from .embeddings import dist_stats, read_lines, write_csv
 from .encoders import Pooling, encode_text, spans
-from .errors import (DegenerateFeatureError, InvalidInputError, MetricError)
-from .losses import batch_grad
+from .errors import InvalidInputError, MetricError
+from .losses import batch_grad, unit_rows
 
 DIRECTIONS = ("img2txt", "txt2img")
 
@@ -62,19 +63,6 @@ class EvalMatrix:
         return out
 
 
-# Rows per block of img @ txt.T: aligned 288-row blocks keep the one-shot
-# product's bits under every OpenBLAS kernel tried, 256-row ones do not.
-ROWS = 288
-
-
-def _unit(feats: np.ndarray, who: str) -> np.ndarray:
-    """The rows of `feats` scaled to unit norm."""
-    norm = np.linalg.norm(feats, axis=1, keepdims=True)
-    if not np.all(np.isfinite(norm) & (norm > 0)):
-        raise DegenerateFeatureError(f"{who}: zero-norm or non-finite feature row")
-    return feats / norm
-
-
 def _cosines(u: np.ndarray, v: np.ndarray, blocks):
     """(a, b, rows a:b of u @ v.T) per (a, b) of `blocks`, each written over
     the last in one buffer: the caller is done with a block at the next."""
@@ -89,7 +77,7 @@ def _first_max(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     block, be its own block's first maximum and reach every later one."""
     n = len(u)
     ranks, own, top = np.empty((2, n), dtype=np.int64), np.empty(n), np.full(n, -np.inf)
-    for a, b, s in _cosines(u, v, spans(n, ROWS)):
+    for a, b, s in _cosines(u, v, spans(n)):
         i, m, own[a:b] = np.arange(b - a), s.max(axis=0), s.diagonal(a)
         eq = s[:, a:b] == own[a:b]
         ranks[0, a:b] = s.argmax(axis=1) != a + i
@@ -106,7 +94,7 @@ def _count_ranks(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     equal to it at an index below p. Each block counts its rows and the
     columns whose own score is known; the columns right of a block are
     counted against it once every own score is, from its product again."""
-    n, count, blocks = len(u), np.count_nonzero, spans(len(u), ROWS)
+    n, count, blocks = len(u), np.count_nonzero, spans(len(u))
     own, ranks = np.empty(n), np.zeros((2, n), dtype=np.int64)
     for a, b, s in _cosines(u, v, blocks):
         r = slice(a, b)
@@ -137,8 +125,9 @@ def paired_recall(pooled: Pooling, matrix, params, image_feats,
     img = np.asarray(image_feats, dtype=np.float64)
     if len(txt) != len(img):
         raise InvalidInputError(f"paired_recall: {len(txt)} texts, {len(img)} images")
-    ranks = (_first_max if max(ks) == 1 else _count_ranks)(
-        _unit(img, "paired_recall"), _unit(txt, "paired_recall"))
+    u, _ = unit_rows(img, "paired_recall images")
+    v, _ = unit_rows(txt, "paired_recall texts")
+    ranks = (_first_max if max(ks) == 1 else _count_ranks)(u, v)
     return {d: _recall(r, ks) for d, r in zip(DIRECTIONS, ranks)}
 
 

@@ -15,9 +15,9 @@ from .embeddings import (load_checkpoint, read_json, read_lines, vocab_hash,
 from .encoders import make_text_params, pooling
 from .errors import InvalidInputError
 from .bench import load_dataset, load_images, load_manifest
-from .harness import RunConfig, check_image_width, vocab_index
-from .metrics import (EvalMatrix, average_recall, forgetting, save_histogram_csv,
-                      score_row, ted_histogram)
+from .harness import DIAGNOSTICS, RunConfig, check_image_width, vocab_index
+from .metrics import (DIRECTIONS, EvalMatrix, average_recall, forgetting,
+                      save_histogram_csv, score_row, ted_histogram)
 
 
 def _load_run_config(run_dir, *names) -> list:
@@ -153,7 +153,7 @@ def write_svg_lines(path, series: dict[str, list[tuple[float, float]]],
 def write_ar_f(matrix: EvalMatrix, mode: str, path) -> dict:
     """Write ar_f.csv: AR, and F after the first task outside joint mode,
     for each complete row and direction; returns the AR series."""
-    ar_series = {"img2txt": [], "txt2img": []}
+    ar_series = {d: [] for d in DIRECTIONS}
     table = [["j", "direction", "ar", "f"]]
     for j in sorted({j for (j, _, _) in matrix.entries}):
         for d in ar_series:
@@ -190,15 +190,14 @@ def write_report(run_dir, out_dir) -> list[str]:
     if os.path.exists(loss_csv):
         for task, epoch, loss in read_lines(
                 loss_csv, _loss_point, InvalidInputError,
-                header="task,epoch,mean_loss,val_score"):
+                header=",".join(DIAGNOSTICS["loss_curve.csv"])):
             series.setdefault(f"task {task}", []).append((epoch, loss))
     os.makedirs(out_dir, exist_ok=True)
     written = [os.path.join(out_dir, "ar_f.csv")]
     ar_series = write_ar_f(matrix, mode, written[0])
 
-    for src in [matrix_path] + [os.path.join(diag_dir, name) for name in (
-            "fisher.csv", "dist_stats.csv", "loss_curve.csv", "final_loss.csv",
-            "tokens.csv")]:
+    for src in [matrix_path] + [os.path.join(diag_dir, name)
+                                for name in DIAGNOSTICS]:
         if os.path.exists(src):
             written.append(os.path.join(out_dir, os.path.basename(src)))
             copy_file(src, written[-1])

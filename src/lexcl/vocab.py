@@ -1,6 +1,6 @@
 """Union vocabulary across tasks: stable global ids, per-token
 task-presence counts and the update-scaling coefficients (λ) derived
-from them, and the global ids of many texts at once."""
+from them, and the global ids of many texts, via each vocab's piece cache."""
 
 from __future__ import annotations
 
@@ -28,21 +28,13 @@ class VocabState:
     def size(self) -> int:
         return len(self.tokens)
 
-    def tokenize(self, texts, task_index: int, memo: dict | None = None
-                 ) -> tuple[np.ndarray, np.ndarray]:
+    def tokenize(self, texts, task_index: int) -> tuple[np.ndarray, np.ndarray]:
         """(ids, lengths): the global ids of every text under one task's
-        merge rules, back to back, and each text's number of ids. The
-        local ids of all texts map to global ids in one gather.
-
-        Each distinct text is encoded once; pass the same `memo` (text ->
-        local ids) to several calls under one task index to share that
-        work between them."""
+        merge rules, back to back, and each text's number of ids. Each
+        piece of text is merged once, in the task vocab's piece cache;
+        the local ids of all texts map to global ids in one gather."""
         tv = self.task_vocabs[task_index]
-        memo = {} if memo is None else memo
-        for text in texts:
-            if text not in memo:
-                memo[text] = encode(text, tv)
-        local = [memo[text] for text in texts]
+        local = [encode(text, tv) for text in texts]
         lengths = np.fromiter(map(len, local), dtype=np.int64, count=len(local))
         flat = np.fromiter(chain.from_iterable(local), dtype=np.int64,
                            count=int(lengths.sum()))

@@ -8,9 +8,9 @@ of every similarity row, paired Recall@K ranked on the whole n x n cosine
 matrix, the full-recount BPE trainer, the rule-by-rule
 BPE encoder, a plain hash of a matrix's bytes, one SeedSequence per
 named random stream of the benchmark generator, and the caption that one
-such stream draws through numpy's Generator; and whether OPENBLAS_CORETYPE
+such stream draws through numpy's Generator; whether OPENBLAS_CORETYPE
 can pick another BLAS kernel, and what a fresh one-thread interpreter
-prints."""
+prints; and an ndarray subclass that records each product's shape."""
 
 import hashlib
 import os
@@ -81,6 +81,22 @@ def one_blas_thread(script: str, kernel: str | None = None) -> str:
     assert done.returncode == 0, done.stderr
     assert kernel is None or f"Core: {kernel}" in done.stdout + done.stderr
     return done.stdout.splitlines()[-1]
+
+
+def matmul_recorder(products: list) -> type:
+    """An ndarray subclass whose matmuls append (rows, columns) of their
+    product to `products`, then compute on plain arrays."""
+
+    class Recorded(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *args, **kw):
+            if ufunc is np.matmul:
+                products.append((len(args[0]), args[1].shape[1]))
+            plain = [np.asarray(x) for x in (*args, *kw.pop("out", ()))]
+            return getattr(ufunc, method)(*plain[:len(args)],
+                                          out=(*plain[len(args):],) or None,
+                                          **kw)
+
+    return Recorded
 
 
 def encode_text_grad(ids, matrix, params, upstream):

@@ -21,7 +21,7 @@ def _identity_params(d, L_max=4):
     b = np.zeros(d)
     for a in (W, b):
         a.flags.writeable = False
-    return dataclasses.replace(_params(d, d, L_max), W=W, b=b, seed=0)
+    return dataclasses.replace(_params(d, d, L_max), W=W, b=b)
 
 
 def flat(id_lists):
@@ -289,7 +289,8 @@ class TestBitwiseMatchesCsr:
             assert 0 not in rows.tolist()
 
 
-BLOCKING_SIZES = (1, 17, 255, 256, 257, 275, 300, 513, 1000, 1030, 2000, 2017)
+BLOCKING_SIZES = (1, 17, 255, 256, 257, 275, 287, 288, 289, 300, 319, 320,
+                  513, 576, 577, 1000, 1030, 2000, 2017)
 
 
 def blocking_mismatches() -> list[int]:
@@ -311,22 +312,42 @@ def blocking_mismatches() -> list[int]:
 
 
 class TestBlocking:
-    """`encode_text` works on BLOCK texts at a time and keeps the bits of
-    one product over all of them."""
+    """`encode_text` works on the `spans` of its texts, one block of
+    enc.ROWS at a time, and keeps the bits of one product over all of them."""
 
     def test_matches_one_shot(self):
         assert blocking_mismatches() == []
 
-    @pytest.mark.skipif(not oracles.dynamic_openblas(), reason=(
-        "numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS, so OPENBLAS_CORETYPE "
-        "cannot select another kernel"))
-    @pytest.mark.parametrize("kernel", ["Haswell", "Sandybridge", "Nehalem"])
+    # SkylakeX rounds a row differently when at most 18 rows share its
+    # product, Haswell when they are odd, Nehalem when not a multiple of 4
+    # and Sandybridge when 1. None runs OpenBLAS's default kernel. The
+    # bits are checked with one thread, as runs are benchmarked.
+    @pytest.mark.parametrize("kernel", [None, "Haswell", "Sandybridge",
+                                        "Nehalem"])
     def test_matches_one_shot_under_another_blas_kernel(self, kernel):
-        """These kernels round a row differently when fewer rows share its
-        product (odd, 1, or not a multiple of 4 rows)."""
+        if kernel and not oracles.dynamic_openblas():
+            pytest.skip("numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS, so "
+                        "OPENBLAS_CORETYPE cannot select another kernel")
         assert oracles.one_blas_thread(
             "import test_encoders\n"
             "print(test_encoders.blocking_mismatches())\n", kernel) == "[]"
+
+    @pytest.mark.parametrize("n, blocks", [
+        (6, [6]), (319, [319]), (320, [288, 32]), (577, [288, 289]),
+        (2000, [288] * 6 + [272])], ids=["n6", "n319", "n320", "n577", "n2000"])
+    def test_block_products(self, n, blocks):
+        """One (b - a)-row h @ W.T product per span, in order."""
+        products = []
+        p = enc.make_text_params(8, 8, 4, 0)
+        lengths = np.full(n, 3)
+        pooled = enc.pooling(np.arange(3 * n) % 20, lengths, 20, p)
+        table = np.random.default_rng(0).normal(size=(20, 8))
+        feats = enc.encode_text(
+            pooled, table,
+            dataclasses.replace(p, W=p.W.view(oracles.matmul_recorder(products))))
+        assert products == [(rows, 8) for rows in blocks]
+        assert blocks == [b - a for a, b in enc.spans(n)]
+        assert np.array_equal(feats, enc.encode_text(pooled, table, p))
 
     def test_peak_memory_is_bounded(self):
         """2,000 texts 16 ids wide: one gather of them all is 8 MB of

@@ -77,6 +77,17 @@ class TestCmLoss:
         with pytest.raises(DegenerateFeatureError, match="row 1"):
             cm_loss(b, tau=0.07)
 
+    @pytest.mark.parametrize("branch", ["R_I", "R_F"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_rejected(self, branch, bad):
+        """A NaN or infinite feature names its branch and row rather than
+        giving a NaN loss."""
+        b = random_batch(np.random.default_rng(6), 4)
+        getattr(b, branch)[2, 1] = bad
+        with pytest.raises(DegenerateFeatureError,
+                           match=f"{branch}: non-finite row 2"):
+            cm_loss(b, tau=0.07)
+
     def test_scale_invariance_of_cosine(self):
         rng = np.random.default_rng(3)
         b = random_batch(rng, 3)

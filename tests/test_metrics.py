@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from lexcl import metrics as M
 from lexcl.embeddings import snapshot_anchor
-from lexcl.encoders import encode_text, make_text_params, pooling, spans
-from lexcl.losses import FeatureBatch, LossConfig, total_loss
+from lexcl.encoders import ROWS, encode_text, make_text_params, pooling, spans
+from lexcl.losses import FeatureBatch, LossConfig, total_loss, unit_rows
 from lexcl.errors import (DegenerateFeatureError, InvalidInputError, MetricError)
 
 
@@ -158,7 +158,7 @@ class TestRecallAtK:
         pooled, table, params, img, txt = paired_case(
             seed, n, dup_txt=n // 3, dup_img=n // 3)
         sims = np.concatenate([s.copy() for _, _, s in M._cosines(
-            M._unit(img, "img"), M._unit(txt, "txt"), spans(n, M.ROWS))])
+            unit_rows(img, "img")[0], unit_rows(txt, "txt")[0], spans(n))])
         got = M.paired_recall(pooled, table, params, img, ks=(k,))
         for d, lines in (("img2txt", sims), ("txt2img", sims.T)):
             top = np.argsort(-lines, axis=1, kind="stable")[:, :k]
@@ -230,19 +230,13 @@ class TestPairedRecall:
         aligned span at k = 1; at larger k a second pass forms every block
         but the last again. Up to 319 pairs are one product whatever the k."""
         products = []
+        Counted = oracles.matmul_recorder(products)
 
-        class Counted(np.ndarray):
-            def __array_ufunc__(self, ufunc, method, *args, **kw):
-                if ufunc is np.matmul:
-                    products.append((len(args[0]), args[1].shape[1]))
-                plain = [np.asarray(x) for x in (*args, *kw.pop("out", ()))]
-                return getattr(ufunc, method)(*plain[:len(args)],
-                                              out=(*plain[len(args):],) or None,
-                                              **kw)
+        def counted(m, who):
+            u, norms = unit_rows(m, who)
+            return u.view(Counted), norms
 
-        real_unit = M._unit
-        monkeypatch.setattr(M, "_unit",
-                            lambda *a: real_unit(*a).view(Counted))
+        monkeypatch.setattr(M, "unit_rows", counted)
         case = paired_case(0, n)[:4]
         for ks, again in (((1,), []), ((1, 5, 10), blocks[:-1])):
             products.clear()
@@ -252,8 +246,8 @@ class TestPairedRecall:
             assert all(list(res[d]) == list(ks) for d in res)
 
 
-# Gallery sizes around the row blocks' edges (multiples of M.ROWS) and
-# their least tail, enc.MIN_TAIL.
+# Gallery sizes around the row blocks' edges (multiples of ROWS) and
+# their least tail, encoders.MIN_TAIL.
 STREAM_SIZES = (1, 2, 31, 250, 287, 288, 289, 319, 320, 576, 577, 607,
                 608, 1000, 1030, 2017)
 
@@ -262,7 +256,7 @@ def edge_pairs(n):
     """(i, j) index pairs beside and across each row-block edge, each way
     round, and from the first and last lines to lines past the edge."""
     out = []
-    for e in range(M.ROWS, n, M.ROWS):
+    for e in range(ROWS, n, ROWS):
         out += [(e - 1, e), (e + 1, e - 2), (0, e + 3), (n - 1, e - 5)]
     return [(i, j) for i, j in out if 0 <= min(i, j) and max(i, j) < n]
 
@@ -314,17 +308,17 @@ def recall_block_mismatches() -> list[tuple[int, int]]:
     rng = np.random.default_rng(0)
     bad = []
     for n, d in RECALL_BLOCK_SIZES:
-        u = M._unit(rng.normal(size=(n, d)), "u")
-        v = M._unit(rng.normal(size=(n, d)), "v")
+        u = unit_rows(rng.normal(size=(n, d)), "u")[0]
+        v = unit_rows(rng.normal(size=(n, d)), "v")[0]
         whole = u @ v.T
         if not all(np.array_equal(s, whole[a:b])
-                   for a, b, s in M._cosines(u, v, spans(n, M.ROWS))):
+                   for a, b, s in M._cosines(u, v, spans(n))):
             bad.append((n, d))
     return bad
 
 
 class TestStreaming:
-    """`paired_recall` forms the cosines in aligned blocks of M.ROWS rows,
+    """`paired_recall` forms the cosines in aligned blocks of ROWS rows,
     keeps the one-shot product's bits and ranks as the whole-matrix
     oracle does."""
 

@@ -123,18 +123,19 @@ class TestTokenize:
         ids, lengths = st_.tokenize([], 0)
         assert len(ids) == 0 and len(lengths) == 0
 
-    def test_memo_encodes_each_text_once(self, monkeypatch):
+    def test_piece_cache_merges_each_piece_once(self, monkeypatch):
+        """Two calls under one vocab merge each new piece once, in the
+        task vocab's piece cache; its training seeded the words it saw."""
         st_, _, _, _, _, _ = _setup_two_tasks(["aa bb aa bb"], ["cc dd cc dd"])
         calls = []
-        real = vocab.encode
-        monkeypatch.setattr(vocab, "encode",
-                            lambda text, tv: calls.append(text) or real(text, tv))
-        memo = {}
-        a = _rows(*st_.tokenize(["aa", "bb", "aa"], 0, memo))
-        b = _rows(*st_.tokenize(["bb", "aa bb"], 0, memo))
-        assert sorted(calls) == ["aa", "aa bb", "bb"]
-        assert a[0] == a[2] == _reference_ids(st_, "aa", 0)
-        assert b[0] == a[1]
+        real = bpe._encode_piece
+        monkeypatch.setattr(bpe, "_encode_piece",
+                            lambda piece, tv: calls.append(piece) or real(piece, tv))
+        texts = ["xy", "aa xy", "zz", "xy aa", "bb zz xy"]
+        a = _rows(*st_.tokenize(texts[:3], 0))
+        b = _rows(*st_.tokenize(texts[3:], 0))
+        assert sorted(calls) == [b"xy", b"zz"]
+        assert a + b == [_reference_ids(st_, x, 0) for x in texts]
 
 
 class TestCountsAndLambda:
