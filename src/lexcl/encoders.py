@@ -17,9 +17,9 @@ import numpy as np
 
 from .errors import InvalidIdError, InvalidInputError
 
-# Rows per block of encode_text's h @ W.T and paired_recall's img @ txt.T,
-# and the least tail of `spans`: aligned 288-row blocks keep the one-shot
-# product's bits under every OpenBLAS kernel tried, 256-row ones do not.
+# Rows per block of `spans`, and its least tail: encode_text's aligned
+# 288-row blocks keep the one-shot h @ W.T's bits under every OpenBLAS
+# kernel tried, 256-row ones do not. paired_recall's ranks need no rule.
 ROWS, MIN_TAIL = 288, 32
 
 
@@ -124,7 +124,7 @@ def _encode_block(pooled: Pooling, matrix: np.ndarray,
 
 def spans(n: int) -> list[tuple[int, int]]:
     """range(n) in blocks that start at multiples of ROWS, a tail shorter
-    than MIN_TAIL joining the block before it (README: product bits)."""
+    than MIN_TAIL joining the block before it (README.md says why)."""
     cuts = list(range(ROWS, n - MIN_TAIL + 1, ROWS))
     return list(zip([0] + cuts, cuts + [n]))
 

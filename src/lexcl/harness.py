@@ -24,11 +24,7 @@ from .errors import InvalidInputError, NumericError, check_keys, key
 from .losses import LossConfig, batch_grad
 from .metrics import (DIRECTIONS, EvalMatrix, average_recall, fisher_and_loss,
                       forgetting, paired_recall, score_row)
-from .optim import OptimConfig, OptimState, step as optim_step
-
-# Optimiser of the first step, which trains the anchor from the fixed
-# init; every later step uses the configured one.
-PRETRAIN_OPTIM = {"kind": "adamw", "lr_peak": 0.03}
+from .optim import PRETRAIN_OPTIM, OptimConfig, OptimState, step as optim_step
 
 # The header of each diagnostics/ file that `finalize` writes and
 # `lexcl report` copies.
@@ -144,7 +140,6 @@ class Runner:
         self._vocab_of = [vocab_index(cfg.mode, cfg.oracle_vocab, t)
                           for t in range(len(self.tasks))]
         self._vocabs: dict[int, bpe.TaskVocab] = {}
-        os.makedirs(cfg.out_dir, exist_ok=True)
         os.makedirs(os.path.join(cfg.out_dir, "diagnostics"), exist_ok=True)
         self.log = open(os.path.join(cfg.out_dir, "run.log"), "w")
         write_atomic(os.path.join(cfg.out_dir, "config.json"),
@@ -201,11 +196,9 @@ class Runner:
     def _english_feats(self, tasks: list[_TaskData]) -> list[np.ndarray]:
         """Each task's English train captions encoded under the anchor,
         once per distinct pooling and again at each use."""
-        feats: dict[int, np.ndarray] = {}
-        for td in tasks:
-            if id(td.english) not in feats:
-                feats[id(td.english)] = encode_text(td.english, self.anchor,
-                                                    self.params)
+        feats = {id(td.english): td.english for td in tasks}
+        feats = {k: encode_text(p, self.anchor, self.params)
+                 for k, p in feats.items()}
         return [feats[id(td.english)] for td in tasks]
 
     # --- evaluation ---------------------------------------------------

@@ -1,6 +1,6 @@
-"""Retrieval metrics (paired Recall@K: item i of line i, both directions
-from image x text cosines formed in the aligned row blocks of `spans`,
-over rows that `losses.unit_rows` normalises; average recall,
+"""Retrieval metrics (paired Recall@K: item i of line i, both directions,
+ranked on canonical image x text cosines of the rows that
+`losses.unit_rows` normalises; average recall,
 forgetting) and diagnostics (Fisher-trace proxy, embedding histograms)."""
 
 from __future__ import annotations
@@ -71,44 +71,43 @@ def _cosines(u: np.ndarray, v: np.ndarray, blocks):
         yield a, b, np.matmul(u[a:b], v.T, out=buf[:b - a])
 
 
-def _first_max(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Both directions' Recall@1 ranks (0 a hit): line p hits when item p
-    is its first maximum. Column p's own score must top every earlier
-    block, be its own block's first maximum and reach every later one."""
-    n = len(u)
-    ranks, own, top = np.empty((2, n), dtype=np.int64), np.empty(n), np.full(n, -np.inf)
+def _ranks(u: np.ndarray, v: np.ndarray, k_max: int) -> np.ndarray:
+    """Both directions' ranks of item p in line p on canonical scores,
+    einsum("pd,pd->p") of C-contiguous unit rows: the items that score
+    above p, or equal to it at an index below p. Each block of u @ v.T is
+    formed once with the own pairs masked, and its entries outside a band
+    around a line's own score are counted (at k_max = 1, the lines'
+    maxima tell rank 0 from the rest); a line with an entry inside the
+    band is scored again canonically."""
+    (n, d), count = u.shape, np.count_nonzero
+    # A dot of two unit rows lies within gamma_d = d u / (1 - d u) of its
+    # exact value in any summation order (Higham, Accuracy and Stability of
+    # Numerical Algorithms, 2nd ed., 3.1): a product entry more than the
+    # band, 4 gamma_d, from a canonical score orders as its own one does.
+    du = d * np.finfo(np.float64).eps / 2
+    own = np.einsum("pd,pd->p", u, v)
+    hi, lo = own + 4 * du / (1 - du), own - 4 * du / (1 - du)
+    above, reach = np.zeros((2, 2, n), dtype=np.int64)  # > hi, >= lo
+    top = np.full(n, -np.inf)
     for a, b, s in _cosines(u, v, spans(n)):
-        i, m, own[a:b] = np.arange(b - a), s.max(axis=0), s.diagonal(a)
-        eq = s[:, a:b] == own[a:b]
-        ranks[0, a:b] = s.argmax(axis=1) != a + i
-        ranks[1, a:b] = (own[a:b] <= top[a:b]) | (m[a:b] > own[a:b])
-        if np.count_nonzero(eq) > b - a:  # a tie off the diagonal: rare
-            ranks[1, a:b] |= (eq & (i[:, None] < i)).any(axis=0)
-        np.maximum(top, m, out=top)
-    ranks[1] |= own < top
-    return ranks
-
-
-def _count_ranks(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Both directions' ranks: line p's items that score above its own, or
-    equal to it at an index below p. Each block counts its rows and the
-    columns whose own score is known; the columns right of a block are
-    counted against it once every own score is, from its product again."""
-    n, count, blocks = len(u), np.count_nonzero, spans(len(u))
-    own, ranks = np.empty(n), np.zeros((2, n), dtype=np.int64)
-    for a, b, s in _cosines(u, v, blocks):
+        np.fill_diagonal(s[:, a:], -np.inf)
         r = slice(a, b)
-        own[r] = s.diagonal(a)
-        ranks[0, r] = (count(s[:, :a] >= own[r, None], axis=1)
-                       + count(s[:, a:] > own[r, None], axis=1))
-        ranks[1, :b] += count(s[:, :b] > own[:b], axis=0)
-        for d, eq in enumerate((s[:, r] == own[r, None], (s[:, r] == own[r]).T)):
-            if count(eq) > b - a:  # a tie off the diagonal: rare
-                ranks[d, r] += count(eq & np.tri(b - a, k=-1, dtype=bool), axis=1)
-    del s  # the first pass's buffer
-    for a, b, s in _cosines(u, v, blocks[:-1]):
-        ranks[1, b:] += count(s[:, b:] >= own[b:], axis=0)
-    return ranks
+        if k_max == 1:
+            m = s.max(axis=1)
+            above[0, r], reach[0, r] = m > hi[r], m >= lo[r]
+            np.maximum(top, s.max(axis=0), out=top)
+        else:
+            above[0, r] = count(s > hi[r, None], axis=1)
+            reach[0, r] = count(s >= lo[r, None], axis=1)
+            above[1] += count(s > hi, axis=0)
+            reach[1] += count(s >= lo, axis=0)
+    if k_max == 1:
+        above[1], reach[1] = top > hi, top >= lo
+    for side, p in zip(*np.nonzero(above != reach)):  # rare
+        line = np.full(n, p)
+        c = np.einsum("pd,pd->p", *((u, v[line]) if side else (u[line], v)))
+        above[side, p] = count(c > own[p]) + count(c[:p] == own[p])
+    return above
 
 
 def _recall(rank: np.ndarray, ks) -> dict[int, float]:
@@ -120,15 +119,14 @@ def paired_recall(pooled: Pooling, matrix, params, image_feats,
                   ks=(1,)) -> dict:
     """{direction: {k: Recall@k}} between the pooled texts, encoded under
     the embedding `matrix`, and their images: text i goes with image i.
-    img2txt ranks the rows of img @ txt.T, txt2img its columns, by block."""
+    img2txt ranks the rows of img @ txt.T, txt2img its columns."""
     txt = encode_text(pooled, matrix, params)
-    img = np.asarray(image_feats, dtype=np.float64)
+    img = np.ascontiguousarray(image_feats, dtype=np.float64)
     if len(txt) != len(img):
         raise InvalidInputError(f"paired_recall: {len(txt)} texts, {len(img)} images")
     u, _ = unit_rows(img, "paired_recall images")
     v, _ = unit_rows(txt, "paired_recall texts")
-    ranks = (_first_max if max(ks) == 1 else _count_ranks)(u, v)
-    return {d: _recall(r, ks) for d, r in zip(DIRECTIONS, ranks)}
+    return {d: _recall(r, ks) for d, r in zip(DIRECTIONS, _ranks(u, v, max(ks)))}
 
 
 def score_row(evals: EvalMatrix, row: int, matrix, params, test_set) -> None:
@@ -161,10 +159,8 @@ def forgetting(matrix: EvalMatrix, j: int, direction: str) -> float:
     for jj in range(j + 1):
         if not matrix.row_complete(jj, direction):
             raise MetricError(f"forgetting: row {jj}/{direction} incomplete")
-    gaps = []
-    for i in range(j):
-        best = max(matrix.get(k, i, direction) for k in range(i, j))
-        gaps.append(best - matrix.get(j, i, direction))
+    gaps = [max(matrix.get(k, i, direction) for k in range(i, j))
+            - matrix.get(j, i, direction) for i in range(j)]
     return float(sum(gaps) / len(gaps))
 
 
@@ -203,9 +199,7 @@ def ted_histogram(matrix: np.ndarray, bins: int):
         return edges, np.array([flat.size]), 0, 0, stats
     lo, hi = stats.mu - 5 * stats.sigma, stats.mu + 5 * stats.sigma
     counts, edges = np.histogram(flat, bins=bins, range=(lo, hi))
-    n_below = int((flat < lo).sum())
-    n_above = int((flat > hi).sum())
-    return edges, counts, n_below, n_above, stats
+    return edges, counts, int((flat < lo).sum()), int((flat > hi).sum()), stats
 
 
 def save_histogram_csv(edges, counts, path) -> None:

@@ -21,6 +21,9 @@ import numpy as np
 from .errors import InvalidInputError, NumericError, check_keys, key
 
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+# Optimiser of the first step, which trains the anchor from the fixed
+# init; every later step uses the configured one.
+PRETRAIN_OPTIM = {"kind": "adamw", "lr_peak": 0.03}
 
 
 @dataclass(frozen=True)
@@ -34,6 +37,12 @@ class OptimConfig:
 
     def __post_init__(self):
         check_keys(self)
+        # from lr * wd = 2 on, the decay factor 1 - lr * wd of SGD and AdamW
+        # is <= -1, so the table diverges on any data; pretraining's lr counts
+        lr = max(self.lr_peak, PRETRAIN_OPTIM["lr_peak"])
+        if lr * self.weight_decay >= 2:
+            raise InvalidInputError(f"optim.weight_decay {self.weight_decay!r} "
+                                    f"times optim.lr {lr!r} must be < 2")
 
 
 class OptimState:
@@ -92,4 +101,8 @@ def step(matrix: np.ndarray, rows, lam: np.ndarray, grads, cfg: OptimConfig,
         theta = theta - (lr * lam_r) * (m / bias[:, :1]) \
             / (np.sqrt(v / bias[:, 1:]) + EPS)
         state.m[rows], state.v[rows], state.t[rows] = m, v, t
+    bad = ~(np.abs(theta) < 2.0 ** 128 - 2.0 ** 103).all(axis=1)  # float32 inf
+    if bad.any():
+        raise NumericError(f"step {state.step_count}: row {rows[bad][0]} "
+                           "leaves float32's range")
     matrix[rows] = theta.astype(np.float32)

@@ -3,14 +3,16 @@ against: the per-caption text encoder and its adjoint, the one-shot
 batched encoder whose bits the blocked one keeps, the scipy CSR
 pooling whose summation order the padded forward pass keeps, the
 row-by-row optimizer step with per-row moment dicts and its bias
-corrections powered step by step, Recall@K by a stable argsort
-of every similarity row, paired Recall@K ranked on the whole n x n cosine
-matrix, the full-recount BPE trainer, the rule-by-rule
+corrections powered step by step, the canonical cosines that recall
+ranks on, Recall@K by a stable argsort of every canonical similarity
+row, paired Recall@K ranked on the whole n x n canonical cosine matrix,
+the full-recount BPE trainer, the rule-by-rule
 BPE encoder, a plain hash of a matrix's bytes, one SeedSequence per
 named random stream of the benchmark generator, and the caption that one
 such stream draws through numpy's Generator; whether OPENBLAS_CORETYPE
-can pick another BLAS kernel, and what a fresh one-thread interpreter
-prints; and an ndarray subclass that records each product's shape."""
+can pick another BLAS kernel, and what a fresh interpreter with a given
+number of BLAS threads prints; and an ndarray subclass that records each
+product's shape."""
 
 import hashlib
 import os
@@ -24,6 +26,7 @@ from scipy import sparse
 
 from lexcl import bpe
 from lexcl.errors import InvalidIdError, InvalidInputError, NumericError
+from lexcl.losses import unit_rows
 from lexcl.optim import BETA1, BETA2, EPS, lr_at
 
 
@@ -64,14 +67,16 @@ def dynamic_openblas() -> bool:
     return "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
 
 
-def one_blas_thread(script: str, kernel: str | None = None) -> str:
-    """The last line that `script` prints in a fresh interpreter with one
-    OpenBLAS thread and lexcl and the tests on its path. With `kernel`,
-    OpenBLAS must report running that kernel; without, it runs its
-    default."""
+def fresh_interpreter(script: str, kernel: str | None = None,
+                      threads: int = 1) -> str:
+    """The last line that `script` prints in a fresh interpreter with
+    `threads` OpenBLAS threads and lexcl and the tests on its path. With
+    `kernel`, OpenBLAS must report running that kernel; without, it runs
+    its default."""
     src = os.path.dirname(os.path.dirname(bpe.__file__))
     path = [src, os.path.dirname(__file__), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, OPENBLAS_VERBOSE="2", OPENBLAS_NUM_THREADS="1",
+    env = dict(os.environ, OPENBLAS_VERBOSE="2",
+               OPENBLAS_NUM_THREADS=str(threads),
                PYTHONPATH=os.pathsep.join(p for p in path if p))
     env.pop("OPENBLAS_CORETYPE", None)
     if kernel:
@@ -212,18 +217,23 @@ def step(matrix, grads, lam, cfg, state: DictState) -> None:
         matrix[j] = theta.astype(np.float32)
 
 
+def canonical_cosines(query_feats, gallery_feats) -> np.ndarray:
+    """The cosines that recall ranks on, query x gallery: each score the
+    einsum dot of the two rows that `unit_rows` normalises, whose bits
+    no BLAS kernel, thread count or blocking moves."""
+    return np.einsum("id,jd->ij", unit_rows(query_feats, "query")[0],
+                     unit_rows(gallery_feats, "gallery")[0])
+
+
 def recall_at_k(query_feats, gallery_feats, relevance, k) -> float:
     """Percent of queries with a relevant item among the first k of a
-    stable argsort of the negated cosine row."""
-    q = np.asarray(query_feats, dtype=np.float64)
-    g = np.asarray(gallery_feats, dtype=np.float64)
-    sims = (q / np.linalg.norm(q, axis=1, keepdims=True)) @ \
-        (g / np.linalg.norm(g, axis=1, keepdims=True)).T
+    stable argsort of the negated canonical cosine row."""
+    sims = canonical_cosines(query_feats, gallery_feats)
     hits = 0
-    for qi in range(q.shape[0]):
+    for qi in range(len(sims)):
         top = np.argsort(-sims[qi], kind="stable")[:k]
         hits += bool(relevance[qi].intersection(top.tolist()))
-    return 100.0 * hits / q.shape[0]
+    return 100.0 * hits / len(sims)
 
 
 _LINES = 256  # lines ranked per block
@@ -263,18 +273,21 @@ def _whole_ranks(lines: np.ndarray, k_max: int) -> np.ndarray:
     return np.minimum(rank, k_max)
 
 
+def paired_ranks_whole(txt, image_feats, k_max: int):
+    """(img2txt, txt2img) min(rank, k_max) of each line's own item, ranked
+    on one n x n matrix of canonical cosines, image x text: img2txt reads
+    its rows, txt2img its columns."""
+    sims = canonical_cosines(image_feats, txt)
+    return _whole_ranks(sims, k_max), _whole_ranks(sims.T, k_max)
+
+
 def paired_recall_whole(txt, image_feats, ks=(1,)) -> dict:
-    """`metrics.paired_recall` of the text features `txt` ranked on one
-    n x n cosine matrix, img @ txt.T: img2txt reads its rows, txt2img its
-    columns."""
-    txt = np.asarray(txt, dtype=np.float64)
-    img = np.asarray(image_feats, dtype=np.float64)
-    sims = (img / np.linalg.norm(img, axis=1, keepdims=True)) @ \
-        (txt / np.linalg.norm(txt, axis=1, keepdims=True)).T
+    """`metrics.paired_recall` of the text features `txt`, from
+    `paired_ranks_whole`."""
     return {d: {k: 100.0 * int(np.count_nonzero(rank < k)) / len(rank)
                 for k in ks}
-            for d, rank in (("img2txt", _whole_ranks(sims, max(ks))),
-                            ("txt2img", _whole_ranks(sims.T, max(ks))))}
+            for d, rank in zip(("img2txt", "txt2img"),
+                               paired_ranks_whole(txt, image_feats, max(ks)))}
 
 
 def train_bpe_reference(corpus, target_size: int,

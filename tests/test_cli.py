@@ -215,6 +215,23 @@ class TestTrain:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("line", ["optim.weight_decay = 3",
+                                      "optim.lr = 10000"])
+    def test_diverging_decay_fails_at_validation(self, workdir, tmp_path,
+                                                 line, capsys):
+        """lr * weight_decay >= 2 makes the decay factor <= -1 and the
+        table diverge: exit 1 naming both keys, before the run starts."""
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(TINY_RUN + line + "\n")
+        out = tmp_path / "o"
+        assert main(["train", "--config", str(cfg),
+                     "--data", str(workdir / "data"),
+                     "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "optim.lr" in err and "optim.weight_decay" in err
+        assert not out.exists()
+
+
 class TestImports:
     def test_no_scipy_in_a_cli_process(self, tmp_path):
         """lexcl needs only numpy at run time: importing scipy costs more

@@ -328,7 +328,7 @@ class TestBlocking:
         if kernel and not oracles.dynamic_openblas():
             pytest.skip("numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS, so "
                         "OPENBLAS_CORETYPE cannot select another kernel")
-        assert oracles.one_blas_thread(
+        assert oracles.fresh_interpreter(
             "import test_encoders\n"
             "print(test_encoders.blocking_mismatches())\n", kernel) == "[]"
 

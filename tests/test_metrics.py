@@ -1,6 +1,7 @@
 """Metric tests: recall oracle, AR/F hand matrices and brute force, fusion,
 Fisher trace finite differences, histograms, CSV fidelity."""
 
+import hashlib
 import tracemalloc
 from dataclasses import replace
 
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from lexcl import metrics as M
 from lexcl.embeddings import snapshot_anchor
-from lexcl.encoders import ROWS, encode_text, make_text_params, pooling, spans
+from lexcl.encoders import ROWS, encode_text, make_text_params, pooling
 from lexcl.losses import FeatureBatch, LossConfig, total_loss, unit_rows
 from lexcl.errors import (DegenerateFeatureError, InvalidInputError, MetricError)
 
@@ -149,16 +150,13 @@ class TestRecallAtK:
     @settings(max_examples=40, deadline=None)
     def test_matches_argsort_oracle_random(self, seed, k):
         """Up to 600 pairs, up to two row blocks. The oracle sorts the
-        lines of the cosines that paired_recall ranks, its row blocks
-        stacked: at this size a second product, txt @ img.T, can round
-        entries apart from img @ txt.T, and so can the one-shot img @ txt.T
-        under more than one BLAS thread (TestStreaming checks the blocks'
-        bits against it under one)."""
+        lines of the canonical cosines: a BLAS product can round a tie
+        apart, and did at 462 pairs under two BLAS threads when the
+        ranks were read off the product's bits."""
         n = int(np.random.default_rng(seed).integers(1, 600))
         pooled, table, params, img, txt = paired_case(
             seed, n, dup_txt=n // 3, dup_img=n // 3)
-        sims = np.concatenate([s.copy() for _, _, s in M._cosines(
-            unit_rows(img, "img")[0], unit_rows(txt, "txt")[0], spans(n))])
+        sims = oracles.canonical_cosines(img, txt)
         got = M.paired_recall(pooled, table, params, img, ks=(k,))
         for d, lines in (("img2txt", sims), ("txt2img", sims.T)):
             top = np.argsort(-lines, axis=1, kind="stable")[:, :k]
@@ -171,7 +169,7 @@ class TestRecallAtK:
     @settings(max_examples=40, deadline=None)
     def test_tuple_of_k_equals_one_call_per_k(self, seed, ks, noise):
         """A call with k = 1 and larger k counts ranks for k = 1 too; a
-        call with k = 1 alone takes each line's first maximum. Both give
+        call with k = 1 alone reads the lines' maxima. Both give
         the same recall, and so does a call per larger k. Ties are
         frequent."""
         ks = (1, *ks)
@@ -226,9 +224,8 @@ class TestPairedRecall:
         (6, [6]), (319, [319]), (320, [288, 32]),
         (1030, [288, 288, 288, 166])], ids=["n6", "n319", "n320", "n1030"])
     def test_block_products(self, monkeypatch, n, blocks):
-        """Both directions read (b - a) x n products of img @ txt.T: one per
-        aligned span at k = 1; at larger k a second pass forms every block
-        but the last again. Up to 319 pairs are one product whatever the k."""
+        """Both directions read one (b - a) x n product of img @ txt.T per
+        span of `spans`, whatever the k, and no other product."""
         products = []
         Counted = oracles.matmul_recorder(products)
 
@@ -238,10 +235,10 @@ class TestPairedRecall:
 
         monkeypatch.setattr(M, "unit_rows", counted)
         case = paired_case(0, n)[:4]
-        for ks, again in (((1,), []), ((1, 5, 10), blocks[:-1])):
+        for ks in ((1,), (5,), (1, 5, 10), (1, n + 1)):
             products.clear()
             res = M.paired_recall(*case, ks=ks)
-            assert products == [(rows, n) for rows in blocks + again]
+            assert products == [(rows, n) for rows in blocks]
             assert list(res) == ["img2txt", "txt2img"]
             assert all(list(res[d]) == list(ks) for d in res)
 
@@ -293,34 +290,9 @@ def streamed_recall(monkeypatch, txt, img, ks):
     return M.paired_recall(None, None, None, img, ks=ks)
 
 
-# (n, d) of the cosine products whose row blocks are checked bit for bit.
-# Under the default kernel 256-row blocks change bits at 300, 513, 1030,
-# 2017 and 2500 but not at 250 or 1000.
-RECALL_BLOCK_SIZES = [(n, d) for n in (250, 300, 319, 320, 513, 577, 1000,
-                                       1030, 2017, 2500)
-                      for d in (16, 64, 128)]
-
-
-def recall_block_mismatches() -> list[tuple[int, int]]:
-    """The (n, d) of RECALL_BLOCK_SIZES at which a row block of
-    `paired_recall`'s cosines differs in any bit from the same rows of the
-    one-shot product, on random unit features."""
-    rng = np.random.default_rng(0)
-    bad = []
-    for n, d in RECALL_BLOCK_SIZES:
-        u = unit_rows(rng.normal(size=(n, d)), "u")[0]
-        v = unit_rows(rng.normal(size=(n, d)), "v")[0]
-        whole = u @ v.T
-        if not all(np.array_equal(s, whole[a:b])
-                   for a, b, s in M._cosines(u, v, spans(n))):
-            bad.append((n, d))
-    return bad
-
-
 class TestStreaming:
-    """`paired_recall` forms the cosines in aligned blocks of ROWS rows,
-    keeps the one-shot product's bits and ranks as the whole-matrix
-    oracle does."""
+    """`paired_recall` forms the cosines in row blocks of `spans` and
+    ranks as the whole-matrix oracle does."""
 
     @pytest.mark.parametrize("n", STREAM_SIZES)
     @pytest.mark.parametrize("ks", [(1,), (5,), (1, 5, 10), "over"],
@@ -342,19 +314,6 @@ class TestStreaming:
             assert streamed_recall(mp, txt, img, ks) == \
                 oracles.paired_recall_whole(txt, img, ks)
 
-    # With more than one BLAS thread OpenBLAS splits a product by thread,
-    # and even the one-shot product's bits change with the thread count,
-    # so the bits are checked with one thread, as runs are benchmarked.
-    @pytest.mark.parametrize("kernel", [None, "Haswell", "Sandybridge",
-                                        "Nehalem"])
-    def test_blocks_keep_the_one_shot_bits(self, kernel):
-        if kernel and not oracles.dynamic_openblas():
-            pytest.skip("numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS, so "
-                        "OPENBLAS_CORETYPE cannot select another kernel")
-        assert oracles.one_blas_thread(
-            "import test_metrics\n"
-            "print(test_metrics.recall_block_mismatches())\n", kernel) == "[]"
-
     def test_peak_memory_is_bounded(self):
         """2,000 pairs of 64-wide features: the whole cosine matrix alone
         is 32 MB, one 288-row block 4.6 MB."""
@@ -374,6 +333,152 @@ class TestStreaming:
             tracemalloc.stop()
         assert peak < 10e6
         assert res == oracles.paired_recall_whole(txt, img, (1, 5, 10))
+
+
+def gamma(d):
+    """gamma_d = d u / (1 - d u), u = 2**-53: how far a dot of two unit
+    rows of length d can round from its exact value, in any order."""
+    du = d * 2.0 ** -53
+    return du / (1 - du)
+
+
+def near_tie_case(seed, n, d=64):
+    """(text, image) unit features of n Gaussian pairs, each image its
+    text plus noise, with ties planted between line p and item q at the
+    `edge_pairs` of the row blocks and at random pairs, in both
+    directions: an exact copy of item p, a copy a few ulps apart, or a
+    copy moved along line p's row so that its score sits 0.25, 0.9, 1.1,
+    1.5 or 3 bands (4 gamma_d) above or below line p's own."""
+    rng = np.random.default_rng(seed)
+    txt = unit_rows(rng.normal(size=(n, d)), "txt")[0]
+    img = unit_rows(txt + rng.normal(size=(n, d)), "img")[0]
+    pairs = [*edge_pairs(n), *rng.integers(0, n, size=(n // 8, 2))]
+    offsets = [0, "ulps", *(s * f for f in (0.25, 0.9, 1.1, 1.5, 3)
+                            for s in (-1, 1))]
+    for t, (p, q) in enumerate(pairs):
+        if p == q:
+            continue
+        # image p's item is text p; text p's item is image p
+        line, items = (img, txt) if t % 2 else (txt, img)
+        kind = offsets[(t // 2) % len(offsets)]
+        items[q] = items[p]
+        if kind == "ulps":
+            items[q, :2] = np.nextafter(items[q, :2], 2.0)
+        elif kind:
+            c = line[p] @ items[p]
+            w = line[p] - c * items[p]
+            items[q] += (kind * 4 * gamma(d) / (1 - c * c)) * w
+    return txt, img
+
+
+def ranks_both_ways(txt, img, k_max):
+    """`paired_recall`'s min(rank, k_max) per direction, stacked."""
+    u, v = unit_rows(img, "img")[0], unit_rows(txt, "txt")[0]
+    return np.minimum(M._ranks(u, v, k_max), k_max)
+
+
+def noisy_products(monkeypatch, size, extreme):
+    """Add up to +-size to every entry of every `_cosines` block: uniform
+    draws, or +-size exactly when `extreme`."""
+    rng, cosines = np.random.default_rng(0), M._cosines
+
+    def noisy(u, v, blocks):
+        for a, b, s in cosines(u, v, blocks):
+            s += size * (rng.choice([-1.0, 1.0], s.shape) if extreme
+                         else rng.uniform(-1.0, 1.0, s.shape))
+            yield a, b, s
+
+    monkeypatch.setattr(M, "_cosines", noisy)
+
+
+def thread_cases():
+    """(text, image, k_max) of the tie-heavy non-exact cases ranked under
+    one and two BLAS threads: at 462, 513, 1030 and 2017 pairs,
+    `paired_case`'s copied texts and images (seed 22 at 462 pairs is
+    where ranks read off the product's bits differed under two threads)
+    and `near_tie_case`'s planted near-ties, each at k_max 1 and 10."""
+    for n in (462, 513, 1030, 2017):
+        *_, img, txt = paired_case(22, n, dup_txt=n // 3, dup_img=n // 3)
+        for case in ((txt, img), near_tie_case(n, n)):
+            for k_max in (1, 10):
+                yield (*case, k_max)
+
+
+def digest(ranks) -> str:
+    """sha256 of a sequence of int64 rank arrays."""
+    h = hashlib.sha256()
+    for r in ranks:
+        h.update(np.asarray(r, dtype=np.int64).tobytes())
+    return h.hexdigest()
+
+
+def thread_case_ranks() -> str:
+    """The digest of `paired_recall`'s ranks on every `thread_cases` case."""
+    return digest(ranks_both_ways(*case) for case in thread_cases())
+
+
+class TestCanonicalRanks:
+    """`paired_recall` ranks on canonical scores, the einsum dots of the
+    unit rows: a product entry outside the band around a line's own score
+    decides by the product, and a line with one inside it is scored
+    again. No product rounding can then move a rank."""
+
+    @pytest.mark.parametrize("d", [4, 64])
+    def test_planted_ties_straddle_the_band(self, d):
+        """Both directions hold exact ties, near-ties inside the band and
+        scores just outside it, on each side of a block edge."""
+        txt, img = near_tie_case(0, 600, d)
+        sims = oracles.canonical_cosines(img, txt)
+        band, own = 4 * gamma(d), sims.diagonal().copy()
+        np.fill_diagonal(sims, np.inf)
+        for off in (sims - own[:, None], sims - own):
+            for lo, hi in ((0, 0), (1e-300, band), (band * 1.001, 2 * band)):
+                where = (abs(off) >= lo) & (abs(off) <= hi)
+                rows, cols = np.nonzero(where)
+                assert np.any((rows < ROWS) & (cols >= ROWS))
+                assert np.any((cols < ROWS) & (rows >= ROWS))
+
+    @pytest.mark.parametrize("n", [31, 289, 320, 577, 1030])
+    @pytest.mark.parametrize("ks", [(1,), (5,), (1, 5, 10)],
+                             ids=["k1", "k5", "k1-5-10"])
+    @pytest.mark.parametrize("d", [4, 64])
+    def test_planted_near_ties_match_oracle(self, monkeypatch, n, ks, d):
+        for seed in range(2):
+            txt, img = near_tie_case(seed, n, d)
+            assert streamed_recall(monkeypatch, txt, img, ks) == \
+                oracles.paired_recall_whole(txt, img, ks)
+
+    @pytest.mark.parametrize("extreme", [False, True], ids=["uniform", "edge"])
+    @pytest.mark.parametrize("k_max", [1, 10])
+    @pytest.mark.parametrize("case", ["near", "exact", "copies"])
+    def test_product_noise_leaves_every_rank(self, monkeypatch, case,
+                                             k_max, extreme):
+        """Up to +-2 gamma_d on every entry of every block product, more
+        than any BLAS kernel rounds by, leaves every rank as it was and as
+        the oracle ranks it."""
+        n, d = 577, {"near": 64, "exact": 16, "copies": 4}[case]
+        if case == "near":
+            txt, img = near_tie_case(1, n, d)
+        elif case == "exact":
+            txt, img = exact_case(1, n, d)
+        else:
+            *_, img, txt = paired_case(1, n, dup_txt=n // 3, dup_img=n // 3)
+        want = ranks_both_ways(txt, img, k_max)
+        assert np.array_equal(want, np.stack(
+            oracles.paired_ranks_whole(txt, img, k_max)))
+        noisy_products(monkeypatch, 2 * gamma(d), extreme)
+        assert np.array_equal(ranks_both_ways(txt, img, k_max), want)
+
+    def test_two_blas_threads_give_the_one_thread_ranks(self):
+        """Two OpenBLAS threads round the block products apart from one
+        thread's above 319 pairs; the ranks stay those of one thread and
+        of the oracle."""
+        want = digest(np.stack(oracles.paired_ranks_whole(*case))
+                      for case in thread_cases())
+        script = ("import test_metrics\n"
+                  "print(test_metrics.thread_case_ranks())\n")
+        assert [oracles.fresh_interpreter(script, threads=t)
+                for t in (1, 2)] == [want, want]
 
 
 def hand_matrix():

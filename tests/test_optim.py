@@ -91,6 +91,61 @@ class TestSgdStep:
                  new_state(t, cfg))
 
 
+class TestWrites:
+    """A step checks the values it writes: one that float32 cannot hold
+    is a NumericError naming the step and the row, raised before the cast
+    (which would warn of an overflow and write inf) and before any row
+    is written."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_sgd_finite_gradient_past_float32(self):
+        t = table_of([[0.5, 0.5], [0.25, -0.25], [1.0, 2.0]])
+        cfg = flat_cfg()
+        state = new_state(t, cfg)
+        step(t, {0: np.array([0.1, 0.2]), 1: np.array([0.3, 0.4])},
+             np.ones(3), cfg, state)
+        before = t.copy()
+        with pytest.raises(NumericError, match=r"^step 2: row 2 "):
+            step(t, {1: np.array([0.1, 0.1]), 2: np.array([0.0, 1e300])},
+                 np.ones(3), cfg, state)
+        assert t.tobytes() == before.tobytes()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_adamw_step_past_float32(self):
+        """AdamW's step is about lr whatever the gradient; lr 1e39 takes
+        a row past float32's largest value, 3.4e38."""
+        t = table_of([[0.5, 0.5], [0.25, -0.25]])
+        cfg = flat_cfg(kind="adamw", lr=1e39, wd=0.0)
+        with pytest.raises(NumericError, match=r"^step 1: row 1 "):
+            step(t, {1: np.array([1.0, 1.0])}, np.ones(2), cfg,
+                 new_state(t, cfg))
+
+    def test_largest_float32_is_written(self):
+        """A value that rounds to float32's largest one is still finite."""
+        top = float(np.finfo(np.float32).max)
+        t = table_of([[0.0]])
+        cfg = flat_cfg(lr=1.0, wd=0.0)
+        step(t, {0: np.array([-top * (1 + 2.0 ** -25)])}, np.ones(1), cfg,
+             new_state(t, cfg))
+        assert t[0, 0] == np.float32(top)
+
+
+class TestConfig:
+    @pytest.mark.parametrize("lr, wd", [(1.0, 2.0), (10000.0, 0.005),
+                                        (0.01, 100.0), (1.0, 3.0)])
+    def test_diverging_decay_rejected(self, lr, wd):
+        """lr * weight_decay >= 2, lr the larger of optim.lr and
+        pretraining's 0.03, makes the decay factor <= -1."""
+        with pytest.raises(InvalidInputError,
+                           match=r"optim\.weight_decay .* optim\.lr"):
+            flat_cfg(lr=lr, wd=wd)
+
+    @pytest.mark.parametrize("lr, wd", [(1.0, 1.99), (0.01, 66.0),
+                                        (1e39, 0.0)])
+    def test_converging_decay_accepted(self, lr, wd):
+        assert flat_cfg(lr=lr, wd=wd).weight_decay == wd
+
+
 def reference_step(table, grads, cfg, state):
     """Unscaled textbook update, written independently of optim.step."""
     lr = optim.lr_at(state.step_count, state.total_steps, cfg)
