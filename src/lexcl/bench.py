@@ -235,7 +235,7 @@ def _interval(lanes: _Lanes, idx: np.ndarray, bound: int) -> np.ndarray:
 
 def _make_word(rng: np.random.Generator, alphabet: str) -> str:
     length = int(rng.integers(_WORD_LENGTHS.start, _WORD_LENGTHS.stop))
-    return "".join(alphabet[int(rng.integers(len(alphabet)))] for _ in range(length))
+    return "".join(alphabet[i] for i in rng.integers(len(alphabet), size=length))
 
 
 def _make_lexicon(cfg: BenchConfig, lang: int) -> tuple[list[str], list[str]]:

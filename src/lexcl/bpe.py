@@ -16,6 +16,7 @@ import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from itertools import chain
+from typing import NamedTuple
 
 from .embeddings import read_lines, write_atomic
 from .errors import InvalidIdError, InvalidInputError
@@ -26,12 +27,11 @@ N_BYTES = 256
 _WHITESPACE = re.compile(rb"([ \t\n\r\x0b\x0c]+)")
 # The id of the space byte, which `encode` splits on.
 _SPACE = ord(" ")
+# The pair-table entry of a pair that no rule names: after every rule.
+_NO_RULE = (1 << 63, -1)
 
-Pair = tuple[bytes, bytes]
 
-
-@dataclass(frozen=True)
-class MergeRule:
+class MergeRule(NamedTuple):
     left: int
     right: int
     result: int
@@ -43,7 +43,7 @@ class MergeRule:
 class TaskVocab:
     """One task's BPE vocabulary: 256 byte tokens plus learned merges.
 
-    The rank table is built once, by `merge_ranks()`, when the vocab is
+    The pair table is built once, by `merge_ranks()`, when the vocab is
     made. `segment_ids` caches the ids of each distinct piece of text
     with no space in it: `train_bpe` seeds it with its words, and
     `encode` adds the pieces it meets first. Both are derived state,
@@ -53,7 +53,7 @@ class TaskVocab:
     tokens: list[bytes]
     rules: list[MergeRule]
     id_of: dict[bytes, int] = field(default_factory=dict)
-    ranks: dict[Pair, tuple[tuple[int, int], bytes]] = field(
+    ranks: dict[tuple[int, int], tuple[int, int]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
     segment_ids: dict[bytes, list[int]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
@@ -67,32 +67,23 @@ class TaskVocab:
     def size(self) -> int:
         return len(self.tokens)
 
-    def merge_ranks(self) -> dict[Pair, tuple[tuple[int, int], bytes]]:
-        """Map (left bytes, right bytes) -> ((task, rank) priority, merged bytes)."""
-        out = {}
-        for r in self.rules:
-            key = (self.tokens[r.left], self.tokens[r.right])
-            out[key] = ((r.task_index, r.rank), self.tokens[r.result])
-        return out
+    def merge_ranks(self) -> dict[tuple[int, int], tuple[int, int]]:
+        """Map (left id, right id) -> (priority, result id), priorities
+        counting up in (task, rank) order. Each id is the one `id_of` gives
+        its token's bytes, so a pair of byte strings that two rules name
+        keeps the later rule. Bytes 0-255 must be ids 0-255."""
+        id_of, tokens = self.id_of, self.tokens
+        if any(id_of.get(tok) != b for b, tok in enumerate(_byte_tokens())):
+            raise InvalidInputError("ids 0-255 are not the 256 single bytes")
+        order = {key: p for p, key in enumerate(dict.fromkeys(
+            sorted((r.task_index, r.rank) for r in self.rules)))}
+        return {(id_of[tokens[r.left]], id_of[tokens[r.right]]):
+                (order[r.task_index, r.rank], id_of[tokens[r.result]])
+                for r in self.rules}
 
 
 def _byte_tokens() -> list[bytes]:
     return [bytes([i]) for i in range(N_BYTES)]
-
-
-def _merge_word(parts: list[bytes], left: bytes, right: bytes, merged: bytes) -> list[bytes]:
-    """Replace leftmost-first occurrences of (left, right) with merged."""
-    out = []
-    i = 0
-    n = len(parts)
-    while i < n:
-        if i + 1 < n and parts[i] == left and parts[i + 1] == right:
-            out.append(merged)
-            i += 2
-        else:
-            out.append(parts[i])
-            i += 1
-    return out
 
 
 def _corpus_words(corpus, target_size: int) -> tuple[list[bytes], list[int]]:
@@ -218,40 +209,49 @@ def train_bpe(corpus, target_size: int, task_index: int = 0) -> TaskVocab:
     return tv
 
 
-def _encode_parts(parts: list[bytes], ranks) -> list[bytes]:
-    """Apply merge rules to a token sequence until none applies.
-
-    Equivalent to applying rules one by one in priority order; here the
-    best-priority applicable pair is merged each pass, which is the same
-    fixed point because later rules never re-enable earlier ones.
-    """
-    while len(parts) > 1:
-        best_key = None
-        best_pair = None
-        for a, b in zip(parts, parts[1:]):
-            hit = ranks.get((a, b))
-            if hit is not None and (best_key is None or hit[0] < best_key):
-                best_key = hit[0]
-                best_pair = (a, b, hit[1])
-        if best_pair is None:
-            break
-        parts = _merge_word(parts, *best_pair)
-    return parts
+def _encode_parts(seg: bytes, vocab: TaskVocab) -> list[int]:
+    """The ids of a byte string with no whitespace, merged by passes: each
+    merges every leftmost-first occurrence of the adjacent pair of best
+    priority (the leftmost among equals) until no pair has a rule.
+    `prio[i]` is the priority of (ids[i], ids[i + 1]); a merge re-reads
+    only the two pairs beside it. The tests check it against the pass
+    loop on bytes in `tests/oracles.py`, which rule-by-rule merging does
+    not always equal: a rule can rebuild the bytes an earlier one reads."""
+    ranks = vocab.ranks
+    get = ranks.get
+    ids = list(seg)
+    prio = [get(p, _NO_RULE)[0] for p in zip(ids, ids[1:])]
+    while prio and (best := min(prio)) != _NO_RULE[0]:
+        i = prio.index(best)
+        a, b = ids[i], ids[i + 1]
+        m = ranks[a, b][1]
+        sites = [i]  # merge sites, right to left
+        # the later pairs of this priority: (a, b), unless it overlaps the
+        # last site, or a pair of the same (task, rank), left to a later pass
+        for _ in range(prio.count(best) - 1):
+            i = prio.index(best, i + 1)
+            if i > sites[0] + 1 and ids[i] == a and ids[i + 1] == b:
+                sites.insert(0, i)
+        for i in sites:
+            ids[i:i + 2] = (m,)
+            del prio[i]
+            if i:
+                prio[i - 1] = get((ids[i - 1], m), _NO_RULE)[0]
+            if i < len(prio):
+                prio[i] = get((m, ids[i + 1]), _NO_RULE)[0]
+    return ids
 
 
 def _encode_piece(piece: bytes, vocab: TaskVocab) -> list[int]:
-    """The ids of a byte string with no space in it: each byte of its
-    other whitespace runs, and the segments between them merged against
-    the vocab's rank table."""
+    """The ids of a byte string with no space in it: each byte of its other
+    whitespace runs, and the segments between them merged."""
     out: list[int] = []
-    # odd items are the whitespace runs, even items the (maybe empty)
-    # segments between them
+    # odd items are the whitespace runs, even ones the segments between
     for k, seg in enumerate(_WHITESPACE.split(piece)):
         if k % 2:
             out.extend(seg)
         elif seg:
-            out.extend(vocab.id_of[p] for p in
-                       _encode_parts([bytes([b]) for b in seg], vocab.ranks))
+            out += _encode_parts(seg, vocab)
     return out
 
 
@@ -291,7 +291,8 @@ def decode(ids, scope) -> bytes:
 # --- serialization -----------------------------------------------------
 
 _PRINTABLE = set(range(0x20, 0x7F)) - {ord('"'), ord("\\")}
-_HEX_ESCAPE = re.compile(r"x[0-9a-fA-F]{2}")
+# A literal's body: any characters, each backslash starting a \xHH escape.
+_ESCAPED = re.compile(r"(?:[^\\]|\\x[0-9a-fA-F]{2})*")
 
 
 def token_to_text(tok: bytes) -> str:
@@ -304,18 +305,11 @@ def token_from_text(s: str) -> bytes:
     if len(s) < 2 or s[0] != '"' or s[-1] != '"':
         raise InvalidInputError(f"bad token literal: {s!r}")
     body = s[1:-1]
-    out = bytearray()
-    i = 0
-    while i < len(body):
-        if body[i] == "\\":
-            if not _HEX_ESCAPE.fullmatch(body, i + 1, i + 4):
-                raise InvalidInputError(f"bad escape in token literal: {s!r}")
-            out.append(int(body[i + 2 : i + 4], 16))
-            i += 4
-        else:
-            out.append(ord(body[i]))
-            i += 1
-    return bytes(out)
+    if "\\" in body:
+        if not _ESCAPED.fullmatch(body):
+            raise InvalidInputError(f"bad escape in token literal: {s!r}")
+        body = body.encode("latin-1").decode("unicode_escape")
+    return body.encode("latin-1")
 
 
 def save_vocab(tokens: list[bytes], path) -> None:
@@ -346,4 +340,7 @@ def vocab_from_files(vocab_path, merges_path, task_index=None) -> TaskVocab:
 
     rules = read_lines(merges_path, merge_rule, InvalidInputError, "ascii")
     t = task_index if task_index is not None else (rules[0].task_index if rules else 0)
-    return TaskVocab(task_index=t, tokens=tokens, rules=rules)
+    try:
+        return TaskVocab(task_index=t, tokens=tokens, rules=rules)
+    except InvalidInputError as e:
+        raise InvalidInputError(f"{vocab_path}: {e}") from None

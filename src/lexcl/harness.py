@@ -222,9 +222,10 @@ class Runner:
         cfg = self.cfg
         tasks = [self.tasks[t] for t in train]
         pooled = Pooling.concat([td.pooled["train"] for td in tasks])
-        img_feats = self.images[np.concatenate(
-            [td.train.image for td in tasks])].astype(np.float64)
-        n = len(img_feats)
+        # image rows become float64 per batch, so no float64 copy of the
+        # step's whole split is held
+        image = np.concatenate([td.train.image for td in tasks])
+        n = len(image)
         steps_per_epoch = (n + cfg.batch_size - 1) // cfg.batch_size
         ocfg = cfg.optim
         if self.anchor is None:
@@ -247,7 +248,8 @@ class Runner:
                 idx = order[s * cfg.batch_size : (s + 1) * cfg.batch_size]
                 loss, rows, grads = batch_grad(
                     pooled.take(idx), self.table, self.params,
-                    img_feats[idx], eng_feats[idx], loss_cfg)
+                    self.images[image[idx]].astype(np.float64),
+                    eng_feats[idx], loss_cfg)
                 epoch_loss += loss
                 optim_step(self.table, rows, lam, grads, ocfg, ostate)
             mean_loss = epoch_loss / steps_per_epoch

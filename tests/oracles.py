@@ -290,6 +290,22 @@ def paired_recall_whole(txt, image_feats, ks=(1,)) -> dict:
                                paired_ranks_whole(txt, image_feats, max(ks)))}
 
 
+def merge_word(parts: list[bytes], left: bytes, right: bytes,
+               merged: bytes) -> list[bytes]:
+    """Replace leftmost-first occurrences of (left, right) with merged."""
+    out = []
+    i = 0
+    n = len(parts)
+    while i < n:
+        if i + 1 < n and parts[i] == left and parts[i + 1] == right:
+            out.append(merged)
+            i += 2
+        else:
+            out.append(parts[i])
+            i += 1
+    return out
+
+
 def train_bpe_reference(corpus, target_size: int,
                         task_index: int = 0) -> bpe.TaskVocab:
     """Slow reference trainer: recount every pair before each merge."""
@@ -309,10 +325,47 @@ def train_bpe_reference(corpus, target_size: int,
         if count < 2:
             break
         merged = out.add(left, right)
-        words = [bpe._merge_word(p, left, right, merged) if len(p) > 1 else p
+        words = [merge_word(p, left, right, merged) if len(p) > 1 else p
                  for p in words]
 
     return out.vocab()
+
+
+def bytes_ranks(scope) -> dict:
+    """The vocab's rules keyed by bytes: (left bytes, right bytes) ->
+    ((task, rank), merged bytes), a pair named by two rules keeping the
+    later one."""
+    tokens = scope.tokens
+    return {(tokens[r.left], tokens[r.right]):
+            ((r.task_index, r.rank), tokens[r.result]) for r in scope.rules}
+
+
+def encode_passes(text: bytes, scope) -> list[int]:
+    """Pass-by-pass reference encoder on byte strings: split the text at
+    its whitespace runs, as `bpe.encode` does, and merge each segment by
+    passes. A pass finds the adjacent pair whose rule has the best
+    (task, rank), the leftmost among equals, by a scan of every pair, and
+    rebuilds the segment with each leftmost-first occurrence of that pair
+    merged."""
+    if isinstance(text, str):
+        text = text.encode("utf-8")
+    ranks = bytes_ranks(scope)
+    out = []
+    for k, seg in enumerate(bpe._WHITESPACE.split(text)):
+        parts = [bytes([b]) for b in seg]
+        while k % 2 == 0 and len(parts) > 1:
+            best_key = None
+            best_pair = None
+            for a, b in zip(parts, parts[1:]):
+                hit = ranks.get((a, b))
+                if hit is not None and (best_key is None or hit[0] < best_key):
+                    best_key = hit[0]
+                    best_pair = (a, b, hit[1])
+            if best_pair is None:
+                break
+            parts = merge_word(parts, *best_pair)
+        out += [scope.id_of[p] for p in parts]
+    return out
 
 
 def encode_reference(text: bytes, scope) -> list[int]:
@@ -322,9 +375,9 @@ def encode_reference(text: bytes, scope) -> list[int]:
     if not text:
         return []
     parts = [bytes([b]) for b in text]
-    items = sorted(scope.merge_ranks().items(), key=lambda kv: kv[1][0])
+    items = sorted(bytes_ranks(scope).items(), key=lambda kv: kv[1][0])
     for (left, right), (_, merged) in items:
-        parts = bpe._merge_word(parts, left, right, merged)
+        parts = merge_word(parts, left, right, merged)
     return [scope.id_of[p] for p in parts]
 
 

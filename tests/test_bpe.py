@@ -1,5 +1,8 @@
 """Tokenizer tests: training greedy order, encode/decode round-trips, file formats."""
 
+import os
+import tempfile
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -157,6 +160,145 @@ spaced_text_strategy = st.lists(
     max_size=12).map("".join)
 
 
+def hand_vocab(rules, task_index=0) -> bpe.TaskVocab:
+    """A vocab of the 256 bytes and one token per rule (left bytes, right
+    bytes, (task, rank)), each rule's result the token it appends."""
+    tokens = bpe._byte_tokens()
+    out = []
+    for left, right, (t, rank) in rules:
+        ids = [tokens.index(tok) for tok in (left, right)]
+        tokens.append(left + right)
+        out.append(bpe.MergeRule(*ids, len(tokens) - 1, t, rank))
+    return bpe.TaskVocab(task_index, tokens, out)
+
+
+def round_trip(tv) -> bpe.TaskVocab:
+    """`tv` written with save_vocab and save_merges and read back."""
+    with tempfile.TemporaryDirectory() as d:
+        vp, mp = os.path.join(d, "vocab.txt"), os.path.join(d, "merges.txt")
+        bpe.save_vocab(tv.tokens, vp)
+        bpe.save_merges(tv.rules, mp)
+        return bpe.vocab_from_files(vp, mp, task_index=tv.task_index)
+
+
+@st.composite
+def drawn_vocabs(draw) -> bpe.TaskVocab:
+    """Vocabs no trainer writes: each rule joins two tokens of "abc" or of
+    earlier rules, so results repeat earlier tokens' bytes and byte pairs
+    repeat, and the rules' (task, rank) are distinct but in any order."""
+    n = draw(st.integers(0, 14))
+    keys = draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 30)),
+                         min_size=n, max_size=n, unique=True))
+    tokens = [b"a", b"b", b"c"]
+    rules = []
+    for key in keys:
+        left, right = draw(st.sampled_from(tokens)), draw(st.sampled_from(tokens))
+        tokens.append(left + right)
+        rules.append((left, right, key))
+    return hand_vocab(rules)
+
+
+abc_text = st.text(alphabet="abc \t", max_size=24)
+
+# The first rule's result has the bytes of the fourth's, and (a, b) is
+# named twice, the later rule winning; neither rebuilds bytes that an
+# earlier rule reads, so all three encoders agree.
+_DUPLICATES = {
+    "duplicate-bytes": [(b"a", b"b", (0, 0)), (b"b", b"c", (0, 1)),
+                        (b"ab", b"c", (0, 2)), (b"a", b"bc", (0, 3))],
+    "pair-named-twice": [(b"a", b"b", (0, 0)), (b"c", b"c", (0, 1)),
+                         (b"a", b"b", (1, 0)), (b"ab", b"cc", (1, 1))],
+}
+
+
+class TestColdMerge:
+    """The id-pair merge against the pass loop on bytes
+    (`oracles.encode_passes`) and rule-by-rule merging
+    (`oracles.encode_reference`), on cold piece caches."""
+
+    @given(corpus=corpus_strategy, size=st.integers(257, 330),
+           text=spaced_text_strategy)
+    @settings(max_examples=80, deadline=None)
+    def test_trained_vocabs_match_both_oracles(self, corpus, size, text):
+        seeded = bpe.train_bpe(corpus, size)
+        cold = bpe.TaskVocab(seeded.task_index, seeded.tokens, seeded.rules)
+        data = text.encode("utf-8")
+        want = oracles.encode_passes(data, seeded)
+        assert want == oracles.encode_reference(data, seeded)
+        assert bpe.encode(data, cold) == want
+        assert bpe.encode(data, seeded) == want
+
+    @given(corpus=corpus_strategy, size=st.integers(257, 330),
+           task_index=st.integers(0, 4), text=spaced_text_strategy)
+    @settings(max_examples=40, deadline=None)
+    def test_round_tripped_vocabs_match_both_oracles(self, corpus, size,
+                                                     task_index, text):
+        tv = bpe.train_bpe(corpus, size, task_index)
+        back = round_trip(tv)
+        assert (back.tokens, back.rules) == (tv.tokens, tv.rules)
+        assert back.ranks == tv.ranks
+        data = text.encode("utf-8")
+        want = oracles.encode_passes(data, tv)
+        assert want == oracles.encode_reference(data, tv)
+        assert bpe.encode(data, back) == bpe.encode(data, tv) == want
+
+    @pytest.mark.parametrize("name", sorted(_DUPLICATES))
+    @given(text=abc_text)
+    @settings(max_examples=60, deadline=None)
+    def test_hand_built_duplicates_match_both_oracles(self, name, text):
+        tv = hand_vocab(_DUPLICATES[name])
+        data = text.encode("utf-8")
+        want = oracles.encode_passes(data, tv)
+        assert want == oracles.encode_reference(data, tv)
+        assert bpe.encode(data, tv) == want
+        assert bpe.encode(data, round_trip(tv)) == want
+
+    def test_duplicates_keep_canonical_ids(self):
+        dup = hand_vocab(_DUPLICATES["duplicate-bytes"])
+        # "abc" is ids 258 and 259; id_of, and so the encoder, gives 259
+        assert dup.tokens[258] == dup.tokens[259] == b"abc"
+        assert bpe.encode(b"abc abc", dup) == [259, 32, 259]
+        twice = hand_vocab(_DUPLICATES["pair-named-twice"])
+        # the later (a, b) rule sets the pair's priority and result
+        assert twice.ranks[97, 98] == (2, 258)
+        assert bpe.encode(b"abcc", twice) == [259]
+
+    @given(tv=drawn_vocabs(), text=abc_text)
+    # a rule reading "ab" ranks before the rule that builds it: every "ab"
+    # of a pass is built before (ab, a) is looked for
+    @example(tv=hand_vocab([(b"a", b"b", (0, 1)), (b"ab", b"a", (0, 0))]),
+             text="abab")
+    @settings(max_examples=200, deadline=None)
+    def test_drawn_vocabs_match_the_pass_loop(self, tv, text):
+        data = text.encode("utf-8")
+        want = oracles.encode_passes(data, tv)
+        assert bpe.encode(data, tv) == want
+        assert bpe.encode(data, round_trip(tv)) == want
+
+    def test_rebuilt_bytes_follow_the_pass_loop(self):
+        """Rule (ab, c) comes before the rule (a, b) that builds "ab": the
+        pass loop merges "abc" whole, while rules taken one by one meet
+        (ab, c) before "ab" exists."""
+        tv = hand_vocab([(b"a", b"b", (0, 1)), (b"ab", b"c", (0, 0))])
+        assert oracles.encode_passes(b"abc", tv) == [257]
+        assert oracles.encode_reference(b"abc", tv) == [256, 99]
+        assert bpe.encode(b"abc", tv) == [257]
+
+    def test_equal_task_rank_merges_leftmost_first(self):
+        """Two rules of one (task, rank), which `train_bpe` never writes,
+        are read from files and merged as the pass loop does: the leftmost
+        pair of that priority first, not the rule listed first."""
+        tv = hand_vocab([(b"b", b"c", (0, 0)), (b"a", b"b", (0, 0))])
+        back = round_trip(tv)
+        assert back.ranks == tv.ranks == {(98, 99): (0, 256),
+                                          (97, 98): (0, 257)}
+        for data, want in [(b"abc", [257, 99]), (b"bcab", [256, 257]),
+                           (b"cabbc", [99, 257, 256])]:
+            assert bpe.encode(data, back) == want
+            assert oracles.encode_passes(data, tv) == want
+        assert oracles.encode_reference(b"abc", tv) == [97, 256]
+
+
 class TestSegmentCache:
     """The trainer seeds `segment_ids` with its words; `encode` splits on
     single spaces and caches each piece."""
@@ -297,6 +439,28 @@ class TestFiles:
         back = bpe.vocab_from_files(vp, mp)
         assert back.tokens == tv.tokens
         assert back.rules == tv.rules
+
+    @pytest.mark.parametrize("tokens", [
+        [b"a", b"b"],                                    # no byte base
+        bpe._byte_tokens()[:97] + [b"b", b"a"] + bpe._byte_tokens()[99:],
+        bpe._byte_tokens() + [b"ab", b"a"],              # a second "a"
+    ], ids=["short", "swapped", "repeated"])
+    def test_byte_ids_must_be_the_bytes(self, tmp_path, tokens):
+        """The encoder starts from each byte's value as its id, so a vocab
+        file whose ids 0-255 are not the bytes is refused, naming it."""
+        vp, mp = tmp_path / "vocab.txt", tmp_path / "merges.txt"
+        bpe.save_vocab(tokens, vp)
+        bpe.save_merges([], mp)
+        with pytest.raises(InvalidInputError,
+                           match=f"^{vp}: ids 0-255 are not the 256"):
+            bpe.vocab_from_files(vp, mp)
+        with pytest.raises(InvalidInputError, match="^ids 0-255"):
+            bpe.TaskVocab(0, tokens, [])
+
+    def test_token_literals_of_every_byte(self):
+        raw = bytes(range(256))
+        assert bpe.token_from_text(bpe.token_to_text(raw)) == raw
+        assert bpe.token_from_text('"\\x5C\\x22x"') == b'\\"x'
 
     def test_token_text_escaping(self):
         for raw in [b"plain", b"with space", b"\x00\xff", "né".encode("utf-8")]:

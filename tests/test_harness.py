@@ -15,7 +15,7 @@ import pytest
 from scipy import stats as sps
 
 import oracles
-from lexcl import bench, bpe, encoders, harness, vocab
+from lexcl import bench, bpe, encoders, harness, report, vocab
 from lexcl.bench import SPLITS
 from lexcl.embeddings import load_checkpoint, write_matrix
 from lexcl.errors import (CheckpointError, DegenerateFeatureError,
@@ -426,6 +426,35 @@ class TestTokenArrays:
                 assert np.array_equal(getattr(pooled, name),
                                       getattr(want, name))
         r.log.close()
+
+    @pytest.mark.parametrize("mode", sorted(_MODES))
+    def test_vocab_files_give_the_pooled_ids(self, tiny_data, tmp_path,
+                                             monkeypatch, mode):
+        """`lexcl eval` derives every id again from the saved vocab and
+        merges files, whose piece caches start cold. For every val and
+        test caption those global ids equal the ones that the run pooled
+        with the vocabs it trained."""
+        pooled = {}
+        real = vocab.VocabState.tokenize
+
+        def recording(state, texts, task_index):
+            pooled[id(texts)] = real(state, texts, task_index)
+            return pooled[id(texts)]
+
+        monkeypatch.setattr(vocab.VocabState, "tokenize", recording)
+        out = tmp_path / "run"
+        r = Runner(tiny_run_cfg(tiny_data, out, **_MODES[mode]))
+        r.run()
+        monkeypatch.undo()
+        last = report._vocab_state_through(out, report._task_rows(out))[-1]
+        assert not any(tv.segment_ids for tv in last.task_vocabs)
+        for t, td in enumerate(r.tasks):
+            v = harness.vocab_index(r.cfg.mode, r.cfg.oracle_vocab, t)
+            for split in ("val", "test"):
+                texts = getattr(td, split).foreign
+                ids, lengths = last.tokenize(texts, v)
+                assert np.array_equal(ids, pooled[id(texts)][0])
+                assert np.array_equal(lengths, pooled[id(texts)][1])
 
     @pytest.mark.parametrize("mode", sorted(_MODES))
     def test_each_split_pooled_once(self, tiny_data, tmp_path, monkeypatch,
