@@ -302,13 +302,15 @@ def gen_benchmark(cfg: BenchConfig, out_dir) -> None:
     n_images = cfg.n_train + cfg.n_val + cfg.n_test
     img_rng = _rng(cfg.seed, "images")
     concepts = np.empty((n_images, cfg.concepts_per_image), dtype=np.intp)
-    features = np.empty((n_images, cfg.d_out), dtype=np.float64)
+    features = np.empty((n_images, cfg.d_out), dtype=np.float64)  # noise
     for i in range(n_images):
         concepts[i] = img_rng.choice(cfg.n_concepts,
                                      size=cfg.concepts_per_image, replace=False)
-        raw = prototypes[concepts[i]].sum(axis=0)
-        raw = raw / np.linalg.norm(raw)
-        features[i] = raw + img_rng.normal(0.0, cfg.sigma_img, cfg.d_out)
+        features[i] = img_rng.normal(0.0, cfg.sigma_img, cfg.d_out)
+    # plus each image's unit prototype sum; vecdot gives np.linalg.norm's bits
+    for a in range(0, n_images, 512):
+        raw = prototypes[concepts[a:a + 512]].sum(axis=1)
+        features[a:a + 512] += raw / np.sqrt(np.vecdot(raw, raw))[:, None]
     write_matrix(os.path.join(out_dir, "images.feat"), IMG_MAGIC, features)
 
     split_ranges = {
@@ -317,27 +319,20 @@ def gen_benchmark(cfg: BenchConfig, out_dir) -> None:
         "test": range(cfg.n_train + cfg.n_val, n_images),
     }
 
-    lex0_concepts, func0 = _make_lexicon(cfg, 0)
+    lexicons, func_lexicons = zip(*(_make_lexicon(cfg, lang)
+                                    for lang in range(cfg.n_languages)))
     n_shared = int(cfg.lexical_overlap * cfg.n_concepts)
-
-    lexicons = [lex0_concepts]
-    func_lexicons = [func0]
     for lang in range(1, cfg.n_languages):
-        concept_words, function_words = _make_lexicon(cfg, lang)
         # Prefix of a rho-independent permutation: nested shared sets
         # across overlap settings, so the dial is monotone by design.
         # Reused forms are cross-lingual false friends: the shared
         # subset is cyclically shifted, so a borrowed word form names
         # a different concept than it does in language 0. This is the
         # interference channel that makes shared tokens conflict.
-        rng = _rng(cfg.seed, "overlap", lang)
-        perm = rng.permutation(cfg.n_concepts)
-        shared = [int(c) for c in perm[:n_shared]]
+        shared = _rng(cfg.seed, "overlap", lang).permutation(
+            cfg.n_concepts)[:n_shared].tolist()
         for k, c in enumerate(shared):
-            donor = shared[(k + 1) % len(shared)]
-            concept_words[c] = lex0_concepts[donor]
-        lexicons.append(concept_words)
-        func_lexicons.append(function_words)
+            lexicons[lang][c] = lexicons[0][shared[(k + 1) % len(shared)]]
 
     def captions(lang: int) -> list[str]:
         """Language lang's caption of every image, in image order (the

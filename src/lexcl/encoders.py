@@ -1,8 +1,8 @@
 """Frozen text encoder: deterministic mean pooling, one affine map and
 tanh squashing, batched over padded id/weight arrays in aligned blocks
-of ROWS texts (plus its exact adjoint w.r.t. the embedding rows); `spans`
-cuts the blocks of every blocked product. Image features are a frozen
-array that `bench.load_images` reads.
+of ROWS texts (plus its exact adjoint w.r.t. the embedding rows). `spans`
+cuts those blocks and `chunks` the transient blocks of at most ENTRIES
+entries. Image features are a frozen array that `bench.load_images` reads.
 
 The text encoder is deliberately simple so gradients are hand-derivable
 and finite-difference-checkable; the only trainable parameters anywhere
@@ -17,10 +17,11 @@ import numpy as np
 
 from .errors import InvalidIdError, InvalidInputError
 
-# Rows per block of `spans`, and its least tail: encode_text's aligned
-# 288-row blocks keep the one-shot h @ W.T's bits under every OpenBLAS
-# kernel tried, 256-row ones do not. paired_recall's ranks need no rule.
+# Rows per block of `spans`, and its least tail: the bit rule of the
+# h @ W.T product only. Its aligned 288-row blocks keep the one-shot
+# product's bits under every OpenBLAS kernel tried, 256-row ones do not.
 ROWS, MIN_TAIL = 288, 32
+ENTRIES = 1 << 16  # per block of `chunks`, 512 KB of float64
 
 
 @dataclass(frozen=True)
@@ -115,11 +116,20 @@ def pooling(ids, lengths, n_rows: int, params: FrozenTextParams) -> Pooling:
 def _encode_block(pooled: Pooling, matrix: np.ndarray,
                   params: FrozenTextParams) -> np.ndarray:
     # each text's terms summed in slot order from 0, pads adding zeros
-    h = np.einsum("km,kmd->kd", pooled.w, matrix[pooled.ids])
+    h = np.empty((len(pooled.n), matrix.shape[1]))
+    for a, b in chunks(len(h), pooled.w.shape[1] * matrix.shape[1]):
+        np.einsum("km,kmd->kd", pooled.w[a:b], matrix[pooled.ids[a:b]],
+                  out=h[a:b])
     h += params.mean_pos[pooled.n - 1]
     r = h @ params.W.T
     r += params.b
     return np.tanh(r, out=r)
+
+
+def chunks(n: int, width: int) -> list[tuple[int, int]]:
+    """range(n) in blocks of max(1, ENTRIES // width) rows of `width`."""
+    rows = max(1, ENTRIES // max(width, 1))
+    return [(a, min(a + rows, n)) for a in range(0, n, rows)]
 
 
 def spans(n: int) -> list[tuple[int, int]]:

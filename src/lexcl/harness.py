@@ -113,6 +113,11 @@ class _TaskData:
         self.pooled: dict[str, Pooling] = {}
         self.english: Pooling | None = None
 
+    def drop(self, column: str) -> None:
+        """Set caption column `column` of every split to None."""
+        for split in SPLITS:
+            setattr(self, split, replace(getattr(self, split), **{column: None}))
+
 
 class Runner:
     """Mutable state of one run. Making one checks the config against
@@ -173,9 +178,9 @@ class Runner:
         return pooling(ids, lengths, self.state.size, self.params)
 
     def _tokenize(self) -> None:
-        """Pool every caption read under the vocab just merged in, once.
-        Languages with the same English train captions (gen-data gives
-        all of them the same) share one English pooling. Global ids are
+        """Pool every caption read under the vocab just merged in, once,
+        and drop the captions pooled. Languages with the same English
+        train captions share one English pooling. Global ids are
         append-only, so the poolings stay valid for the rest of the run."""
         v = len(self.state.task_vocabs) - 1
         if v == 0:
@@ -187,11 +192,13 @@ class Runner:
                                     "english")
                 for t in ts:
                     self.tasks[t].english = pooled
+                    self.tasks[t].drop("english")
         for t, td in enumerate(self.tasks):
             if self._vocab_of[t] == v:
                 td.pooled = {split: self._pool(getattr(td, split).foreign,
                                                v, [t], split)
                              for split in SPLITS}
+                td.drop("foreign")
 
     def _english_feats(self, tasks: list[_TaskData]) -> list[np.ndarray]:
         """Each task's English train captions encoded under the anchor,
@@ -251,7 +258,10 @@ class Runner:
                     self.images[image[idx]].astype(np.float64),
                     eng_feats[idx], loss_cfg)
                 epoch_loss += loss
-                optim_step(self.table, rows, lam, grads, ocfg, ostate)
+                try:
+                    optim_step(self.table, rows, lam, grads, ocfg, ostate)
+                except NumericError as e:
+                    raise NumericError(f"task {label}: {e}") from e
             mean_loss = epoch_loss / steps_per_epoch
             score = sum(self._val_score(t) for t in train)
             self.loss_rows.append({"task": label, "epoch": epoch,

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embeddings import dist_stats, read_lines, write_csv
-from .encoders import Pooling, encode_text, spans
+from .encoders import Pooling, chunks, encode_text
 from .errors import InvalidInputError, MetricError
 from .losses import batch_grad, unit_rows
 
@@ -74,11 +74,11 @@ def _cosines(u: np.ndarray, v: np.ndarray, blocks):
 def _ranks(u: np.ndarray, v: np.ndarray, k_max: int) -> np.ndarray:
     """Both directions' ranks of item p in line p on canonical scores,
     einsum("pd,pd->p") of C-contiguous unit rows: the items that score
-    above p, or equal to it at an index below p. Each block of u @ v.T is
-    formed once with the own pairs masked, and its entries outside a band
-    around a line's own score are counted (at k_max = 1, the lines'
-    maxima tell rank 0 from the rest); a line with an entry inside the
-    band is scored again canonically."""
+    above p, or equal to it at an index below p. Each block of `chunks`
+    of u @ v.T is formed once with the own pairs masked, and its entries
+    outside a band around a line's own score are counted (at k_max = 1,
+    the lines' maxima tell rank 0 from the rest); a line with an entry
+    inside the band is scored again canonically."""
     (n, d), count = u.shape, np.count_nonzero
     # A dot of two unit rows lies within gamma_d = d u / (1 - d u) of its
     # exact value in any summation order (Higham, Accuracy and Stability of
@@ -89,7 +89,7 @@ def _ranks(u: np.ndarray, v: np.ndarray, k_max: int) -> np.ndarray:
     hi, lo = own + 4 * du / (1 - du), own - 4 * du / (1 - du)
     above, reach = np.zeros((2, 2, n), dtype=np.int64)  # > hi, >= lo
     top = np.full(n, -np.inf)
-    for a, b, s in _cosines(u, v, spans(n)):
+    for a, b, s in _cosines(u, v, chunks(n, n)):
         np.fill_diagonal(s[:, a:], -np.inf)
         r = slice(a, b)
         if k_max == 1:
@@ -115,17 +115,17 @@ def _recall(rank: np.ndarray, ks) -> dict[int, float]:
     return {k: 100.0 * int(np.count_nonzero(rank < k)) / len(rank) for k in ks}
 
 
-def paired_recall(pooled: Pooling, matrix, params, image_feats,
-                  ks=(1,)) -> dict:
+def paired_recall(pooled: Pooling, matrix, params, images, ks=(1,)) -> dict:
     """{direction: {k: Recall@k}} between the pooled texts, encoded under
     the embedding `matrix`, and their images: text i goes with image i.
     img2txt ranks the rows of img @ txt.T, txt2img its columns."""
     txt = encode_text(pooled, matrix, params)
-    img = np.ascontiguousarray(image_feats, dtype=np.float64)
-    if len(txt) != len(img):
-        raise InvalidInputError(f"paired_recall: {len(txt)} texts, {len(img)} images")
-    u, _ = unit_rows(img, "paired_recall images")
+    if len(txt) != len(images):
+        raise InvalidInputError(f"paired_recall: {len(txt)} texts, {len(images)} images")
     v, _ = unit_rows(txt, "paired_recall texts")
+    del txt  # the float64 images, too, live only until their unit rows exist
+    u, _ = unit_rows(np.ascontiguousarray(images, dtype=np.float64),
+                     "paired_recall images")
     return {d: _recall(r, ks) for d, r in zip(DIRECTIONS, _ranks(u, v, max(ks)))}
 
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import time
 
 import pytest
 
-from lexcl import bpe, gradcheck
+from lexcl import bpe, gradcheck, harness
 from lexcl.cli import EXIT_IO, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from lexcl.config import load_config_file
 from lexcl.embeddings import EMB_MAGIC, read_matrix, write_matrix
@@ -230,6 +231,24 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "optim.lr" in err and "optim.weight_decay" in err
         assert not out.exists()
+
+    def test_step_past_float32_fails_naming_the_task(self, workdir, tmp_path,
+                                                     monkeypatch, capsys):
+        """A step that would leave float32's range stops the run with exit
+        2 and names the task, the step and the row. The gradients of
+        every SGD step, the tasks after pretraining, are made huge."""
+        real = harness.optim_step
+
+        def huge(matrix, rows, lam, grads, cfg, state):
+            scale = 1e300 if cfg.kind == "sgd" else 1.0
+            return real(matrix, rows, lam, grads * scale, cfg, state)
+
+        monkeypatch.setattr(harness, "optim_step", huge)
+        assert main(["train", "--config", str(workdir / "run.cfg"),
+                     "--data", str(workdir / "data"),
+                     "--out", str(tmp_path / "o")]) == EXIT_RUNTIME
+        assert re.search(r"task 1: step \d+: row \d+ leaves float32's range",
+                         capsys.readouterr().err)
 
 
 class TestImports:

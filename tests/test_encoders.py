@@ -349,6 +349,27 @@ class TestBlocking:
         assert blocks == [b - a for a, b in enc.spans(n)]
         assert np.array_equal(feats, enc.encode_text(pooled, table, p))
 
+    @pytest.mark.parametrize("width", [1, 24])
+    def test_matches_one_shot_beside_the_gather_chunks(self, width):
+        """Texts `width` ids wide (1, or l_max) over 256 dims: a chunk of
+        the embedding gather holds ENTRIES // (256 width) of them. At
+        counts either side of the first and second chunk edges, and of
+        the first one in the second span, the bits are the one-shot's.
+        An l_max of 24 makes the weights 1/24, so the slot order shows."""
+        dim, V = 256, 500
+        p = enc.make_text_params(dim, 64, 24, 2)
+        rng = np.random.default_rng(width)
+        table = rng.normal(size=(V, dim)).astype(np.float32)
+        rows = enc.ENTRIES // (width * dim)
+        for edge in (rows, 2 * rows, enc.ROWS + rows):
+            for n in (edge - 1, edge, edge + 1):
+                ids = (np.arange(width) + rng.integers(0, V, size=(n, 1))) % V
+                pooled = enc.pooling(ids.ravel(), np.full(n, width), V, p)
+                assert pooled.w.shape == (n, width)
+                assert np.array_equal(
+                    enc.encode_text(pooled, table, p),
+                    oracles.encode_text_one_shot(pooled, table, p))
+
     def test_peak_memory_is_bounded(self):
         """2,000 texts 16 ids wide: one gather of them all is 8 MB of
         float32, their features 1 MB."""

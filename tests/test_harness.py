@@ -406,6 +406,12 @@ def _reference_pooling(r, texts, v):
                             [len(ids) for ids in rows], r.state.size, r.params)
 
 
+def _split(r, t, split):
+    """Language t's split as the data directory of Runner r holds it: the
+    runner itself drops the captions once it has pooled them."""
+    return bench.load_dataset(r.cfg.data_dir, r.languages[t], split)
+
+
 class TestTokenArrays:
     """Each split is pooled once, when its vocab is merged in, and every
     reader after that uses the held pooling."""
@@ -415,10 +421,11 @@ class TestTokenArrays:
         r = Runner(tiny_run_cfg(tiny_data, tmp_path / "run", **_MODES[mode]))
         for row, train in harness.steps(r.cfg.mode, len(r.tasks)):
             r.run_task(row, train)
-        held = [(td.pooled[split], getattr(td, split).foreign,
+        held = [(td.pooled[split], _split(r, t, split).foreign,
                  0 if mode != "continual" else t)
                 for t, td in enumerate(r.tasks) for split in SPLITS]
-        held += [(td.english, td.train.english, 0) for td in r.tasks]
+        held += [(td.english, _split(r, t, "train").english, 0)
+                 for t, td in enumerate(r.tasks)]
         for pooled, texts, v in held:
             want = _reference_pooling(r, texts, v)
             assert pooled.ids.dtype == np.int32
@@ -438,8 +445,8 @@ class TestTokenArrays:
         real = vocab.VocabState.tokenize
 
         def recording(state, texts, task_index):
-            pooled[id(texts)] = real(state, texts, task_index)
-            return pooled[id(texts)]
+            pooled[tuple(texts)] = real(state, texts, task_index)
+            return pooled[tuple(texts)]
 
         monkeypatch.setattr(vocab.VocabState, "tokenize", recording)
         out = tmp_path / "run"
@@ -451,10 +458,10 @@ class TestTokenArrays:
         for t, td in enumerate(r.tasks):
             v = harness.vocab_index(r.cfg.mode, r.cfg.oracle_vocab, t)
             for split in ("val", "test"):
-                texts = getattr(td, split).foreign
+                texts = _split(r, t, split).foreign
                 ids, lengths = last.tokenize(texts, v)
-                assert np.array_equal(ids, pooled[id(texts)][0])
-                assert np.array_equal(lengths, pooled[id(texts)][1])
+                assert np.array_equal(ids, pooled[tuple(texts)][0])
+                assert np.array_equal(lengths, pooled[tuple(texts)][1])
 
     @pytest.mark.parametrize("mode", sorted(_MODES))
     def test_each_split_pooled_once(self, tiny_data, tmp_path, monkeypatch,
@@ -476,13 +483,14 @@ class TestTokenArrays:
         pooling, which finalize encodes under the anchor once; a language
         whose captions differ gets its own."""
         r = Runner(tiny_run_cfg(tiny_data, tmp_path / "run"))
-        r.tasks[2].train.english[0] += " x"
+        english = [r.tasks[t].train.english for t in range(3)]
+        english[2][0] += " x"
         for row, train in harness.steps(r.cfg.mode, len(r.tasks)):
             r.run_task(row, train)
         assert r.tasks[1].english is r.tasks[0].english
         assert r.tasks[2].english is not r.tasks[0].english
-        for td in r.tasks:
-            want = _reference_pooling(r, td.train.english, 0)
+        for td, texts in zip(r.tasks, english):
+            want = _reference_pooling(r, texts, 0)
             assert np.array_equal(td.english.ids, want.ids)
         encoded = []
         real = harness.encode_text
@@ -493,6 +501,28 @@ class TestTokenArrays:
         assert len(encoded) == 2
         assert encoded[0] is r.tasks[0].english
         assert encoded[1] is r.tasks[2].english
+
+    @pytest.mark.parametrize("mode", sorted(_MODES))
+    def test_captions_dropped_once_pooled(self, tiny_data, tmp_path, mode):
+        """A language's foreign captions go once its vocab has pooled
+        them, every English caption once vocab 0 has; after run() no
+        caption text is held."""
+        def held(td, column):
+            return [getattr(getattr(td, split), column) is not None
+                    for split in SPLITS]
+
+        r = Runner(tiny_run_cfg(tiny_data, tmp_path / "run", **_MODES[mode]))
+        for td in r.tasks:
+            assert held(td, "english") == held(td, "foreign") == [True] * 3
+        r.run_task(0, [0])
+        for t, td in enumerate(r.tasks):
+            assert held(td, "english") == [False] * 3
+            assert held(td, "foreign") == [mode == "continual" and t > 0] * 3
+        r.log.close()
+        r = Runner(tiny_run_cfg(tiny_data, tmp_path / "run2", **_MODES[mode]))
+        r.run()
+        for td in r.tasks:
+            assert held(td, "english") == held(td, "foreign") == [False] * 3
 
     def test_tokens_csv_counts_the_cut(self, tiny_data, tmp_path):
         """diagnostics/tokens.csv: per task and split, the captions, their
@@ -506,9 +536,8 @@ class TestTokenArrays:
         assert [(int(t), split) for t, split, *_ in rows] == \
             [(t, split) for t in range(3) for split in ("english", *SPLITS)]
         for t, split, captions, mean_tokens, cut in rows:
-            td = r.tasks[int(t)]
-            texts = (td.train.english if split == "english"
-                     else getattr(td, split).foreign)
+            texts = (_split(r, int(t), "train").english if split == "english"
+                     else _split(r, int(t), split).foreign)
             v = 0 if split == "english" else int(t)
             _, lengths = r.state.tokenize(texts, v)
             assert int(captions) == len(texts)

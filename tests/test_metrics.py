@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from lexcl import metrics as M
 from lexcl.embeddings import snapshot_anchor
-from lexcl.encoders import ROWS, encode_text, make_text_params, pooling
+from lexcl.encoders import (ENTRIES, chunks, encode_text, make_text_params,
+                            pooling)
 from lexcl.losses import FeatureBatch, LossConfig, total_loss, unit_rows
 from lexcl.errors import (DegenerateFeatureError, InvalidInputError, MetricError)
 
@@ -221,19 +222,13 @@ class TestPairedRecall:
             M.paired_recall(pooled, table, params, img)
 
     @pytest.mark.parametrize("n, blocks", [
-        (6, [6]), (319, [319]), (320, [288, 32]),
-        (1030, [288, 288, 288, 166])], ids=["n6", "n319", "n320", "n1030"])
+        (6, [6]), (319, [205, 114]), (320, [204, 116]),
+        (1030, [63] * 16 + [22])], ids=["n6", "n319", "n320", "n1030"])
     def test_block_products(self, monkeypatch, n, blocks):
         """Both directions read one (b - a) x n product of img @ txt.T per
-        span of `spans`, whatever the k, and no other product."""
-        products = []
-        Counted = oracles.matmul_recorder(products)
-
-        def counted(m, who):
-            u, norms = unit_rows(m, who)
-            return u.view(Counted), norms
-
-        monkeypatch.setattr(M, "unit_rows", counted)
+        block of `chunks`, max(1, ENTRIES // n) rows, whatever the k, and
+        no other product."""
+        products = recorded_products(monkeypatch)
         case = paired_case(0, n)[:4]
         for ks in ((1,), (5,), (1, 5, 10), (1, n + 1)):
             products.clear()
@@ -242,18 +237,48 @@ class TestPairedRecall:
             assert list(res) == ["img2txt", "txt2img"]
             assert all(list(res[d]) == list(ks) for d in res)
 
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 1000, 4000])
+    def test_products_hold_at_most_the_entry_budget(self, monkeypatch, n):
+        """Every product that paired_recall forms holds at most ENTRIES
+        entries, one row at least, and together they cover img @ txt.T."""
+        products = recorded_products(monkeypatch)
+        rng = np.random.default_rng(n)
+        txt = rng.normal(size=(n, 8))
+        streamed_recall(monkeypatch, txt, txt + rng.normal(size=(n, 8)),
+                        (1, 5))
+        assert all(rows * cols <= max(ENTRIES, cols) for rows, cols in products)
+        assert [cols for _, cols in products] == [n] * len(products)
+        assert sum(rows for rows, _ in products) == n
 
-# Gallery sizes around the row blocks' edges (multiples of ROWS) and
-# their least tail, encoders.MIN_TAIL.
-STREAM_SIZES = (1, 2, 31, 250, 287, 288, 289, 319, 320, 576, 577, 607,
-                608, 1000, 1030, 2017)
+
+def recorded_products(monkeypatch) -> list:
+    """The (rows, columns) of each product that paired_recall forms from
+    its unit rows, as it forms them."""
+    products = []
+    Counted = oracles.matmul_recorder(products)
+
+    def counted(m, who):
+        u, norms = unit_rows(m, who)
+        return u.view(Counted), norms
+
+    monkeypatch.setattr(M, "unit_rows", counted)
+    return products
+
+
+# Gallery sizes around the encoder's row blocks' edges (multiples of
+# ROWS) and their least tail, encoders.MIN_TAIL, and around the edges of
+# the rank blocks of ENTRIES // n rows: one block up to 256 pairs, the
+# last one short or full at 257, 511-513 and 1024-1025.
+STREAM_SIZES = (1, 2, 31, 250, 255, 256, 257, 287, 288, 289, 319, 320,
+                511, 512, 513, 576, 577, 607, 608, 1000, 1024, 1025, 1030,
+                2017)
 
 
 def edge_pairs(n):
-    """(i, j) index pairs beside and across each row-block edge, each way
+    """(i, j) index pairs beside and across each rank-block edge, each way
     round, and from the first and last lines to lines past the edge."""
     out = []
-    for e in range(ROWS, n, ROWS):
+    for e, _ in chunks(n, n)[1:]:
         out += [(e - 1, e), (e + 1, e - 2), (0, e + 3), (n - 1, e - 5)]
     return [(i, j) for i, j in out if 0 <= min(i, j) and max(i, j) < n]
 
@@ -291,7 +316,7 @@ def streamed_recall(monkeypatch, txt, img, ks):
 
 
 class TestStreaming:
-    """`paired_recall` forms the cosines in row blocks of `spans` and
+    """`paired_recall` forms the cosines in row blocks of `chunks` and
     ranks as the whole-matrix oracle does."""
 
     @pytest.mark.parametrize("n", STREAM_SIZES)
@@ -316,7 +341,7 @@ class TestStreaming:
 
     def test_peak_memory_is_bounded(self):
         """2,000 pairs of 64-wide features: the whole cosine matrix alone
-        is 32 MB, one 288-row block 4.6 MB."""
+        is 32 MB, one cosine block 0.5 MB."""
         rng = np.random.default_rng(3)
         n, V = 2000, 5000
         params = make_text_params(64, 64, 16, seed=3)
@@ -333,6 +358,22 @@ class TestStreaming:
             tracemalloc.stop()
         assert peak < 10e6
         assert res == oracles.paired_recall_whole(txt, img, (1, 5, 10))
+
+    @pytest.mark.parametrize("ks", [(1,), (1, 5, 10)])
+    def test_peak_memory_of_a_large_gallery(self, monkeypatch, ks):
+        """4,000 pairs of 64-wide text features supplied as they are to
+        `streamed_recall`: the two unit-row arrays are 2 MB each, a
+        288-row cosine block 9.2 MB, a block of ENTRIES entries 0.5 MB."""
+        rng = np.random.default_rng(4)
+        txt = rng.normal(size=(4000, 64))
+        img = txt + rng.normal(size=txt.shape)
+        tracemalloc.start()
+        try:
+            streamed_recall(monkeypatch, txt, img, ks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6
 
 
 def gamma(d):
@@ -426,17 +467,19 @@ class TestCanonicalRanks:
     @pytest.mark.parametrize("d", [4, 64])
     def test_planted_ties_straddle_the_band(self, d):
         """Both directions hold exact ties, near-ties inside the band and
-        scores just outside it, on each side of a block edge."""
+        scores just outside it, between a line and an item of a later
+        rank block and of an earlier one."""
         txt, img = near_tie_case(0, 600, d)
+        rows_per_block = chunks(600, 600)[1][0]
         sims = oracles.canonical_cosines(img, txt)
         band, own = 4 * gamma(d), sims.diagonal().copy()
         np.fill_diagonal(sims, np.inf)
         for off in (sims - own[:, None], sims - own):
             for lo, hi in ((0, 0), (1e-300, band), (band * 1.001, 2 * band)):
                 where = (abs(off) >= lo) & (abs(off) <= hi)
-                rows, cols = np.nonzero(where)
-                assert np.any((rows < ROWS) & (cols >= ROWS))
-                assert np.any((cols < ROWS) & (rows >= ROWS))
+                rows, cols = (i // rows_per_block for i in np.nonzero(where))
+                assert np.any(rows < cols)
+                assert np.any(cols < rows)
 
     @pytest.mark.parametrize("n", [31, 289, 320, 577, 1030])
     @pytest.mark.parametrize("ks", [(1,), (5,), (1, 5, 10)],
