@@ -34,24 +34,31 @@ def parse_value(raw: str):
     return value
 
 
-def _setting(line: str) -> tuple[str, object] | None:
-    """(key, value) of a `key = value` line; None for a comment line."""
+def _setting(line: str, out: dict) -> None:
+    """Set the key of a `key = value` line in `out`, which must not hold
+    it yet; a comment line sets nothing."""
     line = line.split("#", 1)[0].strip()
     if not line:
-        return None
+        return
     if "=" not in line:
         raise ValueError("expected 'key = value'")
     key, _, raw = line.partition("=")
     key = key.strip()
     try:
-        return key, parse_value(raw)
+        value = parse_value(raw)
     except InvalidInputError as e:
         raise InvalidInputError(f"{key}: {e}") from None
+    if key in out:
+        raise ValueError(f"{key!r} is set twice")
+    out[key] = value
 
 
 def load_config_file(path) -> dict:
-    """The settings of a UTF-8 config file, as dump_config writes them."""
-    return dict(s for s in read_lines(path, _setting, InvalidInputError) if s)
+    """The settings of a UTF-8 config file, as dump_config writes them;
+    a key set twice fails naming its second line."""
+    out: dict = {}
+    read_lines(path, lambda line: _setting(line, out), InvalidInputError)
+    return out
 
 
 def settings(cfg) -> dict:

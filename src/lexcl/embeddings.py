@@ -177,9 +177,10 @@ def read_matrix(path, magic: bytes) -> np.ndarray:
         version, rows, dim = struct.unpack("<III", head[len(magic):])
         if version != FORMAT_VERSION:
             raise CheckpointFormatError(f"{path}: unsupported version {version}")
+        if rows * dim * 4 > os.fstat(f.fileno()).st_size - len(head):
+            raise CheckpointTruncatedError(
+                f"{path}: truncated payload of {rows} x {dim} float32")
         payload = f.read(rows * dim * 4)
-        if len(payload) < rows * dim * 4:
-            raise CheckpointTruncatedError(f"{path}: truncated payload")
         if f.read(1):
             raise CheckpointFormatError(f"{path}: trailing bytes after the payload")
     return np.frombuffer(payload, dtype="<f4").reshape(rows, dim).copy()

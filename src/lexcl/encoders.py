@@ -1,8 +1,8 @@
 """Frozen text encoder: deterministic mean pooling, one affine map and
-tanh squashing, batched over padded id/weight arrays in aligned blocks
-of ROWS texts (plus its exact adjoint w.r.t. the embedding rows). `spans`
-cuts those blocks and `chunks` the transient blocks of at most ENTRIES
-entries. Image features are a frozen array that `bench.load_images` reads.
+tanh squashing, batched over padded id/weight arrays, one product per
+call (plus its exact adjoint w.r.t. the embedding rows). `chunks` cuts
+the transient blocks of at most ENTRIES entries. Image features are a
+frozen array that `bench.load_images` reads.
 
 The text encoder is deliberately simple so gradients are hand-derivable
 and finite-difference-checkable; the only trainable parameters anywhere
@@ -17,10 +17,6 @@ import numpy as np
 
 from .errors import InvalidIdError, InvalidInputError
 
-# Rows per block of `spans`, and its least tail: the bit rule of the
-# h @ W.T product only. Its aligned 288-row blocks keep the one-shot
-# product's bits under every OpenBLAS kernel tried, 256-row ones do not.
-ROWS, MIN_TAIL = 288, 32
 ENTRIES = 1 << 16  # per block of `chunks`, 512 KB of float64
 
 
@@ -113,40 +109,26 @@ def pooling(ids, lengths, n_rows: int, params: FrozenTextParams) -> Pooling:
     return Pooling(padded_ids, w, n)
 
 
-def _encode_block(pooled: Pooling, matrix: np.ndarray,
-                  params: FrozenTextParams) -> np.ndarray:
-    # each text's terms summed in slot order from 0, pads adding zeros
-    h = np.empty((len(pooled.n), matrix.shape[1]))
-    for a, b in chunks(len(h), pooled.w.shape[1] * matrix.shape[1]):
-        np.einsum("km,kmd->kd", pooled.w[a:b], matrix[pooled.ids[a:b]],
-                  out=h[a:b])
-    h += params.mean_pos[pooled.n - 1]
-    r = h @ params.W.T
-    r += params.b
-    return np.tanh(r, out=r)
-
-
 def chunks(n: int, width: int) -> list[tuple[int, int]]:
     """range(n) in blocks of max(1, ENTRIES // width) rows of `width`."""
     rows = max(1, ENTRIES // max(width, 1))
     return [(a, min(a + rows, n)) for a in range(0, n, rows)]
 
 
-def spans(n: int) -> list[tuple[int, int]]:
-    """range(n) in blocks that start at multiples of ROWS, a tail shorter
-    than MIN_TAIL joining the block before it (README.md says why)."""
-    cuts = list(range(ROWS, n - MIN_TAIL + 1, ROWS))
-    return list(zip([0] + cuts, cuts + [n]))
-
-
 def encode_text(pooled: Pooling, matrix: np.ndarray,
                 params: FrozenTextParams) -> np.ndarray:
     """K x d_out features r = tanh(W h + b) of the pooled texts under the
-    embedding matrix, one block of `spans` at a time."""
-    out = np.empty((len(pooled.n), params.W.shape[0]))
-    for a, b in spans(len(pooled.n)):
-        out[a:b] = _encode_block(pooled.take(slice(a, b)), matrix, params)
-    return out
+    embedding matrix: h gathered a chunk of texts at a time, each text's
+    terms summed in slot order from 0 (pads adding zeros), then one
+    product over all K texts."""
+    h = np.empty((len(pooled.n), matrix.shape[1]))
+    for a, b in chunks(len(h), pooled.w.shape[1] * matrix.shape[1]):
+        np.einsum("km,kmd->kd", pooled.w[a:b], matrix[pooled.ids[a:b]],
+                  out=h[a:b])
+        h[a:b] += params.mean_pos[pooled.n[a:b] - 1]
+    r = h @ params.W.T
+    r += params.b
+    return np.tanh(r, out=r)
 
 
 def pooled_grad(feats, params: FrozenTextParams, upstream) -> np.ndarray:

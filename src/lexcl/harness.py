@@ -104,7 +104,8 @@ class _TaskData:
 
     `pooled[split]` pools the split's foreign captions under the vocab
     the language is scored with, `english` its English train captions
-    under vocab 0. Both are made once, when that vocab is merged in."""
+    under vocab 0. Both are made once, when that vocab is merged in; the
+    val pooling is freed after the last step that trains the language."""
 
     def __init__(self, data_dir, language_id, manifest, images):
         self.train, self.val, self.test = (
@@ -121,9 +122,13 @@ class _TaskData:
 
 class Runner:
     """Mutable state of one run. Making one checks the config against
-    the data and creates the output directory; run() does the full flow."""
+    the data and creates the output directory, which must not hold a run
+    already; run() does the full flow."""
 
     def __init__(self, cfg: RunConfig):
+        if os.path.exists(os.path.join(cfg.out_dir, "config.json")):
+            raise InvalidInputError(f"{cfg.out_dir}: already holds a run "
+                                    "(config.json); write to a new directory")
         self.cfg = cfg
         manifest = load_manifest(cfg.data_dir)
         self.languages: list[str] = manifest["languages"]
@@ -336,9 +341,13 @@ class Runner:
 
     def run(self) -> RunArtifacts:
         """Every step of the configured mode, then the diagnostics."""
+        plan = steps(self.cfg.mode, len(self.tasks))
         try:
-            for row, train in steps(self.cfg.mode, len(self.tasks)):
+            for i, (row, train) in enumerate(plan):
                 self.run_task(row, train)
+                later = (ts for _, ts in plan[i + 1:])
+                for t in set(train).difference(*later):
+                    del self.tasks[t].pooled["val"]
             return self.finalize()
         finally:
             self.log.close()

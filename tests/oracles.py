@@ -1,6 +1,6 @@
 """Slow reference implementations that the fast code paths are tested
 against: the per-caption text encoder and its adjoint, the one-shot
-batched encoder whose bits the blocked one keeps, the scipy CSR
+batched encoder whose bits the chunked gather keeps, the scipy CSR
 pooling whose summation order the padded forward pass keeps, the
 row-by-row optimizer step with per-row moment dicts and its bias
 corrections powered step by step, the canonical cosines that recall
@@ -52,7 +52,7 @@ def encode_text(ids, matrix, params):
 def encode_text_one_shot(pooled, matrix, params):
     """The batched encoder as one gather, one einsum and one product over
     all K texts of a Pooling: the bits that `encoders.encode_text` keeps
-    while it works block by block."""
+    while it gathers a chunk of texts at a time."""
     h = np.einsum("km,kmd->kd", pooled.w, matrix[pooled.ids])
     h += params.mean_pos[pooled.n - 1]
     r = h @ params.W.T
@@ -67,24 +67,18 @@ def dynamic_openblas() -> bool:
     return "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
 
 
-def fresh_interpreter(script: str, kernel: str | None = None,
-                      threads: int = 1) -> str:
+def fresh_interpreter(script: str, threads: int = 1) -> str:
     """The last line that `script` prints in a fresh interpreter with
-    `threads` OpenBLAS threads and lexcl and the tests on its path. With
-    `kernel`, OpenBLAS must report running that kernel; without, it runs
-    its default."""
+    `threads` OpenBLAS threads, its default kernel, and lexcl and the
+    tests on its path."""
     src = os.path.dirname(os.path.dirname(bpe.__file__))
     path = [src, os.path.dirname(__file__), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, OPENBLAS_VERBOSE="2",
-               OPENBLAS_NUM_THREADS=str(threads),
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
                PYTHONPATH=os.pathsep.join(p for p in path if p))
     env.pop("OPENBLAS_CORETYPE", None)
-    if kernel:
-        env["OPENBLAS_CORETYPE"] = kernel
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    assert kernel is None or f"Core: {kernel}" in done.stdout + done.stderr
     return done.stdout.splitlines()[-1]
 
 

@@ -168,6 +168,33 @@ class TestTrain:
         assert ((run / "ckpt_task2.bin").read_bytes()
                 == (rerun / "ckpt_task2.bin").read_bytes())
 
+    def test_key_set_twice_fails_naming_the_line(self, workdir, tmp_path,
+                                                 capsys):
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("train.epochs = 1\ntrain.epochs = 2\n")
+        out = tmp_path / "o"
+        assert main(["train", "--config", str(cfg),
+                     "--data", str(workdir / "data"),
+                     "--out", str(out)]) == EXIT_USAGE
+        assert (f"{cfg}:2: 'train.epochs' is set twice"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_out_dir_holding_a_run_is_refused(self, workdir, tmp_path,
+                                              capsys):
+        """A joint run into a continual run's directory would leave the
+        continual run's later checkpoints beside its own: it stops with
+        exit 1 naming the directory, and changes no file there."""
+        run = tmp_path / "run"
+        shutil.copytree(workdir / "run", run)
+        held = {p: p.read_bytes() for p in run.rglob("*") if p.is_file()}
+        assert main(["train", "--config", str(workdir / "run.cfg"),
+                     "--data", str(workdir / "data"), "--out", str(run),
+                     "--mode", "joint"]) == EXIT_USAGE
+        assert f"{run}: already holds a run" in capsys.readouterr().err
+        assert {p: p.read_bytes() for p in run.rglob("*")
+                if p.is_file()} == held
+
     def test_missing_data_dir(self, tmp_path):
         assert main(["train", "--data", str(tmp_path / "nope"),
                      "--out", str(tmp_path / "o")]) == EXIT_IO
@@ -594,6 +621,14 @@ def _half_width(path, sidecar_too=False):
                                         dim=m.shape[1] // 2)))
 
 
+def _huge_header(path):
+    """Declare 0xFFFFFFFF x 0xFFFFFFFF entries in a matrix file's header:
+    more bytes than the file holds, and than a read can ask for."""
+    raw = bytearray(path.read_bytes())
+    raw[12:20] = b"\xff" * 8
+    path.write_bytes(bytes(raw))
+
+
 class TestDamagedFiles:
     """A damaged dataset, config or run file ends the command with an exit
     code and the file's name (and line), not a traceback, before the
@@ -608,6 +643,8 @@ class TestDamagedFiles:
                      id="tsv-bad-byte"),
         pytest.param("train", "run.cfg", _bad_byte, EXIT_USAGE, 3,
                      id="config-bad-byte"),
+        pytest.param("train", "data/images.feat", _huge_header, EXIT_IO,
+                     None, id="images-header-past-the-file"),
         pytest.param("train", "data/manifest.json", _no_val_split, EXIT_IO,
                      None, id="manifest-empty-val-split"),
         pytest.param("train", "data/manifest.json", _no_languages, EXIT_IO,

@@ -236,6 +236,19 @@ class TestCheckpoint:
         with pytest.raises(CheckpointTruncatedError):
             emb.load_checkpoint(p)
 
+    def test_header_past_the_file_fails_before_the_read(self, tmp_path):
+        """A header that declares 0xFFFFFFFF x 0xFFFFFFFF entries names
+        the file as truncated: no OverflowError, and no read of the
+        declared size."""
+        p = tmp_path / "ckpt.bin"
+        emb.save_checkpoint(_drawn(3, 3, 5), {}, p)
+        raw = bytearray(p.read_bytes())
+        raw[len(emb.EMB_MAGIC) + 4 : len(emb.EMB_MAGIC) + 12] = b"\xff" * 8
+        p.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointTruncatedError) as e:
+            emb.load_checkpoint(p)
+        assert str(p) in str(e.value)
+
     def test_row_mismatch(self, tmp_path):
         t = _drawn(3, 3, 5)
         p = tmp_path / "ckpt.bin"

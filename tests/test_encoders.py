@@ -293,50 +293,27 @@ BLOCKING_SIZES = (1, 17, 255, 256, 257, 275, 287, 288, 289, 300, 319, 320,
                   513, 576, 577, 1000, 1030, 2000, 2017)
 
 
-def blocking_mismatches() -> list[int]:
-    """The text counts of BLOCKING_SIZES at which `encode_text` differs in
-    any bit from the one-shot oracle, on random poolings at the default
-    model size (64 dims, l_max 32)."""
-    rng = np.random.default_rng(0)
-    p = enc.make_text_params(64, 64, 32, 0)
-    table = rng.normal(size=(500, 64)).astype(np.float32)
-    bad = []
-    for n in BLOCKING_SIZES:
-        lengths = rng.integers(1, 40, size=n)
-        pooled = enc.pooling(rng.integers(0, 500, size=lengths.sum()),
-                             lengths, len(table), p)
-        if not np.array_equal(enc.encode_text(pooled, table, p),
-                              oracles.encode_text_one_shot(pooled, table, p)):
-            bad.append(n)
-    return bad
-
-
 class TestBlocking:
-    """`encode_text` works on the `spans` of its texts, one block of
-    enc.ROWS at a time, and keeps the bits of one product over all of them."""
+    """`encode_text` gathers its texts a chunk at a time and makes one
+    h @ W.T product over all of them: the bits of the one-shot oracle."""
 
     def test_matches_one_shot(self):
-        assert blocking_mismatches() == []
+        """Random poolings at the default model size (64 dims, l_max 32)."""
+        rng = np.random.default_rng(0)
+        p = enc.make_text_params(64, 64, 32, 0)
+        table = rng.normal(size=(500, 64)).astype(np.float32)
+        for n in BLOCKING_SIZES:
+            lengths = rng.integers(1, 40, size=n)
+            pooled = enc.pooling(rng.integers(0, 500, size=lengths.sum()),
+                                 lengths, len(table), p)
+            assert np.array_equal(
+                enc.encode_text(pooled, table, p),
+                oracles.encode_text_one_shot(pooled, table, p)), n
 
-    # SkylakeX rounds a row differently when at most 18 rows share its
-    # product, Haswell when they are odd, Nehalem when not a multiple of 4
-    # and Sandybridge when 1. None runs OpenBLAS's default kernel. The
-    # bits are checked with one thread, as runs are benchmarked.
-    @pytest.mark.parametrize("kernel", [None, "Haswell", "Sandybridge",
-                                        "Nehalem"])
-    def test_matches_one_shot_under_another_blas_kernel(self, kernel):
-        if kernel and not oracles.dynamic_openblas():
-            pytest.skip("numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS, so "
-                        "OPENBLAS_CORETYPE cannot select another kernel")
-        assert oracles.fresh_interpreter(
-            "import test_encoders\n"
-            "print(test_encoders.blocking_mismatches())\n", kernel) == "[]"
-
-    @pytest.mark.parametrize("n, blocks", [
-        (6, [6]), (319, [319]), (320, [288, 32]), (577, [288, 289]),
-        (2000, [288] * 6 + [272])], ids=["n6", "n319", "n320", "n577", "n2000"])
-    def test_block_products(self, n, blocks):
-        """One (b - a)-row h @ W.T product per span, in order."""
+    @pytest.mark.parametrize("n", [6, 319, 320, 577, 2000],
+                             ids=["n6", "n319", "n320", "n577", "n2000"])
+    def test_block_products(self, n):
+        """One (n, d_out) h @ W.T product per call."""
         products = []
         p = enc.make_text_params(8, 8, 4, 0)
         lengths = np.full(n, 3)
@@ -345,23 +322,22 @@ class TestBlocking:
         feats = enc.encode_text(
             pooled, table,
             dataclasses.replace(p, W=p.W.view(oracles.matmul_recorder(products))))
-        assert products == [(rows, 8) for rows in blocks]
-        assert blocks == [b - a for a, b in enc.spans(n)]
+        assert products == [(n, 8)]
         assert np.array_equal(feats, enc.encode_text(pooled, table, p))
 
     @pytest.mark.parametrize("width", [1, 24])
     def test_matches_one_shot_beside_the_gather_chunks(self, width):
         """Texts `width` ids wide (1, or l_max) over 256 dims: a chunk of
         the embedding gather holds ENTRIES // (256 width) of them. At
-        counts either side of the first and second chunk edges, and of
-        the first one in the second span, the bits are the one-shot's.
+        counts either side of the first three chunk edges, the bits are
+        the one-shot's.
         An l_max of 24 makes the weights 1/24, so the slot order shows."""
         dim, V = 256, 500
         p = enc.make_text_params(dim, 64, 24, 2)
         rng = np.random.default_rng(width)
         table = rng.normal(size=(V, dim)).astype(np.float32)
         rows = enc.ENTRIES // (width * dim)
-        for edge in (rows, 2 * rows, enc.ROWS + rows):
+        for edge in (rows, 2 * rows, 3 * rows):
             for n in (edge - 1, edge, edge + 1):
                 ids = (np.arange(width) + rng.integers(0, V, size=(n, 1))) % V
                 pooled = enc.pooling(ids.ravel(), np.full(n, width), V, p)

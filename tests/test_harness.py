@@ -367,6 +367,15 @@ class TestGoldenOutputs:
         run_sequence(tiny_run_cfg(tiny_data, out, **_MODES[mode]))
         assert _golden_digests(out) == _GOLDEN[mode]
 
+    @pytest.mark.parametrize("mode", sorted(_MODES))
+    def test_run_frees_every_val_pooling(self, tiny_data, tmp_path, mode):
+        """Each language's val pooling is freed after the last step that
+        trains it; language 0's is read again in the joint step."""
+        r = Runner(tiny_run_cfg(tiny_data, tmp_path / "run", **_MODES[mode]))
+        r.run()
+        assert [sorted(td.pooled) for td in r.tasks] == (
+            [["test", "train"]] * len(r.tasks))
+
     @pytest.mark.skipif(not oracles.dynamic_openblas(), reason=(
         "numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS, so OPENBLAS_CORETYPE "
         "cannot select another kernel"))

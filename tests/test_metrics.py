@@ -265,10 +265,9 @@ def recorded_products(monkeypatch) -> list:
     return products
 
 
-# Gallery sizes around the encoder's row blocks' edges (multiples of
-# ROWS) and their least tail, encoders.MIN_TAIL, and around the edges of
-# the rank blocks of ENTRIES // n rows: one block up to 256 pairs, the
-# last one short or full at 257, 511-513 and 1024-1025.
+# Gallery sizes around the edges of the rank blocks of ENTRIES // n
+# rows: one block up to 256 pairs, the last one short or full at 257,
+# 511-513 and 1024-1025; and small, odd and even sizes between them.
 STREAM_SIZES = (1, 2, 31, 250, 255, 256, 257, 287, 288, 289, 319, 320,
                 511, 512, 513, 576, 577, 607, 608, 1000, 1024, 1025, 1030,
                 2017)
