@@ -75,6 +75,8 @@ class Pooling:
     def concat(cls, parts) -> "Pooling":
         """The texts of several poolings, in order, as one, each part padded
         to the widest: the same arrays as pooling their texts together."""
+        if len(parts) == 1:  # the part itself, not a copy
+            return parts[0]
         width = max(p.w.shape[1] for p in parts)
         pads = [((0, 0), (0, width - p.w.shape[1])) for p in parts]
         return cls(np.concatenate([np.pad(p.ids, s) for p, s in zip(parts, pads)]),

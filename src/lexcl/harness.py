@@ -16,11 +16,13 @@ import numpy as np
 from . import bpe
 from . import vocab as vocab_mod
 from .bench import SPLITS, load_dataset, load_images, load_manifest
+from .config import dump_config
 from .embeddings import (FIXED_INIT, dist_stats, expand, ks_statistic,
                          save_checkpoint, snapshot_anchor, vocab_hash,
                          write_atomic, write_csv)
 from .encoders import Pooling, encode_text, make_text_params, pooling
-from .errors import InvalidInputError, NumericError, check_keys, key
+from .errors import (DatasetFormatError, DegenerateFeatureError,
+                     InvalidInputError, NumericError, check_keys, key)
 from .losses import LossConfig, batch_grad
 from .metrics import (DIRECTIONS, EvalMatrix, average_recall, fisher_and_loss,
                       forgetting, paired_recall, score_row)
@@ -59,6 +61,9 @@ class RunConfig:
 
     def __post_init__(self):
         check_keys(self)
+        if self.loss.gamma_cm == 0:  # step 0 would train nothing
+            raise InvalidInputError("loss.gamma_cm: must be > 0, as "
+                                    "pretraining trains on it alone")
 
 
 @dataclass
@@ -103,8 +108,7 @@ class _TaskData:
     """Loaded splits for one language, and their poolings.
 
     `pooled[split]` pools the split's foreign captions under the vocab
-    the language is scored with, `english` its English train captions
-    under vocab 0. Both are made once, when that vocab is merged in; the
+    the language is scored with, once, when that vocab is merged in; the
     val pooling is freed after the last step that trains the language."""
 
     def __init__(self, data_dir, language_id, manifest, images):
@@ -112,7 +116,6 @@ class _TaskData:
             load_dataset(data_dir, language_id, split, manifest, images)
             for split in SPLITS)
         self.pooled: dict[str, Pooling] = {}
-        self.english: Pooling | None = None
 
     def drop(self, column: str) -> None:
         """Set caption column `column` of every split to None."""
@@ -136,6 +139,12 @@ class Runner:
         check_image_width(self.images, cfg.d_out)
         self.tasks = [_TaskData(cfg.data_dir, lid, manifest, self.images)
                       for lid in self.languages]
+        for lid, td in zip(self.languages, self.tasks):
+            if td.train.english != self.tasks[0].train.english:
+                path = os.path.join(cfg.data_dir, lid, "train.tsv")
+                raise DatasetFormatError(f"{path}: English captions differ "
+                                         f"from {self.languages[0]}'s")
+        self.english: Pooling | None = None  # pooled with vocab 0
         self.params = make_text_params(cfg.dim, cfg.d_out, cfg.l_max,
                                        cfg.encoder_seed)
         self.state = vocab_mod.new_state()
@@ -151,9 +160,10 @@ class Runner:
                           for t in range(len(self.tasks))]
         self._vocabs: dict[int, bpe.TaskVocab] = {}
         os.makedirs(os.path.join(cfg.out_dir, "diagnostics"), exist_ok=True)
-        self.log = open(os.path.join(cfg.out_dir, "run.log"), "w")
+        self.log = open(os.path.join(cfg.out_dir, "run.log"), "w", buffering=1)
         write_atomic(os.path.join(cfg.out_dir, "config.json"),
                      json.dumps(asdict(cfg), indent=1, sort_keys=True).encode())
+        dump_config(cfg, os.path.join(cfg.out_dir, "effective_config.txt"))
 
     # --- tokenization helpers ----------------------------------------
 
@@ -183,21 +193,15 @@ class Runner:
         return pooling(ids, lengths, self.state.size, self.params)
 
     def _tokenize(self) -> None:
-        """Pool every caption read under the vocab just merged in, once,
-        and drop the captions pooled. Languages with the same English
-        train captions share one English pooling. Global ids are
-        append-only, so the poolings stay valid for the rest of the run."""
+        """Pool every caption read under the vocab just merged in (vocab 0
+        also the one English list), once, and drop the captions pooled.
+        Global ids are append-only, so the poolings stay valid."""
         v = len(self.state.task_vocabs) - 1
         if v == 0:
-            sharing: dict[tuple[str, ...], list[int]] = {}
-            for t, td in enumerate(self.tasks):
-                sharing.setdefault(tuple(td.train.english), []).append(t)
-            for ts in sharing.values():
-                pooled = self._pool(self.tasks[ts[0]].train.english, 0, ts,
-                                    "english")
-                for t in ts:
-                    self.tasks[t].english = pooled
-                    self.tasks[t].drop("english")
+            self.english = self._pool(self.tasks[0].train.english, 0,
+                                      range(len(self.tasks)), "english")
+            for td in self.tasks:
+                td.drop("english")
         for t, td in enumerate(self.tasks):
             if self._vocab_of[t] == v:
                 td.pooled = {split: self._pool(getattr(td, split).foreign,
@@ -205,19 +209,10 @@ class Runner:
                              for split in SPLITS}
                 td.drop("foreign")
 
-    def _english_feats(self, tasks: list[_TaskData]) -> list[np.ndarray]:
-        """Each task's English train captions encoded under the anchor,
-        once per distinct pooling and again at each use."""
-        feats = {id(td.english): td.english for td in tasks}
-        feats = {k: encode_text(p, self.anchor, self.params)
-                 for k, p in feats.items()}
-        return [feats[id(td.english)] for td in tasks]
-
     # --- evaluation ---------------------------------------------------
 
     def _val_score(self, t: int) -> float:
-        """Checkpoint-selection score: Recall@{1,5,10} summed over both
-        retrieval directions."""
+        """Checkpoint-selection score: sum of Recall@{1,5,10}, both directions."""
         td = self.tasks[t]
         res = paired_recall(td.pooled["val"], self.table, self.params,
                             self.images[td.val.image], ks=(1, 5, 10))
@@ -228,24 +223,24 @@ class Runner:
     def _train_epochs(self, label, train: list[int], lam: np.ndarray) -> None:
         """Epoch loop over the train captions of languages `train`, each
         paired with its image and its anchor English feature, with
-        checkpoint selection by validation on those languages. Before the
-        anchor exists (pretraining), the English features are zeros, the
-        cross-lingual term is off and PRETRAIN_OPTIM is used."""
+        checkpoint selection by validation on those languages. Row g, of
+        the splits in turn, pairs with English caption g mod n. Before the
+        anchor exists (pretraining), the English features are one zero
+        row, the cross-lingual term is off and PRETRAIN_OPTIM is used."""
         cfg = self.cfg
-        tasks = [self.tasks[t] for t in train]
-        pooled = Pooling.concat([td.pooled["train"] for td in tasks])
+        pooled = Pooling.concat([self.tasks[t].pooled["train"] for t in train])
         # image rows become float64 per batch, so no float64 copy of the
         # step's whole split is held
-        image = np.concatenate([td.train.image for td in tasks])
+        image = np.concatenate([self.tasks[t].train.image for t in train])
         n = len(image)
         steps_per_epoch = (n + cfg.batch_size - 1) // cfg.batch_size
         ocfg = cfg.optim
         if self.anchor is None:
-            eng_feats = np.zeros((n, cfg.d_out))
+            eng_feats = np.zeros((1, cfg.d_out))
             loss_cfg = replace(cfg.loss, gamma_cl=0.0)
             ocfg = replace(ocfg, **PRETRAIN_OPTIM)
         else:
-            eng_feats = np.concatenate(self._english_feats(tasks))
+            eng_feats = encode_text(self.english, self.anchor, self.params)
             loss_cfg = cfg.loss
         ostate = OptimState(self.table.shape, cfg.epochs * steps_per_epoch,
                             ocfg.kind)
@@ -256,19 +251,22 @@ class Runner:
             rng = np.random.default_rng(sub_seed(cfg.seed, "shuffle", label, epoch))
             order = rng.permutation(n)
             epoch_loss = 0.0
-            for s in range(steps_per_epoch):
-                idx = order[s * cfg.batch_size : (s + 1) * cfg.batch_size]
-                loss, rows, grads = batch_grad(
-                    pooled.take(idx), self.table, self.params,
-                    self.images[image[idx]].astype(np.float64),
-                    eng_feats[idx], loss_cfg)
-                epoch_loss += loss
-                try:
+            try:
+                for s in range(steps_per_epoch):
+                    idx = order[s * cfg.batch_size : (s + 1) * cfg.batch_size]
+                    loss, rows, grads = batch_grad(
+                        pooled.take(idx), self.table, self.params,
+                        self.images[image[idx]].astype(np.float64),
+                        eng_feats[idx % len(eng_feats)], loss_cfg)
+                    epoch_loss += loss
                     optim_step(self.table, rows, lam, grads, ocfg, ostate)
-                except NumericError as e:
-                    raise NumericError(f"task {label}: {e}") from e
+                score = sum(self._val_score(t) for t in train)
+            except NumericError as e:  # optim.step's, which names the step
+                raise NumericError(f"task {label}: {e}") from e
+            except DegenerateFeatureError as e:  # a zero feature
+                raise DegenerateFeatureError(
+                    f"task {label}: after step {ostate.step_count}: {e}") from e
             mean_loss = epoch_loss / steps_per_epoch
-            score = sum(self._val_score(t) for t in train)
             self.loss_rows.append({"task": label, "epoch": epoch,
                                    "mean_loss": mean_loss, "val_score": score})
             self.log.write(f"task {label} epoch {epoch} loss {mean_loss:.6f} "
@@ -359,21 +357,20 @@ class Runner:
         out = cfg.out_dir
         last_row = max(j for (j, _, _) in self.eval_matrix.entries)
 
-        fisher_rows, final_losses = [], []
-        for t, (td, eng_feats) in enumerate(
-                zip(self.tasks, self._english_feats(self.tasks))):
-            fisher, loss = fisher_and_loss(
-                self.images[td.train.image], eng_feats, td.pooled["train"],
-                self.table, self.params, cfg.loss, cfg.batch_size)
-            fisher_rows.append({"task": t, "fisher_trace": fisher})
-            final_losses.append(loss)
+        eng_feats = encode_text(self.english, self.anchor, self.params)
+        fisher, losses = zip(*(fisher_and_loss(
+            self.images[td.train.image], eng_feats, td.pooled["train"],
+            self.table, self.params, cfg.loss, cfg.batch_size)
+            for td in self.tasks))
 
         self.eval_matrix.save_csv(os.path.join(out, "eval_matrix.csv"))
         _write_json(os.path.join(out, "registry_manifest.json"), self.registry)
-        rows = {"fisher.csv": fisher_rows, "dist_stats.csv": self.dist_rows,
+        rows = {"fisher.csv": [{"task": t, "fisher_trace": v}
+                               for t, v in enumerate(fisher)],
+                "dist_stats.csv": self.dist_rows,
                 "loss_curve.csv": self.loss_rows,
                 "final_loss.csv": [{"task": t, "mean_loss": v}
-                                   for t, v in enumerate(final_losses)],
+                                   for t, v in enumerate(losses)],
                 "tokens.csv": sorted(self.token_rows, key=lambda r: r["task"])}
         for name, header in DIAGNOSTICS.items():
             _write_csv(os.path.join(out, "diagnostics", name), header, rows[name])
@@ -385,11 +382,10 @@ class Runner:
             final_f = {d: forgetting(self.eval_matrix, last_row, d)
                        for d in DIRECTIONS}
         diagnostics = {
-            "fisher": {r["task"]: r["fisher_trace"] for r in fisher_rows},
-            "mean_fisher": float(np.mean([r["fisher_trace"]
-                                          for r in fisher_rows])),
-            "final_loss": final_losses,
-            "mean_final_loss": float(np.mean(final_losses)),
+            "fisher": dict(enumerate(fisher)),
+            "mean_fisher": float(np.mean(fisher)),
+            "final_loss": list(losses),
+            "mean_final_loss": float(np.mean(losses)),
             "dist_stats": self.dist_rows,
         }
         return RunArtifacts(self.eval_matrix, self.checkpoint_paths,

@@ -16,9 +16,10 @@ from .errors import DegenerateFeatureError, InvalidInputError, check_keys, key
 
 @dataclass(frozen=True)
 class LossConfig:
-    tau: float = key(0.07, "loss.tau", gt=0)
-    gamma_cm: float = key(0.01, "loss.gamma_cm", ge=0)
-    gamma_cl: float = key(1.0, "loss.gamma_cl", ge=0)
+    # bounds that keep a gradient and its square far inside float64
+    tau: float = key(0.07, "loss.tau", ge=1e-6)
+    gamma_cm: float = key(0.01, "loss.gamma_cm", ge=0, le=1e6)
+    gamma_cl: float = key(1.0, "loss.gamma_cl", ge=0, le=1e6)
 
     def __post_init__(self):
         check_keys(self)

@@ -83,23 +83,25 @@ def step(matrix: np.ndarray, rows, lam: np.ndarray, grads, cfg: OptimConfig,
     state.step_count += 1
     rows, g = np.asarray(rows, dtype=np.int64), np.asarray(grads, dtype=np.float64)
     if not np.all(np.isfinite(g)):
-        raise NumericError("step: non-finite gradient for row "
+        raise NumericError(f"step {state.step_count}: non-finite gradient for row "
                            f"{rows[~np.isfinite(g).all(axis=1)][0]}")
     live = lam[rows] != 0.0
     rows, g = rows[live], g[live]
     lam_r = lam[rows][:, None]
     theta = matrix[rows].astype(np.float64)
     if cfg.kind == "sgd":
-        theta = theta * (1.0 - (lr * cfg.weight_decay) * lam_r) \
-            - (lr * lam_r) * g
+        with np.errstate(over="ignore"):  # an inf step fails the check below
+            theta = theta * (1.0 - (lr * cfg.weight_decay) * lam_r) \
+                - (lr * lam_r) * g
     else:
         theta = theta - ((lr * cfg.weight_decay) * lam_r) * theta
         t = state.t[rows] + 1
         m = BETA1 * state.m[rows] + (1.0 - BETA1) * g
         v = BETA2 * state.v[rows] + (1.0 - BETA2) * (g * g)
         bias = state.bias[t]
-        theta = theta - (lr * lam_r) * (m / bias[:, :1]) \
-            / (np.sqrt(v / bias[:, 1:]) + EPS)
+        with np.errstate(over="ignore"):
+            theta = theta - (lr * lam_r) * (m / bias[:, :1]) \
+                / (np.sqrt(v / bias[:, 1:]) + EPS)
         state.m[rows], state.v[rows], state.t[rows] = m, v, t
     bad = ~(np.abs(theta) < 2.0 ** 128 - 2.0 ** 103).all(axis=1)  # float32 inf
     if bad.any():

@@ -1,19 +1,27 @@
 """CLI tests: subcommand wiring, exit codes, reports, grad-check gate."""
 
+import contextlib
+import io
 import json
+import math
 import os
 import re
 import shutil
 import subprocess
 import sys
 import time
+import warnings
+from dataclasses import fields, is_dataclass
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
 from lexcl import bpe, gradcheck, harness
 from lexcl.cli import EXIT_IO, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from lexcl.config import load_config_file
-from lexcl.embeddings import EMB_MAGIC, read_matrix, write_matrix
+from lexcl.embeddings import (EMB_MAGIC, load_checkpoint, read_matrix,
+                              write_matrix)
 from lexcl.gradcheck import run_grad_check
 from lexcl.losses import batch_grad
 from lexcl.metrics import EvalMatrix
@@ -230,6 +238,7 @@ class TestTrain:
         "loss.tau = 0",
         "loss.gamma_cm = -5",
         "loss.gamma_cl = -5",
+        "loss.gamma_cm = 0",
         pytest.param("optim.lr = 1" + "0" * 400, id="optim.lr = 10**400"),
     ])
     def test_bad_config_fails_fast(self, workdir, tmp_path, line, capsys):
@@ -276,6 +285,117 @@ class TestTrain:
                      "--out", str(tmp_path / "o")]) == EXIT_RUNTIME
         assert re.search(r"task 1: step \d+: row \d+ leaves float32's range",
                          capsys.readouterr().err)
+
+    def test_zero_feature_fails_naming_the_task_and_step(self, workdir,
+                                                         tmp_path, capsys):
+        """At model.dim = 1 and model.l_max = 1 a caption's pooled input is
+        one embedding row, and lr * weight_decay = 1 makes an SGD step set
+        each row it reads to -lr * gradient, here 0 in float32: the next
+        batch has a zero text feature. The run stops with exit 2 naming
+        the task and the last step taken."""
+        cfg = tmp_path / "zero.cfg"
+        cfg.write_text(TINY_RUN.replace("model.dim = 16", "model.dim = 1")
+                       .replace("model.l_max = 16", "model.l_max = 1")
+                       + "optim.weight_decay = 1\nloss.gamma_cm = 1e-300\n"
+                         "loss.gamma_cl = 0\nrun.teir_reg = off\n")
+        assert main(["train", "--config", str(cfg),
+                     "--data", str(workdir / "data"),
+                     "--out", str(tmp_path / "o")]) == EXIT_RUNTIME
+        assert re.search(r"task 1: after step \d+: R_F: zero-norm row \d+",
+                         capsys.readouterr().err)
+
+
+# The largest value drawn for each size key, so that a run stays short.
+SIZE_CAPS = {"vocab.size_per_task": 400, "model.dim": 32, "model.l_max": 32,
+             "train.epochs": 2, "train.batch_size": 200}
+
+
+def _declared(cls):
+    """Every key field of config dataclass `cls` and of its sections."""
+    for f in fields(cls):
+        if "key" in f.metadata:
+            yield f
+        elif is_dataclass(f.default_factory):
+            yield from _declared(f.default_factory)
+
+
+def _drawn(f):
+    """Values within the declaration of key field `f`: an int up to its
+    size cap, a float log-uniform over its range (and the bound itself
+    where the range holds it)."""
+    name, bounds = f.metadata["key"], f.metadata["bounds"]
+    if f.metadata["choices"]:
+        return st.sampled_from(f.metadata["choices"])
+    if f.type == "bool":
+        return st.booleans()
+    if f.type == "int":
+        # a width other than the images' is refused at validation, as
+        # test_bad_config_fails_fast checks
+        if name == "model.d_out":
+            return st.just(16)
+        low = bounds["gt"] + 1 if "gt" in bounds else bounds.get("ge", -2**128)
+        return st.integers(low, SIZE_CAPS.get(name, 2**128))
+    low = bounds.get("ge", bounds.get("gt", 0.0))
+    high = bounds.get("le", bounds.get("lt", sys.float_info.max))
+    floats = (st.floats(math.log10(low) if low else -307.0,
+                        min(math.log10(high), 308.0))
+              .map(lambda e: min(max(10.0 ** e, low), high))
+              .filter(lambda x: x != bounds.get("gt") and x != bounds.get("lt")))
+    ends = [bounds[b] for b in ("le", "ge") if b in bounds]
+    return st.one_of(floats, st.sampled_from(ends)) if ends else floats
+
+
+def _value(v) -> str:
+    if isinstance(v, bool):
+        return "on" if v else "off"
+    return v if isinstance(v, str) else repr(v)
+
+
+def _finite_outputs(out) -> bool:
+    """Every checkpoint, recall and diagnostic number of run `out` is
+    finite, but the KS statistic, which is NaN where it is undefined."""
+    values = [load_checkpoint(p) for p in out.glob("ckpt_task*.bin")]
+    values.append(list(EvalMatrix.load_csv(out / "eval_matrix.csv")
+                       .entries.values()))
+    for name in harness.DIAGNOSTICS:
+        lines = (out / "diagnostics" / name).read_text().splitlines()
+        header = lines[0].split(",")
+        values += [[float(v) for h, v in zip(header, line.split(","))
+                    if h not in ("task", "split", "ks_stat")]
+                   for line in lines[1:]]
+    return all(np.all(np.isfinite(v)) for v in values)
+
+
+class TestFuzzedConfigs:
+    """Every config within the declared bounds either trains to finite
+    outputs, or is refused at validation before the run directory exists,
+    or stops with exit 2 naming the task and the step; no numpy warning
+    is raised on the way."""
+
+    @settings(max_examples=25, derandomize=True, deadline=None,
+              database=None, phases=[Phase.generate],
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(cfg=st.fixed_dictionaries({f.metadata["key"]: _drawn(f)
+                                      for f in _declared(harness.RunConfig)}))
+    def test_train_finishes_or_fails_cleanly(self, workdir, tmp_path_factory,
+                                             cfg):
+        root = tmp_path_factory.mktemp("fuzz")
+        (root / "run.cfg").write_text(
+            "".join(f"{k} = {_value(v)}\n" for k, v in cfg.items()))
+        out, err = root / "run", io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["train", "--config", str(root / "run.cfg"),
+                         "--data", str(workdir / "data"), "--out", str(out)])
+        if code == EXIT_USAGE:
+            assert not out.exists()
+        elif code == EXIT_RUNTIME:
+            assert re.search(r"^error: task \w+: (after )?step \d+: ",
+                             err.getvalue()), err.getvalue()
+        else:
+            assert code == EXIT_OK, err.getvalue()
+            assert _finite_outputs(out)
+        shutil.rmtree(root)
 
 
 class TestImports:

@@ -154,6 +154,8 @@ CASES = {
     # parts are 2, 4 and 1 distinct ids wide
     "concat of different widths": ([[5], [5, 9, 5]], [[0, 1, 2, 3], [7]],
                                    [[4, 4, 4, 4, 4, 4, 4]]),
+    # a lone part is its own concatenation
+    "concat of one part": ([[3, 1], [2, 2, 8]],),
 }
 
 
@@ -178,8 +180,9 @@ class TestBatchedMatchesPerText:
         matrix = rng.normal(size=(12, 8)).astype(np.float32)
         id_lists, pooled = CASES[case], None
         if isinstance(id_lists, tuple):
-            pooled = enc.Pooling.concat([pool(part, matrix, p)
-                                         for part in id_lists])
+            parts = [pool(part, matrix, p) for part in id_lists]
+            pooled = enc.Pooling.concat(parts)
+            assert (pooled is parts[0]) == (len(parts) == 1)
             id_lists = [ids for part in id_lists for ids in part]
             whole = pool(id_lists, matrix, p)
             for name in ("ids", "w", "n"):

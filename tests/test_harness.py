@@ -15,11 +15,12 @@ import pytest
 from scipy import stats as sps
 
 import oracles
-from lexcl import bench, bpe, encoders, harness, report, vocab
+from lexcl import bench, bpe, cli, config, encoders, harness, report, vocab
 from lexcl.bench import SPLITS
 from lexcl.embeddings import load_checkpoint, write_matrix
-from lexcl.errors import (CheckpointError, DegenerateFeatureError,
-                          InvalidInputError, NumericError)
+from lexcl.errors import (CheckpointError, DatasetFormatError,
+                          DegenerateFeatureError, InvalidInputError,
+                          NumericError)
 from lexcl.harness import RunConfig, Runner, run_sequence, sub_seed
 from lexcl.metrics import EvalMatrix
 from lexcl.optim import OptimConfig
@@ -178,14 +179,27 @@ class TestModesAndArtifacts:
 
     def test_artifact_files_present(self, tiny_data, tmp_path):
         out = tmp_path / "run"
-        run_sequence(tiny_run_cfg(tiny_data, out))
+        cfg = tiny_run_cfg(tiny_data, out)
+        run_sequence(cfg)
         for name in ("eval_matrix.csv", "registry_manifest.json", "config.json",
                      "ckpt_task0.bin", "ckpt_task2.bin", "vocab_task1.txt",
-                     "merges_task1.txt", "run.log"):
+                     "merges_task1.txt", "run.log", "effective_config.txt"):
             assert (out / name).exists(), name
         for name in ("dist_stats.csv", "fisher.csv", "loss_curve.csv",
                      "final_loss.csv", "tokens.csv"):
             assert (out / "diagnostics" / name).exists(), name
+        assert (config.load_config_file(out / "effective_config.txt")
+                == config.settings(cfg))
+
+    def test_run_log_grows_as_the_run_goes(self, tiny_data, tmp_path):
+        """run.log holds each epoch's line once the epoch ends, before the
+        run closes it."""
+        r = Runner(tiny_run_cfg(tiny_data, tmp_path / "run"))
+        r.run_task(0, [0])
+        lines = (tmp_path / "run" / "run.log").read_text().splitlines()
+        assert [line.split(" loss ")[0] for line in lines] == [
+            f"task 0 epoch {e}" for e in range(r.cfg.epochs)]
+        r.log.close()
 
     def test_eval_matrix_csv_matches_artifacts(self, tiny_data, tmp_path):
         out = tmp_path / "run"
@@ -433,8 +447,7 @@ class TestTokenArrays:
         held = [(td.pooled[split], _split(r, t, split).foreign,
                  0 if mode != "continual" else t)
                 for t, td in enumerate(r.tasks) for split in SPLITS]
-        held += [(td.english, _split(r, t, "train").english, 0)
-                 for t, td in enumerate(r.tasks)]
+        held.append((r.english, _split(r, 0, "train").english, 0))
         for pooled, texts, v in held:
             want = _reference_pooling(r, texts, v)
             assert pooled.ids.dtype == np.int32
@@ -482,34 +495,45 @@ class TestTokenArrays:
                                 lambda *args: calls.append(1) or real(*args))
         run_sequence(tiny_run_cfg(tiny_data, tmp_path / "run",
                                   **_MODES[mode]))
-        # every language's three splits, and the English train captions
-        # once: gen-data gives every language the same ones
+        # every language's three splits, and the run's one list of
+        # English train captions
         assert len(calls) == 3 * len(SPLITS) + 1
 
-    def test_equal_english_captions_share_one_pooling(self, tiny_data,
-                                                      tmp_path, monkeypatch):
-        """Languages whose English train captions are equal share one
-        pooling, which finalize encodes under the anchor once; a language
-        whose captions differ gets its own."""
+    def test_other_english_captions_are_refused(self, tiny_data, tmp_path,
+                                                capsys):
+        """Every language pairs its train rows with language 0's English
+        captions; a dataset whose L2 train split holds another English
+        caption is refused naming that file, before anything is written."""
+        data = tmp_path / "data"
+        shutil.copytree(tiny_data, data)
+        path = data / "L2" / "train.tsv"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        img, english, foreign = lines[0].split("\t")
+        lines[0] = "\t".join([img, english + " x", foreign])
+        path.write_text("".join(lines), encoding="utf-8")
+        out = tmp_path / "run"
+        with pytest.raises(DatasetFormatError, match=r"L2/train\.tsv"):
+            Runner(tiny_run_cfg(str(data), out))
+        assert not out.exists()
+        (tmp_path / "run.cfg").write_text("model.d_out = 16\n")
+        assert cli.main(["train", "--config", str(tmp_path / "run.cfg"),
+                         "--data", str(data), "--out", str(out)]) == cli.EXIT_IO
+        assert "L2/train.tsv" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_finalize_encodes_the_english_captions_once(self, tiny_data,
+                                                        tmp_path,
+                                                        monkeypatch):
         r = Runner(tiny_run_cfg(tiny_data, tmp_path / "run"))
-        english = [r.tasks[t].train.english for t in range(3)]
-        english[2][0] += " x"
         for row, train in harness.steps(r.cfg.mode, len(r.tasks)):
             r.run_task(row, train)
-        assert r.tasks[1].english is r.tasks[0].english
-        assert r.tasks[2].english is not r.tasks[0].english
-        for td, texts in zip(r.tasks, english):
-            want = _reference_pooling(r, texts, 0)
-            assert np.array_equal(td.english.ids, want.ids)
         encoded = []
         real = harness.encode_text
         monkeypatch.setattr(harness, "encode_text",
                             lambda p, *a: encoded.append(p) or real(p, *a))
         r.log.close()
         r.finalize()
-        assert len(encoded) == 2
-        assert encoded[0] is r.tasks[0].english
-        assert encoded[1] is r.tasks[2].english
+        assert len(encoded) == 1 and encoded[0] is r.english
 
     @pytest.mark.parametrize("mode", sorted(_MODES))
     def test_captions_dropped_once_pooled(self, tiny_data, tmp_path, mode):

@@ -111,6 +111,17 @@ class TestWrites:
         assert t.tobytes() == before.tobytes()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("kind", ["sgd", "adamw"])
+    def test_step_past_float64(self, kind):
+        """lr 1e300 times a step of about 1e100 overflows float64 itself:
+        the same NumericError, with no overflow warning."""
+        t = table_of([[0.5, 0.5]])
+        cfg = flat_cfg(kind=kind, lr=1e300, wd=0.0)
+        with pytest.raises(NumericError, match=r"^step 1: row 0 "):
+            step(t, {0: np.array([1e100, 1.0])}, np.ones(1), cfg,
+                 new_state(t, cfg))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_adamw_step_past_float32(self):
         """AdamW's step is about lr whatever the gradient; lr 1e39 takes
         a row past float32's largest value, 3.4e38."""
