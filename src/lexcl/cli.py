@@ -15,7 +15,7 @@ from . import bench, config as config_mod
 from .errors import (CheckpointError, DatasetError, InvalidInputError,
                      LexclError, NumericError)
 from .gradcheck import run_grad_check
-from .harness import Runner, RunConfig
+from .harness import RunConfig, run_sequence
 from .metrics import EvalMatrix
 from .report import recompute_eval_matrix, write_report
 
@@ -58,23 +58,22 @@ def cmd_train(args) -> int:
             cfg[f"run.{name}"] = config_mod.parse_value(str(value))
     t0 = time.perf_counter()
     rc = config_mod.build(RunConfig, cfg, data_dir=args.data, out_dir=args.out)
-    artifacts = Runner(rc).run()
+    artifacts = run_sequence(rc)
     _info(f"run finished in {time.perf_counter() - t0:.1f}s: "
           f"AR {artifacts.final_ar}, F {artifacts.final_f}")
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
-    matrix = recompute_eval_matrix(args.run, args.data, args.split)
-    out_path = os.path.join(args.run, f"eval_matrix_recomputed_{args.split}.csv")
+    matrix = recompute_eval_matrix(args.run, args.data)
+    out_path = os.path.join(args.run, "eval_matrix_recomputed_test.csv")
     matrix.save_csv(out_path)
     _info(f"wrote {out_path}")
-    if args.split == "test":
-        stored = EvalMatrix.load_csv(os.path.join(args.run, "eval_matrix.csv"))
-        if stored.entries != matrix.entries:
-            return _fail(EXIT_RUNTIME, f"{out_path} differs from the stored "
-                                       "eval_matrix.csv")
-        _info("recomputed matrix matches the stored one exactly")
+    stored = EvalMatrix.load_csv(os.path.join(args.run, "eval_matrix.csv"))
+    if stored.entries != matrix.entries:
+        return _fail(EXIT_RUNTIME, f"{out_path} differs from the stored "
+                                   "eval_matrix.csv")
+    _info("recomputed matrix matches the stored one exactly")
     return EXIT_OK
 
 
@@ -120,10 +119,9 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--seed", type=int, default=None)
     t.set_defaults(func=cmd_train)
 
-    e = sub.add_parser("eval", help="recompute the recall matrix for a run")
+    e = sub.add_parser("eval", help="recompute a run's test recall matrix")
     e.add_argument("--run", required=True)
     e.add_argument("--data", required=True)
-    e.add_argument("--split", choices=["train", "val", "test"], default="test")
     e.set_defaults(func=cmd_eval)
 
     r = sub.add_parser("report", help="emit AR/F tables and diagnostics")
@@ -150,9 +148,7 @@ def main(argv=None) -> int:
         return _fail(EXIT_USAGE, str(e))
     except NumericError as e:
         return _fail(EXIT_RUNTIME, str(e))
-    except (CheckpointError, DatasetError) as e:
-        return _fail(EXIT_IO, str(e))
-    except (OSError,) as e:
+    except (CheckpointError, DatasetError, OSError) as e:
         return _fail(EXIT_IO, str(e))
     except LexclError as e:
         return _fail(EXIT_RUNTIME, str(e))

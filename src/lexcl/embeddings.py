@@ -200,12 +200,11 @@ def load_checkpoint(path, expected_rows: int | None = None,
                     expected_vocab_hash: str | None = None,
                     expected_dim: int | None = None) -> np.ndarray:
     """Read a checkpoint's matrix and check its shape against its
-    sidecar and, when given, the row count and vocab hash of the caller's
-    vocabulary and the caller's embedding width."""
+    sidecar, which must exist, and, when given, the row count and vocab
+    hash of the caller's vocabulary and the caller's embedding width."""
     m = read_matrix(path, EMB_MAGIC)
     side_path = f"{path}.json"
-    side = (read_json(side_path, CheckpointFormatError)
-            if os.path.exists(side_path) else {})
+    side = read_json(side_path, CheckpointFormatError)
     if not isinstance(side, dict):
         raise CheckpointFormatError(f"{side_path}: not a JSON object")
     rows, dim = m.shape

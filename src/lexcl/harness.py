@@ -29,7 +29,7 @@ from .metrics import (DIRECTIONS, EvalMatrix, average_recall, fisher_and_loss,
 from .optim import PRETRAIN_OPTIM, OptimConfig, OptimState, step as optim_step
 
 # The header of each diagnostics/ file that `finalize` writes and
-# `lexcl report` copies.
+# `lexcl report` copies; Runner.rows holds each file's rows.
 DIAGNOSTICS = {
     "fisher.csv": ("task", "fisher_trace"),
     "dist_stats.csv": ("task", "mu", "sigma", "ks_stat"),
@@ -153,9 +153,7 @@ class Runner:
         self.eval_matrix = EvalMatrix()
         self.registry: list[dict] = []
         self.checkpoint_paths: list[str] = []
-        self.dist_rows: list[dict] = []
-        self.loss_rows: list[dict] = []
-        self.token_rows: list[dict] = []
+        self.rows: dict[str, list[dict]] = {name: [] for name in DIAGNOSTICS}
         self._vocab_of = [vocab_index(cfg.mode, cfg.oracle_vocab, t)
                           for t in range(len(self.tasks))]
         self._vocabs: dict[int, bpe.TaskVocab] = {}
@@ -185,7 +183,7 @@ class Runner:
         """The pooling of `texts` under vocab `v`, with their token counts
         recorded for diagnostics/tokens.csv under each of `tasks`."""
         ids, lengths = self.state.tokenize(texts, v)
-        self.token_rows += [{
+        self.rows["tokens.csv"] += [{
             "task": t, "split": split, "captions": len(lengths),
             "mean_tokens": float(lengths.mean()),
             "cut_at_l_max": int(np.count_nonzero(lengths > self.cfg.l_max))}
@@ -267,8 +265,9 @@ class Runner:
                 raise DegenerateFeatureError(
                     f"task {label}: after step {ostate.step_count}: {e}") from e
             mean_loss = epoch_loss / steps_per_epoch
-            self.loss_rows.append({"task": label, "epoch": epoch,
-                                   "mean_loss": mean_loss, "val_score": score})
+            self.rows["loss_curve.csv"].append({
+                "task": label, "epoch": epoch, "mean_loss": mean_loss,
+                "val_score": score})
             self.log.write(f"task {label} epoch {epoch} loss {mean_loss:.6f} "
                            f"val_score {score:.3f}\n")
             if score > best_score:
@@ -320,8 +319,8 @@ class Runner:
         if self.anchor is None:
             self.anchor = snapshot_anchor(self.table)
         s = dist_stats(self.table)
-        self.dist_rows.append({"task": row, "mu": s.mu, "sigma": s.sigma,
-                               "ks_stat": ks})
+        self.rows["dist_stats.csv"].append({"task": row, "mu": s.mu,
+                                            "sigma": s.sigma, "ks_stat": ks})
 
         out = cfg.out_dir
         bpe.save_vocab(tv.tokens, os.path.join(out, f"vocab_task{row}.txt"))
@@ -365,13 +364,12 @@ class Runner:
 
         self.eval_matrix.save_csv(os.path.join(out, "eval_matrix.csv"))
         _write_json(os.path.join(out, "registry_manifest.json"), self.registry)
-        rows = {"fisher.csv": [{"task": t, "fisher_trace": v}
-                               for t, v in enumerate(fisher)],
-                "dist_stats.csv": self.dist_rows,
-                "loss_curve.csv": self.loss_rows,
-                "final_loss.csv": [{"task": t, "mean_loss": v}
-                                   for t, v in enumerate(losses)],
-                "tokens.csv": sorted(self.token_rows, key=lambda r: r["task"])}
+        rows = self.rows
+        rows["fisher.csv"] = [{"task": t, "fisher_trace": v}
+                              for t, v in enumerate(fisher)]
+        rows["final_loss.csv"] = [{"task": t, "mean_loss": v}
+                                  for t, v in enumerate(losses)]
+        rows["tokens.csv"].sort(key=lambda r: r["task"])
         for name, header in DIAGNOSTICS.items():
             _write_csv(os.path.join(out, "diagnostics", name), header, rows[name])
 
@@ -382,11 +380,9 @@ class Runner:
             final_f = {d: forgetting(self.eval_matrix, last_row, d)
                        for d in DIRECTIONS}
         diagnostics = {
-            "fisher": dict(enumerate(fisher)),
             "mean_fisher": float(np.mean(fisher)),
-            "final_loss": list(losses),
             "mean_final_loss": float(np.mean(losses)),
-            "dist_stats": self.dist_rows,
+            "dist_stats": rows["dist_stats.csv"],
         }
         return RunArtifacts(self.eval_matrix, self.checkpoint_paths,
                             final_ar, final_f, diagnostics)

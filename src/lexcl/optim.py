@@ -37,12 +37,13 @@ class OptimConfig:
 
     def __post_init__(self):
         check_keys(self)
-        # from lr * wd = 2 on, the decay factor 1 - lr * wd of SGD and AdamW
-        # is <= -1, so the table diverges on any data; pretraining's lr counts
+        # from lr * wd = 1 on, the decay factor 1 - lr * wd of SGD and AdamW
+        # is <= 0, so a step zeroes or flips every row it reads at lambda 1;
+        # pretraining's lr counts
         lr = max(self.lr_peak, PRETRAIN_OPTIM["lr_peak"])
-        if lr * self.weight_decay >= 2:
+        if lr * self.weight_decay >= 1:
             raise InvalidInputError(f"optim.weight_decay {self.weight_decay!r} "
-                                    f"times optim.lr {lr!r} must be < 2")
+                                    f"times optim.lr {lr!r} must be < 1")
 
 
 class OptimState:

@@ -73,8 +73,8 @@ def _vocab_state_through(run_dir, rows) -> list[vocab_mod.VocabState]:
     return states
 
 
-def recompute_eval_matrix(run_dir, data_dir, split: str = "test") -> EvalMatrix:
-    """Rebuild the recall matrix from the stored per-task checkpoints."""
+def recompute_eval_matrix(run_dir, data_dir) -> EvalMatrix:
+    """Rebuild the test recall matrix from the stored per-task checkpoints."""
     dim, d_out, l_max, encoder_seed, mode, oracle_vocab = _load_run_config(
         run_dir, "dim", "d_out", "l_max", "encoder_seed", "mode", "oracle_vocab")
     manifest = load_manifest(data_dir)
@@ -93,7 +93,7 @@ def recompute_eval_matrix(run_dir, data_dir, split: str = "test") -> EvalMatrix:
     last = states[-1]
     test_set = []
     for i, lang in enumerate(manifest["languages"][: rows[-1] + 1]):
-        data = load_dataset(data_dir, lang, split, manifest, images)
+        data = load_dataset(data_dir, lang, "test", manifest, images)
         ids, lengths = last.tokenize(data.foreign,
                                      vocab_index(mode, oracle_vocab, i))
         test_set.append((pooling(ids, lengths, last.size, params),
@@ -178,29 +178,25 @@ def _loss_point(line: str) -> tuple[str, float, float]:
 
 
 def write_report(run_dir, out_dir) -> list[str]:
-    """Emit AR/F tables, diagnostics copies, histograms and plots."""
+    """Emit AR/F tables, diagnostics copies, histograms and plots. Every
+    file the run writes must be there."""
     mode, = _load_run_config(run_dir, "mode")
     matrix_path = os.path.join(run_dir, "eval_matrix.csv")
-    if not os.path.exists(matrix_path):
-        raise InvalidInputError(f"{run_dir}: missing eval_matrix.csv")
     matrix = EvalMatrix.load_csv(matrix_path)
     diag_dir = os.path.join(run_dir, "diagnostics")
-    loss_csv = os.path.join(diag_dir, "loss_curve.csv")
     series: dict[str, list[tuple[float, float]]] = {}
-    if os.path.exists(loss_csv):
-        for task, epoch, loss in read_lines(
-                loss_csv, _loss_point, InvalidInputError,
-                header=",".join(DIAGNOSTICS["loss_curve.csv"])):
-            series.setdefault(f"task {task}", []).append((epoch, loss))
+    for task, epoch, loss in read_lines(
+            os.path.join(diag_dir, "loss_curve.csv"), _loss_point,
+            InvalidInputError, header=",".join(DIAGNOSTICS["loss_curve.csv"])):
+        series.setdefault(f"task {task}", []).append((epoch, loss))
     os.makedirs(out_dir, exist_ok=True)
     written = [os.path.join(out_dir, "ar_f.csv")]
     ar_series = write_ar_f(matrix, mode, written[0])
 
     for src in [matrix_path] + [os.path.join(diag_dir, name)
                                 for name in DIAGNOSTICS]:
-        if os.path.exists(src):
-            written.append(os.path.join(out_dir, os.path.basename(src)))
-            copy_file(src, written[-1])
+        written.append(os.path.join(out_dir, os.path.basename(src)))
+        copy_file(src, written[-1])
 
     for t in _task_rows(run_dir):
         table = load_checkpoint(os.path.join(run_dir, f"ckpt_task{t}.bin"))
@@ -213,8 +209,7 @@ def write_report(run_dir, out_dir) -> list[str]:
         p = os.path.join(out_dir, "ar_vs_task.svg")
         write_svg_lines(p, ar_series, "Average Recall@1 per task step")
         written.append(p)
-    if os.path.exists(loss_csv):
-        p = os.path.join(out_dir, "loss_curve.svg")
-        write_svg_lines(p, series, "Training loss per epoch")
-        written.append(p)
+    p = os.path.join(out_dir, "loss_curve.svg")
+    write_svg_lines(p, series, "Training loss per epoch")
+    written.append(p)
     return written

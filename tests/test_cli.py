@@ -256,8 +256,9 @@ class TestTrain:
                                       "optim.lr = 10000"])
     def test_diverging_decay_fails_at_validation(self, workdir, tmp_path,
                                                  line, capsys):
-        """lr * weight_decay >= 2 makes the decay factor <= -1 and the
-        table diverge: exit 1 naming both keys, before the run starts."""
+        """lr * weight_decay >= 1 makes the decay factor <= 0, which zeroes
+        or flips the rows a step reads: exit 1 naming both keys, before
+        the run starts."""
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(TINY_RUN + line + "\n")
         out = tmp_path / "o"
@@ -287,17 +288,24 @@ class TestTrain:
                          capsys.readouterr().err)
 
     def test_zero_feature_fails_naming_the_task_and_step(self, workdir,
-                                                         tmp_path, capsys):
+                                                         tmp_path, monkeypatch,
+                                                         capsys):
         """At model.dim = 1 and model.l_max = 1 a caption's pooled input is
-        one embedding row, and lr * weight_decay = 1 makes an SGD step set
-        each row it reads to -lr * gradient, here 0 in float32: the next
-        batch has a zero text feature. The run stops with exit 2 naming
-        the task and the last step taken."""
+        one embedding row, with no positional term. Every SGD step, the
+        tasks after pretraining, is made to zero the rows its batch reads:
+        a later batch has a zero text feature. The run stops with exit 2
+        naming the task and the last step taken."""
+        real = harness.optim_step
+
+        def zeroing(matrix, rows, lam, grads, cfg, state):
+            real(matrix, rows, lam, grads, cfg, state)
+            if cfg.kind == "sgd":
+                matrix[rows] = 0.0
+
+        monkeypatch.setattr(harness, "optim_step", zeroing)
         cfg = tmp_path / "zero.cfg"
         cfg.write_text(TINY_RUN.replace("model.dim = 16", "model.dim = 1")
-                       .replace("model.l_max = 16", "model.l_max = 1")
-                       + "optim.weight_decay = 1\nloss.gamma_cm = 1e-300\n"
-                         "loss.gamma_cl = 0\nrun.teir_reg = off\n")
+                       .replace("model.l_max = 16", "model.l_max = 1"))
         assert main(["train", "--config", str(cfg),
                      "--data", str(workdir / "data"),
                      "--out", str(tmp_path / "o")]) == EXIT_RUNTIME
@@ -552,6 +560,40 @@ class TestEvalAndReport:
             (workdir / "run" / "diagnostics" / "tokens.csv").read_bytes()
         svg = [p for p in os.listdir(out) if p.endswith(".svg")]
         assert svg
+
+    @pytest.mark.parametrize("command", ["eval", "report"])
+    def test_missing_sidecar_fails_naming_it(self, workdir, tmp_path, capsys,
+                                             command):
+        """Every checkpoint load reads its sidecar: a run without one is
+        an I/O error naming it."""
+        run = tmp_path / "run"
+        shutil.copytree(workdir / "run", run)
+        path = run / "ckpt_task1.bin.json"
+        path.unlink()
+        args = (["eval", "--run", str(run), "--data", str(workdir / "data")]
+                if command == "eval" else
+                ["report", "--run", str(run), "--out", str(tmp_path / "rep")])
+        assert main(args) == EXIT_IO
+        assert str(path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", list(harness.DIAGNOSTICS))
+    def test_report_without_a_diagnostics_file_fails_naming_it(
+            self, workdir, tmp_path, capsys, name):
+        """`lexcl report` needs every file the run writes."""
+        run = tmp_path / "run"
+        shutil.copytree(workdir / "run", run)
+        path = run / "diagnostics" / name
+        path.unlink()
+        assert main(["report", "--run", str(run),
+                     "--out", str(tmp_path / "rep")]) == EXIT_IO
+        assert str(path) in capsys.readouterr().err
+
+    def test_eval_scores_the_test_split_only(self, workdir, tmp_path):
+        run = tmp_path / "run"
+        shutil.copytree(workdir / "run", run)
+        assert main(["eval", "--run", str(run), "--data", str(workdir / "data"),
+                     "--split", "val"]) == EXIT_USAGE
+        assert not (run / "eval_matrix_recomputed_val.csv").exists()
 
     @pytest.mark.parametrize("command", ["eval", "report"])
     @pytest.mark.parametrize("row, bad", [

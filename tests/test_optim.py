@@ -143,15 +143,16 @@ class TestWrites:
 
 class TestConfig:
     @pytest.mark.parametrize("lr, wd", [(1.0, 2.0), (10000.0, 0.005),
-                                        (0.01, 100.0), (1.0, 3.0)])
+                                        (0.01, 100.0), (1.0, 3.0),
+                                        (1.0, 1.99), (0.01, 66.0), (1.0, 1.0)])
     def test_diverging_decay_rejected(self, lr, wd):
-        """lr * weight_decay >= 2, lr the larger of optim.lr and
-        pretraining's 0.03, makes the decay factor <= -1."""
+        """lr * weight_decay >= 1, lr the larger of optim.lr and
+        pretraining's 0.03, makes the decay factor <= 0."""
         with pytest.raises(InvalidInputError,
                            match=r"optim\.weight_decay .* optim\.lr"):
             flat_cfg(lr=lr, wd=wd)
 
-    @pytest.mark.parametrize("lr, wd", [(1.0, 1.99), (0.01, 66.0),
+    @pytest.mark.parametrize("lr, wd", [(1.0, 0.99), (0.01, 33.0),
                                         (1e39, 0.0)])
     def test_converging_decay_accepted(self, lr, wd):
         assert flat_cfg(lr=lr, wd=wd).weight_decay == wd
