@@ -43,24 +43,24 @@ class MergeRule(NamedTuple):
 class TaskVocab:
     """One task's BPE vocabulary: 256 byte tokens plus learned merges.
 
-    The pair table is built once, by `merge_ranks()`, when the vocab is
-    made. `segment_ids` caches the ids of each distinct piece of text
-    with no space in it: `train_bpe` seeds it with its words, and
-    `encode` adds the pieces it meets first. Both are derived state,
-    left out of equality and repr."""
+    `id_of` (token bytes to id) and the pair table, `merge_ranks()`, are
+    built once, when the vocab is made. `segment_ids` caches the ids of
+    each distinct piece of text with no space in it: `train_bpe` seeds it
+    with its words, and `encode` adds the pieces it meets first. All
+    three are derived state, left out of equality and repr."""
 
     task_index: int
     tokens: list[bytes]
     rules: list[MergeRule]
-    id_of: dict[bytes, int] = field(default_factory=dict)
+    id_of: dict[bytes, int] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
     ranks: dict[tuple[int, int], tuple[int, int]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
     segment_ids: dict[bytes, list[int]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.id_of:
-            self.id_of = {tok: i for i, tok in enumerate(self.tokens)}
+        self.id_of = {tok: i for i, tok in enumerate(self.tokens)}
         self.ranks = self.merge_ranks()
 
     @property

@@ -28,10 +28,6 @@ class FrozenTextParams:
     mean_pos: np.ndarray  # L_max x d, row L - 1 the mean of pos[:L]
     L_max: int
 
-    @property
-    def dim(self) -> int:
-        return self.W.shape[1]
-
 
 def sinusoidal_positions(L_max: int, d: int) -> np.ndarray:
     pos = np.zeros((L_max, d), dtype=np.float64)

@@ -5,7 +5,6 @@ histograms and simple SVG line plots."""
 from __future__ import annotations
 
 import os
-import re
 from dataclasses import replace
 
 from . import bpe
@@ -37,29 +36,28 @@ def _load_run_config(run_dir, *names) -> list:
     return [getattr(run, n) for n in names]
 
 
-def _task_rows(run_dir) -> list[int]:
-    rows = []
-    for name in os.listdir(run_dir):
-        m = re.fullmatch(r"ckpt_task(\d+)\.bin", name)
-        if m:
-            rows.append(int(m.group(1)))
-    if not rows:
-        raise InvalidInputError(f"{run_dir}: no checkpoints found")
-    return sorted(rows)
-
-
 def _read_bytes(path) -> bytes:
     with open(path, "rb") as f:
         return f.read()
 
 
-def _vocab_state_through(run_dir, rows) -> list[vocab_mod.VocabState]:
-    """Vocabulary state after each stored task, rebuilt from the saved
-    per-task vocab/merge files. Joint and oracle-vocab runs save one
-    shared vocab for every row: a row whose two files hold the same bytes
-    as the previous row's reuses that row's parsed vocab, as the run
-    itself used one vocab object."""
-    states = []
+def _steps(run_dir, mode: str) -> list[tuple[int, vocab_mod.VocabState]]:
+    """(row, vocab state after it) of each step of the run: the rows are
+    the task indexes in registry_manifest.json, which must be the steps
+    of a `mode` run, and each state is rebuilt from the row's vocab and
+    merges files. A row whose files hold the previous row's bytes (joint
+    and oracle-vocab runs) reuses its parsed vocab, as the run did."""
+    path = os.path.join(run_dir, "registry_manifest.json")
+    try:
+        rows = [rec["task_index"] for rec in read_json(path, InvalidInputError)]
+    except (KeyError, TypeError):
+        rows = []
+    if not (all(type(t) is int for t in rows) and rows[:1] == [0]
+            and rows == sorted(set(rows))
+            and (len(rows) <= 2 if mode == "joint" else rows[-1] < len(rows))):
+        raise InvalidInputError(f"{path}: the task_index values are not the "
+                                f"steps of a {mode} run")
+    steps = []
     state = vocab_mod.new_state()
     tv, seen = None, None
     for t in rows:
@@ -69,8 +67,18 @@ def _vocab_state_through(run_dir, rows) -> list[vocab_mod.VocabState]:
         if files != seen:
             tv, seen = bpe.vocab_from_files(*paths, task_index=t), files
         state, _ = vocab_mod.merge_vocab(state, tv)
-        states.append(state)
-    return states
+        steps.append((t, state))
+    return steps
+
+
+def _tables(run_dir, steps, dim):
+    """(row, table) of each of `steps`, the table loaded when reached and
+    checked against the step's vocab state and `dim` columns."""
+    for row, state in steps:
+        yield row, load_checkpoint(
+            os.path.join(run_dir, f"ckpt_task{row}.bin"),
+            expected_rows=state.size,
+            expected_vocab_hash=vocab_hash(state.tokens), expected_dim=dim)
 
 
 def recompute_eval_matrix(run_dir, data_dir) -> EvalMatrix:
@@ -81,29 +89,24 @@ def recompute_eval_matrix(run_dir, data_dir) -> EvalMatrix:
     images = load_images(data_dir)
     check_image_width(images, d_out)
     params = make_text_params(dim, d_out, l_max, encoder_seed)
-    rows = _task_rows(run_dir)
-    if len(manifest["languages"]) <= rows[-1]:
+    steps = _steps(run_dir, mode)
+    final, last = steps[-1]
+    if len(manifest["languages"]) <= final:
         raise InvalidInputError(
             f"{data_dir}: {len(manifest['languages'])} languages, but the run "
-            f"has a checkpoint for task {rows[-1]}")
-    states = _vocab_state_through(run_dir, rows)
+            f"has a checkpoint for task {final}")
 
     # Global ids are append-only, so each task reads the same under the
     # last state as under the state of any row that scores it.
-    last = states[-1]
     test_set = []
-    for i, lang in enumerate(manifest["languages"][: rows[-1] + 1]):
+    for i, lang in enumerate(manifest["languages"][: final + 1]):
         data = load_dataset(data_dir, lang, "test", manifest, images)
         ids, lengths = last.tokenize(data.foreign,
                                      vocab_index(mode, oracle_vocab, i))
         test_set.append((pooling(ids, lengths, last.size, params),
                          images[data.image]))
     matrix = EvalMatrix()
-    for j, state in zip(rows, states):
-        table = load_checkpoint(os.path.join(run_dir, f"ckpt_task{j}.bin"),
-                                expected_rows=state.size,
-                                expected_vocab_hash=vocab_hash(state.tokens),
-                                expected_dim=dim)
+    for j, table in _tables(run_dir, steps, dim):
         score_row(matrix, j, table, params, test_set)
     return matrix
 
@@ -167,10 +170,6 @@ def write_ar_f(matrix: EvalMatrix, mode: str, path) -> dict:
     return ar_series
 
 
-def copy_file(src, dst) -> None:
-    write_atomic(dst, _read_bytes(src))
-
-
 def _loss_point(line: str) -> tuple[str, float, float]:
     """(task, epoch, mean loss) of a loss_curve.csv row."""
     task, epoch, mean_loss, _ = line.split(",")
@@ -179,31 +178,35 @@ def _loss_point(line: str) -> tuple[str, float, float]:
 
 def write_report(run_dir, out_dir) -> list[str]:
     """Emit AR/F tables, diagnostics copies, histograms and plots. Every
-    file the run writes must be there."""
-    mode, = _load_run_config(run_dir, "mode")
+    file the run writes must be there, and every input is loaded and
+    checked before `out_dir` is made, so a failed report writes nothing."""
+    mode, dim = _load_run_config(run_dir, "mode", "dim")
     matrix_path = os.path.join(run_dir, "eval_matrix.csv")
     matrix = EvalMatrix.load_csv(matrix_path)
     diag_dir = os.path.join(run_dir, "diagnostics")
+    loss_path = os.path.join(diag_dir, "loss_curve.csv")
     series: dict[str, list[tuple[float, float]]] = {}
     for task, epoch, loss in read_lines(
-            os.path.join(diag_dir, "loss_curve.csv"), _loss_point,
-            InvalidInputError, header=",".join(DIAGNOSTICS["loss_curve.csv"])):
+            loss_path, _loss_point, InvalidInputError,
+            header=",".join(DIAGNOSTICS["loss_curve.csv"])):
         series.setdefault(f"task {task}", []).append((epoch, loss))
+    if not series:
+        raise InvalidInputError(f"{loss_path}: no rows")
+    copies = {os.path.basename(src): _read_bytes(src)
+              for src in [matrix_path] + [os.path.join(diag_dir, name)
+                                          for name in DIAGNOSTICS]}
+    histograms = {t: ted_histogram(table, bins=64)[:2]
+                  for t, table in _tables(run_dir, _steps(run_dir, mode), dim)}
+
     os.makedirs(out_dir, exist_ok=True)
     written = [os.path.join(out_dir, "ar_f.csv")]
     ar_series = write_ar_f(matrix, mode, written[0])
-
-    for src in [matrix_path] + [os.path.join(diag_dir, name)
-                                for name in DIAGNOSTICS]:
-        written.append(os.path.join(out_dir, os.path.basename(src)))
-        copy_file(src, written[-1])
-
-    for t in _task_rows(run_dir):
-        table = load_checkpoint(os.path.join(run_dir, f"ckpt_task{t}.bin"))
-        edges, counts, _, _, _ = ted_histogram(table, bins=64)
-        p = os.path.join(out_dir, f"ted_task{t}.csv")
-        save_histogram_csv(edges, counts, p)
-        written.append(p)
+    for name, data in copies.items():
+        written.append(os.path.join(out_dir, name))
+        write_atomic(written[-1], data)
+    for t, (edges, counts) in histograms.items():
+        written.append(os.path.join(out_dir, f"ted_task{t}.csv"))
+        save_histogram_csv(edges, counts, written[-1])
 
     if any(ar_series.values()):
         p = os.path.join(out_dir, "ar_vs_task.svg")

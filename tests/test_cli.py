@@ -1,6 +1,7 @@
 """CLI tests: subcommand wiring, exit codes, reports, grad-check gate."""
 
 import contextlib
+import importlib.util
 import io
 import json
 import math
@@ -445,6 +446,12 @@ def _count_vocab_parses(monkeypatch) -> list:
     return calls
 
 
+def _tree(root) -> dict[str, bytes]:
+    """The bytes of every file under directory `root`, by relative path."""
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in root.rglob("*") if p.is_file()}
+
+
 class TestEvalAndReport:
     def test_eval_recomputation_matches(self, workdir):
         run = workdir / "run"
@@ -587,6 +594,25 @@ class TestEvalAndReport:
         assert main(["report", "--run", str(run),
                      "--out", str(tmp_path / "rep")]) == EXIT_IO
         assert str(path) in capsys.readouterr().err
+        assert not (tmp_path / "rep").exists()
+
+    def test_stray_checkpoint_is_not_read(self, workdir, tmp_path):
+        """Only the steps the registry lists are read: a checkpoint file
+        of no step changes neither eval's matrix nor report's files."""
+        run = tmp_path / "run"
+        shutil.copytree(workdir / "run", run, ignore=shutil.ignore_patterns(
+            "eval_matrix_recomputed_*"))
+        assert main(["report", "--run", str(run),
+                     "--out", str(tmp_path / "clean")]) == EXIT_OK
+        for suffix in (".bin", ".bin.json"):
+            shutil.copy(run / f"ckpt_task0{suffix}", run / f"ckpt_task7{suffix}")
+        assert main(["eval", "--run", str(run),
+                     "--data", str(workdir / "data")]) == EXIT_OK
+        assert (EvalMatrix.load_csv(run / "eval_matrix_recomputed_test.csv")
+                .entries == EvalMatrix.load_csv(run / "eval_matrix.csv").entries)
+        assert main(["report", "--run", str(run),
+                     "--out", str(tmp_path / "rep")]) == EXIT_OK
+        assert _tree(tmp_path / "rep") == _tree(tmp_path / "clean")
 
     def test_eval_scores_the_test_split_only(self, workdir, tmp_path):
         run = tmp_path / "run"
@@ -758,6 +784,10 @@ def _emptied(path):
     path.write_bytes(b"")
 
 
+def _header_only(path):
+    path.write_bytes(path.read_bytes().split(b"\n")[0] + b"\n")
+
+
 def _no_val_split(path):
     """Declare no val records in the manifest, and empty every val.tsv."""
     manifest = json.loads(path.read_text())
@@ -781,6 +811,26 @@ def _half_width(path, sidecar_too=False):
         side = path.with_name(path.name + ".json")
         side.write_text(json.dumps(dict(json.loads(side.read_text()),
                                         dim=m.shape[1] // 2)))
+
+
+def _deleted(path):
+    path.unlink()
+
+
+def _swapped_with_task2(path):
+    """Swap the checkpoint with ckpt_task2.bin, each with its sidecar."""
+    other = path.with_name("ckpt_task2.bin")
+    for a, b in ((path, other), (path.with_name(path.name + ".json"),
+                                 other.with_name(other.name + ".json"))):
+        data = a.read_bytes()
+        a.write_bytes(b.read_bytes())
+        b.write_bytes(data)
+
+
+def _no_step_1(path):
+    """Drop the registry record of step 1, leaving rows 0 and 2."""
+    records = json.loads(path.read_text())
+    path.write_text(json.dumps([r for r in records if r["task_index"] != 1]))
 
 
 def _huge_header(path):
@@ -819,6 +869,9 @@ class TestDamagedFiles:
                      id="eval-matrix-bad-byte"),
         pytest.param("report", "run/diagnostics/loss_curve.csv", _bad_byte,
                      EXIT_USAGE, 3, id="loss-curve-bad-byte"),
+        pytest.param("report", "run/diagnostics/loss_curve.csv",
+                     _header_only, EXIT_USAGE, None,
+                     id="loss-curve-header-only"),
         pytest.param("eval", "run/merges_task1.txt", _line3("1 2 99999 1 300"),
                      EXIT_USAGE, 3, id="merges-id-past-the-vocab"),
         pytest.param("eval", "run/merges_task1.txt", _line3("1 2 -1 5 258"),
@@ -830,6 +883,24 @@ class TestDamagedFiles:
         pytest.param("eval", "run/ckpt_task2.bin",
                      lambda p: _half_width(p, sidecar_too=True), EXIT_IO, None,
                      id="checkpoint-and-sidecar-half-width"),
+        pytest.param("eval", "run/ckpt_task1.bin", _deleted, EXIT_IO, None,
+                     id="eval-no-middle-checkpoint"),
+        pytest.param("report", "run/ckpt_task1.bin", _deleted, EXIT_IO, None,
+                     id="report-no-middle-checkpoint"),
+        pytest.param("report", "run/ckpt_task1.bin", _swapped_with_task2,
+                     EXIT_IO, None, id="report-swapped-checkpoints"),
+        pytest.param("eval", "run/registry_manifest.json", _emptied,
+                     EXIT_USAGE, None, id="eval-empty-registry"),
+        pytest.param("report", "run/registry_manifest.json", _line3("}"),
+                     EXIT_USAGE, None, id="report-registry-not-json"),
+        pytest.param("eval", "run/registry_manifest.json", _no_step_1,
+                     EXIT_USAGE, None, id="eval-registry-missing-a-step"),
+        pytest.param("report", "run/registry_manifest.json", _no_step_1,
+                     EXIT_USAGE, None, id="report-registry-missing-a-step"),
+        pytest.param("eval", "run/registry_manifest.json", _deleted, EXIT_IO,
+                     None, id="eval-no-registry"),
+        pytest.param("report", "run/registry_manifest.json", _deleted,
+                     EXIT_IO, None, id="report-no-registry"),
     ])
     def test_fails_cleanly_naming_the_file(self, workdir, tmp_path, capsys,
                                            command, damaged, damage, code,
@@ -850,6 +921,40 @@ class TestDamagedFiles:
         err = capsys.readouterr().err
         assert (f"{path}:{line}:" if line else str(path)) in err
         assert not out.exists()
+
+
+def _benchmark_checks():
+    """perfbench/checks.py, the benchmark's own output checks, loaded
+    from its file."""
+    path = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench", "checks.py")
+    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBenchmarkChecks:
+    @pytest.mark.parametrize("flag", [None, "--mode=joint", "--oracle-vocab"],
+                             ids=["continual", "joint", "oracle-vocab"])
+    def test_evaluated_run_passes_the_benchmark_checks(self, workdir,
+                                                       tmp_path, flag):
+        """The benchmark reads config.json fields and run files by name,
+        with its own readers: a run that `lexcl eval` accepts passes every
+        one of its checks."""
+        run = tmp_path / "run"
+        if flag is None:
+            shutil.copytree(workdir / "run", run, ignore=shutil.ignore_patterns(
+                "eval_matrix_recomputed_*"))
+        else:
+            assert main(["train", "--config", str(workdir / "run.cfg"),
+                         "--data", str(workdir / "data"), "--out", str(run),
+                         flag]) == EXIT_OK
+        assert main(["eval", "--run", str(run),
+                     "--data", str(workdir / "data")]) == EXIT_OK
+        failures, _ = _benchmark_checks().check_run(
+            str(workdir / "data"), str(run), seed=0)
+        assert failures == []
 
 
 class TestGradCheck:

@@ -2,7 +2,6 @@
 
 import ast
 import os
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -477,12 +476,9 @@ def _eval_matrix(v):
 
 
 def _report_copy(p, k):
-    """lexcl report's copy of a diagnostics file whose version is k."""
-    with tempfile.TemporaryDirectory() as d:
-        src = os.path.join(d, "dist_stats.csv")
-        with open(src, "w") as f:
-            f.write(f"task\n{k}\n")
-        report.copy_file(src, p)
+    """lexcl report's copy of a diagnostics file whose version is k: the
+    bytes it read from the run, written through write_atomic."""
+    emb.write_atomic(p, f"task\n{k}\n".encode())
 
 
 # Version k of each run file, written by the writer that makes it.

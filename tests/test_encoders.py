@@ -52,7 +52,7 @@ def reference_encode(ids, matrix, params):
     """Straight-line re-implementation used as an oracle."""
     ids = list(ids)[: params.L_max]
     L = len(ids)
-    h = np.zeros(params.dim)
+    h = np.zeros(params.W.shape[1])
     for i, tid in enumerate(ids):
         h += matrix[tid].astype(np.float64) + params.pos[i]
     h /= L

@@ -475,7 +475,7 @@ class TestTokenArrays:
         r = Runner(tiny_run_cfg(tiny_data, out, **_MODES[mode]))
         r.run()
         monkeypatch.undo()
-        last = report._vocab_state_through(out, report._task_rows(out))[-1]
+        _, last = report._steps(out, r.cfg.mode)[-1]
         assert not any(tv.segment_ids for tv in last.task_vocabs)
         for t, td in enumerate(r.tasks):
             v = harness.vocab_index(r.cfg.mode, r.cfg.oracle_vocab, t)
