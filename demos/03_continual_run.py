@@ -2,7 +2,8 @@
 the baseline (fixed init, no update scaling) against the full method.
 
 Runs in a few seconds. Prints the per-direction average recall and
-forgetting for both runs; expect the full method to forget visibly less.
+forgetting for both runs, read back from each run's directory; expect
+the full method to forget visibly less.
 """
 
 import os
@@ -10,6 +11,8 @@ import tempfile
 
 from lexcl.bench import BenchConfig, gen_benchmark
 from lexcl.harness import RunConfig, run_sequence
+from lexcl.metrics import EvalMatrix
+from lexcl.report import ar_f
 
 root = tempfile.mkdtemp(prefix="lexcl_demo_")
 data = os.path.join(root, "data")
@@ -21,12 +24,14 @@ gen_benchmark(BenchConfig(n_concepts=120, n_languages=4, n_train=600,
 def run(name, **kw):
     cfg = RunConfig(data_dir=data, out_dir=os.path.join(root, name),
                     dim=32, d_out=32, vocab_size_per_task=400, seed=0, **kw)
-    art = run_sequence(cfg)
-    print(f"{name:10s} AR img2txt {art.final_ar['img2txt']:6.2f} "
-          f"txt2img {art.final_ar['txt2img']:6.2f}   "
-          f"F img2txt {art.final_f['img2txt']:6.2f} "
-          f"txt2img {art.final_f['txt2img']:6.2f}")
-    return art
+    run_sequence(cfg)
+    matrix = EvalMatrix.load_csv(os.path.join(cfg.out_dir, "eval_matrix.csv"))
+    final = {d: (ar, f) for _, d, ar, f in ar_f(matrix, cfg.mode)}
+    print(f"{name:10s} AR img2txt {final['img2txt'][0]:6.2f} "
+          f"txt2img {final['txt2img'][0]:6.2f}   "
+          f"F img2txt {final['img2txt'][1]:6.2f} "
+          f"txt2img {final['txt2img'][1]:6.2f}")
+    return matrix
 
 
 print("\ntraining (baseline, then full method)...")
@@ -34,10 +39,10 @@ base = run("baseline", teir_init=False, teir_reg=False)
 full = run("full", teir_init=True, teir_reg=True)
 
 print("\nper-task Recall@1 after the final task (img2txt):")
-last = max(j for (j, _, _) in base.eval_matrix.entries)
+last = max(j for (j, _, _) in base.entries)
 for i in range(last + 1):
-    b = base.eval_matrix.get(last, i, "img2txt")
-    f = full.eval_matrix.get(last, i, "img2txt")
+    b = base.get(last, i, "img2txt")
+    f = full.get(last, i, "img2txt")
     print(f"  task {i}: baseline {b:6.2f}   full {f:6.2f}")
 
 print(f"\nrun artifacts left in {root} — point `lexcl report` at a run dir "

@@ -7,7 +7,7 @@ from .embeddings import (FIXED_INIT, DistStats, dist_stats, expand,
                          load_checkpoint, save_checkpoint, snapshot_anchor)
 from .encoders import (FrozenTextParams, encode_text, encode_text_grad,
                        make_text_params)
-from .harness import RunArtifacts, RunConfig, run_sequence
+from .harness import RunConfig, run_sequence
 from .losses import FeatureBatch, LossConfig, cl_loss, cm_loss, total_loss
 from .metrics import (EvalMatrix, average_recall, fisher_and_loss, forgetting,
                       ted_histogram)

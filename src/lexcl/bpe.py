@@ -49,7 +49,6 @@ class TaskVocab:
     with its words, and `encode` adds the pieces it meets first. All
     three are derived state, left out of equality and repr."""
 
-    task_index: int
     tokens: list[bytes]
     rules: list[MergeRule]
     id_of: dict[bytes, int] = field(
@@ -118,8 +117,7 @@ class _Merges:
         return merged
 
     def vocab(self) -> TaskVocab:
-        return TaskVocab(task_index=self.task_index, tokens=self.tokens,
-                         rules=self.rules)
+        return TaskVocab(tokens=self.tokens, rules=self.rules)
 
 
 def train_bpe(corpus, target_size: int, task_index: int = 0) -> TaskVocab:
@@ -322,7 +320,7 @@ def save_merges(rules: list[MergeRule], path) -> None:
                                f"{r.result}\n" for r in rules).encode("ascii"))
 
 
-def vocab_from_files(vocab_path, merges_path, task_index=None) -> TaskVocab:
+def vocab_from_files(vocab_path, merges_path) -> TaskVocab:
     tokens = read_lines(vocab_path, token_from_text, InvalidInputError, "ascii")
     n = len(tokens)
 
@@ -339,8 +337,7 @@ def vocab_from_files(vocab_path, merges_path, task_index=None) -> TaskVocab:
         return MergeRule(left, right, result, t, rank)
 
     rules = read_lines(merges_path, merge_rule, InvalidInputError, "ascii")
-    t = task_index if task_index is not None else (rules[0].task_index if rules else 0)
     try:
-        return TaskVocab(task_index=t, tokens=tokens, rules=rules)
+        return TaskVocab(tokens=tokens, rules=rules)
     except InvalidInputError as e:
         raise InvalidInputError(f"{vocab_path}: {e}") from None

@@ -17,7 +17,7 @@ from .errors import (CheckpointError, DatasetError, InvalidInputError,
 from .gradcheck import run_grad_check
 from .harness import RunConfig, run_sequence
 from .metrics import EvalMatrix
-from .report import recompute_eval_matrix, write_report
+from .report import ar_f, recompute_eval_matrix, write_report
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -58,9 +58,13 @@ def cmd_train(args) -> int:
             cfg[f"run.{name}"] = config_mod.parse_value(str(value))
     t0 = time.perf_counter()
     rc = config_mod.build(RunConfig, cfg, data_dir=args.data, out_dir=args.out)
-    artifacts = run_sequence(rc)
-    _info(f"run finished in {time.perf_counter() - t0:.1f}s: "
-          f"AR {artifacts.final_ar}, F {artifacts.final_f}")
+    run_sequence(rc)
+    matrix = EvalMatrix.load_csv(os.path.join(args.out, "eval_matrix.csv"))
+    last = max(j for j, _, _ in matrix.entries)
+    final = [row for row in ar_f(matrix, rc.mode) if row[0] == last]
+    ar = {d: a for _, d, a, _ in final}
+    f = {d: v for _, d, _, v in final if v is not None}
+    _info(f"run finished in {time.perf_counter() - t0:.1f}s: AR {ar}, F {f}")
     return EXIT_OK
 
 

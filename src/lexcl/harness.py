@@ -24,8 +24,8 @@ from .encoders import Pooling, encode_text, make_text_params, pooling
 from .errors import (DatasetFormatError, DegenerateFeatureError,
                      InvalidInputError, NumericError, check_keys, key)
 from .losses import LossConfig, batch_grad
-from .metrics import (DIRECTIONS, EvalMatrix, average_recall, fisher_and_loss,
-                      forgetting, paired_recall, score_row)
+from .metrics import (DIRECTIONS, EvalMatrix, fisher_and_loss, paired_recall,
+                      score_row)
 from .optim import PRETRAIN_OPTIM, OptimConfig, OptimState, step as optim_step
 
 # The header of each diagnostics/ file that `finalize` writes and
@@ -64,15 +64,6 @@ class RunConfig:
         if self.loss.gamma_cm == 0:  # step 0 would train nothing
             raise InvalidInputError("loss.gamma_cm: must be > 0, as "
                                     "pretraining trains on it alone")
-
-
-@dataclass
-class RunArtifacts:
-    eval_matrix: EvalMatrix
-    checkpoint_paths: list[str]
-    final_ar: dict[str, float]
-    final_f: dict[str, float]
-    diagnostics: dict
 
 
 def sub_seed(master: int, *names) -> int:
@@ -152,7 +143,6 @@ class Runner:
         self.anchor: np.ndarray | None = None
         self.eval_matrix = EvalMatrix()
         self.registry: list[dict] = []
-        self.checkpoint_paths: list[str] = []
         self.rows: dict[str, list[dict]] = {name: [] for name in DIAGNOSTICS}
         self._vocab_of = [vocab_index(cfg.mode, cfg.oracle_vocab, t)
                           for t in range(len(self.tasks))]
@@ -325,18 +315,16 @@ class Runner:
         out = cfg.out_dir
         bpe.save_vocab(tv.tokens, os.path.join(out, f"vocab_task{row}.txt"))
         bpe.save_merges(tv.rules, os.path.join(out, f"merges_task{row}.txt"))
-        path = os.path.join(out, f"ckpt_task{row}.bin")
         save_checkpoint(self.table, {
             "vocab_hash": vocab_hash(self.state.tokens),
             "task_index": row, "policy": "matched" if matched else "fixed",
             "rng_seed": seed,
-        }, path)
-        self.checkpoint_paths.append(path)
+        }, os.path.join(out, f"ckpt_task{row}.bin"))
         score_row(self.eval_matrix, row, self.table, self.params,
                   [(td.pooled["test"], self.images[td.test.image])
                    for td in self.tasks[: row + 1]])
 
-    def run(self) -> RunArtifacts:
+    def run(self) -> None:
         """Every step of the configured mode, then the diagnostics."""
         plan = steps(self.cfg.mode, len(self.tasks))
         try:
@@ -345,17 +333,16 @@ class Runner:
                 later = (ts for _, ts in plan[i + 1:])
                 for t in set(train).difference(*later):
                     del self.tasks[t].pooled["val"]
-            return self.finalize()
+            self.finalize()
         finally:
             self.log.close()
 
-    # --- diagnostics and artifacts -----------------------------------
+    # --- diagnostics and run files -----------------------------------
 
-    def finalize(self) -> RunArtifacts:
+    def finalize(self) -> None:
+        """Write the recall matrix, the registry and the diagnostics."""
         cfg = self.cfg
         out = cfg.out_dir
-        last_row = max(j for (j, _, _) in self.eval_matrix.entries)
-
         eng_feats = encode_text(self.english, self.anchor, self.params)
         fisher, losses = zip(*(fisher_and_loss(
             self.images[td.train.image], eng_feats, td.pooled["train"],
@@ -373,24 +360,11 @@ class Runner:
         for name, header in DIAGNOSTICS.items():
             _write_csv(os.path.join(out, "diagnostics", name), header, rows[name])
 
-        final_ar = {d: average_recall(self.eval_matrix, last_row, d)
-                    for d in DIRECTIONS}
-        final_f = {}
-        if cfg.mode == "continual" and last_row >= 1:
-            final_f = {d: forgetting(self.eval_matrix, last_row, d)
-                       for d in DIRECTIONS}
-        diagnostics = {
-            "mean_fisher": float(np.mean(fisher)),
-            "mean_final_loss": float(np.mean(losses)),
-            "dist_stats": rows["dist_stats.csv"],
-        }
-        return RunArtifacts(self.eval_matrix, self.checkpoint_paths,
-                            final_ar, final_f, diagnostics)
 
-
-def run_sequence(cfg: RunConfig) -> RunArtifacts:
-    """Execute a full run per the configured mode and return artifacts."""
-    return Runner(cfg).run()
+def run_sequence(cfg: RunConfig) -> None:
+    """Execute a full run per the configured mode. Its results are the
+    files it writes to cfg.out_dir."""
+    Runner(cfg).run()
 
 
 def _write_json(path, obj) -> None:

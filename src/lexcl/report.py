@@ -7,7 +7,7 @@ from __future__ import annotations
 import os
 from dataclasses import replace
 
-from . import bpe
+from . import bpe, harness
 from . import vocab as vocab_mod
 from .embeddings import (load_checkpoint, read_json, read_lines, vocab_hash,
                          write_atomic, write_csv)
@@ -17,6 +17,11 @@ from .bench import load_dataset, load_images, load_manifest
 from .harness import DIAGNOSTICS, RunConfig, check_image_width, vocab_index
 from .metrics import (DIRECTIONS, EvalMatrix, average_recall, forgetting,
                       save_histogram_csv, score_row, ted_histogram)
+
+# More tasks than any run has, as a run holds every task's data in
+# memory: a registry naming a later task is refused before a plan that
+# long is built.
+_MAX_TASKS = 1 << 16
 
 
 def _load_run_config(run_dir, *names) -> list:
@@ -43,18 +48,19 @@ def _read_bytes(path) -> bytes:
 
 def _steps(run_dir, mode: str) -> list[tuple[int, vocab_mod.VocabState]]:
     """(row, vocab state after it) of each step of the run: the rows are
-    the task indexes in registry_manifest.json, which must be the steps
-    of a `mode` run, and each state is rebuilt from the row's vocab and
-    merges files. A row whose files hold the previous row's bytes (joint
-    and oracle-vocab runs) reuses its parsed vocab, as the run did."""
+    the task indexes in registry_manifest.json, which must be the rows of
+    `harness.steps` for a `mode` run of rows[-1] + 1 tasks, and each
+    state is rebuilt from the row's vocab and merges files. A row whose
+    files hold the previous row's bytes (joint and oracle-vocab runs)
+    reuses its parsed vocab, as the run did."""
     path = os.path.join(run_dir, "registry_manifest.json")
     try:
         rows = [rec["task_index"] for rec in read_json(path, InvalidInputError)]
     except (KeyError, TypeError):
         rows = []
-    if not (all(type(t) is int for t in rows) and rows[:1] == [0]
-            and rows == sorted(set(rows))
-            and (len(rows) <= 2 if mode == "joint" else rows[-1] < len(rows))):
+    n = rows[-1] + 1 if rows and all(type(t) is int for t in rows) else 0
+    if not (0 < n <= _MAX_TASKS and rows == [
+            row for row, _ in harness.steps(mode, n)]):
         raise InvalidInputError(f"{path}: the task_index values are not the "
                                 f"steps of a {mode} run")
     steps = []
@@ -65,7 +71,7 @@ def _steps(run_dir, mode: str) -> list[tuple[int, vocab_mod.VocabState]]:
                  os.path.join(run_dir, f"merges_task{t}.txt"))
         files = tuple(map(_read_bytes, paths))
         if files != seen:
-            tv, seen = bpe.vocab_from_files(*paths, task_index=t), files
+            tv, seen = bpe.vocab_from_files(*paths), files
         state, _ = vocab_mod.merge_vocab(state, tv)
         steps.append((t, state))
     return steps
@@ -153,21 +159,23 @@ def write_svg_lines(path, series: dict[str, list[tuple[float, float]]],
     write_atomic(path, "\n".join(parts).encode())
 
 
+def ar_f(matrix: EvalMatrix, mode: str) -> list[tuple]:
+    """(j, direction, AR, F) of each complete row and direction, F None
+    in row 0 and in a joint run, whose rows skip the tasks between."""
+    return [(j, d, average_recall(matrix, j, d),
+             forgetting(matrix, j, d) if j >= 1 and mode != "joint" else None)
+            for j in sorted({j for (j, _, _) in matrix.entries})
+            for d in DIRECTIONS if matrix.row_complete(j, d)]
+
+
 def write_ar_f(matrix: EvalMatrix, mode: str, path) -> dict:
-    """Write ar_f.csv: AR, and F after the first task outside joint mode,
-    for each complete row and direction; returns the AR series."""
-    ar_series = {d: [] for d in DIRECTIONS}
-    table = [["j", "direction", "ar", "f"]]
-    for j in sorted({j for (j, _, _) in matrix.entries}):
-        for d in ar_series:
-            if matrix.row_complete(j, d):
-                ar = average_recall(matrix, j, d)
-                ar_series[d].append((j, ar))
-                f_val = (repr(forgetting(matrix, j, d))
-                         if j >= 1 and mode != "joint" else "")
-                table.append([j, d, repr(ar), f_val])
-    write_csv(path, table)
-    return ar_series
+    """Write ar_f.csv, the rows of `ar_f`; returns the AR series."""
+    rows = ar_f(matrix, mode)
+    write_csv(path, [["j", "direction", "ar", "f"],
+                     *([j, d, repr(ar), "" if f is None else repr(f)]
+                       for j, d, ar, f in rows)])
+    return {d: [(j, ar) for j, row_d, ar, _ in rows if row_d == d]
+            for d in DIRECTIONS}
 
 
 def _loss_point(line: str) -> tuple[str, float, float]:

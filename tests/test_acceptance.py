@@ -29,6 +29,7 @@ from lexcl.gradcheck import run_grad_check
 from lexcl.harness import RunConfig, run_sequence
 from lexcl.losses import FeatureBatch, cl_loss, cm_loss
 from lexcl.metrics import EvalMatrix, average_recall, forgetting, paired_recall
+from lexcl.report import ar_f
 
 SEEDS = (0, 1, 2)
 # bound on the wait for any one worker result of the fixture below
@@ -47,9 +48,9 @@ def report(criterion: str, ok: bool, detail: str = "") -> None:
 
 def test_criterion_1_gradient_exactness():
     t0 = time.time()
-    res = run_grad_check(n_instances=5, seed=0)
+    res = run_grad_check(seed=0)
     elapsed = time.time() - t0
-    ok = res.passed(tol=1e-4) and elapsed < 10.0
+    ok = res.passed() and elapsed < 10.0
     report("criterion 1: gradient exactness", ok,
            f"max rel err {res.max_rel_err:.3e}, {elapsed:.1f}s")
 
@@ -157,19 +158,28 @@ def test_criterion_4_init_distribution():
 
 # --- 5-8. end-to-end directional criteria -----------------------------------
 
+def _diagnostic_mean(out, name) -> float:
+    """Mean over tasks of the last column of diagnostics/`name`."""
+    lines = (out / "diagnostics" / name).read_text().splitlines()[1:]
+    return float(np.mean([float(line.split(",")[-1]) for line in lines]))
+
+
 def _run_row(cfg):
     """[AR img2txt, AR txt2img, F img2txt, F txt2img, mean Fisher, mean
-    final loss] of one run, and the sha256 of each of its checkpoints and
-    of its eval_matrix.csv."""
-    art = run_sequence(cfg)
+    final loss] of one run, read from its directory: AR and F of the last
+    row of `ar_f`, F 0 where undefined. Also the sha256 of each of its
+    checkpoints and of its eval_matrix.csv."""
+    run_sequence(cfg)
     out = pathlib.Path(cfg.out_dir)
+    matrix = EvalMatrix.load_csv(out / "eval_matrix.csv")
+    final = {d: (ar, f) for _, d, ar, f in ar_f(matrix, cfg.mode)}
     names = sorted(p.name for p in out.glob("ckpt_task*.bin")) + ["eval_matrix.csv"]
     digests = {n: hashlib.sha256((out / n).read_bytes()).hexdigest()
                for n in names}
-    return [art.final_ar["img2txt"], art.final_ar["txt2img"],
-            art.final_f.get("img2txt", 0.0), art.final_f.get("txt2img", 0.0),
-            art.diagnostics["mean_fisher"], art.diagnostics["mean_final_loss"]
-            ], digests
+    return [final["img2txt"][0], final["txt2img"][0],
+            final["img2txt"][1] or 0.0, final["txt2img"][1] or 0.0,
+            _diagnostic_mean(out, "fisher.csv"),
+            _diagnostic_mean(out, "final_loss.csv")], digests
 
 
 @pytest.fixture(scope="module")
@@ -317,15 +327,14 @@ def test_criterion_10_determinism_and_formats(tmp_path):
                               d_out=16, seed=0), data)
 
     def run(out):
-        return run_sequence(RunConfig(data_dir=str(data), out_dir=str(out),
-                                      vocab_size_per_task=300, dim=16, d_out=16,
-                                      l_max=16, epochs=2, batch_size=8, seed=0))
+        run_sequence(RunConfig(data_dir=str(data), out_dir=str(out),
+                               vocab_size_per_task=300, dim=16, d_out=16,
+                               l_max=16, epochs=2, batch_size=8, seed=0))
+        return {name: (out / name).read_bytes() for name in (
+            "ckpt_task0.bin", "ckpt_task1.bin", "ckpt_task2.bin",
+            "eval_matrix.csv")}
 
-    a, b = run(tmp_path / "a"), run(tmp_path / "b")
-    ok = a.eval_matrix.entries == b.eval_matrix.entries
-    for pa, pb in zip(a.checkpoint_paths, b.checkpoint_paths):
-        ok &= (load_checkpoint(pa).tobytes()
-               == load_checkpoint(pb).tobytes())
+    ok = run(tmp_path / "a") == run(tmp_path / "b")
 
     # checkpoint round-trip
     t = expand(np.zeros((0, 7), np.float32), 9, FIXED_INIT, rng_seed=1)

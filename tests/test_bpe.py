@@ -160,7 +160,7 @@ spaced_text_strategy = st.lists(
     max_size=12).map("".join)
 
 
-def hand_vocab(rules, task_index=0) -> bpe.TaskVocab:
+def hand_vocab(rules) -> bpe.TaskVocab:
     """A vocab of the 256 bytes and one token per rule (left bytes, right
     bytes, (task, rank)), each rule's result the token it appends."""
     tokens = bpe._byte_tokens()
@@ -169,7 +169,7 @@ def hand_vocab(rules, task_index=0) -> bpe.TaskVocab:
         ids = [tokens.index(tok) for tok in (left, right)]
         tokens.append(left + right)
         out.append(bpe.MergeRule(*ids, len(tokens) - 1, t, rank))
-    return bpe.TaskVocab(task_index, tokens, out)
+    return bpe.TaskVocab(tokens, out)
 
 
 def round_trip(tv) -> bpe.TaskVocab:
@@ -178,7 +178,7 @@ def round_trip(tv) -> bpe.TaskVocab:
         vp, mp = os.path.join(d, "vocab.txt"), os.path.join(d, "merges.txt")
         bpe.save_vocab(tv.tokens, vp)
         bpe.save_merges(tv.rules, mp)
-        return bpe.vocab_from_files(vp, mp, task_index=tv.task_index)
+        return bpe.vocab_from_files(vp, mp)
 
 
 @st.composite
@@ -221,7 +221,7 @@ class TestColdMerge:
     @settings(max_examples=80, deadline=None)
     def test_trained_vocabs_match_both_oracles(self, corpus, size, text):
         seeded = bpe.train_bpe(corpus, size)
-        cold = bpe.TaskVocab(seeded.task_index, seeded.tokens, seeded.rules)
+        cold = bpe.TaskVocab(seeded.tokens, seeded.rules)
         data = text.encode("utf-8")
         want = oracles.encode_passes(data, seeded)
         assert want == oracles.encode_reference(data, seeded)
@@ -309,7 +309,7 @@ class TestSegmentCache:
     @settings(max_examples=100, deadline=None)
     def test_cold_and_seeded_caches_match_reference(self, corpus, text):
         seeded = bpe.train_bpe(corpus, 300)
-        cold = bpe.TaskVocab(seeded.task_index, seeded.tokens, seeded.rules)
+        cold = bpe.TaskVocab(seeded.tokens, seeded.rules)
         assert not cold.segment_ids
         data = text.encode("utf-8")
         want = oracles.encode_reference(data, seeded)
@@ -455,7 +455,7 @@ class TestFiles:
                            match=f"^{vp}: ids 0-255 are not the 256"):
             bpe.vocab_from_files(vp, mp)
         with pytest.raises(InvalidInputError, match="^ids 0-255"):
-            bpe.TaskVocab(0, tokens, [])
+            bpe.TaskVocab(tokens, [])
 
     def test_token_literals_of_every_byte(self):
         raw = bytes(range(256))

@@ -44,19 +44,34 @@ def tiny_run_cfg(data_dir, out_dir, **kw):
     return RunConfig(**base)
 
 
+def _matrix(out) -> EvalMatrix:
+    """The recall matrix that the run in directory `out` wrote."""
+    return EvalMatrix.load_csv(out / "eval_matrix.csv")
+
+
+def _ks_stats(out) -> list[tuple[int, float]]:
+    """(task, ks_stat) of each row of the run's diagnostics/dist_stats.csv."""
+    lines = (out / "diagnostics" / "dist_stats.csv").read_text().splitlines()
+    return [(int(t), float(ks)) for t, _, _, ks in
+            (line.split(",") for line in lines[1:])]
+
+
 class TestDeterminism:
     def test_same_seed_bitwise_identical(self, tiny_data, tmp_path):
-        a = run_sequence(tiny_run_cfg(tiny_data, tmp_path / "a"))
-        b = run_sequence(tiny_run_cfg(tiny_data, tmp_path / "b"))
-        assert a.eval_matrix.entries == b.eval_matrix.entries
-        for pa, pb in zip(a.checkpoint_paths, b.checkpoint_paths):
-            assert load_checkpoint(pa).tobytes() == \
-                load_checkpoint(pb).tobytes()
+        a, b = tmp_path / "a", tmp_path / "b"
+        run_sequence(tiny_run_cfg(tiny_data, a))
+        run_sequence(tiny_run_cfg(tiny_data, b))
+        assert _matrix(a).entries == _matrix(b).entries
+        for t in range(3):
+            name = f"ckpt_task{t}.bin"
+            assert load_checkpoint(a / name).tobytes() == \
+                load_checkpoint(b / name).tobytes()
 
     def test_different_seed_differs(self, tiny_data, tmp_path):
-        a = run_sequence(tiny_run_cfg(tiny_data, tmp_path / "a"))
-        b = run_sequence(tiny_run_cfg(tiny_data, tmp_path / "b", seed=1))
-        assert a.eval_matrix.entries != b.eval_matrix.entries
+        a, b = tmp_path / "a", tmp_path / "b"
+        run_sequence(tiny_run_cfg(tiny_data, a))
+        run_sequence(tiny_run_cfg(tiny_data, b, seed=1))
+        assert _matrix(a).entries != _matrix(b).entries
 
     def test_sub_seed_distinct_names(self):
         assert sub_seed(0, "init", 1) != sub_seed(0, "init", 2)
@@ -124,11 +139,12 @@ class TestLambdaEndToEnd:
 
 class TestModesAndArtifacts:
     def test_eval_matrix_shape_continual(self, tiny_data, tmp_path):
-        art = run_sequence(tiny_run_cfg(tiny_data, tmp_path / "run"))
+        run_sequence(tiny_run_cfg(tiny_data, tmp_path / "run"))
+        matrix = _matrix(tmp_path / "run")
         for j in range(3):
             for d in ("img2txt", "txt2img"):
-                assert art.eval_matrix.row_complete(j, d)
-        assert len(art.eval_matrix.row(2, "img2txt")) == 3
+                assert matrix.row_complete(j, d)
+        assert len(matrix.row(2, "img2txt")) == 3
 
     def test_steps_per_mode(self):
         assert harness.steps("continual", 3) == [(0, [0]), (1, [1]), (2, [2])]
@@ -171,11 +187,11 @@ class TestModesAndArtifacts:
         assert len(sizes) == 1
 
     def test_joint_mode_rows(self, tiny_data, tmp_path):
-        art = run_sequence(tiny_run_cfg(tiny_data, tmp_path / "run",
-                                        mode="joint"))
-        assert art.eval_matrix.row_complete(0, "img2txt")
-        assert art.eval_matrix.row_complete(2, "img2txt")
-        assert art.final_f == {}
+        run_sequence(tiny_run_cfg(tiny_data, tmp_path / "run", mode="joint"))
+        matrix = _matrix(tmp_path / "run")
+        assert matrix.row_complete(0, "img2txt")
+        assert matrix.row_complete(2, "img2txt")
+        assert [f for *_, f in report.ar_f(matrix, "joint")] == [None] * 4
 
     def test_artifact_files_present(self, tiny_data, tmp_path):
         out = tmp_path / "run"
@@ -202,16 +218,14 @@ class TestModesAndArtifacts:
         r.log.close()
 
     def test_eval_matrix_csv_matches_artifacts(self, tiny_data, tmp_path):
-        out = tmp_path / "run"
-        art = run_sequence(tiny_run_cfg(tiny_data, out))
-        on_disk = EvalMatrix.load_csv(out / "eval_matrix.csv")
-        assert on_disk.entries == art.eval_matrix.entries
+        r = Runner(tiny_run_cfg(tiny_data, tmp_path / "run"))
+        r.run()
+        assert _matrix(tmp_path / "run").entries == r.eval_matrix.entries
 
     def test_matched_init_records_ks(self, tiny_data, tmp_path):
-        art = run_sequence(tiny_run_cfg(tiny_data, tmp_path / "run",
-                                        teir_init=True))
-        ks_vals = [row["ks_stat"] for row in art.diagnostics["dist_stats"]
-                   if row["task"] >= 1]
+        run_sequence(tiny_run_cfg(tiny_data, tmp_path / "run",
+                                  teir_init=True))
+        ks_vals = [ks for task, ks in _ks_stats(tmp_path / "run") if task >= 1]
         assert any(np.isfinite(v) for v in ks_vals)
 
     def test_recorded_ks_matches_scipy(self, tiny_data, tmp_path, monkeypatch):
@@ -226,8 +240,8 @@ class TestModesAndArtifacts:
             return real(x, mu, sigma)
 
         monkeypatch.setattr(harness, "ks_statistic", checked)
-        art = run_sequence(tiny_run_cfg(tiny_data, tmp_path / "run"))
-        recorded = [r["ks_stat"] for r in art.diagnostics["dist_stats"][1:]]
+        run_sequence(tiny_run_cfg(tiny_data, tmp_path / "run"))
+        recorded = [ks for _, ks in _ks_stats(tmp_path / "run")[1:]]
         assert len(recorded) == len(expected) == 2
         assert np.allclose(recorded, expected, rtol=0, atol=1e-12)
 
