@@ -17,8 +17,7 @@ import numpy as np
 
 from .embeddings import (read_json, read_lines, read_matrix, write_atomic,
                          write_matrix)
-from .errors import (DanglingReferenceError, DatasetFormatError,
-                     InvalidInputError, check_keys, key)
+from .errors import DatasetError, InvalidInputError, check_keys, key
 
 FORMAT_VERSION = 1
 SPLITS = ("train", "val", "test")
@@ -363,7 +362,7 @@ def gen_benchmark(cfg: BenchConfig, out_dir) -> None:
 
 def load_manifest(dataset_dir) -> dict:
     path = os.path.join(dataset_dir, "manifest.json")
-    manifest = read_json(path, DatasetFormatError)
+    manifest = read_json(path, DatasetError)
     if not (isinstance(manifest, dict)
             and isinstance(manifest.get("languages"), list)
             and manifest["languages"]
@@ -371,9 +370,9 @@ def load_manifest(dataset_dir) -> dict:
             and isinstance(manifest.get("splits"), dict)
             and all(type(manifest["splits"].get(s)) is int
                     and manifest["splits"][s] >= 1 for s in SPLITS)):
-        raise DatasetFormatError(f"{path}: not an object with a non-empty "
-                                 "'languages' list of names and a 'splits' "
-                                 "count of at least 1 per split")
+        raise DatasetError(f"{path}: not an object with a non-empty "
+                           "'languages' list of names and a 'splits' "
+                           "count of at least 1 per split")
     return manifest
 
 
@@ -401,15 +400,15 @@ def load_dataset(dataset_dir, language_id: str, split: str,
         index, english, foreign = line.split("\t")  # else a ValueError
         img = int(index)
         if not 0 <= img < n_images:
-            raise DanglingReferenceError(f"image index {img} not in images.feat")
+            raise DatasetError(f"image index {img} not in images.feat")
         if not (english and foreign):
             raise ValueError("empty caption")
         return img, english, foreign
 
-    records = read_lines(path, record, DatasetFormatError)
+    records = read_lines(path, record, DatasetError)
     declared = manifest["splits"][split]
     if len(records) != declared:
-        raise DatasetFormatError(
-            f"{path}: {len(records)} records, manifest declares {declared}")
+        raise DatasetError(f"{path}: {len(records)} records, manifest "
+                           f"declares {declared}")
     return Split(np.array([r[0] for r in records], dtype=np.int64),
                  [r[1] for r in records], [r[2] for r in records])

@@ -19,7 +19,7 @@ from itertools import chain
 from typing import NamedTuple
 
 from .embeddings import read_lines, write_atomic
-from .errors import InvalidIdError, InvalidInputError
+from .errors import InvalidInputError
 
 N_BYTES = 256
 
@@ -281,7 +281,7 @@ def decode(ids, scope) -> bytes:
     out = []
     for i in ids:
         if not 0 <= i < len(tokens):
-            raise InvalidIdError(f"decode: unknown token id {i}")
+            raise InvalidInputError(f"decode: unknown token id {i}")
         out.append(tokens[i])
     return b"".join(out)
 

@@ -1,8 +1,10 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 1 usage/config error, 2 runtime/numeric error,
-3 I/O error. Verbosity is controlled by the LEXCL_LOG environment
-variable (quiet|info)."""
+Exit codes: 0 success; 1 usage or config error (InvalidInputError);
+2 runtime fault (NumericError, DegenerateFeatureError, any other
+LexclError); 3 I/O error (CheckpointError, DatasetError, OSError).
+Verbosity is controlled by the LEXCL_LOG environment variable
+(quiet|info)."""
 
 from __future__ import annotations
 

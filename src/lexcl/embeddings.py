@@ -16,9 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (CheckpointFormatError, CheckpointTruncatedError,
-                     DimensionMismatchError, InvalidInputError, LexclError,
-                     VocabMismatchError)
+from .errors import CheckpointError, InvalidInputError, LexclError
 
 EMB_MAGIC = b"TEIREMB1"
 FORMAT_VERSION = 1
@@ -170,19 +168,19 @@ def read_matrix(path, magic: bytes) -> np.ndarray:
     with open(path, "rb") as f:
         head = f.read(len(magic) + 12)
         if len(head) < len(magic) + 12:
-            raise CheckpointTruncatedError(f"{path}: truncated header")
+            raise CheckpointError(f"{path}: truncated header")
         if head[: len(magic)] != magic:
-            raise CheckpointFormatError(
+            raise CheckpointError(
                 f"{path}: bad magic {head[:len(magic)]!r}, expected {magic!r}")
         version, rows, dim = struct.unpack("<III", head[len(magic):])
         if version != FORMAT_VERSION:
-            raise CheckpointFormatError(f"{path}: unsupported version {version}")
+            raise CheckpointError(f"{path}: unsupported version {version}")
         if rows * dim * 4 > os.fstat(f.fileno()).st_size - len(head):
-            raise CheckpointTruncatedError(
-                f"{path}: truncated payload of {rows} x {dim} float32")
+            raise CheckpointError(f"{path}: truncated payload of {rows} x "
+                                  f"{dim} float32")
         payload = f.read(rows * dim * 4)
         if f.read(1):
-            raise CheckpointFormatError(f"{path}: trailing bytes after the payload")
+            raise CheckpointError(f"{path}: trailing bytes after the payload")
     return np.frombuffer(payload, dtype="<f4").reshape(rows, dim).copy()
 
 
@@ -200,25 +198,28 @@ def load_checkpoint(path, expected_rows: int | None = None,
                     expected_vocab_hash: str | None = None,
                     expected_dim: int | None = None) -> np.ndarray:
     """Read a checkpoint's matrix and check its shape against its
-    sidecar, which must exist, and, when given, the row count and vocab
-    hash of the caller's vocabulary and the caller's embedding width."""
+    sidecar, which must exist and declare both, and, when given, the row
+    count and vocab hash of the caller's vocabulary and the caller's
+    embedding width."""
     m = read_matrix(path, EMB_MAGIC)
     side_path = f"{path}.json"
-    side = read_json(side_path, CheckpointFormatError)
-    if not isinstance(side, dict):
-        raise CheckpointFormatError(f"{side_path}: not a JSON object")
+    side = read_json(side_path, CheckpointError)
+    if not (isinstance(side, dict) and type(side.get("rows")) is int
+            and type(side.get("dim")) is int):
+        raise CheckpointError(f"{side_path}: not a JSON object with integer "
+                              "'rows' and 'dim'")
     rows, dim = m.shape
     for n, unit, source, want in (
             (rows, "rows", "vocab expects", expected_rows),
-            (rows, "rows", "sidecar declares", side.get("rows")),
+            (rows, "rows", "sidecar declares", side["rows"]),
             (dim, "columns", "model.dim is", expected_dim),
-            (dim, "columns", "sidecar declares", side.get("dim"))):
+            (dim, "columns", "sidecar declares", side["dim"])):
         if want is not None and n != want:
-            raise DimensionMismatchError(
+            raise CheckpointError(
                 f"{path}: checkpoint has {n} {unit}, {source} {want}")
     if (expected_vocab_hash is not None
             and side.get("vocab_hash") != expected_vocab_hash):
-        raise VocabMismatchError(
+        raise CheckpointError(
             f"{path}: sidecar vocab hash {side.get('vocab_hash')!r} is not the "
             f"vocab's {expected_vocab_hash!r}")
     return m

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidIdError, InvalidInputError
+from .errors import InvalidInputError
 
 ENTRIES = 1 << 16  # per block of `chunks`, 512 KB of float64
 
@@ -93,8 +93,8 @@ def pooling(ids, lengths, n_rows: int, params: FrozenTextParams) -> Pooling:
     text, ids = text[keep], np.asarray(ids, dtype=np.int64)[keep]
     bad = (ids < 0) | (ids >= n_rows)
     if np.any(bad):
-        raise InvalidIdError(f"encode_text: id {ids[bad][0]} out of range "
-                             f"for table with {n_rows} rows")
+        raise InvalidInputError(f"encode_text: id {ids[bad][0]} out of "
+                                f"range for table with {n_rows} rows")
     n = np.minimum(lengths, params.L_max)
     # the distinct (text, id) pairs, ascending; repeats sum to c / L
     _, first, pair = np.unique(text * n_rows + ids, return_index=True,

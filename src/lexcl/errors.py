@@ -7,59 +7,31 @@ from dataclasses import field, fields
 
 
 class LexclError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors; the CLI exits 2 on one that no
+    subclass below covers."""
 
 
 class InvalidInputError(LexclError):
-    """A caller-supplied argument violates a precondition."""
-
-
-class InvalidIdError(LexclError):
-    """A token id is outside the vocabulary of the given scope."""
+    """A caller-supplied argument, config or run file violates a
+    precondition (exit 1)."""
 
 
 class NumericError(LexclError):
-    """NaN/Inf or another numeric fault detected mid-computation."""
+    """NaN/Inf or another numeric fault detected mid-computation (exit 2)."""
 
 
 class DegenerateFeatureError(LexclError):
-    """A feature vector has zero norm, so cosine similarity is undefined."""
-
-
-class MetricError(LexclError):
-    """A metric is undefined for the requested arguments."""
+    """A feature vector has zero norm, so cosine similarity is undefined
+    (exit 2)."""
 
 
 class CheckpointError(LexclError):
-    """Base class for checkpoint load failures."""
-
-
-class CheckpointFormatError(CheckpointError):
-    """Bad magic bytes or unsupported format version."""
-
-
-class CheckpointTruncatedError(CheckpointError):
-    """File ends before the declared payload."""
-
-
-class DimensionMismatchError(CheckpointError):
-    """Checkpoint shape disagrees with the sidecar vocabulary."""
-
-
-class VocabMismatchError(CheckpointError):
-    """Checkpoint sidecar names another vocabulary than the caller's."""
+    """A checkpoint or matrix file, or its sidecar, is damaged or does
+    not match what the caller expects (exit 3)."""
 
 
 class DatasetError(LexclError):
-    """Base class for dataset load failures."""
-
-
-class DatasetFormatError(DatasetError):
-    """Malformed dataset line; carries the file and line number."""
-
-
-class DanglingReferenceError(DatasetError):
-    """A dataset record points at a nonexistent image."""
+    """A dataset file is malformed or refers to a missing image (exit 3)."""
 
 
 # type annotation -> (accepted types, what a value must be)

@@ -21,15 +21,16 @@ from .embeddings import (FIXED_INIT, dist_stats, expand, ks_statistic,
                          save_checkpoint, snapshot_anchor, vocab_hash,
                          write_atomic, write_csv)
 from .encoders import Pooling, encode_text, make_text_params, pooling
-from .errors import (DatasetFormatError, DegenerateFeatureError,
-                     InvalidInputError, NumericError, check_keys, key)
+from .errors import (DatasetError, DegenerateFeatureError, InvalidInputError,
+                     NumericError, check_keys, key)
 from .losses import LossConfig, batch_grad
 from .metrics import (DIRECTIONS, EvalMatrix, fisher_and_loss, paired_recall,
                       score_row)
 from .optim import PRETRAIN_OPTIM, OptimConfig, OptimState, step as optim_step
 
 # The header of each diagnostics/ file that `finalize` writes and
-# `lexcl report` copies; Runner.rows holds each file's rows.
+# `lexcl report` copies (loss_curve.csv also after every epoch);
+# Runner.rows holds each file's rows.
 DIAGNOSTICS = {
     "fisher.csv": ("task", "fisher_trace"),
     "dist_stats.csv": ("task", "mu", "sigma", "ks_stat"),
@@ -133,8 +134,8 @@ class Runner:
         for lid, td in zip(self.languages, self.tasks):
             if td.train.english != self.tasks[0].train.english:
                 path = os.path.join(cfg.data_dir, lid, "train.tsv")
-                raise DatasetFormatError(f"{path}: English captions differ "
-                                         f"from {self.languages[0]}'s")
+                raise DatasetError(f"{path}: English captions differ "
+                                   f"from {self.languages[0]}'s")
         self.english: Pooling | None = None  # pooled with vocab 0
         self.params = make_text_params(cfg.dim, cfg.d_out, cfg.l_max,
                                        cfg.encoder_seed)
@@ -148,7 +149,6 @@ class Runner:
                           for t in range(len(self.tasks))]
         self._vocabs: dict[int, bpe.TaskVocab] = {}
         os.makedirs(os.path.join(cfg.out_dir, "diagnostics"), exist_ok=True)
-        self.log = open(os.path.join(cfg.out_dir, "run.log"), "w", buffering=1)
         write_atomic(os.path.join(cfg.out_dir, "config.json"),
                      json.dumps(asdict(cfg), indent=1, sort_keys=True).encode())
         dump_config(cfg, os.path.join(cfg.out_dir, "effective_config.txt"))
@@ -214,7 +214,9 @@ class Runner:
         checkpoint selection by validation on those languages. Row g, of
         the splits in turn, pairs with English caption g mod n. Before the
         anchor exists (pretraining), the English features are one zero
-        row, the cross-lingual term is off and PRETRAIN_OPTIM is used."""
+        row, the cross-lingual term is off and PRETRAIN_OPTIM is used.
+        diagnostics/loss_curve.csv is rewritten after each epoch, so a run
+        that stops part-way leaves every finished epoch's row."""
         cfg = self.cfg
         pooled = Pooling.concat([self.tasks[t].pooled["train"] for t in train])
         # image rows become float64 per batch, so no float64 copy of the
@@ -258,8 +260,7 @@ class Runner:
             self.rows["loss_curve.csv"].append({
                 "task": label, "epoch": epoch, "mean_loss": mean_loss,
                 "val_score": score})
-            self.log.write(f"task {label} epoch {epoch} loss {mean_loss:.6f} "
-                           f"val_score {score:.3f}\n")
+            self._write_diagnostic("loss_curve.csv")
             if score > best_score:
                 best_score = score
                 best_matrix = self.table.copy()
@@ -327,15 +328,12 @@ class Runner:
     def run(self) -> None:
         """Every step of the configured mode, then the diagnostics."""
         plan = steps(self.cfg.mode, len(self.tasks))
-        try:
-            for i, (row, train) in enumerate(plan):
-                self.run_task(row, train)
-                later = (ts for _, ts in plan[i + 1:])
-                for t in set(train).difference(*later):
-                    del self.tasks[t].pooled["val"]
-            self.finalize()
-        finally:
-            self.log.close()
+        for i, (row, train) in enumerate(plan):
+            self.run_task(row, train)
+            later = (ts for _, ts in plan[i + 1:])
+            for t in set(train).difference(*later):
+                del self.tasks[t].pooled["val"]
+        self.finalize()
 
     # --- diagnostics and run files -----------------------------------
 
@@ -357,8 +355,13 @@ class Runner:
         rows["final_loss.csv"] = [{"task": t, "mean_loss": v}
                                   for t, v in enumerate(losses)]
         rows["tokens.csv"].sort(key=lambda r: r["task"])
-        for name, header in DIAGNOSTICS.items():
-            _write_csv(os.path.join(out, "diagnostics", name), header, rows[name])
+        for name in DIAGNOSTICS:
+            self._write_diagnostic(name)
+
+    def _write_diagnostic(self, name: str) -> None:
+        """Write diagnostics/`name` from its rows so far."""
+        _write_csv(os.path.join(self.cfg.out_dir, "diagnostics", name),
+                   DIAGNOSTICS[name], self.rows[name])
 
 
 def run_sequence(cfg: RunConfig) -> None:

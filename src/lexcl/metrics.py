@@ -11,7 +11,7 @@ import numpy as np
 
 from .embeddings import dist_stats, read_lines, write_csv
 from .encoders import Pooling, chunks, encode_text
-from .errors import InvalidInputError, MetricError
+from .errors import InvalidInputError
 from .losses import batch_grad, unit_rows
 
 DIRECTIONS = ("img2txt", "txt2img")
@@ -143,7 +143,8 @@ def score_row(evals: EvalMatrix, row: int, matrix, params, test_set) -> None:
 def average_recall(matrix: EvalMatrix, j: int, direction: str) -> float:
     """Mean Recall@1 over all tasks seen so far (0-based task indices)."""
     if not matrix.row_complete(j, direction):
-        raise MetricError(f"average_recall: row {j}/{direction} incomplete")
+        raise InvalidInputError(
+            f"average_recall: row {j}/{direction} incomplete")
     row = matrix.row(j, direction)
     return float(sum(row) / len(row))
 
@@ -155,10 +156,11 @@ def forgetting(matrix: EvalMatrix, j: int, direction: str) -> float:
     taken over checkpoints k in [i, j-1] (a task cannot be measured
     before it is learned)."""
     if j < 1:
-        raise MetricError("forgetting: undefined before the second task")
+        raise InvalidInputError("forgetting: undefined before the second task")
     for jj in range(j + 1):
         if not matrix.row_complete(jj, direction):
-            raise MetricError(f"forgetting: row {jj}/{direction} incomplete")
+            raise InvalidInputError(
+                f"forgetting: row {jj}/{direction} incomplete")
     gaps = [max(matrix.get(k, i, direction) for k in range(i, j))
             - matrix.get(j, i, direction) for i in range(j)]
     return float(sum(gaps) / len(gaps))

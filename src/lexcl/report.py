@@ -168,9 +168,8 @@ def ar_f(matrix: EvalMatrix, mode: str) -> list[tuple]:
             for d in DIRECTIONS if matrix.row_complete(j, d)]
 
 
-def write_ar_f(matrix: EvalMatrix, mode: str, path) -> dict:
+def write_ar_f(rows: list[tuple], path) -> dict:
     """Write ar_f.csv, the rows of `ar_f`; returns the AR series."""
-    rows = ar_f(matrix, mode)
     write_csv(path, [["j", "direction", "ar", "f"],
                      *([j, d, repr(ar), "" if f is None else repr(f)]
                        for j, d, ar, f in rows)])
@@ -191,6 +190,10 @@ def write_report(run_dir, out_dir) -> list[str]:
     mode, dim = _load_run_config(run_dir, "mode", "dim")
     matrix_path = os.path.join(run_dir, "eval_matrix.csv")
     matrix = EvalMatrix.load_csv(matrix_path)
+    try:
+        ar_f_rows = ar_f(matrix, mode)
+    except InvalidInputError as e:  # a row that F reads is incomplete
+        raise InvalidInputError(f"{matrix_path}: {e}") from None
     diag_dir = os.path.join(run_dir, "diagnostics")
     loss_path = os.path.join(diag_dir, "loss_curve.csv")
     series: dict[str, list[tuple[float, float]]] = {}
@@ -208,7 +211,7 @@ def write_report(run_dir, out_dir) -> list[str]:
 
     os.makedirs(out_dir, exist_ok=True)
     written = [os.path.join(out_dir, "ar_f.csv")]
-    ar_series = write_ar_f(matrix, mode, written[0])
+    ar_series = write_ar_f(ar_f_rows, written[0])
     for name, data in copies.items():
         written.append(os.path.join(out_dir, name))
         write_atomic(written[-1], data)

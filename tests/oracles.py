@@ -25,7 +25,7 @@ import numpy as np
 from scipy import sparse
 
 from lexcl import bpe
-from lexcl.errors import InvalidIdError, InvalidInputError, NumericError
+from lexcl.errors import InvalidInputError, NumericError
 from lexcl.losses import unit_rows
 from lexcl.optim import BETA1, BETA2, EPS, lr_at
 
@@ -38,7 +38,7 @@ def _pooled(ids, matrix, params):
     ids = ids[:L]
     for i in ids:
         if not 0 <= i < matrix.shape[0]:
-            raise InvalidIdError(f"encode_text: id {i} out of range")
+            raise InvalidInputError(f"encode_text: id {i} out of range")
     emb = matrix[ids].astype(np.float64)
     return ids, L, (emb + params.pos[:L]).mean(axis=0)
 

@@ -24,7 +24,9 @@ from lexcl.cli import EXIT_IO, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from lexcl.config import load_config_file
 from lexcl.embeddings import (EMB_MAGIC, load_checkpoint, read_matrix,
                               write_matrix)
-from lexcl.errors import InvalidInputError
+from lexcl.errors import (CheckpointError, DatasetError,
+                          DegenerateFeatureError, InvalidInputError,
+                          LexclError, NumericError)
 from lexcl.gradcheck import run_grad_check
 from lexcl.losses import batch_grad
 from lexcl.metrics import EvalMatrix
@@ -876,6 +878,22 @@ def _names_task_10_to_the_12(path):
     path.write_text(json.dumps(records))
 
 
+def _no_entry_1_0_img2txt(path):
+    """Drop the recall matrix's row for entry (1, 0, img2txt), which the
+    forgetting of row 2 reads."""
+    lines = path.read_bytes().split(b"\r\n")
+    kept = [line for line in lines if not line.startswith(b"1,0,img2txt,")]
+    assert len(kept) == len(lines) - 1
+    path.write_bytes(b"\r\n".join(kept))
+
+
+def _no_shape(path):
+    """Delete rows and dim from a checkpoint sidecar."""
+    side = json.loads(path.read_text())
+    del side["rows"], side["dim"]
+    path.write_text(json.dumps(side))
+
+
 def _huge_header(path):
     """Declare 0xFFFFFFFF x 0xFFFFFFFF entries in a matrix file's header:
     more bytes than the file holds, and than a read can ask for."""
@@ -910,6 +928,8 @@ class TestDamagedFiles:
                      id="report-empty-eval-matrix"),
         pytest.param("eval", "run/eval_matrix.csv", _bad_byte, EXIT_USAGE, 3,
                      id="eval-matrix-bad-byte"),
+        pytest.param("report", "run/eval_matrix.csv", _no_entry_1_0_img2txt,
+                     EXIT_USAGE, None, id="report-matrix-missing-an-entry"),
         pytest.param("report", "run/diagnostics/loss_curve.csv", _bad_byte,
                      EXIT_USAGE, 3, id="loss-curve-bad-byte"),
         pytest.param("report", "run/diagnostics/loss_curve.csv",
@@ -932,6 +952,10 @@ class TestDamagedFiles:
                      id="report-no-middle-checkpoint"),
         pytest.param("report", "run/ckpt_task1.bin", _swapped_with_task2,
                      EXIT_IO, None, id="report-swapped-checkpoints"),
+        pytest.param("eval", "run/ckpt_task1.bin.json", _no_shape, EXIT_IO,
+                     None, id="eval-sidecar-without-shape"),
+        pytest.param("report", "run/ckpt_task1.bin.json", _no_shape, EXIT_IO,
+                     None, id="report-sidecar-without-shape"),
         pytest.param("eval", "run/registry_manifest.json", _emptied,
                      EXIT_USAGE, None, id="eval-empty-registry"),
         pytest.param("report", "run/registry_manifest.json", _line3("}"),
@@ -1028,6 +1052,59 @@ class TestGradCheck:
     def test_library_level_result(self):
         res = run_grad_check()
         assert res.passed()
+
+
+# Each exception class the CLI can meet, with its documented exit code.
+_EXIT_CODES = [
+    (InvalidInputError, EXIT_USAGE), (NumericError, EXIT_RUNTIME),
+    (DegenerateFeatureError, EXIT_RUNTIME), (LexclError, EXIT_RUNTIME),
+    (CheckpointError, EXIT_IO), (DatasetError, EXIT_IO), (OSError, EXIT_IO),
+]
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src", "lexcl")
+
+
+def _parse(name):
+    with open(os.path.join(_SRC, name), encoding="utf-8") as f:
+        return ast.parse(f.read())
+
+
+def _error_classes() -> list[str]:
+    """The names of the classes that errors.py defines."""
+    return [node.name for node in _parse("errors.py").body
+            if isinstance(node, ast.ClassDef)]
+
+
+class TestErrorClasses:
+    """One exception class per way a failure is handled: every class is
+    caught apart somewhere, and each maps to its exit code."""
+
+    def test_every_class_has_an_exit_code(self):
+        assert set(_error_classes()) == {
+            e.__name__ for e, _ in _EXIT_CODES if e is not OSError}
+
+    def test_every_class_is_caught_in_the_package(self):
+        caught = set()
+        for name in os.listdir(_SRC):
+            if not name.endswith(".py"):
+                continue
+            for node in ast.walk(_parse(name)):
+                if isinstance(node, ast.ExceptHandler) and node.type:
+                    types = (node.type.elts if isinstance(node.type, ast.Tuple)
+                             else [node.type])
+                    caught |= {ast.unparse(t).rsplit(".", 1)[-1] for t in types}
+        assert [c for c in _error_classes() if c not in caught] == []
+
+    @pytest.mark.parametrize("error, code", _EXIT_CODES,
+                             ids=[e.__name__ for e, _ in _EXIT_CODES])
+    def test_command_failure_exits_with_the_class_code(self, monkeypatch,
+                                                       capsys, error, code):
+        def failing(seed):
+            raise error("injected failure")
+
+        monkeypatch.setattr("lexcl.cli.run_grad_check", failing)
+        assert main(["grad-check"]) == code
+        assert capsys.readouterr().err == "error: injected failure\n"
 
 
 class TestUsage:

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from lexcl import encoders as enc
-from lexcl.errors import InvalidIdError, InvalidInputError
+from lexcl.errors import InvalidInputError
 
 
 def _params(dim=8, d_out=8, L_max=5, seed=3):
@@ -98,7 +98,8 @@ class TestEncodeText:
 
     def test_out_of_range_id(self):
         table = np.zeros((2, 8), dtype=np.float32)
-        with pytest.raises(InvalidIdError):
+        with pytest.raises(InvalidInputError,
+                           match="id 7 out of range for table with 2 rows"):
             encode_one([7], table, _params())
 
 

@@ -18,7 +18,7 @@ import oracles
 from lexcl import bench, bpe, cli, config, encoders, harness, report, vocab
 from lexcl.bench import SPLITS
 from lexcl.embeddings import load_checkpoint, write_matrix
-from lexcl.errors import (CheckpointError, DatasetFormatError,
+from lexcl.errors import (CheckpointError, DatasetError,
                           DegenerateFeatureError, InvalidInputError,
                           NumericError)
 from lexcl.harness import RunConfig, Runner, run_sequence, sub_seed
@@ -199,7 +199,7 @@ class TestModesAndArtifacts:
         run_sequence(cfg)
         for name in ("eval_matrix.csv", "registry_manifest.json", "config.json",
                      "ckpt_task0.bin", "ckpt_task2.bin", "vocab_task1.txt",
-                     "merges_task1.txt", "run.log", "effective_config.txt"):
+                     "merges_task1.txt", "effective_config.txt"):
             assert (out / name).exists(), name
         for name in ("dist_stats.csv", "fisher.csv", "loss_curve.csv",
                      "final_loss.csv", "tokens.csv"):
@@ -207,15 +207,29 @@ class TestModesAndArtifacts:
         assert (config.load_config_file(out / "effective_config.txt")
                 == config.settings(cfg))
 
-    def test_run_log_grows_as_the_run_goes(self, tiny_data, tmp_path):
-        """run.log holds each epoch's line once the epoch ends, before the
-        run closes it."""
-        r = Runner(tiny_run_cfg(tiny_data, tmp_path / "run"))
-        r.run_task(0, [0])
-        lines = (tmp_path / "run" / "run.log").read_text().splitlines()
-        assert [line.split(" loss ")[0] for line in lines] == [
-            f"task 0 epoch {e}" for e in range(r.cfg.epochs)]
-        r.log.close()
+    def test_loss_curve_grows_as_the_run_goes(self, tiny_data, tmp_path,
+                                              monkeypatch):
+        """diagnostics/loss_curve.csv holds each epoch's row once the
+        epoch ends, so a run that stops part-way keeps the epochs it
+        finished."""
+        scored = []
+        real = Runner._val_score
+
+        def failing_third(self, t):
+            scored.append(t)
+            if len(scored) == 3:
+                raise NumericError("injected failure")
+            return real(self, t)
+
+        monkeypatch.setattr(Runner, "_val_score", failing_third)
+        out = tmp_path / "run"
+        with pytest.raises(NumericError, match="task 0: injected"):
+            run_sequence(tiny_run_cfg(tiny_data, out, epochs=3))
+        path = out / "diagnostics" / "loss_curve.csv"
+        lines = path.read_text().splitlines()
+        assert lines[0] == ",".join(harness.DIAGNOSTICS["loss_curve.csv"])
+        assert [line.split(",")[:2] for line in lines[1:]] == [
+            ["0", "0"], ["0", "1"]]
 
     def test_eval_matrix_csv_matches_artifacts(self, tiny_data, tmp_path):
         r = Runner(tiny_run_cfg(tiny_data, tmp_path / "run"))
@@ -284,20 +298,6 @@ class TestModesAndArtifacts:
             tiny_run_cfg(tiny_data, tmp_path,
                          loss=LossConfig(tau=tau))
 
-    def test_log_closed_when_a_task_fails(self, tiny_data, tmp_path,
-                                          monkeypatch):
-        runners = []
-
-        def failing_task(self, row, train):
-            runners.append(self)
-            raise NumericError("injected failure")
-
-        monkeypatch.setattr(Runner, "run_task", failing_task)
-        with pytest.raises(NumericError, match="injected"):
-            run_sequence(tiny_run_cfg(tiny_data, tmp_path / "run"))
-        assert runners and runners[0].log.closed
-
-
     def test_no_finite_validation_score_raises(self, tiny_data, tmp_path,
                                                monkeypatch):
         monkeypatch.setattr(Runner, "_val_score",
@@ -305,7 +305,6 @@ class TestModesAndArtifacts:
         r = Runner(tiny_run_cfg(tiny_data, tmp_path / "run"))
         with pytest.raises(NumericError, match="finite validation score"):
             r.run_task(0, [0])
-        r.log.close()
 
 
 def _count_dataset_reads(monkeypatch) -> dict:
@@ -328,7 +327,6 @@ class TestDatasetReads:
                                                    monkeypatch):
         reads = _count_dataset_reads(monkeypatch)
         r = Runner(tiny_run_cfg(tiny_data, tmp_path / "run"))
-        r.log.close()
         assert reads == {"manifest.json": 1, "images.feat": 1}
 
     def test_recompute_reads_manifest_and_images_once(self, tiny_data,
@@ -468,7 +466,6 @@ class TestTokenArrays:
             for name in ("ids", "w", "n"):
                 assert np.array_equal(getattr(pooled, name),
                                       getattr(want, name))
-        r.log.close()
 
     @pytest.mark.parametrize("mode", sorted(_MODES))
     def test_vocab_files_give_the_pooled_ids(self, tiny_data, tmp_path,
@@ -526,7 +523,7 @@ class TestTokenArrays:
         lines[0] = "\t".join([img, english + " x", foreign])
         path.write_text("".join(lines), encoding="utf-8")
         out = tmp_path / "run"
-        with pytest.raises(DatasetFormatError, match=r"L2/train\.tsv"):
+        with pytest.raises(DatasetError, match=r"L2/train\.tsv"):
             Runner(tiny_run_cfg(str(data), out))
         assert not out.exists()
         (tmp_path / "run.cfg").write_text("model.d_out = 16\n")
@@ -545,7 +542,6 @@ class TestTokenArrays:
         real = harness.encode_text
         monkeypatch.setattr(harness, "encode_text",
                             lambda p, *a: encoded.append(p) or real(p, *a))
-        r.log.close()
         r.finalize()
         assert len(encoded) == 1 and encoded[0] is r.english
 
@@ -565,7 +561,6 @@ class TestTokenArrays:
         for t, td in enumerate(r.tasks):
             assert held(td, "english") == [False] * 3
             assert held(td, "foreign") == [mode == "continual" and t > 0] * 3
-        r.log.close()
         r = Runner(tiny_run_cfg(tiny_data, tmp_path / "run2", **_MODES[mode]))
         r.run()
         for td in r.tasks:

@@ -15,7 +15,7 @@ from lexcl.embeddings import snapshot_anchor
 from lexcl.encoders import (ENTRIES, chunks, encode_text, make_text_params,
                             pooling)
 from lexcl.losses import FeatureBatch, LossConfig, total_loss, unit_rows
-from lexcl.errors import (DegenerateFeatureError, InvalidInputError, MetricError)
+from lexcl.errors import DegenerateFeatureError, InvalidInputError
 
 
 def full_sort_recall(q, g, k):
@@ -570,13 +570,15 @@ class TestArF:
 
     def test_forgetting_undefined_for_first_task(self):
         m = hand_matrix()
-        with pytest.raises(MetricError):
+        with pytest.raises(InvalidInputError,
+                           match="undefined before the second task"):
             M.forgetting(m, 0, "img2txt")
 
     def test_incomplete_row_rejected(self):
         m = M.EvalMatrix()
         m.set(1, 0, "img2txt", 10.0)
-        with pytest.raises(MetricError):
+        with pytest.raises(InvalidInputError,
+                           match="row 1/img2txt incomplete"):
             M.average_recall(m, 1, "img2txt")
 
     def test_random_matrices_match_brute_force(self):
