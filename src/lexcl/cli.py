@@ -18,8 +18,7 @@ from .errors import (CheckpointError, DatasetError, InvalidInputError,
                      LexclError, NumericError)
 from .gradcheck import run_grad_check
 from .harness import RunConfig, run_sequence
-from .metrics import EvalMatrix
-from .report import ar_f, recompute_eval_matrix, write_report
+from .report import FinishedRun, ar_f, recompute_eval_matrix, write_report
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -61,7 +60,7 @@ def cmd_train(args) -> int:
     t0 = time.perf_counter()
     rc = config_mod.build(RunConfig, cfg, data_dir=args.data, out_dir=args.out)
     run_sequence(rc)
-    matrix = EvalMatrix.load_csv(os.path.join(args.out, "eval_matrix.csv"))
+    matrix = FinishedRun(args.out).matrix()
     last = max(j for j, _, _ in matrix.entries)
     final = [row for row in ar_f(matrix, rc.mode) if row[0] == last]
     ar = {d: a for _, d, a, _ in final}
@@ -75,8 +74,7 @@ def cmd_eval(args) -> int:
     out_path = os.path.join(args.run, "eval_matrix_recomputed_test.csv")
     matrix.save_csv(out_path)
     _info(f"wrote {out_path}")
-    stored = EvalMatrix.load_csv(os.path.join(args.run, "eval_matrix.csv"))
-    if stored.entries != matrix.entries:
+    if FinishedRun(args.run).matrix().entries != matrix.entries:
         return _fail(EXIT_RUNTIME, f"{out_path} differs from the stored "
                                    "eval_matrix.csv")
     _info("recomputed matrix matches the stored one exactly")

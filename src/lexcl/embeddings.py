@@ -196,8 +196,8 @@ def save_checkpoint(matrix: np.ndarray, manifest: dict, path) -> None:
 
 def load_checkpoint(path, expected_rows: int | None = None,
                     expected_vocab_hash: str | None = None,
-                    expected_dim: int | None = None) -> np.ndarray:
-    """Read a checkpoint's matrix and check its shape against its
+                    expected_dim: int | None = None) -> tuple[np.ndarray, dict]:
+    """(matrix, sidecar) of a checkpoint, its shape checked against its
     sidecar, which must exist and declare both, and, when given, the row
     count and vocab hash of the caller's vocabulary and the caller's
     embedding width."""
@@ -222,4 +222,4 @@ def load_checkpoint(path, expected_rows: int | None = None,
         raise CheckpointError(
             f"{path}: sidecar vocab hash {side.get('vocab_hash')!r} is not the "
             f"vocab's {expected_vocab_hash!r}")
-    return m
+    return m, side

@@ -88,6 +88,22 @@ def vocab_index(mode: str, oracle_vocab: bool, task: int) -> int:
     return 0 if oracle_vocab or mode == "joint" else task
 
 
+def pool(state, texts, v: int, params) -> tuple[Pooling, np.ndarray]:
+    """The pooling of `texts` under vocab `v` of `state`, and their lengths."""
+    ids, lengths = state.tokenize(texts, v)
+    return pooling(ids, lengths, state.size, params), lengths
+
+
+def registry_record(row: int, vocab_before: int, state, lam) -> dict:
+    """Step `row`'s registry record: its merge grew `vocab_before` ids to
+    `state`, with update scales `lam`, off which the sizes are read."""
+    n_overlap = int(np.count_nonzero(lam[:vocab_before]))
+    return {"task_index": row, "vocab_before": vocab_before,
+            "vocab_after": state.size,
+            "n_old": vocab_before - n_overlap, "n_overlap": n_overlap,
+            "n_new": state.size - vocab_before, "counts": state.counts.tolist()}
+
+
 def check_image_width(images: np.ndarray, d_out: int) -> None:
     """Text features are `d_out` wide, and so must be the image features
     they are scored against."""
@@ -172,13 +188,13 @@ class Runner:
     def _pool(self, texts, v: int, tasks: list[int], split: str) -> Pooling:
         """The pooling of `texts` under vocab `v`, with their token counts
         recorded for diagnostics/tokens.csv under each of `tasks`."""
-        ids, lengths = self.state.tokenize(texts, v)
+        pooled, lengths = pool(self.state, texts, v, self.params)
         self.rows["tokens.csv"] += [{
             "task": t, "split": split, "captions": len(lengths),
             "mean_tokens": float(lengths.mean()),
             "cut_at_l_max": int(np.count_nonzero(lengths > self.cfg.l_max))}
             for t in tasks]
-        return pooling(ids, lengths, self.state.size, self.params)
+        return pooled
 
     def _tokenize(self) -> None:
         """Pool every caption read under the vocab just merged in (vocab 0
@@ -285,13 +301,8 @@ class Runner:
         pre_stats = dist_stats(self.table) if len(self.table) else None
         self.state, lam = vocab_mod.merge_vocab(self.state, tv)
         self._tokenize()
-        n_new = self.state.size - vocab_before
-        n_overlap = int(np.count_nonzero(lam[:vocab_before]))
-        self.registry.append({
-            "task_index": row, "vocab_before": vocab_before,
-            "vocab_after": self.state.size,
-            "n_old": vocab_before - n_overlap, "n_overlap": n_overlap,
-            "n_new": n_new, "counts": self.state.counts.tolist()})
+        self.registry.append(registry_record(row, vocab_before, self.state,
+                                             lam))
 
         matched = pre_stats is not None and cfg.teir_init
         seed = (sub_seed(cfg.seed, "init", 0) if pre_stats is None
@@ -299,7 +310,8 @@ class Runner:
         self.table = expand(self.table, self.state.size - len(self.table),
                             pre_stats if matched else FIXED_INIT, seed)
         ks = float("nan")
-        if pre_stats is not None and n_new > 0 and pre_stats.sigma > 0:
+        if (pre_stats is not None and self.state.size > vocab_before
+                and pre_stats.sigma > 0):
             ks = ks_statistic(self.table[vocab_before:],
                               pre_stats.mu, pre_stats.sigma)
 

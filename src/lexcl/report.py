@@ -1,20 +1,23 @@
-"""Post-run evaluation and reporting: recompute the recall matrix from
-stored checkpoints, and emit AR/F tables, diagnostics CSVs, embedding
-histograms and simple SVG line plots."""
+"""Post-run evaluation and reporting through `FinishedRun`, the one reader
+of a run directory: recompute the recall matrix from the stored checkpoints,
+and emit AR/F tables, diagnostics CSVs, histograms and SVG line plots."""
 
 from __future__ import annotations
 
 import os
-from dataclasses import replace
+from collections import namedtuple
+from dataclasses import fields, is_dataclass
+from functools import cached_property
 
 from . import bpe, harness
 from . import vocab as vocab_mod
 from .embeddings import (load_checkpoint, read_json, read_lines, vocab_hash,
                          write_atomic, write_csv)
-from .encoders import make_text_params, pooling
-from .errors import InvalidInputError
+from .encoders import make_text_params
+from .errors import CheckpointError, InvalidInputError
 from .bench import load_dataset, load_images, load_manifest
-from .harness import DIAGNOSTICS, RunConfig, check_image_width, vocab_index
+from .harness import (DIAGNOSTICS, RunConfig, check_image_width, pool,
+                      registry_record, vocab_index)
 from .metrics import (DIRECTIONS, EvalMatrix, average_recall, forgetting,
                       save_histogram_csv, score_row, ted_histogram)
 
@@ -24,96 +27,150 @@ from .metrics import (DIRECTIONS, EvalMatrix, average_recall, forgetting,
 _MAX_TASKS = 1 << 16
 
 
-def _load_run_config(run_dir, *names) -> list:
-    """The values of fields `names` in the run's config.json, each checked
-    against its declaration on RunConfig."""
-    path = os.path.join(run_dir, "config.json")
-    if not os.path.exists(path):
-        raise InvalidInputError(f"{run_dir}: missing config.json; not a run directory")
-    cfg = read_json(path, InvalidInputError)
-    missing = [n for n in names if not isinstance(cfg, dict) or n not in cfg]
-    if missing:
-        raise InvalidInputError(f"{path}: no field {missing[0]!r}")
-    try:
-        run = replace(RunConfig("", ""), **{n: cfg[n] for n in names})
-    except InvalidInputError as e:
-        raise InvalidInputError(f"{path}: {e}") from None
-    return [getattr(run, n) for n in names]
+def _build(cls, stored):
+    """Config dataclass `cls` from `stored`, the JSON object that `asdict`
+    made of one, each section built in turn."""
+    kwargs = {}
+    for f in fields(cls):
+        if not (isinstance(stored, dict) and f.name in stored):
+            raise InvalidInputError(f"no field {f.name!r}")
+        kwargs[f.name] = (_build(f.default_factory, stored[f.name])
+                          if is_dataclass(f.default_factory) else stored[f.name])
+    return cls(**kwargs)
 
 
-def _read_bytes(path) -> bytes:
-    with open(path, "rb") as f:
-        return f.read()
+def _loss_point(line: str) -> tuple[str, float, float]:
+    """(task, epoch, mean loss) of a loss_curve.csv row."""
+    task, epoch, mean_loss, _ = line.split(",")
+    return task, float(epoch), float(mean_loss)
 
 
-def _steps(run_dir, mode: str) -> list[tuple[int, vocab_mod.VocabState]]:
-    """(row, vocab state after it) of each step of the run: the rows are
-    the task indexes in registry_manifest.json, which must be the rows of
-    `harness.steps` for a `mode` run of rows[-1] + 1 tasks, and each
-    state is rebuilt from the row's vocab and merges files. A row whose
-    files hold the previous row's bytes (joint and oracle-vocab runs)
-    reuses its parsed vocab, as the run did."""
-    path = os.path.join(run_dir, "registry_manifest.json")
-    try:
-        rows = [rec["task_index"] for rec in read_json(path, InvalidInputError)]
-    except (KeyError, TypeError):
-        rows = []
-    n = rows[-1] + 1 if rows and all(type(t) is int for t in rows) else 0
-    if not (0 < n <= _MAX_TASKS and rows == [
-            row for row, _ in harness.steps(mode, n)]):
-        raise InvalidInputError(f"{path}: the task_index values are not the "
-                                f"steps of a {mode} run")
-    steps = []
-    state = vocab_mod.new_state()
-    tv, seen = None, None
-    for t in rows:
-        paths = (os.path.join(run_dir, f"vocab_task{t}.txt"),
-                 os.path.join(run_dir, f"merges_task{t}.txt"))
-        files = tuple(map(_read_bytes, paths))
-        if files != seen:
-            tv, seen = bpe.vocab_from_files(*paths), files
-        state, _ = vocab_mod.merge_vocab(state, tv)
-        steps.append((t, state))
-    return steps
+# A step of a run: its recall-matrix row, the vocab state and λ of its
+# merge, and its checkpoint's sidecar and table.
+Step = namedtuple("Step", "row state lam sidecar table")
 
 
-def _tables(run_dir, steps, dim):
-    """(row, table) of each of `steps`, the table loaded when reached and
-    checked against the step's vocab state and `dim` columns."""
-    for row, state in steps:
-        yield row, load_checkpoint(
-            os.path.join(run_dir, f"ckpt_task{row}.bin"),
-            expected_rows=state.size,
-            expected_vocab_hash=vocab_hash(state.tokens), expected_dim=dim)
+class FinishedRun:
+    """A run directory, read through the code that wrote it. `cfg` is
+    config.json rebuilt whole; nothing here reads its data_dir or out_dir.
+    The registry and vocab files are read when first needed, and each
+    checkpoint when its step is reached."""
+
+    def __init__(self, run_dir):
+        self.dir = run_dir
+        path = self.path("config.json")
+        if not os.path.exists(path):
+            raise InvalidInputError(
+                f"{run_dir}: missing config.json; not a run directory")
+        stored = read_json(path, InvalidInputError)
+        if isinstance(stored, dict) and "optim" not in stored:
+            # older runs hold the optim section flat, its kind as optim_kind
+            stored["optim"] = {k.removeprefix("optim_"): v
+                               for k, v in stored.items()}
+        try:
+            self.cfg: RunConfig = _build(RunConfig, stored)
+        except InvalidInputError as e:
+            raise InvalidInputError(f"{path}: {e}") from None
+        c = self.cfg
+        self.params = make_text_params(c.dim, c.d_out, c.l_max, c.encoder_seed)
+
+    def path(self, name: str) -> str:
+        return os.path.join(self.dir, name)
+
+    def read(self, name: str) -> bytes:
+        with open(self.path(name), "rb") as f:
+            return f.read()
+
+    @cached_property
+    def merges(self) -> list[tuple]:
+        """(row, vocab state, λ) of each step. The rows are the task indexes
+        in registry_manifest.json, which must be the rows of `harness.steps`
+        for a run of rows[-1] + 1 tasks in the run's mode. Each state merges
+        the row's vocab and merges files, parsed again only when their bytes
+        are not the previous row's, and must give the row's record."""
+        path, mode = self.path("registry_manifest.json"), self.cfg.mode
+        registry = read_json(path, InvalidInputError)
+        try:
+            rows = [rec["task_index"] for rec in registry]
+        except (KeyError, TypeError):
+            rows = []
+        n = rows[-1] + 1 if rows and all(type(t) is int for t in rows) else 0
+        if not (0 < n <= _MAX_TASKS and rows == [
+                row for row, _ in harness.steps(mode, n)]):
+            raise InvalidInputError(f"{path}: the task_index values are not "
+                                    f"the steps of a {mode} run")
+        merges, state, seen = [], vocab_mod.new_state(), None
+        for rec, row in zip(registry, rows):
+            names = (f"vocab_task{row}.txt", f"merges_task{row}.txt")
+            files = tuple(map(self.read, names))
+            if files != seen:
+                tv, seen = bpe.vocab_from_files(*map(self.path, names)), files
+            before = state.size
+            state, lam = vocab_mod.merge_vocab(state, tv)
+            if registry_record(row, before, state, lam) != rec:
+                raise InvalidInputError(f"{path}: the record of step {row} is "
+                                        "not the one its vocab files give")
+            merges.append((row, state, lam))
+        return merges
+
+    def steps(self):
+        """Each `Step`, its table loaded when reached and checked against
+        the step's vocab, `model.dim` and its sidecar, whose task_index
+        must be the step's row."""
+        for row, state, lam in self.merges:
+            path = self.path(f"ckpt_task{row}.bin")
+            table, side = load_checkpoint(
+                path, expected_rows=state.size, expected_dim=self.cfg.dim,
+                expected_vocab_hash=vocab_hash(state.tokens))
+            got = side.get("task_index")
+            if type(got) is not int or got != row:
+                raise CheckpointError(
+                    f"{path}: sidecar task_index {got!r} is not {row}")
+            yield Step(row, state, lam, side, table)
+
+    def pooled(self, data_dir, split: str) -> list[tuple]:
+        """(pooling, image features) of the `split` captions of each task,
+        from dataset `data_dir`, pooled by `harness.pool` under the last
+        state: ids are append-only, so they are the ones the run pooled."""
+        manifest, images = load_manifest(data_dir), load_images(data_dir)
+        check_image_width(images, self.cfg.d_out)
+        final, last, _ = self.merges[-1]
+        if len(manifest["languages"]) <= final:
+            raise InvalidInputError(
+                f"{data_dir}: {len(manifest['languages'])} languages, but the "
+                f"run has a checkpoint for task {final}")
+        out = []
+        for i, lang in enumerate(manifest["languages"][: final + 1]):
+            data = load_dataset(data_dir, lang, split, manifest, images)
+            v = vocab_index(self.cfg.mode, self.cfg.oracle_vocab, i)
+            out.append((pool(last, data.foreign, v, self.params)[0],
+                        images[data.image]))
+        return out
+
+    def matrix(self) -> EvalMatrix:
+        return EvalMatrix.load_csv(self.path("eval_matrix.csv"))
+
+    def loss_curve(self) -> dict[str, list[tuple[float, float]]]:
+        """"task t" -> (epoch, mean loss) of each of its rows in
+        diagnostics/loss_curve.csv, which must hold one."""
+        path = self.path(os.path.join("diagnostics", "loss_curve.csv"))
+        series: dict[str, list[tuple[float, float]]] = {}
+        for task, epoch, loss in read_lines(
+                path, _loss_point, InvalidInputError,
+                header=",".join(DIAGNOSTICS["loss_curve.csv"])):
+            series.setdefault(f"task {task}", []).append((epoch, loss))
+        if not series:
+            raise InvalidInputError(f"{path}: no rows")
+        return series
 
 
 def recompute_eval_matrix(run_dir, data_dir) -> EvalMatrix:
     """Rebuild the test recall matrix from the stored per-task checkpoints."""
-    dim, d_out, l_max, encoder_seed, mode, oracle_vocab = _load_run_config(
-        run_dir, "dim", "d_out", "l_max", "encoder_seed", "mode", "oracle_vocab")
-    manifest = load_manifest(data_dir)
-    images = load_images(data_dir)
-    check_image_width(images, d_out)
-    params = make_text_params(dim, d_out, l_max, encoder_seed)
-    steps = _steps(run_dir, mode)
-    final, last = steps[-1]
-    if len(manifest["languages"]) <= final:
-        raise InvalidInputError(
-            f"{data_dir}: {len(manifest['languages'])} languages, but the run "
-            f"has a checkpoint for task {final}")
-
-    # Global ids are append-only, so each task reads the same under the
-    # last state as under the state of any row that scores it.
-    test_set = []
-    for i, lang in enumerate(manifest["languages"][: final + 1]):
-        data = load_dataset(data_dir, lang, "test", manifest, images)
-        ids, lengths = last.tokenize(data.foreign,
-                                     vocab_index(mode, oracle_vocab, i))
-        test_set.append((pooling(ids, lengths, last.size, params),
-                         images[data.image]))
+    run = FinishedRun(run_dir)
+    test_set = run.pooled(data_dir, "test")
     matrix = EvalMatrix()
-    for j, table in _tables(run_dir, steps, dim):
-        score_row(matrix, j, table, params, test_set)
+    for step in run.steps():
+        score_row(matrix, step.row, step.table, run.params, test_set)
     return matrix
 
 
@@ -177,37 +234,28 @@ def write_ar_f(rows: list[tuple], path) -> dict:
             for d in DIRECTIONS}
 
 
-def _loss_point(line: str) -> tuple[str, float, float]:
-    """(task, epoch, mean loss) of a loss_curve.csv row."""
-    task, epoch, mean_loss, _ = line.split(",")
-    return task, float(epoch), float(mean_loss)
-
-
 def write_report(run_dir, out_dir) -> list[str]:
     """Emit AR/F tables, diagnostics copies, histograms and plots. Every
-    file the run writes must be there, and every input is loaded and
+    file the run writes must be there, and the recall matrix must hold
+    every entry of the steps' rows and no other. Every input is loaded and
     checked before `out_dir` is made, so a failed report writes nothing."""
-    mode, dim = _load_run_config(run_dir, "mode", "dim")
-    matrix_path = os.path.join(run_dir, "eval_matrix.csv")
-    matrix = EvalMatrix.load_csv(matrix_path)
-    try:
-        ar_f_rows = ar_f(matrix, mode)
-    except InvalidInputError as e:  # a row that F reads is incomplete
-        raise InvalidInputError(f"{matrix_path}: {e}") from None
-    diag_dir = os.path.join(run_dir, "diagnostics")
-    loss_path = os.path.join(diag_dir, "loss_curve.csv")
-    series: dict[str, list[tuple[float, float]]] = {}
-    for task, epoch, loss in read_lines(
-            loss_path, _loss_point, InvalidInputError,
-            header=",".join(DIAGNOSTICS["loss_curve.csv"])):
-        series.setdefault(f"task {task}", []).append((epoch, loss))
-    if not series:
-        raise InvalidInputError(f"{loss_path}: no rows")
-    copies = {os.path.basename(src): _read_bytes(src)
-              for src in [matrix_path] + [os.path.join(diag_dir, name)
-                                          for name in DIAGNOSTICS]}
-    histograms = {t: ted_histogram(table, bins=64)[:2]
-                  for t, table in _tables(run_dir, _steps(run_dir, mode), dim)}
+    run = FinishedRun(run_dir)
+    matrix = run.matrix()
+    want = {(j, i, d) for j, _, _ in run.merges for i in range(j + 1)
+            for d in DIRECTIONS}
+    off = sorted(want.symmetric_difference(matrix.entries))
+    if off:
+        j, i, d = off[0]
+        raise InvalidInputError(f"{run.path('eval_matrix.csv')}: " + (
+            f"row {j} lacks its {d} entry of task {i}" if off[0] in want
+            else f"row {j} is not the row of a step"))
+    ar_f_rows = ar_f(matrix, run.cfg.mode)
+    series = run.loss_curve()
+    copies = {os.path.basename(name): run.read(name)
+              for name in ["eval_matrix.csv"] + [
+                  os.path.join("diagnostics", n) for n in DIAGNOSTICS]}
+    histograms = {step.row: ted_histogram(step.table, bins=64)[:2]
+                  for step in run.steps()}
 
     os.makedirs(out_dir, exist_ok=True)
     written = [os.path.join(out_dir, "ar_f.csv")]

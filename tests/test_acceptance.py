@@ -241,12 +241,22 @@ def test_benchmark_scale_outputs_match_golden_digest(runs):
     assert {name: runs[name]["digests"][0] for name in _BENCH_GOLDEN} == _BENCH_GOLDEN
 
 
+def _ar(m) -> str:
+    """A configuration's mean (img2txt, txt2img) AR, rounded."""
+    return f"({m['ar'][0]:.2f}, {m['ar'][1]:.2f})"
+
+
+def _f(m) -> str:
+    """A configuration's mean (img2txt, txt2img) F, rounded."""
+    return f"({m['f'][0]:.3f}, {m['f'][1]:.3f})"
+
+
 def test_criterion_5_forgetting_mitigation(runs):
     b, f = runs["base"], runs["full"]
     ok = (f["ar"][0] > b["ar"][0] and f["ar"][1] > b["ar"][1]
           and f["f"][0] < b["f"][0] and f["f"][1] < b["f"][1])
     report("criterion 5: forgetting mitigation (full vs baseline)", ok,
-           f"AR full {f['ar']} vs base {b['ar']}; F full {f['f']} vs base {b['f']}")
+           f"AR full {_ar(f)} vs base {_ar(b)}; F full {_f(f)} vs base {_f(b)}")
 
 
 def test_criterion_6_component_ablations(runs):
@@ -256,8 +266,8 @@ def test_criterion_6_component_ablations(runs):
     ok_ar = all(f["ar"][d] >= i["ar"][d] and f["ar"][d] >= g["ar"][d]
                 for d in (0, 1))
     report("criterion 6: component ablations", ok_f and ok_ar,
-           f"F init {i['f']} / reg {g['f']} vs base {b['f']}; "
-           f"AR full {f['ar']} vs init {i['ar']} / reg {g['ar']}")
+           f"F init {_f(i)} / reg {_f(g)} vs base {_f(b)}; "
+           f"AR full {_ar(f)} vs init {_ar(i)} / reg {_ar(g)}")
 
 
 def test_criterion_7_convergence_diagnostic(runs):
@@ -272,7 +282,7 @@ def test_criterion_8_joint_upper_bound(runs):
     b, j = runs["base"], runs["joint"]
     ok = j["ar"][0] >= b["ar"][0] and j["ar"][1] >= b["ar"][1]
     report("criterion 8: joint upper bound", ok,
-           f"AR joint {j['ar']} vs continual baseline {b['ar']}")
+           f"AR joint {_ar(j)} vs continual baseline {_ar(b)}")
 
 
 # --- 9. metric oracles --------------------------------------------------------
@@ -340,7 +350,7 @@ def test_criterion_10_determinism_and_formats(tmp_path):
     t = expand(np.zeros((0, 7), np.float32), 9, FIXED_INIT, rng_seed=1)
     p = tmp_path / "rt.bin"
     save_checkpoint(t, {}, p)
-    ok &= np.array_equal(load_checkpoint(p), t)
+    ok &= np.array_equal(load_checkpoint(p)[0], t)
 
     # dataset round-trip: regenerated tree is byte-identical
     data2 = tmp_path / "data2"

@@ -85,6 +85,9 @@ def workdir(tmp_path_factory):
     run = root / "run"
     assert main(["train", "--config", str(run_cfg), "--data", str(data),
                  "--out", str(run), "--seed", "0"]) == EXIT_OK
+    # every step of an oracle-vocab run has the same vocab tokens
+    assert main(["train", "--config", str(run_cfg), "--data", str(data),
+                 "--out", str(root / "oracle"), "--oracle-vocab"]) == EXIT_OK
     return root
 
 
@@ -367,7 +370,7 @@ def _value(v) -> str:
 def _finite_outputs(out) -> bool:
     """Every checkpoint, recall and diagnostic number of run `out` is
     finite, but the KS statistic, which is NaN where it is undefined."""
-    values = [load_checkpoint(p) for p in out.glob("ckpt_task*.bin")]
+    values = [load_checkpoint(p)[0] for p in out.glob("ckpt_task*.bin")]
     values.append(list(EvalMatrix.load_csv(out / "eval_matrix.csv")
                        .entries.values()))
     for name in harness.DIAGNOSTICS:
@@ -601,10 +604,12 @@ class TestEvalAndReport:
         which is refused before that plan is built."""
         run = tmp_path / "run"
         shutil.copytree(workdir / "run", run)
+        cfg = json.loads((run / "config.json").read_text())
+        (run / "config.json").write_text(json.dumps(dict(cfg, mode="joint")))
         (run / "registry_manifest.json").write_text(
             json.dumps([{"task_index": 0}, {"task_index": 10**12}]))
         with pytest.raises(InvalidInputError, match="not the steps of a joint"):
-            report._steps(run, "joint")
+            report.FinishedRun(run).merges
 
     @pytest.mark.parametrize("command", ["eval", "report"])
     def test_missing_sidecar_fails_naming_it(self, workdir, tmp_path, capsys,
@@ -865,6 +870,21 @@ def _swapped_with_task2(path):
         b.write_bytes(data)
 
 
+def _no_row_2(path):
+    """Drop every row of the recall matrix's row 2."""
+    lines = path.read_bytes().split(b"\r\n")
+    kept = [line for line in lines if not line.startswith(b"2,")]
+    assert len(kept) == len(lines) - 6
+    path.write_bytes(b"\r\n".join(kept))
+
+
+def _n_overlap_off_by_one(path):
+    """Count one more overlap token in the registry record of step 1."""
+    records = json.loads(path.read_text())
+    records[1]["n_overlap"] += 1
+    path.write_text(json.dumps(records))
+
+
 def _no_step_1(path):
     """Drop the registry record of step 1, leaving rows 0 and 2."""
     records = json.loads(path.read_text())
@@ -930,6 +950,8 @@ class TestDamagedFiles:
                      id="eval-matrix-bad-byte"),
         pytest.param("report", "run/eval_matrix.csv", _no_entry_1_0_img2txt,
                      EXIT_USAGE, None, id="report-matrix-missing-an-entry"),
+        pytest.param("report", "run/eval_matrix.csv", _no_row_2,
+                     EXIT_USAGE, None, id="report-matrix-missing-a-row"),
         pytest.param("report", "run/diagnostics/loss_curve.csv", _bad_byte,
                      EXIT_USAGE, 3, id="loss-curve-bad-byte"),
         pytest.param("report", "run/diagnostics/loss_curve.csv",
@@ -952,6 +974,11 @@ class TestDamagedFiles:
                      id="report-no-middle-checkpoint"),
         pytest.param("report", "run/ckpt_task1.bin", _swapped_with_task2,
                      EXIT_IO, None, id="report-swapped-checkpoints"),
+        pytest.param("eval", "oracle/ckpt_task1.bin", _swapped_with_task2,
+                     EXIT_IO, None, id="eval-oracle-vocab-swapped-checkpoints"),
+        pytest.param("report", "oracle/ckpt_task1.bin", _swapped_with_task2,
+                     EXIT_IO, None,
+                     id="report-oracle-vocab-swapped-checkpoints"),
         pytest.param("eval", "run/ckpt_task1.bin.json", _no_shape, EXIT_IO,
                      None, id="eval-sidecar-without-shape"),
         pytest.param("report", "run/ckpt_task1.bin.json", _no_shape, EXIT_IO,
@@ -964,6 +991,12 @@ class TestDamagedFiles:
                      EXIT_USAGE, None, id="eval-registry-missing-a-step"),
         pytest.param("report", "run/registry_manifest.json", _no_step_1,
                      EXIT_USAGE, None, id="report-registry-missing-a-step"),
+        pytest.param("eval", "run/registry_manifest.json",
+                     _n_overlap_off_by_one, EXIT_USAGE, None,
+                     id="eval-registry-record-off-by-one"),
+        pytest.param("report", "run/registry_manifest.json",
+                     _n_overlap_off_by_one, EXIT_USAGE, None,
+                     id="report-registry-record-off-by-one"),
         pytest.param("eval", "run/registry_manifest.json",
                      _names_task_10_to_the_12, EXIT_USAGE, None,
                      id="eval-registry-names-task-10**12"),
@@ -978,17 +1011,18 @@ class TestDamagedFiles:
     def test_fails_cleanly_naming_the_file(self, workdir, tmp_path, capsys,
                                            command, damaged, damage, code,
                                            line):
+        run = tmp_path / ("oracle" if damaged.startswith("oracle/") else "run")
         shutil.copytree(workdir / "data", tmp_path / "data")
-        shutil.copytree(workdir / "run", tmp_path / "run")
+        shutil.copytree(workdir / run.name, run)
         shutil.copy(workdir / "run.cfg", tmp_path / "run.cfg")
         path = tmp_path / damaged
         damage(path)
         out = tmp_path / "out"
         args = {"train": ["train", "--config", str(tmp_path / "run.cfg"),
                           "--data", str(tmp_path / "data"), "--out", str(out)],
-                "eval": ["eval", "--run", str(tmp_path / "run"),
+                "eval": ["eval", "--run", str(run),
                          "--data", str(tmp_path / "data")],
-                "report": ["report", "--run", str(tmp_path / "run"),
+                "report": ["report", "--run", str(run),
                            "--out", str(out)]}[command]
         assert main(args) == code
         err = capsys.readouterr().err
@@ -1028,6 +1062,34 @@ class TestBenchmarkChecks:
         failures, _ = _benchmark_checks().check_run(
             str(workdir / "data"), str(run), seed=0)
         assert failures == []
+
+
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+class TestBenchFiles:
+    def test_every_bench_file_holds_every_metric(self):
+        """Each committed BENCH_*.json holds, for every workload of
+        BENCHMARK.json, perfbench/run.py's final line, passing its checks,
+        with every end-to-end metric in its unit; and the commit measured
+        and the tier-1 wall time and passed count."""
+        with open(os.path.join(_ROOT, "BENCHMARK.json")) as f:
+            spec = json.load(f)
+        names = sorted(n for n in os.listdir(_ROOT)
+                       if re.fullmatch(r"BENCH_.+\.json", n))
+        assert names
+        for name in names:
+            with open(os.path.join(_ROOT, name)) as f:
+                bench = json.load(f)
+            assert re.fullmatch(r"[0-9a-f]{40}", bench["commit"]), name
+            assert bench["tier1"]["passed"] > 0 and bench["tier1"]["wall_s"] > 0
+            for w in spec["workloads"]:
+                result = bench["workloads"][w["name"]]["result"]
+                assert result["correct"] is True, (name, w["name"])
+                for m in spec["end_to_end"]:
+                    got = result["metrics"][m["name"]]
+                    assert got["unit"] == m["unit"], (name, w["name"], m)
+                    assert math.isfinite(got["value"]) and got["value"] > 0
 
 
 class TestGradCheck:

@@ -212,8 +212,9 @@ class TestCheckpoint:
         t = _drawn(17, 9, 5)
         p = tmp_path / "ckpt.bin"
         emb.save_checkpoint(t, {"task": 0}, p)
-        back = emb.load_checkpoint(p)
+        back, side = emb.load_checkpoint(p)
         assert np.array_equal(back, t)
+        assert side == {"task": 0, "rows": 17, "dim": 9}
 
     def test_corrupt_magic(self, tmp_path):
         t = _drawn(3, 3, 5)
@@ -291,7 +292,7 @@ class TestCheckpoint:
         p = tmp_path / "ckpt.bin"
         emb.save_checkpoint(t, {"vocab_hash": ours}, p)
         assert np.array_equal(
-            emb.load_checkpoint(p, expected_vocab_hash=ours), t)
+            emb.load_checkpoint(p, expected_vocab_hash=ours)[0], t)
         emb.load_checkpoint(p)  # no expectation, no check
         with pytest.raises(CheckpointError, match="sidecar vocab hash"):
             emb.load_checkpoint(p, expected_vocab_hash=theirs)

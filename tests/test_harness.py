@@ -23,6 +23,7 @@ from lexcl.errors import (CheckpointError, DatasetError,
                           NumericError)
 from lexcl.harness import RunConfig, Runner, run_sequence, sub_seed
 from lexcl.metrics import EvalMatrix
+from lexcl.losses import LossConfig
 from lexcl.optim import OptimConfig
 from lexcl.report import recompute_eval_matrix
 
@@ -64,8 +65,8 @@ class TestDeterminism:
         assert _matrix(a).entries == _matrix(b).entries
         for t in range(3):
             name = f"ckpt_task{t}.bin"
-            assert load_checkpoint(a / name).tobytes() == \
-                load_checkpoint(b / name).tobytes()
+            assert load_checkpoint(a / name)[0].tobytes() == \
+                load_checkpoint(b / name)[0].tobytes()
 
     def test_different_seed_differs(self, tiny_data, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -97,7 +98,7 @@ class TestPretrain:
         before = r.anchor.copy()
         r.run_task(1, [1])
         assert np.array_equal(r.anchor, before)
-        saved = load_checkpoint(tmp_path / "run" / "ckpt_task0.bin")
+        saved, _ = load_checkpoint(tmp_path / "run" / "ckpt_task0.bin")
         assert r.anchor.tobytes() == saved.tobytes()
         with pytest.raises(ValueError):
             r.anchor[0, 0] = 1.0
@@ -272,6 +273,20 @@ class TestModesAndArtifacts:
         with pytest.raises(CheckpointError, match="vocab hash"):
             recompute_eval_matrix(out, tiny_data)
 
+    @pytest.mark.parametrize("value", [2, True, "1"])
+    def test_recompute_checks_the_task_index(self, tiny_data, tmp_path,
+                                             value):
+        """A sidecar must name its own step as the integer it is: one that
+        names another step, or row 1 as true or "1", is refused."""
+        out = tmp_path / "run"
+        run_sequence(tiny_run_cfg(tiny_data, out))
+        side = out / "ckpt_task1.bin.json"
+        side.write_text(json.dumps(dict(json.loads(side.read_text()),
+                                        task_index=value)))
+        with pytest.raises(CheckpointError, match="ckpt_task1.bin: sidecar "
+                                                  "task_index"):
+            recompute_eval_matrix(out, tiny_data)
+
     def test_config_validation(self, tiny_data, tmp_path):
         with pytest.raises(InvalidInputError):
             tiny_run_cfg(tiny_data, tmp_path, mode="sideways")
@@ -308,12 +323,16 @@ class TestModesAndArtifacts:
 
 
 def _count_dataset_reads(monkeypatch) -> dict:
-    """Count opens of the dataset's manifest and image features."""
+    """Count opens of the dataset's manifest and image features, and of
+    each split file, by its language/split.tsv name."""
     reads = {"manifest.json": 0, "images.feat": 0}
     real_open = open
 
     def counting_open(path, *args, **kwargs):
         name = os.path.basename(str(path))
+        if name.endswith(".tsv"):
+            name = f"{os.path.basename(os.path.dirname(str(path)))}/{name}"
+            reads.setdefault(name, 0)
         if name in reads:
             reads[name] += 1
         return real_open(path, *args, **kwargs)
@@ -327,14 +346,17 @@ class TestDatasetReads:
                                                    monkeypatch):
         reads = _count_dataset_reads(monkeypatch)
         r = Runner(tiny_run_cfg(tiny_data, tmp_path / "run"))
-        assert reads == {"manifest.json": 1, "images.feat": 1}
+        assert reads == {"manifest.json": 1, "images.feat": 1,
+                         **{f"{lang}/{split}.tsv": 1 for lang in r.languages
+                            for split in SPLITS}}
 
     def test_recompute_reads_manifest_and_images_once(self, tiny_data,
                                                       tmp_path, monkeypatch):
         run_sequence(tiny_run_cfg(tiny_data, tmp_path / "run"))
         reads = _count_dataset_reads(monkeypatch)
         recompute_eval_matrix(tmp_path / "run", tiny_data)
-        assert reads == {"manifest.json": 1, "images.feat": 1}
+        assert reads == {"manifest.json": 1, "images.feat": 1,
+                         **{f"L{t}/test.tsv": 1 for t in range(3)}}
 
     def test_zero_norm_image_row_names_R_I(self, tiny_data, tmp_path):
         """A train image whose feature row is all zeros stops the run at
@@ -350,6 +372,9 @@ class TestDatasetReads:
 
 _MODES = {"continual": {}, "joint": {"mode": "joint"},
           "oracle": {"oracle_vocab": True}}
+# A run whose config sections are not the defaults.
+_SECTIONS = {"loss": LossConfig(gamma_cm=0.5),
+             "optim": OptimConfig(kind="adamw")}
 
 
 # sha256 of each checkpoint, eval_matrix.csv and registry_manifest.json
@@ -467,26 +492,54 @@ class TestTokenArrays:
                 assert np.array_equal(getattr(pooled, name),
                                       getattr(want, name))
 
-    @pytest.mark.parametrize("mode", sorted(_MODES))
+    @pytest.mark.parametrize("mode", [*sorted(_MODES), "sections"])
     def test_vocab_files_give_the_pooled_ids(self, tiny_data, tmp_path,
                                              monkeypatch, mode):
         """`lexcl eval` derives every id again from the saved vocab and
         merges files, whose piece caches start cold. For every val and
         test caption those global ids equal the ones that the run pooled
-        with the vocabs it trained."""
-        pooled = {}
+        with the vocabs it trained. Through `report.FinishedRun`, the
+        config, every step's vocab state and λ, and every val and test
+        pooling equal the Runner's, array for array; "sections" is a
+        continual run whose loss and optim sections are not the defaults."""
+        pooled, merged, pools = {}, [], {}
         real = vocab.VocabState.tokenize
+        real_merge, real_pool = vocab.merge_vocab, harness.pool
 
         def recording(state, texts, task_index):
             pooled[tuple(texts)] = real(state, texts, task_index)
             return pooled[tuple(texts)]
 
+        def merging(state, tv):
+            merged.append(real_merge(state, tv))
+            return merged[-1]
+
+        def pooling(state, texts, v, params):
+            pools[tuple(texts)] = real_pool(state, texts, v, params)
+            return pools[tuple(texts)]
+
         monkeypatch.setattr(vocab.VocabState, "tokenize", recording)
+        monkeypatch.setattr(vocab, "merge_vocab", merging)
+        monkeypatch.setattr(harness, "pool", pooling)
         out = tmp_path / "run"
-        r = Runner(tiny_run_cfg(tiny_data, out, **_MODES[mode]))
+        r = Runner(tiny_run_cfg(tiny_data, out, **_MODES.get(mode, _SECTIONS)))
         r.run()
         monkeypatch.undo()
-        _, last = report._steps(out, r.cfg.mode)[-1]
+        run = report.FinishedRun(out)
+        assert run.cfg == r.cfg
+        steps = list(run.steps())
+        assert [s.row for s in steps] == [
+            row for row, _ in harness.steps(r.cfg.mode, len(r.tasks))]
+        assert len(steps) == len(merged)
+        for step, (state, lam) in zip(steps, merged):
+            assert step.state.tokens == state.tokens
+            assert np.array_equal(step.state.counts, state.counts)
+            assert len(step.state.task_ids) == len(state.task_ids)
+            for mine, theirs in zip(step.state.task_ids, state.task_ids):
+                assert np.array_equal(mine, theirs)
+            assert np.array_equal(step.lam, lam)
+            assert step.sidecar["task_index"] == step.row
+        last = steps[-1].state
         assert not any(tv.segment_ids for tv in last.task_vocabs)
         for t, td in enumerate(r.tasks):
             v = harness.vocab_index(r.cfg.mode, r.cfg.oracle_vocab, t)
@@ -495,6 +548,16 @@ class TestTokenArrays:
                 ids, lengths = last.tokenize(texts, v)
                 assert np.array_equal(ids, pooled[tuple(texts)][0])
                 assert np.array_equal(lengths, pooled[tuple(texts)][1])
+        for split in ("val", "test"):
+            read = run.pooled(tiny_data, split)
+            assert len(read) == len(r.tasks)
+            for t, (mine, images) in enumerate(read):
+                data = _split(r, t, split)
+                theirs, _ = pools[tuple(data.foreign)]
+                for name in ("ids", "w", "n"):
+                    assert np.array_equal(getattr(mine, name),
+                                          getattr(theirs, name))
+                assert np.array_equal(images, r.images[data.image])
 
     @pytest.mark.parametrize("mode", sorted(_MODES))
     def test_each_split_pooled_once(self, tiny_data, tmp_path, monkeypatch,
