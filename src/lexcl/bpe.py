@@ -11,24 +11,33 @@ are always the base alphabet, so any byte string encodes losslessly.
 
 from __future__ import annotations
 
+import codecs
 import heapq
 import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from typing import NamedTuple
+
+import numpy as np
 
 from .embeddings import read_lines, write_atomic
 from .errors import InvalidInputError
 
 N_BYTES = 256
+_BYTES = tuple(bytes([i]) for i in range(N_BYTES))
 
-# Runs of the bytes that bytes.isspace() accepts.
-_WHITESPACE = re.compile(rb"([ \t\n\r\x0b\x0c]+)")
-# The id of the space byte, which `encode` splits on.
+# The bytes that bytes.isspace() accepts, by value: no merge holds one.
+_IS_WHITESPACE = np.zeros(N_BYTES, dtype=bool)
+_IS_WHITESPACE[list(b" \t\n\r\x0b\x0c")] = True
+# The id of the space byte, which `encode_texts` splits on.
 _SPACE = ord(" ")
-# The pair-table entry of a pair that no rule names: after every rule.
-_NO_RULE = (1 << 63, -1)
+# Pair priorities sit above the low 32 bits, which hold a position.
+_POSITION = (1 << 32) - 1
+# The priority of a pair that no rule names: after every rule.
+_NO_RULE = 1 << 62
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 class MergeRule(NamedTuple):
@@ -39,15 +48,25 @@ class MergeRule(NamedTuple):
     rank: int
 
 
+class _PairTable(NamedTuple):
+    """Merge rules as arrays by slot: `keys` (left id * vocab size + right
+    id, ascending), `prio` (priority << 32) and `result`. The last slot is
+    no pair's: its key is above every key, its priority `_NO_RULE`."""
+    keys: np.ndarray
+    prio: np.ndarray
+    result: np.ndarray
+
+
 @dataclass
 class TaskVocab:
     """One task's BPE vocabulary: 256 byte tokens plus learned merges.
 
     `id_of` (token bytes to id) and the pair table, `merge_ranks()`, are
-    built once, when the vocab is made. `segment_ids` caches the ids of
-    each distinct piece of text with no space in it: `train_bpe` seeds it
-    with its words, and `encode` adds the pieces it meets first. All
-    three are derived state, left out of equality and repr."""
+    built once, when the vocab is made, and its arrays, `pairs`, on the
+    first merge. `segment_ids` caches the ids of each distinct piece of
+    text with no space in it: `train_bpe` seeds it with its words, and
+    `encode_texts` adds the pieces it meets first. All four are derived
+    state, left out of equality and repr."""
 
     tokens: list[bytes]
     rules: list[MergeRule]
@@ -62,6 +81,24 @@ class TaskVocab:
         self.id_of = {tok: i for i, tok in enumerate(self.tokens)}
         self.ranks = self.merge_ranks()
 
+    @cached_property
+    def pairs(self) -> _PairTable:
+        """The pairs of `ranks` as a `_PairTable`, less those that hold a
+        whitespace byte: no text merges one."""
+        n, size = len(self.ranks), self.size
+        left, right = np.fromiter(chain.from_iterable(self.ranks), np.int64,
+                                  2 * n).reshape(-1, 2).T
+        prio, result = np.fromiter(chain.from_iterable(self.ranks.values()),
+                                   np.int64, 2 * n).reshape(-1, 2).T
+        whitespace = np.zeros(size, dtype=bool)
+        whitespace[:N_BYTES] = _IS_WHITESPACE
+        keep = ~(whitespace[left] | whitespace[right])
+        keys = left[keep] * size + right[keep]
+        order = keys.argsort()
+        return _PairTable(np.append(keys[order], _INT64_MAX),
+                          np.append(prio[keep][order] << 32, _NO_RULE),
+                          np.append(result[keep][order], -1))
+
     @property
     def size(self) -> int:
         return len(self.tokens)
@@ -71,18 +108,18 @@ class TaskVocab:
         counting up in (task, rank) order. Each id is the one `id_of` gives
         its token's bytes, so a pair of byte strings that two rules name
         keeps the later rule. Bytes 0-255 must be ids 0-255."""
-        id_of, tokens = self.id_of, self.tokens
-        if any(id_of.get(tok) != b for b, tok in enumerate(_byte_tokens())):
+        id_of = self.id_of
+        if list(map(id_of.get, _BYTES)) != list(range(N_BYTES)):
             raise InvalidInputError("ids 0-255 are not the 256 single bytes")
+        canon = list(map(id_of.__getitem__, self.tokens))
         order = {key: p for p, key in enumerate(dict.fromkeys(
-            sorted((r.task_index, r.rank) for r in self.rules)))}
-        return {(id_of[tokens[r.left]], id_of[tokens[r.right]]):
-                (order[r.task_index, r.rank], id_of[tokens[r.result]])
-                for r in self.rules}
+            sorted([(t, rank) for _, _, _, t, rank in self.rules])))}
+        return {(canon[left], canon[right]): (order[t, rank], canon[result])
+                for left, right, result, t, rank in self.rules}
 
 
 def _byte_tokens() -> list[bytes]:
-    return [bytes([i]) for i in range(N_BYTES)]
+    return list(_BYTES)
 
 
 def _corpus_words(corpus, target_size: int) -> tuple[list[bytes], list[int]]:
@@ -207,73 +244,109 @@ def train_bpe(corpus, target_size: int, task_index: int = 0) -> TaskVocab:
     return tv
 
 
-def _encode_parts(seg: bytes, vocab: TaskVocab) -> list[int]:
-    """The ids of a byte string with no whitespace, merged by passes: each
-    merges every leftmost-first occurrence of the adjacent pair of best
-    priority (the leftmost among equals) until no pair has a rule.
-    `prio[i]` is the priority of (ids[i], ids[i + 1]); a merge re-reads
-    only the two pairs beside it. The tests check it against the pass
-    loop on bytes in `tests/oracles.py`, which rule-by-rule merging does
-    not always equal: a rule can rebuild the bytes an earlier one reads."""
-    ranks = vocab.ranks
-    get = ranks.get
-    ids = list(seg)
-    prio = [get(p, _NO_RULE)[0] for p in zip(ids, ids[1:])]
-    while prio and (best := min(prio)) != _NO_RULE[0]:
-        i = prio.index(best)
-        a, b = ids[i], ids[i + 1]
-        m = ranks[a, b][1]
-        sites = [i]  # merge sites, right to left
-        # the later pairs of this priority: (a, b), unless it overlaps the
-        # last site, or a pair of the same (task, rank), left to a later pass
-        for _ in range(prio.count(best) - 1):
-            i = prio.index(best, i + 1)
-            if i > sites[0] + 1 and ids[i] == a and ids[i + 1] == b:
-                sites.insert(0, i)
-        for i in sites:
-            ids[i:i + 2] = (m,)
-            del prio[i]
-            if i:
-                prio[i - 1] = get((ids[i - 1], m), _NO_RULE)[0]
-            if i < len(prio):
-                prio[i] = get((m, ids[i + 1]), _NO_RULE)[0]
-    return ids
+def _lookup(pairs: _PairTable, keys: np.ndarray) -> np.ndarray:
+    """The slot in `pairs` of each key (left id * vocab size + right id):
+    its rule's, or the last slot, which no rule has."""
+    at = pairs.keys.searchsorted(keys)
+    return np.where(pairs.keys[at] == keys, at, len(pairs.keys) - 1)
 
 
-def _encode_piece(piece: bytes, vocab: TaskVocab) -> list[int]:
-    """The ids of a byte string with no space in it: each byte of its other
-    whitespace runs, and the segments between them merged."""
-    out: list[int] = []
-    # odd items are the whitespace runs, even ones the segments between
-    for k, seg in enumerate(_WHITESPACE.split(piece)):
-        if k % 2:
-            out.extend(seg)
-        elif seg:
-            out += _encode_parts(seg, vocab)
-    return out
+def _every_other(sites: np.ndarray) -> np.ndarray:
+    """`sites` (ascending) without the second, fourth, ... site of each run
+    of consecutive ones: in a run of (a, a) pairs, merging one takes the
+    next one's left token."""
+    k = np.arange(len(sites))
+    first = np.ones(len(sites), dtype=bool)
+    first[1:] = sites[1:] - sites[:-1] != 1
+    return sites[(k - np.maximum.accumulate(np.where(first, k, 0))) % 2 == 0]
 
 
-def encode(text: bytes, vocab: TaskVocab) -> list[int]:
-    """Encode a byte string into token ids under one task vocabulary.
+def _merge_pieces(pieces: list[bytes], vocab: TaskVocab) -> list[list[int]]:
+    """The ids of each piece, a byte string with no space in it, merged by
+    passes over all the pieces at once. The pieces lie back to back in one
+    id array, each followed by a space, so every segment (a run of bytes
+    that are not whitespace) ends in a whitespace byte, which no rule
+    joins. Each pass takes, in every segment that still has a pair with a
+    rule, the leftmost pair of best priority, and merges every site of
+    the same pair in that segment, leftmost first; a pair of equal
+    priority but other ids waits for a later pass. `slot[i]` is the pair
+    table's slot of (ids[i], ids[i + 1]); a merge looks up only the two
+    pairs beside it. The tests check it against the scalar pass loops in
+    `tests/oracles.py`."""
+    if not pieces:
+        return []
+    pairs, size = vocab.pairs, vocab.size
+    ids = np.frombuffer(b" ".join(pieces) + b" ",
+                        dtype=np.uint8).astype(np.int64)
+    lens = np.diff(_IS_WHITESPACE[ids].nonzero()[0], prepend=-1)
+    slot = _lookup(pairs, np.append(ids[:-1] * size + ids[1:], -1))
+    position = np.arange(len(ids))
+    while True:
+        starts = lens.cumsum()
+        starts -= lens
+        # each segment's best priority and, below it, its leftmost position
+        best = pairs.prio[slot]
+        best += position[:len(ids)]
+        best = np.minimum.reduceat(best, starts)
+        live = best < _NO_RULE
+        if not live.any():
+            break
+        # the sites of each live segment's best pair; -1 is no slot
+        sites = (slot == np.where(live, slot[best & _POSITION], -1)
+                 .repeat(lens)).nonzero()[0]
+        if (sites[1:] - sites[:-1] == 1).any():
+            sites = _every_other(sites)
+        ids[sites] = pairs.result[slot[sites]]
+        keep = np.ones(len(ids), dtype=bool)
+        keep[sites + 1] = False
+        ids, slot = ids[keep], slot[keep]
+        lens -= np.bincount(starts.searchsorted(sites, "right") - 1,
+                            minlength=len(lens))
+        merged = sites - position[:len(sites)]
+        around = np.concatenate((merged - 1, merged))
+        slot[around] = _lookup(pairs, ids[around] * size + ids[around + 1])
+    bounds = (ids == _SPACE).nonzero()[0].tolist()
+    flat = ids.tolist()
+    return [flat[i + 1:j] for i, j in zip([-1] + bounds, bounds)]
+
+
+def _pieces(text) -> list[bytes]:
+    """The pieces between single spaces of a byte string, or of a str as
+    UTF-8."""
+    if isinstance(text, str):
+        text = text.encode("utf-8")
+    return text.split(b" ")
+
+
+def encode_texts(texts, vocab: TaskVocab) -> list[list[int]]:
+    """Encode a list of byte strings (or str, as UTF-8) into token ids
+    under one task vocabulary.
 
     Merges never contain whitespace bytes, so the pieces between single
     spaces encode independently and each space is its own id. Each
     distinct piece is encoded once and kept in `vocab.segment_ids`, which
-    training seeds with its words; an empty piece (at an end of the text
-    or between two spaces) has no ids.
+    training seeds with its words: the pieces of `texts` not in it are
+    merged in one `_merge_pieces` call. An empty piece (at an end of a
+    text or between two spaces) has no ids.
     """
-    if isinstance(text, str):
-        text = text.encode("utf-8")
     cache = vocab.segment_ids
-    out: list[int] = []
-    for piece in text.split(b" "):
-        ids = cache.get(piece)
-        if ids is None:
-            ids = cache[piece] = _encode_piece(piece, vocab)
-        out += ids
-        out.append(_SPACE)
-    out.pop()
+    new = list({piece for text in texts for piece in _pieces(text)
+                if piece not in cache})
+    cache.update(zip(new, _merge_pieces(new, vocab)))
+    out = []
+    for text in texts:
+        ids: list[int] = []
+        for piece in _pieces(text):
+            ids += cache[piece]
+            ids.append(_SPACE)
+        ids.pop()
+        out.append(ids)
     return out
+
+
+def encode(text: bytes, vocab: TaskVocab) -> list[int]:
+    """The ids of one text: `encode_texts` of a list of one."""
+    return encode_texts([text], vocab)[0]
 
 
 def decode(ids, scope) -> bytes:
@@ -291,6 +364,10 @@ def decode(ids, scope) -> bytes:
 _PRINTABLE = set(range(0x20, 0x7F)) - {ord('"'), ord("\\")}
 # A literal's body: any characters, each backslash starting a \xHH escape.
 _ESCAPED = re.compile(r"(?:[^\\]|\\x[0-9a-fA-F]{2})*")
+# A backslash that does not start a \xHH escape.
+_BAD_ESCAPE = re.compile(r"\\(?!x[0-9a-fA-F]{2})")
+_unescape = codecs.getdecoder("unicode_escape")
+_NO_DIGITS = str.maketrans("", "", "0123456789")
 
 
 def token_to_text(tok: bytes) -> str:
@@ -306,7 +383,7 @@ def token_from_text(s: str) -> bytes:
     if "\\" in body:
         if not _ESCAPED.fullmatch(body):
             raise InvalidInputError(f"bad escape in token literal: {s!r}")
-        body = body.encode("latin-1").decode("unicode_escape")
+        body = _unescape(body.encode("latin-1"))[0]
     return body.encode("latin-1")
 
 
@@ -320,8 +397,44 @@ def save_merges(rules: list[MergeRule], path) -> None:
                                f"{r.result}\n" for r in rules).encode("ascii"))
 
 
+def _tokens_at_once(text: str) -> list[bytes] | None:
+    """The tokens of a vocab file's text as `save_vocab` writes it, one
+    literal to a line and nothing else, or None for any other text."""
+    if (len(text) < 3 or text[0] != '"' or not text.endswith('"\n')
+            or _BAD_ESCAPE.search(text)):
+        return None
+    bodies = text[1:-2].split('"\n"')
+    if len(bodies) != text.count("\n"):
+        return None
+    return [_unescape(body.encode("latin-1"))[0].encode("latin-1")
+            for body in bodies]
+
+
+def _rules_at_once(text: str, tokens: list[bytes]) -> list[MergeRule] | None:
+    """The rules of a merges file's text as `save_merges` writes it, five
+    decimal ints and four single spaces to a line, if every rule passes
+    the checks of `vocab_from_files`; else None."""
+    lines = text.count("\n")
+    if text.translate(_NO_DIGITS) != "    \n" * lines:
+        return None
+    # an empty field would leave fewer ints; a clamped one reads the maximum
+    values = np.fromstring(text, dtype=np.int64, sep=" ")
+    if len(values) != 5 * lines or lines and values.max() == _INT64_MAX:
+        return None
+    t, rank, left, right, result = values.reshape(-1, 5).T.tolist()
+    if lines and max(max(left), max(right), max(result)) >= len(tokens) or any(
+            tokens[m] != tokens[a] + tokens[b]
+            for a, b, m in zip(left, right, result)):
+        return None
+    return list(map(MergeRule, left, right, result, t, rank))
+
+
 def vocab_from_files(vocab_path, merges_path) -> TaskVocab:
-    tokens = read_lines(vocab_path, token_from_text, InvalidInputError, "ascii")
+    """The vocab of a vocab file and a merges file. Each is parsed in one
+    pass when it is as `save_vocab` and `save_merges` write it, else line
+    by line, which names the line of a fault."""
+    tokens = read_lines(vocab_path, token_from_text, InvalidInputError,
+                        "ascii", at_once=_tokens_at_once)
     n = len(tokens)
 
     def merge_rule(line: str) -> MergeRule:
@@ -336,7 +449,8 @@ def vocab_from_files(vocab_path, merges_path) -> TaskVocab:
                              f"by token {right}")
         return MergeRule(left, right, result, t, rank)
 
-    rules = read_lines(merges_path, merge_rule, InvalidInputError, "ascii")
+    rules = read_lines(merges_path, merge_rule, InvalidInputError, "ascii",
+                       at_once=lambda text: _rules_at_once(text, tokens))
     try:
         return TaskVocab(tokens=tokens, rules=rules)
     except InvalidInputError as e:

@@ -70,11 +70,13 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    matrix = recompute_eval_matrix(args.run, args.data)
+    run = FinishedRun(args.run)
+    stored = run.complete_matrix()
+    matrix = recompute_eval_matrix(run, args.data)
     out_path = os.path.join(args.run, "eval_matrix_recomputed_test.csv")
     matrix.save_csv(out_path)
     _info(f"wrote {out_path}")
-    if FinishedRun(args.run).matrix().entries != matrix.entries:
+    if stored.entries != matrix.entries:
         return _fail(EXIT_RUNTIME, f"{out_path} differs from the stored "
                                    "eval_matrix.csv")
     _info("recomputed matrix matches the stored one exactly")

@@ -124,14 +124,18 @@ def _read_text(path, encoding: str, error) -> str:
 
 
 def read_lines(path, parse, error, encoding: str = "utf-8",
-               header: str | None = None) -> list:
+               header: str | None = None, at_once=None) -> list:
     """parse(line) of each non-blank line of text file `path`, in order,
     with its line end (LF or CRLF) stripped. When `header` is given, the
     first line must equal it and is not parsed. Bytes that do not decode,
     a missing or wrong header, or a ValueError from parse raise `error`
     naming path:line; a package error from parse keeps its class and
-    gains path:line."""
+    gains path:line. `at_once(text)`, when given, parses the whole text in
+    one pass and returns the same list, or None for a text it does not
+    take, which is then parsed line by line."""
     text = _read_text(path, encoding, error)
+    if at_once is not None and (out := at_once(text)) is not None:
+        return out
     lines = enumerate(text.replace("\r\n", "\n").split("\n"), start=1)
     if header is not None and next(lines)[1] != header:
         raise error(f"{path}:1: expected the header {header!r}")

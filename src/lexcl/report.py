@@ -150,6 +150,20 @@ class FinishedRun:
     def matrix(self) -> EvalMatrix:
         return EvalMatrix.load_csv(self.path("eval_matrix.csv"))
 
+    def complete_matrix(self) -> EvalMatrix:
+        """`matrix()`, which must hold every entry of the steps' rows and
+        no other: else the error names eval_matrix.csv and the row."""
+        matrix = self.matrix()
+        want = {(j, i, d) for j, _, _ in self.merges for i in range(j + 1)
+                for d in DIRECTIONS}
+        off = sorted(want.symmetric_difference(matrix.entries))
+        if off:
+            j, i, d = off[0]
+            raise InvalidInputError(f"{self.path('eval_matrix.csv')}: " + (
+                f"row {j} lacks its {d} entry of task {i}" if off[0] in want
+                else f"row {j} is not the row of a step"))
+        return matrix
+
     def loss_curve(self) -> dict[str, list[tuple[float, float]]]:
         """"task t" -> (epoch, mean loss) of each of its rows in
         diagnostics/loss_curve.csv, which must hold one."""
@@ -164,9 +178,8 @@ class FinishedRun:
         return series
 
 
-def recompute_eval_matrix(run_dir, data_dir) -> EvalMatrix:
+def recompute_eval_matrix(run: FinishedRun, data_dir) -> EvalMatrix:
     """Rebuild the test recall matrix from the stored per-task checkpoints."""
-    run = FinishedRun(run_dir)
     test_set = run.pooled(data_dir, "test")
     matrix = EvalMatrix()
     for step in run.steps():
@@ -240,16 +253,7 @@ def write_report(run_dir, out_dir) -> list[str]:
     every entry of the steps' rows and no other. Every input is loaded and
     checked before `out_dir` is made, so a failed report writes nothing."""
     run = FinishedRun(run_dir)
-    matrix = run.matrix()
-    want = {(j, i, d) for j, _, _ in run.merges for i in range(j + 1)
-            for d in DIRECTIONS}
-    off = sorted(want.symmetric_difference(matrix.entries))
-    if off:
-        j, i, d = off[0]
-        raise InvalidInputError(f"{run.path('eval_matrix.csv')}: " + (
-            f"row {j} lacks its {d} entry of task {i}" if off[0] in want
-            else f"row {j} is not the row of a step"))
-    ar_f_rows = ar_f(matrix, run.cfg.mode)
+    ar_f_rows = ar_f(run.complete_matrix(), run.cfg.mode)
     series = run.loss_curve()
     copies = {os.path.basename(name): run.read(name)
               for name in ["eval_matrix.csv"] + [

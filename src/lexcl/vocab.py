@@ -9,7 +9,7 @@ from itertools import chain
 
 import numpy as np
 
-from .bpe import TaskVocab, _byte_tokens, encode
+from .bpe import TaskVocab, _byte_tokens, encode_texts
 
 
 @dataclass
@@ -31,10 +31,10 @@ class VocabState:
     def tokenize(self, texts, task_index: int) -> tuple[np.ndarray, np.ndarray]:
         """(ids, lengths): the global ids of every text under one task's
         merge rules, back to back, and each text's number of ids. Each
-        piece of text is merged once, in the task vocab's piece cache;
-        the local ids of all texts map to global ids in one gather."""
-        tv = self.task_vocabs[task_index]
-        local = [encode(text, tv) for text in texts]
+        piece of text is merged once, in the task vocab's piece cache, and
+        the pieces new to it in one call; the local ids of all texts map
+        to global ids in one gather."""
+        local = encode_texts(texts, self.task_vocabs[task_index])
         lengths = np.fromiter(map(len, local), dtype=np.int64, count=len(local))
         flat = np.fromiter(chain.from_iterable(local), dtype=np.int64,
                            count=int(lengths.sum()))

@@ -6,8 +6,9 @@ row-by-row optimizer step with per-row moment dicts and its bias
 corrections powered step by step, the canonical cosines that recall
 ranks on, Recall@K by a stable argsort of every canonical similarity
 row, paired Recall@K ranked on the whole n x n canonical cosine matrix,
-the full-recount BPE trainer, the rule-by-rule
-BPE encoder, a plain hash of a matrix's bytes, one SeedSequence per
+the full-recount BPE trainer, the scalar pass loop on ids
+that the one-array BPE merge replaced, the pass loop on bytes, the
+rule-by-rule BPE encoder, a plain hash of a matrix's bytes, one SeedSequence per
 named random stream of the benchmark generator, and the caption that one
 such stream draws through numpy's Generator; whether OPENBLAS_CORETYPE
 can pick another BLAS kernel, and what a fresh interpreter with a given
@@ -16,6 +17,7 @@ product's shape."""
 
 import hashlib
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -334,6 +336,56 @@ def bytes_ranks(scope) -> dict:
             ((r.task_index, r.rank), tokens[r.result]) for r in scope.rules}
 
 
+# Runs of the bytes that bytes.isspace() accepts.
+_WHITESPACE = re.compile(rb"([ \t\n\r\x0b\x0c]+)")
+
+
+def merge_ids_passes(seg: bytes, scope) -> list[int]:
+    """The ids of a byte string with no whitespace, merged by passes on
+    ids: each merges every leftmost-first occurrence of the adjacent pair
+    of best priority (the leftmost among equals) until no pair has a rule.
+    `prio[i]` is the priority of (ids[i], ids[i + 1]); a merge re-reads
+    only the two pairs beside it."""
+    ranks = scope.ranks
+    no_rule = (1 << 63, -1)
+    get = ranks.get
+    ids = list(seg)
+    prio = [get(p, no_rule)[0] for p in zip(ids, ids[1:])]
+    while prio and (best := min(prio)) != no_rule[0]:
+        i = prio.index(best)
+        a, b = ids[i], ids[i + 1]
+        m = ranks[a, b][1]
+        sites = [i]  # merge sites, right to left
+        # the later pairs of this priority: (a, b), unless it overlaps the
+        # last site, or a pair of the same (task, rank), left to a later pass
+        for _ in range(prio.count(best) - 1):
+            i = prio.index(best, i + 1)
+            if i > sites[0] + 1 and ids[i] == a and ids[i + 1] == b:
+                sites.insert(0, i)
+        for i in sites:
+            ids[i:i + 2] = (m,)
+            del prio[i]
+            if i:
+                prio[i - 1] = get((ids[i - 1], m), no_rule)[0]
+            if i < len(prio):
+                prio[i] = get((m, ids[i + 1]), no_rule)[0]
+    return ids
+
+
+def encode_ids_passes(piece: bytes, scope) -> list[int]:
+    """The ids of a byte string with no space in it, by `merge_ids_passes`:
+    each byte of its other whitespace runs, and the segments between them
+    merged."""
+    out: list[int] = []
+    # odd items are the whitespace runs, even ones the segments between
+    for k, seg in enumerate(_WHITESPACE.split(piece)):
+        if k % 2:
+            out.extend(seg)
+        elif seg:
+            out += merge_ids_passes(seg, scope)
+    return out
+
+
 def encode_passes(text: bytes, scope) -> list[int]:
     """Pass-by-pass reference encoder on byte strings: split the text at
     its whitespace runs, as `bpe.encode` does, and merge each segment by
@@ -345,7 +397,7 @@ def encode_passes(text: bytes, scope) -> list[int]:
         text = text.encode("utf-8")
     ranks = bytes_ranks(scope)
     out = []
-    for k, seg in enumerate(bpe._WHITESPACE.split(text)):
+    for k, seg in enumerate(_WHITESPACE.split(text)):
         parts = [bytes([b]) for b in seg]
         while k % 2 == 0 and len(parts) > 1:
             best_key = None

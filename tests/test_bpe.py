@@ -182,13 +182,16 @@ def round_trip(tv) -> bpe.TaskVocab:
 
 
 @st.composite
-def drawn_vocabs(draw) -> bpe.TaskVocab:
+def drawn_vocabs(draw, distinct_keys: bool = True) -> bpe.TaskVocab:
     """Vocabs no trainer writes: each rule joins two tokens of "abc" or of
     earlier rules, so results repeat earlier tokens' bytes and byte pairs
-    repeat, and the rules' (task, rank) are distinct but in any order."""
+    repeat, and the rules' (task, rank) are in any order: distinct, or
+    with `distinct_keys` False drawn from so few that they repeat."""
     n = draw(st.integers(0, 14))
-    keys = draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 30)),
-                         min_size=n, max_size=n, unique=True))
+    keys = draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 30))
+                         if distinct_keys else
+                         st.tuples(st.integers(0, 1), st.integers(0, 3)),
+                         min_size=n, max_size=n, unique=distinct_keys))
     tokens = [b"a", b"b", b"c"]
     rules = []
     for key in keys:
@@ -299,6 +302,82 @@ class TestColdMerge:
         assert oracles.encode_reference(b"abc", tv) == [97, 256]
 
 
+# Space-free pieces: runs of one letter, runs of the other whitespace
+# bytes, multibyte letters, and the empty piece.
+_PIECE_FRAGMENTS = ["aaaa", "aaa", "bbb", "abab", "\t", "\t\n", "\r\x0b\x0c",
+                    "é", "世界", "αβγ", "\x85", "\xa0"]
+piece_strategy = st.lists(
+    st.one_of(st.sampled_from(_PIECE_FRAGMENTS),
+              st.text(alphabet="abcdefgαβγ\t\n", max_size=6)),
+    max_size=8).map(lambda parts: "".join(parts).encode("utf-8"))
+abc_piece = st.text(alphabet="abc\t\n", max_size=16).map(str.encode)
+
+
+def merged_piece_by_piece(pieces, tv) -> list[list[int]]:
+    """The ids of each piece by both scalar pass loops, which must agree."""
+    want = [oracles.encode_passes(p, tv) for p in pieces]
+    assert want == [oracles.encode_ids_passes(p, tv) for p in pieces]
+    return want
+
+
+class TestArrayMerge:
+    """`_merge_pieces` merges many pieces in one call, each as the scalar
+    pass loops merge it alone."""
+
+    @given(corpus=corpus_strategy, size=st.integers(257, 330),
+           task_index=st.integers(0, 4),
+           pieces=st.lists(piece_strategy, max_size=24, unique=True))
+    @example(corpus=["aaaa aaaa aaaa"], size=300, task_index=0,
+             pieces=[b"aaaaaaa", b"", b"a\taa\t\taaa", b"aa"])
+    @settings(max_examples=80, deadline=None)
+    def test_trained_and_round_tripped_vocabs(self, corpus, size, task_index,
+                                              pieces):
+        tv = bpe.train_bpe(corpus, size, task_index)
+        want = merged_piece_by_piece(pieces, tv)
+        assert bpe._merge_pieces(pieces, tv) == want
+        assert bpe._merge_pieces(pieces, round_trip(tv)) == want
+
+    @pytest.mark.parametrize("distinct_keys", [True, False],
+                             ids=["distinct-keys", "repeated-keys"])
+    @given(data=st.data(),
+           pieces=st.lists(abc_piece, max_size=24, unique=True))
+    @settings(max_examples=100, deadline=None)
+    def test_drawn_vocabs(self, distinct_keys, data, pieces):
+        tv = data.draw(drawn_vocabs(distinct_keys))
+        want = merged_piece_by_piece(pieces, tv)
+        assert bpe._merge_pieces(pieces, tv) == want
+        assert bpe._merge_pieces(pieces, round_trip(tv)) == want
+
+    def test_runs_of_one_pair_merge_every_other_site(self):
+        """In a run of (a, a) pairs the first site merges, then every
+        other one, in each segment apart; a pair of equal priority but
+        other ids waits for a later pass."""
+        tv = hand_vocab([(b"a", b"a", (0, 0)), (b"b", b"c", (0, 0)),
+                         (b"c", b"b", (0, 0))])
+        pieces = [b"aaaaa", b"aaa\taaaa", b"bcbcb", b"cbcb", b""]
+        assert bpe._merge_pieces(pieces, tv) == [
+            [256, 256, 97], [256, 97, 9, 256, 256], [257, 257, 98],
+            [258, 258], []]
+        assert bpe._merge_pieces(pieces, tv) == merged_piece_by_piece(
+            pieces, tv)
+
+    def test_whitespace_is_never_merged(self):
+        """A rule that names a whitespace byte, which a vocab file can
+        hold, never fires: those bytes are emitted one by one."""
+        tv = hand_vocab([(b"\t", b"\t", (0, 0)), (b"a", b"\t", (0, 1)),
+                         (b"a", b"b", (0, 2))])
+        pieces = [b"\t\t", b"a\tab", b"\r\n"]
+        assert bpe._merge_pieces(pieces, tv) == [[9, 9], [97, 9, 258],
+                                                  [13, 10]]
+        assert bpe._merge_pieces(pieces, tv) == merged_piece_by_piece(
+            pieces, tv)
+
+    def test_no_pieces(self):
+        tv = bpe.train_bpe(["ab ab"], 260)
+        assert bpe._merge_pieces([], tv) == []
+        assert bpe._merge_pieces([b""], tv) == [[]]
+
+
 class TestSegmentCache:
     """The trainer seeds `segment_ids` with its words; `encode` splits on
     single spaces and caches each piece."""
@@ -329,14 +408,20 @@ class TestSegmentCache:
             assert ids == oracles.encode_reference(word, tv)
 
     def test_training_captions_need_no_merging(self, monkeypatch):
+        """Every word of the training captions is in the seeded cache, so
+        the merge meets no word: only the empty piece between two spaces,
+        which has no ids."""
         corpus = ["the cat sat on the mat", "le chat  est assis "] * 3
         tv = bpe.train_bpe(corpus, 290)
-        calls = []
-        monkeypatch.setattr(bpe, "_encode_parts",
-                            lambda *a: calls.append(a) or [])
+        merged = []
+        real = bpe._merge_pieces
+        monkeypatch.setattr(bpe, "_merge_pieces",
+                            lambda pieces, v: merged.extend(pieces)
+                            or real(pieces, v))
         for line in corpus:
             bpe.encode(line.encode("utf-8"), tv)
-        assert calls == []
+        bpe.encode_texts(corpus, tv)
+        assert merged == [b""]
 
 
 class TestEncodeDecode:
@@ -439,6 +524,54 @@ class TestFiles:
         back = bpe.vocab_from_files(vp, mp)
         assert back.tokens == tv.tokens
         assert back.rules == tv.rules
+
+    @given(corpus=corpus_strategy, size=st.integers(257, 330),
+           task_index=st.integers(0, 4),
+           extra=st.lists(st.binary(max_size=6), max_size=8))
+    @example(corpus=["ab ab"], size=260, task_index=0,
+             extra=[b"", b'"\n"', b"\\x41", b'"', b"\n", b"\xff"])
+    @settings(max_examples=60, deadline=None)
+    def test_one_pass_reads_what_the_line_reader_reads(self, corpus, size,
+                                                       task_index, extra):
+        """A vocab and merges file as `save_vocab` and `save_merges` write
+        them, any bytes in the tokens, parse in one pass to what the line
+        by line reader gives."""
+        tv = bpe.train_bpe(corpus, size, task_index)
+        tokens = tv.tokens + extra
+        with tempfile.TemporaryDirectory() as d:
+            vp, mp = os.path.join(d, "vocab.txt"), os.path.join(d, "merges.txt")
+            bpe.save_vocab(tokens, vp)
+            bpe.save_merges(tv.rules, mp)
+            with open(vp, encoding="ascii") as f:
+                vocab_text = f.read()
+            with open(mp, encoding="ascii") as f:
+                merges_text = f.read()
+        lines = vocab_text.splitlines()
+        assert [bpe.token_from_text(line) for line in lines] == tokens
+        assert bpe._tokens_at_once(vocab_text) == tokens
+        assert bpe._rules_at_once(merges_text, tokens) == tv.rules
+
+    @pytest.mark.parametrize("edit", [
+        lambda text: text.replace("\n", "\r\n"),
+        lambda text: text.replace("\n", "\n\n", 3),
+        lambda text: "  " + text.replace("\n", " \n", 5),
+        lambda text: text.rstrip("\n"),
+    ], ids=["crlf", "blank-lines", "spaces-around", "no-final-newline"])
+    def test_hand_edited_files_read_line_by_line(self, tmp_path, edit):
+        """Files that are not as the writers make them, but that the line
+        by line reader takes, give the same vocab through it."""
+        tv = bpe.train_bpe(["file format file format round trip"], 290,
+                           task_index=2)
+        vp, mp = tmp_path / "vocab.txt", tmp_path / "merges.txt"
+        bpe.save_vocab(tv.tokens, vp)
+        bpe.save_merges(tv.rules, mp)
+        texts = [edit(path.read_bytes().decode("ascii")) for path in (vp, mp)]
+        vp.write_bytes(texts[0].encode("ascii"))
+        mp.write_bytes(texts[1].encode("ascii"))
+        assert bpe._tokens_at_once(texts[0]) is None
+        assert bpe._rules_at_once(texts[1], tv.tokens) is None
+        back = bpe.vocab_from_files(vp, mp)
+        assert (back.tokens, back.rules) == (tv.tokens, tv.rules)
 
     @pytest.mark.parametrize("tokens", [
         [b"a", b"b"],                                    # no byte base

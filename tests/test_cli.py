@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
-from lexcl import bpe, gradcheck, harness, report
+from lexcl import bpe, cli, gradcheck, harness, report
 from lexcl.cli import EXIT_IO, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from lexcl.config import load_config_file
 from lexcl.embeddings import (EMB_MAGIC, load_checkpoint, read_matrix,
@@ -504,6 +504,19 @@ class TestEvalAndReport:
         assert len(parsed) == 2
         assert f"{path}:{len(lines) + 1}" in capsys.readouterr().err
 
+    def test_eval_reads_the_run_once(self, workdir, tmp_path, monkeypatch):
+        """One `lexcl eval` builds one reader: config.json is read and the
+        frozen text parameters are drawn once."""
+        run = tmp_path / "run"
+        shutil.copytree(workdir / "run", run)
+        drawn = []
+        real = report.make_text_params
+        monkeypatch.setattr(report, "make_text_params",
+                            lambda *a: drawn.append(a) or real(*a))
+        assert main(["eval", "--run", str(run),
+                     "--data", str(workdir / "data")]) == EXIT_OK
+        assert len(drawn) == 1
+
     def test_eval_fails_when_the_stored_matrix_differs(self, workdir,
                                                        tmp_path, capsys,
                                                        monkeypatch):
@@ -950,8 +963,12 @@ class TestDamagedFiles:
                      id="eval-matrix-bad-byte"),
         pytest.param("report", "run/eval_matrix.csv", _no_entry_1_0_img2txt,
                      EXIT_USAGE, None, id="report-matrix-missing-an-entry"),
+        pytest.param("eval", "run/eval_matrix.csv", _no_entry_1_0_img2txt,
+                     EXIT_USAGE, None, id="eval-matrix-missing-an-entry"),
         pytest.param("report", "run/eval_matrix.csv", _no_row_2,
                      EXIT_USAGE, None, id="report-matrix-missing-a-row"),
+        pytest.param("eval", "run/eval_matrix.csv", _no_row_2,
+                     EXIT_USAGE, None, id="eval-matrix-missing-a-row"),
         pytest.param("report", "run/diagnostics/loss_curve.csv", _bad_byte,
                      EXIT_USAGE, 3, id="loss-curve-bad-byte"),
         pytest.param("report", "run/diagnostics/loss_curve.csv",
@@ -1028,6 +1045,32 @@ class TestDamagedFiles:
         err = capsys.readouterr().err
         assert (f"{path}:{line}:" if line else str(path)) in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "report"])
+    @pytest.mark.parametrize("damage, named", [
+        (_no_row_2, "row 2 lacks its img2txt entry of task 0"),
+        (_no_entry_1_0_img2txt, "row 1 lacks its img2txt entry of task 0"),
+    ], ids=["missing-a-row", "missing-an-entry"])
+    def test_incomplete_stored_matrix_fails_naming_the_row(
+            self, workdir, tmp_path, capsys, monkeypatch, command, damage,
+            named):
+        """eval and report hold the stored matrix to one rule, every entry
+        of the steps' rows and no other: eval names the row before it
+        recomputes anything."""
+        run = tmp_path / "run"
+        shutil.copytree(workdir / "run", run, ignore=shutil.ignore_patterns(
+            "eval_matrix_recomputed_*"))
+        damage(run / "eval_matrix.csv")
+        recomputed = []
+        monkeypatch.setattr(cli, "recompute_eval_matrix",
+                            lambda *a: recomputed.append(a))
+        args = (["eval", "--run", str(run), "--data", str(workdir / "data")]
+                if command == "eval" else
+                ["report", "--run", str(run), "--out", str(tmp_path / "rep")])
+        assert main(args) == EXIT_USAGE
+        assert f"{run / 'eval_matrix.csv'}: {named}" in capsys.readouterr().err
+        assert recomputed == []
+        assert not (run / "eval_matrix_recomputed_test.csv").exists()
 
 
 def _benchmark_checks():

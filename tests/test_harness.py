@@ -25,7 +25,7 @@ from lexcl.harness import RunConfig, Runner, run_sequence, sub_seed
 from lexcl.metrics import EvalMatrix
 from lexcl.losses import LossConfig
 from lexcl.optim import OptimConfig
-from lexcl.report import recompute_eval_matrix
+from lexcl.report import FinishedRun, recompute_eval_matrix
 
 
 @pytest.fixture(scope="module")
@@ -265,13 +265,13 @@ class TestModesAndArtifacts:
         another vocab is refused, not scored."""
         out = tmp_path / "run"
         run_sequence(tiny_run_cfg(tiny_data, out))
-        recompute_eval_matrix(out, tiny_data)
+        recompute_eval_matrix(FinishedRun(out), tiny_data)
         side = out / "ckpt_task1.bin.json"
         meta = json.loads(side.read_text())
         meta["vocab_hash"] = "0" * 64
         side.write_text(json.dumps(meta))
         with pytest.raises(CheckpointError, match="vocab hash"):
-            recompute_eval_matrix(out, tiny_data)
+            recompute_eval_matrix(FinishedRun(out), tiny_data)
 
     @pytest.mark.parametrize("value", [2, True, "1"])
     def test_recompute_checks_the_task_index(self, tiny_data, tmp_path,
@@ -285,7 +285,7 @@ class TestModesAndArtifacts:
                                         task_index=value)))
         with pytest.raises(CheckpointError, match="ckpt_task1.bin: sidecar "
                                                   "task_index"):
-            recompute_eval_matrix(out, tiny_data)
+            recompute_eval_matrix(FinishedRun(out), tiny_data)
 
     def test_config_validation(self, tiny_data, tmp_path):
         with pytest.raises(InvalidInputError):
@@ -354,7 +354,7 @@ class TestDatasetReads:
                                                       tmp_path, monkeypatch):
         run_sequence(tiny_run_cfg(tiny_data, tmp_path / "run"))
         reads = _count_dataset_reads(monkeypatch)
-        recompute_eval_matrix(tmp_path / "run", tiny_data)
+        recompute_eval_matrix(FinishedRun(tmp_path / "run"), tiny_data)
         assert reads == {"manifest.json": 1, "images.feat": 1,
                          **{f"L{t}/test.tsv": 1 for t in range(3)}}
 
@@ -655,11 +655,11 @@ class TestTokenArrays:
                                                     mode):
         inside = []
         encodes = {"outside": 0, "inside": 0}
-        real_encode = bpe.encode
+        real_encode = bpe.encode_texts
 
-        def counting_encode(text, tv):
+        def counting_encode(texts, tv):
             encodes["inside" if inside else "outside"] += 1
-            return real_encode(text, tv)
+            return real_encode(texts, tv)
 
         def flagged(method):
             def wrapper(self, *args, **kwargs):
@@ -670,8 +670,8 @@ class TestTokenArrays:
                     inside.pop()
             return wrapper
 
-        monkeypatch.setattr(bpe, "encode", counting_encode)
-        monkeypatch.setattr(vocab, "encode", counting_encode)
+        monkeypatch.setattr(bpe, "encode_texts", counting_encode)
+        monkeypatch.setattr(vocab, "encode_texts", counting_encode)
         monkeypatch.setattr(Runner, "_train_epochs",
                             flagged(Runner._train_epochs))
         monkeypatch.setattr(Runner, "finalize", flagged(Runner.finalize))

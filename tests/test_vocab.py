@@ -128,14 +128,48 @@ class TestTokenize:
         task vocab's piece cache; its training seeded the words it saw."""
         st_, _, _, _, _, _ = _setup_two_tasks(["aa bb aa bb"], ["cc dd cc dd"])
         calls = []
-        real = bpe._encode_piece
-        monkeypatch.setattr(bpe, "_encode_piece",
-                            lambda piece, tv: calls.append(piece) or real(piece, tv))
+        real = bpe._merge_pieces
+        monkeypatch.setattr(bpe, "_merge_pieces",
+                            lambda pieces, tv: calls.append(sorted(pieces))
+                            or real(pieces, tv))
         texts = ["xy", "aa xy", "zz", "xy aa", "bb zz xy"]
         a = _rows(*st_.tokenize(texts[:3], 0))
         b = _rows(*st_.tokenize(texts[3:], 0))
-        assert sorted(calls) == [b"xy", b"zz"]
+        assert calls == [[b"xy", b"zz"], []]
         assert a + b == [_reference_ids(st_, x, 0) for x in texts]
+
+
+_TEXT_FRAGMENTS = [" ", "  ", "\t", "\n", "aaaa", "abab", "é", "世界", "αβ"]
+texts_strategy = st.lists(
+    st.lists(st.one_of(st.sampled_from(_TEXT_FRAGMENTS),
+                       st.text(alphabet="abcdαβ \t", max_size=6)),
+             max_size=6).map("".join),
+    min_size=1, max_size=12)
+
+
+class TestTokenizeCalls:
+    @given(corpus=st.lists(st.text(alphabet="abcd αβ", min_size=1,
+                                   max_size=16), min_size=1, max_size=6),
+           texts=texts_strategy, cuts=st.lists(st.integers(0, 12)),
+           warm=st.lists(st.integers(0, 11), max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_ids_do_not_depend_on_the_calls_or_the_cache(self, corpus, texts,
+                                                         cuts, warm):
+        """The same texts give the same ids in one call, cut into several
+        calls, or after some of them were tokenised, from a cold cache or
+        one that training seeded."""
+        seeded = _tv(corpus, 0)
+        local = [oracles.encode_passes(x.encode(), seeded) for x in texts]
+        for tv in (seeded, bpe.TaskVocab(seeded.tokens, seeded.rules)):
+            st_, _ = vocab.merge_vocab(vocab.new_state(), tv)
+            want = [st_.task_ids[0][ids].tolist() for ids in local]
+            st_.tokenize([texts[k] for k in warm if k < len(texts)], 0)
+            bounds = sorted({0, len(texts), *(c for c in cuts
+                                               if c < len(texts))})
+            rows = [row for a, b in zip(bounds, bounds[1:])
+                    for row in _rows(*st_.tokenize(texts[a:b], 0))]
+            assert rows == want
+            assert _rows(*st_.tokenize(texts, 0)) == rows
 
 
 class TestCountsAndLambda:
