@@ -80,12 +80,20 @@ def snapshot_anchor(matrix: np.ndarray) -> np.ndarray:
 
 # --- checkpoint I/O ----------------------------------------------------
 
-def vocab_hash(tokens: list[bytes]) -> str:
-    h = hashlib.sha256()
-    for t in tokens:
-        h.update(struct.pack("<I", len(t)))
-        h.update(t)
-    return h.hexdigest()
+class VocabHash:
+    """sha256 of a token list that only grows, each token fed once as its
+    4-byte little-endian length and its bytes: the digest can be read at
+    every size of the list without hashing its head again."""
+
+    def __init__(self):
+        self._h, self._n = hashlib.sha256(), 0
+
+    def of(self, tokens: list[bytes]) -> str:
+        """The digest of `tokens`, which extend the list last given."""
+        for t in tokens[self._n:]:
+            self._h.update(len(t).to_bytes(4, "little") + t)
+        self._n = len(tokens)
+        return self._h.copy().hexdigest()
 
 
 def write_atomic(path, *chunks) -> None:

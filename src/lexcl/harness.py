@@ -17,8 +17,8 @@ from . import bpe
 from . import vocab as vocab_mod
 from .bench import SPLITS, load_dataset, load_images, load_manifest
 from .config import dump_config
-from .embeddings import (FIXED_INIT, dist_stats, expand, ks_statistic,
-                         save_checkpoint, snapshot_anchor, vocab_hash,
+from .embeddings import (FIXED_INIT, VocabHash, dist_stats, expand,
+                         ks_statistic, save_checkpoint, snapshot_anchor,
                          write_atomic, write_csv)
 from .encoders import Pooling, encode_text, make_text_params, pooling
 from .errors import (DatasetError, DegenerateFeatureError, InvalidInputError,
@@ -156,6 +156,7 @@ class Runner:
         self.params = make_text_params(cfg.dim, cfg.d_out, cfg.l_max,
                                        cfg.encoder_seed)
         self.state = vocab_mod.new_state()
+        self._vocab_hash = VocabHash()  # of self.state.tokens, which only grow
         self.table = np.zeros((0, cfg.dim), dtype=np.float32)
         self.anchor: np.ndarray | None = None
         self.eval_matrix = EvalMatrix()
@@ -329,7 +330,7 @@ class Runner:
         bpe.save_vocab(tv.tokens, os.path.join(out, f"vocab_task{row}.txt"))
         bpe.save_merges(tv.rules, os.path.join(out, f"merges_task{row}.txt"))
         save_checkpoint(self.table, {
-            "vocab_hash": vocab_hash(self.state.tokens),
+            "vocab_hash": self._vocab_hash.of(self.state.tokens),
             "task_index": row, "policy": "matched" if matched else "fixed",
             "rng_seed": seed,
         }, os.path.join(out, f"ckpt_task{row}.bin"))

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embeddings import dist_stats, read_lines, write_csv
-from .encoders import Pooling, chunks, encode_text
+from .encoders import ENTRIES, Pooling, chunks, encode_text
 from .errors import InvalidInputError
 from .losses import batch_grad, unit_rows
 
@@ -63,22 +63,31 @@ class EvalMatrix:
         return out
 
 
-def _cosines(u: np.ndarray, v: np.ndarray, blocks):
-    """(a, b, rows a:b of u @ v.T) per (a, b) of `blocks`, each written over
-    the last in one buffer: the caller is done with a block at the next."""
-    buf = np.empty((max((b - a for a, b in blocks), default=0), len(v)))
-    for a, b in blocks:
-        yield a, b, np.matmul(u[a:b], v.T, out=buf[:b - a])
+def _cosines(x: np.ndarray, y: np.ndarray, rows, buf: np.ndarray):
+    """(r, x[r] @ y.T) per row selection r of `rows`, a slice or an index
+    array, each product written over the last at the head of `buf`: the
+    caller is done with one at the next."""
+    for r in rows:
+        xr = x[r]
+        out = buf[:len(xr) * len(y)].reshape(len(xr), len(y))
+        yield r, np.matmul(xr, y.T, out=out)
 
 
 def _ranks(u: np.ndarray, v: np.ndarray, k_max: int) -> np.ndarray:
-    """Both directions' ranks of item p in line p on canonical scores,
-    einsum("pd,pd->p") of C-contiguous unit rows: the items that score
-    above p, or equal to it at an index below p. Each block of `chunks`
-    of u @ v.T is formed once with the own pairs masked, and its entries
-    outside a band around a line's own score are counted (at k_max = 1,
-    the lines' maxima tell rank 0 from the rest); a line with an entry
-    inside the band is scored again canonically."""
+    """Both directions' min(rank, k_max) of item p in line p on canonical
+    scores, einsum("pd,pd->p") of C-contiguous unit rows: the items that
+    score above p, or equal to it at an index below p.
+
+    A line's product entries above and below a band around its own score
+    are counted (at k_max = 1, each product's line maximum tells rank 0
+    from the rest), and the line is settled, rank k_max, once k_max
+    entries lie above the band. First u @ v[:w].T, w = min(n, ENTRIES // n)
+    and at least 1, ranks texts 0..w-1 against every image in its columns
+    and scores every image against them in its rows; v[w:] @ u[:w].T does
+    the same for images 0..w-1 and the other texts. Then each line of w..
+    not yet settled meets items w.. in `chunks` of such lines. Up to 256
+    pairs w = n, and the first product is the only one. A line left with
+    an entry inside the band is scored again canonically."""
     (n, d), count = u.shape, np.count_nonzero
     # A dot of two unit rows lies within gamma_d = d u / (1 - d u) of its
     # exact value in any summation order (Higham, Accuracy and Stability of
@@ -88,26 +97,39 @@ def _ranks(u: np.ndarray, v: np.ndarray, k_max: int) -> np.ndarray:
     own = np.einsum("pd,pd->p", u, v)
     hi, lo = own + 4 * du / (1 - du), own - 4 * du / (1 - du)
     above, reach = np.zeros((2, 2, n), dtype=np.int64)  # > hi, >= lo
-    top = np.full(n, -np.inf)
-    for a, b, s in _cosines(u, v, chunks(n, n)):
-        np.fill_diagonal(s[:, a:], -np.inf)
-        r = slice(a, b)
+
+    def tally(side, lines, s):
+        """Count row i of s into line lines[i] of direction `side`."""
         if k_max == 1:
             m = s.max(axis=1)
-            above[0, r], reach[0, r] = m > hi[r], m >= lo[r]
-            np.maximum(top, s.max(axis=0), out=top)
+            above[side, lines] += m > hi[lines]
+            reach[side, lines] += m >= lo[lines]
         else:
-            above[0, r] = count(s > hi[r, None], axis=1)
-            reach[0, r] = count(s >= lo[r, None], axis=1)
-            above[1] += count(s > hi, axis=0)
-            reach[1] += count(s >= lo, axis=0)
-    if k_max == 1:
-        above[1], reach[1] = top > hi, top >= lo
-    for side, p in zip(*np.nonzero(above != reach)):  # rare
+            above[side, lines] += count(s > hi[lines, None], axis=1)
+            reach[side, lines] += count(s >= lo[lines, None], axis=1)
+
+    w = max(1, min(n, ENTRIES // n))
+    buf = np.empty(min(n * n, max(ENTRIES, n)))  # holds every product
+    for r, s in _cosines(u, v[:w], [slice(a, b) for a, b in chunks(n, w)],
+                         buf):
+        np.fill_diagonal(s[:, r.start:], -np.inf)
+        tally(0, r, s)
+        tally(1, slice(0, w), s.T)
+    for r, s in _cosines(v, u[:w], [slice(w + a, w + b)
+                                    for a, b in chunks(n - w, w)], buf):
+        tally(1, r, s)
+        tally(0, slice(0, w), s.T)
+    for side, (x, y) in enumerate(((u, v[w:]), (v, u[w:]))):
+        lines = w + np.flatnonzero(above[side, w:] < k_max)
+        for r, s in _cosines(x, y, [lines[a:b] for a, b
+                                    in chunks(len(lines), n - w)], buf):
+            s[np.arange(len(r)), r - w] = -np.inf
+            tally(side, r, s)
+    for side, p in zip(*np.nonzero((above < k_max) & (above != reach))):
         line = np.full(n, p)
         c = np.einsum("pd,pd->p", *((u, v[line]) if side else (u[line], v)))
         above[side, p] = count(c > own[p]) + count(c[:p] == own[p])
-    return above
+    return np.minimum(above, k_max)
 
 
 def _recall(rank: np.ndarray, ks) -> dict[int, float]:

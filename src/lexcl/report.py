@@ -11,7 +11,7 @@ from functools import cached_property
 
 from . import bpe, harness
 from . import vocab as vocab_mod
-from .embeddings import (load_checkpoint, read_json, read_lines, vocab_hash,
+from .embeddings import (VocabHash, load_checkpoint, read_json, read_lines,
                          write_atomic, write_csv)
 from .encoders import make_text_params
 from .errors import CheckpointError, InvalidInputError
@@ -117,11 +117,12 @@ class FinishedRun:
         """Each `Step`, its table loaded when reached and checked against
         the step's vocab, `model.dim` and its sidecar, whose task_index
         must be the step's row."""
+        digest = VocabHash()
         for row, state, lam in self.merges:
             path = self.path(f"ckpt_task{row}.bin")
             table, side = load_checkpoint(
                 path, expected_rows=state.size, expected_dim=self.cfg.dim,
-                expected_vocab_hash=vocab_hash(state.tokens))
+                expected_vocab_hash=digest.of(state.tokens))
             got = side.get("task_index")
             if type(got) is not int or got != row:
                 raise CheckpointError(

@@ -8,15 +8,17 @@ ranks on, Recall@K by a stable argsort of every canonical similarity
 row, paired Recall@K ranked on the whole n x n canonical cosine matrix,
 the full-recount BPE trainer, the scalar pass loop on ids
 that the one-array BPE merge replaced, the pass loop on bytes, the
-rule-by-rule BPE encoder, a plain hash of a matrix's bytes, one SeedSequence per
-named random stream of the benchmark generator, and the caption that one
-such stream draws through numpy's Generator; whether OPENBLAS_CORETYPE
+rule-by-rule BPE encoder, a plain hash of a matrix's bytes and of a
+token list, one SeedSequence per named random stream of the benchmark
+generator, and the caption that one such stream draws through numpy's
+Generator; whether OPENBLAS_CORETYPE
 can pick another BLAS kernel, and what a fresh interpreter with a given
 number of BLAS threads prints; and an ndarray subclass that records each
 product's shape."""
 
 import hashlib
 import os
+import struct
 import re
 import subprocess
 import sys
@@ -429,6 +431,16 @@ def encode_reference(text: bytes, scope) -> list[int]:
 
 def matrix_hash(matrix: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(matrix).tobytes()).hexdigest()
+
+
+def vocab_hash(tokens: list[bytes]) -> str:
+    """sha256 of each token's length, packed as a little-endian uint32,
+    then its bytes, in token order, hashed from the first token."""
+    h = hashlib.sha256()
+    for t in tokens:
+        h.update(struct.pack("<I", len(t)))
+        h.update(t)
+    return h.hexdigest()
 
 
 def sub_rng(seed: int, *names) -> np.random.Generator:

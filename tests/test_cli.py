@@ -19,11 +19,13 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
-from lexcl import bpe, cli, gradcheck, harness, report
+import oracles
+from lexcl import bpe, cli, gradcheck, harness, metrics, report
 from lexcl.cli import EXIT_IO, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from lexcl.config import load_config_file
 from lexcl.embeddings import (EMB_MAGIC, load_checkpoint, read_matrix,
                               write_matrix)
+from lexcl.encoders import ENTRIES, encode_text
 from lexcl.errors import (CheckpointError, DatasetError,
                           DegenerateFeatureError, InvalidInputError,
                           LexclError, NumericError)
@@ -467,6 +469,42 @@ class TestEvalAndReport:
         recomputed = EvalMatrix.load_csv(run / "eval_matrix_recomputed_test.csv")
         stored = EvalMatrix.load_csv(run / "eval_matrix.csv")
         assert recomputed.entries == stored.entries
+
+    def test_eval_matches_on_a_gallery_ranked_in_two_stages(
+            self, workdir, tmp_path, monkeypatch):
+        """300 test pairs, more than one product of ENTRIES entries holds:
+        the run's test rows and `lexcl eval` both score img @ txt[:w].T
+        first, w = ENTRIES // 300, and eval writes the stored matrix back,
+        byte for byte; every entry is the whole-matrix oracle's."""
+        (tmp_path / "bench.cfg").write_text(TINY_BENCH.replace(
+            "bench.n_test = 12", "bench.n_test = 300"))
+        data, run = tmp_path / "data", tmp_path / "run"
+        assert main(["gen-data", "--config", str(tmp_path / "bench.cfg"),
+                     "--out", str(data)]) == EXIT_OK
+        shapes, cosines = [], metrics._cosines
+
+        def recorded(x, y, *rest):
+            shapes.append((len(x), len(y)))
+            yield from cosines(x, y, *rest)
+
+        monkeypatch.setattr(metrics, "_cosines", recorded)
+        for argv in (["train", "--config", str(workdir / "run.cfg"),
+                      "--data", str(data), "--out", str(run)],
+                     ["eval", "--run", str(run), "--data", str(data)]):
+            shapes.clear()
+            assert main(argv) == EXIT_OK
+            assert (300, ENTRIES // 300) in shapes
+        assert (run / "eval_matrix_recomputed_test.csv").read_bytes() == \
+            (run / "eval_matrix.csv").read_bytes()
+        finished = report.FinishedRun(str(run))
+        test_set = finished.pooled(str(data), "test")
+        stored = finished.matrix()
+        for step in finished.steps():
+            for i, (pooled, images) in enumerate(test_set[:step.row + 1]):
+                txt = encode_text(pooled, step.table, finished.params)
+                want = oracles.paired_recall_whole(txt, images)
+                for d in metrics.DIRECTIONS:
+                    assert stored.get(step.row, i, d) == want[d][1]
 
     @pytest.mark.parametrize("flag", ["--oracle-vocab", "--mode=joint"])
     def test_eval_matches_in_shared_vocab_modes(self, workdir, tmp_path, flag,

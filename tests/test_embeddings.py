@@ -288,7 +288,8 @@ class TestCheckpoint:
 
     def test_vocab_hash_checked_when_given(self, tmp_path):
         t = _drawn(3, 3, 5)
-        ours, theirs = emb.vocab_hash([b"a", b"b"]), emb.vocab_hash([b"a", b"c"])
+        ours, theirs = (emb.VocabHash().of([b"a", last])
+                        for last in (b"b", b"c"))
         p = tmp_path / "ckpt.bin"
         emb.save_checkpoint(t, {"vocab_hash": ours}, p)
         assert np.array_equal(

@@ -427,6 +427,27 @@ class TestGoldenOutputs:
         assert [sorted(td.pooled) for td in r.tasks] == (
             [["test", "train"]] * len(r.tasks))
 
+    @pytest.mark.parametrize("mode", sorted(_MODES))
+    def test_every_step_digest_hashes_its_vocab(self, tiny_data, tmp_path,
+                                                monkeypatch, mode):
+        """Each step's sidecar vocab hash, written by the run, and the one
+        `FinishedRun.steps` checks it against, both read off one running
+        digest, are the hash of that step's whole token list."""
+        out = tmp_path / "run"
+        run_sequence(tiny_run_cfg(tiny_data, out, **_MODES[mode]))
+        expected, load = [], report.load_checkpoint
+
+        def recording(path, **kw):
+            expected.append(kw["expected_vocab_hash"])
+            return load(path, **kw)
+
+        monkeypatch.setattr(report, "load_checkpoint", recording)
+        steps = list(FinishedRun(str(out)).steps())
+        want = [oracles.vocab_hash(s.state.tokens) for s in steps]
+        assert [s.sidecar["vocab_hash"] for s in steps] == want
+        assert expected == want
+        assert len(set(want)) == len(set(s.state.size for s in steps))
+
     @pytest.mark.skipif(not oracles.dynamic_openblas(), reason=(
         "numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS, so OPENBLAS_CORETYPE "
         "cannot select another kernel"))

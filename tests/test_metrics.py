@@ -150,7 +150,7 @@ class TestRecallAtK:
     @given(seed=st.integers(0, 100_000), k=st.sampled_from([1, 5, 10]))
     @settings(max_examples=40, deadline=None)
     def test_matches_argsort_oracle_random(self, seed, k):
-        """Up to 600 pairs, up to two row blocks. The oracle sorts the
+        """Up to 600 pairs, one product or two stages. The oracle sorts the
         lines of the canonical cosines: a BLAS product can round a tie
         apart, and did at 462 pairs under two BLAS threads when the
         ranks were read off the product's bits."""
@@ -221,34 +221,82 @@ class TestPairedRecall:
         with pytest.raises(DegenerateFeatureError, match="paired_recall"):
             M.paired_recall(pooled, table, params, img)
 
-    @pytest.mark.parametrize("n, blocks", [
-        (6, [6]), (319, [205, 114]), (320, [204, 116]),
-        (1030, [63] * 16 + [22])], ids=["n6", "n319", "n320", "n1030"])
-    def test_block_products(self, monkeypatch, n, blocks):
-        """Both directions read one (b - a) x n product of img @ txt.T per
-        block of `chunks`, max(1, ENTRIES // n) rows, whatever the k, and
-        no other product."""
+    @pytest.mark.parametrize("n", [6, 256, 257, 319, 320, 1030],
+                             ids=lambda n: f"n{n}")
+    def test_block_products(self, monkeypatch, n):
+        """Up to 256 pairs, both directions read one n x n product of
+        img @ txt.T. Above, with w = ENTRIES // n, they read img @ txt[:w].T
+        and txt[w:] @ img[:w].T; then the lines w.. of each direction that
+        hold fewer than k_max items above the band around their own score
+        among items 0..w-1 meet items w.. in blocks of at most
+        ENTRIES // (n - w) lines. Whatever the k, no other product."""
         products = recorded_products(monkeypatch)
-        case = paired_case(0, n)[:4]
+        *case, img, txt = paired_case(0, n)
+        w = min(n, ENTRIES // n)
+        rest = n - w
+        sims = oracles.canonical_cosines(img, txt)
+        hi = sims.diagonal() + 4 * gamma(img.shape[1])
+        above = (np.count_nonzero(sims[w:, :w] > hi[w:, None], axis=1),
+                 np.count_nonzero(sims[:w, w:] > hi[w:], axis=0))
         for ks in ((1,), (5,), (1, 5, 10), (1, n + 1)):
             products.clear()
-            res = M.paired_recall(*case, ks=ks)
-            assert products == [(rows, n) for rows in blocks]
+            res = M.paired_recall(*case, img, ks=ks)
+            first = [(n, w), (rest, w)] if rest else [(n, n)]
+            assert products == first + [
+                (b - a, rest) for side in above
+                for a, b in chunks(np.count_nonzero(side < max(ks)), rest)]
             assert list(res) == ["img2txt", "txt2img"]
             assert all(list(res[d]) == list(ks) for d in res)
+            assert res == oracles.paired_recall_whole(txt, img, ks)
 
     @pytest.mark.parametrize("n", [1, 255, 256, 257, 1000, 4000])
     def test_products_hold_at_most_the_entry_budget(self, monkeypatch, n):
         """Every product that paired_recall forms holds at most ENTRIES
-        entries, one row at least, and together they cover img @ txt.T."""
+        entries, one row at least: one n x n product up to 256 pairs, else
+        the first stage's n x w and (n - w) x w, then blocks of lines
+        against the last n - w items."""
         products = recorded_products(monkeypatch)
         rng = np.random.default_rng(n)
         txt = rng.normal(size=(n, 8))
         streamed_recall(monkeypatch, txt, txt + rng.normal(size=(n, 8)),
                         (1, 5))
-        assert all(rows * cols <= max(ENTRIES, cols) for rows, cols in products)
-        assert [cols for _, cols in products] == [n] * len(products)
-        assert sum(rows for rows, _ in products) == n
+        assert all(1 <= rows and rows * cols <= max(ENTRIES, cols)
+                   for rows, cols in products)
+        w = min(n, ENTRIES // n)
+        if w == n:
+            assert products == [(n, n)]
+        else:
+            assert products[:2] == [(n, w), (n - w, w)]
+            assert {cols for _, cols in products[2:]} <= {n - w}
+
+    @pytest.mark.parametrize("ks", [(1,), (1, 5, 10)])
+    def test_unrelated_features_settle_in_the_first_stage(self, monkeypatch,
+                                                           ks):
+        """1,000 pairs of independent random features: nearly every line
+        holds k_max items above its own among the first w, so the products
+        hold fewer than n^2 / 2 entries in all, against n^2 for the whole
+        cosine matrix."""
+        products = recorded_products(monkeypatch)
+        rng = np.random.default_rng(5)
+        n = 1000
+        txt, img = rng.normal(size=(n, 16)), rng.normal(size=(n, 16))
+        res = streamed_recall(monkeypatch, txt, img, ks)
+        assert sum(rows * cols for rows, cols in products) < n * n / 2
+        assert res == oracles.paired_recall_whole(txt, img, ks)
+
+    @pytest.mark.parametrize("n", [257, 1000])
+    def test_k_beyond_the_gallery_settles_no_line_early(self, monkeypatch,
+                                                        n):
+        """At k_max = n no line can hold k_max items above its own, so every
+        line w.. of both directions meets the last n - w items."""
+        products = recorded_products(monkeypatch)
+        rng = np.random.default_rng(n)
+        txt, img = rng.normal(size=(n, 16)), rng.normal(size=(n, 16))
+        res = streamed_recall(monkeypatch, txt, img, (1, n))
+        rest = n - ENTRIES // n
+        assert sum(rows for rows, cols in products[2:] if cols == rest) == \
+            2 * rest
+        assert res == oracles.paired_recall_whole(txt, img, (1, n))
 
 
 def recorded_products(monkeypatch) -> list:
@@ -265,9 +313,9 @@ def recorded_products(monkeypatch) -> list:
     return products
 
 
-# Gallery sizes around the edges of the rank blocks of ENTRIES // n
-# rows: one block up to 256 pairs, the last one short or full at 257,
-# 511-513 and 1024-1025; and small, odd and even sizes between them.
+# Gallery sizes around the edges of the rank blocks of w = ENTRIES // n
+# lines: one product up to 256 pairs, the last block short or full at
+# 257, 511-513 and 1024-1025; and small, odd and even sizes between them.
 STREAM_SIZES = (1, 2, 31, 250, 255, 256, 257, 287, 288, 289, 319, 320,
                 511, 512, 513, 576, 577, 607, 608, 1000, 1024, 1025, 1030,
                 2017)
@@ -315,8 +363,9 @@ def streamed_recall(monkeypatch, txt, img, ks):
 
 
 class TestStreaming:
-    """`paired_recall` forms the cosines in row blocks of `chunks` and
-    ranks as the whole-matrix oracle does."""
+    """`paired_recall` forms the cosines in products of at most ENTRIES
+    entries, ranks each line until it is settled, and ranks as the
+    whole-matrix oracle does."""
 
     @pytest.mark.parametrize("n", STREAM_SIZES)
     @pytest.mark.parametrize("ks", [(1,), (5,), (1, 5, 10), "over"],
@@ -418,15 +467,15 @@ def ranks_both_ways(txt, img, k_max):
 
 
 def noisy_products(monkeypatch, size, extreme):
-    """Add up to +-size to every entry of every `_cosines` block: uniform
+    """Add up to +-size to every entry of every `_cosines` product: uniform
     draws, or +-size exactly when `extreme`."""
     rng, cosines = np.random.default_rng(0), M._cosines
 
-    def noisy(u, v, blocks):
-        for a, b, s in cosines(u, v, blocks):
+    def noisy(*args):
+        for r, s in cosines(*args):
             s += size * (rng.choice([-1.0, 1.0], s.shape) if extreme
                          else rng.uniform(-1.0, 1.0, s.shape))
-            yield a, b, s
+            yield r, s
 
     monkeypatch.setattr(M, "_cosines", noisy)
 
