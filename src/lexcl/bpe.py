@@ -61,61 +61,54 @@ class _PairTable(NamedTuple):
 class TaskVocab:
     """One task's BPE vocabulary: 256 byte tokens plus learned merges.
 
-    `id_of` (token bytes to id) and the pair table, `merge_ranks()`, are
-    built once, when the vocab is made, and its arrays, `pairs`, on the
-    first merge. `segment_ids` caches the ids of each distinct piece of
-    text with no space in it: `train_bpe` seeds it with its words, and
-    `encode_texts` adds the pieces it meets first. All four are derived
-    state, left out of equality and repr."""
+    `id_of` (token bytes to id) is built when the vocab is made, which
+    checks that ids 0-255 are the 256 single bytes, and the rules as a
+    `_PairTable`, `pairs`, on the first merge. `segment_ids` caches the
+    ids of each distinct piece of text with no space in it: `train_bpe`
+    seeds it with its words, and `encode_texts` adds the pieces it meets
+    first. All three are derived state, left out of equality and repr."""
 
     tokens: list[bytes]
     rules: list[MergeRule]
     id_of: dict[bytes, int] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
-    ranks: dict[tuple[int, int], tuple[int, int]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
     segment_ids: dict[bytes, list[int]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.id_of = {tok: i for i, tok in enumerate(self.tokens)}
-        self.ranks = self.merge_ranks()
+        if list(map(self.id_of.get, _BYTES)) != list(range(N_BYTES)):
+            raise InvalidInputError("ids 0-255 are not the 256 single bytes")
 
     @cached_property
     def pairs(self) -> _PairTable:
-        """The pairs of `ranks` as a `_PairTable`, less those that hold a
-        whitespace byte: no text merges one."""
-        n, size = len(self.ranks), self.size
-        left, right = np.fromiter(chain.from_iterable(self.ranks), np.int64,
-                                  2 * n).reshape(-1, 2).T
-        prio, result = np.fromiter(chain.from_iterable(self.ranks.values()),
-                                   np.int64, 2 * n).reshape(-1, 2).T
+        """The rules as a `_PairTable`, priorities counting up in (task,
+        rank) order. Each id is the one `id_of` gives its token's bytes, so
+        a pair of byte strings that two rules name keeps the later rule.
+        Pairs that hold a whitespace byte are left out: no text merges one."""
+        n, size = len(self.rules), self.size
+        canon = np.fromiter(map(self.id_of.__getitem__, self.tokens),
+                            np.int64, size)
+        # last rule first: np.unique's first index of a pair is its last rule
+        rules = np.fromiter(chain.from_iterable(self.rules), np.int64,
+                            5 * n).reshape(-1, 5)[::-1]
+        left, right, result = canon[rules[:, :3].T]
+        # the dense ranks of the tasks, then of (task, rank): the priorities
+        task, rank = (np.unique(column, return_inverse=True)[1]
+                      for column in rules[:, 3:].T)
+        prio = np.unique(task * n + rank, return_inverse=True)[1]
+        keys, last = np.unique(left * size + right, return_index=True)
         whitespace = np.zeros(size, dtype=bool)
         whitespace[:N_BYTES] = _IS_WHITESPACE
-        keep = ~(whitespace[left] | whitespace[right])
-        keys = left[keep] * size + right[keep]
-        order = keys.argsort()
-        return _PairTable(np.append(keys[order], _INT64_MAX),
-                          np.append(prio[keep][order] << 32, _NO_RULE),
-                          np.append(result[keep][order], -1))
+        keep = ~(whitespace[left[last]] | whitespace[right[last]])
+        last = last[keep]
+        return _PairTable(np.append(keys[keep], _INT64_MAX),
+                          np.append(prio[last] << 32, _NO_RULE),
+                          np.append(result[last], -1))
 
     @property
     def size(self) -> int:
         return len(self.tokens)
-
-    def merge_ranks(self) -> dict[tuple[int, int], tuple[int, int]]:
-        """Map (left id, right id) -> (priority, result id), priorities
-        counting up in (task, rank) order. Each id is the one `id_of` gives
-        its token's bytes, so a pair of byte strings that two rules name
-        keeps the later rule. Bytes 0-255 must be ids 0-255."""
-        id_of = self.id_of
-        if list(map(id_of.get, _BYTES)) != list(range(N_BYTES)):
-            raise InvalidInputError("ids 0-255 are not the 256 single bytes")
-        canon = list(map(id_of.__getitem__, self.tokens))
-        order = {key: p for p, key in enumerate(dict.fromkeys(
-            sorted([(t, rank) for _, _, _, t, rank in self.rules])))}
-        return {(canon[left], canon[right]): (order[t, rank], canon[result])
-                for left, right, result, t, rank in self.rules}
 
 
 def _byte_tokens() -> list[bytes]:
@@ -438,9 +431,13 @@ def vocab_from_files(vocab_path, merges_path) -> TaskVocab:
     n = len(tokens)
 
     def merge_rule(line: str) -> MergeRule:
-        """The rule on a merges line, whose ids must name tokens of the
-        vocab with the result token the left one followed by the right."""
+        """The rule on a merges line, whose task and rank must be 64-bit
+        ints, and whose ids must name tokens of the vocab with the result
+        token the left one followed by the right."""
         t, rank, left, right, result = map(int, line.split())
+        if not -_INT64_MAX - 1 <= min(t, rank) <= max(t, rank) <= _INT64_MAX:
+            raise ValueError(f"task {t} and rank {rank} are not both "
+                             "64-bit ints")
         if not (0 <= left < n and 0 <= right < n and 0 <= result < n):
             raise ValueError(f"ids {left} {right} {result} are not all in "
                              f"[0, {n}) of the vocab")

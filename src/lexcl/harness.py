@@ -17,9 +17,9 @@ from . import bpe
 from . import vocab as vocab_mod
 from .bench import SPLITS, load_dataset, load_images, load_manifest
 from .config import dump_config
-from .embeddings import (FIXED_INIT, VocabHash, dist_stats, expand,
-                         ks_statistic, save_checkpoint, snapshot_anchor,
-                         write_atomic, write_csv)
+from .embeddings import (FIXED_INIT, DistStats, VocabHash, dist_stats,
+                         expand, ks_statistic, save_checkpoint,
+                         snapshot_anchor, write_atomic, write_csv)
 from .encoders import Pooling, encode_text, make_text_params, pooling
 from .errors import (DatasetError, DegenerateFeatureError, InvalidInputError,
                      NumericError, check_keys, key)
@@ -158,6 +158,7 @@ class Runner:
         self.state = vocab_mod.new_state()
         self._vocab_hash = VocabHash()  # of self.state.tokens, which only grow
         self.table = np.zeros((0, cfg.dim), dtype=np.float32)
+        self.stats: DistStats | None = None  # dist_stats of the trained table
         self.anchor: np.ndarray | None = None
         self.eval_matrix = EvalMatrix()
         self.registry: list[dict] = []
@@ -299,7 +300,7 @@ class Runner:
         cfg = self.cfg
         tv = self._task_vocab(row)
         vocab_before = self.state.size
-        pre_stats = dist_stats(self.table) if len(self.table) else None
+        pre_stats = self.stats
         self.state, lam = vocab_mod.merge_vocab(self.state, tv)
         self._tokenize()
         self.registry.append(registry_record(row, vocab_before, self.state,
@@ -322,7 +323,7 @@ class Runner:
                            lam if cfg.teir_reg else np.ones(self.state.size))
         if self.anchor is None:
             self.anchor = snapshot_anchor(self.table)
-        s = dist_stats(self.table)
+        s = self.stats = dist_stats(self.table)
         self.rows["dist_stats.csv"].append({"task": row, "mu": s.mu,
                                             "sigma": s.sigma, "ks_stat": ks})
 

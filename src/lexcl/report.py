@@ -63,10 +63,6 @@ class FinishedRun:
             raise InvalidInputError(
                 f"{run_dir}: missing config.json; not a run directory")
         stored = read_json(path, InvalidInputError)
-        if isinstance(stored, dict) and "optim" not in stored:
-            # older runs hold the optim section flat, its kind as optim_kind
-            stored["optim"] = {k.removeprefix("optim_"): v
-                               for k, v in stored.items()}
         try:
             self.cfg: RunConfig = _build(RunConfig, stored)
         except InvalidInputError as e:

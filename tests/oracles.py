@@ -6,7 +6,8 @@ row-by-row optimizer step with per-row moment dicts and its bias
 corrections powered step by step, the canonical cosines that recall
 ranks on, Recall@K by a stable argsort of every canonical similarity
 row, paired Recall@K ranked on the whole n x n canonical cosine matrix,
-the full-recount BPE trainer, the scalar pass loop on ids
+the full-recount BPE trainer, the merge-rank dict and the BPE pair
+table's slots made from it, the scalar pass loop on ids
 that the one-array BPE merge replaced, the pass loop on bytes, the
 rule-by-rule BPE encoder, a plain hash of a matrix's bytes and of a
 token list, one SeedSequence per named random stream of the benchmark
@@ -329,6 +330,32 @@ def train_bpe_reference(corpus, target_size: int,
     return out.vocab()
 
 
+def merge_ranks(scope) -> dict[tuple[int, int], tuple[int, int]]:
+    """The rules as a dict that `bpe.TaskVocab.pairs` must hold, whitespace
+    pairs aside: (left id, right id) -> (priority, result id), priorities
+    counting up in (task, rank) order. Each id is the one `id_of` gives its
+    token's bytes, so a pair of byte strings that two rules name keeps the
+    later rule."""
+    canon = list(map(scope.id_of.__getitem__, scope.tokens))
+    order = {key: p for p, key in enumerate(dict.fromkeys(
+        sorted([(t, rank) for _, _, _, t, rank in scope.rules])))}
+    return {(canon[left], canon[right]): (order[t, rank], canon[result])
+            for left, right, result, t, rank in scope.rules}
+
+
+def pair_table(scope) -> list[tuple[int, int, int]]:
+    """`merge_ranks` as the slots that `bpe.TaskVocab.pairs` must hold:
+    (left id * vocab size + right id, priority << 32, result id) in key
+    order, less each pair that holds a whitespace byte, then the slot of
+    no rule."""
+    size = scope.size
+    whitespace = set(b" \t\n\r\x0b\x0c")
+    slots = sorted((a * size + b, p << 32, m)
+                   for (a, b), (p, m) in merge_ranks(scope).items()
+                   if not whitespace & {a, b})
+    return slots + [(bpe._INT64_MAX, bpe._NO_RULE, -1)]
+
+
 def bytes_ranks(scope) -> dict:
     """The vocab's rules keyed by bytes: (left bytes, right bytes) ->
     ((task, rank), merged bytes), a pair named by two rules keeping the
@@ -348,7 +375,7 @@ def merge_ids_passes(seg: bytes, scope) -> list[int]:
     of best priority (the leftmost among equals) until no pair has a rule.
     `prio[i]` is the priority of (ids[i], ids[i + 1]); a merge re-reads
     only the two pairs beside it."""
-    ranks = scope.ranks
+    ranks = merge_ranks(scope)
     no_rule = (1 << 63, -1)
     get = ranks.get
     ids = list(seg)

@@ -1,5 +1,6 @@
 """Tokenizer tests: training greedy order, encode/decode round-trips, file formats."""
 
+import functools
 import os
 import tempfile
 
@@ -123,20 +124,22 @@ class TestIncrementalTrainer:
 
 class TestRankTable:
     def test_built_once_per_vocab(self, monkeypatch):
+        """The pair table is built on a vocab's first cold merge, once,
+        and not for a vocab whose pieces are all in its segment cache."""
         calls = []
-        real = bpe.TaskVocab.merge_ranks
-
-        def counting(self):
-            calls.append(id(self))
-            return real(self)
-
-        monkeypatch.setattr(bpe.TaskVocab, "merge_ranks", counting)
+        real = bpe.TaskVocab.pairs.func
+        counting = functools.cached_property(
+            lambda tv: calls.append(id(tv)) or real(tv))
+        counting.__set_name__(bpe.TaskVocab, "pairs")
+        monkeypatch.setattr(bpe.TaskVocab, "pairs", counting)
         corpora = [["the cat sat on the mat"] * 3, ["le chat est assis"] * 3]
         vocabs = [bpe.train_bpe(c, 290, t) for t, c in enumerate(corpora)]
         for tv in vocabs:
             for _ in range(3):
                 for line in corpora[0] + corpora[1]:
                     bpe.encode(line.encode("utf-8"), tv)
+        warm = bpe.train_bpe(corpora[0], 290)
+        bpe.encode_texts(corpora[0] * 3, warm)
         assert sorted(calls) == sorted(id(tv) for tv in vocabs)
 
     def test_cached_state_outside_equality(self):
@@ -145,8 +148,51 @@ class TestRankTable:
         bpe.encode(b"bananas", a)
         assert b"bananas" in a.segment_ids and b"bananas" not in b.segment_ids
         assert a == b
-        assert "segment_ids" not in repr(a) and "ranks" not in repr(a)
-        assert a.ranks == a.merge_ranks()
+        assert "segment_ids" not in repr(a)
+
+    @pytest.mark.parametrize("rules, want", [
+        # (a, b) is named twice: the later rule wins, with its priority
+        ([(b"a", b"b", (0, 0)), (b"c", b"c", (0, 1)), (b"a", b"b", (1, 0)),
+          (b"ab", b"cc", (1, 1))],
+         {(97, 98): (2, 258), (99, 99): (1, 257), (258, 257): (3, 259)}),
+        # (task, rank) out of order, one of them twice
+        ([(b"a", b"b", (1, 3)), (b"c", b"c", (0, 7)), (b"ab", b"cc", (1, 0)),
+          (b"b", b"a", (0, 7))],
+         {(97, 98): (2, 256), (99, 99): (0, 257), (256, 257): (1, 258),
+          (98, 97): (0, 259)}),
+        # rules that name a whitespace byte have no slot
+        ([(b"\t", b"\t", (0, 0)), (b"a", b"\t", (0, 1)), (b"a", b"b", (0, 2)),
+          (b" ", b"a", (0, 3)), (b"ab", b"ab", (0, 4))],
+         {(97, 98): (2, 258), (258, 258): (4, 260)}),
+        # tokens 258 and 259 are both "abc": every rule reads and makes 259
+        ([(b"a", b"b", (0, 0)), (b"b", b"c", (0, 1)), (b"ab", b"c", (0, 2)),
+          (b"a", b"bc", (0, 3)), (b"abc", b"a", (0, 4))],
+         {(97, 98): (0, 256), (98, 99): (1, 257), (256, 99): (2, 259),
+          (97, 257): (3, 259), (259, 97): (4, 260)}),
+        ([], {}),
+    ], ids=["pair-named-twice", "out-of-order", "whitespace",
+            "duplicate-bytes", "no-rules"])
+    def test_hand_built_tables(self, rules, want):
+        """The table of a vocab no trainer writes, read back from files
+        too, holds each pair's slot as `oracles.merge_ranks` gives it."""
+        tv = hand_vocab(rules)
+        size = tv.size
+        slots = sorted((a * size + b, p << 32, m)
+                       for (a, b), (p, m) in want.items())
+        slots.append((bpe._INT64_MAX, bpe._NO_RULE, -1))
+        for vocab in (tv, round_trip(tv)):
+            assert table_slots(vocab) == slots == oracles.pair_table(vocab)
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_drawn_tables_match_the_oracle(self, data):
+        tv = data.draw(drawn_vocabs(distinct_keys=False))
+        assert table_slots(tv) == oracles.pair_table(tv)
+
+
+def table_slots(tv) -> list[tuple[int, int, int]]:
+    """(key, priority << 32, result) of each slot of `tv.pairs`."""
+    return list(zip(*(column.tolist() for column in tv.pairs)))
 
 
 # Pieces of texts that exercise the space split: single, leading,
@@ -239,7 +285,7 @@ class TestColdMerge:
         tv = bpe.train_bpe(corpus, size, task_index)
         back = round_trip(tv)
         assert (back.tokens, back.rules) == (tv.tokens, tv.rules)
-        assert back.ranks == tv.ranks
+        assert oracles.merge_ranks(back) == oracles.merge_ranks(tv)
         data = text.encode("utf-8")
         want = oracles.encode_passes(data, tv)
         assert want == oracles.encode_reference(data, tv)
@@ -263,7 +309,7 @@ class TestColdMerge:
         assert bpe.encode(b"abc abc", dup) == [259, 32, 259]
         twice = hand_vocab(_DUPLICATES["pair-named-twice"])
         # the later (a, b) rule sets the pair's priority and result
-        assert twice.ranks[97, 98] == (2, 258)
+        assert oracles.merge_ranks(twice)[97, 98] == (2, 258)
         assert bpe.encode(b"abcc", twice) == [259]
 
     @given(tv=drawn_vocabs(), text=abc_text)
@@ -293,8 +339,8 @@ class TestColdMerge:
         pair of that priority first, not the rule listed first."""
         tv = hand_vocab([(b"b", b"c", (0, 0)), (b"a", b"b", (0, 0))])
         back = round_trip(tv)
-        assert back.ranks == tv.ranks == {(98, 99): (0, 256),
-                                          (97, 98): (0, 257)}
+        assert oracles.merge_ranks(back) == oracles.merge_ranks(tv) == {
+            (98, 99): (0, 256), (97, 98): (0, 257)}
         for data, want in [(b"abc", [257, 99]), (b"bcab", [256, 257]),
                            (b"cabbc", [99, 257, 256])]:
             assert bpe.encode(data, back) == want

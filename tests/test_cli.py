@@ -590,10 +590,11 @@ class TestEvalAndReport:
         assert named in capsys.readouterr().err
         assert not (run / "eval_matrix_recomputed_test.csv").exists()
 
-    def test_run_with_flat_optim_fields_still_loads(self, workdir, tmp_path):
+    def test_run_with_flat_optim_fields_is_refused(self, workdir, tmp_path,
+                                                   capsys):
         """config.json nests the optim section. A run directory whose
-        config.json holds the optim fields flat, as older runs wrote
-        them, still evaluates exactly and reports."""
+        config.json holds the optim fields flat (`optim_kind`, `lr_peak`,
+        ...) ends eval and report with exit 1, naming the file."""
         run = tmp_path / "run"
         shutil.copytree(workdir / "run", run, ignore=shutil.ignore_patterns(
             "eval_matrix_recomputed_*"))
@@ -606,13 +607,17 @@ class TestEvalAndReport:
                    weight_decay=optim["weight_decay"],
                    warmup_fraction=optim["warmup_fraction"])
         path.write_text(json.dumps(cfg, indent=1, sort_keys=True))
-        assert main(["eval", "--run", str(run),
-                     "--data", str(workdir / "data")]) == EXIT_OK
-        recomputed = EvalMatrix.load_csv(run / "eval_matrix_recomputed_test.csv")
-        stored = EvalMatrix.load_csv(run / "eval_matrix.csv")
-        assert recomputed.entries == stored.entries
-        assert main(["report", "--run", str(run),
-                     "--out", str(tmp_path / "report")]) == EXIT_OK
+        capsys.readouterr()
+        for argv in (["eval", "--run", str(run), "--data",
+                      str(workdir / "data")],
+                     ["report", "--run", str(run), "--out",
+                      str(tmp_path / "report")]):
+            assert main(argv) == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert f"{path}: no field 'optim'" in err
+            assert "Traceback" not in err
+        assert not (run / "eval_matrix_recomputed_test.csv").exists()
+        assert not (tmp_path / "report").exists()
 
     def test_report_outputs(self, workdir, tmp_path):
         out = tmp_path / "report"
@@ -858,6 +863,14 @@ def _bad_byte(path):
     path.write_bytes(b"\n".join(lines))
 
 
+def _rank_past_int64(path):
+    """Set the rank of the rule on line 3 of a merges file to 2**63."""
+    lines = path.read_text().split("\n")
+    t, _, left, right, result = lines[2].split()
+    lines[2] = f"{t} {2**63} {left} {right} {result}"
+    path.write_text("\n".join(lines))
+
+
 def _line3(text):
     """Damage that replaces line 3 of a file with `text`."""
     def damage(path):
@@ -1018,6 +1031,8 @@ class TestDamagedFiles:
                      EXIT_USAGE, 3, id="merges-negative-id"),
         pytest.param("eval", "run/merges_task1.txt", _line3("1 2 97 98 97"),
                      EXIT_USAGE, 3, id="merges-result-not-left-then-right"),
+        pytest.param("eval", "run/merges_task1.txt", _rank_past_int64,
+                     EXIT_USAGE, 3, id="merges-rank-past-int64"),
         pytest.param("eval", "run/ckpt_task2.bin", _half_width, EXIT_IO, None,
                      id="checkpoint-half-width"),
         pytest.param("eval", "run/ckpt_task2.bin",

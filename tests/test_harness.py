@@ -17,7 +17,7 @@ from scipy import stats as sps
 import oracles
 from lexcl import bench, bpe, cli, config, encoders, harness, report, vocab
 from lexcl.bench import SPLITS
-from lexcl.embeddings import load_checkpoint, write_matrix
+from lexcl.embeddings import FIXED_INIT, load_checkpoint, write_matrix
 from lexcl.errors import (CheckpointError, DatasetError,
                           DegenerateFeatureError, InvalidInputError,
                           NumericError)
@@ -259,6 +259,25 @@ class TestModesAndArtifacts:
         recorded = [ks for _, ks in _ks_stats(tmp_path / "run")[1:]]
         assert len(recorded) == len(expected) == 2
         assert np.allclose(recorded, expected, rtol=0, atol=1e-12)
+
+    def test_dist_stats_once_per_table(self, tiny_data, tmp_path,
+                                       monkeypatch):
+        """Each step's matched init draws from the statistics that the step
+        before recorded for dist_stats.csv, computed once per table."""
+        inits, calls = [], []
+        real_expand, real_stats = harness.expand, harness.dist_stats
+        monkeypatch.setattr(harness, "expand", lambda matrix, n, init, seed:
+                            inits.append(init) or real_expand(matrix, n, init,
+                                                              seed))
+        monkeypatch.setattr(harness, "dist_stats", lambda matrix:
+                            calls.append(1) or real_stats(matrix))
+        r = Runner(tiny_run_cfg(tiny_data, tmp_path / "run"))
+        r.run()
+        rows = r.rows["dist_stats.csv"]
+        assert len(calls) == len(rows) == 3
+        assert inits[0] == FIXED_INIT
+        assert [(s.mu, s.sigma) for s in inits[1:]] == [
+            (row["mu"], row["sigma"]) for row in rows[:-1]]
 
     def test_recompute_checks_the_vocab_hash(self, tiny_data, tmp_path):
         """`lexcl eval` knows each row's vocab, so a sidecar that names
@@ -512,6 +531,21 @@ class TestTokenArrays:
             for name in ("ids", "w", "n"):
                 assert np.array_equal(getattr(pooled, name),
                                       getattr(want, name))
+
+    @pytest.mark.parametrize("mode", sorted(_MODES))
+    def test_pair_tables_are_the_oracle(self, tiny_data, tmp_path, mode):
+        """Each step's vocab, as trained and as its vocab and merges files
+        read back, holds the pair table of `oracles.merge_ranks`."""
+        out = tmp_path / "run"
+        r = Runner(tiny_run_cfg(tiny_data, out, **_MODES[mode]))
+        for row, train in harness.steps(r.cfg.mode, len(r.tasks)):
+            r.run_task(row, train)
+            read = bpe.vocab_from_files(out / f"vocab_task{row}.txt",
+                                        out / f"merges_task{row}.txt")
+            for tv in (r.state.task_vocabs[-1], read):
+                assert tv.rules
+                assert list(zip(*(column.tolist() for column in tv.pairs))) \
+                    == oracles.pair_table(tv)
 
     @pytest.mark.parametrize("mode", [*sorted(_MODES), "sections"])
     def test_vocab_files_give_the_pooled_ids(self, tiny_data, tmp_path,
